@@ -2,22 +2,34 @@
 //!
 //! The cycle-level numbers in `BENCH_9.json` attribute wall-clock to
 //! kernel buckets; this harness pins the kernels themselves — batched
-//! eigensolve, blocked HEVI tridiagonal sweep, K-blocked GEMM and the
-//! unrolled accumulator primitives — so a regression in any one of them is
-//! visible even when cycle-level noise would hide it. CI's `perf-gate`
-//! compares each row against the committed `BENCH_9_kernels.json`.
+//! eigensolve, blocked HEVI tridiagonal sweep, register-tiled GEMM, the
+//! lane-array dot and the axpy, and the whole per-grid-point transform —
+//! so a regression in any one of them is visible even when cycle-level
+//! noise would hide it. CI's `perf-gate` compares each row against the
+//! committed `BENCH_13_kernels.json`.
 //!
 //! Sizes mirror the reduced OSSE and the paper's LETKF: ensemble sizes
-//! k = 16 (bench fixture) and k = 64, vertical sweep nz = 12 over a
-//! 24-column x-row, and k = 100 vectors for the dot/axpy primitives.
+//! k = 16 (bench fixture), k = 64 and k = 128 (the benchmark's
+//! `many_member` workload, with its 76 local observations and 10 analysed
+//! variables per grid point), vertical sweep nz = 12 over a 24-column
+//! x-row, and k = 100 / 128 vectors for the dot/axpy primitives.
+//!
+//! Every row of ensemble-space arithmetic also carries `flops` and
+//! `gflops_computed` — the roofline column. The flop count is computed from
+//! the sizes, never measured: 2n^3 for the product, 2n for dot and axpy,
+//! and for the eigensolve the textbook nominal count of its three phases
+//! (Householder reduction 4/3 n^3, back-accumulation 4/3 n^3, QL rotations
+//! 6 n^3 — the last depends on the spectrum, so the figure is a yardstick
+//! across commits, not a hardware counter).
 //!
 //! Flags (unknown flags ignored so `cargo bench --bench kernels` works):
 //!
-//! * `--out PATH`   output path (default `<repo>/BENCH_9_kernels.json`)
+//! * `--out PATH`   output path (default `<repo>/BENCH_13_kernels.json`)
 //! * `--reps N`     measured repetitions per kernel (default 200)
 
-use bda_bench::{rng, spd_batch};
-use bda_num::matrix::{axpy8, dot8, MatrixS};
+use bda_bench::{local_obs, rng, spd_batch};
+use bda_letkf::weights::{apply_transform, compute_transform, TransformScratch};
+use bda_num::matrix::{axpy, dot8, MatrixS};
 use bda_num::tridiag::ThomasFactor;
 use bda_num::BatchedEigen;
 use std::time::Instant;
@@ -25,6 +37,8 @@ use std::time::Instant;
 struct Row {
     name: &'static str,
     mean_us: f64,
+    /// Floating-point operations per call, computed from the sizes.
+    flops: Option<f64>,
 }
 
 /// Mean microseconds per call of `op` over `reps` calls (after one
@@ -36,6 +50,12 @@ fn time_op(reps: usize, mut op: impl FnMut()) -> f64 {
         op();
     }
     start.elapsed().as_secs_f64() * 1e6 / reps as f64
+}
+
+/// Nominal flop count of one n x n symmetric eigendecomposition with
+/// vectors (see the module docs).
+fn eigensolve_flops(n: usize) -> f64 {
+    (4.0 / 3.0 + 4.0 / 3.0 + 6.0) * (n as f64).powi(3)
 }
 
 fn eigensolve_bench(k: usize, batch: usize, reps: usize) -> f64 {
@@ -92,20 +112,52 @@ fn dot8_bench(n: usize, reps: usize) -> f64 {
     }) / 512.0
 }
 
-fn axpy8_bench(n: usize, reps: usize) -> f64 {
+fn axpy_bench(n: usize, reps: usize) -> f64 {
     let mut r = rng(19);
     let x: Vec<f32> = (0..n).map(|_| r.gaussian(0.0f32, 1.0)).collect();
     let mut y: Vec<f32> = (0..n).map(|_| r.gaussian(0.0f32, 1.0)).collect();
     time_op(reps, || {
         for _ in 0..512 {
-            axpy8(1e-7f32, &x, &mut y);
+            axpy(1e-7f32, &x, &mut y);
         }
         std::hint::black_box(y[0]);
     }) / 512.0
 }
 
+/// One grid point of the `many_member` shape: `compute_transform` from
+/// `nobs` localized observations, then `apply_transform` to `nvar` state
+/// variables. Returns `(mean_us, flops)`.
+fn transform_bench(k: usize, nobs: usize, nvar: usize, reps: usize) -> (f64, f64) {
+    let local = local_obs(k, nobs, 23);
+    let mut r = rng(29);
+    let state: Vec<f32> = (0..nvar * k).map(|_| r.gaussian(5.0f32, 1.0)).collect();
+    let mut block = state.clone();
+    let mut solver = BatchedEigen::<f32>::with_capacity(k);
+    let mut scratch = TransformScratch::new();
+    let mut trans = MatrixS::zeros(k);
+    let mut pert = vec![0.0f32; k];
+    let us = time_op(reps, || {
+        block.copy_from_slice(&state);
+        compute_transform(&local, 0.95, 1.0, &mut solver, &mut scratch, &mut trans);
+        for vals in block.chunks_exact_mut(k) {
+            apply_transform(vals, &trans, &mut pert);
+        }
+        std::hint::black_box(block[0]);
+    });
+    let (kf, nf, vf) = (k as f64, nobs as f64, nvar as f64);
+    // Upper-triangle Gram products (2 flops per term), the eigensolve,
+    // b/vtb/wbar (2k per row-op), the relaxation pass, and the apply.
+    let flops = nf * kf * (kf + 1.0)
+        + eigensolve_flops(k)
+        + kf * kf * (kf + 1.0)
+        + 2.0 * kf * (nf + 2.0 * kf)
+        + 2.0 * kf * kf
+        + vf * 2.0 * kf * kf;
+    (us, flops)
+}
+
 fn main() {
-    let mut out = format!("{}/../../BENCH_9_kernels.json", env!("CARGO_MANIFEST_DIR"));
+    let mut out = format!("{}/../../BENCH_13_kernels.json", env!("CARGO_MANIFEST_DIR"));
     let mut reps = 200usize;
 
     let mut args = std::env::args().skip(1);
@@ -125,30 +177,58 @@ fn main() {
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     eprintln!("kernels: host_cores={host_cores} reps={reps}");
 
+    let gemm_flops = |n: usize| 2.0 * (n as f64).powi(3);
+    let (transform_us, transform_flops) = transform_bench(128, 76, 10, reps.div_ceil(4));
     let rows = [
         Row {
             name: "eigensolve_k16",
             mean_us: eigensolve_bench(16, 64, reps),
+            flops: Some(eigensolve_flops(16)),
         },
         Row {
             name: "eigensolve_k64",
             mean_us: eigensolve_bench(64, 8, reps),
+            flops: Some(eigensolve_flops(64)),
+        },
+        Row {
+            name: "eigensolve_k128",
+            mean_us: eigensolve_bench(128, 4, reps.div_ceil(4)),
+            flops: Some(eigensolve_flops(128)),
         },
         Row {
             name: "tridiag_nz12_cols24",
             mean_us: tridiag_bench(12, 24, reps),
+            flops: None,
         },
         Row {
             name: "gemm_k64",
             mean_us: gemm_bench(64, reps),
+            flops: Some(gemm_flops(64)),
+        },
+        Row {
+            name: "gemm_k128",
+            mean_us: gemm_bench(128, reps),
+            flops: Some(gemm_flops(128)),
         },
         Row {
             name: "dot8_k100",
             mean_us: dot8_bench(100, reps),
+            flops: Some(200.0),
         },
         Row {
-            name: "axpy8_k100",
-            mean_us: axpy8_bench(100, reps),
+            name: "dot8_k128",
+            mean_us: dot8_bench(128, reps),
+            flops: Some(256.0),
+        },
+        Row {
+            name: "axpy_k100",
+            mean_us: axpy_bench(100, reps),
+            flops: Some(200.0),
+        },
+        Row {
+            name: "transform_k128_nobs76",
+            mean_us: transform_us,
+            flops: Some(transform_flops),
         },
     ];
     for r in &rows {
@@ -158,9 +238,16 @@ fn main() {
     let body: Vec<String> = rows
         .iter()
         .map(|r| {
+            let roofline = r.flops.map_or(String::new(), |f| {
+                format!(
+                    ", \"flops\": {:.0}, \"gflops_computed\": {:.4}",
+                    f,
+                    f / r.mean_us / 1e3
+                )
+            });
             format!(
-                "    {{ \"name\": \"{}\", \"mean_us\": {:.6} }}",
-                r.name, r.mean_us
+                "    {{ \"name\": \"{}\", \"mean_us\": {:.6}{} }}",
+                r.name, r.mean_us, roofline
             )
         })
         .collect();

@@ -287,10 +287,14 @@ pub fn validate_bench(doc: &Value) -> Result<(), String> {
 }
 
 /// Flatten a validated BENCH document into `metric name -> value` pairs for
-/// the trajectory table. Each results row is identified by its string
-/// fields plus its first numeric field (e.g. `threads=1`, or
-/// `transport=file,strip_len=256`); the remaining numeric fields become
-/// metrics `key[id]`. Kernel rows use their `name` as the identifier.
+/// the trajectory table. A results row that carries a string `name` (the
+/// `kernels` bench: `mean_us`, and since BENCH_13 the roofline columns
+/// `flops` and `gflops_computed`) is identified by that name alone and
+/// every numeric field is a metric `key[name]`. Any other results row is
+/// identified by its string fields plus its first numeric field (e.g.
+/// `threads=1`, or `transport=file,strip_len=256`); the remaining numeric
+/// fields become metrics `key[id]`. Rows of the `kernels` section use their
+/// `name` as the identifier.
 pub fn flatten_metrics(doc: &Value) -> BTreeMap<String, f64> {
     let mut out = BTreeMap::new();
     if let Some(results) = doc.get("results").and_then(Value::as_array) {
@@ -300,10 +304,11 @@ pub fn flatten_metrics(doc: &Value) -> BTreeMap<String, f64> {
             };
             let mut id_parts: Vec<String> = Vec::new();
             let mut metrics: Vec<(&str, f64)> = Vec::new();
-            let mut first_num_taken = false;
+            let named = row.get("name").and_then(Value::as_str);
+            let mut first_num_taken = named.is_some();
             for (k, v) in fields {
                 match v {
-                    Value::Str(s) => id_parts.push(format!("{k}={s}")),
+                    Value::Str(s) if named.is_none() => id_parts.push(format!("{k}={s}")),
                     Value::Num(x) if !first_num_taken => {
                         first_num_taken = true;
                         // Integral identifiers read as `threads=4`, not 4.0.
@@ -317,7 +322,7 @@ pub fn flatten_metrics(doc: &Value) -> BTreeMap<String, f64> {
                     _ => {}
                 }
             }
-            let id = id_parts.join(",");
+            let id = named.map_or_else(|| id_parts.join(","), str::to_string);
             for (k, x) in metrics {
                 out.insert(format!("{k}[{id}]"), x);
             }
@@ -389,6 +394,28 @@ mod tests {
             flat.get("mean_ms[transport=socket,strip_len=256]"),
             Some(&0.132)
         );
+    }
+
+    #[test]
+    fn named_rows_keep_every_numeric_field_as_a_metric() {
+        // BENCH_9_kernels has `mean_us` only; BENCH_13_kernels adds the
+        // roofline columns. Both must land on the same `[name]` row.
+        let text = r#"{
+  "bench": "kernels",
+  "host_cores": 2,
+  "results": [
+    { "name": "gemm_k64", "mean_us": 885.8 },
+    { "name": "gemm_k128", "mean_us": 234.1, "flops": 4194304, "gflops_computed": 17.9165 }
+  ]
+}"#;
+        let doc = parse(text).expect("parse");
+        validate_bench(&doc).expect("valid");
+        let flat = flatten_metrics(&doc);
+        assert_eq!(flat.get("mean_us[gemm_k64]"), Some(&885.8));
+        assert_eq!(flat.get("mean_us[gemm_k128]"), Some(&234.1));
+        assert_eq!(flat.get("flops[gemm_k128]"), Some(&4194304.0));
+        assert_eq!(flat.get("gflops_computed[gemm_k128]"), Some(&17.9165));
+        assert_eq!(flat.len(), 4);
     }
 
     #[test]

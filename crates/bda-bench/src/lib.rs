@@ -10,6 +10,7 @@
 pub mod json;
 
 use bda_core::osse::{Osse, OsseConfig};
+use bda_letkf::weights::LocalObs;
 use bda_letkf::{ObsEnsemble, ObsKind, Observation, StateLayout};
 use bda_num::{MatrixS, SplitMix64};
 
@@ -50,6 +51,27 @@ pub fn spd_batch(n: usize, count: usize, seed: u64) -> Vec<MatrixS<f32>> {
             a
         })
         .collect()
+}
+
+/// One grid point's gathered observations: `nobs` rows of zero-mean
+/// observation-space perturbations for `k` members, with innovations and
+/// localized inverse variances — the input of `compute_transform`.
+pub fn local_obs(k: usize, nobs: usize, seed: u64) -> LocalObs<f32> {
+    let mut rng = rng(seed);
+    let mut local = LocalObs::new(k);
+    let mut row = vec![0.0f32; k];
+    for _ in 0..nobs {
+        for y in &mut row {
+            *y = rng.gaussian(0.0f32, 2.0);
+        }
+        let mean = row.iter().sum::<f32>() / k as f32;
+        for y in &mut row {
+            *y -= mean;
+        }
+        let rinv = rng.uniform_in(0.01, 0.25) as f32;
+        local.push(rng.gaussian(0.0f32, 3.0), rinv, &row);
+    }
+    local
 }
 
 /// `k` member state vectors of `n` standard-normal values — the I/O-path

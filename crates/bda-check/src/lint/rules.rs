@@ -1,8 +1,9 @@
 //! The deny-by-default rule set.
 //!
 //! Five rules are token-pattern scans over [masked](super::lexer::mask)
-//! source, scoped by file path and by `#[cfg(test)]` regions. Three more —
-//! `hot_alloc`, `panic_path`, `unordered_iter` — are parser-backed: the
+//! source, scoped by file path and by `#[cfg(test)]` regions. Four more —
+//! `hot_alloc`, `panic_path`, `hot_fma`, `unordered_iter` — are
+//! parser-backed: the
 //! [tokenizer](super::tokens) and [item parser](super::parse) give them
 //! function bodies, an impl-qualified item map and a one-level call graph,
 //! so they can scope to *designated hot regions* (the [`HOT_ANCHORS`]
@@ -43,9 +44,10 @@ pub const RULE_POOL_FACADE: &str = "pool_facade";
 pub const RULE_HOT_ALLOC: &str = "hot_alloc";
 pub const RULE_PANIC_PATH: &str = "panic_path";
 pub const RULE_UNORDERED_ITER: &str = "unordered_iter";
+pub const RULE_HOT_FMA: &str = "hot_fma";
 
 /// All rule ids, for `allow(...)` validation and docs.
-pub const ALL_RULES: [&str; 8] = [
+pub const ALL_RULES: [&str; 9] = [
     RULE_UNWRAP,
     RULE_PARTIAL_CMP,
     RULE_LOSSY_CAST,
@@ -54,6 +56,7 @@ pub const ALL_RULES: [&str; 8] = [
     RULE_HOT_ALLOC,
     RULE_PANIC_PATH,
     RULE_UNORDERED_ITER,
+    RULE_HOT_FMA,
 ];
 
 /// The designated hot regions: the per-cycle inner loops whose
@@ -96,19 +99,42 @@ pub const HOT_ANCHORS: &[(&str, &[&str])] = &[
         "crates/bda-num/src/eigen/ql.rs",
         &[
             "QlEigen::tridiagonalize",
+            "householder_reduce",
+            "accumulate_q",
             "QlEigen::tqli",
-            "QlEigen::decompose_into",
+            "apply_sweep",
+            "sweep_strip",
         ],
     ),
     (
         "crates/bda-num/src/eigen/batched.rs",
         &["BatchedEigen::decompose_in_place"],
     ),
+    ("crates/bda-num/src/eigen/mod.rs", &["sort_ascending_with"]),
     (
         "crates/bda-num/src/matrix.rs",
-        &["dot", "dot8", "axpy8", "matmul_into", "matvec_into"],
+        &[
+            "dot",
+            "dot8",
+            "axpy",
+            "matmul_into",
+            "matmul_panel",
+            "matmul_tile",
+            "weighted_gram_into",
+            "gram_row_block",
+            "gram_tile",
+            "tile_step",
+            "segment",
+            "matvec_into",
+            "transpose_in_place",
+            "swap_rows",
+        ],
     ),
     ("crates/bda-letkf/src/driver.rs", &["analyze_region"]),
+    (
+        "crates/bda-letkf/src/weights.rs",
+        &["compute_transform", "apply_transform"],
+    ),
     (
         "vendor/rayon/src/protocol.rs",
         &[
@@ -689,7 +715,8 @@ fn check_one(fa: &FileAnalysis, hot_fns: &[(usize, HotReason)], findings: &mut V
     }
 }
 
-/// `hot_alloc` + `panic_path` over every hot function body in the file.
+/// `hot_alloc` + `panic_path` + `hot_fma` over every hot function body in
+/// the file.
 fn hot_region_rules(
     fa: &FileAnalysis,
     hot_fns: &[(usize, HotReason)],
@@ -726,6 +753,22 @@ fn hot_region_rules(
                         ),
                     );
                 }
+            }
+            // On the baseline x86-64 target the repo builds for (no `+fma`)
+            // `mul_add` lowers to a libm call per element, so the loop
+            // around it cannot vectorize; a separate multiply and add can,
+            // and carries the same bits on every host.
+            if m.contains(".mul_add(") {
+                push(
+                    findings,
+                    idx,
+                    RULE_HOT_FMA,
+                    format!(
+                        "`.mul_add(` inside hot region `{key}` ({why}) is a libm `fma` call \
+                         per element on the baseline target and blocks vectorization: write \
+                         the multiply and the add separately"
+                    ),
+                );
             }
             for pat in PANIC_MACROS {
                 if find_word(m, pat) {

@@ -23,7 +23,7 @@ OPTIONS:
     --json          Emit the machine-readable report (CI artifact format)
                     instead of the human-readable one.
 
-RULES (suppress per-site with `// bda-check: allow(rule_id)`; the three
+RULES (suppress per-site with `// bda-check: allow(rule_id)`; the four
 parser-backed rules also honor a marker on a `fn` line, covering its body):
     unwrap              no .unwrap()/.expect() in non-test library code
     partial_cmp_unwrap  no partial_cmp(..).unwrap(); use total_cmp
@@ -39,6 +39,9 @@ parser-backed rules also honor a marker on a `fn` line, covering its body):
                         call-graph level into workspace callees)
     panic_path          no panic-family macros, unwrap/expect, or
                         in-bracket index arithmetic inside hot regions
+    hot_fma             no .mul_add( inside hot regions: a libm `fma` call
+                        per element on the baseline target, which keeps
+                        the loop from vectorizing
     unordered_iter      no HashMap/HashSet iteration in crates feeding
                         outcome tables, wire frames, checkpoints, digests
 ";

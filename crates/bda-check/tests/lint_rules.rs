@@ -140,6 +140,19 @@ fn hot_alloc_rule_markers_propagation_and_allow() {
 }
 
 #[test]
+fn hot_fma_rule_markers_propagation_and_allow() {
+    let src = include_str!("fixtures/hot_fma.rs");
+    // `mul_add` in the marked fn and in `helper` (hot by one-level
+    // propagation); the cold statistic, the unfused kernel and the
+    // allow-justified scalar are silent.
+    assert_eq!(lines_for(LIB_PATH, src, "hot_fma"), vec![8, 14]);
+    assert_eq!(
+        lines_for("crates/bda-core/tests/fixture.rs", src, "hot_fma"),
+        vec![8]
+    );
+}
+
+#[test]
 fn panic_path_rule_hot_scope_and_debug_assert_exemption() {
     let src = include_str!("fixtures/panic_path.rs");
     // Index arithmetic, `.unwrap()`, `assert!` — all inside the marked

@@ -148,7 +148,7 @@ impl<T: Real> Field3<T> {
     pub fn axpy(&mut self, alpha: T, other: &Self) {
         assert_eq!(self.shape(), other.shape());
         for (a, &b) in self.data.iter_mut().zip(&other.data) {
-            *a = alpha.mul_add(b, *a);
+            *a += alpha * b;
         }
     }
 

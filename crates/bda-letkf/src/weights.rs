@@ -17,7 +17,7 @@
 //! `W_final = alpha I + (1 - alpha) W`, and the full member transform is
 //! `T[n][m] = W_final[n][m] + wbar[n]`.
 
-use bda_num::matrix::{axpy, dot8, scale_into};
+use bda_num::matrix::{axpy, dot8};
 use bda_num::{BatchedEigen, MatrixS, Real};
 
 /// Gathered local observations for one grid point, in ensemble-space form.
@@ -83,7 +83,6 @@ pub struct TransformScratch<T> {
     vtb: Vec<T>,
     wbar: Vec<T>,
     inv_sqrt: Vec<T>,
-    u: Vec<T>,
 }
 
 impl<T: Real> TransformScratch<T> {
@@ -118,25 +117,9 @@ pub fn compute_transform<T: Real>(
 
     let km1 = T::of_usize(k - 1);
 
-    // A = (k-1)/rho I + Yb^T R~^-1 Yb: upper triangle built as row-tail
-    // axpys (unit stride over `n`), then mirrored.
-    scratch.a.reset_zeros(k);
-    for i in 0..local.nobs() {
-        let row = local.yb_row(i);
-        let r = local.rinv[i];
-        for m in 0..k {
-            let ym_r = row[m] * r;
-            if ym_r == T::zero() {
-                continue;
-            }
-            axpy(ym_r, &row[m..], &mut scratch.a.row_mut(m)[m..]);
-        }
-    }
-    for m in 0..k {
-        for n in (m + 1)..k {
-            scratch.a[(n, m)] = scratch.a[(m, n)];
-        }
-    }
+    // A = (k-1)/rho I + Yb^T R~^-1 Yb: the Gram matrix of the observation
+    // rows, weighted by the localized inverse variances.
+    scratch.a.weighted_gram_into(k, &local.yb, &local.rinv);
     scratch.a.add_scaled_identity(km1 / infl_mult);
 
     solver.decompose_in_place(&scratch.a);
@@ -149,45 +132,36 @@ pub fn compute_transform<T: Real>(
         let c = local.rinv[i] * local.dy[i];
         axpy(c, local.yb_row(i), &mut scratch.b);
     }
-    // vtb = diag(1/lambda) V^T b, accumulated row-wise so the inner loop is
-    // unit-stride over the eigenvector matrix.
-    let v = solver.vectors();
+    // The solver hands the eigenvectors over as rows, so every product
+    // below reads them at unit stride.
+    // vtb = diag(1/lambda) V^T b: one dot per eigenvector.
+    let vt = solver.vectors_t();
     let values = solver.values();
     scratch.vtb.clear();
-    scratch.vtb.resize(k, T::zero());
-    for i in 0..k {
-        axpy(scratch.b[i], v.row(i), &mut scratch.vtb);
+    for (j, &l) in values.iter().enumerate() {
+        scratch.vtb.push(dot8(vt.row(j), &scratch.b) / l.max(floor));
     }
-    for (t, &l) in scratch.vtb.iter_mut().zip(values) {
-        *t /= l.max(floor);
-    }
-    // wbar = V vtb.
+    // wbar = V vtb: one row-axpy per eigenvector.
     scratch.wbar.clear();
-    for i in 0..k {
-        let w = dot8(v.row(i), &scratch.vtb);
-        scratch.wbar.push(w);
+    scratch.wbar.resize(k, T::zero());
+    for (j, &t) in scratch.vtb.iter().enumerate() {
+        axpy(t, vt.row(j), &mut scratch.wbar);
     }
 
-    // W = sqrt(k-1) V diag(lambda^-1/2) V^T, then RTPP relaxation. Each
-    // row m is pre-scaled once (`u = v_row_m * inv_sqrt`) so the inner
-    // product over `j` is a straight dot8 of two contiguous rows.
-    let sqrt_km1 = km1.sqrt();
+    // W = sqrt(k-1) V diag(lambda^-1/2) V^T is the Gram matrix of the
+    // eigenvector rows weighted by lambda^-1/2; RTPP relaxation and the
+    // mean-update weights are then one pass over each row.
     scratch.inv_sqrt.clear();
     scratch
         .inv_sqrt
         .extend(values.iter().map(|&l| T::one() / l.max(floor).sqrt()));
-    scratch.u.clear();
-    scratch.u.resize(k, T::zero());
-    let one_minus_alpha = T::one() - rtpp;
-    for m in 0..k {
-        scale_into(v.row(m), &scratch.inv_sqrt, &mut scratch.u);
-        for n in m..k {
-            let acc = dot8(&scratch.u, v.row(n));
-            let w = sqrt_km1 * acc * one_minus_alpha;
-            let diag_term = if m == n { rtpp } else { T::zero() };
-            trans[(m, n)] = w + diag_term + scratch.wbar[m];
-            trans[(n, m)] = w + diag_term + scratch.wbar[n];
+    trans.weighted_gram_into(k, vt.as_slice(), &scratch.inv_sqrt);
+    let spread = km1.sqrt() * (T::one() - rtpp);
+    for (m, &wm) in scratch.wbar.iter().enumerate() {
+        for t in trans.row_mut(m) {
+            *t = *t * spread + wm;
         }
+        trans[(m, m)] += rtpp;
     }
     true
 }
@@ -206,10 +180,9 @@ pub fn apply_transform<T: Real>(values: &mut [T], trans: &MatrixS<T>, pert: &mut
     for (p, &v) in pert.iter_mut().zip(values.iter()) {
         *p = v - mean;
     }
-    // values[m] = mean + sum_n pert[n] * trans[(n, m)], restructured as one
-    // unit-stride row-axpy per `n`: each element still accumulates in
-    // ascending-n `mul_add` order starting from `mean`, so this is
-    // bit-identical to the column-at-a-time form.
+    // values[m] = mean + sum_n pert[n] * trans[(n, m)] as one unit-stride
+    // row-axpy per `n`: each element accumulates in ascending `n` starting
+    // from `mean`, exactly as the column-at-a-time form would.
     values.fill(mean);
     for (n, &p) in pert.iter().enumerate().take(k) {
         axpy(p, trans.row(n), values);
@@ -396,6 +369,126 @@ mod tests {
             (vals.iter().map(|&x| (x - m).powi(2)).sum::<f64>() / (k - 1) as f64).sqrt()
         };
         assert!(run(1.5) > run(1.0));
+    }
+
+    /// `nobs` observations of zero-mean member perturbations.
+    fn random_local<T: Real>(k: usize, nobs: usize, seed: u64) -> LocalObs<T> {
+        let mut rng = SplitMix64::new(seed);
+        let mut local = LocalObs::new(k);
+        for _ in 0..nobs {
+            let y: Vec<f64> = (0..k).map(|_| rng.gaussian(0.0, 2.0)).collect();
+            let mean = y.iter().sum::<f64>() / k as f64;
+            let row: Vec<T> = y.iter().map(|&v| T::of(v - mean)).collect();
+            local.push(
+                T::of(rng.gaussian(0.0, 3.0)),
+                T::of(rng.uniform_in(0.05, 0.5)),
+                &row,
+            );
+        }
+        local
+    }
+
+    /// The transform of the module docs written out as f64 triple loops
+    /// over a Jacobi decomposition: `(trans, wbar)`.
+    fn reference_transform<T: Real>(
+        local: &LocalObs<T>,
+        rtpp: f64,
+        infl: f64,
+    ) -> (Vec<Vec<f64>>, Vec<f64>) {
+        use bda_num::{JacobiEigen, SymEigSolver};
+        let k = local.k;
+        let km1 = (k - 1) as f64;
+        let y = |i: usize, m: usize| local.yb_row(i)[m].f64();
+        let a = MatrixS::from_fn(k, |m, n| {
+            let mut acc = if m == n { km1 / infl } else { 0.0 };
+            for i in 0..local.nobs() {
+                acc += y(i, m) * local.rinv[i].f64() * y(i, n);
+            }
+            acc
+        });
+        let dec = JacobiEigen::default().decompose(&a);
+        let spectral = |f: &dyn Fn(f64) -> f64, m: usize, n: usize| {
+            let mut acc = 0.0;
+            for j in 0..k {
+                acc += dec.vectors[(m, j)] * f(dec.values[j]) * dec.vectors[(n, j)];
+            }
+            acc
+        };
+        let mut wbar = vec![0.0; k];
+        for (m, w) in wbar.iter_mut().enumerate() {
+            for n in 0..k {
+                let mut b = 0.0;
+                for i in 0..local.nobs() {
+                    b += y(i, n) * local.rinv[i].f64() * local.dy[i].f64();
+                }
+                *w += spectral(&|l| 1.0 / l, m, n) * b;
+            }
+        }
+        let trans = (0..k)
+            .map(|n| {
+                (0..k)
+                    .map(|m| {
+                        let w = km1.sqrt() * spectral(&|l| 1.0 / l.sqrt(), n, m);
+                        let relaxed = (1.0 - rtpp) * w + if n == m { rtpp } else { 0.0 };
+                        relaxed + wbar[n]
+                    })
+                    .collect()
+            })
+            .collect();
+        (trans, wbar)
+    }
+
+    fn transform_matches_reference<T: Real>(k: usize, nobs: usize, tol: f64) {
+        let local = random_local::<T>(k, nobs, 31 + k as u64);
+        let rtpp = 0.95;
+        let (want, wbar) = reference_transform(&local, rtpp, 1.0);
+        let mut solver = BatchedEigen::new();
+        let mut scratch = TransformScratch::new();
+        let mut trans = MatrixS::zeros(k);
+        assert!(compute_transform(
+            &local,
+            T::of(rtpp),
+            T::one(),
+            &mut solver,
+            &mut scratch,
+            &mut trans
+        ));
+        let sum_wbar: f64 = wbar.iter().sum();
+        for m in 0..k {
+            let mut column = 0.0;
+            for n in 0..k {
+                let got = trans[(n, m)].f64();
+                assert!(
+                    (got - want[n][m]).abs() < tol,
+                    "k={k} ({n},{m}): {got} vs {}",
+                    want[n][m]
+                );
+                // W is symmetric: without its row's mean-update weight the
+                // transform is too.
+                let w_nm = got - wbar[n];
+                let w_mn = trans[(m, n)].f64() - wbar[m];
+                assert!((w_nm - w_mn).abs() < tol, "k={k}: W not symmetric");
+                column += got;
+            }
+            // The perturbations are zero-mean, so 1 is an eigenvector of A
+            // with eigenvalue k-1 and W 1 = 1: every column sums to
+            // 1 + sum(wbar).
+            assert!(
+                (column - (1.0 + sum_wbar)).abs() < tol * k as f64,
+                "k={k}: column {m} sums to {column}, want {}",
+                1.0 + sum_wbar
+            );
+        }
+    }
+
+    #[test]
+    fn transform_matches_a_naive_f64_reference() {
+        transform_matches_reference::<f64>(16, 40, 1e-10);
+        transform_matches_reference::<f64>(128, 76, 1e-10);
+        transform_matches_reference::<f32>(16, 40, 2e-4);
+        transform_matches_reference::<f32>(128, 76, 2e-4);
+        // Sizes off the 4 x 8 tile and the 16-column rotation strip.
+        transform_matches_reference::<f64>(21, 9, 1e-10);
     }
 
     #[test]

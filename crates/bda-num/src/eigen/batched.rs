@@ -6,17 +6,19 @@
 //! analysis grid point (256 x 256 x 60 of them per cycle in the paper).
 //!
 //! [`BatchedEigen`] reproduces the *engineering idea* at the scale of this
-//! repository: all workspace (scratch vectors, the eigenvector accumulation
-//! buffer, the sort permutation, and the result buffers themselves) is
-//! allocated once and reused across the batch, so the per-problem cost is
-//! pure compute with warm caches and zero allocator traffic. The hot entry
-//! point is [`BatchedEigen::decompose_in_place`], which leaves the result in
+//! repository: all workspace (scratch vectors, the accumulation matrix, the
+//! recorded rotations, the sort permutation, and the result buffers
+//! themselves) is allocated once and reused across the batch, so the
+//! per-problem cost is pure compute with warm caches and zero allocator
+//! traffic, and every inner loop of the solve runs along contiguous rows
+//! (see [`QlEigen`]). The hot entry point is
+//! [`BatchedEigen::decompose_in_place`], which leaves the result in
 //! solver-owned storage read through [`BatchedEigen::values`] /
-//! [`BatchedEigen::vectors`] — no per-solve `SymEigDecomp` is materialized.
-//! The `ablation_eigensolver` bench compares it against fresh-allocation QL
-//! and Jacobi.
+//! [`BatchedEigen::vectors_t`] — no per-solve `SymEigDecomp` is
+//! materialized. The `ablation_eigensolver` bench compares it against
+//! fresh-allocation QL and Jacobi.
 
-use super::{QlEigen, SymEigDecomp, SymEigSolver};
+use super::{sort_ascending_with, QlEigen, SymEigDecomp, SymEigSolver};
 use crate::matrix::MatrixS;
 use crate::real::Real;
 use crate::timing;
@@ -26,20 +28,15 @@ use crate::timing;
 pub struct BatchedEigen<T> {
     d: Vec<T>,
     e: Vec<T>,
+    g: Vec<T>,
+    rot: Vec<(T, T)>,
     order: Vec<usize>,
-    q: MatrixS<T>,
-    values: Vec<T>,
+    qt: MatrixS<T>,
 }
 
 impl<T: Real> BatchedEigen<T> {
     pub fn new() -> Self {
-        Self {
-            d: Vec::new(),
-            e: Vec::new(),
-            order: Vec::new(),
-            q: MatrixS::zeros(0),
-            values: Vec::new(),
-        }
+        Self::with_capacity(0)
     }
 
     /// Pre-size the workspace for problems of dimension `n`.
@@ -47,68 +44,67 @@ impl<T: Real> BatchedEigen<T> {
         Self {
             d: Vec::with_capacity(n),
             e: Vec::with_capacity(n),
+            g: Vec::with_capacity(n),
+            rot: Vec::with_capacity(n),
             order: Vec::with_capacity(n),
-            q: MatrixS::zeros(n),
-            values: Vec::with_capacity(n),
+            qt: MatrixS::zeros(n),
         }
     }
 
     /// Decompose one problem entirely into solver-owned storage — the
     /// allocation-free hot path. Results stay valid (via [`Self::values`] /
-    /// [`Self::vectors`]) until the next decompose call.
+    /// [`Self::vectors_t`]) until the next decompose call.
+    ///
+    /// Householder reduction and back-accumulation build Q by rows; one
+    /// in-place transposition later the QL rotations, and the final sort,
+    /// act on whole rows of Q^T.
     pub fn decompose_in_place(&mut self, a: &MatrixS<T>) {
         let _t = timing::guard(timing::Kernel::Eigensolve);
-        QlEigen::decompose_into(
-            a,
-            &mut self.q,
-            &mut self.values,
-            &mut self.d,
-            &mut self.e,
-            &mut self.order,
-        );
+        let n = a.n();
+        debug_assert!(a.is_symmetric(T::of(1e-4)), "QL requires symmetry");
+        for v in [&mut self.d, &mut self.e, &mut self.g] {
+            v.clear();
+            v.resize(n, T::zero());
+        }
+        self.rot.clear();
+        self.rot.resize(n, (T::zero(), T::zero()));
+        self.qt.copy_from(a);
+        QlEigen::tridiagonalize(&mut self.qt, &mut self.d, &mut self.e, &mut self.g);
+        self.qt.transpose_in_place();
+        QlEigen::tqli(&mut self.d, &mut self.e, &mut self.qt, &mut self.rot);
+        let qt = &mut self.qt;
+        sort_ascending_with(&mut self.d, &mut self.order, |i, j| qt.swap_rows(i, j));
     }
 
     /// Eigenvalues of the last [`Self::decompose_in_place`], ascending.
     #[inline]
     pub fn values(&self) -> &[T] {
-        &self.values
+        &self.d
     }
 
-    /// Eigenvectors of the last [`Self::decompose_in_place`]; column `j`
-    /// pairs with `values()[j]`.
+    /// Eigenvectors of the last [`Self::decompose_in_place`], transposed:
+    /// *row* `j` is the eigenvector paired with `values()[j]`, so consumers
+    /// read each one at unit stride.
     #[inline]
-    pub fn vectors(&self) -> &MatrixS<T> {
-        &self.q
+    pub fn vectors_t(&self) -> &MatrixS<T> {
+        &self.qt
     }
 
-    /// Decompose a single problem reusing the internal workspace, cloning
-    /// the result out (compatibility path; hot callers should prefer
+    /// Decompose a single problem reusing the internal workspace, copying
+    /// the result out in the column convention of [`SymEigDecomp`]
+    /// (compatibility path; hot callers should prefer
     /// [`Self::decompose_in_place`]).
     pub fn decompose_one(&mut self, a: &MatrixS<T>) -> SymEigDecomp<T> {
         self.decompose_in_place(a);
         SymEigDecomp {
-            values: self.values.clone(),
-            vectors: self.q.clone(),
+            values: self.d.clone(),
+            vectors: self.qt.transpose(),
         }
     }
 
     /// Decompose a whole batch, returning results in order.
     pub fn decompose_batch(&mut self, batch: &[MatrixS<T>]) -> Vec<SymEigDecomp<T>> {
         batch.iter().map(|a| self.decompose_one(a)).collect()
-    }
-
-    /// Decompose a batch and feed each result to a consumer without keeping
-    /// the whole batch of decompositions alive — this is the shape the LETKF
-    /// driver uses (one decomposition per grid point, consumed immediately).
-    pub fn for_each_decomposition(
-        &mut self,
-        batch: &[MatrixS<T>],
-        mut consume: impl FnMut(usize, SymEigDecomp<T>),
-    ) {
-        for (idx, a) in batch.iter().enumerate() {
-            let dec = self.decompose_one(a);
-            consume(idx, dec);
-        }
     }
 }
 
@@ -156,9 +152,7 @@ mod tests {
         for (x, y) in dec.values.iter().zip(s2.values()) {
             assert_eq!(x.to_bits(), y.to_bits());
         }
-        for (x, y) in dec.vectors.as_slice().iter().zip(s2.vectors().as_slice()) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
+        assert_eq!(dec.vectors, s2.vectors_t().transpose());
     }
 
     #[test]
@@ -185,18 +179,6 @@ mod tests {
             assert_eq!(dec.values.len(), n);
             assert!(dec.max_residual(&a) < 1e-8, "n={n}");
         }
-    }
-
-    #[test]
-    fn for_each_visits_in_order() {
-        let batch: Vec<MatrixS<f32>> = (0..5).map(|s| random_symmetric(6, s, 3.0)).collect();
-        let mut solver = BatchedEigen::new();
-        let mut seen = Vec::new();
-        solver.for_each_decomposition(&batch, |idx, dec| {
-            assert_eq!(dec.values.len(), 6);
-            seen.push(idx);
-        });
-        assert_eq!(seen, vec![0, 1, 2, 3, 4]);
     }
 
     #[test]

@@ -13,10 +13,10 @@
 //! * [`QlEigen`] — Householder tridiagonalization followed by implicit-shift
 //!   QL iteration (the classic `tred2`/`tqli` pair), which is the algorithm
 //!   family LAPACK's `ssyev` drives and is substantially faster than Jacobi.
-//! * [`BatchedEigen`] — a QL solver that amortizes workspace allocation and
-//!   keeps buffers hot across a batch of same-size problems, mirroring the
-//!   batching idea of KeDV. The `ablation_eigensolver` bench reproduces the
-//!   paper's solver comparison.
+//! * [`BatchedEigen`] — the QL solver with all workspace amortized across a
+//!   batch of same-size problems and every inner loop on contiguous rows,
+//!   mirroring the batching and cache-efficiency ideas of KeDV. The
+//!   `ablation_eigensolver` bench reproduces the paper's solver comparison.
 
 mod batched;
 mod jacobi;
@@ -93,16 +93,18 @@ pub trait SymEigSolver<T: Real> {
 /// columns to match.
 pub(crate) fn sort_ascending<T: Real>(values: &mut [T], vectors: &mut MatrixS<T>) {
     let mut order = Vec::new();
-    sort_ascending_with(values, vectors, &mut order);
+    sort_ascending_with(values, &mut order, |i, j| vectors.swap_columns(i, j));
 }
 
-/// [`sort_ascending`] with caller-owned index scratch: after warm-up the
-/// sort allocates nothing (the permutation is applied in place by walking
-/// its cycles with swaps instead of cloning the matrix).
+/// Sort `values` ascending with caller-owned index scratch, calling
+/// `swap_vectors(i, j)` for every exchange so the caller's eigenvectors
+/// (columns or rows, whichever it stores) follow. After warm-up the sort
+/// allocates nothing: the permutation is applied in place by walking its
+/// cycles with swaps instead of cloning the matrix.
 pub(crate) fn sort_ascending_with<T: Real>(
     values: &mut [T],
-    vectors: &mut MatrixS<T>,
     order: &mut Vec<usize>,
+    mut swap_vectors: impl FnMut(usize, usize),
 ) {
     let n = values.len();
     order.clear();
@@ -119,7 +121,7 @@ pub(crate) fn sort_ascending_with<T: Real>(
         let mut j = order[i];
         while j != i {
             values.swap(prev, j);
-            vectors.swap_columns(prev, j);
+            swap_vectors(prev, j);
             let next = order[j];
             order[prev] = usize::MAX;
             prev = j;
@@ -146,6 +148,25 @@ pub(crate) mod testutil {
             }
         }
         a.add_scaled_identity(T::of(spd_shift));
+        a
+    }
+
+    /// The LETKF's ensemble-space matrix `(k-1) I + Y^T R^-1 Y` for `nobs`
+    /// observations of zero-mean member perturbations: with `nobs << k` it
+    /// has `k - nobs` copies of the eigenvalue `k - 1`.
+    pub fn letkf_shaped<T: Real>(k: usize, nobs: usize, seed: u64) -> MatrixS<T> {
+        let mut rng = crate::rng::SplitMix64::new(seed);
+        let mut rows = Vec::with_capacity(nobs * k);
+        let mut rinv = Vec::with_capacity(nobs);
+        for _ in 0..nobs {
+            let y: Vec<f64> = (0..k).map(|_| rng.gaussian(0.0, 2.0)).collect();
+            let mean = y.iter().sum::<f64>() / k as f64;
+            rows.extend(y.iter().map(|&v| T::of(v - mean)));
+            rinv.push(T::of(rng.uniform_in(0.05, 1.0)));
+        }
+        let mut a = MatrixS::zeros(k);
+        a.weighted_gram_into(k, &rows, &rinv);
+        a.add_scaled_identity(T::of_usize(k - 1));
         a
     }
 
@@ -207,7 +228,7 @@ mod tests {
             let mut v_got = vals.clone();
             let mut m_got = vecs.clone();
             let mut scratch = Vec::new();
-            sort_ascending_with(&mut v_got, &mut m_got, &mut scratch);
+            sort_ascending_with(&mut v_got, &mut scratch, |i, j| m_got.swap_columns(i, j));
             assert_eq!(v_got, v_ref, "n={n}");
             assert_eq!(m_got, m_ref, "n={n}");
         }

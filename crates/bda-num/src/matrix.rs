@@ -2,11 +2,14 @@
 //!
 //! The LETKF works in the k-dimensional ensemble space (k = 1000 in the
 //! paper's production configuration, much smaller in tests), so all matrices
-//! here are modest, dense, and row-major. No BLAS is used; the hot paths go
-//! through the explicitly unrolled accumulator kernels ([`dot8`], [`axpy8`])
-//! so throughput does not depend on the autovectorizer recognizing a
-//! reduction, and the GEMM path ([`MatrixS::matmul_into`]) is k-blocked so
-//! the streamed operand stays cache-resident across output rows.
+//! here are modest, dense, and row-major. No BLAS is used. Every kernel is a
+//! unit-stride loop of a separate multiply and add: Rust never contracts the
+//! pair into a fused multiply-add, so results carry the same bits on hosts
+//! with and without FMA hardware, and the loops vectorize at the baseline
+//! target (where `mul_add` would be a libm call per element). Reductions
+//! ([`dot8`]) keep their partial sums in a lane array, and the two products
+//! ([`MatrixS::matmul_into`], [`MatrixS::weighted_gram_into`]) accumulate a
+//! register tile of outputs so each loaded operand row is reused across it.
 
 use crate::real::Real;
 
@@ -83,6 +86,20 @@ impl<T: Real> MatrixS<T> {
         }
     }
 
+    /// Swap rows `a` and `b` in place (two contiguous slices).
+    // `split_at_mut(hi * n)` with lo < hi < n leaves row `lo` whole in the
+    // head and row `hi` at the front of the tail.
+    // bda-check: allow(panic_path)
+    pub fn swap_rows(&mut self, a: usize, b: usize) {
+        if a == b {
+            return;
+        }
+        let n = self.n;
+        let (lo, hi) = (a.min(b), a.max(b));
+        let (head, tail) = self.data.split_at_mut(hi * n);
+        head[lo * n..(lo + 1) * n].swap_with_slice(&mut tail[..n]);
+    }
+
     /// Matrix dimension.
     #[inline]
     pub fn n(&self) -> usize {
@@ -122,36 +139,84 @@ impl<T: Real> MatrixS<T> {
 
     /// `self * other` into caller-owned storage (resized as needed).
     ///
-    /// i-k-j loop order with the inner `j` loop running through the
-    /// unrolled [`axpy8`] kernel, and the `k` dimension blocked so a tile
-    /// of `other`'s rows is reused across every output row before the next
-    /// tile streams in. Accumulation order per output element is ascending
-    /// `k` regardless of the block size, so blocking never changes the
-    /// result bit pattern.
+    /// Outputs accumulate in 4 x 8 register tiles: per `k`, one contiguous
+    /// segment of `other`'s row `k` is loaded once and reused across the
+    /// tile's rows. The column panel is the outer loop, so the `n x 8` panel
+    /// of `other` stays cache-resident while `self` streams past it. Each output element accumulates in
+    /// ascending `k` whatever the tile shape, so edge tiles and full tiles
+    /// produce the same bits.
     // The entry assert pins both operands to dimension n and `reset_zeros`
-    // sizes `out`; every `i*n+k` / row-slice offset is below n*n by loop
-    // bounds.
+    // sizes `out`; tile origins satisfy `i0 + R <= n`, `j0 + C <= n`.
     // bda-check: allow(panic_path)
     pub fn matmul_into(&self, other: &Self, out: &mut Self) {
         assert_eq!(self.n, other.n);
-        const K_BLOCK: usize = 64;
         let n = self.n;
         out.reset_zeros(n);
-        for kb in (0..n).step_by(K_BLOCK) {
-            let kend = (kb + K_BLOCK).min(n);
-            for i in 0..n {
-                for k in kb..kend {
-                    let a = self.data[i * n + k];
-                    if a == T::zero() {
-                        continue;
-                    }
-                    axpy8(
-                        a,
-                        &other.data[k * n..(k + 1) * n],
-                        &mut out.data[i * n..(i + 1) * n],
-                    );
-                }
-            }
+        let mut j0 = 0;
+        while j0 + TILE_COLS <= n {
+            self.matmul_panel::<TILE_COLS>(other, out, j0);
+            j0 += TILE_COLS;
+        }
+        while j0 < n {
+            self.matmul_panel::<1>(other, out, j0);
+            j0 += 1;
+        }
+    }
+
+    /// Output columns `j0..j0 + C` of [`Self::matmul_into`].
+    // bda-check: allow(panic_path)
+    fn matmul_panel<const C: usize>(&self, other: &Self, out: &mut Self, j0: usize) {
+        let n = self.n;
+        let mut i0 = 0;
+        while i0 + TILE_ROWS <= n {
+            matmul_tile::<T, TILE_ROWS, C>(&self.data, &other.data, &mut out.data, n, i0, j0);
+            i0 += TILE_ROWS;
+        }
+        while i0 < n {
+            matmul_tile::<T, 1, C>(&self.data, &other.data, &mut out.data, n, i0, j0);
+            i0 += 1;
+        }
+    }
+
+    /// Weighted Gram matrix of the rows of a row-major `rows` (`r x n`):
+    /// `self[m][j] = sum_i scale[i] * rows[i][m] * rows[i][j]`, both
+    /// triangles written from one upper-triangle computation so the result
+    /// is symmetric to the bit. This is the shape of both LETKF products —
+    /// `Yb^T R^-1 Yb` over the observation rows and `V f(lambda) V^T` over
+    /// the eigenvector rows. Same register tile as [`Self::matmul_into`]:
+    /// per `i`, the two segments of row `i` a tile needs are loaded once;
+    /// each element accumulates in ascending `i`.
+    // `self` is resized to n; the entry asserts pin `rows` to whole rows of
+    // length n and `scale` to one weight per row; tile origins satisfy
+    // `m0 + R <= n`, `j0 + C <= n`.
+    // bda-check: allow(panic_path)
+    pub fn weighted_gram_into(&mut self, n: usize, rows: &[T], scale: &[T]) {
+        assert_eq!(rows.len(), scale.len() * n);
+        self.reset_zeros(n);
+        let mut m0 = 0;
+        while m0 + TILE_ROWS <= n {
+            self.gram_row_block::<TILE_ROWS>(rows, scale, m0);
+            m0 += TILE_ROWS;
+        }
+        while m0 < n {
+            self.gram_row_block::<1>(rows, scale, m0);
+            m0 += 1;
+        }
+    }
+
+    /// Output rows `m0..m0 + R` of [`Self::weighted_gram_into`], from the
+    /// tile that holds the diagonal rightwards.
+    // bda-check: allow(panic_path)
+    fn gram_row_block<const R: usize>(&mut self, rows: &[T], scale: &[T], m0: usize) {
+        let n = self.n;
+        let mut j0 = m0 - m0 % TILE_COLS;
+        while j0 + TILE_COLS <= n {
+            gram_tile::<T, R, TILE_COLS>(rows, scale, &mut self.data, n, m0, j0);
+            j0 += TILE_COLS;
+        }
+        while j0 < n {
+            gram_tile::<T, R, 1>(rows, scale, &mut self.data, n, m0, j0);
+            j0 += 1;
         }
     }
 
@@ -177,8 +242,21 @@ impl<T: Real> MatrixS<T> {
 
     /// Transpose, allocating the result.
     pub fn transpose(&self) -> Self {
+        let mut out = self.clone();
+        out.transpose_in_place();
+        out
+    }
+
+    /// Transpose in place: swap each pair across the diagonal.
+    // `i < j < n`, so both flat indices are below n*n.
+    // bda-check: allow(panic_path)
+    pub fn transpose_in_place(&mut self) {
         let n = self.n;
-        Self::from_fn(n, |i, j| self.data[j * n + i])
+        for i in 0..n {
+            for j in (i + 1)..n {
+                self.data.swap(i * n + j, j * n + i);
+            }
+        }
     }
 
     /// Maximum absolute off-diagonal element (symmetry/diagonalization gauge).
@@ -199,7 +277,7 @@ impl<T: Real> MatrixS<T> {
     pub fn frobenius(&self) -> T {
         self.data
             .iter()
-            .fold(T::zero(), |acc, &x| x.mul_add(x, acc))
+            .fold(T::zero(), |acc, &x| acc + x * x)
             .sqrt()
     }
 
@@ -261,106 +339,144 @@ impl<T: Real> std::ops::IndexMut<(usize, usize)> for MatrixS<T> {
     }
 }
 
+/// Output rows of one register tile of [`MatrixS::matmul_into`] and
+/// [`MatrixS::weighted_gram_into`].
+const TILE_ROWS: usize = 4;
+/// Output columns of one register tile: with [`TILE_ROWS`] = 4 the `f32`
+/// accumulators fill eight 128-bit registers, half the baseline x86-64 file.
+const TILE_COLS: usize = 8;
+
+/// `acc[r][c] += a[r] * b[c]`: one rank-1 step of an `R x C` register tile.
+#[inline(always)]
+fn tile_step<T: Real, const R: usize, const C: usize>(
+    acc: &mut [[T; C]; R],
+    a: &[T; R],
+    b: &[T; C],
+) {
+    for r in 0..R {
+        for c in 0..C {
+            acc[r][c] += a[r] * b[c];
+        }
+    }
+}
+
+/// Copy `s[at..at + N]` into an array (the tile kernels' operand load).
+// Callers keep `at + N` within the row they slice from.
+#[inline(always)]
+// bda-check: allow(panic_path)
+fn segment<T: Real, const N: usize>(s: &[T], at: usize) -> [T; N] {
+    let mut out = [T::zero(); N];
+    out.copy_from_slice(&s[at..at + N]);
+    out
+}
+
+/// `out[i0..i0+R][j0..j0+C] = (a * b)` over the same block, all `n x n`
+/// row-major.
+#[inline]
+// bda-check: allow(panic_path)
+fn matmul_tile<T: Real, const R: usize, const C: usize>(
+    a: &[T],
+    b: &[T],
+    out: &mut [T],
+    n: usize,
+    i0: usize,
+    j0: usize,
+) {
+    let mut acc = [[T::zero(); C]; R];
+    for (k, brow) in b.chunks_exact(n).enumerate() {
+        let mut ak = [T::zero(); R];
+        for r in 0..R {
+            ak[r] = a[(i0 + r) * n + k];
+        }
+        tile_step(&mut acc, &ak, &segment(brow, j0));
+    }
+    for (r, acc_row) in acc.iter().enumerate() {
+        let at = (i0 + r) * n + j0;
+        out[at..at + C].copy_from_slice(acc_row);
+    }
+}
+
+/// One `R x C` tile of the weighted Gram matrix at `(m0, j0)`; entries on
+/// or above the diagonal are stored and mirrored, the rest of a tile that
+/// straddles the diagonal is dropped.
+#[inline]
+// bda-check: allow(panic_path)
+fn gram_tile<T: Real, const R: usize, const C: usize>(
+    rows: &[T],
+    scale: &[T],
+    out: &mut [T],
+    n: usize,
+    m0: usize,
+    j0: usize,
+) {
+    let mut acc = [[T::zero(); C]; R];
+    for (row, &s) in rows.chunks_exact(n).zip(scale) {
+        let mut left: [T; R] = segment(row, m0);
+        for l in &mut left {
+            *l *= s;
+        }
+        tile_step(&mut acc, &left, &segment(row, j0));
+    }
+    for (r, acc_row) in acc.iter().enumerate() {
+        let m = m0 + r;
+        for (c, &v) in acc_row.iter().enumerate() {
+            let j = j0 + c;
+            if j >= m {
+                out[m * n + j] = v;
+                out[j * n + m] = v;
+            }
+        }
+    }
+}
+
 /// Dot product of two equal-length slices, strictly sequential accumulation
-/// order (one chain of `mul_add`s). Use [`dot8`] on hot paths; keep this
-/// where an exact left-to-right accumulation order is part of a contract.
+/// order (one chain of multiply-then-add). Use [`dot8`] on hot paths; keep
+/// this where an exact left-to-right accumulation order is part of a
+/// contract.
 #[inline]
 pub fn dot<T: Real>(a: &[T], b: &[T]) -> T {
     debug_assert_eq!(a.len(), b.len());
     let mut acc = T::zero();
     for (&x, &y) in a.iter().zip(b) {
-        acc = x.mul_add(y, acc);
+        acc += x * y;
     }
     acc
 }
 
-/// Dot product with four independent accumulator chains over an 8-wide
-/// unrolled body.
+/// Dot product with eight independent partial sums held as a lane array.
 ///
-/// A single `mul_add` chain serializes on the FMA latency (4-5 cycles);
-/// four independent chains keep the FMA pipes full, which is the entire
-/// difference between latency-bound and throughput-bound reduction. The
-/// accumulators combine in a fixed order `(a0 + a1) + (a2 + a3)` plus a
-/// sequential tail, so the result is deterministic for a given length —
-/// but it is *not* bit-identical to [`dot`] (different association).
+/// Lane `l` sums the elements at index `l` of each 8-chunk, which is the
+/// shape of a vector accumulator, so the body compiles to packed multiplies
+/// and adds. The lanes combine in a fixed order,
+/// `((l0 + l4) + (l1 + l5)) + ((l2 + l6) + (l3 + l7))`, then a sequential
+/// tail, so the result is deterministic for a given length — but it is
+/// *not* bit-identical to [`dot`] (different association).
 #[inline]
 pub fn dot8<T: Real>(a: &[T], b: &[T]) -> T {
     debug_assert_eq!(a.len(), b.len());
-    let n = a.len();
-    let split = n - n % 8;
-    let mut a0 = T::zero();
-    let mut a1 = T::zero();
-    let mut a2 = T::zero();
-    let mut a3 = T::zero();
-    for (ca, cb) in a[..split].chunks_exact(8).zip(b[..split].chunks_exact(8)) {
-        a0 = ca[0].mul_add(cb[0], a0);
-        a1 = ca[1].mul_add(cb[1], a1);
-        a2 = ca[2].mul_add(cb[2], a2);
-        a3 = ca[3].mul_add(cb[3], a3);
-        a0 = ca[4].mul_add(cb[4], a0);
-        a1 = ca[5].mul_add(cb[5], a1);
-        a2 = ca[6].mul_add(cb[6], a2);
-        a3 = ca[7].mul_add(cb[7], a3);
+    let mut lanes = [T::zero(); 8];
+    let mut ca = a.chunks_exact(8);
+    let mut cb = b.chunks_exact(8);
+    for (xa, xb) in ca.by_ref().zip(cb.by_ref()) {
+        for l in 0..8 {
+            lanes[l] += xa[l] * xb[l];
+        }
     }
-    let mut acc = (a0 + a1) + (a2 + a3);
-    for (&x, &y) in a[split..].iter().zip(&b[split..]) {
-        acc = x.mul_add(y, acc);
+    let mut acc = ((lanes[0] + lanes[4]) + (lanes[1] + lanes[5]))
+        + ((lanes[2] + lanes[6]) + (lanes[3] + lanes[7]));
+    for (&x, &y) in ca.remainder().iter().zip(cb.remainder()) {
+        acc += x * y;
     }
     acc
 }
 
-/// `y += alpha * x` (axpy). Elementwise, so unrolling cannot change the
-/// result: this is bit-identical to the naive loop at any width.
+/// `y += alpha * x` (axpy), elementwise: one multiply and one add per
+/// element, no cross-element dependency.
 #[inline]
 pub fn axpy<T: Real>(alpha: T, x: &[T], y: &mut [T]) {
-    axpy8(alpha, x, y);
-}
-
-/// `y += alpha * x` with an 8-wide unrolled body (bit-identical to
-/// [`axpy`]; the unroll only removes loop-carried bookkeeping).
-#[inline]
-pub fn axpy8<T: Real>(alpha: T, x: &[T], y: &mut [T]) {
     debug_assert_eq!(x.len(), y.len());
-    let n = x.len();
-    let split = n - n % 8;
-    for (cy, cx) in y[..split]
-        .chunks_exact_mut(8)
-        .zip(x[..split].chunks_exact(8))
-    {
-        cy[0] = alpha.mul_add(cx[0], cy[0]);
-        cy[1] = alpha.mul_add(cx[1], cy[1]);
-        cy[2] = alpha.mul_add(cx[2], cy[2]);
-        cy[3] = alpha.mul_add(cx[3], cy[3]);
-        cy[4] = alpha.mul_add(cx[4], cy[4]);
-        cy[5] = alpha.mul_add(cx[5], cy[5]);
-        cy[6] = alpha.mul_add(cx[6], cy[6]);
-        cy[7] = alpha.mul_add(cx[7], cy[7]);
-    }
-    for (yi, &xi) in y[split..].iter_mut().zip(&x[split..]) {
-        *yi = alpha.mul_add(xi, *yi);
-    }
-}
-
-/// Scaled elementwise product `u[j] = x[j] * s[j]`, 4-wide unrolled — the
-/// left-operand preparation step of the LETKF's `V diag(f) V^T` assembly.
-#[inline]
-pub fn scale_into<T: Real>(x: &[T], s: &[T], u: &mut [T]) {
-    debug_assert_eq!(x.len(), s.len());
-    debug_assert_eq!(x.len(), u.len());
-    let n = x.len();
-    let split = n - n % 4;
-    for ((cu, cx), cs) in u[..split]
-        .chunks_exact_mut(4)
-        .zip(x[..split].chunks_exact(4))
-        .zip(s[..split].chunks_exact(4))
-    {
-        cu[0] = cx[0] * cs[0];
-        cu[1] = cx[1] * cs[1];
-        cu[2] = cx[2] * cs[2];
-        cu[3] = cx[3] * cs[3];
-    }
-    for i in split..n {
-        u[i] = x[i] * s[i];
+    for (yi, &xi) in y.iter_mut().zip(x) {
+        *yi += alpha * xi;
     }
 }
 
@@ -395,7 +511,9 @@ mod tests {
     #[test]
     fn transpose_involution() {
         let a = MatrixS::<f32>::from_fn(5, |i, j| (i as f32) - 2.0 * (j as f32));
-        assert_eq!(a.transpose().transpose(), a);
+        let t = a.transpose();
+        assert_eq!(t[(1, 3)], a[(3, 1)]);
+        assert_eq!(t.transpose(), a);
     }
 
     #[test]
@@ -460,47 +578,71 @@ mod tests {
     }
 
     #[test]
-    fn axpy8_is_bit_identical_to_naive_axpy() {
-        for n in [0usize, 1, 5, 8, 13, 16, 31] {
-            let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.31).sin()).collect();
-            let mut y_unrolled: Vec<f64> = (0..n).map(|i| (i as f64 * 0.17).cos()).collect();
-            let mut y_naive = y_unrolled.clone();
-            axpy8(1.7, &x, &mut y_unrolled);
-            for (yi, &xi) in y_naive.iter_mut().zip(&x) {
-                *yi = 1.7_f64.mul_add(xi, *yi);
+    fn kernels_are_unfused_multiply_then_add() {
+        // 1 + 2^-27 squared is 1 + 2^-26 + 2^-54: the product rounds to
+        // 1 + 2^-26 before the add, a fused multiply-add would keep the
+        // 2^-54 and return it after the exact cancellation.
+        let x = 1.0 + 2.0_f64.powi(-27);
+        let p = x * x;
+        assert_eq!(dot(&[1.0, x], &[-p, x]), 0.0);
+        let mut y = [-p];
+        axpy(x, &[x], &mut y);
+        assert_eq!(y[0], 0.0);
+        let mut a = [0.0; 16];
+        let mut b = [0.0; 16];
+        (a[0], b[0]) = (1.0, -p);
+        (a[8], b[8]) = (x, x);
+        assert_eq!(dot8(&a, &b), 0.0);
+    }
+
+    /// Ascending-`k` triple loop: the accumulation order every tile shape
+    /// of `matmul_into` must reproduce to the bit.
+    fn matmul_reference(a: &MatrixS<f64>, b: &MatrixS<f64>) -> MatrixS<f64> {
+        let n = a.n();
+        MatrixS::from_fn(n, |i, j| {
+            let mut acc = 0.0;
+            for k in 0..n {
+                acc += a[(i, k)] * b[(k, j)];
             }
-            for (a, b) in y_unrolled.iter().zip(&y_naive) {
-                assert_eq!(a.to_bits(), b.to_bits(), "n={n}");
+            acc
+        })
+    }
+
+    #[test]
+    fn matmul_into_is_bitwise_the_ascending_k_sum_at_every_tile_shape() {
+        // Sizes with and without row/column remainders against the 4 x 8
+        // tile; `out` starts at the wrong size and must be resized.
+        for n in [1usize, 3, 4, 7, 8, 9, 12, 21, 32, 100] {
+            let a = MatrixS::<f64>::from_fn(n, |i, j| ((i * 31 + j * 17) as f64 * 0.01).sin());
+            let b = MatrixS::<f64>::from_fn(n, |i, j| ((i * 13 + j * 7) as f64 * 0.02).cos());
+            let want = matmul_reference(&a, &b);
+            let mut out = MatrixS::zeros(1);
+            a.matmul_into(&b, &mut out);
+            assert_eq!(out.n(), n);
+            for (x, y) in out.as_slice().iter().zip(want.as_slice()) {
+                assert_eq!(x.to_bits(), y.to_bits(), "n={n}");
             }
         }
     }
 
     #[test]
-    fn scale_into_matches_elementwise() {
-        for n in [0usize, 1, 3, 4, 5, 11] {
-            let x: Vec<f32> = (0..n).map(|i| i as f32 + 0.5).collect();
-            let s: Vec<f32> = (0..n).map(|i| 1.0 / (i as f32 + 1.0)).collect();
-            let mut u = vec![0.0f32; n];
-            scale_into(&x, &s, &mut u);
-            for i in 0..n {
-                assert_eq!(u[i].to_bits(), (x[i] * s[i]).to_bits());
+    fn weighted_gram_is_symmetric_and_bitwise_the_ascending_row_sum() {
+        for (n, r) in [(1usize, 3usize), (5, 0), (7, 4), (8, 8), (13, 30), (32, 5)] {
+            let rows: Vec<f64> = (0..r * n).map(|t| (t as f64 * 0.37).sin()).collect();
+            let scale: Vec<f64> = (0..r).map(|i| 0.5 + i as f64 * 0.25).collect();
+            let mut g = MatrixS::zeros(2);
+            g.weighted_gram_into(n, &rows, &scale);
+            assert_eq!(g.n(), n);
+            assert!(g.is_symmetric(0.0), "n={n} r={r}");
+            for m in 0..n {
+                for j in m..n {
+                    let mut acc = 0.0;
+                    for i in 0..r {
+                        acc += (rows[i * n + m] * scale[i]) * rows[i * n + j];
+                    }
+                    assert_eq!(g[(m, j)].to_bits(), acc.to_bits(), "n={n} r={r} ({m},{j})");
+                }
             }
-        }
-    }
-
-    #[test]
-    fn matmul_into_matches_matmul_bitwise_across_block_boundary() {
-        // n = 100 crosses the K_BLOCK = 64 boundary; blocking must not
-        // change the accumulation order per element.
-        let n = 100;
-        let a = MatrixS::<f64>::from_fn(n, |i, j| ((i * 31 + j * 17) as f64 * 0.01).sin());
-        let b = MatrixS::<f64>::from_fn(n, |i, j| ((i * 13 + j * 7) as f64 * 0.02).cos());
-        let via_alloc = a.matmul(&b);
-        let mut out = MatrixS::zeros(1); // wrong size: matmul_into must resize
-        a.matmul_into(&b, &mut out);
-        assert_eq!(out.n(), n);
-        for (x, y) in out.as_slice().iter().zip(via_alloc.as_slice()) {
-            assert_eq!(x.to_bits(), y.to_bits());
         }
     }
 
@@ -514,12 +656,16 @@ mod tests {
     }
 
     #[test]
-    fn swap_columns_and_copy_from() {
+    fn swap_columns_rows_and_copy_from() {
         let mut a = MatrixS::from_rows(2, &[1.0, 2.0, 3.0, 4.0]);
         a.swap_columns(0, 1);
         assert_eq!(a.as_slice(), &[2.0, 1.0, 4.0, 3.0]);
         a.swap_columns(1, 1); // no-op
         assert_eq!(a.as_slice(), &[2.0, 1.0, 4.0, 3.0]);
+        a.swap_rows(1, 0);
+        assert_eq!(a.as_slice(), &[4.0, 3.0, 2.0, 1.0]);
+        a.swap_rows(0, 0); // no-op
+        assert_eq!(a.as_slice(), &[4.0, 3.0, 2.0, 1.0]);
         let mut b = MatrixS::zeros(5);
         b.copy_from(&a);
         assert_eq!(b, a);

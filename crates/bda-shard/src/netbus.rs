@@ -54,10 +54,11 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How many cycles behind a shard's own published cycle a halo slot may
-/// lag before [`FenceTable::prune_below`] drops it — far beyond any
-/// collection deadline, so pruning can never race a live collect.
-const INBOX_KEEP_CYCLES: u64 = 64;
+/// How many cycles behind a shard's own published cycle a halo slot — or
+/// a frame in this shard's own `REQ` replay history — may lag before
+/// `publish` drops it: far beyond any collection deadline, so pruning can
+/// never race a live collect or a pull that could still be used.
+pub const INBOX_KEEP_CYCLES: u64 = 64;
 
 /// Registry file carrying shard `shard`'s advertised listen port.
 pub fn registry_name(shard: usize) -> String {
@@ -179,7 +180,8 @@ struct Shared {
     /// Per-peer epoch fences plus the (cycle, peer) → newest-epoch halo
     /// slot store — the extracted state machine the loom suite checks.
     fence: FenceTable<Bytes>,
-    /// Own published frames by cycle — the `REQ` replay source.
+    /// Own published frames by cycle — the `REQ` replay source, bounded
+    /// to the last [`INBOX_KEEP_CYCLES`] cycles.
     history: Mutex<BTreeMap<u64, Bytes>>,
     /// Highest cycle each peer has advertised (heartbeats, halos, reqs
     /// all carry the sender's current cycle) — the lag detector.
@@ -276,6 +278,12 @@ impl NetBus {
     /// Snapshot of the transport counters.
     pub fn stats(&self) -> NetStats {
         self.shared.stats.lock().clone()
+    }
+
+    /// How many of this shard's published frames are held for `REQ`
+    /// replay — at most [`INBOX_KEEP_CYCLES`] + 1.
+    pub fn history_len(&self) -> usize {
+        self.shared.history.lock().len()
     }
 
     /// Whether `shard` is alive but visibly *behind* `cycle` — beacons
@@ -602,13 +610,19 @@ impl HaloTransport for NetBus {
     fn publish<T: Real>(&self, frame: &HaloFrame<T>) -> Result<(), String> {
         let cycle = frame.cycle();
         self.shared.current_cycle.store(cycle, Ordering::SeqCst);
-        // Bound the halo slot store: a slot more than a full collection
-        // window behind this shard's own cycle can never be collected.
-        self.shared
-            .fence
-            .prune_below(cycle.saturating_sub(INBOX_KEEP_CYCLES));
+        // Bound the halo slot store and the replay history alike: a slot
+        // more than a full collection window behind this shard's own cycle
+        // can never be collected, and a `REQ` for a frame that old goes
+        // unanswered like one for a cycle never published — the requester's
+        // collect deadline takes it onto the typed ladder.
+        let keep_from = cycle.saturating_sub(INBOX_KEEP_CYCLES);
+        self.shared.fence.prune_below(keep_from);
         let bytes = encode_halo(frame).map_err(|e| format!("encode halo: {e}"))?;
-        self.shared.history.lock().insert(cycle, bytes.clone());
+        {
+            let mut history = self.shared.history.lock();
+            history.retain(|&c, _| c >= keep_from);
+            history.insert(cycle, bytes.clone());
+        }
         let msg = encode_msg(&NetMsg::Halo {
             sender: self.shared.cfg.shard,
             epoch: self.shared.epoch,

@@ -10,7 +10,7 @@
 
 use bda_core::osse::OsseConfig;
 use bda_shard::federation::NetTuning;
-use bda_shard::netbus::{NetBus, NetBusConfig};
+use bda_shard::netbus::{NetBus, NetBusConfig, INBOX_KEEP_CYCLES};
 use bda_shard::{
     CollectStatus, FederationConfig, HaloError, HaloFrame, HaloMsg, HaloTransport, NetFederation,
 };
@@ -195,6 +195,55 @@ fn zombie_writer_is_fenced_as_a_typed_stale_epoch() {
 
     drop(a);
     drop(a2);
+    drop(b);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn replay_history_is_bounded_to_the_inbox_window() {
+    // `publish` used to keep every frame it ever sent (0.6 MB per shard
+    // per cycle at S = 2 in the benchmark). Run well past the window and
+    // watch the map stop growing; recent frames still answer a pull, a
+    // pruned one is missing like a cycle that was never published.
+    let dir = tmp_dir("history");
+    let _ = std::fs::remove_dir_all(&dir);
+    let a = bus(&dir, 0);
+    let window = INBOX_KEEP_CYCLES as usize + 1;
+    let cycles = 3 * INBOX_KEEP_CYCLES;
+    let mut lens = Vec::new();
+    for cycle in 0..cycles {
+        a.publish(&strip(0, cycle)).unwrap();
+        lens.push(a.history_len());
+    }
+    assert_eq!(lens[..window], (1..=window).collect::<Vec<_>>()[..]);
+    assert!(
+        lens[window..].iter().all(|&len| len == window),
+        "history must stay at {window} frames past the window: {:?}",
+        &lens[window..]
+    );
+
+    // A peer that starts only now pulls what it missed with `REQ`.
+    let b = bus(&dir, 1);
+    let last = cycles - 1;
+    assert!(matches!(
+        b.collect_blocking::<f32>(last, 0, Duration::from_secs(3), Duration::from_millis(5)),
+        CollectStatus::Ready(_)
+    ));
+    assert!(matches!(
+        b.collect_blocking::<f32>(
+            last - INBOX_KEEP_CYCLES,
+            0,
+            Duration::from_secs(3),
+            Duration::from_millis(5)
+        ),
+        CollectStatus::Ready(_)
+    ));
+    assert!(matches!(
+        b.collect_blocking::<f32>(0, 0, Duration::from_millis(300), Duration::from_millis(5)),
+        CollectStatus::Missing { .. }
+    ));
+
+    drop(a);
     drop(b);
     let _ = std::fs::remove_dir_all(&dir);
 }
