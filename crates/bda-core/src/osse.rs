@@ -11,7 +11,7 @@
 //! * part <2> — 30-minute forecasts from the mean + random members.
 
 use crate::products::reflectivity_map;
-use bda_io::checkpoint::CampaignSnapshot;
+use bda_io::checkpoint::{CampaignSnapshot, OutcomeRecord};
 use bda_letkf::diagnostics::{innovation_statistics, InnovationStats};
 use bda_letkf::obs::{QcPipeline, QcReport};
 use bda_letkf::{
@@ -168,6 +168,46 @@ impl CycleOutcome {
     /// True when at least one member was quarantined this cycle.
     pub fn ensemble_degraded(&self) -> bool {
         !self.member_errors.is_empty()
+    }
+
+    /// The cycle's line in the durable campaign log: everything in it is a
+    /// pure function of the (seeded) model trajectory, never of wall-clock
+    /// timing. RMSEs are printed to full precision so even one-ulp
+    /// divergence between two runs that must agree (interrupted vs
+    /// uninterrupted, sharded vs single-process, 1 vs N threads) shows up
+    /// in the table diff. The one place this grammar is written down —
+    /// the shard worker appends its ladder rungs to what this returns.
+    pub fn record(&self, cycle: u64) -> OutcomeRecord {
+        let label = if self.below_quorum {
+            "below-quorum"
+        } else if self.n_obs_used == 0 {
+            "forecast-only"
+        } else if self.ensemble_degraded() {
+            "degraded"
+        } else {
+            "completed"
+        };
+        let mut detail = format!(
+            "alive {}, obs {}/{}, {}, rmse {:.9e}->{:.9e}",
+            self.n_alive,
+            self.n_obs_used,
+            self.n_obs_scanned,
+            self.qc.summary(),
+            self.prior_rmse_dbz,
+            self.posterior_rmse_dbz
+        );
+        if !self.respawned.is_empty() {
+            detail.push_str(&format!(", respawned {:?}", self.respawned));
+        }
+        for e in &self.member_errors {
+            detail.push_str(&format!(", {e}"));
+        }
+        OutcomeRecord {
+            cycle,
+            label: label.into(),
+            detail,
+            retries: 0,
+        }
     }
 }
 
@@ -352,16 +392,6 @@ impl<T: Real> Osse<T> {
         }
     }
 
-    /// Respawn-stream state, for checkpointing.
-    pub fn respawn_rng_state(&self) -> u64 {
-        self.respawn_rng.state()
-    }
-
-    /// Restore the respawn stream from a checkpointed state.
-    pub fn set_respawn_rng_state(&mut self, state: u64) {
-        self.respawn_rng = SplitMix64::from_state(state);
-    }
-
     /// Truth state (for verification only — the DA never touches it).
     pub fn truth(&self) -> &ModelState<T> {
         &self.nature.state
@@ -421,17 +451,6 @@ impl<T: Real> Osse<T> {
         self.time = snap.time;
         self.rng = SplitMix64::from_state(snap.rng_states[0]);
         self.respawn_rng = SplitMix64::from_state(snap.rng_states[1]);
-    }
-
-    /// Advance only the truth, letting its convection mature before the DA
-    /// starts — the standard OSSE "perfect model, imperfect initial state"
-    /// setup. The ensemble stays at its initial perturbed state, so the
-    /// first analyses face a real tracking problem.
-    pub fn spinup_truth(&mut self, seconds: f64) {
-        self.nature
-            .integrate(seconds)
-            // Truth divergence invalidates the whole OSSE; fatal by design.
-            .expect("nature run blew up during spin-up"); // bda-check: allow(unwrap)
     }
 
     /// Spin up the whole system: truth and ensemble advance together, each

@@ -11,7 +11,7 @@
 use crate::osse::{CycleOutcome, Osse};
 use bda_io::checkpoint::{CampaignSnapshot, OutcomeRecord};
 use bda_num::Real;
-use bda_workflow::{CycleApp, FaultPlan};
+use bda_workflow::{CycleApp, Fault, FaultPlan};
 
 /// An OSSE wired for checkpointed, fault-injected campaign cycling.
 pub struct OsseCampaign<T: Real> {
@@ -32,56 +32,18 @@ impl<T: Real> OsseCampaign<T> {
             outcomes: Vec::new(),
         }
     }
-
-    /// Deterministic one-line summary of a cycle: everything in it is a
-    /// pure function of the (seeded) model trajectory, never of wall-clock
-    /// timing. RMSEs are printed to full precision so even one-ulp
-    /// divergence between an interrupted and an uninterrupted campaign
-    /// shows up in the table diff.
-    fn record_of(cycle: usize, out: &CycleOutcome) -> OutcomeRecord {
-        let label = if out.below_quorum {
-            "below-quorum"
-        } else if out.n_obs_used == 0 {
-            "forecast-only"
-        } else if out.ensemble_degraded() {
-            "degraded"
-        } else {
-            "completed"
-        };
-        let mut detail = format!(
-            "alive {}, obs {}/{}, {}, rmse {:.9e}->{:.9e}",
-            out.n_alive,
-            out.n_obs_used,
-            out.n_obs_scanned,
-            out.qc.summary(),
-            out.prior_rmse_dbz,
-            out.posterior_rmse_dbz
-        );
-        if !out.respawned.is_empty() {
-            detail.push_str(&format!(", respawned {:?}", out.respawned));
-        }
-        for e in &out.member_errors {
-            detail.push_str(&format!(", {e}"));
-        }
-        OutcomeRecord {
-            cycle: cycle as u64,
-            label: label.into(),
-            detail,
-            retries: 0,
-        }
-    }
 }
 
 impl<T: Real> CycleApp<T> for OsseCampaign<T> {
     fn run_cycle(&mut self, cycle: usize) -> OutcomeRecord {
-        for m in self.faults.member_nans(cycle) {
+        for m in self.faults.args(cycle, Fault::MemberNan) {
             self.osse.ensemble.inject_nan(m);
         }
-        for m in self.faults.member_blowups(cycle) {
+        for m in self.faults.args(cycle, Fault::MemberBlowUp) {
             self.osse.ensemble.inject_blowup(m);
         }
         let out = self.osse.cycle();
-        let record = Self::record_of(cycle, &out);
+        let record = out.record(cycle as u64);
         self.outcomes.push(out);
         record
     }
@@ -115,7 +77,7 @@ mod tests {
         // The ISSUE's acceptance scenario: `nan:2@2` over a short campaign —
         // every cycle must deliver a finite analysis, the dead member must
         // be respawned, and the outcome log must carry the quorum evidence.
-        let mut app = small_campaign(FaultPlan::none().nan_member(2, 2));
+        let mut app = small_campaign(FaultPlan::none().with(2, Fault::MemberNan, &[2]));
         let run = ResumableCampaign::new(4).run(&mut app).unwrap();
         assert_eq!(run.termination, CampaignTermination::Completed);
         assert_eq!(run.outcomes.len(), 4);
@@ -154,7 +116,7 @@ mod tests {
             n_cycles: 4,
             checkpoint_dir: Some(dir.clone()),
             checkpoint_every: 1,
-            faults: FaultPlan::none().crash_at(2),
+            faults: FaultPlan::none().with(2, Fault::Crash, &[]),
         };
         let mut app = small_campaign(campaign.faults.clone());
         let first = campaign.run(&mut app).unwrap();

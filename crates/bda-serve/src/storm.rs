@@ -32,7 +32,7 @@ use crate::tile::{decode_tile, TileAssembler};
 use bda_jitdt::sequence::{SeqClass, SeqTracker};
 use bda_num::rng::SplitMix64;
 use bda_workflow::backoff::Backoff;
-use bda_workflow::fault::FaultPlan;
+use bda_workflow::fault::{Fault, FaultPlan};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::mpsc::{Receiver, Sender, TryRecvError};
@@ -375,7 +375,7 @@ fn swarm_loop(
                     // slowclient:N@C — the first N still-healthy clients
                     // stop draining from this cycle on (deterministic:
                     // list order is join order).
-                    let mut to_slow = plan.slow_clients_at(cycle_idx);
+                    let mut to_slow: usize = plan.args(cycle_idx, Fault::SlowClients).sum();
                     for c in clients.iter_mut() {
                         if to_slow == 0 {
                             break;
@@ -389,7 +389,7 @@ fn swarm_loop(
                     // connstorm:N@C — burst joins; odd ones rejoin with a
                     // stale last_cycle to force catch-up, even ones are
                     // fresh.
-                    for k in 0..plan.conn_storm_at(cycle_idx) {
+                    for k in 0..plan.args(cycle_idx, Fault::ConnStorm).sum::<usize>() {
                         let last = if k % 2 == 1 && cycle > 0 {
                             Some(u64_min(rng.next_index(cycle_idx.max(1)), cycle))
                         } else {

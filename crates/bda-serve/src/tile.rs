@@ -572,10 +572,6 @@ impl TileAssembler {
     pub fn tile(&self, zoom: u8, tx: u16, ty: u16) -> Option<&[u8]> {
         self.tiles.get(&(zoom, tx, ty)).map(Vec::as_slice)
     }
-
-    pub fn tile_count(&self) -> usize {
-        self.tiles.len()
-    }
 }
 
 /// Concatenated frame bytes of one cycle's delta stream — the determinism

@@ -45,6 +45,14 @@ pub enum CollectStatus<T: Real> {
 /// transport-agnostic, which is what lets the socket federation inherit
 /// the file federation's parity proofs wholesale.
 pub trait HaloTransport {
+    /// Whether a frame is in every peer's slot by the time
+    /// [`publish`](Self::publish) returns — true of a spool write, not of
+    /// a socket push. Once every live shard has published, a phase-locked
+    /// harness can single-poll such a transport, timeout-free and fully
+    /// deterministic; on any other, "published" and "visible" are
+    /// separated by real wire time (or an injected fault), so collects
+    /// block and the deadline is how network faults become ladder rungs.
+    const VISIBLE_ON_PUBLISH: bool;
     /// Publish a halo frame for its (cycle, shard) slot. Network
     /// delivery failure is *not* an error — it degrades receivers onto
     /// the ladder; only local encode/spool failures surface here.
@@ -242,6 +250,7 @@ impl HaloBus {
 }
 
 impl HaloTransport for HaloBus {
+    const VISIBLE_ON_PUBLISH: bool = true;
     fn publish<T: Real>(&self, frame: &HaloFrame<T>) -> Result<(), String> {
         HaloBus::publish(self, frame)
     }

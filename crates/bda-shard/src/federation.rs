@@ -1,27 +1,34 @@
 //! Deterministic in-process federation driver.
 //!
-//! [`LocalFederation`] runs every shard worker inside one process with a
+//! [`Federation`] runs every shard worker inside one process with a
 //! strict phase discipline per cycle — kills/respawns, then every shard's
-//! publish, then every shard's collect (single-poll, no timeouts) — so
-//! federated campaigns are bit-reproducible and the shard-fault scenarios
-//! (`shardkill`, `shardstall`, `halodrop`) land on exact expected outcome
-//! tables. The multi-*process* flavour of the same protocol lives in
-//! `examples/federation.rs` under the `bda_workflow::shard_supervisor`;
-//! both drive the identical [`ShardWorker`] cycle code, which is what
-//! makes the local mode a faithful model.
+//! publish, then every shard's collect — so federated campaigns are
+//! bit-reproducible and the shard-fault scenarios (`shardkill`,
+//! `shardstall`, `halodrop`, and over sockets `partition`, `netstall`,
+//! `wiregarbage`) land on exact expected outcome tables. It is one harness
+//! over two transports: [`LocalFederation`] exchanges halos through the
+//! file spool, [`NetFederation`] through loopback sockets (optionally with
+//! a [`ChaosProxy`] in front of every shard). The multi-*process* flavour
+//! of the same protocol lives in `examples/federation.rs` under the
+//! `bda_workflow::shard_supervisor`; all of them drive the identical
+//! [`ShardWorker`] cycle code, which is what makes the in-process mode a
+//! faithful model and a clean socket run bit-identical to the file run and
+//! to single-process.
 //!
-//! A `shardkill:S@C` here is a *virtual SIGKILL*: worker `S` is dropped on
-//! the floor at the start of cycle `C` (whatever in-memory state it had is
-//! gone) and rebuilt from its own scoped checkpoint, replaying forward to
-//! rejoin the federation in the same cycle — exactly the recovery path a
-//! real killed process takes, minus the wall clock.
+//! A `shardkill:S@C` here is a *virtual SIGKILL*: worker `S` — and its
+//! transport — is dropped on the floor at the start of cycle `C` (whatever
+//! in-memory state it had is gone) and rebuilt from its own scoped
+//! checkpoint, replaying forward to rejoin the federation in the same
+//! cycle — exactly the recovery path a real killed process takes, minus
+//! the wall clock.
 
+use crate::bus::{HaloBus, HaloTransport};
 use crate::chaos::ChaosProxy;
 use crate::netbus::{NetBus, NetBusConfig};
 use crate::worker::{ShardConfig, ShardWorker};
 use bda_core::osse::OsseConfig;
-use bda_num::Real;
-use bda_workflow::FaultPlan;
+use bda_num::{cast, Real};
+use bda_workflow::{Fault, FaultPlan};
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -71,71 +78,35 @@ impl FederationConfig {
     }
 }
 
-/// All shards in one process, phase-locked per cycle.
-pub struct LocalFederation<T: Real> {
+/// Opens shard `s`'s transport and its worker configuration — once at
+/// start, and again for every respawn.
+type OpenShard<B> = Box<dyn Fn(&FederationConfig, usize) -> Result<(ShardConfig, B), String>>;
+
+/// All shards in one process, phase-locked per cycle, on transport `B`.
+pub struct Federation<T: Real, B: HaloTransport> {
     pub cfg: FederationConfig,
-    pub workers: Vec<ShardWorker<T>>,
+    pub workers: Vec<ShardWorker<T, B>>,
+    open: OpenShard<B>,
+    /// In-path proxies (socket chaos mode) — held for their lifetime.
+    _proxies: Vec<ChaosProxy>,
 }
 
-impl<T: Real> LocalFederation<T> {
-    /// Build and start (or resume) every shard worker.
+/// The federation over the file spool.
+pub type LocalFederation<T> = Federation<T, HaloBus>;
+
+/// The federation with every halo crossing a real loopback socket through
+/// [`NetBus`] — and, in chaos mode, through an in-path [`ChaosProxy`] per
+/// shard.
+pub type NetFederation<T> = Federation<T, NetBus>;
+
+impl<T: Real> Federation<T, HaloBus> {
+    /// Build and start (or resume) every shard worker on the file spool.
     pub fn start(cfg: FederationConfig) -> Result<Self, String> {
-        let workers = (0..cfg.n_shards)
-            .map(|s| ShardWorker::start_or_resume(cfg.shard_config(s)).map(|(w, _)| w))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(Self { cfg, workers })
-    }
-
-    /// Run the full campaign: every cycle applies scheduled virtual kills
-    /// (drop + rebuild-from-checkpoint + replay), then all shards publish,
-    /// then all shards collect. Single-poll collects — by the time any
-    /// shard collects, every live shard has published, so the no-fault
-    /// path is timeout-free and fully deterministic.
-    pub fn run(&mut self) -> Result<(), String> {
-        for cycle in 0..bda_num::cast::u64_of(self.cfg.n_cycles) {
-            for s in self
-                .cfg
-                .plan
-                .shard_kills(bda_num::cast::index_of_u64(cycle))
-            {
-                self.respawn(s, cycle)?;
-            }
-            let mut pendings = Vec::with_capacity(self.workers.len());
-            for w in &mut self.workers {
-                pendings.push(w.run_cycle_publish(cycle)?);
-            }
-            for (w, p) in self.workers.iter_mut().zip(pendings) {
-                w.run_cycle_collect(p, false);
-            }
-        }
-        Ok(())
-    }
-
-    /// Virtual SIGKILL of shard `s` at the start of `cycle`: the worker
-    /// (and all its in-memory state) is discarded, a fresh one resumes
-    /// from its own scoped checkpoint, and the missed cycles are replayed
-    /// against the halos still spooled on the bus — republishes are
-    /// idempotent and the peers' frames for those cycles are still there,
-    /// so the replay reconverges bit-for-bit before `cycle` begins.
-    fn respawn(&mut self, s: usize, cycle: u64) -> Result<(), String> {
-        let (mut w, resumed) = ShardWorker::start_or_resume(self.cfg.shard_config(s))?;
-        if !resumed && cycle > 0 {
-            return Err(format!(
-                "shard {s} killed at cycle {cycle} but no checkpoint found"
-            ));
-        }
-        while w.next_cycle() < cycle {
-            let c = w.next_cycle();
-            let p = w.run_cycle_publish(c)?;
-            w.run_cycle_collect(p, false);
-        }
-        self.workers[s] = w;
-        Ok(())
-    }
-
-    /// Shard `s`'s outcome table.
-    pub fn table(&self, s: usize) -> String {
-        self.workers[s].table()
+        Self::start_on(cfg, Vec::new(), |cfg, s| {
+            let sc = cfg.shard_config(s);
+            let bus = HaloBus::new(&sc.bus_dir).map_err(|e| format!("open bus: {e}"))?;
+            Ok((sc, bus))
+        })
     }
 }
 
@@ -168,37 +139,7 @@ impl Default for NetTuning {
     }
 }
 
-/// The same phase-locked federation as [`LocalFederation`], but every
-/// halo crosses a real loopback socket through [`NetBus`] — and, in
-/// chaos mode, through an in-path [`ChaosProxy`] per shard. Collects are
-/// *blocking* (pushes are asynchronous; the deadline is how network
-/// faults turn into ladder rungs), which is the one protocol difference
-/// from the file flavour; everything downstream of the transport is the
-/// identical [`ShardWorker`] cycle code, so a clean socket run is
-/// bit-identical to the file run and to single-process.
-pub struct NetFederation<T: Real> {
-    pub cfg: FederationConfig,
-    pub net: NetTuning,
-    pub workers: Vec<ShardWorker<T, NetBus>>,
-    /// In-path proxies (chaos mode) — held for their lifetime.
-    _proxies: Vec<ChaosProxy>,
-}
-
-impl<T: Real> NetFederation<T> {
-    fn net_shard_config(cfg: &FederationConfig, net: &NetTuning, s: usize) -> ShardConfig {
-        let mut sc = cfg.shard_config(s);
-        sc.halo_deadline = net.halo_deadline;
-        sc.poll = net.poll;
-        sc
-    }
-
-    fn start_bus(cfg: &FederationConfig, net: &NetTuning, s: usize) -> Result<NetBus, String> {
-        let mut bc = NetBusConfig::new(s, cfg.n_shards);
-        bc.raw_registry = net.chaos;
-        bc.seed ^= net.seed;
-        NetBus::start(bc, cfg.dir.join("bus"))
-    }
-
+impl<T: Real> Federation<T, NetBus> {
     /// Start every shard on its own socket bus (and, in chaos mode, its
     /// own in-path proxy).
     pub fn start(cfg: FederationConfig, net: NetTuning) -> Result<Self, String> {
@@ -217,32 +158,52 @@ impl<T: Real> NetFederation<T> {
         } else {
             Vec::new()
         };
+        Self::start_on(cfg, proxies, move |cfg, s| {
+            let mut sc = cfg.shard_config(s);
+            sc.halo_deadline = net.halo_deadline;
+            sc.poll = net.poll;
+            let mut bc = NetBusConfig::new(s, cfg.n_shards);
+            bc.raw_registry = net.chaos;
+            bc.seed ^= net.seed;
+            let bus = NetBus::start(bc, &sc.bus_dir)?;
+            Ok((sc, bus))
+        })
+    }
+}
+
+impl<T: Real, B: HaloTransport> Federation<T, B> {
+    fn start_on(
+        cfg: FederationConfig,
+        proxies: Vec<ChaosProxy>,
+        open: impl Fn(&FederationConfig, usize) -> Result<(ShardConfig, B), String> + 'static,
+    ) -> Result<Self, String> {
         let workers = (0..cfg.n_shards)
             .map(|s| {
-                let bus = Self::start_bus(&cfg, &net, s)?;
-                ShardWorker::start_or_resume_on(Self::net_shard_config(&cfg, &net, s), bus)
-                    .map(|(w, _)| w)
+                let (sc, bus) = open(&cfg, s)?;
+                ShardWorker::start_or_resume_on(sc, bus).map(|(w, _)| w)
             })
             .collect::<Result<Vec<_>, _>>()?;
         Ok(Self {
             cfg,
-            net,
             workers,
+            open: Box::new(open),
             _proxies: proxies,
         })
     }
 
-    /// Run the full campaign. Same phase discipline as
-    /// [`LocalFederation::run`], except collects block up to the halo
-    /// deadline: a push crosses a socket, so "published" and "visible"
-    /// are separated by real wire time (or by an injected fault).
+    /// Run the full campaign: every cycle applies scheduled virtual kills
+    /// (drop + rebuild-from-checkpoint + replay), then all shards publish,
+    /// then all shards collect — blocking up to the halo deadline unless
+    /// the transport makes a publish [visible on
+    /// return](HaloTransport::VISIBLE_ON_PUBLISH).
     pub fn run(&mut self) -> Result<(), String> {
-        for cycle in 0..bda_num::cast::u64_of(self.cfg.n_cycles) {
-            for s in self
+        for cycle in 0..cast::u64_of(self.cfg.n_cycles) {
+            let kills: Vec<usize> = self
                 .cfg
                 .plan
-                .shard_kills(bda_num::cast::index_of_u64(cycle))
-            {
+                .args(cast::index_of_u64(cycle), Fault::ShardKill)
+                .collect();
+            for s in kills {
                 self.respawn(s, cycle)?;
             }
             let mut pendings = Vec::with_capacity(self.workers.len());
@@ -250,26 +211,27 @@ impl<T: Real> NetFederation<T> {
                 pendings.push(w.run_cycle_publish(cycle)?);
             }
             for (w, p) in self.workers.iter_mut().zip(pendings) {
-                w.run_cycle_collect(p, true);
+                w.run_cycle_collect(p, !B::VISIBLE_ON_PUBLISH);
             }
         }
         Ok(())
     }
 
-    /// Virtual SIGKILL over sockets: the worker *and its bus* are
-    /// dropped (listener closed, links cut — a real dead process), then
-    /// a fresh bus starts under a bumped epoch and the worker resumes
-    /// from its checkpoint. Replay collects pull missed halos from peer
-    /// history via `REQ` — the file spool is not involved — and the
-    /// replay republishes refill this shard's own history for peers'
-    /// pulls. Anything still written by the old instance is fenced off
-    /// by the epoch bump as a typed stale reject.
+    /// Virtual SIGKILL of shard `s` at the start of `cycle`: the worker
+    /// *and its transport* are dropped first (all in-memory state gone; on
+    /// sockets the listener closes and the links are cut — a real dead
+    /// process — which also frees the registry slot), then a fresh
+    /// transport opens (on sockets under a bumped epoch, fencing anything
+    /// the old instance still has in flight as a typed stale reject) and
+    /// the worker resumes from its own scoped checkpoint. The missed
+    /// cycles are replayed against the peers' halos for those cycles —
+    /// still spooled on the file bus, pulled from peer history via `REQ`
+    /// on sockets — and the replay's republishes are idempotent, so it
+    /// reconverges bit-for-bit before `cycle` begins.
     pub fn respawn(&mut self, s: usize, cycle: u64) -> Result<(), String> {
-        // Drop first: kill semantics, and it frees the registry slot.
-        let _ = self.workers.remove(s);
-        let bus = Self::start_bus(&self.cfg, &self.net, s)?;
-        let (mut w, resumed) =
-            ShardWorker::start_or_resume_on(Self::net_shard_config(&self.cfg, &self.net, s), bus)?;
+        drop(self.workers.remove(s));
+        let (sc, bus) = (self.open)(&self.cfg, s)?;
+        let (mut w, resumed) = ShardWorker::start_or_resume_on(sc, bus)?;
         if !resumed && cycle > 0 {
             return Err(format!(
                 "shard {s} killed at cycle {cycle} but no checkpoint found"
@@ -278,7 +240,7 @@ impl<T: Real> NetFederation<T> {
         while w.next_cycle() < cycle {
             let c = w.next_cycle();
             let p = w.run_cycle_publish(c)?;
-            w.run_cycle_collect(p, true);
+            w.run_cycle_collect(p, !B::VISIBLE_ON_PUBLISH);
         }
         self.workers.insert(s, w);
         Ok(())

@@ -5,10 +5,12 @@
 //! a single fault domain around the whole forecast. This crate splits the
 //! LETKF domain into `S` shards — separate OS processes in production
 //! (`examples/federation.rs`), phase-locked in-process workers for
-//! deterministic tests ([`federation::LocalFederation`]) — that exchange
-//! analyzed-strip "halos" through a spool directory
-//! ([`bus::HaloBus`], the file flavour of JIT-DT, sequenced with the same
-//! [`bda_jitdt::SeqTracker`] discipline as radar volumes) and checkpoint
+//! deterministic tests (the one [`federation::Federation`] harness) —
+//! that exchange analyzed-strip "halos" over a [`bus::HaloTransport`]:
+//! a spool directory ([`bus::HaloBus`], the file flavour of JIT-DT,
+//! sequenced with the same [`bda_jitdt::SeqTracker`] discipline as radar
+//! volumes; [`federation::LocalFederation`]) or loopback sockets
+//! ([`netbus::NetBus`]; [`federation::NetFederation`]). Shards checkpoint
 //! independently in the CRC-guarded [`bda_io::checkpoint`] format under
 //! shard-scoped filenames, so a SIGKILLed shard resumes on its own while
 //! the rest of the federation keeps cycling.
@@ -37,10 +39,10 @@ pub mod worker;
 
 pub use bus::{CollectStatus, HaloBus, HaloTransport};
 pub use chaos::ChaosProxy;
-pub use federation::{FederationConfig, LocalFederation, NetFederation};
+pub use federation::{Federation, FederationConfig, LocalFederation, NetFederation};
 pub use fence::{Admit, FenceTable, SlotGet};
 pub use layout::ShardLayout;
 pub use msg::{decode_halo, encode_halo, HaloError, HaloFrame, HaloMsg};
 pub use netbus::{NetBus, NetBusConfig, NetStats};
 pub use wire::{encode_msg, NetFrameReader, NetMsg, WireEvent};
-pub use worker::{outcome_table, PendingPublish, ShardConfig, ShardWorker};
+pub use worker::{PendingPublish, ShardConfig, ShardWorker};

@@ -9,16 +9,18 @@
 //! [`bda_io::format`] state codec — precision mismatches between an `f32`
 //! shard and an `f64` shard surface as typed errors, not garbage floats.
 //!
-//! Layout: magic `BDAH` (4) | version u16 | kind u8 | shard u32 |
+//! Layout: magic `BDAX` (4) | version u16 | kind u8 | shard u32 |
 //! cycle u64 | i0 u32 | i1 u32 | points_analyzed u64 | payload
 //! (`encode_states` frame, strip kind only) | FNV-1a checksum u64.
+//! The magic is this format's alone: `BDAH` is the egress subscriber
+//! hello of `bda-serve`, a different 12-byte format.
 
 use bda_io::format::{decode_states, encode_states, FormatError};
 use bda_io::frame::{self, FrameError};
 use bda_num::{cast, Real};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
-const MAGIC: &[u8; 4] = b"BDAH";
+const MAGIC: &[u8; 4] = b"BDAX";
 const VERSION: u16 = 1;
 const HEADER_BYTES: usize = 4 + 2 + 1 + 4 + 8 + 4 + 4 + 8;
 

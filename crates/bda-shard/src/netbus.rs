@@ -604,6 +604,8 @@ fn heartbeat_loop(shared: Arc<Shared>) {
 }
 
 impl HaloTransport for NetBus {
+    const VISIBLE_ON_PUBLISH: bool = false;
+
     /// Store the sealed frame in local history (the `REQ` replay source)
     /// and best-effort push it to every peer. A peer that misses the push
     /// pulls it later or degrades — never an error here.

@@ -12,7 +12,7 @@
 //!
 //! sealed with the same [`bda_io::frame`] trailer convention as every
 //! other codec in the system. Kinds: `HELLO` (handshake, carries the
-//! sender's fenced epoch), `HALO` (payload = one sealed `BDAH` halo frame,
+//! sender's fenced epoch), `HALO` (payload = one sealed `BDAX` halo frame,
 //! prefixed by its cycle so in-path tooling can route without decoding
 //! members), `REQ` (pull request for a peer's published halo — the replay
 //! path after a respawn or a healed partition), `HEARTBEAT` (liveness +
@@ -30,7 +30,7 @@
 use bda_num::cast;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
-/// Stream-level magic. Distinct from the halo-frame magic (`BDAH`): the
+/// Stream-level magic. Distinct from the halo-frame magic (`BDAX`): the
 /// stream carries halo frames *inside* `HALO` messages.
 pub const NET_MAGIC: &[u8; 4] = b"BDAN";
 
@@ -52,7 +52,7 @@ const KIND_HEARTBEAT: u8 = 3;
 pub enum NetMsg {
     /// Connection handshake: who is writing, and from which fenced epoch.
     Hello { sender: usize, epoch: u64 },
-    /// One sealed `BDAH` halo frame. `cycle` duplicates the frame's cycle
+    /// One sealed `BDAX` halo frame. `cycle` duplicates the frame's cycle
     /// so the receiver can slot it (and the chaos proxy can route it)
     /// without decoding members; [`crate::worker`] re-validates the inner
     /// values on acceptance, so a tampered wrapper is caught there.

@@ -37,7 +37,7 @@ use bda_core::osse::{CycleOutcome, Osse, OsseConfig, PendingCycle};
 use bda_io::checkpoint::{latest_checkpoint_scoped, write_checkpoint_scoped, OutcomeRecord};
 use bda_jitdt::{SeqClass, SeqTracker};
 use bda_num::{cast, Real};
-use bda_workflow::FaultPlan;
+use bda_workflow::{outcome_table, Fault, FaultPlan};
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -107,8 +107,7 @@ impl<T: Real> PendingPublish<T> {
 }
 
 /// One shard of the federation, generic over its halo transport (file
-/// spool by default, loopback sockets via
-/// [`start_or_resume_on`](Self::start_or_resume_on)).
+/// spool by default, or loopback sockets).
 pub struct ShardWorker<T: Real, B: HaloTransport = HaloBus> {
     pub cfg: ShardConfig,
     pub osse: Osse<T>,
@@ -128,21 +127,10 @@ pub struct ShardWorker<T: Real, B: HaloTransport = HaloBus> {
     next_cycle: u64,
 }
 
-impl<T: Real> ShardWorker<T> {
-    /// Build the worker on the default file-spool transport and either
-    /// resume from the newest valid scoped checkpoint or start fresh.
-    /// Returns `true` when a checkpoint was resumed.
-    pub fn start_or_resume(cfg: ShardConfig) -> Result<(Self, bool), String> {
-        let bus = HaloBus::new(&cfg.bus_dir).map_err(|e| format!("open bus: {e}"))?;
-        Self::start_or_resume_on(cfg, bus)
-    }
-}
-
 impl<T: Real, B: HaloTransport> ShardWorker<T, B> {
-    /// Build the worker on an explicit transport (the socket federation
-    /// path) and either resume from the newest valid scoped checkpoint or
-    /// start fresh (spinning up the system). Returns `true` when a
-    /// checkpoint was resumed.
+    /// Build the worker on `bus` and either resume from the newest valid
+    /// scoped checkpoint or start fresh (spinning up the system). Returns
+    /// `true` when a checkpoint was resumed.
     pub fn start_or_resume_on(cfg: ShardConfig, bus: B) -> Result<(Self, bool), String> {
         assert!(cfg.shard < cfg.n_shards, "shard index out of range");
         let mut osse = Osse::<T>::new(cfg.osse.clone());
@@ -228,9 +216,10 @@ impl<T: Real, B: HaloTransport> ShardWorker<T, B> {
 
         let c = cast::index_of_u64(cycle);
         let shard = self.cfg.shard;
-        let frame = if self.cfg.plan.shard_stalls(c).contains(&shard) {
+        let scheduled = |fault| self.cfg.plan.args(c, fault).any(|s| s == shard);
+        let frame = if scheduled(Fault::ShardStall) {
             HaloFrame::Stall { shard, cycle }
-        } else if self.cfg.plan.halo_drops(c).contains(&shard) {
+        } else if scheduled(Fault::HaloDrop) {
             HaloFrame::Skip { shard, cycle }
         } else {
             HaloFrame::Strip(HaloMsg {
@@ -335,7 +324,29 @@ impl<T: Real, B: HaloTransport> ShardWorker<T, B> {
         }
         self.osse.apply_analyzed_flats(&flats);
         let out = self.osse.cycle_finish(pending);
-        let record = self.record_of(cycle, &out, forecast_only, &reused, &widened);
+        // The single-process record grammar (`CycleOutcome::record`), so a
+        // no-fault federated table diffs byte-for-byte against the
+        // unsharded one, with the ladder rungs layered on top: a rung
+        // outranks `degraded`/`completed`, never the in-model labels.
+        let mut record = out.record(cycle);
+        let rung = if forecast_only {
+            Some("forecast-only")
+        } else if !widened.is_empty() {
+            Some("boundary-widened")
+        } else if !reused.is_empty() {
+            Some("halo-reuse")
+        } else {
+            None
+        };
+        if let (Some(rung), "degraded" | "completed") = (rung, record.label.as_str()) {
+            record.label = rung.into();
+        }
+        if !reused.is_empty() {
+            record.detail += &format!(", reused halo of {reused:?}");
+        }
+        if !widened.is_empty() {
+            record.detail += &format!(", widened into {widened:?}");
+        }
         let _ = self.bus.write_record(
             cycle,
             self.cfg.shard,
@@ -345,60 +356,6 @@ impl<T: Real, B: HaloTransport> ShardWorker<T, B> {
         self.outcomes.push(out);
         self.next_cycle = cycle + 1;
         record
-    }
-
-    /// Deterministic one-line cycle summary — same grammar as the
-    /// single-process campaign log (`bda_core::resume`), so a no-fault
-    /// federated table diffs byte-for-byte against the unsharded one, with
-    /// the ladder rungs layered on top.
-    fn record_of(
-        &self,
-        cycle: u64,
-        out: &CycleOutcome,
-        forecast_only: bool,
-        reused: &[usize],
-        widened: &[usize],
-    ) -> OutcomeRecord {
-        let label = if out.below_quorum {
-            "below-quorum"
-        } else if forecast_only || out.n_obs_used == 0 {
-            "forecast-only"
-        } else if !widened.is_empty() {
-            "boundary-widened"
-        } else if !reused.is_empty() {
-            "halo-reuse"
-        } else if out.ensemble_degraded() {
-            "degraded"
-        } else {
-            "completed"
-        };
-        let mut detail = format!(
-            "alive {}, obs {}/{}, {}, rmse {:.9e}->{:.9e}",
-            out.n_alive,
-            out.n_obs_used,
-            out.n_obs_scanned,
-            out.qc.summary(),
-            out.prior_rmse_dbz,
-            out.posterior_rmse_dbz
-        );
-        if !out.respawned.is_empty() {
-            detail.push_str(&format!(", respawned {:?}", out.respawned));
-        }
-        for e in &out.member_errors {
-            detail.push_str(&format!(", {e}"));
-        }
-        if !reused.is_empty() {
-            detail.push_str(&format!(", reused halo of {reused:?}"));
-        }
-        if !widened.is_empty() {
-            detail.push_str(&format!(", widened into {widened:?}"));
-        }
-        OutcomeRecord {
-            cycle,
-            label: label.into(),
-            detail,
-            retries: 0,
-        }
     }
 
     /// Run one full cycle (publish + blocking collect).
@@ -416,29 +373,9 @@ impl<T: Real, B: HaloTransport> ShardWorker<T, B> {
         Ok(())
     }
 
-    /// The campaign-log table (same layout as
+    /// The campaign-log table (same renderer as
     /// `bda_workflow::campaign::ResumableRun::table`).
     pub fn table(&self) -> String {
         outcome_table(&self.records)
     }
-}
-
-/// Format an outcome-record log the way the single-process campaign driver
-/// does, so federation tables and campaign tables diff directly.
-pub fn outcome_table(records: &[OutcomeRecord]) -> String {
-    let mut out = String::from("cycle  outcome    retries  detail\n");
-    for o in records {
-        out.push_str(&format!(
-            "{:5}  {:<9} {:7}  {}\n",
-            o.cycle, o.label, o.retries, o.detail
-        ));
-    }
-    let completed = records.iter().filter(|o| o.label == "completed").count();
-    out.push_str(&format!(
-        "{} cycles: {} completed, {} other\n",
-        records.len(),
-        completed,
-        records.len() - completed,
-    ));
-    out
 }

@@ -13,7 +13,7 @@ use bda_shard::{
     decode_halo, encode_halo, encode_msg, CollectStatus, FederationConfig, HaloBus, HaloFrame,
     HaloMsg, LocalFederation, NetFrameReader, NetMsg, WireEvent,
 };
-use bda_workflow::FaultPlan;
+use bda_workflow::{Fault, FaultPlan};
 use proptest::prelude::*;
 
 fn strip_frame(cycle: u64, shard: usize, members: usize, len: usize, fill: f32) -> HaloFrame<f32> {
@@ -303,12 +303,13 @@ proptest! {
         let n_cycles = 3;
         let mut plan = FaultPlan::none();
         for &(kind, shard, cycle) in &faults {
-            plan = match kind {
+            let fault = match kind {
                 // Kills at cycle 0 exercise the no-checkpoint-yet respawn.
-                0 => plan.shard_kill(cycle, shard),
-                1 => plan.shard_stall(cycle, shard),
-                _ => plan.halo_drop(cycle, shard),
+                0 => Fault::ShardKill,
+                1 => Fault::ShardStall,
+                _ => Fault::HaloDrop,
             };
+            plan = plan.with(cycle, fault, &[shard]);
         }
         let dir = std::env::temp_dir().join(format!(
             "bda-shard-prop-fed-{}-{seed}-{}",

@@ -2,7 +2,7 @@
 //! checkpointed cycling campaign ([`ResumableCampaign`]) that survives
 //! `kill -9` and resumes bit-for-bit from the last valid snapshot.
 
-use crate::fault::FaultPlan;
+use crate::fault::{Fault, FaultPlan};
 use crate::nodes::NodeAllocation;
 use crate::outage::OutageSchedule;
 use crate::perfmodel::{PerfModel, TimeToSolution};
@@ -303,7 +303,7 @@ pub trait CycleApp<T: Real> {
 pub enum CampaignTermination {
     /// All cycles ran.
     Completed,
-    /// An injected [`crate::fault::Fault::Crash`] killed the process at the
+    /// An injected [`Fault::Crash`] killed the process at the
     /// start of this cycle — before any checkpoint for it was taken, so a
     /// resume replays from the last snapshot.
     Crashed { at_cycle: usize },
@@ -329,26 +329,30 @@ impl ResumableRun {
     /// an interrupted-and-resumed campaign can be diffed byte-for-byte
     /// against an uninterrupted one.
     pub fn table(&self) -> String {
-        let mut out = String::from("cycle  outcome    retries  detail\n");
-        for o in &self.outcomes {
-            out.push_str(&format!(
-                "{:5}  {:<9} {:7}  {}\n",
-                o.cycle, o.label, o.retries, o.detail
-            ));
-        }
-        let completed = self
-            .outcomes
-            .iter()
-            .filter(|o| o.label == "completed")
-            .count();
-        out.push_str(&format!(
-            "{} cycles: {} completed, {} other\n",
-            self.outcomes.len(),
-            completed,
-            self.outcomes.len() - completed,
-        ));
-        out
+        outcome_table(&self.outcomes)
     }
+}
+
+/// Render an outcome-record log as the campaign table. Every driver that
+/// keeps such a log (this module's [`ResumableCampaign`], the shard
+/// workers of `bda-shard`) prints it through here, so their tables diff
+/// byte-for-byte.
+pub fn outcome_table(records: &[OutcomeRecord]) -> String {
+    let mut out = String::from("cycle  outcome    retries  detail\n");
+    for o in records {
+        out.push_str(&format!(
+            "{:5}  {:<9} {:7}  {}\n",
+            o.cycle, o.label, o.retries, o.detail
+        ));
+    }
+    let completed = records.iter().filter(|o| o.label == "completed").count();
+    out.push_str(&format!(
+        "{} cycles: {} completed, {} other\n",
+        records.len(),
+        completed,
+        records.len() - completed,
+    ));
+    out
 }
 
 /// Sequential checkpointed campaign driver.
@@ -368,8 +372,8 @@ pub struct ResumableCampaign {
     /// Snapshot cadence in cycles (min 1). A snapshot is taken before every
     /// cycle whose index is a multiple of this, plus a final one at the end.
     pub checkpoint_every: usize,
-    /// Deterministic fault schedule (member faults are the app's business
-    /// via [`FaultPlan::member_nans`]; the driver handles `Crash`).
+    /// Deterministic fault schedule (member faults are the app's
+    /// business; the driver handles [`Fault::Crash`]).
     pub faults: FaultPlan,
 }
 
@@ -441,7 +445,7 @@ impl ResumableCampaign {
         outcomes.retain(|o| (o.cycle as usize) < start_cycle);
         let mut checkpoints_written = 0usize;
         for cycle in start_cycle..self.n_cycles {
-            if resumed_from.is_none() && self.faults.has_crash(cycle) {
+            if resumed_from.is_none() && self.faults.has(cycle, Fault::Crash) {
                 return Ok(ResumableRun {
                     start_cycle,
                     resumed_from,
@@ -681,7 +685,7 @@ mod tests {
             n_cycles: 8,
             checkpoint_dir: Some(dir.clone()),
             checkpoint_every: 2,
-            faults: FaultPlan::none().crash_at(5),
+            faults: FaultPlan::none().with(5, Fault::Crash, &[]),
         };
         let mut app = ToyApp::new(99);
         let first = campaign.run(&mut app).unwrap();

@@ -6,15 +6,21 @@
 //! from a compact spec string (the `--inject` flag of the realtime example),
 //! or generated from a seed — so every failure scenario is reproducible
 //! bit-for-bit, which is what makes degraded-mode behaviour testable at all.
+//!
+//! Every kind of failure is one [`Fault`] variant and one row of the kind
+//! table (`Fault::grammar`): its `--inject` token name and the shape of
+//! its arguments. Building, parsing, [`FaultPlan::to_spec`] and argument
+//! lookup all read that table and nothing else.
 
 use bda_num::rng::SplitMix64;
 use std::collections::BTreeMap;
 
-/// The pipeline stages a fault can target.
+/// The pipeline stages that run a caller's closure, so can fail or be made
+/// to panic. (The transfer between scan and assimilation has no closure;
+/// its failures are [`Fault::TransferStall`] and friends.)
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Stage {
     Scan,
-    Transfer,
     Assimilation,
     Forecast,
 }
@@ -23,7 +29,6 @@ impl std::fmt::Display for Stage {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let s = match self {
             Stage::Scan => "scan",
-            Stage::Transfer => "transfer",
             Stage::Assimilation => "assimilation",
             Stage::Forecast => "forecast",
         };
@@ -31,15 +36,16 @@ impl std::fmt::Display for Stage {
     }
 }
 
-/// One injected failure.
+/// One kind of injected failure. The arguments a scheduled fault carries
+/// (a member, a shard, a count, a shard pair) live beside it in the plan,
+/// in the order its `--inject` token spells them.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Fault {
-    /// Panic inside the named stage closure (scan, assimilation or
-    /// forecast; transfer has no user closure to panic in).
+    /// Panic inside the named stage closure.
     StagePanic(Stage),
-    /// The transfer appears stalled: the receiver's first `timeouts`
-    /// watchdog windows elapse without data before the volume shows up.
-    TransferStall { timeouts: usize },
+    /// The transfer appears stalled: the receiver's first `N` watchdog
+    /// windows elapse without data before the volume shows up.
+    TransferStall,
     /// The volume payload is corrupted after the scan-time checksum is
     /// taken, so the assimilation side must reject it.
     CorruptVolume,
@@ -52,58 +58,134 @@ pub enum Fault {
     /// horizon — a backlogged delivery. The receiver must reject it with a
     /// typed stale outcome rather than assimilate old weather.
     StaleScan,
-    /// Member `member`'s forecast state is poisoned with NaN at the start
-    /// of the cycle — the health scan must quarantine and respawn it.
-    MemberNan { member: usize },
-    /// Member `member`'s forecast state is seeded with an Inf so its
+    /// Member `M`'s forecast state is poisoned with NaN at the start of
+    /// the cycle — the health scan must quarantine and respawn it.
+    MemberNan,
+    /// Member `M`'s forecast state is seeded with an Inf so its
     /// integration blows up — surfaces as a typed `MemberError`.
-    MemberBlowUp { member: usize },
+    MemberBlowUp,
     /// The whole process dies abruptly at the start of the cycle, before
     /// any checkpoint for it is taken — the in-process stand-in for
     /// `kill -9`, exercised by the checkpoint/resume path.
     Crash,
-    /// `n` egress subscribers stop draining their sockets starting this
+    /// `N` egress subscribers stop draining their sockets starting this
     /// cycle — the serve layer must evict them instead of letting the
     /// broadcast stall.
-    SlowClients { n: usize },
-    /// `n` extra subscribers connect (or reconnect) in a burst during this
+    SlowClients,
+    /// `N` extra subscribers connect (or reconnect) in a burst during this
     /// cycle — an egress connection storm the acceptor must absorb without
     /// missing the publish deadline.
-    ConnStorm { n: usize },
-    /// Federation shard `shard` is SIGKILLed at the start of this cycle —
-    /// the supervisor must respawn it and the shard must resume from its
-    /// own scoped checkpoint while its peers keep cycling.
-    ShardKill { shard: usize },
-    /// Federation shard `shard` misses its halo deadline this cycle (it
+    ConnStorm,
+    /// Federation shard `S` is SIGKILLed at the start of this cycle — the
+    /// supervisor must respawn it and the shard must resume from its own
+    /// scoped checkpoint while its peers keep cycling.
+    ShardKill,
+    /// Federation shard `S` misses its halo deadline this cycle (it
     /// publishes a stall marker instead of its analyzed strip) — peers
     /// must step the degradation ladder, not block.
-    ShardStall { shard: usize },
-    /// Federation shard `shard`'s halo for this cycle is dropped in
-    /// transit — receivers reuse the previous-cycle halo, flagged.
-    HaloDrop { shard: usize },
-    /// Network partition between shards `a` and `b` for this cycle: every
+    ShardStall,
+    /// Federation shard `S`'s halo for this cycle is dropped in transit —
+    /// receivers reuse the previous-cycle halo, flagged.
+    HaloDrop,
+    /// Network partition between shards `A` and `B` for this cycle: every
     /// message of the cycle is dropped in both directions on that link
     /// (halos, replay requests, heartbeats). Both ends must step their
     /// degradation ladder for each other while the rest of the federation
-    /// keeps exchanging normally. Canonicalized so `a < b`.
-    Partition { a: usize, b: usize },
-    /// Shard `shard`'s egress is stalled in-network for this cycle: its
+    /// keeps exchanging normally. Stored with `A < B`.
+    Partition,
+    /// Shard `S`'s egress is stalled in-network for this cycle: its
     /// messages are delayed past the receivers' halo deadline and released
     /// late (reordered behind newer traffic). Peers must degrade, then
     /// discard the late arrival as stale — never apply it backwards.
-    NetStall { shard: usize },
-    /// Shard `shard`'s egress is mangled on the wire for this cycle:
-    /// garbage bytes injected mid-stream, frame bytes corrupted,
-    /// truncation. Receivers must resync at the next frame magic and type
-    /// the damage — no panic, nothing corrupt applied.
-    WireGarbage { shard: usize },
+    NetStall,
+    /// Shard `S`'s egress is mangled on the wire for this cycle: garbage
+    /// bytes injected mid-stream, frame bytes corrupted, truncation.
+    /// Receivers must resync at the next frame magic and type the damage —
+    /// no panic, nothing corrupt applied.
+    WireGarbage,
 }
+
+/// How a kind's `--inject` token spells its arguments.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Shape {
+    /// `name@C` — no argument.
+    At,
+    /// `name@CxN` — a count after the cycle; bare `name@C` means `N = 1`.
+    AtTimes,
+    /// `name:N@C` — one argument (a member, a shard, a count).
+    Arg,
+    /// `name:A-B@C` — an unordered pair of distinct shards.
+    Pair,
+}
+
+impl Shape {
+    fn n_args(self) -> usize {
+        match self {
+            Shape::At => 0,
+            Shape::AtTimes | Shape::Arg => 1,
+            Shape::Pair => 2,
+        }
+    }
+}
+
+impl Fault {
+    /// Every kind, in the order [`FaultPlan::parse`] documents them.
+    const ALL: [Fault; 19] = [
+        Fault::StagePanic(Stage::Scan),
+        Fault::StagePanic(Stage::Assimilation),
+        Fault::StagePanic(Stage::Forecast),
+        Fault::TransferStall,
+        Fault::CorruptVolume,
+        Fault::DropScan,
+        Fault::DuplicateVolume,
+        Fault::StaleScan,
+        Fault::MemberNan,
+        Fault::MemberBlowUp,
+        Fault::Crash,
+        Fault::SlowClients,
+        Fault::ConnStorm,
+        Fault::ShardKill,
+        Fault::ShardStall,
+        Fault::HaloDrop,
+        Fault::Partition,
+        Fault::NetStall,
+        Fault::WireGarbage,
+    ];
+
+    /// The kind table: token name and argument shape.
+    fn grammar(self) -> (&'static str, Shape) {
+        match self {
+            Fault::StagePanic(Stage::Scan) => ("panic:scan", Shape::At),
+            Fault::StagePanic(Stage::Assimilation) => ("panic:assim", Shape::At),
+            Fault::StagePanic(Stage::Forecast) => ("panic:fcst", Shape::At),
+            Fault::TransferStall => ("stall", Shape::AtTimes),
+            Fault::CorruptVolume => ("corrupt", Shape::At),
+            Fault::DropScan => ("drop", Shape::At),
+            Fault::DuplicateVolume => ("dup", Shape::At),
+            Fault::StaleScan => ("stale", Shape::At),
+            Fault::MemberNan => ("nan", Shape::Arg),
+            Fault::MemberBlowUp => ("blowup", Shape::Arg),
+            Fault::Crash => ("crash", Shape::At),
+            Fault::SlowClients => ("slowclient", Shape::Arg),
+            Fault::ConnStorm => ("connstorm", Shape::Arg),
+            Fault::ShardKill => ("shardkill", Shape::Arg),
+            Fault::ShardStall => ("shardstall", Shape::Arg),
+            Fault::HaloDrop => ("halodrop", Shape::Arg),
+            Fault::Partition => ("partition", Shape::Pair),
+            Fault::NetStall => ("netstall", Shape::Arg),
+            Fault::WireGarbage => ("wiregarbage", Shape::Arg),
+        }
+    }
+}
+
+/// A scheduled fault with its arguments in token order (unused slots 0).
+pub type Scheduled = (Fault, [usize; 2]);
 
 /// Per-cycle fault schedule. Ordered map so iteration (and therefore any
 /// behaviour derived from it) is deterministic.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FaultPlan {
-    by_cycle: BTreeMap<usize, Vec<Fault>>,
+    by_cycle: BTreeMap<usize, Vec<Scheduled>>,
 }
 
 /// Per-cycle probabilities for [`FaultPlan::random`].
@@ -141,255 +223,40 @@ impl FaultPlan {
         self.by_cycle.is_empty()
     }
 
-    fn push(&mut self, cycle: usize, fault: Fault) {
-        self.by_cycle.entry(cycle).or_default().push(fault);
-    }
-
-    /// Panic inside `stage` on `cycle`.
-    pub fn panic_at(mut self, stage: Stage, cycle: usize) -> Self {
-        self.push(cycle, Fault::StagePanic(stage));
-        self
-    }
-
-    /// Corrupt the volume payload of `cycle` after its checksum is taken.
-    pub fn corrupt_volume(mut self, cycle: usize) -> Self {
-        self.push(cycle, Fault::CorruptVolume);
-        self
-    }
-
-    /// Stall `cycle`'s transfer for `timeouts` watchdog windows.
-    pub fn stall_transfer(mut self, cycle: usize, timeouts: usize) -> Self {
-        self.push(cycle, Fault::TransferStall { timeouts });
-        self
-    }
-
-    /// Drop `cycle`'s scan entirely.
-    pub fn drop_scan(mut self, cycle: usize) -> Self {
-        self.push(cycle, Fault::DropScan);
-        self
-    }
-
-    /// Send `cycle`'s volume twice (replayed delivery).
-    pub fn duplicate_volume(mut self, cycle: usize) -> Self {
-        self.push(cycle, Fault::DuplicateVolume);
-        self
-    }
-
-    /// Back-date `cycle`'s scan timestamp past the staleness horizon.
-    pub fn stale_scan(mut self, cycle: usize) -> Self {
-        self.push(cycle, Fault::StaleScan);
-        self
-    }
-
-    /// Poison `member`'s state with NaN at the start of `cycle`.
-    pub fn nan_member(mut self, cycle: usize, member: usize) -> Self {
-        self.push(cycle, Fault::MemberNan { member });
-        self
-    }
-
-    /// Seed `member`'s state with Inf at the start of `cycle`.
-    pub fn blowup_member(mut self, cycle: usize, member: usize) -> Self {
-        self.push(cycle, Fault::MemberBlowUp { member });
-        self
-    }
-
-    /// Kill the process abruptly at the start of `cycle`.
-    pub fn crash_at(mut self, cycle: usize) -> Self {
-        self.push(cycle, Fault::Crash);
-        self
-    }
-
-    /// Make `n` egress subscribers stop draining from `cycle` on.
-    pub fn slow_clients(mut self, cycle: usize, n: usize) -> Self {
-        self.push(cycle, Fault::SlowClients { n });
-        self
-    }
-
-    /// Burst-connect `n` extra egress subscribers during `cycle`.
-    pub fn conn_storm(mut self, cycle: usize, n: usize) -> Self {
-        self.push(cycle, Fault::ConnStorm { n });
-        self
-    }
-
-    /// SIGKILL federation shard `shard` at the start of `cycle`.
-    pub fn shard_kill(mut self, cycle: usize, shard: usize) -> Self {
-        self.push(cycle, Fault::ShardKill { shard });
-        self
-    }
-
-    /// Make shard `shard` miss its halo deadline on `cycle`.
-    pub fn shard_stall(mut self, cycle: usize, shard: usize) -> Self {
-        self.push(cycle, Fault::ShardStall { shard });
-        self
-    }
-
-    /// Drop shard `shard`'s halo for `cycle` in transit.
-    pub fn halo_drop(mut self, cycle: usize, shard: usize) -> Self {
-        self.push(cycle, Fault::HaloDrop { shard });
-        self
-    }
-
-    /// Partition the link between shards `a` and `b` for `cycle` (order
-    /// of the endpoints is irrelevant; stored canonically).
-    pub fn partition(mut self, cycle: usize, a: usize, b: usize) -> Self {
-        self.push(
-            cycle,
-            Fault::Partition {
-                a: a.min(b),
-                b: a.max(b),
-            },
-        );
-        self
-    }
-
-    /// Stall shard `shard`'s network egress for `cycle` (delay + reorder).
-    pub fn net_stall(mut self, cycle: usize, shard: usize) -> Self {
-        self.push(cycle, Fault::NetStall { shard });
-        self
-    }
-
-    /// Mangle shard `shard`'s wire traffic for `cycle` (garbage,
-    /// corruption, truncation).
-    pub fn wire_garbage(mut self, cycle: usize, shard: usize) -> Self {
-        self.push(cycle, Fault::WireGarbage { shard });
+    /// Schedule `fault` on `cycle`. `args` are the kind's arguments in
+    /// the order its token spells them: none for `corrupt@C`, the window
+    /// count for `stall@CxN`, the member / shard / client count for the
+    /// `name:N@C` kinds, both shards (either order) for `partition:A-B@C`.
+    pub fn with(mut self, cycle: usize, fault: Fault, args: &[usize]) -> Self {
+        let shape = fault.grammar().1;
+        assert_eq!(args.len(), shape.n_args(), "{fault:?} takes {shape:?}");
+        let mut slots = [0usize; 2];
+        slots[..args.len()].copy_from_slice(args);
+        if shape == Shape::Pair {
+            slots.sort_unstable();
+        }
+        self.by_cycle.entry(cycle).or_default().push((fault, slots));
         self
     }
 
     /// Faults scheduled for `cycle` (empty slice when none).
-    pub fn faults_for(&self, cycle: usize) -> &[Fault] {
+    pub fn faults_for(&self, cycle: usize) -> &[Scheduled] {
         self.by_cycle.get(&cycle).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// First `TransferStall` scheduled for `cycle`, as a timeout count.
-    pub fn stall_timeouts(&self, cycle: usize) -> usize {
-        self.faults_for(cycle)
-            .iter()
-            .find_map(|f| match f {
-                Fault::TransferStall { timeouts } => Some(*timeouts),
-                _ => None,
-            })
-            .unwrap_or(0)
-    }
-
-    /// Whether `cycle` has `fault` scheduled.
+    /// Whether `cycle` has a fault of kind `fault` scheduled.
     pub fn has(&self, cycle: usize, fault: Fault) -> bool {
-        self.faults_for(cycle).contains(&fault)
+        self.faults_for(cycle).iter().any(|(f, _)| *f == fault)
     }
 
-    /// Members scheduled for NaN poisoning on `cycle`.
-    pub fn member_nans(&self, cycle: usize) -> Vec<usize> {
+    /// The first argument of every `fault` scheduled on `cycle`, in plan
+    /// order: the members to poison, the shards to kill, the client counts
+    /// to sum, the stall's window count.
+    pub fn args(&self, cycle: usize, fault: Fault) -> impl Iterator<Item = usize> + '_ {
         self.faults_for(cycle)
             .iter()
-            .filter_map(|f| match f {
-                Fault::MemberNan { member } => Some(*member),
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// Members scheduled for blow-up seeding on `cycle`.
-    pub fn member_blowups(&self, cycle: usize) -> Vec<usize> {
-        self.faults_for(cycle)
-            .iter()
-            .filter_map(|f| match f {
-                Fault::MemberBlowUp { member } => Some(*member),
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// Whether `cycle` has a process crash scheduled.
-    pub fn has_crash(&self, cycle: usize) -> bool {
-        self.has(cycle, Fault::Crash)
-    }
-
-    /// Total egress subscribers scheduled to go slow on `cycle` (summed
-    /// across `slowclient` tokens, mirroring `member_nans`' accumulation).
-    pub fn slow_clients_at(&self, cycle: usize) -> usize {
-        self.faults_for(cycle)
-            .iter()
-            .map(|f| match f {
-                Fault::SlowClients { n } => *n,
-                _ => 0,
-            })
-            .sum()
-    }
-
-    /// Total burst connections scheduled for `cycle`.
-    pub fn conn_storm_at(&self, cycle: usize) -> usize {
-        self.faults_for(cycle)
-            .iter()
-            .map(|f| match f {
-                Fault::ConnStorm { n } => *n,
-                _ => 0,
-            })
-            .sum()
-    }
-
-    /// Shards scheduled for SIGKILL on `cycle`.
-    pub fn shard_kills(&self, cycle: usize) -> Vec<usize> {
-        self.faults_for(cycle)
-            .iter()
-            .filter_map(|f| match f {
-                Fault::ShardKill { shard } => Some(*shard),
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// Shards scheduled to miss their halo deadline on `cycle`.
-    pub fn shard_stalls(&self, cycle: usize) -> Vec<usize> {
-        self.faults_for(cycle)
-            .iter()
-            .filter_map(|f| match f {
-                Fault::ShardStall { shard } => Some(*shard),
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// Shards whose halo is dropped in transit on `cycle`.
-    pub fn halo_drops(&self, cycle: usize) -> Vec<usize> {
-        self.faults_for(cycle)
-            .iter()
-            .filter_map(|f| match f {
-                Fault::HaloDrop { shard } => Some(*shard),
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// Shard pairs whose link is partitioned on `cycle` (canonical order).
-    pub fn partitions(&self, cycle: usize) -> Vec<(usize, usize)> {
-        self.faults_for(cycle)
-            .iter()
-            .filter_map(|f| match f {
-                Fault::Partition { a, b } => Some((*a, *b)),
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// Shards whose network egress is stalled on `cycle`.
-    pub fn net_stalls(&self, cycle: usize) -> Vec<usize> {
-        self.faults_for(cycle)
-            .iter()
-            .filter_map(|f| match f {
-                Fault::NetStall { shard } => Some(*shard),
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// Shards whose wire traffic is mangled on `cycle`.
-    pub fn wire_garbages(&self, cycle: usize) -> Vec<usize> {
-        self.faults_for(cycle)
-            .iter()
-            .filter_map(|f| match f {
-                Fault::WireGarbage { shard } => Some(*shard),
-                _ => None,
-            })
-            .collect()
+            .filter(move |(f, _)| *f == fault)
+            .map(|(_, args)| args[0])
     }
 
     /// Total number of scheduled faults.
@@ -405,23 +272,23 @@ impl FaultPlan {
         let mut plan = Self::none();
         for cycle in 0..n_cycles {
             if rng.next_uniform() < rates.panic_scan {
-                plan.push(cycle, Fault::StagePanic(Stage::Scan));
+                plan = plan.with(cycle, Fault::StagePanic(Stage::Scan), &[]);
             }
             if rng.next_uniform() < rates.panic_assimilation {
-                plan.push(cycle, Fault::StagePanic(Stage::Assimilation));
+                plan = plan.with(cycle, Fault::StagePanic(Stage::Assimilation), &[]);
             }
             if rng.next_uniform() < rates.panic_forecast {
-                plan.push(cycle, Fault::StagePanic(Stage::Forecast));
+                plan = plan.with(cycle, Fault::StagePanic(Stage::Forecast), &[]);
             }
             if rng.next_uniform() < rates.stall {
                 let timeouts = 1 + rng.next_index(2); // 1 or 2 windows
-                plan.push(cycle, Fault::TransferStall { timeouts });
+                plan = plan.with(cycle, Fault::TransferStall, &[timeouts]);
             }
             if rng.next_uniform() < rates.corrupt {
-                plan.push(cycle, Fault::CorruptVolume);
+                plan = plan.with(cycle, Fault::CorruptVolume, &[]);
             }
             if rng.next_uniform() < rates.drop_scan {
-                plan.push(cycle, Fault::DropScan);
+                plan = plan.with(cycle, Fault::DropScan, &[]);
             }
         }
         plan
@@ -463,103 +330,52 @@ impl FaultPlan {
     pub fn parse(spec: &str, n_cycles: usize) -> Result<Self, String> {
         let mut plan = Self::none();
         for token in spec.split(',').map(str::trim).filter(|t| !t.is_empty()) {
+            let num = |s: &str, what: &str| -> Result<usize, String> {
+                s.parse().map_err(|_| format!("bad {what} in `{token}`"))
+            };
             if let Some(seed) = token.strip_prefix("random:") {
                 let seed: u64 = seed.parse().map_err(|_| format!("bad seed in `{token}`"))?;
                 let random = Self::random(seed, n_cycles, FaultRates::default());
                 for (cycle, faults) in random.by_cycle {
-                    for f in faults {
-                        plan.push(cycle, f);
-                    }
+                    plan.by_cycle.entry(cycle).or_default().extend(faults);
                 }
                 continue;
             }
-            let (kind, at) = token
+            let (head, at) = token
                 .split_once('@')
                 .ok_or_else(|| format!("missing `@cycle` in `{token}`"))?;
-            match kind {
-                "panic:scan" | "panic:assim" | "panic:fcst" => {
-                    let cycle: usize = at.parse().map_err(|_| format!("bad cycle in `{token}`"))?;
-                    let stage = match kind {
-                        "panic:scan" => Stage::Scan,
-                        "panic:assim" => Stage::Assimilation,
-                        _ => Stage::Forecast,
-                    };
-                    plan.push(cycle, Fault::StagePanic(stage));
-                }
-                "stall" => {
-                    let (cycle, timeouts) = match at.split_once('x') {
-                        Some((c, n)) => (
-                            c.parse().map_err(|_| format!("bad cycle in `{token}`"))?,
-                            n.parse().map_err(|_| format!("bad count in `{token}`"))?,
-                        ),
-                        None => (
-                            at.parse().map_err(|_| format!("bad cycle in `{token}`"))?,
-                            1usize,
-                        ),
-                    };
-                    plan.push(cycle, Fault::TransferStall { timeouts });
-                }
-                "corrupt" => {
-                    let cycle: usize = at.parse().map_err(|_| format!("bad cycle in `{token}`"))?;
-                    plan.push(cycle, Fault::CorruptVolume);
-                }
-                "drop" => {
-                    let cycle: usize = at.parse().map_err(|_| format!("bad cycle in `{token}`"))?;
-                    plan.push(cycle, Fault::DropScan);
-                }
-                "dup" => {
-                    let cycle: usize = at.parse().map_err(|_| format!("bad cycle in `{token}`"))?;
-                    plan.push(cycle, Fault::DuplicateVolume);
-                }
-                "stale" => {
-                    let cycle: usize = at.parse().map_err(|_| format!("bad cycle in `{token}`"))?;
-                    plan.push(cycle, Fault::StaleScan);
-                }
-                "crash" => {
-                    let cycle: usize = at.parse().map_err(|_| format!("bad cycle in `{token}`"))?;
-                    plan.push(cycle, Fault::Crash);
-                }
-                other => {
-                    // `partition` is the one kind whose argument is a pair.
-                    if let Some(pair) = other.strip_prefix("partition:") {
-                        let (a, b) = pair
-                            .split_once('-')
-                            .ok_or_else(|| format!("missing `A-B` pair in `{token}`"))?;
-                        let a: usize = a.parse().map_err(|_| format!("bad shard in `{token}`"))?;
-                        let b: usize = b.parse().map_err(|_| format!("bad shard in `{token}`"))?;
-                        if a == b {
-                            return Err(format!("partition endpoints equal in `{token}`"));
-                        }
-                        let cycle: usize =
-                            at.parse().map_err(|_| format!("bad cycle in `{token}`"))?;
-                        plan = plan.partition(cycle, a, b);
-                        continue;
+            // A kind matches when the head is exactly its name (`@C`,
+            // `@CxN`) or its name followed by `:arguments`.
+            let (fault, shape, arg) = Fault::ALL
+                .iter()
+                .find_map(|&fault| {
+                    let (name, shape) = fault.grammar();
+                    let rest = head.strip_prefix(name)?;
+                    match shape {
+                        Shape::At | Shape::AtTimes => rest.is_empty().then_some((fault, shape, "")),
+                        Shape::Arg | Shape::Pair => Some((fault, shape, rest.strip_prefix(':')?)),
                     }
-                    let member_fault = other.split_once(':').and_then(|(kind, m)| {
-                        let arg: usize = m.parse().ok()?;
-                        match kind {
-                            "nan" => Some(Fault::MemberNan { member: arg }),
-                            "blowup" => Some(Fault::MemberBlowUp { member: arg }),
-                            "slowclient" => Some(Fault::SlowClients { n: arg }),
-                            "connstorm" => Some(Fault::ConnStorm { n: arg }),
-                            "shardkill" => Some(Fault::ShardKill { shard: arg }),
-                            "shardstall" => Some(Fault::ShardStall { shard: arg }),
-                            "halodrop" => Some(Fault::HaloDrop { shard: arg }),
-                            "netstall" => Some(Fault::NetStall { shard: arg }),
-                            "wiregarbage" => Some(Fault::WireGarbage { shard: arg }),
-                            _ => None,
-                        }
-                    });
-                    match member_fault {
-                        Some(fault) => {
-                            let cycle: usize =
-                                at.parse().map_err(|_| format!("bad cycle in `{token}`"))?;
-                            plan.push(cycle, fault);
-                        }
-                        None => return Err(format!("unknown fault kind `{other}` in `{token}`")),
+                })
+                .ok_or_else(|| format!("unknown fault kind `{head}` in `{token}`"))?;
+            let (cycle, args) = match shape {
+                Shape::At => (at, vec![]),
+                Shape::AtTimes => match at.split_once('x') {
+                    Some((c, n)) => (c, vec![num(n, "count")?]),
+                    None => (at, vec![1]),
+                },
+                Shape::Arg => (at, vec![num(arg, "argument")?]),
+                Shape::Pair => {
+                    let (a, b) = arg
+                        .split_once('-')
+                        .ok_or_else(|| format!("missing `A-B` pair in `{token}`"))?;
+                    let (a, b) = (num(a, "shard")?, num(b, "shard")?);
+                    if a == b {
+                        return Err(format!("partition endpoints equal in `{token}`"));
                     }
+                    (at, vec![a, b])
                 }
-            }
+            };
+            plan = plan.with(num(cycle, "cycle")?, fault, &args);
         }
         Ok(plan)
     }
@@ -571,30 +387,13 @@ impl FaultPlan {
     pub fn to_spec(&self) -> String {
         let mut tokens = Vec::with_capacity(self.len());
         for (&cycle, faults) in &self.by_cycle {
-            for f in faults {
-                tokens.push(match *f {
-                    Fault::StagePanic(Stage::Scan) => format!("panic:scan@{cycle}"),
-                    Fault::StagePanic(Stage::Assimilation) => format!("panic:assim@{cycle}"),
-                    Fault::StagePanic(Stage::Forecast) | Fault::StagePanic(Stage::Transfer) => {
-                        format!("panic:fcst@{cycle}")
-                    }
-                    Fault::TransferStall { timeouts: 1 } => format!("stall@{cycle}"),
-                    Fault::TransferStall { timeouts } => format!("stall@{cycle}x{timeouts}"),
-                    Fault::CorruptVolume => format!("corrupt@{cycle}"),
-                    Fault::DropScan => format!("drop@{cycle}"),
-                    Fault::DuplicateVolume => format!("dup@{cycle}"),
-                    Fault::StaleScan => format!("stale@{cycle}"),
-                    Fault::MemberNan { member } => format!("nan:{member}@{cycle}"),
-                    Fault::MemberBlowUp { member } => format!("blowup:{member}@{cycle}"),
-                    Fault::Crash => format!("crash@{cycle}"),
-                    Fault::SlowClients { n } => format!("slowclient:{n}@{cycle}"),
-                    Fault::ConnStorm { n } => format!("connstorm:{n}@{cycle}"),
-                    Fault::ShardKill { shard } => format!("shardkill:{shard}@{cycle}"),
-                    Fault::ShardStall { shard } => format!("shardstall:{shard}@{cycle}"),
-                    Fault::HaloDrop { shard } => format!("halodrop:{shard}@{cycle}"),
-                    Fault::Partition { a, b } => format!("partition:{a}-{b}@{cycle}"),
-                    Fault::NetStall { shard } => format!("netstall:{shard}@{cycle}"),
-                    Fault::WireGarbage { shard } => format!("wiregarbage:{shard}@{cycle}"),
+            for &(fault, [a, b]) in faults {
+                let (name, shape) = fault.grammar();
+                tokens.push(match shape {
+                    Shape::AtTimes if a != 1 => format!("{name}@{cycle}x{a}"),
+                    Shape::At | Shape::AtTimes => format!("{name}@{cycle}"),
+                    Shape::Arg => format!("{name}:{a}@{cycle}"),
+                    Shape::Pair => format!("{name}:{a}-{b}@{cycle}"),
                 });
             }
         }
@@ -616,20 +415,83 @@ impl FaultPlan {
 mod tests {
     use super::*;
 
+    /// First-argument list of `fault` on `cycle`.
+    fn args(plan: &FaultPlan, cycle: usize, fault: Fault) -> Vec<usize> {
+        plan.args(cycle, fault).collect()
+    }
+
     #[test]
     fn builder_accumulates_per_cycle() {
         let plan = FaultPlan::none()
-            .panic_at(Stage::Assimilation, 3)
-            .corrupt_volume(3)
-            .stall_transfer(5, 2)
-            .drop_scan(7);
+            .with(3, Fault::StagePanic(Stage::Assimilation), &[])
+            .with(3, Fault::CorruptVolume, &[])
+            .with(5, Fault::TransferStall, &[2])
+            .with(7, Fault::DropScan, &[]);
         assert_eq!(plan.len(), 4);
         assert!(plan.has(3, Fault::StagePanic(Stage::Assimilation)));
         assert!(plan.has(3, Fault::CorruptVolume));
-        assert_eq!(plan.stall_timeouts(5), 2);
-        assert_eq!(plan.stall_timeouts(3), 0);
+        assert_eq!(args(&plan, 5, Fault::TransferStall), [2]);
+        assert!(!plan.has(3, Fault::TransferStall));
         assert!(plan.has(7, Fault::DropScan));
         assert!(plan.faults_for(0).is_empty());
+    }
+
+    /// A sample plan entry for `fault`: distinct argument values per slot
+    /// so a swapped or dropped argument cannot round-trip by accident.
+    fn sample(fault: Fault) -> Vec<usize> {
+        [3, 1][..fault.grammar().1.n_args()].to_vec()
+    }
+
+    #[test]
+    fn every_kind_round_trips_and_every_documented_token_is_a_kind() {
+        // Every row of the kind table survives build -> to_spec -> parse.
+        for (i, &fault) in Fault::ALL.iter().enumerate() {
+            let plan = FaultPlan::none().with(i, fault, &sample(fault));
+            let spec = plan.to_spec();
+            assert_eq!(
+                FaultPlan::parse(&spec, 32).as_ref(),
+                Ok(&plan),
+                "{fault:?} does not round-trip through `{spec}`"
+            );
+        }
+        for (i, a) in Fault::ALL.iter().enumerate() {
+            for b in &Fault::ALL[i + 1..] {
+                assert_ne!(a, b, "kind listed twice");
+                assert_ne!(a.grammar().0, b.grammar().0, "token name used twice");
+            }
+        }
+
+        // Every token `parse` documents is a row, and every row is
+        // documented: the doc comment's backticked `name...@C...` tokens,
+        // with their placeholder letters filled in, parse to exactly the
+        // kinds of the table.
+        let src = include_str!("fault.rs");
+        let doc_start = src.find("/// Parse the compact `--inject` spec").unwrap();
+        let doc = &src[doc_start..doc_start + src[doc_start..].find("pub fn parse").unwrap()];
+        let mut documented = Vec::new();
+        for token in doc
+            .split('`')
+            .skip(1)
+            .step_by(2)
+            .filter(|t| t.contains('@'))
+        {
+            let filled = token
+                .replace("A-B", "0-1")
+                .replace("CxN", "4x2")
+                .replace(['M', 'N', 'S'], "1")
+                .replace('C', "4");
+            let plan = FaultPlan::parse(&filled, 8)
+                .unwrap_or_else(|e| panic!("documented token `{token}` is not in the table: {e}"));
+            assert_eq!(plan.len(), 1, "`{token}`");
+            documented.push(plan.faults_for(4)[0].0);
+        }
+        for fault in Fault::ALL {
+            assert!(
+                documented.contains(&fault),
+                "{fault:?} (`{}`) is missing from parse's doc comment",
+                fault.grammar().0
+            );
+        }
     }
 
     #[test]
@@ -641,7 +503,7 @@ mod tests {
         .unwrap();
         assert!(plan.has(3, Fault::StagePanic(Stage::Assimilation)));
         assert!(plan.has(5, Fault::CorruptVolume));
-        assert_eq!(plan.stall_timeouts(2), 3);
+        assert_eq!(args(&plan, 2, Fault::TransferStall), [3]);
         assert!(plan.has(7, Fault::DropScan));
         assert!(plan.has(9, Fault::StagePanic(Stage::Forecast)));
     }
@@ -649,25 +511,13 @@ mod tests {
     #[test]
     fn parse_member_faults_and_crash() {
         let plan = FaultPlan::parse("nan:2@3, blowup:0@5, crash@7, nan:4@3", 16).unwrap();
-        assert_eq!(plan.member_nans(3), vec![2, 4]);
-        assert_eq!(plan.member_blowups(5), vec![0]);
-        assert!(plan.has_crash(7));
-        assert!(!plan.has_crash(3));
-        assert!(plan.member_nans(5).is_empty());
+        assert_eq!(args(&plan, 3, Fault::MemberNan), [2, 4]);
+        assert_eq!(args(&plan, 5, Fault::MemberBlowUp), [0]);
+        assert!(plan.has(7, Fault::Crash));
+        assert!(!plan.has(3, Fault::Crash));
+        assert!(!plan.has(5, Fault::MemberNan));
         assert!(FaultPlan::parse("nan:x@3", 8).is_err());
         assert!(FaultPlan::parse("blowup:1@y", 8).is_err());
-    }
-
-    #[test]
-    fn builder_member_faults() {
-        let plan = FaultPlan::none()
-            .nan_member(2, 1)
-            .blowup_member(2, 3)
-            .crash_at(4);
-        assert_eq!(plan.member_nans(2), vec![1]);
-        assert_eq!(plan.member_blowups(2), vec![3]);
-        assert!(plan.has_crash(4));
-        assert_eq!(plan.len(), 3);
     }
 
     #[test]
@@ -676,9 +526,6 @@ mod tests {
         assert!(plan.has(2, Fault::DuplicateVolume));
         assert!(plan.has(4, Fault::StaleScan));
         assert!(!plan.has(2, Fault::StaleScan));
-        let built = FaultPlan::none().duplicate_volume(1).stale_scan(3);
-        assert!(built.has(1, Fault::DuplicateVolume));
-        assert!(built.has(3, Fault::StaleScan));
         assert!(FaultPlan::parse("dup@x", 8).is_err());
         assert!(FaultPlan::parse("stale@", 8).is_err());
     }
@@ -690,13 +537,10 @@ mod tests {
             8,
         )
         .unwrap();
-        assert_eq!(plan.slow_clients_at(2), 60);
-        assert_eq!(plan.conn_storm_at(4), 200);
-        assert_eq!(plan.conn_storm_at(2), 0);
+        assert_eq!(plan.args(2, Fault::SlowClients).sum::<usize>(), 60);
+        assert_eq!(plan.args(4, Fault::ConnStorm).sum::<usize>(), 200);
+        assert_eq!(plan.args(2, Fault::ConnStorm).sum::<usize>(), 0);
         assert!(plan.has(2, Fault::DropScan));
-        let built = FaultPlan::none().slow_clients(1, 5).conn_storm(1, 7);
-        assert_eq!(built.slow_clients_at(1), 5);
-        assert_eq!(built.conn_storm_at(1), 7);
         assert!(FaultPlan::parse("slowclient:x@2", 8).is_err());
         assert!(FaultPlan::parse("connstorm:3@y", 8).is_err());
     }
@@ -708,18 +552,11 @@ mod tests {
             16,
         )
         .unwrap();
-        assert_eq!(plan.shard_kills(4), vec![1, 3]);
-        assert_eq!(plan.shard_stalls(6), vec![0]);
-        assert_eq!(plan.halo_drops(6), vec![2]);
-        assert!(plan.shard_kills(6).is_empty());
-        assert!(plan.halo_drops(4).is_empty());
-        let built = FaultPlan::none()
-            .shard_kill(2, 1)
-            .shard_stall(3, 0)
-            .halo_drop(3, 1);
-        assert_eq!(built.shard_kills(2), vec![1]);
-        assert_eq!(built.shard_stalls(3), vec![0]);
-        assert_eq!(built.halo_drops(3), vec![1]);
+        assert_eq!(args(&plan, 4, Fault::ShardKill), [1, 3]);
+        assert_eq!(args(&plan, 6, Fault::ShardStall), [0]);
+        assert_eq!(args(&plan, 6, Fault::HaloDrop), [2]);
+        assert!(!plan.has(6, Fault::ShardKill));
+        assert!(!plan.has(4, Fault::HaloDrop));
         assert!(FaultPlan::parse("shardkill:x@2", 8).is_err());
         assert!(FaultPlan::parse("halodrop:1@y", 8).is_err());
         assert!(FaultPlan::parse("shardstall:@2", 8).is_err());
@@ -733,18 +570,16 @@ mod tests {
         )
         .unwrap();
         // Pairs canonicalize to (low, high) no matter the spec order.
-        assert_eq!(plan.partitions(3), vec![(0, 2), (1, 3)]);
-        assert_eq!(plan.net_stalls(4), vec![1]);
-        assert_eq!(plan.wire_garbages(4), vec![2]);
-        assert!(plan.partitions(4).is_empty());
-        assert!(plan.net_stalls(3).is_empty());
-        let built = FaultPlan::none()
-            .partition(1, 2, 0)
-            .net_stall(2, 0)
-            .wire_garbage(2, 1);
-        assert_eq!(built.partitions(1), vec![(0, 2)]);
-        assert_eq!(built.net_stalls(2), vec![0]);
-        assert_eq!(built.wire_garbages(2), vec![1]);
+        assert_eq!(
+            plan.faults_for(3),
+            [(Fault::Partition, [0, 2]), (Fault::Partition, [1, 3])]
+        );
+        assert_eq!(args(&plan, 4, Fault::NetStall), [1]);
+        assert_eq!(args(&plan, 4, Fault::WireGarbage), [2]);
+        assert!(!plan.has(4, Fault::Partition));
+        assert!(!plan.has(3, Fault::NetStall));
+        let built = FaultPlan::none().with(1, Fault::Partition, &[2, 0]);
+        assert_eq!(built.faults_for(1), [(Fault::Partition, [0, 2])]);
         assert!(FaultPlan::parse("partition:0@2", 8).is_err());
         assert!(FaultPlan::parse("partition:1-1@2", 8).is_err());
         assert!(FaultPlan::parse("partition:a-b@2", 8).is_err());
@@ -754,16 +589,17 @@ mod tests {
     }
 
     #[test]
-    fn network_fault_specs_round_trip_canonically() {
+    fn to_spec_is_canonical() {
         let plan = FaultPlan::none()
-            .partition(2, 3, 1)
-            .net_stall(3, 0)
-            .wire_garbage(4, 2);
+            .with(2, Fault::Partition, &[3, 1])
+            .with(3, Fault::ShardKill, &[1])
+            .with(3, Fault::TransferStall, &[1])
+            .with(4, Fault::TransferStall, &[3]);
         assert_eq!(
             plan.to_spec(),
-            "partition:1-3@2, netstall:0@3, wiregarbage:2@4"
+            "partition:1-3@2, shardkill:1@3, stall@3, stall@4x3"
         );
-        assert_eq!(FaultPlan::parse(&plan.to_spec(), 8).unwrap(), plan);
+        assert_eq!(FaultPlan::none().to_spec(), "");
     }
 
     #[test]
@@ -781,16 +617,9 @@ mod tests {
     }
 
     #[test]
-    fn to_spec_of_shard_faults_is_canonical() {
-        let plan = FaultPlan::none().shard_kill(3, 1).halo_drop(5, 0);
-        assert_eq!(plan.to_spec(), "shardkill:1@3, halodrop:0@5");
-        assert_eq!(FaultPlan::none().to_spec(), "");
-    }
-
-    #[test]
     fn parse_stall_default_one_window() {
         let plan = FaultPlan::parse("stall@4", 8).unwrap();
-        assert_eq!(plan.stall_timeouts(4), 1);
+        assert_eq!(args(&plan, 4, Fault::TransferStall), [1]);
     }
 
     #[test]
@@ -798,6 +627,9 @@ mod tests {
         assert!(FaultPlan::parse("explode@3", 8).is_err());
         assert!(FaultPlan::parse("corrupt@x", 8).is_err());
         assert!(FaultPlan::parse("corrupt", 8).is_err());
+        assert!(FaultPlan::parse("corrupt:1@3", 8).is_err());
+        assert!(FaultPlan::parse("corrupt@3x2", 8).is_err());
+        assert!(FaultPlan::parse("nan@3", 8).is_err());
         assert!(FaultPlan::parse("random:notanumber", 8).is_err());
     }
 

@@ -2,11 +2,15 @@
 //!
 //! Two complementary reproductions of the paper's workflow (Figs. 2 and 4):
 //!
-//! * **Live pipeline** ([`pipeline`]) — a real multi-threaded implementation
-//!   of the scan → transfer → assimilate → forecast loop using crossbeam
-//!   channels, with per-stage wall-clock timing segmented exactly as Fig. 4
-//!   defines time-to-solution. The reduced-scale OSSE drives it with the
-//!   actual model/filter computation.
+//! * **Live pipeline** ([`supervisor`]) — a real multi-threaded
+//!   implementation of the scan → transfer → assimilate → forecast loop
+//!   using crossbeam channels, with per-stage wall-clock timing segmented
+//!   exactly as Fig. 4 defines time-to-solution. The reduced-scale OSSE
+//!   drives it with the actual model/filter computation. It is one driver,
+//!   hardened for unattended operation: panic isolation, transfer stall
+//!   watchdogs with retry, per-stage deadlines, newest-scan-wins
+//!   supersession, and a graceful-degradation ladder — exercised by the
+//!   deterministic fault-injection plans of [`fault`].
 //! * **Campaign performance model** ([`campaign`], [`perfmodel`]) — a
 //!   discrete-event simulation of the month-long Fugaku deployment at full
 //!   scale: node allocation (2002 outer + 8008 part <1> + 880 part <2> of
@@ -14,12 +18,6 @@
 //!   the paper (~3 s JIT-DT, ~15 s LETKF, ~2 min 30-minute forecast),
 //!   rain-area-dependent load, scheduled and random outages — regenerating
 //!   the Fig. 5 time-to-solution series and histogram.
-//!
-//! A third layer hardens the live pipeline for unattended operation:
-//! [`supervisor`] wraps the same three-thread layout with panic isolation,
-//! transfer stall watchdogs with retry, per-stage deadlines,
-//! newest-scan-wins supersession, and a graceful-degradation ladder —
-//! driven by the deterministic fault-injection plans of [`fault`].
 //!
 //! Supporting modules: [`nodes`] (the Fugaku allocation arithmetic),
 //! [`raintrace`] (the synthetic rain-area series standing in for the JMA
@@ -31,24 +29,23 @@ pub mod fault;
 pub mod nodes;
 pub mod outage;
 pub mod perfmodel;
-pub mod pipeline;
 pub mod raintrace;
 pub mod shard_supervisor;
 pub mod supervisor;
 
 pub use backoff::Backoff;
 pub use campaign::{
-    CampaignConfig, CampaignResult, CampaignTermination, CycleApp, ResumableCampaign, ResumableRun,
+    outcome_table, CampaignConfig, CampaignResult, CampaignTermination, CycleApp,
+    ResumableCampaign, ResumableRun,
 };
 pub use fault::{Fault, FaultPlan, FaultRates, Stage};
 pub use nodes::NodeAllocation;
 pub use perfmodel::{PerfModel, TimeToSolution};
-pub use pipeline::{CycleTiming, RealtimePipeline};
 pub use shard_supervisor::{
     FederationBus, FederationReport, LinkHealth, ShardCycleReport, ShardHealth, ShardProcess,
     ShardSupervisor, ShardSupervisorConfig,
 };
 pub use supervisor::{
-    CycleDisposition, CycleReport, CycleSupervisor, DegradedMode, ForecastInput, SkipCause,
-    StageError, SupervisorReport,
+    CycleDisposition, CycleReport, CycleSupervisor, CycleTiming, DegradedMode, ForecastInput,
+    SkipCause, StageError, SupervisorReport,
 };

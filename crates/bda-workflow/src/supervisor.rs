@@ -1,12 +1,26 @@
-//! Fault-tolerant supervisor for the live 30-second pipeline.
+//! The live 30-second pipeline (Figs. 2 and 4, at reduced scale), built to
+//! run unattended.
 //!
-//! [`RealtimePipeline`](crate::pipeline::RealtimePipeline) is the
-//! happy-path reproduction of Figs. 2/4: it assumes every scan arrives,
-//! every transfer completes, and every stage returns. The production system
-//! on Fugaku could not assume any of that — a 30-second cadence with a
-//! month-long deployment means every component *will* fail mid-campaign,
-//! and the right response is almost never "stop". [`CycleSupervisor`] wraps
-//! the same three-thread layout with the operational armor:
+//! Three stages run on their own threads, connected by the JIT-DT byte pipe
+//! and bounded channels, mirroring the production layout:
+//!
+//! ```text
+//! radar thread  --volume bytes-->  assimilation thread  --analysis-->  forecast thread
+//!  (MP-PAWR)        (JIT-DT)        (LETKF, part <1>)                 (part <2>)
+//! ```
+//!
+//! The stages overlap across cycles exactly as on Fugaku: while cycle `n`'s
+//! 30-minute forecast runs, cycle `n+1` is already being scanned and
+//! assimilated. Per-stage wall-clock times are recorded ([`CycleTiming`])
+//! and the time-to-solution is measured from scan completion (`T_obs`) to
+//! forecast product completion, the Fig. 4 definition.
+//!
+//! The production system on Fugaku could not assume that every scan
+//! arrives, every transfer completes and every stage returns — a 30-second
+//! cadence with a month-long deployment means every component *will* fail
+//! mid-campaign, and the right response is almost never "stop". So
+//! [`CycleSupervisor`] is the one driver of this loop, and the operational
+//! armor is part of it rather than a second driver beside it:
 //!
 //! * **panic isolation** — each stage closure runs under `catch_unwind`;
 //!   a panicking assimilation poisons one cycle, not the pipeline;
@@ -26,13 +40,14 @@
 //!   time and verified before assimilation, catching corruption the pipe's
 //!   own per-hop trailer cannot see.
 //!
-//! Every cycle ends in exactly one [`CycleDisposition`], and the
-//! [`SupervisorReport`] aggregates them into the availability statistic
-//! that corresponds to the gray outage shading of the paper's Fig. 5.
+//! With the default settings and an empty [`FaultPlan`] none of that is
+//! visible: every cycle completes with a fresh analysis. Every cycle ends
+//! in exactly one [`CycleDisposition`], and the [`SupervisorReport`]
+//! aggregates them into the availability statistic that corresponds to the
+//! gray outage shading of the paper's Fig. 5.
 
 use crate::backoff::Backoff;
 use crate::fault::{Fault, FaultPlan, Stage};
-use crate::pipeline::{CycleTiming, RealtimePipeline};
 use bda_jitdt::pipe::{fnv1a, PipeError};
 use bda_jitdt::sequence::{sequenced_pipe, DeliveryDrop, DeliveryError, SequencedReceiver};
 use bytes::Bytes;
@@ -195,6 +210,22 @@ pub enum ForecastInput<'a, P> {
     Persistence,
 }
 
+/// Wall-clock timing of one cycle through the live pipeline.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct CycleTiming {
+    pub cycle: usize,
+    /// Time spent producing the scan volume (before `T_obs`).
+    pub scan_s: f64,
+    /// `T_obs` to volume available on the assimilation side.
+    pub transfer_s: f64,
+    /// Assimilation stage duration.
+    pub assimilation_s: f64,
+    /// Forecast stage duration.
+    pub forecast_s: f64,
+    /// `T_obs` to forecast product — the paper's time-to-solution.
+    pub time_to_solution_s: f64,
+}
+
 /// One cycle's supervised outcome.
 #[derive(Clone, Debug)]
 pub struct CycleReport {
@@ -214,6 +245,21 @@ pub struct CycleReport {
     /// when the cycle never reached the forecast thread (superseded /
     /// assimilation-deadline skips publish nothing).
     pub egress: Option<String>,
+}
+
+impl CycleReport {
+    /// A cycle that never reached the forecast stage: no timing, no
+    /// egress note, and (until the caller says otherwise) a quiet ingest.
+    fn new(cycle: usize, disposition: CycleDisposition) -> Self {
+        Self {
+            cycle,
+            disposition,
+            timing: None,
+            transfer_retries: 0,
+            drops: Vec::new(),
+            egress: None,
+        }
+    }
 }
 
 /// Aggregated outcome of a supervised run.
@@ -321,13 +367,14 @@ impl SupervisorReport {
     }
 }
 
-/// Supervisor configuration. With the default settings and an empty
-/// [`FaultPlan`], the supervised pipeline is semantically identical to
-/// [`RealtimePipeline::run`] — same thread layout, same channel
-/// capacities, same overlap behaviour.
+/// The pipeline's configuration: transport geometry, watchdog and deadline
+/// policy, and the fault schedule.
 #[derive(Clone, Debug)]
 pub struct CycleSupervisor {
-    pub pipeline: RealtimePipeline,
+    /// Transfer chunk size through the byte pipe.
+    pub chunk_bytes: usize,
+    /// In-flight frame capacity (back-pressure depth).
+    pub capacity: usize,
     /// Transfer stall watchdog window (per-frame progress timeout).
     pub stall_timeout: Duration,
     /// Watchdog firings tolerated before the transfer is declared dead —
@@ -360,7 +407,8 @@ pub struct CycleSupervisor {
 impl Default for CycleSupervisor {
     fn default() -> Self {
         Self {
-            pipeline: RealtimePipeline::default(),
+            chunk_bytes: 64 * 1024,
+            capacity: 64,
             stall_timeout: Duration::from_millis(50),
             max_restarts: 3,
             backoff_base: Duration::from_millis(5),
@@ -374,18 +422,13 @@ impl Default for CycleSupervisor {
     }
 }
 
-/// Scan-side metadata for one cycle. `payload` is `Err` when no volume was
+/// Scan-side metadata for one cycle. `checksum` is `Err` when no volume was
 /// sent through the pipe (dropped scan or scan-stage failure).
 struct ScanMeta {
     cycle: usize,
     t_obs: Instant,
     scan_s: f64,
-    payload: Result<PayloadMeta, StageError>,
-}
-
-#[derive(Clone, Copy)]
-struct PayloadMeta {
-    checksum: u64,
+    checksum: Result<u64, StageError>,
 }
 
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -398,32 +441,32 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// What [`CycleSupervisor::receive_volume`] recovered for one cycle.
-struct ReceivedVolume {
+/// How far one cycle's ingest got on the assimilation thread.
+#[derive(Default)]
+struct Ingest {
     retries: usize,
     drops: Vec<DeliveryDrop>,
-    payload: Bytes,
+    transfer_s: f64,
+    assim_s: f64,
 }
 
 /// What the assimilation thread hands the forecast thread per cycle.
 struct AssimOutcome<P> {
     meta: ScanMeta,
-    retries: usize,
-    drops: Vec<DeliveryDrop>,
-    transfer_s: f64,
-    assim_s: f64,
+    ingest: Ingest,
     result: Result<P, StageError>,
 }
 
 impl CycleSupervisor {
-    /// Run `n_cycles` under supervision.
+    /// Run `n_cycles` through the three-stage pipeline.
     ///
-    /// The stage closures mirror [`RealtimePipeline::run`] but return
-    /// `Result` so recoverable failures flow into the degradation ladder
-    /// (panics are additionally caught at every stage boundary):
+    /// The stage closures return `Result` so recoverable failures flow into
+    /// the degradation ladder (panics are additionally caught at every
+    /// stage boundary):
     ///
-    /// * `scan(cycle)` produces the encoded volume;
-    /// * `assimilate(cycle, volume)` returns the analysis product;
+    /// * `scan(cycle)` produces the encoded volume (radar thread);
+    /// * `assimilate(cycle, volume)` consumes it and returns the analysis
+    ///   product handed to the forecast stage;
     /// * `forecast(cycle, input)` consumes a [`ForecastInput`] — fresh
     ///   analysis, previous analysis, or persistence.
     pub fn run<P, S, A, F>(
@@ -467,11 +510,10 @@ impl CycleSupervisor {
         F: FnMut(usize, ForecastInput<'_, P>) -> Result<(), String> + Send,
         E: FnMut(usize, &CycleDisposition) -> Option<String> + Send,
     {
-        let capacity = self.pipeline.capacity;
         let (vol_tx, vol_rx) =
-            sequenced_pipe(self.pipeline.chunk_bytes, capacity, self.stale_horizon_s);
-        let (meta_tx, meta_rx) = bounded::<ScanMeta>(capacity);
-        let (ana_tx, ana_rx) = bounded::<AssimOutcome<P>>(capacity);
+            sequenced_pipe(self.chunk_bytes, self.capacity, self.stale_horizon_s);
+        let (meta_tx, meta_rx) = bounded::<ScanMeta>(self.capacity);
+        let (ana_tx, ana_rx) = bounded::<AssimOutcome<P>>(self.capacity);
         let (out_tx, out_rx) = bounded::<CycleReport>(n_cycles.max(1));
         let out_tx_assim = out_tx.clone();
         let plan = &self.faults;
@@ -485,87 +527,42 @@ impl CycleSupervisor {
             s.spawn(move || {
                 let mut vol_tx = vol_tx;
                 for cycle in 0..n_cycles {
-                    let t0 = Instant::now(); // bda-check: allow(wallclock) — wall-time telemetry column
-                    if plan.has(cycle, Fault::DropScan) {
-                        let meta = ScanMeta {
-                            cycle,
-                            t_obs: Instant::now(), // bda-check: allow(wallclock) — wall-time telemetry column
-                            scan_s: 0.0,
-                            payload: Err(StageError::ScanDropped),
-                        };
-                        if meta_tx.send(meta).is_err() {
-                            break;
-                        }
-                        continue;
-                    }
-                    let inject_panic = plan.has(cycle, Fault::StagePanic(Stage::Scan));
-                    let result = catch_unwind(AssertUnwindSafe(|| {
-                        if inject_panic {
-                            panic!("injected scan panic (cycle {cycle})");
-                        }
-                        scan(cycle)
-                    }));
-                    let t_obs = Instant::now(); // bda-check: allow(wallclock) — wall-time telemetry column
-                    let scan_s = (t_obs - t0).as_secs_f64();
-                    let payload = match result {
-                        Err(p) => Err(StageError::Panicked {
-                            stage: Stage::Scan,
-                            message: panic_message(p),
-                        }),
-                        Ok(Err(message)) => Err(StageError::Failed {
-                            stage: Stage::Scan,
-                            message,
-                        }),
-                        Ok(Ok(volume)) => {
-                            let checksum = fnv1a(&volume);
-                            let wire = if plan.has(cycle, Fault::CorruptVolume) {
-                                let mut bytes = volume.to_vec();
-                                FaultPlan::corrupt_payload(&mut bytes);
-                                Bytes::from(bytes)
-                            } else {
-                                volume
-                            };
-                            let meta = ScanMeta {
-                                cycle,
-                                t_obs,
-                                scan_s,
-                                payload: Ok(PayloadMeta { checksum }),
-                            };
-                            if meta_tx.send(meta).is_err() {
-                                return;
-                            }
-                            let scan_time = if plan.has(cycle, Fault::StaleScan) {
-                                // Back-date far past any plausible horizon.
-                                cycle as f64 * self.scan_interval_s
-                                    - self.stale_horizon_s.unwrap_or(0.0)
-                                    - 10.0 * self.scan_interval_s.max(1.0)
-                            } else {
-                                cycle as f64 * self.scan_interval_s
-                            };
-                            if vol_tx
-                                .send_with_seq(cycle as u64, scan_time, &wire)
-                                .is_err()
-                            {
-                                return;
-                            }
-                            if plan.has(cycle, Fault::DuplicateVolume)
-                                && vol_tx
-                                    .send_with_seq(cycle as u64, scan_time, &wire)
-                                    .is_err()
-                            {
-                                return;
-                            }
-                            continue;
-                        }
+                    let (scanned, scan_s) = if plan.has(cycle, Fault::DropScan) {
+                        (Err(StageError::ScanDropped), 0.0)
+                    } else {
+                        self.run_stage(Stage::Scan, cycle, || scan(cycle))
                     };
                     let meta = ScanMeta {
                         cycle,
-                        t_obs,
+                        t_obs: Instant::now(), // bda-check: allow(wallclock) — wall-time telemetry column
                         scan_s,
-                        payload,
+                        checksum: scanned.as_deref().map(fnv1a).map_err(Clone::clone),
                     };
                     if meta_tx.send(meta).is_err() {
-                        break;
+                        return;
+                    }
+                    let Ok(volume) = scanned else { continue };
+                    let wire = if plan.has(cycle, Fault::CorruptVolume) {
+                        let mut bytes = volume.to_vec();
+                        FaultPlan::corrupt_payload(&mut bytes);
+                        Bytes::from(bytes)
+                    } else {
+                        volume
+                    };
+                    let mut scan_time = cycle as f64 * self.scan_interval_s;
+                    if plan.has(cycle, Fault::StaleScan) {
+                        // Back-date far past any plausible horizon.
+                        scan_time -= self.stale_horizon_s.unwrap_or(0.0)
+                            + 10.0 * self.scan_interval_s.max(1.0);
+                    }
+                    let sends = 1 + usize::from(plan.has(cycle, Fault::DuplicateVolume));
+                    for _ in 0..sends {
+                        if vol_tx
+                            .send_with_seq(cycle as u64, scan_time, &wire)
+                            .is_err()
+                        {
+                            return;
+                        }
                     }
                 }
             });
@@ -584,130 +581,46 @@ impl CycleSupervisor {
                         }
                         let by = meta.cycle;
                         for old in superseded {
-                            let _ = out_tx_assim.send(CycleReport {
-                                cycle: old.cycle,
-                                disposition: CycleDisposition::Skipped {
-                                    cause: SkipCause::Superseded { by },
-                                },
-                                timing: None,
-                                transfer_retries: 0,
-                                drops: Vec::new(),
-                                egress: None,
-                            });
+                            let cause = SkipCause::Superseded { by };
+                            let _ = out_tx_assim.send(CycleReport::new(
+                                old.cycle,
+                                CycleDisposition::Skipped { cause },
+                            ));
                         }
                     }
-                    let cycle = meta.cycle;
-                    match meta.payload {
-                        Err(ref e) => {
-                            let result = Err(e.clone());
-                            if ana_tx
-                                .send(AssimOutcome {
-                                    meta,
-                                    retries: 0,
-                                    drops: Vec::new(),
-                                    transfer_s: 0.0,
-                                    assim_s: 0.0,
-                                    result,
-                                })
-                                .is_err()
-                            {
-                                return;
-                            }
-                        }
-                        Ok(pm) => {
-                            let received = self.receive_volume(&mut vol_rx, cycle);
-                            let transfer_s = meta.t_obs.elapsed().as_secs_f64();
-                            let (retries, drops, volume) = match received {
-                                Ok(r) => (r.retries, r.drops, r.payload),
-                                Err((retries, drops, e)) => {
-                                    let _ = ana_tx.send(AssimOutcome {
-                                        meta,
-                                        retries,
-                                        drops,
-                                        transfer_s,
-                                        assim_s: 0.0,
-                                        result: Err(e),
-                                    });
-                                    continue;
-                                }
-                            };
-                            let got = fnv1a(&volume);
-                            if got != pm.checksum {
-                                let err = StageError::CorruptVolume {
-                                    expected: pm.checksum,
-                                    got,
-                                };
-                                let _ = ana_tx.send(AssimOutcome {
-                                    meta,
-                                    retries,
-                                    drops,
-                                    transfer_s,
-                                    assim_s: 0.0,
-                                    result: Err(err),
-                                });
-                                continue;
-                            }
-                            let inject_panic =
-                                plan.has(cycle, Fault::StagePanic(Stage::Assimilation));
-                            let t1 = Instant::now(); // bda-check: allow(wallclock) — wall-time telemetry column
-                            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                                if inject_panic {
-                                    panic!("injected assimilation panic (cycle {cycle})");
-                                }
-                                assimilate(cycle, volume)
-                            }));
-                            let assim_s = t1.elapsed().as_secs_f64();
-                            let result = match outcome {
-                                Err(p) => Err(StageError::Panicked {
-                                    stage: Stage::Assimilation,
-                                    message: panic_message(p),
-                                }),
-                                Ok(Err(message)) => Err(StageError::Failed {
-                                    stage: Stage::Assimilation,
-                                    message,
-                                }),
-                                Ok(Ok(product)) => Ok(product),
-                            };
-                            if result.is_ok() {
-                                if let Some(deadline) = self.assimilation_deadline {
-                                    let deadline_s = deadline.as_secs_f64();
-                                    if assim_s > deadline_s {
-                                        // Late analysis: discard the product
-                                        // rather than delay every later cycle.
-                                        let _ = out_tx_assim.send(CycleReport {
-                                            cycle,
-                                            disposition: CycleDisposition::Skipped {
-                                                cause: SkipCause::Deadline(
-                                                    StageError::DeadlineExceeded {
-                                                        stage: Stage::Assimilation,
-                                                        elapsed_s: assim_s,
-                                                        deadline_s,
-                                                    },
-                                                ),
-                                            },
-                                            timing: None,
-                                            transfer_retries: retries,
-                                            drops,
-                                            egress: None,
-                                        });
-                                        continue;
-                                    }
-                                }
-                            }
-                            if ana_tx
-                                .send(AssimOutcome {
-                                    meta,
-                                    retries,
-                                    drops,
-                                    transfer_s,
-                                    assim_s,
-                                    result,
-                                })
-                                .is_err()
-                            {
-                                return;
-                            }
-                        }
+                    let mut ingest = Ingest::default();
+                    let result = self.ingest_and_assimilate(
+                        &meta,
+                        &mut vol_rx,
+                        &mut assimilate,
+                        &mut ingest,
+                    );
+                    let late = self
+                        .assimilation_deadline
+                        .map(|d| d.as_secs_f64())
+                        .filter(|&deadline_s| result.is_ok() && ingest.assim_s > deadline_s);
+                    if let Some(deadline_s) = late {
+                        // Late analysis: discard the product rather than
+                        // delay every later cycle.
+                        let cause = SkipCause::Deadline(StageError::DeadlineExceeded {
+                            stage: Stage::Assimilation,
+                            elapsed_s: ingest.assim_s,
+                            deadline_s,
+                        });
+                        let _ = out_tx_assim.send(CycleReport {
+                            transfer_retries: ingest.retries,
+                            drops: ingest.drops,
+                            ..CycleReport::new(meta.cycle, CycleDisposition::Skipped { cause })
+                        });
+                        continue;
+                    }
+                    let outcome = AssimOutcome {
+                        meta,
+                        ingest,
+                        result,
+                    };
+                    if ana_tx.send(outcome).is_err() {
+                        return;
                     }
                 }
             });
@@ -718,10 +631,7 @@ impl CycleSupervisor {
                 let mut last_good: Option<P> = None;
                 while let Ok(AssimOutcome {
                     meta,
-                    retries,
-                    drops,
-                    transfer_s,
-                    assim_s,
+                    ingest,
                     result,
                 }) = ana_rx.recv()
                 {
@@ -763,55 +673,32 @@ impl CycleSupervisor {
                         }
                         _ => ForecastInput::Persistence,
                     };
-                    let inject_panic = plan.has(cycle, Fault::StagePanic(Stage::Forecast));
-                    let t2 = Instant::now(); // bda-check: allow(wallclock) — wall-time telemetry column
-                    let outcome = catch_unwind(AssertUnwindSafe(|| {
-                        if inject_panic {
-                            panic!("injected forecast panic (cycle {cycle})");
-                        }
-                        forecast(cycle, input)
-                    }));
-                    let forecast_s = t2.elapsed().as_secs_f64();
-                    let time_to_solution_s = meta.t_obs.elapsed().as_secs_f64();
+                    let (forecasted, forecast_s) =
+                        self.run_stage(Stage::Forecast, cycle, || forecast(cycle, input));
                     let timing = CycleTiming {
                         cycle,
                         scan_s: meta.scan_s,
-                        transfer_s,
-                        assimilation_s: assim_s,
+                        transfer_s: ingest.transfer_s,
+                        assimilation_s: ingest.assim_s,
                         forecast_s,
-                        time_to_solution_s,
+                        time_to_solution_s: meta.t_obs.elapsed().as_secs_f64(),
                     };
-                    let disposition = match outcome {
-                        Err(p) => CycleDisposition::Failed {
-                            cause: StageError::Panicked {
+                    let late = self
+                        .forecast_deadline
+                        .map(|d| d.as_secs_f64())
+                        .filter(|&deadline_s| forecast_s > deadline_s);
+                    let disposition = match (forecasted, late, degradation) {
+                        (Err(cause), _, _) => CycleDisposition::Failed { cause },
+                        (Ok(()), Some(deadline_s), _) => CycleDisposition::Skipped {
+                            cause: SkipCause::Deadline(StageError::DeadlineExceeded {
                                 stage: Stage::Forecast,
-                                message: panic_message(p),
-                            },
+                                elapsed_s: forecast_s,
+                                deadline_s,
+                            }),
                         },
-                        Ok(Err(message)) => CycleDisposition::Failed {
-                            cause: StageError::Failed {
-                                stage: Stage::Forecast,
-                                message,
-                            },
-                        },
-                        Ok(Ok(())) => {
-                            let late = self.forecast_deadline.and_then(|d| {
-                                let deadline_s = d.as_secs_f64();
-                                (forecast_s > deadline_s).then_some(deadline_s)
-                            });
-                            match (late, degradation) {
-                                (Some(deadline_s), _) => CycleDisposition::Skipped {
-                                    cause: SkipCause::Deadline(StageError::DeadlineExceeded {
-                                        stage: Stage::Forecast,
-                                        elapsed_s: forecast_s,
-                                        deadline_s,
-                                    }),
-                                },
-                                (None, None) => CycleDisposition::Completed,
-                                (None, Some((mode, cause))) => {
-                                    CycleDisposition::Degraded { mode, cause }
-                                }
-                            }
+                        (Ok(()), None, None) => CycleDisposition::Completed,
+                        (Ok(()), None, Some((mode, cause))) => {
+                            CycleDisposition::Degraded { mode, cause }
                         }
                     };
                     // A fresh analysis is valid even if this forecast run
@@ -828,12 +715,11 @@ impl CycleSupervisor {
                             Err(p) => Some(format!("egress panicked: {}", panic_message(p))),
                         };
                     let _ = out_tx.send(CycleReport {
-                        cycle,
-                        disposition,
                         timing: Some(timing),
-                        transfer_retries: retries,
-                        drops,
+                        transfer_retries: ingest.retries,
+                        drops: ingest.drops,
                         egress: egress_note,
+                        ..CycleReport::new(cycle, disposition)
                     });
                 }
             });
@@ -844,11 +730,67 @@ impl CycleSupervisor {
         SupervisorReport { cycles }
     }
 
+    /// Run one stage closure panic-isolated, with the plan's scheduled
+    /// panic for (`stage`, `cycle`) injected inside the isolation, and map
+    /// what happened onto the typed [`StageError`]s. Returns the stage's
+    /// wall time alongside.
+    fn run_stage<R>(
+        &self,
+        stage: Stage,
+        cycle: usize,
+        f: impl FnOnce() -> Result<R, String>,
+    ) -> (Result<R, StageError>, f64) {
+        let inject_panic = self.faults.has(cycle, Fault::StagePanic(stage));
+        let t0 = Instant::now(); // bda-check: allow(wallclock) — wall-time telemetry column
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            if inject_panic {
+                panic!("injected {stage} panic (cycle {cycle})");
+            }
+            f()
+        }));
+        let elapsed_s = t0.elapsed().as_secs_f64();
+        let result = match outcome {
+            Err(p) => Err(StageError::Panicked {
+                stage,
+                message: panic_message(p),
+            }),
+            Ok(Err(message)) => Err(StageError::Failed { stage, message }),
+            Ok(Ok(value)) => Ok(value),
+        };
+        (result, elapsed_s)
+    }
+
+    /// One cycle on the assimilation thread: wait for the volume, verify
+    /// it against the scan-time checksum, assimilate it. `ingest` records
+    /// how far the cycle got, whatever the result.
+    fn ingest_and_assimilate<P>(
+        &self,
+        meta: &ScanMeta,
+        vol_rx: &mut SequencedReceiver,
+        assimilate: &mut impl FnMut(usize, Bytes) -> Result<P, String>,
+        ingest: &mut Ingest,
+    ) -> Result<P, StageError> {
+        let expected = meta.checksum.clone()?;
+        let received = self.receive_volume(vol_rx, meta.cycle, ingest);
+        ingest.transfer_s = meta.t_obs.elapsed().as_secs_f64();
+        let volume = received?;
+        let got = fnv1a(&volume);
+        if got != expected {
+            return Err(StageError::CorruptVolume { expected, got });
+        }
+        let (result, assim_s) = self.run_stage(Stage::Assimilation, meta.cycle, || {
+            assimilate(meta.cycle, volume)
+        });
+        ingest.assim_s = assim_s;
+        result
+    }
+
     /// Wait for `cycle`'s volume under the stall watchdog, retrying with
     /// bounded exponential backoff. Duplicate and out-of-order volumes
     /// (replays, leftovers from abandoned or superseded cycles) are dropped
-    /// and recorded; stale scans and mid-stream truncation surface as their
-    /// own typed [`StageError`]s.
+    /// and recorded in `ingest`, as are the watchdog windows that elapsed;
+    /// stale scans and mid-stream truncation surface as their own typed
+    /// [`StageError`]s.
     ///
     /// Injected `TransferStall` faults consume the first watchdog windows
     /// deterministically: the receiver behaves exactly as if the stream had
@@ -857,84 +799,67 @@ impl CycleSupervisor {
         &self,
         vol_rx: &mut SequencedReceiver,
         cycle: usize,
-    ) -> Result<ReceivedVolume, (usize, Vec<DeliveryDrop>, StageError)> {
+        ingest: &mut Ingest,
+    ) -> Result<Bytes, StageError> {
         // The receiver's campaign clock: cycle C runs at C * interval.
         let now = cycle as f64 * self.scan_interval_s;
-        let mut injected_left = self.faults.stall_timeouts(cycle);
-        let mut timeouts = 0usize;
-        let mut drops = Vec::new();
+        let mut injected_left = self
+            .faults
+            .args(cycle, Fault::TransferStall)
+            .next()
+            .unwrap_or(0);
         // Shared retry policy (unjittered so the watchdog's historical
         // delay schedule — base * 2^min(n-1, 4) — is preserved exactly).
         let mut backoff = Backoff::new(self.backoff_base, self.backoff_base * 16);
         loop {
-            let stalled = if injected_left > 0 {
+            if injected_left > 0 {
                 injected_left -= 1;
                 std::thread::sleep(self.stall_timeout);
-                true
             } else {
                 match vol_rx.recv_timeout(now, self.stall_timeout) {
-                    Ok(v) => {
-                        if v.seq < cycle as u64 {
-                            // Late volume from an abandoned cycle: newest
-                            // (this cycle) wins.
-                            drops.push(DeliveryDrop::OutOfOrder {
-                                seq: v.seq,
-                                newest: cycle as u64,
-                            });
-                            continue;
-                        }
-                        if v.seq > cycle as u64 {
-                            return Err((
-                                timeouts,
-                                drops,
-                                StageError::Pipe(format!(
-                                    "volume seq {} ahead of expected cycle {cycle}",
-                                    v.seq
-                                )),
-                            ));
-                        }
-                        return Ok(ReceivedVolume {
-                            retries: timeouts,
-                            drops,
-                            payload: v.payload,
+                    Ok(v) if v.seq == cycle as u64 => return Ok(v.payload),
+                    Ok(v) if v.seq < cycle as u64 => {
+                        // Late volume from an abandoned cycle: newest
+                        // (this cycle) wins.
+                        ingest.drops.push(DeliveryDrop::OutOfOrder {
+                            seq: v.seq,
+                            newest: cycle as u64,
                         });
+                        continue;
+                    }
+                    Ok(v) => {
+                        return Err(StageError::Pipe(format!(
+                            "volume seq {} ahead of expected cycle {cycle}",
+                            v.seq
+                        )));
                     }
                     Err(DeliveryError::Duplicate { seq }) => {
-                        drops.push(DeliveryDrop::Duplicate { seq });
+                        ingest.drops.push(DeliveryDrop::Duplicate { seq });
                         continue;
                     }
                     Err(DeliveryError::OutOfOrder { seq, newest }) => {
-                        drops.push(DeliveryDrop::OutOfOrder { seq, newest });
+                        ingest.drops.push(DeliveryDrop::OutOfOrder { seq, newest });
                         continue;
                     }
                     Err(DeliveryError::Stale {
                         age_s, horizon_s, ..
-                    }) => {
-                        return Err((timeouts, drops, StageError::StaleScan { age_s, horizon_s }));
-                    }
+                    }) => return Err(StageError::StaleScan { age_s, horizon_s }),
                     Err(DeliveryError::Truncated { expected, got }) => {
-                        return Err((
-                            timeouts,
-                            drops,
-                            StageError::TruncatedVolume { expected, got },
-                        ));
+                        return Err(StageError::TruncatedVolume { expected, got });
                     }
-                    Err(DeliveryError::Pipe(PipeError::Stalled)) => true,
-                    Err(e) => return Err((timeouts, drops, StageError::Pipe(e.to_string()))),
+                    Err(DeliveryError::Pipe(PipeError::Stalled)) => {}
+                    Err(e) => return Err(StageError::Pipe(e.to_string())),
                 }
-            };
-            if stalled {
-                timeouts += 1;
-                if timeouts > self.max_restarts {
-                    return Err((
-                        timeouts,
-                        drops,
-                        StageError::TransferTimeout { attempts: timeouts },
-                    ));
-                }
-                if let Some(delay) = backoff.next_delay() {
-                    std::thread::sleep(delay);
-                }
+            }
+            // A watchdog window elapsed in silence.
+            ingest.retries += 1;
+            if ingest.retries > self.max_restarts {
+                return Err(StageError::TransferTimeout {
+                    attempts: ingest.retries,
+                });
+            }
+            if let Some(delay) = backoff.next_delay() {
+                std::thread::sleep(delay);
             }
         }
     }
@@ -953,7 +878,7 @@ mod tests {
             n,
             |c| Ok(Bytes::from(vec![c as u8; 100])),
             |c, v: Bytes| {
-                assert_eq!(v.len(), 100);
+                assert_eq!(v[..], [c as u8; 100]);
                 Ok(c * 10)
             },
             |c, input: ForecastInput<'_, usize>| {
@@ -998,7 +923,7 @@ mod tests {
     #[test]
     fn assimilation_panic_degrades_to_previous_analysis() {
         let sup = CycleSupervisor {
-            faults: FaultPlan::none().panic_at(Stage::Assimilation, 2),
+            faults: FaultPlan::none().with(2, Fault::StagePanic(Stage::Assimilation), &[]),
             ..CycleSupervisor::default()
         };
         let (report, log) = counting_stages(5, &sup);
@@ -1028,7 +953,7 @@ mod tests {
     fn first_cycle_assimilation_panic_falls_to_persistence() {
         // No previous analysis exists yet, so the ladder bottoms out.
         let sup = CycleSupervisor {
-            faults: FaultPlan::none().panic_at(Stage::Assimilation, 0),
+            faults: FaultPlan::none().with(0, Fault::StagePanic(Stage::Assimilation), &[]),
             ..CycleSupervisor::default()
         };
         let (report, log) = counting_stages(3, &sup);
@@ -1044,7 +969,7 @@ mod tests {
     #[test]
     fn dropped_scan_forecasts_from_persistence() {
         let sup = CycleSupervisor {
-            faults: FaultPlan::none().drop_scan(1),
+            faults: FaultPlan::none().with(1, Fault::DropScan, &[]),
             ..CycleSupervisor::default()
         };
         let (report, log) = counting_stages(3, &sup);
@@ -1062,7 +987,7 @@ mod tests {
     #[test]
     fn corrupt_volume_rejected_by_checksum() {
         let sup = CycleSupervisor {
-            faults: FaultPlan::none().corrupt_volume(2),
+            faults: FaultPlan::none().with(2, Fault::CorruptVolume, &[]),
             ..CycleSupervisor::default()
         };
         let (report, log) = counting_stages(4, &sup);
@@ -1079,7 +1004,7 @@ mod tests {
     #[test]
     fn duplicate_volume_dropped_and_reported() {
         let sup = CycleSupervisor {
-            faults: FaultPlan::none().duplicate_volume(1),
+            faults: FaultPlan::none().with(1, Fault::DuplicateVolume, &[]),
             ..CycleSupervisor::default()
         };
         let (report, log) = counting_stages(4, &sup);
@@ -1104,7 +1029,7 @@ mod tests {
     #[test]
     fn stale_scan_rejected_with_typed_outcome() {
         let sup = CycleSupervisor {
-            faults: FaultPlan::none().stale_scan(2),
+            faults: FaultPlan::none().with(2, Fault::StaleScan, &[]),
             ..CycleSupervisor::default()
         };
         let (report, log) = counting_stages(4, &sup);
@@ -1133,7 +1058,7 @@ mod tests {
             stall_timeout: Duration::from_millis(10),
             max_restarts: 4,
             backoff_base: Duration::from_millis(1),
-            faults: FaultPlan::none().stall_transfer(1, 2),
+            faults: FaultPlan::none().with(1, Fault::TransferStall, &[2]),
             ..CycleSupervisor::default()
         };
         let (report, _) = counting_stages(3, &sup);
@@ -1151,7 +1076,7 @@ mod tests {
             stall_timeout: Duration::from_millis(5),
             max_restarts: 2,
             backoff_base: Duration::from_millis(1),
-            faults: FaultPlan::none().stall_transfer(1, 8),
+            faults: FaultPlan::none().with(1, Fault::TransferStall, &[8]),
             ..CycleSupervisor::default()
         };
         let (report, _) = counting_stages(3, &sup);
@@ -1172,7 +1097,7 @@ mod tests {
     #[test]
     fn forecast_panic_is_failed_but_isolated() {
         let sup = CycleSupervisor {
-            faults: FaultPlan::none().panic_at(Stage::Forecast, 1),
+            faults: FaultPlan::none().with(1, Fault::StagePanic(Stage::Forecast), &[]),
             ..CycleSupervisor::default()
         };
         let (report, _) = counting_stages(3, &sup);
@@ -1265,7 +1190,7 @@ mod tests {
     #[test]
     fn report_table_mentions_every_cycle_and_availability() {
         let sup = CycleSupervisor {
-            faults: FaultPlan::none().corrupt_volume(1),
+            faults: FaultPlan::none().with(1, Fault::CorruptVolume, &[]),
             ..CycleSupervisor::default()
         };
         let (report, _) = counting_stages(3, &sup);
@@ -1288,7 +1213,7 @@ mod tests {
     #[test]
     fn egress_notes_reach_report_and_table() {
         let sup = CycleSupervisor {
-            faults: FaultPlan::none().drop_scan(1),
+            faults: FaultPlan::none().with(1, Fault::DropScan, &[]),
             ..CycleSupervisor::default()
         };
         let report = sup.run_with_egress(
@@ -1348,20 +1273,79 @@ mod tests {
     }
 
     #[test]
-    fn no_faults_matches_unsupervised_semantics() {
-        // Same closures through RealtimePipeline and CycleSupervisor with
-        // no faults: both must see every cycle with a fresh analysis.
-        let p = RealtimePipeline::default();
-        let plain = p.run(
-            4,
-            |c| Bytes::from(vec![c as u8; 10]),
-            |c, _| c,
-            |c, product| assert_eq!(product, c),
+    fn time_to_solution_covers_assimilation_and_forecast() {
+        let sleepy = |ms| std::thread::sleep(Duration::from_millis(ms));
+        let report = CycleSupervisor::default().run(
+            3,
+            |_| Ok(Bytes::from_static(b"volume")),
+            |_, _| {
+                sleepy(20);
+                Ok(())
+            },
+            |_, _: ForecastInput<'_, ()>| {
+                sleepy(30);
+                Ok(())
+            },
         );
-        let sup = CycleSupervisor::default();
-        let (report, log) = counting_stages(4, &sup);
-        assert_eq!(plain.len(), report.cycles.len());
-        assert_eq!(report.completed(), 4);
-        assert!(log.iter().all(|(_, k)| *k == "fresh"));
+        assert_eq!(report.completed(), 3);
+        for t in report.cycles.iter().map(|c| c.timing.unwrap()) {
+            assert!(t.assimilation_s >= 0.018, "assim {:.3}", t.assimilation_s);
+            assert!(t.forecast_s >= 0.028, "forecast {:.3}", t.forecast_s);
+            assert!(
+                t.time_to_solution_s >= t.assimilation_s + t.forecast_s - 1e-6,
+                "tts {:.3} < sum of stages",
+                t.time_to_solution_s
+            );
+        }
+    }
+
+    #[test]
+    fn stages_overlap_across_cycles() {
+        // 6 cycles, each stage 20 ms. Serial would be >= 6 * 60 = 360 ms;
+        // the pipeline should be well below that.
+        let sleepy = || std::thread::sleep(Duration::from_millis(20));
+        let t0 = Instant::now(); // bda-check: allow(wallclock) — wall-time telemetry column
+        let report = CycleSupervisor::default().run(
+            6,
+            |_| {
+                sleepy();
+                Ok(Bytes::from_static(b"v"))
+            },
+            |_, _| {
+                sleepy();
+                Ok(())
+            },
+            |_, _: ForecastInput<'_, ()>| {
+                sleepy();
+                Ok(())
+            },
+        );
+        let wall = t0.elapsed().as_secs_f64();
+        assert_eq!(report.completed(), 6);
+        assert!(wall < 0.32, "no overlap: wall = {wall:.3} s");
+    }
+
+    #[test]
+    fn large_volumes_survive_small_chunks_and_a_shallow_pipe() {
+        let sup = CycleSupervisor {
+            chunk_bytes: 4096,
+            capacity: 4,
+            ..CycleSupervisor::default()
+        };
+        let payload: Vec<u8> = (0..500_000u32).map(|i| (i % 255) as u8).collect();
+        let expect = payload.clone();
+        let report = sup.run(
+            2,
+            move |_| Ok(Bytes::from(payload.clone())),
+            move |_, v| {
+                assert_eq!(&v[..], &expect[..]);
+                Ok(v.len())
+            },
+            |_, input: ForecastInput<'_, usize>| match input {
+                ForecastInput::Analysis(&500_000) => Ok(()),
+                other => Err(format!("unexpected input {other:?}")),
+            },
+        );
+        assert_eq!(report.completed(), 2, "{}", report.table());
     }
 }

@@ -3,22 +3,18 @@
 //! "We have new MP-PAWRs installed in Osaka and Kobe, and the dual coverage
 //! is available. Our recent simulation study ... suggested that multiple
 //! PAWR coverage be beneficial for disastrous heavy rain prediction"
-//! (Maejima et al. 2022, the paper's §8 outlook). The default mode makes
+//! (Maejima et al. 2022, the paper's §8 outlook). This example makes
 //! that outlook *operational*: the two-radar network drives a sharded
 //! federation ([`bda::shard::LocalFederation`], S=2) — every shard
 //! assimilates both radars' observations over its own x-strip and
 //! assembles the rest from peer halos — and the example verifies the
 //! federated analysis is **bit-identical** to the single-process dual-radar
-//! run, failing (non-zero exit) otherwise. Coverage and analysis-quality
-//! numbers against a single radar are reported alongside.
+//! run, failing (non-zero exit) otherwise. Dual coverage, observations per
+//! cycle and the final posterior RMSE are reported alongside.
 //!
 //! ```text
 //! cargo run --release --example dual_pawr [-- --cycles N] [--shards S]
-//! cargo run --release --example dual_pawr -- --legacy   # original study
 //! ```
-//!
-//! `--legacy` keeps the original single-process coverage study (single vs
-//! dual radar, no federation).
 
 use bda::core::osse::{Osse, OsseConfig};
 use bda::shard::{FederationConfig, LocalFederation};
@@ -29,8 +25,8 @@ fn dual_config() -> OsseConfig {
     OsseConfig::reduced(18, 10, 10, 3, 515).with_dual_radar()
 }
 
-/// Default mode: the dual-radar OSSE federated over `shards` shard
-/// workers, bit-audited against the identical single-process run.
+/// The dual-radar OSSE federated over `shards` shard workers, bit-audited
+/// against the identical single-process run.
 fn federated_main(cycles: usize, shards: usize) -> i32 {
     println!("=== dual-PAWR federation: 2 radars x {shards} shards x {cycles} cycles ===\n");
 
@@ -105,65 +101,6 @@ fn federated_main(cycles: usize, shards: usize) -> i32 {
     }
 }
 
-/// `--legacy`: the original single-vs-dual coverage study.
-fn legacy_run(label: &str, dual: bool, cycles: usize) -> (f64, usize, usize) {
-    let mut cfg = OsseConfig::reduced(18, 10, 10, 3, 515);
-    if dual {
-        cfg = cfg.with_dual_radar();
-    } else {
-        // Match the dual setup's per-radar range so the comparison is about
-        // geometry, not raw reach.
-        cfg.radar.range_max = cfg.model.grid.lx() * 0.75;
-        cfg.radar.x = cfg.model.grid.lx() * 0.3;
-        cfg.radar.y = cfg.model.grid.ly() * 0.35;
-    }
-    let grid = cfg.model.grid.clone();
-    let mut osse = Osse::<f32>::new(cfg);
-    osse.spinup_system(840.0);
-
-    let covered = osse.coverage_mask(2000.0).iter().filter(|&&v| v).count();
-    let mut last_rmse = f64::NAN;
-    let mut obs_used = 0;
-    for out in osse.run_cycles(cycles) {
-        last_rmse = out.posterior_rmse_dbz;
-        obs_used = out.n_obs_used;
-    }
-    println!(
-        "{label:<14} coverage {covered:>4}/{} cells  obs/cycle {obs_used:>6}  final posterior RMSE {last_rmse:.3} dBZ",
-        grid.nx * grid.ny
-    );
-    (last_rmse, covered, obs_used)
-}
-
-fn legacy_main(cycles: usize) -> i32 {
-    println!("=== dual-PAWR coverage study (§8 / Maejima et al. 2022) ===\n");
-    let (single_rmse, single_cov, single_obs) = legacy_run("single radar", false, cycles);
-    let (dual_rmse, dual_cov, dual_obs) = legacy_run("dual network", true, cycles);
-
-    println!("\nsummary:");
-    println!(
-        "  coverage gain: {:+.0}% of the domain",
-        (dual_cov as f64 - single_cov as f64) / (18.0 * 18.0) * 100.0
-    );
-    println!(
-        "  observation gain: {:.1}x per cycle",
-        dual_obs as f64 / single_obs.max(1) as f64
-    );
-    if dual_rmse < single_rmse {
-        println!(
-            "  analysis RMSE: {single_rmse:.3} -> {dual_rmse:.3} dBZ ({:.0}% better with dual coverage)",
-            (1.0 - dual_rmse / single_rmse) * 100.0
-        );
-        println!("\nthe dual network fills the single radar's blind spots and adds a second");
-        println!("Doppler look angle over the overlap — the benefit §8 anticipates for Expo 2025.");
-    } else {
-        println!(
-            "  analysis RMSE: {single_rmse:.3} vs {dual_rmse:.3} dBZ (no gain at this scale/seed; try more --cycles)"
-        );
-    }
-    0
-}
-
 fn main() {
     let argv: Vec<String> = std::env::args().collect();
     let num = |flag: &str, default: usize| -> usize {
@@ -172,11 +109,5 @@ fn main() {
             .map(|i| argv[i + 1].parse().unwrap_or_else(|_| panic!("{flag} N")))
             .unwrap_or(default)
     };
-    let cycles = num("--cycles", 4);
-    let code = if argv.iter().any(|a| a == "--legacy") {
-        legacy_main(cycles)
-    } else {
-        federated_main(cycles, num("--shards", 2))
-    };
-    std::process::exit(code);
+    std::process::exit(federated_main(num("--cycles", 4), num("--shards", 2)));
 }

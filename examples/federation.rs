@@ -45,7 +45,9 @@ use bda::core::osse::{Osse, OsseConfig};
 use bda::shard::{
     ChaosProxy, HaloBus, HaloTransport, NetBus, NetBusConfig, ShardConfig, ShardWorker,
 };
-use bda::workflow::{FaultPlan, FederationBus, LinkHealth, ShardSupervisor, ShardSupervisorConfig};
+use bda::workflow::{
+    Fault, FaultPlan, FederationBus, LinkHealth, ShardSupervisor, ShardSupervisorConfig,
+};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
@@ -236,33 +238,9 @@ impl FederationBus for BusCtl {
 fn reference_lines(o: &Opts) -> (Vec<String>, Vec<Vec<u32>>) {
     let mut osse = Osse::<f32>::new(osse_config(o));
     let mut lines = Vec::with_capacity(o.cycles);
-    for _ in 0..o.cycles {
-        let out = osse.cycle();
-        let label = if out.below_quorum {
-            "below-quorum"
-        } else if out.n_obs_used == 0 {
-            "forecast-only"
-        } else if out.ensemble_degraded() {
-            "degraded"
-        } else {
-            "completed"
-        };
-        let mut detail = format!(
-            "alive {}, obs {}/{}, {}, rmse {:.9e}->{:.9e}",
-            out.n_alive,
-            out.n_obs_used,
-            out.n_obs_scanned,
-            out.qc.summary(),
-            out.prior_rmse_dbz,
-            out.posterior_rmse_dbz
-        );
-        if !out.respawned.is_empty() {
-            detail.push_str(&format!(", respawned {:?}", out.respawned));
-        }
-        for e in &out.member_errors {
-            detail.push_str(&format!(", {e}"));
-        }
-        lines.push(format!("{label} {detail}"));
+    for c in 0..o.cycles as u64 {
+        let record = osse.cycle().record(c);
+        lines.push(format!("{} {}", record.label, record.detail));
     }
     let bits = osse
         .analyzed_flats()
@@ -385,7 +363,9 @@ fn supervisor_main(o: &Opts) -> i32 {
             }
         }
     }
-    let scheduled_kills: usize = (0..o.cycles).map(|c| plan.shard_kills(c).len()).sum();
+    let scheduled_kills: usize = (0..o.cycles)
+        .map(|c| plan.args(c, Fault::ShardKill).count())
+        .sum();
     let total_respawns: usize = report.respawns.iter().sum();
     if scheduled_kills > 0 && total_respawns == 0 {
         eprintln!("FAIL: {scheduled_kills} kills scheduled but no shard was ever respawned");

@@ -3,13 +3,12 @@
 //! A radar thread scans the (advancing) nature run and encodes each volume;
 //! the bytes travel through the JIT-DT pipe to the assimilation thread,
 //! which decodes, applies QC and runs the LETKF; the analysis mean is handed
-//! to the forecast thread, which integrates it forward. Per-cycle stage
-//! timings are reported with the Fig. 4 segmentation.
-//!
-//! With `--inject` the pipeline runs under the fault-tolerant cycle
-//! supervisor and the requested faults are injected deterministically; the
-//! per-cycle outcome table and availability (the Fig. 5 accounting) are
-//! printed at the end.
+//! to the forecast thread, which integrates it forward. The pipeline always
+//! runs under the fault-tolerant cycle supervisor; the per-cycle outcome
+//! table — stage timings with the Fig. 4 segmentation, dispositions, and
+//! availability (the Fig. 5 accounting) — is printed at the end. `--inject`
+//! fills the supervisor's fault plan, and the requested faults are injected
+//! deterministically.
 //!
 //! With `--checkpoint-dir` (or `--resume`) the run switches to the
 //! sequential checkpointed campaign: atomic CRC-checked snapshots are
@@ -40,8 +39,7 @@ use bda_scale::model::Boundary;
 use bda_scale::{Ensemble, Model, ModelState, ANALYZED_VARS};
 use bda_verify::maps::area_fraction;
 use bda_workflow::{
-    CampaignTermination, CycleSupervisor, FaultPlan, ForecastInput, RealtimePipeline,
-    ResumableCampaign,
+    CampaignTermination, CycleSupervisor, FaultPlan, ForecastInput, ResumableCampaign,
 };
 use std::path::PathBuf;
 
@@ -49,19 +47,12 @@ use std::path::PathBuf;
 /// bit-for-bit, and proves it through a timing-free outcome table.
 fn run_checkpointed_campaign(
     n_cycles: usize,
-    inject: Option<&str>,
+    faults: FaultPlan,
     checkpoint_dir: Option<PathBuf>,
     every: usize,
     resume_from: Option<PathBuf>,
     table_file: Option<PathBuf>,
 ) {
-    let faults = match inject {
-        Some(spec) => FaultPlan::parse(spec, n_cycles).unwrap_or_else(|e| {
-            eprintln!("bad --inject spec: {e}");
-            std::process::exit(2);
-        }),
-        None => FaultPlan::none(),
-    };
     let mut osse = Osse::<f32>::new(OsseConfig::reduced(10, 8, 6, 2, 11));
     // Spin convection up before the campaign so every cycle assimilates a
     // live reflectivity field: the RMSE columns in the outcome table then
@@ -142,11 +133,16 @@ fn main() {
         table_file = Some(PathBuf::from(argv.get(i + 1).expect("--table-file PATH")));
     }
 
+    let plan = FaultPlan::parse(inject.as_deref().unwrap_or(""), n_cycles).unwrap_or_else(|e| {
+        eprintln!("bad --inject spec: {e}");
+        std::process::exit(2);
+    });
+
     if checkpoint_dir.is_some() || resume_from.is_some() {
         println!("=== checkpointed campaign ({n_cycles} cycles of 30 model-seconds) ===\n");
         run_checkpointed_campaign(
             n_cycles,
-            inject.as_deref(),
+            plan,
             checkpoint_dir,
             every,
             resume_from,
@@ -213,119 +209,21 @@ fn main() {
     let base_f = base.clone();
     let grid_f = grid.clone();
 
-    if let Some(spec) = inject {
-        let plan = FaultPlan::parse(&spec, n_cycles).unwrap_or_else(|e| {
-            eprintln!("bad --inject spec: {e}");
-            std::process::exit(2);
-        });
-        println!(
-            "running under the cycle supervisor, {} fault(s) injected\n",
-            plan.len()
-        );
-        let supervisor = CycleSupervisor {
-            faults: plan,
-            ..CycleSupervisor::default()
-        };
-        let report = supervisor.run(
-            n_cycles,
-            // --- radar thread (supervised): scan faults become errors ---
-            move |cycle: usize| {
-                nature
-                    .integrate(30.0)
-                    .map_err(|e| format!("nature blew up: {e:?}"))?;
-                let scan = sim_scan.scan(
-                    &nature.state,
-                    &base_scan,
-                    &grid_scan,
-                    (cycle as f64 + 1.0) * 30.0,
-                    7,
-                );
-                Ok(encode_volume(&scan))
-            },
-            // --- assimilation thread: salvage decode + QC + LETKF ---
-            move |_cycle: usize, bytes| {
-                let (vol, salvage) = decode_volume_salvage::<f32>(&bytes, &ValueBounds::default())
-                    .map_err(|e| format!("unusable volume: {e:?}"))?;
-                ensemble
-                    .forecast(&model_cfg_a, &base_a, 30.0, |_| Boundary::BaseState)
-                    .map_err(|e| format!("member blew up: {e:?}"))?;
-                let hx = ensemble_equivalents(
-                    &vol.obs,
-                    &ensemble.members,
-                    &base_a,
-                    &grid_a,
-                    &radar_a,
-                    radar_a.min_detectable_dbz,
-                );
-                let obs = ObsEnsemble::new(vol.obs, hx);
-                let (obs, qc) = QcPipeline::new(&letkf_cfg).run(&obs);
-                let mut qc_note = qc.summary();
-                if !salvage.clean() {
-                    qc_note.push_str(&format!(
-                        ", salvaged {}/{} records",
-                        salvage.kept, salvage.declared
-                    ));
-                }
-                let flats: Vec<Vec<f32>> = ensemble
-                    .members
-                    .iter()
-                    .map(|m| m.to_flat(&ANALYZED_VARS))
-                    .collect();
-                let mut mat = EnsembleMatrix::from_members(&flats, layout.clone());
-                let stats =
-                    analyze(&mut mat, &obs, &letkf_cfg).map_err(|e| format!("analysis: {e}"))?;
-                let mut flats = flats;
-                mat.to_members(&mut flats);
-                for (m, f) in ensemble.members.iter_mut().zip(&flats) {
-                    m.from_flat(&ANALYZED_VARS, f);
-                    m.clamp_physical();
-                }
-                Ok((ensemble.mean(), stats.points_analyzed, qc_note))
-            },
-            // --- forecast thread: honors the degradation ladder ---
-            move |cycle: usize, input: ForecastInput<'_, (ModelState<f32>, usize, String)>| {
-                let (mean, provenance) = match input {
-                    ForecastInput::Analysis((mean, _, qc)) => {
-                        println!("cycle {cycle}: {qc}");
-                        (mean.clone(), "fresh analysis")
-                    }
-                    ForecastInput::PreviousAnalysis((mean, _, _)) => {
-                        (mean.clone(), "previous analysis (degraded)")
-                    }
-                    ForecastInput::Persistence => {
-                        println!("cycle {cycle}: persistence product (no analysis available)");
-                        return Ok(());
-                    }
-                };
-                let _ = fc_engine.swap_state(mean);
-                fc_engine
-                    .integrate(120.0)
-                    .map_err(|e| format!("forecast blew up: {e:?}"))?;
-                let map = bda_core::products::reflectivity_map(
-                    &fc_engine.state,
-                    &base_f,
-                    &grid_f,
-                    2000.0,
-                    5.0,
-                );
-                let rain = area_fraction(&map, 30.0, None);
-                println!(
-                    "cycle {cycle}: forecast from {provenance}, rain area {:.1}%",
-                    rain * 100.0
-                );
-                Ok(())
-            },
-        );
-        println!("\n{}", report.table());
-        return;
-    }
-
-    let pipeline = RealtimePipeline::default();
-    let timings = pipeline.run(
+    println!(
+        "running under the cycle supervisor, {} fault(s) injected\n",
+        plan.len()
+    );
+    let supervisor = CycleSupervisor {
+        faults: plan,
+        ..CycleSupervisor::default()
+    };
+    let report = supervisor.run(
         n_cycles,
         // --- radar thread: advance truth 30 s, scan, encode ---
-        move |cycle| {
-            nature.integrate(30.0).expect("nature blew up");
+        move |cycle: usize| {
+            nature
+                .integrate(30.0)
+                .map_err(|e| format!("nature blew up: {e:?}"))?;
             let scan = sim_scan.scan(
                 &nature.state,
                 &base_scan,
@@ -333,15 +231,16 @@ fn main() {
                 (cycle as f64 + 1.0) * 30.0,
                 7,
             );
-            encode_volume(&scan)
+            Ok(encode_volume(&scan))
         },
-        // --- assimilation thread: decode, 30-s ensemble forecast, LETKF ---
-        move |_cycle, bytes| {
-            let (vol, _salvage) = decode_volume_salvage::<f32>(&bytes, &ValueBounds::default())
-                .expect("unusable volume");
+        // --- assimilation thread: salvage decode, 30-s ensemble forecast,
+        // QC, LETKF ---
+        move |_cycle: usize, bytes| {
+            let (vol, salvage) = decode_volume_salvage::<f32>(&bytes, &ValueBounds::default())
+                .map_err(|e| format!("unusable volume: {e:?}"))?;
             ensemble
                 .forecast(&model_cfg_a, &base_a, 30.0, |_| Boundary::BaseState)
-                .expect("member blew up");
+                .map_err(|e| format!("member blew up: {e:?}"))?;
             let hx = ensemble_equivalents(
                 &vol.obs,
                 &ensemble.members,
@@ -352,26 +251,47 @@ fn main() {
             );
             let obs = ObsEnsemble::new(vol.obs, hx);
             let (obs, qc) = QcPipeline::new(&letkf_cfg).run(&obs);
-            let flats: Vec<Vec<f32>> = ensemble
+            let mut qc_note = qc.summary();
+            if !salvage.clean() {
+                qc_note.push_str(&format!(
+                    ", salvaged {}/{} records",
+                    salvage.kept, salvage.declared
+                ));
+            }
+            let mut flats: Vec<Vec<f32>> = ensemble
                 .members
                 .iter()
                 .map(|m| m.to_flat(&ANALYZED_VARS))
                 .collect();
             let mut mat = EnsembleMatrix::from_members(&flats, layout.clone());
-            let stats = analyze(&mut mat, &obs, &letkf_cfg).expect("analysis failed");
-            let mut flats = flats;
+            analyze(&mut mat, &obs, &letkf_cfg).map_err(|e| format!("analysis: {e}"))?;
             mat.to_members(&mut flats);
             for (m, f) in ensemble.members.iter_mut().zip(&flats) {
                 m.from_flat(&ANALYZED_VARS, f);
                 m.clamp_physical();
             }
-            let mean = ensemble.mean();
-            (mean, stats.points_analyzed, qc.summary())
+            Ok((ensemble.mean(), qc_note))
         },
-        // --- forecast thread: 2-minute forecast from the analysis mean ---
-        move |cycle, (mean, points, qc_summary)| {
+        // --- forecast thread: 2-minute forecast, honoring the
+        // degradation ladder ---
+        move |cycle: usize, input: ForecastInput<'_, (ModelState<f32>, String)>| {
+            let (mean, provenance) = match input {
+                ForecastInput::Analysis((mean, qc)) => {
+                    println!("cycle {cycle}: {qc}");
+                    (mean.clone(), "fresh analysis")
+                }
+                ForecastInput::PreviousAnalysis((mean, _)) => {
+                    (mean.clone(), "previous analysis (degraded)")
+                }
+                ForecastInput::Persistence => {
+                    println!("cycle {cycle}: persistence product (no analysis available)");
+                    return Ok(());
+                }
+            };
             let _ = fc_engine.swap_state(mean);
-            fc_engine.integrate(120.0).expect("forecast blew up");
+            fc_engine
+                .integrate(120.0)
+                .map_err(|e| format!("forecast blew up: {e:?}"))?;
             let map = bda_core::products::reflectivity_map(
                 &fc_engine.state,
                 &base_f,
@@ -381,24 +301,16 @@ fn main() {
             );
             let rain = area_fraction(&map, 30.0, None);
             println!(
-                "cycle {cycle}: {qc_summary}, {points} points analyzed, forecast rain area {:.1}%",
+                "cycle {cycle}: forecast from {provenance}, rain area {:.1}%",
                 rain * 100.0
             );
+            Ok(())
         },
     );
+    println!("\n{}", report.table());
 
-    println!("\nFig. 4 anatomy (wall-clock, reduced scale):");
-    println!(
-        "{:>6} {:>10} {:>10} {:>12} {:>10} {:>18}",
-        "cycle", "scan (s)", "xfer (s)", "assim (s)", "fcst (s)", "time-to-soln (s)"
-    );
-    for t in &timings {
-        println!(
-            "{:>6} {:>10.3} {:>10.3} {:>12.3} {:>10.3} {:>18.3}",
-            t.cycle, t.scan_s, t.transfer_s, t.assimilation_s, t.forecast_s, t.time_to_solution_s
-        );
-    }
+    let timings = report.cycles.iter().filter_map(|c| c.timing);
     let mean_tts =
-        timings.iter().map(|t| t.time_to_solution_s).sum::<f64>() / timings.len().max(1) as f64;
-    println!("\nmean time-to-solution {mean_tts:.3} s (the full-scale Fugaku equivalent is Fig. 5's ~2.5 min)");
+        timings.clone().map(|t| t.time_to_solution_s).sum::<f64>() / timings.count().max(1) as f64;
+    println!("mean time-to-solution {mean_tts:.3} s (the full-scale Fugaku equivalent is Fig. 5's ~2.5 min)");
 }

@@ -12,8 +12,8 @@
 
 use bda::core::osse::{Osse, OsseConfig};
 use bda::shard::federation::NetTuning;
-use bda::shard::{FederationConfig, LocalFederation, NetFederation};
-use bda::workflow::FaultPlan;
+use bda::shard::{Federation, FederationConfig, HaloTransport, LocalFederation, NetFederation};
+use bda::workflow::{outcome_table, Fault, FaultPlan};
 use std::path::PathBuf;
 
 const CYCLES: usize = 3;
@@ -42,54 +42,40 @@ fn reference() -> (Vec<Vec<u32>>, String, Vec<f64>) {
     for c in 0..CYCLES {
         let out = osse.cycle();
         posteriors.push(out.posterior_rmse_dbz);
-        // Reuse the shard worker's record grammar via the same fields the
-        // single-process campaign logs (bda_core::resume::record_of).
-        let label = if out.below_quorum {
-            "below-quorum"
-        } else if out.n_obs_used == 0 {
-            "forecast-only"
-        } else if out.ensemble_degraded() {
-            "degraded"
-        } else {
-            "completed"
-        };
-        let mut detail = format!(
-            "alive {}, obs {}/{}, {}, rmse {:.9e}->{:.9e}",
-            out.n_alive,
-            out.n_obs_used,
-            out.n_obs_scanned,
-            out.qc.summary(),
-            out.prior_rmse_dbz,
-            out.posterior_rmse_dbz
-        );
-        if !out.respawned.is_empty() {
-            detail.push_str(&format!(", respawned {:?}", out.respawned));
-        }
-        for e in &out.member_errors {
-            detail.push_str(&format!(", {e}"));
-        }
-        records.push(bda::io::checkpoint::OutcomeRecord {
-            cycle: c as u64,
-            label: label.into(),
-            detail,
-            retries: 0,
-        });
+        records.push(out.record(c as u64));
     }
     (
         member_bits(&osse.analyzed_flats()),
-        bda::shard::outcome_table(&records),
+        outcome_table(&records),
         posteriors,
     )
 }
 
-fn run_federation(n_shards: usize, plan: FaultPlan, tag: &str) -> LocalFederation<f32> {
+/// Run the campaign on whichever transport `start` opens the federation
+/// on — everything after that is the one harness.
+fn run_on<B: HaloTransport>(
+    n_shards: usize,
+    plan: FaultPlan,
+    tag: &str,
+    start: impl FnOnce(FederationConfig) -> Result<Federation<f32, B>, String>,
+) -> Federation<f32, B> {
     let dir = tmp_dir(tag);
     let _ = std::fs::remove_dir_all(&dir);
     let mut cfg = FederationConfig::new(config(), n_shards, CYCLES, dir);
     cfg.plan = plan;
-    let mut fed = LocalFederation::start(cfg).expect("federation start");
+    let mut fed = start(cfg).expect("federation start");
     fed.run().expect("federation run");
     fed
+}
+
+fn run_federation(n_shards: usize, plan: FaultPlan, tag: &str) -> LocalFederation<f32> {
+    run_on(n_shards, plan, tag, LocalFederation::start)
+}
+
+fn run_net_federation(n_shards: usize, plan: FaultPlan, tag: &str) -> NetFederation<f32> {
+    run_on(n_shards, plan, tag, |cfg| {
+        NetFederation::start(cfg, NetTuning::default())
+    })
 }
 
 #[test]
@@ -126,7 +112,7 @@ fn sigkilled_shard_resumes_from_its_own_checkpoint() {
     // Kill shard 1 at the start of cycle 2: its in-memory state vanishes,
     // it must rebuild from its scoped checkpoint (written before cycle 1)
     // and replay cycle 1 from the halos still spooled on the bus.
-    let fed = run_federation(2, FaultPlan::none().shard_kill(2, 1), "kill");
+    let fed = run_federation(2, FaultPlan::none().with(2, Fault::ShardKill, &[1]), "kill");
     for (s, w) in fed.workers.iter().enumerate() {
         assert_eq!(
             member_bits(&w.osse.analyzed_flats()),
@@ -148,16 +134,6 @@ fn sigkilled_shard_resumes_from_its_own_checkpoint() {
         );
     }
     let _ = std::fs::remove_dir_all(&fed.cfg.dir);
-}
-
-fn run_net_federation(n_shards: usize, plan: FaultPlan, tag: &str) -> NetFederation<f32> {
-    let dir = tmp_dir(tag);
-    let _ = std::fs::remove_dir_all(&dir);
-    let mut cfg = FederationConfig::new(config(), n_shards, CYCLES, dir);
-    cfg.plan = plan;
-    let mut fed = NetFederation::start(cfg, NetTuning::default()).expect("net federation start");
-    fed.run().expect("net federation run");
-    fed
 }
 
 #[test]
@@ -197,7 +173,11 @@ fn sigkilled_shard_resumes_over_sockets_with_bit_parity() {
     // respawn bumps its fenced epoch, and the replayed cycles pull every
     // missed halo from peer history via REQ — no file spool involved.
     let (ref_bits, ref_table, _) = reference();
-    let fed = run_net_federation(2, FaultPlan::none().shard_kill(2, 1), "netkill");
+    let fed = run_net_federation(
+        2,
+        FaultPlan::none().with(2, Fault::ShardKill, &[1]),
+        "netkill",
+    );
     for (s, w) in fed.workers.iter().enumerate() {
         assert_eq!(
             member_bits(&w.osse.analyzed_flats()),
@@ -220,7 +200,11 @@ fn sigkilled_shard_resumes_over_sockets_with_bit_parity() {
 fn halodrop_lands_on_the_exact_expected_table() {
     // Shard 0's halo for cycle 1 is dropped in transit: shard 1 reuses
     // shard 0's cycle-0 halo (flagged), shard 0 itself is unaffected.
-    let fed = run_federation(2, FaultPlan::none().halo_drop(1, 0), "halodrop");
+    let fed = run_federation(
+        2,
+        FaultPlan::none().with(1, Fault::HaloDrop, &[0]),
+        "halodrop",
+    );
     let labels = |s: usize| -> Vec<String> {
         fed.workers[s]
             .records
@@ -241,7 +225,11 @@ fn shardstall_degrades_peers_not_the_laggard() {
     // Shard 1 misses its halo deadline on cycle 1 (publishes a stall
     // marker): both peers step to halo-reuse; shard 1 completes its own
     // cycle late but intact.
-    let fed = run_federation(3, FaultPlan::none().shard_stall(1, 1), "stall");
+    let fed = run_federation(
+        3,
+        FaultPlan::none().with(1, Fault::ShardStall, &[1]),
+        "stall",
+    );
     let labels = |s: usize| -> Vec<String> {
         fed.workers[s]
             .records
