@@ -1,16 +1,11 @@
-//! Atomic, CRC-checked campaign checkpoints.
+//! Atomic, checksum-sealed campaign checkpoints (`BDAC`).
 //!
 //! The paper's operational run cycled for weeks; a crashed process must not
 //! lose the campaign. A snapshot captures everything needed to resume a
 //! cycling run bit-for-bit: the flat ensemble states (interiors only —
 //! halos are refilled by the first model step), per-member clocks, every
 //! RNG stream state, the index of the next cycle, and the supervisor's
-//! per-cycle outcome log.
-//!
-//! Layout: magic `BDAC` (4) | version u16 | precision u8 (4 or 8) |
-//! next_cycle u64 | time f64 | n_rng u32 + states u64 each |
-//! k u64 | n u64 | per member: time f64 + n values (little-endian) |
-//! n_outcomes u32 + records | CRC-32 (IEEE) u32 over everything before it.
+//! per-cycle outcome log. Byte layout: DESIGN.md, "Sealed frames".
 //!
 //! Durability: [`write_checkpoint`] writes to a temporary file in the same
 //! directory, fsyncs it, then atomically renames it into place (and fsyncs
@@ -18,46 +13,21 @@
 //! checkpoint, the new one, or a temp file that [`latest_checkpoint`]
 //! ignores — never a half-written snapshot that validates.
 
+use crate::format::{get_members, members_bytes, put_members, FormatError};
+use crate::frame::{self, FrameError, Kind};
 use bda_num::Real;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::path::{Path, PathBuf};
 
-const MAGIC: &[u8; 4] = b"BDAC";
-const VERSION: u16 = 1;
+/// Version 1 files (own member loop, CRC-32 trailer) are refused as
+/// [`FrameError::UnsupportedVersion`], not misread.
+const VERSION: u16 = 2;
 const TMP_PREFIX: &str = ".tmp-";
 const CKPT_PREFIX: &str = "ckpt-";
 const CKPT_SUFFIX: &str = ".bdac";
-
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) lookup table,
-/// built at compile time.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-};
-
-/// CRC-32 (IEEE) of a byte slice.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
-}
+/// `cycle u64 | retries u32 | two u32 string lengths`: the least one
+/// outcome record can occupy.
+const MIN_OUTCOME_BYTES: usize = 8 + 4 + 4 + 4;
 
 /// One line of the supervisor's outcome log, persisted so a resumed
 /// campaign's final report covers the pre-crash cycles too. Deliberately
@@ -96,21 +66,13 @@ pub struct CampaignSnapshot<T> {
 #[derive(Debug)]
 pub enum CheckpointError {
     Io(std::io::Error),
-    TooShort,
-    BadMagic,
-    UnsupportedVersion(u16),
-    PrecisionMismatch {
-        file: u8,
-        expected: u8,
-    },
-    ChecksumMismatch,
+    /// The envelope was rejected before the body was looked at.
+    Frame(FrameError),
+    /// The member-values block: precision mismatch, truncation, or (encode
+    /// side) a ragged ensemble.
+    Members(FormatError),
+    /// A field outside the member block runs past the end of the body.
     Truncated,
-    /// Encode-side: member `member` has `len` values, expected `expected`.
-    RaggedEnsemble {
-        member: usize,
-        len: usize,
-        expected: usize,
-    },
     /// Encode-side: `member_times` must align with `members`.
     TimesMismatch {
         times: usize,
@@ -122,27 +84,9 @@ impl std::fmt::Display for CheckpointError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             CheckpointError::Io(e) => write!(f, "checkpoint i/o: {e}"),
-            CheckpointError::TooShort => write!(f, "checkpoint too short"),
-            CheckpointError::BadMagic => write!(f, "bad checkpoint magic"),
-            CheckpointError::UnsupportedVersion(v) => {
-                write!(f, "unsupported checkpoint version {v}")
-            }
-            CheckpointError::PrecisionMismatch { file, expected } => {
-                write!(
-                    f,
-                    "precision mismatch: file {file} bytes, expected {expected}"
-                )
-            }
-            CheckpointError::ChecksumMismatch => write!(f, "checkpoint CRC mismatch"),
+            CheckpointError::Frame(e) => write!(f, "checkpoint: {e}"),
+            CheckpointError::Members(e) => write!(f, "checkpoint members: {e}"),
             CheckpointError::Truncated => write!(f, "checkpoint truncated"),
-            CheckpointError::RaggedEnsemble {
-                member,
-                len,
-                expected,
-            } => write!(
-                f,
-                "ragged ensemble: member {member} has {len} values, expected {expected}"
-            ),
             CheckpointError::TimesMismatch { times, members } => {
                 write!(f, "{times} member times for {members} members")
             }
@@ -158,69 +102,48 @@ impl From<std::io::Error> for CheckpointError {
     }
 }
 
-fn precision_tag<T: Real>() -> u8 {
-    std::mem::size_of::<T>() as u8
-}
-
 fn put_string(buf: &mut BytesMut, s: &str) {
     buf.put_u32(s.len() as u32);
     buf.put_slice(s.as_bytes());
 }
 
+/// `count` items of `unit` bytes must still be present.
+fn need(buf: &[u8], count: usize, unit: usize) -> Result<(), CheckpointError> {
+    match count.checked_mul(unit) {
+        Some(bytes) if bytes <= buf.len() => Ok(()),
+        _ => Err(CheckpointError::Truncated),
+    }
+}
+
 fn get_string(buf: &mut &[u8]) -> Result<String, CheckpointError> {
-    if buf.remaining() < 4 {
-        return Err(CheckpointError::Truncated);
-    }
+    need(buf, 1, 4)?;
     let len = buf.get_u32() as usize;
-    if buf.remaining() < len {
-        return Err(CheckpointError::Truncated);
-    }
+    need(buf, len, 1)?;
     let s = String::from_utf8_lossy(&buf[..len]).into_owned();
     buf.advance(len);
     Ok(s)
 }
 
-/// Encode a snapshot to its binary form (CRC trailer included).
+/// Encode a snapshot as one sealed `BDAC` frame.
 pub fn encode_snapshot<T: Real>(snap: &CampaignSnapshot<T>) -> Result<Bytes, CheckpointError> {
     let k = snap.members.len();
-    let n = snap.members.first().map(|m| m.len()).unwrap_or(0);
-    for (i, m) in snap.members.iter().enumerate() {
-        if m.len() != n {
-            return Err(CheckpointError::RaggedEnsemble {
-                member: i,
-                len: m.len(),
-                expected: n,
-            });
-        }
-    }
     if snap.member_times.len() != k {
         return Err(CheckpointError::TimesMismatch {
             times: snap.member_times.len(),
             members: k,
         });
     }
-    let prec = precision_tag::<T>() as usize;
-    let mut buf = BytesMut::with_capacity(64 + snap.rng_states.len() * 8 + k * (8 + n * prec));
-    buf.put_slice(MAGIC);
-    buf.put_u16(VERSION);
-    buf.put_u8(prec as u8);
+    let capacity = 64 + (snap.rng_states.len() + k) * 8 + members_bytes(&snap.members);
+    let mut buf = frame::begin(Kind::Checkpoint, VERSION, capacity);
     buf.put_u64(snap.next_cycle);
     buf.put_f64(snap.time);
     buf.put_u32(snap.rng_states.len() as u32);
     for &s in &snap.rng_states {
         buf.put_u64(s);
     }
-    buf.put_u64(k as u64);
-    buf.put_u64(n as u64);
-    for (m, &t) in snap.members.iter().zip(&snap.member_times) {
+    put_members(&mut buf, &snap.members).map_err(CheckpointError::Members)?;
+    for &t in &snap.member_times {
         buf.put_f64(t);
-        for &v in m {
-            if prec == 4 {
-                buf.put_f32_le(v.f64() as f32);
-            } else {
-                buf.put_f64_le(v.f64());
-            }
-        }
     }
     buf.put_u32(snap.outcomes.len() as u32);
     for o in &snap.outcomes {
@@ -229,78 +152,28 @@ pub fn encode_snapshot<T: Real>(snap: &CampaignSnapshot<T>) -> Result<Bytes, Che
         put_string(&mut buf, &o.label);
         put_string(&mut buf, &o.detail);
     }
-    let sum = crc32(&buf);
-    buf.put_u32(sum);
-    Ok(buf.freeze())
+    Ok(frame::seal(buf))
 }
 
-/// Decode and validate a snapshot.
+/// Decode and validate a snapshot. Every count in the body is
+/// attacker-declared (a forged file can carry a valid trailer), so each is
+/// checked against the bytes present before anything is reserved for it.
 pub fn decode_snapshot<T: Real>(data: &[u8]) -> Result<CampaignSnapshot<T>, CheckpointError> {
-    // magic + version + precision + next_cycle + time + n_rng + k + n + n_outcomes + crc
-    if data.len() < 4 + 2 + 1 + 8 + 8 + 4 + 8 + 8 + 4 + 4 {
-        return Err(CheckpointError::TooShort);
-    }
-    let (payload, tail) = data.split_at(data.len() - 4);
-    let expect = u32::from_be_bytes(tail.try_into().map_err(|_| CheckpointError::TooShort)?);
-    if crc32(payload) != expect {
-        return Err(CheckpointError::ChecksumMismatch);
-    }
-    let mut buf = payload;
-    let mut magic = [0u8; 4];
-    buf.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
-        return Err(CheckpointError::BadMagic);
-    }
-    let version = buf.get_u16();
-    if version != VERSION {
-        return Err(CheckpointError::UnsupportedVersion(version));
-    }
-    let prec = buf.get_u8();
-    if prec != precision_tag::<T>() {
-        return Err(CheckpointError::PrecisionMismatch {
-            file: prec,
-            expected: precision_tag::<T>(),
-        });
-    }
+    let mut buf = frame::open(Kind::Checkpoint, VERSION, data).map_err(CheckpointError::Frame)?;
+    need(buf, 1, 8 + 8 + 4)?;
     let next_cycle = buf.get_u64();
     let time = buf.get_f64();
     let n_rng = buf.get_u32() as usize;
-    if buf.remaining() < n_rng * 8 {
-        return Err(CheckpointError::Truncated);
-    }
-    let rng_states: Vec<u64> = (0..n_rng).map(|_| buf.get_u64()).collect();
-    if buf.remaining() < 16 {
-        return Err(CheckpointError::Truncated);
-    }
-    let k = buf.get_u64() as usize;
-    let n = buf.get_u64() as usize;
-    if buf.remaining() < k * (8 + n * prec as usize) {
-        return Err(CheckpointError::Truncated);
-    }
-    let mut members = Vec::with_capacity(k);
-    let mut member_times = Vec::with_capacity(k);
-    for _ in 0..k {
-        member_times.push(buf.get_f64());
-        let mut m = Vec::with_capacity(n);
-        for _ in 0..n {
-            let v = if prec == 4 {
-                buf.get_f32_le() as f64
-            } else {
-                buf.get_f64_le()
-            };
-            m.push(T::of(v));
-        }
-        members.push(m);
-    }
-    if buf.remaining() < 4 {
-        return Err(CheckpointError::Truncated);
-    }
+    need(buf, n_rng, 8)?;
+    let rng_states = (0..n_rng).map(|_| buf.get_u64()).collect();
+    let members = get_members(&mut buf).map_err(CheckpointError::Members)?;
+    need(buf, members.len(), 8)?;
+    let member_times = members.iter().map(|_| buf.get_f64()).collect();
+    need(buf, 1, 4)?;
     let n_out = buf.get_u32() as usize;
-    let mut outcomes = Vec::with_capacity(n_out);
+    let mut outcomes = Vec::with_capacity(n_out.min(buf.len() / MIN_OUTCOME_BYTES));
     for _ in 0..n_out {
-        if buf.remaining() < 12 {
-            return Err(CheckpointError::Truncated);
-        }
+        need(buf, 1, 8 + 4)?;
         let cycle = buf.get_u64();
         let retries = buf.get_u32();
         let label = get_string(&mut buf)?;
@@ -352,7 +225,7 @@ pub fn checkpoint_file_name_scoped(scope: Option<&str>, next_cycle: u64) -> Stri
 /// Atomically persist a snapshot under `dir` (created if missing).
 ///
 /// Write-temp + fsync + rename (+ directory fsync on Unix): a crash at any
-/// point leaves either no new file or a complete, CRC-valid one.
+/// point leaves either no new file or a complete one that validates.
 pub fn write_checkpoint<T: Real>(
     dir: &Path,
     snap: &CampaignSnapshot<T>,
@@ -395,7 +268,7 @@ pub fn read_checkpoint<T: Real>(path: &Path) -> Result<CampaignSnapshot<T>, Chec
 
 /// Find the newest *valid* checkpoint in `dir`: candidates are scanned
 /// newest-first (by cycle index in the file name) and the first one that
-/// decodes and passes its CRC wins. Temp files and corrupt or truncated
+/// opens and decodes wins. Temp files and corrupt, truncated or version-1
 /// snapshots are skipped, so a crash mid-write falls back to the previous
 /// checkpoint instead of failing the resume.
 pub fn latest_checkpoint<T: Real>(
@@ -484,13 +357,6 @@ mod tests {
     }
 
     #[test]
-    fn crc32_known_vector() {
-        // The classic check value for "123456789".
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-    }
-
-    #[test]
     fn snapshot_roundtrips_exactly() {
         let snap = sample();
         let bytes = encode_snapshot(&snap).unwrap();
@@ -499,19 +365,87 @@ mod tests {
     }
 
     #[test]
-    fn bit_flip_anywhere_is_rejected() {
-        let bytes = encode_snapshot(&sample()).unwrap().to_vec();
-        for pos in [0, 7, bytes.len() / 2, bytes.len() - 5, bytes.len() - 1] {
-            let mut bad = bytes.clone();
-            bad[pos] ^= 0x01;
-            assert!(
-                matches!(
-                    decode_snapshot::<f32>(&bad),
-                    Err(CheckpointError::ChecksumMismatch) | Err(CheckpointError::BadMagic)
-                ),
-                "flip at {pos} not caught"
-            );
-        }
+    fn envelope_rejections_surface_as_frame() {
+        let mut bytes = encode_snapshot(&sample()).unwrap().to_vec();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x01;
+        assert!(matches!(
+            decode_snapshot::<f32>(&bytes),
+            Err(CheckpointError::Frame(FrameError::ChecksumMismatch))
+        ));
+    }
+
+    /// A snapshot as the version-1 encoder wrote it (precision in the
+    /// header, member clocks interleaved with their values, CRC-32
+    /// trailer) — written by the last commit that had one.
+    const V1_FILE: &[u8] = include_bytes!("../tests/fixtures/ckpt-v1.bdac");
+
+    #[test]
+    fn version_1_file_is_typed_skipped_and_falls_back() {
+        let dir = std::env::temp_dir().join(format!("bda-ckpt-v1-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let v1 = dir.join(checkpoint_file_name(8));
+        std::fs::write(&v1, V1_FILE).unwrap();
+        let err = read_checkpoint::<f32>(&v1).unwrap_err();
+        assert!(matches!(
+            err,
+            CheckpointError::Frame(FrameError::UnsupportedVersion(1))
+        ));
+        assert_eq!(err.to_string(), "checkpoint: unsupported version 1");
+        // Alone in its directory it is no candidate at all...
+        assert!(latest_checkpoint::<f32>(&dir).unwrap().is_none());
+        // ...and an older file this reader speaks wins over it.
+        let p3 = write_checkpoint(&dir, &sample()).unwrap();
+        let (path, found) = latest_checkpoint::<f32>(&dir).unwrap().unwrap();
+        assert_eq!(path, p3);
+        assert_eq!(found, sample());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Seal a hand-built body: the trailer is valid, so only the decoder's
+    /// own arithmetic stands between a forged count and the allocator.
+    fn sealed(body: impl FnOnce(&mut BytesMut)) -> Bytes {
+        let mut buf = frame::begin(Kind::Checkpoint, VERSION, 64);
+        body(&mut buf);
+        frame::seal(buf)
+    }
+
+    #[test]
+    fn forged_but_sealed_counts_are_truncated_not_a_panic_or_abort() {
+        let prefix = |buf: &mut BytesMut, n_rng: u32| {
+            buf.put_u64(3);
+            buf.put_f64(90.0);
+            buf.put_u32(n_rng);
+        };
+        // More RNG states than bytes.
+        let forged = sealed(|b| prefix(b, u32::MAX));
+        assert!(matches!(
+            decode_snapshot::<f32>(&forged),
+            Err(CheckpointError::Truncated)
+        ));
+        // A member block whose k·n·precision wraps to 0.
+        let forged = sealed(|b| {
+            prefix(b, 0);
+            b.put_u8(4);
+            b.put_u64(1 << 61);
+            b.put_u64(8);
+            b.put_slice(&[0u8; 16]);
+        });
+        assert!(matches!(
+            decode_snapshot::<f32>(&forged),
+            Err(CheckpointError::Members(FormatError::Truncated))
+        ));
+        // Four billion outcome records declared, none present.
+        let forged = sealed(|b| {
+            prefix(b, 0);
+            put_members::<f32>(b, &[]).unwrap();
+            b.put_u32(u32::MAX);
+        });
+        assert!(matches!(
+            decode_snapshot::<f32>(&forged),
+            Err(CheckpointError::Truncated)
+        ));
     }
 
     #[test]
@@ -528,10 +462,10 @@ mod tests {
         let bytes = encode_snapshot(&sample()).unwrap();
         assert!(matches!(
             decode_snapshot::<f64>(&bytes),
-            Err(CheckpointError::PrecisionMismatch {
+            Err(CheckpointError::Members(FormatError::PrecisionMismatch {
                 file: 4,
                 expected: 8
-            })
+            }))
         ));
     }
 
@@ -624,7 +558,10 @@ mod tests {
         snap.members[1].pop();
         assert!(matches!(
             encode_snapshot(&snap),
-            Err(CheckpointError::RaggedEnsemble { member: 1, .. })
+            Err(CheckpointError::Members(FormatError::RaggedEnsemble {
+                member: 1,
+                ..
+            }))
         ));
         let mut snap = sample();
         snap.member_times.pop();

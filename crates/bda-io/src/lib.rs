@@ -17,12 +17,13 @@
 //! crate takes the transport as a parameter so the full cycle can run in
 //! either mode.
 //!
-//! [`mod@format`] defines the self-describing binary member-state format used by
-//! the file path (and by any external tooling); its checksum-trailer
-//! convention lives in [`mod@frame`], shared with the `bda-serve` tile
-//! codec. [`mod@checkpoint`] persists
+//! [`mod@frame`] is the one sealed-frame envelope (magic, version, body,
+//! FNV-1a trailer) under every `BDA?` byte format in the workspace —
+//! DESIGN.md §14 tabulates them. [`mod@format`] is the member-state codec:
+//! the `BDAF` frame of the file path and the member-values block that the
+//! checkpoint and the shard halo frame embed. [`mod@checkpoint`] persists
 //! whole-campaign snapshots (ensemble, RNG streams, cycle index, outcome
-//! log) atomically with CRC validation so a killed campaign resumes
+//! log) atomically as one sealed frame so a killed campaign resumes
 //! bit-for-bit.
 
 pub mod checkpoint;

@@ -100,37 +100,41 @@ impl PipeSender {
     }
 }
 
+/// Assemble one volume — header, chunks until `End` — and verify its
+/// length and checksum. `next` is how the caller waits for a frame.
+fn assemble(next: impl Fn() -> Result<Frame, PipeError>) -> Result<Bytes, PipeError> {
+    let Frame::Header {
+        total_len,
+        checksum,
+    } = next()?
+    else {
+        return Err(PipeError::ProtocolViolation);
+    };
+    let mut buf = BytesMut::with_capacity(total_len as usize);
+    loop {
+        match next()? {
+            Frame::Chunk(c) => buf.extend_from_slice(&c),
+            Frame::End => break,
+            Frame::Header { .. } => return Err(PipeError::ProtocolViolation),
+        }
+    }
+    if buf.len() as u64 != total_len {
+        return Err(PipeError::LengthMismatch {
+            expected: total_len,
+            got: buf.len() as u64,
+        });
+    }
+    let data = buf.freeze();
+    if fnv1a(&data) != checksum {
+        return Err(PipeError::ChecksumMismatch);
+    }
+    Ok(data)
+}
+
 impl PipeReceiver {
     /// Receive one complete volume, verifying length and checksum.
     pub fn recv(&self) -> Result<Bytes, PipeError> {
-        let (total_len, checksum) = match self.rx.recv() {
-            Ok(Frame::Header {
-                total_len,
-                checksum,
-            }) => (total_len, checksum),
-            Ok(_) => return Err(PipeError::ProtocolViolation),
-            Err(_) => return Err(PipeError::Disconnected),
-        };
-        let mut buf = BytesMut::with_capacity(total_len as usize);
-        loop {
-            match self.rx.recv() {
-                Ok(Frame::Chunk(c)) => buf.extend_from_slice(&c),
-                Ok(Frame::End) => break,
-                Ok(Frame::Header { .. }) => return Err(PipeError::ProtocolViolation),
-                Err(_) => return Err(PipeError::Disconnected),
-            }
-        }
-        if buf.len() as u64 != total_len {
-            return Err(PipeError::LengthMismatch {
-                expected: total_len,
-                got: buf.len() as u64,
-            });
-        }
-        let data = buf.freeze();
-        if fnv1a(&data) != checksum {
-            return Err(PipeError::ChecksumMismatch);
-        }
-        Ok(data)
+        assemble(|| self.rx.recv().map_err(|_| PipeError::Disconnected))
     }
 
     /// Receive one complete volume under a live stall watchdog: if the
@@ -143,73 +147,12 @@ impl PipeReceiver {
     /// The timeout is per-frame (a watchdog on *progress*), not a bound on
     /// total volume duration, so a slow-but-moving large volume completes.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<Bytes, PipeError> {
-        let wait = || -> Result<Frame, PipeError> {
+        assemble(|| {
             self.rx.recv_timeout(timeout).map_err(|e| match e {
                 RecvTimeoutError::Timeout => PipeError::Stalled,
                 RecvTimeoutError::Disconnected => PipeError::Disconnected,
             })
-        };
-        let (total_len, checksum) = match wait()? {
-            Frame::Header {
-                total_len,
-                checksum,
-            } => (total_len, checksum),
-            _ => return Err(PipeError::ProtocolViolation),
-        };
-        let mut buf = BytesMut::with_capacity(total_len as usize);
-        loop {
-            match wait()? {
-                Frame::Chunk(c) => buf.extend_from_slice(&c),
-                Frame::End => break,
-                Frame::Header { .. } => return Err(PipeError::ProtocolViolation),
-            }
-        }
-        if buf.len() as u64 != total_len {
-            return Err(PipeError::LengthMismatch {
-                expected: total_len,
-                got: buf.len() as u64,
-            });
-        }
-        let data = buf.freeze();
-        if fnv1a(&data) != checksum {
-            return Err(PipeError::ChecksumMismatch);
-        }
-        Ok(data)
-    }
-
-    /// Non-blocking variant: `Ok(None)` when no volume has started arriving.
-    pub fn try_recv(&self) -> Result<Option<Bytes>, PipeError> {
-        match self.rx.try_recv() {
-            Ok(Frame::Header {
-                total_len,
-                checksum,
-            }) => {
-                // Header seen: block for the rest (it is in flight).
-                let mut buf = BytesMut::with_capacity(total_len as usize);
-                loop {
-                    match self.rx.recv() {
-                        Ok(Frame::Chunk(c)) => buf.extend_from_slice(&c),
-                        Ok(Frame::End) => break,
-                        Ok(Frame::Header { .. }) => return Err(PipeError::ProtocolViolation),
-                        Err(_) => return Err(PipeError::Disconnected),
-                    }
-                }
-                if buf.len() as u64 != total_len {
-                    return Err(PipeError::LengthMismatch {
-                        expected: total_len,
-                        got: buf.len() as u64,
-                    });
-                }
-                let data = buf.freeze();
-                if fnv1a(&data) != checksum {
-                    return Err(PipeError::ChecksumMismatch);
-                }
-                Ok(Some(data))
-            }
-            Ok(_) => Err(PipeError::ProtocolViolation),
-            Err(crossbeam::channel::TryRecvError::Empty) => Ok(None),
-            Err(crossbeam::channel::TryRecvError::Disconnected) => Err(PipeError::Disconnected),
-        }
+        })
     }
 }
 
@@ -252,15 +195,6 @@ mod tests {
         let (tx, rx) = pipe(8, 8);
         drop(tx);
         assert_eq!(rx.recv().unwrap_err(), PipeError::Disconnected);
-    }
-
-    #[test]
-    fn try_recv_empty_then_full() {
-        let (tx, rx) = pipe(8, 64);
-        assert_eq!(rx.try_recv().unwrap(), None);
-        tx.send(Bytes::from_static(b"late scan")).unwrap();
-        let got = rx.try_recv().unwrap().expect("volume available");
-        assert_eq!(&got[..], b"late scan");
     }
 
     #[test]

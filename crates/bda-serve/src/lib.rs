@@ -18,8 +18,8 @@
 //! The adversarial counterpart lives in [`storm`]: a seeded swarm of
 //! verifying clients that doubles as the end-to-end integrity check.
 //!
-//! Wire integrity reuses the workspace's shared machinery: FNV-1a frame
-//! trailers from [`bda_io::frame`], sequence classification from
+//! Wire integrity reuses the workspace's shared machinery: the sealed-frame
+//! envelope of [`bda_io::frame`], sequence classification from
 //! [`bda_jitdt::sequence`], and fault schedules from
 //! [`bda_workflow::fault`] (`slowclient:N@C`, `connstorm:N@C`).
 //!

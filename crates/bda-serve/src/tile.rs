@@ -17,9 +17,9 @@
 //!    the previous cycle ([`make_delta`]); on a 30-s cadence most cells are
 //!    unchanged, so the run-length stage collapses deltas to near nothing;
 //! 5. **run-length encode** — `(run, value)` byte pairs ([`rle_encode`]);
-//! 6. **seal** — the shared FNV-1a trailer convention
-//!    ([`bda_io::frame::seal`]), so a damaged or truncated tile is a typed
-//!    [`TileError`] at the client, never a corrupt render.
+//! 6. **seal** — one [`bda_io::frame`] envelope (`BDAT`; byte layout in
+//!    DESIGN.md, "Sealed frames"), so a damaged or truncated tile is a
+//!    typed [`TileError`] at the client, never a corrupt render.
 //!
 //! The [`Tiler`] holds the previous cycle's pyramid and emits both the
 //! delta stream (what live subscribers get) and the key-frame snapshot
@@ -27,15 +27,15 @@
 //! encoding runs on the rayon pool; the vendor pool's fixed-chunk contract
 //! makes the emitted byte stream identical for any `BDA_THREADS`.
 
-use bda_io::frame::{self, FrameError};
+use bda_io::frame::{self, FrameError, Kind};
 use bda_num::cast::{round_u8_sat, u16_of_index};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 use rayon::prelude::*;
 
-const MAGIC: &[u8; 4] = b"BDAT";
 const VERSION: u16 = 1;
-/// Header bytes before the RLE payload.
-const HEADER_BYTES: usize = 4 + 2 + 8 + 1 + 2 + 2 + 2 + 2 + 1 + 4;
+/// cycle u64 | zoom u8 | tx, ty, w, h u16 | flags u8 | payload length u32,
+/// ahead of the RLE payload.
+const FIXED_BYTES: usize = 8 + 1 + 2 + 2 + 2 + 2 + 1 + 4;
 
 const FLAG_STALE: u8 = 0b0000_0001;
 const FLAG_DELTA: u8 = 0b0000_0010;
@@ -142,14 +142,9 @@ impl QuantGrid {
 /// wire-damage condition a subscriber must survive as a typed error.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum TileError {
-    /// Shorter than the fixed header + trailer.
-    TooShort,
-    /// Checksum trailer does not cover the bytes received.
-    ChecksumMismatch,
-    /// Not a tile frame at all.
-    BadMagic,
-    /// A frame from a future (or corrupted) codec revision.
-    UnsupportedVersion(u16),
+    /// The envelope was rejected (wire damage, not a tile frame, another
+    /// codec revision), or the body is shorter than its fixed fields.
+    Frame(FrameError),
     /// The declared payload length disagrees with the bytes present.
     PayloadLength { declared: usize, got: usize },
     /// An RLE run of length zero: cannot be produced by the encoder.
@@ -169,10 +164,7 @@ pub enum TileError {
 impl std::fmt::Display for TileError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            TileError::TooShort => write!(f, "tile frame too short"),
-            TileError::ChecksumMismatch => write!(f, "tile frame checksum mismatch"),
-            TileError::BadMagic => write!(f, "bad tile magic"),
-            TileError::UnsupportedVersion(v) => write!(f, "unsupported tile version {v}"),
+            TileError::Frame(e) => write!(f, "tile frame: {e}"),
             TileError::PayloadLength { declared, got } => {
                 write!(f, "payload length {declared} declared, {got} present")
             }
@@ -196,10 +188,7 @@ impl std::error::Error for TileError {}
 
 impl From<FrameError> for TileError {
     fn from(e: FrameError) -> Self {
-        match e {
-            FrameError::TooShort => TileError::TooShort,
-            FrameError::ChecksumMismatch => TileError::ChecksumMismatch,
-        }
+        TileError::Frame(e)
     }
 }
 
@@ -231,7 +220,9 @@ pub fn rle_decode(rle: &[u8], expected: usize) -> Result<Vec<u8>, TileError> {
     if !rle.len().is_multiple_of(2) {
         return Err(TileError::DanglingRun);
     }
-    let mut out = Vec::with_capacity(expected);
+    // `expected` comes from two header fields; each pair present expands
+    // to at most 255 cells, and that bounds what is reserved up front.
+    let mut out = Vec::with_capacity(expected.min(rle.len() / 2 * usize::from(u8::MAX)));
     for pair in rle.chunks_exact(2) {
         let run = usize::from(pair[0]);
         if run == 0 {
@@ -328,9 +319,7 @@ pub fn encode_tile(
         return Err(TileError::EmptyTile);
     }
     let payload = rle_encode(cells);
-    let mut buf = BytesMut::with_capacity(HEADER_BYTES + payload.len() + frame::TRAILER_BYTES);
-    buf.put_slice(MAGIC);
-    buf.put_u16(VERSION);
+    let mut buf = frame::begin(Kind::Tile, VERSION, FIXED_BYTES + payload.len());
     buf.put_u64(cycle);
     buf.put_u8(zoom);
     buf.put_u16(tx);
@@ -353,19 +342,9 @@ pub fn encode_tile(
 /// Decode and validate one sealed tile frame. Every malformed input maps
 /// to a typed [`TileError`]; no input can panic this path.
 pub fn decode_tile(data: &[u8]) -> Result<TileFrame, TileError> {
-    let body = frame::open(data)?;
-    if body.len() < HEADER_BYTES {
-        return Err(TileError::TooShort);
-    }
-    let mut buf = body;
-    let mut magic = [0u8; 4];
-    buf.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
-        return Err(TileError::BadMagic);
-    }
-    let version = buf.get_u16();
-    if version != VERSION {
-        return Err(TileError::UnsupportedVersion(version));
+    let mut buf = frame::open(Kind::Tile, VERSION, data)?;
+    if buf.remaining() < FIXED_BYTES {
+        return Err(FrameError::TooShort.into());
     }
     let cycle = buf.get_u64();
     let zoom = buf.get_u8();
@@ -684,22 +663,44 @@ mod tests {
     }
 
     #[test]
-    fn damaged_frames_are_typed_errors_never_panics() {
-        let cells = vec![3u8; 64];
-        let frame = encode_tile(1, 0, 0, 0, 8, 8, false, false, &cells)
+    fn envelope_rejections_surface_as_frame() {
+        let mut frame = encode_tile(1, 0, 0, 0, 8, 8, false, false, &[3u8; 64])
             .unwrap()
             .to_vec();
-        // Truncation at every length.
-        for cut in 0..frame.len() {
-            assert!(decode_tile(&frame[..cut]).is_err(), "cut {cut}");
-        }
-        // Every single-bit flip.
-        for byte in 0..frame.len() {
-            for bit in 0..8 {
-                let mut d = frame.clone();
-                d[byte] ^= 1 << bit;
-                assert!(decode_tile(&d).is_err(), "flip byte {byte} bit {bit}");
-            }
+        frame[9] ^= 0x04;
+        assert_eq!(
+            decode_tile(&frame).unwrap_err(),
+            TileError::Frame(FrameError::ChecksumMismatch)
+        );
+    }
+
+    /// A frame the parent commit produced, byte for byte, and a delta
+    /// stream's digests: `BDAT` is what subscribers parse, and the envelope
+    /// refactor must not move it.
+    #[test]
+    fn golden_frame_and_stream_digests_are_byte_identical() {
+        let golden = "424441540001000000000000002a01000300020004000303000000080400030502\
+                      090300b0bd27d89b91039b";
+        let cells = [0, 0, 0, 0, 5, 5, 5, 9, 9, 0, 0, 0];
+        let frame = encode_tile(42, 1, 3, 2, 4, 3, true, true, &cells).unwrap();
+        let hex: String = frame.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, golden);
+
+        let mut tiler = Tiler::new(TileConfig {
+            tile: 16,
+            max_zoom: 2,
+        });
+        let expect = [
+            (0xdc74_6c2b_1003_abe2, 4378),
+            (0x1a8a_7fa7_a8d5_23e6, 3606),
+            (0x9c9e_b111_0fca_a618, 3252),
+        ];
+        for (cycle, want) in (0u64..).zip(expect) {
+            let field = synthetic_reflectivity(cycle, 48, 40);
+            let tiles = tiler
+                .encode_cycle(cycle, &field, 48, 40, cycle == 2)
+                .unwrap();
+            assert_eq!((stream_digest(&tiles), tiles.delta_bytes()), want);
         }
     }
 

@@ -278,6 +278,7 @@ impl HaloTransport for HaloBus {
 mod tests {
     use super::*;
     use crate::msg::HaloMsg;
+    use bda_io::frame::FrameError;
 
     fn tmp_bus(tag: &str) -> HaloBus {
         let dir = std::env::temp_dir().join(format!("bda-halo-bus-{tag}-{}", std::process::id()));
@@ -345,7 +346,7 @@ mod tests {
         bus.write_atomic(&halo_name(5, 0), &bytes).unwrap();
         assert_eq!(
             bus.try_collect::<f32>(5, 0),
-            CollectStatus::Corrupt(HaloError::Corrupt)
+            CollectStatus::Corrupt(HaloError::Frame(FrameError::ChecksumMismatch))
         );
     }
 

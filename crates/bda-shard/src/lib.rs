@@ -11,7 +11,7 @@
 //! sequenced with the same [`bda_jitdt::SeqTracker`] discipline as radar
 //! volumes; [`federation::LocalFederation`]) or loopback sockets
 //! ([`netbus::NetBus`]; [`federation::NetFederation`]). Shards checkpoint
-//! independently in the CRC-guarded [`bda_io::checkpoint`] format under
+//! independently in the sealed [`bda_io::checkpoint`] format under
 //! shard-scoped filenames, so a SIGKILLed shard resumes on its own while
 //! the rest of the federation keeps cycling.
 //!

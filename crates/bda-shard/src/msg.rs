@@ -1,28 +1,23 @@
-//! The halo wire format.
+//! The halo wire format (`BDAX`).
 //!
 //! One frame per (cycle, shard): either the shard's analyzed strip for
 //! every ensemble member, or a typed marker (skip / stall) standing in for
 //! it so receivers learn *why* a strip is missing instead of inferring it
-//! from silence. Frames are checksum-sealed with the same FNV-1a trailer
-//! convention as every other wire format in the system
-//! ([`bda_io::frame`]), and the member payload reuses the
-//! [`bda_io::format`] state codec — precision mismatches between an `f32`
-//! shard and an `f64` shard surface as typed errors, not garbage floats.
-//!
-//! Layout: magic `BDAX` (4) | version u16 | kind u8 | shard u32 |
-//! cycle u64 | i0 u32 | i1 u32 | points_analyzed u64 | payload
-//! (`encode_states` frame, strip kind only) | FNV-1a checksum u64.
-//! The magic is this format's alone: `BDAH` is the egress subscriber
-//! hello of `bda-serve`, a different 12-byte format.
+//! from silence. The frame is one [`bda_io::frame`] envelope — sealed once —
+//! and a strip's values are the [`bda_io::format`] member block, so a
+//! precision mismatch between an `f32` shard and an `f64` shard surfaces as
+//! a typed error, not garbage floats. Byte layout: DESIGN.md, "Sealed
+//! frames".
 
-use bda_io::format::{decode_states, encode_states, FormatError};
-use bda_io::frame::{self, FrameError};
+use bda_io::format::{get_members, members_bytes, put_members, FormatError};
+use bda_io::frame::{self, FrameError, Kind};
 use bda_num::{cast, Real};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 
-const MAGIC: &[u8; 4] = b"BDAX";
-const VERSION: u16 = 1;
-const HEADER_BYTES: usize = 4 + 2 + 1 + 4 + 8 + 4 + 4 + 8;
+/// Version 1 nested a whole sealed `BDAF` frame where the member block is.
+const VERSION: u16 = 2;
+/// kind u8 | shard u32 | cycle u64 | i0 u32 | i1 u32 | points_analyzed u64
+const FIXED_BYTES: usize = 1 + 4 + 8 + 4 + 4 + 8;
 
 const KIND_STRIP: u8 = 0;
 const KIND_SKIP: u8 = 1;
@@ -77,13 +72,11 @@ impl<T: Real> HaloFrame<T> {
 /// receiving shard's cycle, never panic it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum HaloError {
-    TooShort,
-    BadMagic,
-    BadVersion(u16),
+    /// The envelope was rejected (damage in transit, another format,
+    /// another revision), or the body is shorter than its fixed fields.
+    Frame(FrameError),
     BadKind(u8),
-    /// The outer checksum failed: bytes damaged in transit.
-    Corrupt,
-    /// The member payload failed to decode (inner codec error).
+    /// The member block failed to encode or decode.
     Payload(FormatError),
     /// Strip shape disagrees with the declared `[i0, i1)` range.
     GeometryMismatch {
@@ -101,11 +94,8 @@ pub enum HaloError {
 impl std::fmt::Display for HaloError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            HaloError::TooShort => write!(f, "halo frame too short"),
-            HaloError::BadMagic => write!(f, "bad halo magic"),
-            HaloError::BadVersion(v) => write!(f, "unsupported halo version {v}"),
+            HaloError::Frame(e) => write!(f, "halo frame: {e}"),
             HaloError::BadKind(k) => write!(f, "unknown halo kind {k}"),
-            HaloError::Corrupt => write!(f, "halo frame corrupted in transit"),
             HaloError::Payload(e) => write!(f, "halo payload: {e}"),
             HaloError::GeometryMismatch { declared, got } => {
                 write!(f, "halo geometry mismatch: declared {declared}, got {got}")
@@ -121,55 +111,32 @@ impl std::error::Error for HaloError {}
 
 /// Encode a frame, checksum-sealed.
 pub fn encode_halo<T: Real>(frame_msg: &HaloFrame<T>) -> Result<Bytes, HaloError> {
-    let (kind, shard, cycle, i0, i1, points, payload) = match frame_msg {
-        HaloFrame::Strip(m) => {
-            let payload = encode_states(&m.strips).map_err(HaloError::Payload)?;
-            (
-                KIND_STRIP,
-                m.shard,
-                m.cycle,
-                m.i0,
-                m.i1,
-                m.points_analyzed,
-                Some(payload),
-            )
-        }
-        HaloFrame::Skip { shard, cycle } => (KIND_SKIP, *shard, *cycle, 0, 0, 0, None),
-        HaloFrame::Stall { shard, cycle } => (KIND_STALL, *shard, *cycle, 0, 0, 0, None),
+    let (kind, shard, cycle, strip) = match frame_msg {
+        HaloFrame::Strip(m) => (KIND_STRIP, m.shard, m.cycle, Some(m)),
+        HaloFrame::Skip { shard, cycle } => (KIND_SKIP, *shard, *cycle, None),
+        HaloFrame::Stall { shard, cycle } => (KIND_STALL, *shard, *cycle, None),
     };
-    let body = payload.as_ref().map(|p| p.len()).unwrap_or(0);
-    let mut buf = BytesMut::with_capacity(HEADER_BYTES + body + 8);
-    buf.put_slice(MAGIC);
-    buf.put_u16(VERSION);
+    let (i0, i1, points, payload_bytes) = strip.map_or((0, 0, 0, 0), |m| {
+        (m.i0, m.i1, m.points_analyzed, members_bytes(&m.strips))
+    });
+    let mut buf = frame::begin(Kind::Halo, VERSION, FIXED_BYTES + payload_bytes);
     buf.put_u8(kind);
     buf.put_u32(cast::u32_of_index(shard));
     buf.put_u64(cycle);
     buf.put_u32(cast::u32_of_index(i0));
     buf.put_u32(cast::u32_of_index(i1));
     buf.put_u64(cast::u64_of(points));
-    if let Some(p) = payload {
-        buf.put_slice(&p);
+    if let Some(m) = strip {
+        put_members(&mut buf, &m.strips).map_err(HaloError::Payload)?;
     }
     Ok(frame::seal(buf))
 }
 
 /// Decode a sealed frame.
 pub fn decode_halo<T: Real>(data: &[u8]) -> Result<HaloFrame<T>, HaloError> {
-    if data.len() < HEADER_BYTES + 8 {
-        return Err(HaloError::TooShort);
-    }
-    let mut buf = frame::open(data).map_err(|e| match e {
-        FrameError::TooShort => HaloError::TooShort,
-        FrameError::ChecksumMismatch => HaloError::Corrupt,
-    })?;
-    let mut magic = [0u8; 4];
-    buf.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
-        return Err(HaloError::BadMagic);
-    }
-    let version = buf.get_u16();
-    if version != VERSION {
-        return Err(HaloError::BadVersion(version));
+    let mut buf = frame::open(Kind::Halo, VERSION, data).map_err(HaloError::Frame)?;
+    if buf.remaining() < FIXED_BYTES {
+        return Err(HaloError::Frame(FrameError::TooShort));
     }
     let kind = buf.get_u8();
     let shard = cast::index_of_u32(buf.get_u32());
@@ -181,7 +148,7 @@ pub fn decode_halo<T: Real>(data: &[u8]) -> Result<HaloFrame<T>, HaloError> {
         KIND_SKIP => Ok(HaloFrame::Skip { shard, cycle }),
         KIND_STALL => Ok(HaloFrame::Stall { shard, cycle }),
         KIND_STRIP => {
-            let strips = decode_states::<T>(buf).map_err(HaloError::Payload)?;
+            let strips = get_members::<T>(&mut buf).map_err(HaloError::Payload)?;
             if i1 < i0 {
                 return Err(HaloError::GeometryMismatch {
                     declared: 0,
@@ -247,20 +214,44 @@ mod tests {
     }
 
     #[test]
-    fn corruption_is_typed_not_a_panic() {
+    fn envelope_rejections_surface_as_frame() {
         let mut bytes = encode_halo(&HaloFrame::Strip(msg())).unwrap().to_vec();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x5A;
-        assert_eq!(decode_halo::<f32>(&bytes).unwrap_err(), HaloError::Corrupt);
+        assert_eq!(
+            decode_halo::<f32>(&bytes).unwrap_err(),
+            HaloError::Frame(FrameError::ChecksumMismatch)
+        );
     }
 
     #[test]
-    fn truncation_and_alien_bytes_are_typed() {
-        assert_eq!(decode_halo::<f32>(b"xx").unwrap_err(), HaloError::TooShort);
-        let bytes = encode_halo(&HaloFrame::Strip(msg())).unwrap();
+    fn a_sealed_body_shorter_than_its_fixed_fields_is_typed() {
+        let mut buf = frame::begin(Kind::Halo, VERSION, 3);
+        buf.put_slice(&[KIND_STRIP, 0, 0]);
         assert_eq!(
-            decode_halo::<f32>(&bytes[..bytes.len() - 3]).unwrap_err(),
-            HaloError::Corrupt
+            decode_halo::<f32>(&frame::seal(buf)).unwrap_err(),
+            HaloError::Frame(FrameError::TooShort)
+        );
+    }
+
+    /// The network-facing forged-length case: a strip frame with a valid
+    /// trailer whose member block declares `k·n·4` wrapping to zero.
+    #[test]
+    fn forged_but_sealed_strip_lengths_are_typed() {
+        let mut buf = frame::begin(Kind::Halo, VERSION, 64);
+        buf.put_u8(KIND_STRIP);
+        buf.put_u32(1);
+        buf.put_u64(42);
+        buf.put_u32(5);
+        buf.put_u32(7);
+        buf.put_u64(12);
+        buf.put_u8(4);
+        buf.put_u64(1 << 61);
+        buf.put_u64(8);
+        buf.put_slice(&[0u8; 16]);
+        assert_eq!(
+            decode_halo::<f32>(&frame::seal(buf)).unwrap_err(),
+            HaloError::Payload(FormatError::Truncated)
         );
     }
 

@@ -10,8 +10,10 @@
 //! body = kind u8 | sender u32 | epoch u64 | payload… | FNV-1a trailer u64
 //! ```
 //!
-//! sealed with the same [`bda_io::frame`] trailer convention as every
-//! other codec in the system. Kinds: `HELLO` (handshake, carries the
+//! The magic is [`Kind::Net`]'s and the trailer is [`bda_io::frame`]'s, but
+//! the header is this module's own: a stream reader needs the length before
+//! it has the body, and a magic it can rescan for (DESIGN.md, "Sealed
+//! frames"). Kinds: `HELLO` (handshake, carries the
 //! sender's fenced epoch), `HALO` (payload = one sealed `BDAX` halo frame,
 //! prefixed by its cycle so in-path tooling can route without decoding
 //! members), `REQ` (pull request for a peer's published halo — the replay
@@ -27,12 +29,13 @@
 //! nothing ever panics. The proptests in `tests/proptests.rs` pin this
 //! down with arbitrary garbage splices.
 
+use bda_io::frame::{self, Kind};
 use bda_num::cast;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 /// Stream-level magic. Distinct from the halo-frame magic (`BDAX`): the
 /// stream carries halo frames *inside* `HALO` messages.
-pub const NET_MAGIC: &[u8; 4] = b"BDAN";
+pub const NET_MAGIC: &[u8; 4] = &Kind::Net.magic();
 
 /// magic + body-length prefix.
 pub const NET_HEADER_BYTES: usize = 4 + 4;
@@ -129,7 +132,7 @@ pub fn encode_msg(msg: &NetMsg) -> Bytes {
             body.put_u64(*cycle);
         }
     }
-    let sealed = bda_io::frame::seal(body);
+    let sealed = frame::seal(body);
     let mut out = BytesMut::with_capacity(NET_HEADER_BYTES + sealed.len());
     out.put_slice(NET_MAGIC);
     out.put_u32(cast::u32_of_index(sealed.len()));
@@ -278,7 +281,7 @@ fn tail_keep(buf: &[u8]) -> usize {
 /// Verify the seal and decode one message body. `None` on any damage —
 /// the caller types it as [`WireEvent::Corrupt`].
 fn decode_body(sealed: &[u8]) -> Option<NetMsg> {
-    let mut body = bda_io::frame::open(sealed).ok()?;
+    let mut body = frame::check_trailer(sealed).ok()?;
     if body.remaining() < 1 + 4 + 8 {
         return None;
     }

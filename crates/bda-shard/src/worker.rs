@@ -15,7 +15,7 @@
 //!
 //! ## Cycle split
 //!
-//! [`ShardWorker::run_cycle_publish`] checkpoints (scoped, CRC-guarded, in
+//! [`ShardWorker::run_cycle_publish`] checkpoints (scoped, checksum-sealed, in
 //! the [`bda_io::checkpoint`] format), runs [`Osse::cycle_begin`] on its
 //! strip and publishes the analyzed strip;
 //! [`ShardWorker::run_cycle_collect`] gathers peer strips, steps the

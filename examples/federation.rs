@@ -12,7 +12,7 @@
 //! A [`bda::workflow::ShardSupervisor`] watches per-cycle readiness
 //! records on the bus, injects scheduled `shardkill:S@C` faults as real
 //! SIGKILLs, respawns killed workers (which resume from their own scoped
-//! CRC-guarded checkpoint and replay forward from the halos still spooled
+//! checksum-sealed checkpoint and replay forward from the halos still spooled
 //! on the bus), marks shards dead past the respawn budget, and posts the
 //! federation-wide forecast-only directive on quorum loss.
 //!

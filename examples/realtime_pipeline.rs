@@ -11,7 +11,7 @@
 //! deterministically.
 //!
 //! With `--checkpoint-dir` (or `--resume`) the run switches to the
-//! sequential checkpointed campaign: atomic CRC-checked snapshots are
+//! sequential checkpointed campaign: atomic checksum-sealed snapshots are
 //! written every `--every` cycles, member faults (`nan:M@C`, `blowup:M@C`)
 //! exercise quarantine/respawn, and an injected `crash@C` kills the process
 //! abruptly (exit 137, the `kill -9` stand-in) — re-running the same

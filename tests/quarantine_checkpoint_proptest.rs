@@ -4,7 +4,7 @@
 //!   into the analysis of the surviving quorum — at the LETKF level and
 //!   through the full OSSE cycle (quarantine + respawn);
 //! * campaign checkpoints round-trip exactly, and any truncation or
-//!   bit-flip is rejected by the CRC rather than silently resuming from a
+//!   bit-flip is rejected by the frame checksum rather than silently resuming from a
 //!   corrupt state.
 
 use bda::core::osse::{Osse, OsseConfig};
