@@ -1,12 +1,12 @@
 //! Per-kernel microbenchmarks at realistic LETKF sizes.
 //!
-//! The cycle-level numbers in `BENCH_9.json` attribute wall-clock to
-//! kernel buckets; this harness pins the kernels themselves — batched
-//! eigensolve, blocked HEVI tridiagonal sweep, register-tiled GEMM, the
-//! lane-array dot and the axpy, and the whole per-grid-point transform —
-//! so a regression in any one of them is visible even when cycle-level
-//! noise would hide it. CI's `perf-gate` compares each row against the
-//! committed `BENCH_13_kernels.json`.
+//! `benchmark/` measures the cycle (`T_obs` to ACK, with a per-layer
+//! trace); this harness pins the kernels themselves — batched eigensolve,
+//! blocked HEVI tridiagonal sweep, register-tiled GEMM, the lane-array dot
+//! and the axpy, and the whole per-grid-point transform — so a regression
+//! in any one of them is visible even when cycle-level noise would hide
+//! it. CI's `perf-gate` compares each row against the committed
+//! `BENCH_13_kernels.json`.
 //!
 //! Sizes mirror the reduced OSSE and the paper's LETKF: ensemble sizes
 //! k = 16 (bench fixture), k = 64 and k = 128 (the benchmark's

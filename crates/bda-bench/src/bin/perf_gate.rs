@@ -1,260 +1,241 @@
-//! CI perf gate: fail the build when a freshly measured BENCH file
-//! regresses against the committed baseline.
+//! CI perf gate: fail the build when a freshly measured `kernels` BENCH
+//! file regresses against the committed baseline.
 //!
-//! Compares two BENCH JSON documents of the same bench kind:
+//! `perf_gate --baseline B --fresh F` compares every row's `mean_us` by
+//! name. A row may be at most [`MAX_REGRESSION`] times its baseline when
+//! the two files were measured on hosts with the same core count. When the
+//! core counts differ absolute timings are not comparable: the gate widens
+//! to [`CROSS_HOST_GRACE`] and says so loudly — it then only catches
+//! catastrophic regressions, and the committed baseline should be
+//! refreshed from a same-shape runner.
 //!
-//! * `cycle_scaling` — gates the single-thread `mean_cycle_s` and every
-//!   per-kernel `mean_s_per_cycle` bucket;
-//! * `kernels` — gates every row's `mean_us` by name.
+//! Cycle-level time-to-solution and thread scaling are not gated here:
+//! `benchmark/` measures them against `BENCHMARK.json`.
 //!
-//! The tolerance is `--max-regression` percent (default 10) when the two
-//! files were measured on hosts with the same core count. When the core
-//! counts differ (e.g. a 1-core dev container vs CI's 4-vCPU runner),
-//! absolute timings are not comparable: the gate widens to
-//! `--cross-host-grace` (a multiplicative factor, default 3.0) and says so
-//! loudly — it then only catches catastrophic regressions, and the
-//! committed baseline should be refreshed from a same-shape runner.
-//!
-//! `--require-speedup X --at-threads N` additionally requires the fresh
-//! `cycle_scaling` sweep to reach `X`x speedup at `N` threads; skipped
-//! (with a notice) when the fresh host has fewer than `N` cores, because a
-//! narrow host cannot measure scaling at all.
-//!
-//! Exit status: 0 = pass, 1 = regression or malformed input.
+//! Exit status: 0 = pass; 1 = regression, a baseline row missing from the
+//! fresh run, nothing to gate, or malformed input; 2 = usage error (bad
+//! flags, or a document whose `bench` kind is not `kernels`).
 
 use bda_bench::json::{self, Value};
 
-struct Args {
-    baseline: String,
-    fresh: String,
-    max_regression_pct: f64,
-    cross_host_grace: f64,
-    require_speedup: Option<f64>,
-    at_threads: usize,
+/// The only bench kind with gate rules.
+const GATED_KIND: &str = "kernels";
+/// Same-host-shape limit on `fresh / baseline`: a 10 % regression.
+const MAX_REGRESSION: f64 = 1.10;
+/// Limit when baseline and fresh `host_cores` differ.
+const CROSS_HOST_GRACE: f64 = 3.0;
+
+/// The gate's decision; the discriminant is the process exit status.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Verdict {
+    Pass = 0,
+    Fail = 1,
+    Usage = 2,
 }
 
 /// Flag-parse failure: print and exit 2 (distinct from a perf failure's 1).
 fn usage(msg: &str) -> ! {
     eprintln!("perf_gate: {msg}");
-    std::process::exit(2);
+    std::process::exit(Verdict::Usage as i32);
 }
 
-fn parse_args() -> Args {
-    let mut out = Args {
-        baseline: String::new(),
-        fresh: String::new(),
-        max_regression_pct: 10.0,
-        cross_host_grace: 3.0,
-        require_speedup: None,
-        at_threads: 4,
-    };
+/// `(baseline path, fresh path)`.
+fn parse_args() -> (String, String) {
+    let (mut baseline, mut fresh) = (String::new(), String::new());
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
-        let mut take = |what: &str| {
-            args.next()
-                .unwrap_or_else(|| usage(&format!("{what} takes a value")))
-        };
-        match a.as_str() {
-            "--baseline" => out.baseline = take("--baseline"),
-            "--fresh" => out.fresh = take("--fresh"),
-            "--max-regression" => {
-                out.max_regression_pct = take("--max-regression")
-                    .parse()
-                    .unwrap_or_else(|_| usage("--max-regression takes a percentage"))
-            }
-            "--cross-host-grace" => {
-                out.cross_host_grace = take("--cross-host-grace")
-                    .parse()
-                    .unwrap_or_else(|_| usage("--cross-host-grace takes a factor"))
-            }
-            "--require-speedup" => {
-                out.require_speedup = Some(
-                    take("--require-speedup")
-                        .parse()
-                        .unwrap_or_else(|_| usage("--require-speedup takes a number")),
-                )
-            }
-            "--at-threads" => {
-                out.at_threads = take("--at-threads")
-                    .parse()
-                    .unwrap_or_else(|_| usage("--at-threads takes an integer"))
-            }
+        let slot = match a.as_str() {
+            "--baseline" => &mut baseline,
+            "--fresh" => &mut fresh,
             other => usage(&format!("unknown flag {other}")),
-        }
+        };
+        *slot = args
+            .next()
+            .unwrap_or_else(|| usage(&format!("{a} takes a value")));
     }
-    if out.baseline.is_empty() || out.fresh.is_empty() {
+    if baseline.is_empty() || fresh.is_empty() {
         usage("--baseline and --fresh are both required");
     }
-    out
+    (baseline, fresh)
 }
 
+/// Read and shape-check one BENCH document; a file that is unreadable or
+/// malformed fails the gate.
 fn load(path: &str) -> Value {
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("perf_gate: cannot read {path}: {e}"));
-    let doc = json::parse(&text).unwrap_or_else(|e| panic!("perf_gate: {path}: {e}"));
-    json::validate_bench(&doc).unwrap_or_else(|e| panic!("perf_gate: {path}: bad shape: {e}"));
-    doc
+    std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read: {e}"))
+        .and_then(|text| json::parse(&text))
+        .and_then(|doc| match json::validate_bench(&doc) {
+            Ok(()) => Ok(doc),
+            Err(e) => Err(format!("bad shape: {e}")),
+        })
+        .unwrap_or_else(|e| {
+            eprintln!("perf_gate: FAIL — {path}: {e}");
+            std::process::exit(Verdict::Fail as i32)
+        })
 }
 
-/// The gated metrics of one document: `(label, seconds-like value)`.
-fn gated_metrics(doc: &Value) -> Vec<(String, f64)> {
-    let bench = doc.get("bench").and_then(Value::as_str).unwrap_or("");
-    let mut out = Vec::new();
-    match bench {
-        "cycle_scaling" => {
-            if let Some(results) = doc.get("results").and_then(Value::as_array) {
-                for row in results {
-                    let threads = row.get("threads").and_then(Value::as_f64);
-                    let mean = row.get("mean_cycle_s").and_then(Value::as_f64);
-                    if let (Some(t), Some(m)) = (threads, mean) {
-                        if t == 1.0 {
-                            out.push(("mean_cycle_s@1t".to_string(), m));
-                        }
-                    }
-                }
-            }
-            if let Some(kernels) = doc.get("kernels").and_then(Value::as_array) {
-                for row in kernels {
-                    let name = row.get("name").and_then(Value::as_str);
-                    let mean = row.get("mean_s_per_cycle").and_then(Value::as_f64);
-                    if let (Some(n), Some(m)) = (name, mean) {
-                        out.push((format!("kernel:{n}"), m));
-                    }
-                }
-            }
-        }
-        "kernels" => {
-            if let Some(results) = doc.get("results").and_then(Value::as_array) {
-                for row in results {
-                    let name = row.get("name").and_then(Value::as_str);
-                    let mean = row.get("mean_us").and_then(Value::as_f64);
-                    if let (Some(n), Some(m)) = (name, mean) {
-                        out.push((format!("us:{n}"), m));
-                    }
-                }
-            }
-        }
-        other => {
-            eprintln!("perf_gate: note — bench kind {other:?} has no gated metrics");
-        }
-    }
-    out
+/// The gated rows of one `kernels` document: `(name, mean_us)`.
+fn gated_metrics(doc: &Value) -> Vec<(&str, f64)> {
+    doc.get("results")
+        .and_then(Value::as_array)
+        .into_iter()
+        .flatten()
+        .filter_map(|row| {
+            let name = row.get("name").and_then(Value::as_str)?;
+            let mean = row.get("mean_us").and_then(Value::as_f64)?;
+            Some((name, mean))
+        })
+        .collect()
 }
 
-fn main() {
-    let args = parse_args();
-    let baseline = load(&args.baseline);
-    let fresh = load(&args.fresh);
-
-    let b_kind = baseline.get("bench").and_then(Value::as_str).unwrap_or("");
-    let f_kind = fresh.get("bench").and_then(Value::as_str).unwrap_or("");
-    if b_kind != f_kind {
-        eprintln!("perf_gate: FAIL — bench kinds differ: baseline {b_kind:?}, fresh {f_kind:?}");
-        std::process::exit(1);
+/// Gate `fresh` against `baseline`, appending one line per compared row
+/// (and one per note or failure) to `log`.
+fn compare(baseline: &Value, fresh: &Value, log: &mut Vec<String>) -> Verdict {
+    for (which, doc) in [("baseline", baseline), ("fresh", fresh)] {
+        let kind = doc.get("bench").and_then(Value::as_str).unwrap_or("");
+        if kind != GATED_KIND {
+            log.push(format!(
+                "{which} is a {kind:?} document; only {GATED_KIND:?} is gated"
+            ));
+            return Verdict::Usage;
+        }
     }
 
-    let b_cores = baseline
-        .get("host_cores")
-        .and_then(Value::as_f64)
-        .unwrap_or(0.0);
-    let f_cores = fresh
-        .get("host_cores")
-        .and_then(Value::as_f64)
-        .unwrap_or(0.0);
-    let same_host_shape = b_cores == f_cores;
-    let factor = if same_host_shape {
-        1.0 + args.max_regression_pct / 100.0
+    let cores = |doc: &Value| doc.get("host_cores").and_then(Value::as_f64).unwrap_or(0.0);
+    let (b_cores, f_cores) = (cores(baseline), cores(fresh));
+    let limit = if b_cores == f_cores {
+        MAX_REGRESSION
     } else {
-        eprintln!(
-            "perf_gate: NOTE — baseline measured on {b_cores:.0} core(s), fresh on \
-             {f_cores:.0}; absolute timings are not comparable across host shapes. \
-             Widening the gate to {:.1}x (only catastrophic regressions fail). \
-             Refresh the committed baseline from a {f_cores:.0}-core runner to \
-             restore the tight {:.0}% gate.",
-            args.cross_host_grace, args.max_regression_pct
-        );
-        args.cross_host_grace
+        log.push(format!(
+            "NOTE — baseline measured on {b_cores:.0} core(s), fresh on {f_cores:.0}: timings \
+             are not comparable, limit widened to {CROSS_HOST_GRACE:.1}x. Refresh the \
+             baseline from a {f_cores:.0}-core runner to restore the tight gate."
+        ));
+        CROSS_HOST_GRACE
     };
 
-    let base_metrics = gated_metrics(&baseline);
-    let fresh_metrics = gated_metrics(&fresh);
-    let mut failures = 0usize;
+    let base_metrics = gated_metrics(baseline);
+    let fresh_metrics = gated_metrics(fresh);
+    if base_metrics.is_empty() {
+        log.push("FAIL — baseline has no row with a name and a mean_us: nothing gated".into());
+        return Verdict::Fail;
+    }
 
-    for (label, base_val) in &base_metrics {
-        let Some((_, fresh_val)) = fresh_metrics.iter().find(|(l, _)| l == label) else {
-            eprintln!(
-                "perf_gate: FAIL — metric {label} present in baseline but missing in fresh run"
-            );
+    let mut failures = 0usize;
+    for &(name, base_val) in &base_metrics {
+        let Some(&(_, fresh_val)) = fresh_metrics.iter().find(|(n, _)| *n == name) else {
+            log.push(format!(
+                "FAIL — row {name} present in baseline but missing in fresh run"
+            ));
             failures += 1;
             continue;
         };
-        // Sub-microsecond buckets are dominated by timer quantization.
-        let ratio = if *base_val > 0.0 {
+        let ratio = if base_val > 0.0 {
             fresh_val / base_val
         } else {
             1.0
         };
-        let verdict = if ratio <= factor { "ok" } else { "REGRESSION" };
-        eprintln!(
-            "perf_gate: {label:<28} baseline {base_val:.6}  fresh {fresh_val:.6}  ratio {ratio:.3} (limit {factor:.3})  {verdict}"
-        );
-        if ratio > factor {
-            failures += 1;
-        }
+        let regressed = ratio > limit;
+        let verdict = if regressed { "REGRESSION" } else { "ok" };
+        log.push(format!(
+            "{name:<28} baseline {base_val:.3} us  fresh {fresh_val:.3} us  ratio {ratio:.3} (limit {limit:.3})  {verdict}"
+        ));
+        failures += usize::from(regressed);
     }
-    for (label, _) in &fresh_metrics {
-        if !base_metrics.iter().any(|(l, _)| l == label) {
-            eprintln!("perf_gate: note — new metric {label} (no baseline yet)");
-        }
-    }
-
-    if let Some(min) = args.require_speedup {
-        if f_kind != "cycle_scaling" {
-            eprintln!("perf_gate: note — --require-speedup only applies to cycle_scaling");
-        } else if f_cores < args.at_threads as f64 {
-            eprintln!(
-                "perf_gate: speedup gate skipped — fresh host has {f_cores:.0} core(s), \
-                 cannot measure {} threads",
-                args.at_threads
-            );
-        } else {
-            let speedup = fresh
-                .get("results")
-                .and_then(Value::as_array)
-                .into_iter()
-                .flatten()
-                .find(|row| {
-                    row.get("threads").and_then(Value::as_f64) == Some(args.at_threads as f64)
-                })
-                .and_then(|row| row.get("speedup").and_then(Value::as_f64));
-            match speedup {
-                Some(s) if s >= min => {
-                    eprintln!(
-                        "perf_gate: speedup gate OK ({s:.2}x >= {min}x at {} threads)",
-                        args.at_threads
-                    );
-                }
-                Some(s) => {
-                    eprintln!(
-                        "perf_gate: FAIL — speedup {s:.2}x < required {min}x at {} threads",
-                        args.at_threads
-                    );
-                    failures += 1;
-                }
-                None => {
-                    eprintln!(
-                        "perf_gate: FAIL — fresh sweep has no {}-thread point to gate",
-                        args.at_threads
-                    );
-                    failures += 1;
-                }
-            }
+    for (name, _) in &fresh_metrics {
+        if !base_metrics.iter().any(|(n, _)| n == name) {
+            log.push(format!("note — new row {name} (no baseline yet)"));
         }
     }
 
     if failures > 0 {
-        eprintln!("perf_gate: FAIL — {failures} gated metric(s) regressed");
-        std::process::exit(1);
+        log.push(format!(
+            "FAIL — {failures} gated row(s) regressed or missing"
+        ));
+        return Verdict::Fail;
     }
-    eprintln!("perf_gate: PASS");
+    log.push("PASS".into());
+    Verdict::Pass
+}
+
+fn main() {
+    let (baseline, fresh) = parse_args();
+    let mut log = Vec::new();
+    let verdict = compare(&load(&baseline), &load(&fresh), &mut log);
+    for line in &log {
+        eprintln!("perf_gate: {line}");
+    }
+    std::process::exit(verdict as i32);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn doc(kind: &str, rows: &str) -> Value {
+        let text = format!(r#"{{ "bench": "{kind}", "host_cores": 2, "results": [ {rows} ] }}"#);
+        let doc = json::parse(&text).expect("parse");
+        json::validate_bench(&doc).expect("valid");
+        doc
+    }
+
+    fn run(baseline: &Value, fresh: &Value) -> (Verdict, String) {
+        let mut log = Vec::new();
+        let verdict = compare(baseline, fresh, &mut log);
+        (verdict, log.join("\n"))
+    }
+
+    const BASE: &str =
+        r#"{ "name": "gemm_k64", "mean_us": 100.0 }, { "name": "dot_k64", "mean_us": 2.0 }"#;
+
+    #[test]
+    fn within_tolerance_passes_and_a_regressed_row_fails() {
+        let base = doc("kernels", BASE);
+        let ok = doc(
+            "kernels",
+            r#"{ "name": "gemm_k64", "mean_us": 109.0 }, { "name": "dot_k64", "mean_us": 1.5 }"#,
+        );
+        let (verdict, log) = run(&base, &ok);
+        assert_eq!(verdict, Verdict::Pass, "{log}");
+        assert_eq!(log.matches("  ok").count(), 2, "{log}");
+
+        let slow = doc(
+            "kernels",
+            r#"{ "name": "gemm_k64", "mean_us": 111.0 }, { "name": "dot_k64", "mean_us": 2.0 }"#,
+        );
+        let (verdict, log) = run(&base, &slow);
+        assert_eq!(verdict, Verdict::Fail, "{log}");
+        assert_eq!(log.matches("REGRESSION").count(), 1, "{log}");
+    }
+
+    #[test]
+    fn a_baseline_row_missing_from_the_fresh_run_fails() {
+        let base = doc("kernels", BASE);
+        let fresh = doc("kernels", r#"{ "name": "gemm_k64", "mean_us": 100.0 }"#);
+        let (verdict, log) = run(&base, &fresh);
+        assert_eq!(verdict, Verdict::Fail, "{log}");
+        assert!(
+            log.contains("dot_k64 present in baseline but missing"),
+            "{log}"
+        );
+    }
+
+    #[test]
+    fn a_kind_without_gate_rules_is_a_usage_error_not_a_pass() {
+        let row = r#"{ "transport": "socket", "strip_len": 256, "mean_ms": 0.132 }"#;
+        let halo = doc("halo_rtt", row);
+        assert_eq!(run(&halo, &halo).0, Verdict::Usage);
+        let kernels = doc("kernels", BASE);
+        assert_eq!(run(&kernels, &halo).0, Verdict::Usage);
+        assert_eq!(run(&halo, &kernels).0, Verdict::Usage);
+    }
+
+    #[test]
+    fn an_empty_gated_set_fails() {
+        let unnamed = doc("kernels", r#"{ "threads": 1, "mean_cycle_s": 1.37 }"#);
+        let (verdict, log) = run(&unnamed, &unnamed);
+        assert_eq!(verdict, Verdict::Fail, "{log}");
+        assert!(log.contains("nothing gated"), "{log}");
+    }
 }

@@ -162,6 +162,10 @@ struct FileScope {
     /// silently as a truncated index corrupts a weight), and the backoff
     /// helper whose jitter math crosses float/integer nanoseconds.
     kernel: bool,
+    /// The deterministic science crates. Telemetry belongs to the shell
+    /// crates around them, so here the `allow(wallclock)` marker is itself
+    /// a finding and suppresses nothing.
+    clockless: bool,
     /// `vendor/rayon/src`, where the pool-facade rule applies.
     rayon_src: bool,
     /// A sync facade module — the one allowed home of `std::sync` within
@@ -198,6 +202,16 @@ fn classify(rel: &str) -> FileScope {
             || rel.starts_with("crates/bda-serve/src/")
             || rel.starts_with("crates/bda-shard/src/")
             || rel == "crates/bda-workflow/src/backoff.rs",
+        clockless: [
+            "crates/bda-num/src/",
+            "crates/bda-grid/src/",
+            "crates/bda-scale/src/",
+            "crates/bda-letkf/src/",
+            "crates/bda-pawr/src/",
+            "crates/bda-verify/src/",
+        ]
+        .iter()
+        .any(|p| rel.starts_with(p)),
         rayon_src: rel.starts_with("vendor/rayon/src/"),
         facade: rel == "vendor/rayon/src/facade.rs" || rel == "crates/bda-shard/src/facade.rs",
         fence_protocol: rel == "crates/bda-shard/src/fence.rs",
@@ -389,7 +403,19 @@ fn analyze_one(rel: &str, src: &str) -> FileAnalysis {
     let mut hot_lines: Vec<bool> = vec![false; raw_lines.len() + 2];
     let mut early_findings = Vec::new();
     for (idx, comment) in comment_lines.iter().enumerate() {
-        let (allowed, unknown) = parse_allows(comment);
+        let (mut allowed, unknown) = parse_allows(comment);
+        if scope.clockless && allowed.contains(&RULE_WALLCLOCK) {
+            allowed.retain(|r| *r != RULE_WALLCLOCK);
+            early_findings.push(Finding {
+                file: rel.to_string(),
+                line: idx + 1,
+                rule: RULE_WALLCLOCK,
+                message: "`allow(wallclock)` in a deterministic science crate: kernels read no \
+                          clock — time the call from the shell crate that makes it"
+                    .to_string(),
+                snippet: raw_lines.get(idx).map_or("", |r| r.trim()).to_string(),
+            });
+        }
         for name in unknown {
             early_findings.push(Finding {
                 file: rel.to_string(),

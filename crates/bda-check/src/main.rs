@@ -30,7 +30,9 @@ parser-backed rules also honor a marker on a `fn` line, covering its body):
     lossy_cast          no lossy `as` casts in the bda-num/bda-letkf
                         kernels or the bda-serve/bda-shard wire codecs
     wallclock           no Instant::now/SystemTime::now/thread_rng in
-                        deterministic cycle paths
+                        deterministic cycle paths; in the science crates
+                        (num/grid/scale/letkf/pawr/verify) the allow
+                        marker is itself a finding
     pool_facade         sync primitives only via the local facade module
                         (vendor/rayon, bda-shard fence protocol)
     hot_alloc           no vec!/Vec::new/collect/clone/Box::new/format!/...

@@ -9,7 +9,7 @@ pub fn hit_system_time() -> std::time::SystemTime {
 }
 
 pub fn allowed_telemetry() -> std::time::Instant {
-    std::time::Instant::now() // bda-check: allow(wallclock) — fixture: telemetry column
+    std::time::Instant::now() // bda-check: allow(wallclock) — fixture: telemetry column (line 12)
 }
 
 #[cfg(test)]

@@ -78,6 +78,12 @@ fn lossy_cast_rule_is_kernel_scoped() {
 fn wallclock_rule_hits_and_telemetry_allow() {
     let src = include_str!("fixtures/wallclock.rs");
     assert_eq!(lines_for(LIB_PATH, src, "wallclock"), vec![4, 8]);
+    // In a science crate the telemetry marker is a finding of its own and
+    // suppresses nothing: line 12 reports the marker and the clock read.
+    assert_eq!(
+        lines_for("crates/bda-scale/src/fixture.rs", src, "wallclock"),
+        vec![4, 8, 12, 12]
+    );
 }
 
 #[test]

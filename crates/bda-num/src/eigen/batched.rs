@@ -21,7 +21,6 @@
 use super::{sort_ascending_with, QlEigen, SymEigDecomp, SymEigSolver};
 use crate::matrix::MatrixS;
 use crate::real::Real;
-use crate::timing;
 
 /// Workspace-reusing batched symmetric eigensolver.
 #[derive(Clone, Debug, Default)]
@@ -59,7 +58,6 @@ impl<T: Real> BatchedEigen<T> {
     /// in-place transposition later the QL rotations, and the final sort,
     /// act on whole rows of Q^T.
     pub fn decompose_in_place(&mut self, a: &MatrixS<T>) {
-        let _t = timing::guard(timing::Kernel::Eigensolve);
         let n = a.n();
         debug_assert!(a.is_symmetric(T::of(1e-4)), "QL requires symmetry");
         for v in [&mut self.d, &mut self.e, &mut self.g] {

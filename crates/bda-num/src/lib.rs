@@ -17,9 +17,6 @@
 //!   reusing execution (standing in for KeDV, Kudo & Imamura 2019).
 //! * [`stats`] — mean/variance/percentile/histogram helpers used by the
 //!   verification and workflow-statistics layers.
-//! * [`timing`] — opt-in per-kernel wall-clock attribution (eigensolve /
-//!   tridiag / microphysics / obs-operator) feeding the bench suite's
-//!   BENCH JSON breakdown; a disabled timer is one relaxed atomic load.
 //! * [`rng`] — a tiny deterministic SplitMix64 generator with Box–Muller
 //!   Gaussian sampling, generic over [`Real`], so ensemble perturbations are
 //!   reproducible without threading an external RNG through every crate.
@@ -31,7 +28,6 @@ pub mod matrix;
 pub mod real;
 pub mod rng;
 pub mod stats;
-pub mod timing;
 pub mod tridiag;
 
 pub use eigen::{BatchedEigen, JacobiEigen, QlEigen, SymEigDecomp, SymEigSolver};

@@ -124,7 +124,6 @@ pub fn ensemble_equivalents<T: Real>(
     radar: &RadarConfig,
     floor_dbz: f64,
 ) -> Vec<Vec<T>> {
-    let _timer = bda_num::timing::guard(bda_num::timing::Kernel::ObsOperator);
     members
         .par_iter()
         .map(|state| member_equivalents(obs, state, base, grid, radar, floor_dbz))

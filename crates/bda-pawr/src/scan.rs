@@ -47,7 +47,6 @@ impl PawrSimulator {
         time: f64,
         seed: u64,
     ) -> ScanResult<T> {
-        let _timer = bda_num::timing::guard(bda_num::timing::Kernel::ObsOperator);
         let mut rng = SplitMix64::new(seed).split(time.to_bits());
         let mut obs = Vec::new();
         let mut n_reflectivity = 0;

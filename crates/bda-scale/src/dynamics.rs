@@ -21,7 +21,6 @@ use crate::config::ModelConfig;
 use crate::constants::{CP, GRAV};
 use crate::state::ModelState;
 use bda_grid::Field3;
-use bda_num::timing::{self, Kernel};
 use bda_num::tridiag::ThomasFactor;
 use bda_num::Real;
 
@@ -248,7 +247,6 @@ pub fn step_dynamics<T: Real>(
     // swept as one `[level][j]` block: the forward/backward substitution
     // inner loop is then unit-stride across `j` (SIMD across columns),
     // while staying bit-identical to a column-at-a-time solve.
-    let _timer = timing::guard(Kernel::Tridiag);
     let n_solve = nz - 1; // unknowns w[1..nz-1]
     let nyu = g.ny;
     if n_solve > 0 {

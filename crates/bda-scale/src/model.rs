@@ -267,7 +267,6 @@ impl<T: Real> Model<T> {
                 }
 
                 if self.cfg.physics.microphysics {
-                    let _timer = bda_num::timing::guard(bda_num::timing::Kernel::Microphysics);
                     let mut col = ColumnView {
                         theta: self.state.theta.column_mut(ii, jj),
                         pi: self.state.pi.column(ii, jj),

@@ -190,7 +190,8 @@ struct Shared {
     last_heard: Vec<Mutex<Option<Instant>>>,
     links: Vec<Mutex<Link>>,
     stats: Mutex<NetStats>,
-    /// Reader threads spawned per accepted/dialed connection.
+    /// Reader threads spawned per accepted/dialed connection and not yet
+    /// joined; [`adopt_reader`] keeps it to the connections still open.
     readers: Mutex<Vec<JoinHandle<()>>>,
 }
 
@@ -284,6 +285,13 @@ impl NetBus {
     /// replay — at most [`INBOX_KEEP_CYCLES`] + 1.
     pub fn history_len(&self) -> usize {
         self.shared.history.lock().len()
+    }
+
+    /// How many connection reader threads this bus holds unjoined — two
+    /// per connected peer (one accepted, one reading a dial's replies),
+    /// however often the links have flapped.
+    pub fn reader_threads(&self) -> usize {
+        self.shared.readers.lock().len()
     }
 
     /// Whether `shard` is alive but visibly *behind* `cycle` — beacons
@@ -386,7 +394,7 @@ fn accept_loop(shared: Arc<Shared>, listener: TcpListener) {
                 let _ = stream.set_nodelay(true);
                 let conn_shared = Arc::clone(&shared);
                 let handle = std::thread::spawn(move || reader_loop(conn_shared, stream));
-                shared.readers.lock().push(handle);
+                adopt_reader(&shared, handle);
             }
             Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(2));
@@ -394,6 +402,23 @@ fn accept_loop(shared: Arc<Shared>, listener: TcpListener) {
             Err(_) => std::thread::sleep(Duration::from_millis(2)),
         }
     }
+}
+
+/// Hold a new connection's reader thread for `Drop` to join, first
+/// joining the readers whose connection has already closed: a terminated
+/// thread keeps its stack mapped until joined, and a flapping link would
+/// otherwise leave one behind per reconnect for the life of the bus.
+fn adopt_reader(shared: &Shared, handle: JoinHandle<()>) {
+    let mut readers = shared.readers.lock();
+    let mut i = 0;
+    while i < readers.len() {
+        if readers[i].is_finished() {
+            let _ = readers.swap_remove(i).join();
+        } else {
+            i += 1;
+        }
+    }
+    readers.push(handle);
 }
 
 /// Drain one connection: parse `BDAN` messages, fence epochs, slot halos,
@@ -546,7 +571,7 @@ fn try_dial(shared: &Arc<Shared>, peer: usize, link: &mut Link) -> bool {
     if let Ok(reply_stream) = stream.try_clone() {
         let conn_shared = Arc::clone(shared);
         let handle = std::thread::spawn(move || reader_loop(conn_shared, reply_stream));
-        shared.readers.lock().push(handle);
+        adopt_reader(shared, handle);
     }
     let mut stream = stream;
     if stream.write_all(&hello).is_err() {

@@ -264,6 +264,57 @@ fn replay_history_is_bounded_to_the_inbox_window() {
 }
 
 #[test]
+fn reader_threads_of_closed_connections_are_reaped_on_reconnect() {
+    // One long-lived bus, one peer that restarts over and over (the
+    // flapping link of a month-long run). Every generation costs the
+    // survivor two reader threads — one for the peer's dial, one for the
+    // replies to its own — and the previous generation's have returned
+    // by the time the new ones are adopted, so the held count stays at
+    // two instead of growing by the restart count.
+    const RESTARTS: u64 = 16;
+    let dir = tmp_dir("reap");
+    let _ = std::fs::remove_dir_all(&dir);
+    let a = bus(&dir, 0);
+    for generation in 0..RESTARTS {
+        let b = bus(&dir, 1);
+        assert_eq!(b.epoch(), generation + 1);
+        a.publish(&strip(0, generation)).unwrap();
+        assert!(matches!(
+            b.collect_blocking::<f32>(
+                generation,
+                0,
+                Duration::from_secs(3),
+                Duration::from_millis(5)
+            ),
+            CollectStatus::Ready(_)
+        ));
+        b.publish(&strip(1, generation)).unwrap();
+        assert!(matches!(
+            a.collect_blocking::<f32>(
+                generation,
+                1,
+                Duration::from_secs(3),
+                Duration::from_millis(5)
+            ),
+            CollectStatus::Ready(_)
+        ));
+        // Both directions are up: `a` has accepted this generation's dial
+        // and re-dialed the new listener.
+        assert!(wait_until(Duration::from_secs(3), || a.stats().connects > generation));
+        assert!(
+            a.reader_threads() <= 2,
+            "generation {generation}: {} reader threads held for one peer",
+            a.reader_threads()
+        );
+        drop(b);
+    }
+    assert!(a.stats().reconnects >= RESTARTS - 1);
+
+    drop(a);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn a_lagging_peer_extends_the_collect_deadline() {
     // Shard 0 publishes cycle 0 and *stays there*, heartbeating, while
     // shard 1 collects cycle 1 under a deadline shorter than shard 0's
