@@ -30,10 +30,8 @@
 
 pub mod osse;
 pub mod products;
-pub mod resume;
 pub mod sensitivity;
 pub mod systems;
 
 pub use osse::{CycleOutcome, Osse, OsseConfig, PendingCycle};
-pub use resume::OsseCampaign;
 pub use systems::{OperationalSystem, TABLE1};

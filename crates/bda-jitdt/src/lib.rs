@@ -5,16 +5,13 @@
 //! processes on Fugaku over SINET in ~3 seconds, with automatic monitoring
 //! and restart on abnormal delays (paper §5).
 //!
-//! This crate reproduces the three observable behaviours:
+//! This crate reproduces its observable behaviours:
 //!
 //! * [`link::LinkModel`] — a bandwidth/latency/jitter/stall model of the
 //!   SINET path, calibrated so a 100 MB volume takes ~3 s.
 //! * [`transfer::JitDt`] — chunked transfer with a stall watchdog and
 //!   automatic restart (the fail-safe of §5), producing per-transfer timing
 //!   used by the workflow's time-to-solution accounting.
-//! * [`watcher::FileWatcher`] — new-file detection, the trigger mechanism
-//!   ("JIT-DT monitors the new data file creation and transfers it
-//!   immediately").
 //! * [`pipe`] — a real in-process byte pipe (crossbeam channel) used
 //!   by the live end-to-end pipeline example to actually move encoded scan
 //!   volumes between threads with integrity checking.
@@ -26,9 +23,7 @@
 pub mod link;
 pub mod pipe;
 pub mod sequence;
-pub mod stats;
 pub mod transfer;
-pub mod watcher;
 
 /// The byte-buffer type flowing through [`pipe`] — re-exported so pipeline
 /// code can name it without depending on the `bytes` crate directly.
@@ -38,6 +33,4 @@ pub use sequence::{
     sequenced_pipe, DeliveryDrop, DeliveryError, SeqClass, SeqTracker, SequencedReceiver,
     SequencedSender, SequencedVolume,
 };
-pub use stats::TransferStats;
 pub use transfer::{JitDt, TransferOutcome};
-pub use watcher::FileWatcher;

@@ -1,6 +1,11 @@
 //! One federation shard: an OSSE replica that analyzes only its own
 //! x-strip and assembles the rest of the domain from peer halos.
 //!
+//! It is the one checkpointed `Osse` campaign driver: a single-process
+//! run that must survive `kill -9` is a one-shard worker (S = 1, its strip
+//! the whole domain), so when a campaign snapshots, what the snapshot's log
+//! holds and how it resumes are decided here and nowhere else.
+//!
 //! ## Parity mechanics
 //!
 //! Every shard runs the *full* truth integration and ensemble forecast (a
@@ -16,8 +21,9 @@
 //! ## Cycle split
 //!
 //! [`ShardWorker::run_cycle_publish`] checkpoints (scoped, checksum-sealed, in
-//! the [`bda_io::checkpoint`] format), runs [`Osse::cycle_begin`] on its
-//! strip and publishes the analyzed strip;
+//! the [`bda_io::checkpoint`] format), applies the plan's member faults
+//! (`nan:M@C`, `blowup:M@C`), runs [`Osse::cycle_begin`] on its strip and
+//! publishes the analyzed strip;
 //! [`ShardWorker::run_cycle_collect`] gathers peer strips, steps the
 //! degradation ladder for anything missing, and finishes the cycle. The
 //! ladder, in order:
@@ -130,9 +136,12 @@ pub struct ShardWorker<T: Real, B: HaloTransport = HaloBus> {
 impl<T: Real, B: HaloTransport> ShardWorker<T, B> {
     /// Build the worker on `bus` and either resume from the newest valid
     /// scoped checkpoint or start fresh (spinning up the system). Returns
-    /// `true` when a checkpoint was resumed.
+    /// `true` when a checkpoint was resumed. A fault plan naming a member
+    /// or shard that does not exist is refused here, before any cycle runs.
     pub fn start_or_resume_on(cfg: ShardConfig, bus: B) -> Result<(Self, bool), String> {
         assert!(cfg.shard < cfg.n_shards, "shard index out of range");
+        cfg.plan
+            .check_targets(cfg.osse.letkf.ensemble_size, cfg.n_shards)?;
         let mut osse = Osse::<T>::new(cfg.osse.clone());
         let slayout = ShardLayout::new(&osse.layout().clone(), cfg.n_shards);
         let scope = ShardConfig::scope_tag(cfg.shard);
@@ -185,8 +194,9 @@ impl<T: Real, B: HaloTransport> ShardWorker<T, B> {
         &self.slayout
     }
 
-    /// First half of cycle `cycle`: checkpoint (scoped), run the strip
-    /// analysis, publish the halo (or the fault-scheduled marker).
+    /// First half of cycle `cycle`: checkpoint (scoped), poison the
+    /// scheduled members, run the strip analysis, publish the halo (or the
+    /// fault-scheduled marker).
     pub fn run_cycle_publish(&mut self, cycle: u64) -> Result<PendingPublish<T>, String> {
         let every = cast::u64_of(self.cfg.checkpoint_every.max(1));
         if cycle.is_multiple_of(every) {
@@ -202,6 +212,18 @@ impl<T: Real, B: HaloTransport> ShardWorker<T, B> {
                 .map_err(|e| format!("checkpoint: {e}"))?;
         }
 
+        // Member faults land after the checkpoint, so a snapshot never
+        // holds a poisoned member and a replay re-injects it. Every shard
+        // poisons the same member of its full replica, so the replicas
+        // quarantine and respawn in step.
+        let c = cast::index_of_u64(cycle);
+        for m in self.cfg.plan.args(c, Fault::MemberNan) {
+            self.osse.ensemble.inject_nan(m);
+        }
+        for m in self.cfg.plan.args(c, Fault::MemberBlowUp) {
+            self.osse.ensemble.inject_blowup(m);
+        }
+
         let forecast_only = self
             .bus
             .forecast_only_from()
@@ -214,7 +236,6 @@ impl<T: Real, B: HaloTransport> ShardWorker<T, B> {
         let pending = self.osse.cycle_begin(Some(region));
         let flats = self.osse.analyzed_flats();
 
-        let c = cast::index_of_u64(cycle);
         let shard = self.cfg.shard;
         let scheduled = |fault| self.cfg.plan.args(c, fault).any(|s| s == shard);
         let frame = if scheduled(Fault::ShardStall) {
@@ -373,8 +394,8 @@ impl<T: Real, B: HaloTransport> ShardWorker<T, B> {
         Ok(())
     }
 
-    /// The campaign-log table (same renderer as
-    /// `bda_workflow::campaign::ResumableRun::table`).
+    /// The campaign-log table, rendered by
+    /// [`bda_workflow::campaign::outcome_table`] like every other one.
     pub fn table(&self) -> String {
         outcome_table(&self.records)
     }

@@ -1,21 +1,17 @@
-//! Month-long campaign simulation — regenerates Fig. 5 — plus the
-//! checkpointed cycling campaign ([`ResumableCampaign`]) that survives
-//! `kill -9` and resumes bit-for-bit from the last valid snapshot.
+//! Month-long campaign simulation — regenerates Fig. 5 — plus the one
+//! renderer of a checkpointed campaign's outcome log ([`outcome_table`]).
+//! The checkpointed driver itself is `bda-shard`'s shard worker; a single
+//! process is its one-shard case.
 
-use crate::fault::{Fault, FaultPlan};
 use crate::nodes::NodeAllocation;
 use crate::outage::OutageSchedule;
 use crate::perfmodel::{PerfModel, TimeToSolution};
 use crate::raintrace::RainTrace;
-use bda_io::checkpoint::{
-    latest_checkpoint, read_checkpoint, write_checkpoint, CampaignSnapshot, CheckpointError,
-    OutcomeRecord,
-};
+use bda_io::checkpoint::OutcomeRecord;
 use bda_num::stats::Histogram;
-use bda_num::{Real, SplitMix64};
+use bda_num::SplitMix64;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
-use std::path::PathBuf;
 
 /// One exclusive-access period (Fig. 5a: Olympics, 5b: Paralympics).
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -279,64 +275,11 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignResult {
     CampaignResult { periods }
 }
 
-/// The application side of a checkpointed cycling campaign: the campaign
-/// driver owns the loop, the cadence, and the snapshot files; the app owns
-/// the actual state (ensemble, RNG streams, clocks) and how one cycle runs.
-///
-/// The contract that makes `kill -9` + resume bit-for-bit exact:
-/// `snapshot` must capture *everything* `run_cycle` reads or mutates, and
-/// `restore(snapshot(..))` must be an identity on that state. Outcome
-/// records must be deterministic (no wall-clock, no unseeded randomness).
-pub trait CycleApp<T: Real> {
-    /// Execute cycle `cycle` and report its deterministic outcome.
-    fn run_cycle(&mut self, cycle: usize) -> OutcomeRecord;
-    /// Capture the full campaign state; the driver fills in `next_cycle`
-    /// and the outcome log around this call, so the app only needs its own
-    /// state (members, RNG streams, clocks).
-    fn snapshot(&self) -> CampaignSnapshot<T>;
-    /// Restore the state captured by [`CycleApp::snapshot`].
-    fn restore(&mut self, snap: &CampaignSnapshot<T>);
-}
-
-/// How a [`ResumableCampaign`] run ended.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum CampaignTermination {
-    /// All cycles ran.
-    Completed,
-    /// An injected [`Fault::Crash`] killed the process at the
-    /// start of this cycle — before any checkpoint for it was taken, so a
-    /// resume replays from the last snapshot.
-    Crashed { at_cycle: usize },
-}
-
-/// Outcome of one (possibly resumed, possibly crashed) campaign run.
-#[derive(Clone, Debug)]
-pub struct ResumableRun {
-    /// First cycle executed by *this* process (0 on a fresh start).
-    pub start_cycle: usize,
-    /// Whether state was restored from a checkpoint.
-    pub resumed_from: Option<PathBuf>,
-    /// Outcome log covering every cycle from 0 — pre-crash records come
-    /// from the restored snapshot, the rest from this run.
-    pub outcomes: Vec<OutcomeRecord>,
-    pub termination: CampaignTermination,
-    /// Snapshots written by this run.
-    pub checkpoints_written: usize,
-}
-
-impl ResumableRun {
-    /// Deterministic per-cycle outcome table — deliberately timing-free so
-    /// an interrupted-and-resumed campaign can be diffed byte-for-byte
-    /// against an uninterrupted one.
-    pub fn table(&self) -> String {
-        outcome_table(&self.outcomes)
-    }
-}
-
-/// Render an outcome-record log as the campaign table. Every driver that
-/// keeps such a log (this module's [`ResumableCampaign`], the shard
-/// workers of `bda-shard`) prints it through here, so their tables diff
-/// byte-for-byte.
+/// Render an outcome-record log as the campaign table — deliberately
+/// timing-free, so an interrupted-and-resumed campaign diffs byte-for-byte
+/// against an uninterrupted one. The checkpointed campaign driver (the
+/// shard worker of `bda-shard`, a single process being its one-shard case)
+/// and the parity audits all print through here.
 pub fn outcome_table(records: &[OutcomeRecord]) -> String {
     let mut out = String::from("cycle  outcome    retries  detail\n");
     for o in records {
@@ -353,127 +296,6 @@ pub fn outcome_table(records: &[OutcomeRecord]) -> String {
         records.len() - completed,
     ));
     out
-}
-
-/// Sequential checkpointed campaign driver.
-///
-/// Unlike the overlapped three-thread live pipeline, cycles run strictly in
-/// order so every checkpoint lands on a clean cycle boundary: snapshot the
-/// state *before* cycle `c`, then run `c`. An injected crash fires before
-/// the cycle's checkpoint, so resuming replays from the last snapshot and —
-/// because the snapshot carries the RNG streams — reproduces the exact same
-/// trajectory the uninterrupted run would have taken.
-#[derive(Clone, Debug, Default)]
-pub struct ResumableCampaign {
-    /// Total cycles in the campaign.
-    pub n_cycles: usize,
-    /// Snapshot directory; `None` disables checkpointing (and resume).
-    pub checkpoint_dir: Option<PathBuf>,
-    /// Snapshot cadence in cycles (min 1). A snapshot is taken before every
-    /// cycle whose index is a multiple of this, plus a final one at the end.
-    pub checkpoint_every: usize,
-    /// Deterministic fault schedule (member faults are the app's
-    /// business; the driver handles [`Fault::Crash`]).
-    pub faults: FaultPlan,
-}
-
-impl ResumableCampaign {
-    pub fn new(n_cycles: usize) -> Self {
-        Self {
-            n_cycles,
-            checkpoint_dir: None,
-            checkpoint_every: 1,
-            faults: FaultPlan::none(),
-        }
-    }
-
-    fn snapshot_of<T: Real, A: CycleApp<T>>(
-        app: &A,
-        next_cycle: usize,
-        outcomes: &[OutcomeRecord],
-    ) -> CampaignSnapshot<T> {
-        let mut snap = app.snapshot();
-        snap.next_cycle = next_cycle as u64;
-        snap.outcomes = outcomes.to_vec();
-        snap
-    }
-
-    /// Run from the newest valid checkpoint if one exists (fresh start
-    /// otherwise). Crash faults only fire on a fresh start: the resumed
-    /// process *is* the restart after the kill, and re-killing it would
-    /// loop forever.
-    pub fn run<T: Real, A: CycleApp<T>>(
-        &self,
-        app: &mut A,
-    ) -> Result<ResumableRun, CheckpointError> {
-        let restored = match &self.checkpoint_dir {
-            Some(dir) => latest_checkpoint::<T>(dir)?,
-            None => None,
-        };
-        self.run_inner(app, restored)
-    }
-
-    /// Run resuming from one specific checkpoint file (the `--resume`
-    /// flag). Fails if the file is missing or corrupt rather than silently
-    /// starting over.
-    pub fn resume<T: Real, A: CycleApp<T>>(
-        &self,
-        app: &mut A,
-        path: &std::path::Path,
-    ) -> Result<ResumableRun, CheckpointError> {
-        let snap = read_checkpoint::<T>(path)?;
-        self.run_inner(app, Some((path.to_path_buf(), snap)))
-    }
-
-    fn run_inner<T: Real, A: CycleApp<T>>(
-        &self,
-        app: &mut A,
-        restored: Option<(PathBuf, CampaignSnapshot<T>)>,
-    ) -> Result<ResumableRun, CheckpointError> {
-        let every = self.checkpoint_every.max(1);
-        let (start_cycle, resumed_from, mut outcomes) = match restored {
-            Some((path, snap)) => {
-                let start = snap.next_cycle as usize;
-                let outcomes = snap.outcomes.clone();
-                app.restore(&snap);
-                (start, Some(path), outcomes)
-            }
-            None => (0, None, Vec::new()),
-        };
-        // Replayed cycles (possible when a crash predates the last
-        // checkpoint's cadence) would duplicate records otherwise.
-        outcomes.retain(|o| (o.cycle as usize) < start_cycle);
-        let mut checkpoints_written = 0usize;
-        for cycle in start_cycle..self.n_cycles {
-            if resumed_from.is_none() && self.faults.has(cycle, Fault::Crash) {
-                return Ok(ResumableRun {
-                    start_cycle,
-                    resumed_from,
-                    outcomes,
-                    termination: CampaignTermination::Crashed { at_cycle: cycle },
-                    checkpoints_written,
-                });
-            }
-            if let Some(dir) = &self.checkpoint_dir {
-                if cycle % every == 0 {
-                    write_checkpoint(dir, &Self::snapshot_of(app, cycle, &outcomes))?;
-                    checkpoints_written += 1;
-                }
-            }
-            outcomes.push(app.run_cycle(cycle));
-        }
-        if let Some(dir) = &self.checkpoint_dir {
-            write_checkpoint(dir, &Self::snapshot_of(app, self.n_cycles, &outcomes))?;
-            checkpoints_written += 1;
-        }
-        Ok(ResumableRun {
-            start_cycle,
-            resumed_from,
-            outcomes,
-            termination: CampaignTermination::Completed,
-            checkpoints_written,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -602,134 +424,5 @@ mod tests {
         let cfg = CampaignConfig::short(3.0, 11);
         let r = run_campaign(&cfg);
         assert!((r.net_uptime() - r.total_forecasts() as f64 * 30.0).abs() < 1e-9);
-    }
-
-    /// Minimal stateful app: an RNG-driven random walk whose trajectory is
-    /// exquisitely sensitive to the RNG stream position — if resume does
-    /// not restore state bit-for-bit, the outcome details diverge.
-    struct ToyApp {
-        state: Vec<f64>,
-        rng: SplitMix64,
-        time: f64,
-    }
-
-    impl ToyApp {
-        fn new(seed: u64) -> Self {
-            Self {
-                state: vec![0.0; 4],
-                rng: SplitMix64::new(seed),
-                time: 0.0,
-            }
-        }
-    }
-
-    impl CycleApp<f64> for ToyApp {
-        fn run_cycle(&mut self, cycle: usize) -> OutcomeRecord {
-            for v in &mut self.state {
-                *v += self.rng.next_uniform() - 0.5;
-            }
-            self.time += 30.0;
-            let sum: f64 = self.state.iter().sum();
-            OutcomeRecord {
-                cycle: cycle as u64,
-                label: "completed".into(),
-                detail: format!("sum {sum:.12}"),
-                retries: 0,
-            }
-        }
-
-        fn snapshot(&self) -> CampaignSnapshot<f64> {
-            CampaignSnapshot {
-                next_cycle: 0,
-                time: self.time,
-                rng_states: vec![self.rng.state()],
-                members: vec![self.state.clone()],
-                member_times: vec![self.time],
-                outcomes: Vec::new(),
-            }
-        }
-
-        fn restore(&mut self, snap: &CampaignSnapshot<f64>) {
-            self.state = snap.members[0].clone();
-            self.rng = SplitMix64::from_state(snap.rng_states[0]);
-            self.time = snap.time;
-        }
-    }
-
-    fn tmp_ckpt_dir(tag: &str) -> PathBuf {
-        std::env::temp_dir().join(format!("bda-resume-{tag}-{}", std::process::id()))
-    }
-
-    #[test]
-    fn uncheckpointed_campaign_runs_all_cycles() {
-        let mut app = ToyApp::new(5);
-        let run = ResumableCampaign::new(6).run(&mut app).unwrap();
-        assert_eq!(run.termination, CampaignTermination::Completed);
-        assert_eq!(run.outcomes.len(), 6);
-        assert_eq!(run.checkpoints_written, 0);
-        assert!(run.resumed_from.is_none());
-        assert!(run.table().contains("6 cycles: 6 completed"));
-    }
-
-    #[test]
-    fn crash_then_resume_matches_uninterrupted_run() {
-        let dir = tmp_ckpt_dir("crash");
-        let _ = std::fs::remove_dir_all(&dir);
-
-        // Reference: uninterrupted campaign.
-        let mut ref_app = ToyApp::new(99);
-        let reference = ResumableCampaign::new(8).run(&mut ref_app).unwrap();
-
-        // Interrupted: crash at cycle 5, checkpoint every 2 cycles.
-        let campaign = ResumableCampaign {
-            n_cycles: 8,
-            checkpoint_dir: Some(dir.clone()),
-            checkpoint_every: 2,
-            faults: FaultPlan::none().with(5, Fault::Crash, &[]),
-        };
-        let mut app = ToyApp::new(99);
-        let first = campaign.run(&mut app).unwrap();
-        assert_eq!(
-            first.termination,
-            CampaignTermination::Crashed { at_cycle: 5 }
-        );
-        assert_eq!(first.outcomes.len(), 5);
-
-        // "Restart the process": a fresh app resumes from the newest
-        // checkpoint (cycle 4) and replays 4..8.
-        let mut app2 = ToyApp::new(12345); // seed irrelevant: restore overwrites
-        let second = campaign.run(&mut app2).unwrap();
-        assert_eq!(second.termination, CampaignTermination::Completed);
-        assert_eq!(second.start_cycle, 4);
-        assert!(second.resumed_from.is_some());
-
-        // Bit-for-bit: outcome tables and final states identical.
-        assert_eq!(second.table(), reference.table());
-        assert_eq!(app2.state, ref_app.state);
-        assert_eq!(app2.rng.state(), ref_app.rng.state());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn resume_from_explicit_path_and_reject_corrupt() {
-        let dir = tmp_ckpt_dir("explicit");
-        let _ = std::fs::remove_dir_all(&dir);
-        let campaign = ResumableCampaign {
-            n_cycles: 4,
-            checkpoint_dir: Some(dir.clone()),
-            checkpoint_every: 1,
-            faults: FaultPlan::none(),
-        };
-        let mut app = ToyApp::new(7);
-        campaign.run(&mut app).unwrap();
-        let path = dir.join(bda_io::checkpoint::checkpoint_file_name(2));
-        let mut app2 = ToyApp::new(7);
-        let run = campaign.resume(&mut app2, &path).unwrap();
-        assert_eq!(run.start_cycle, 2);
-        assert_eq!(app2.state, app.state);
-        // Corrupt file: resume must fail loudly, not restart silently.
-        std::fs::write(&path, b"junk").unwrap();
-        assert!(campaign.resume(&mut ToyApp::new(7), &path).is_err());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

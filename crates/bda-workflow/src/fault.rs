@@ -181,6 +181,17 @@ impl Fault {
 /// A scheduled fault with its arguments in token order (unused slots 0).
 pub type Scheduled = (Fault, [usize; 2]);
 
+/// One scheduled fault spelled as its `--inject` token.
+fn token(cycle: usize, fault: Fault, [a, b]: [usize; 2]) -> String {
+    let (name, shape) = fault.grammar();
+    match shape {
+        Shape::AtTimes if a != 1 => format!("{name}@{cycle}x{a}"),
+        Shape::At | Shape::AtTimes => format!("{name}@{cycle}"),
+        Shape::Arg => format!("{name}:{a}@{cycle}"),
+        Shape::Pair => format!("{name}:{a}-{b}@{cycle}"),
+    }
+}
+
 /// Per-cycle fault schedule. Ordered map so iteration (and therefore any
 /// behaviour derived from it) is deterministic.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -387,17 +398,42 @@ impl FaultPlan {
     pub fn to_spec(&self) -> String {
         let mut tokens = Vec::with_capacity(self.len());
         for (&cycle, faults) in &self.by_cycle {
-            for &(fault, [a, b]) in faults {
-                let (name, shape) = fault.grammar();
-                tokens.push(match shape {
-                    Shape::AtTimes if a != 1 => format!("{name}@{cycle}x{a}"),
-                    Shape::At | Shape::AtTimes => format!("{name}@{cycle}"),
-                    Shape::Arg => format!("{name}:{a}@{cycle}"),
-                    Shape::Pair => format!("{name}:{a}-{b}@{cycle}"),
-                });
+            for &(fault, args) in faults {
+                tokens.push(token(cycle, fault, args));
             }
         }
         tokens.join(", ")
+    }
+
+    /// Check that every member and shard the plan names exists: the member
+    /// kinds (`nan`, `blowup`) against `members`, the shard kinds
+    /// (`shardkill`, `shardstall`, `halodrop`, `netstall`, `wiregarbage`,
+    /// both ends of `partition`) against `shards`. A plan comes from
+    /// outside the program, so an out-of-range target is an input error
+    /// naming its token, not an index panic mid-campaign.
+    pub fn check_targets(&self, members: usize, shards: usize) -> Result<(), String> {
+        for (&cycle, faults) in &self.by_cycle {
+            for &(fault, args) in faults {
+                let (what, count) = match fault {
+                    Fault::MemberNan | Fault::MemberBlowUp => ("member", members),
+                    Fault::ShardKill
+                    | Fault::ShardStall
+                    | Fault::HaloDrop
+                    | Fault::Partition
+                    | Fault::NetStall
+                    | Fault::WireGarbage => ("shard", shards),
+                    _ => continue,
+                };
+                let named = &args[..fault.grammar().1.n_args()];
+                if let Some(bad) = named.iter().find(|&&a| a >= count) {
+                    return Err(format!(
+                        "`{}` names {what} {bad}, but there are only {count} {what}s",
+                        token(cycle, fault, args)
+                    ));
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Deterministically corrupt a payload in place (used by the injector:
@@ -614,6 +650,34 @@ mod tests {
         // And a seed-driven plan survives the trip too.
         let random = FaultPlan::random(42, 64, FaultRates::default());
         assert_eq!(FaultPlan::parse(&random.to_spec(), 64).unwrap(), random);
+    }
+
+    #[test]
+    fn check_targets_names_the_offending_token() {
+        let plan = FaultPlan::parse("nan:5@1, blowup:0@2, shardkill:1@3, partition:0-1@4", 8);
+        assert_eq!(plan.unwrap().check_targets(6, 2), Ok(()));
+        for (spec, err) in [
+            (
+                "nan:6@2",
+                "`nan:6@2` names member 6, but there are only 6 members",
+            ),
+            ("blowup:9@1", "`blowup:9@1` names member 9"),
+            (
+                "shardkill:5@1",
+                "`shardkill:5@1` names shard 5, but there are only 2 shards",
+            ),
+            ("halodrop:2@0", "`halodrop:2@0` names shard 2"),
+            ("partition:1-2@3", "`partition:1-2@3` names shard 2"),
+        ] {
+            let got = FaultPlan::parse(spec, 8).unwrap().check_targets(6, 2);
+            assert!(
+                got.as_ref().is_err_and(|e| e.starts_with(err)),
+                "{spec}: {got:?}"
+            );
+        }
+        // Kinds that name no member or shard are not bounded by either.
+        let counts = FaultPlan::parse("slowclient:500@1, stall@2x9, crash@3", 8).unwrap();
+        assert_eq!(counts.check_targets(1, 1), Ok(()));
     }
 
     #[test]

@@ -19,6 +19,12 @@
 //!   rain-area-dependent load, scheduled and random outages — regenerating
 //!   the Fig. 5 time-to-solution series and histogram.
 //!
+//! Checkpoint/resume of a cycling OSSE campaign is not here: `bda-shard`'s
+//! shard worker is the one checkpointed driver, and a single process is a
+//! one-shard federation. This crate supplies what it is driven by — the
+//! [`fault`] plan and, in [`campaign`], the [`outcome_table`] renderer its
+//! log prints through — and the process-level [`shard_supervisor`].
+//!
 //! Supporting modules: [`nodes`] (the Fugaku allocation arithmetic),
 //! [`raintrace`] (the synthetic rain-area series standing in for the JMA
 //! rain analysis curves of Fig. 5), [`outage`] (gray-shading windows).
@@ -34,10 +40,7 @@ pub mod shard_supervisor;
 pub mod supervisor;
 
 pub use backoff::Backoff;
-pub use campaign::{
-    outcome_table, CampaignConfig, CampaignResult, CampaignTermination, CycleApp,
-    ResumableCampaign, ResumableRun,
-};
+pub use campaign::{outcome_table, CampaignConfig, CampaignResult};
 pub use fault::{Fault, FaultPlan, FaultRates, Stage};
 pub use nodes::NodeAllocation;
 pub use perfmodel::{PerfModel, TimeToSolution};

@@ -28,7 +28,10 @@
 //! single-process inside the supervisor and **fails (non-zero exit)**
 //! unless every shard's final checkpointed ensemble is bit-identical to
 //! the reference and every bus outcome record matches byte-for-byte —
-//! SIGKILLs and all.
+//! SIGKILLs and all. Member faults (`nan:M@C`, `blowup:M@C`) poison the
+//! same member on every shard and in the reference, so they keep parity.
+//! A plan naming a member or shard that does not exist exits 2 before any
+//! worker spawns.
 //!
 //! `--net` moves the halo path onto loopback TCP (`bda::shard::NetBus`:
 //! sealed `BDAN` frames, epoch fencing, `REQ`-pull recovery); the file
@@ -233,12 +236,19 @@ impl FederationBus for BusCtl {
     }
 }
 
-/// The reference record line for one unfaulted single-process cycle, in
-/// the exact grammar shard workers write to the bus.
-fn reference_lines(o: &Opts) -> (Vec<String>, Vec<Vec<u32>>) {
+/// The reference record line for each single-process cycle, in the exact
+/// grammar shard workers write to the bus. Member faults are the only
+/// scheduled faults a single process shares with the federation.
+fn reference_lines(o: &Opts, plan: &FaultPlan) -> (Vec<String>, Vec<Vec<u32>>) {
     let mut osse = Osse::<f32>::new(osse_config(o));
     let mut lines = Vec::with_capacity(o.cycles);
     for c in 0..o.cycles as u64 {
+        for m in plan.args(c as usize, Fault::MemberNan) {
+            osse.ensemble.inject_nan(m);
+        }
+        for m in plan.args(c as usize, Fault::MemberBlowUp) {
+            osse.ensemble.inject_blowup(m);
+        }
         let record = osse.cycle().record(c);
         lines.push(format!("{} {}", record.label, record.detail));
     }
@@ -251,6 +261,18 @@ fn reference_lines(o: &Opts) -> (Vec<String>, Vec<Vec<u32>>) {
 }
 
 fn supervisor_main(o: &Opts) -> i32 {
+    // A bad plan is refused before anything spawns: a worker would refuse
+    // it too, but only after the supervisor had started burning respawns.
+    let members = osse_config(o).letkf.ensemble_size;
+    let plan = match FaultPlan::parse(&o.faults, o.cycles)
+        .and_then(|plan| plan.check_targets(members, o.shards).map(|()| plan))
+    {
+        Ok(plan) => plan,
+        Err(e) => {
+            eprintln!("bad --faults spec: {e}");
+            return 2;
+        }
+    };
     let _ = std::fs::remove_dir_all(&o.dir);
     let bus = match HaloBus::new(o.dir.join("bus")) {
         Ok(b) => b,
@@ -259,7 +281,6 @@ fn supervisor_main(o: &Opts) -> i32 {
             return 1;
         }
     };
-    let plan = FaultPlan::parse(&o.faults, o.cycles).expect("--faults SPEC");
     let exe = std::env::current_exe().expect("current_exe");
     let opts = o.clone();
     let spawn = move |shard: usize, respawn: bool| -> std::io::Result<Child> {
@@ -422,7 +443,7 @@ fn supervisor_main(o: &Opts) -> i32 {
 
     if o.parity {
         println!("\nparity audit vs single-process reference:");
-        let (ref_lines, ref_bits) = reference_lines(o);
+        let (ref_lines, ref_bits) = reference_lines(o, &plan);
         let ckpt = o.dir.join("ckpt");
         for s in 0..o.shards {
             for (c, want) in ref_lines.iter().enumerate() {

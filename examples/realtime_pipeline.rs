@@ -10,18 +10,20 @@
 //! fills the supervisor's fault plan, and the requested faults are injected
 //! deterministically.
 //!
-//! With `--checkpoint-dir` (or `--resume`) the run switches to the
-//! sequential checkpointed campaign: atomic checksum-sealed snapshots are
-//! written every `--every` cycles, member faults (`nan:M@C`, `blowup:M@C`)
-//! exercise quarantine/respawn, and an injected `crash@C` kills the process
-//! abruptly (exit 137, the `kill -9` stand-in) — re-running the same
-//! command resumes from the newest valid snapshot bit-for-bit. The
-//! deterministic outcome table can be diffed across runs via `--table-file`.
+//! With `--checkpoint-dir` the run switches to the sequential checkpointed
+//! campaign, which is a one-shard `bda-shard` worker — the same driver every
+//! shard of `examples/federation.rs` runs: atomic checksum-sealed snapshots
+//! are written every `--every` cycles, member faults (`nan:M@C`,
+//! `blowup:M@C`) exercise quarantine/respawn, and an injected `crash@C`
+//! kills the process abruptly (exit 137, the `kill -9` stand-in) —
+//! re-running the same command resumes from the newest valid snapshot
+//! bit-for-bit. The deterministic outcome table can be diffed across runs
+//! via `--table-file`. A plan naming a member that does not exist exits 2.
 //!
 //! ```text
 //! cargo run --release --example realtime_pipeline [-- --cycles N] \
 //!     [--inject "panic:assim@2,corrupt@3,stall@1x2,drop@4,dup@2,stale@3,nan:1@2,crash@3,random:SEED"] \
-//!     [--checkpoint-dir DIR] [--every N] [--resume CKPT] [--table-file PATH]
+//!     [--checkpoint-dir DIR] [--every N] [--table-file PATH]
 //! ```
 //!
 //! The assimilation thread decodes each volume in salvage mode (keeping the
@@ -29,73 +31,73 @@
 //! pipeline; each cycle's QC accounting — accepted/total plus per-stage
 //! rejections — is printed alongside the analysis.
 
-use bda_core::osse::{Osse, OsseConfig};
-use bda_core::resume::OsseCampaign;
+use bda_core::osse::OsseConfig;
 use bda_letkf::{analyze, EnsembleMatrix, ObsEnsemble, QcPipeline, StateLayout};
 use bda_pawr::codec::{decode_volume_salvage, encode_volume, ValueBounds};
 use bda_pawr::operator::ensemble_equivalents;
 use bda_pawr::PawrSimulator;
 use bda_scale::model::Boundary;
 use bda_scale::{Ensemble, Model, ModelState, ANALYZED_VARS};
+use bda_shard::{HaloBus, ShardConfig, ShardWorker};
 use bda_verify::maps::area_fraction;
-use bda_workflow::{
-    CampaignTermination, CycleSupervisor, FaultPlan, ForecastInput, ResumableCampaign,
-};
+use bda_workflow::{CycleSupervisor, Fault, FaultPlan, ForecastInput};
 use std::path::PathBuf;
 
-/// The sequential checkpointed campaign: survives `kill -9`, resumes
-/// bit-for-bit, and proves it through a timing-free outcome table.
+/// The sequential checkpointed campaign: a one-shard worker that survives
+/// `kill -9`, resumes bit-for-bit, and proves it through a timing-free
+/// outcome table.
 fn run_checkpointed_campaign(
     n_cycles: usize,
-    faults: FaultPlan,
-    checkpoint_dir: Option<PathBuf>,
+    plan: FaultPlan,
+    dir: PathBuf,
     every: usize,
-    resume_from: Option<PathBuf>,
     table_file: Option<PathBuf>,
 ) {
-    let mut osse = Osse::<f32>::new(OsseConfig::reduced(10, 8, 6, 2, 11));
+    let mut cfg = ShardConfig::new(OsseConfig::reduced(10, 8, 6, 2, 11), 1, 0, n_cycles);
     // Spin convection up before the campaign so every cycle assimilates a
     // live reflectivity field: the RMSE columns in the outcome table then
     // carry real float content, which is what makes the byte-level table
     // diffs (kill-and-resume, 1-vs-N-thread determinism parity) meaningful.
     // 1080 s is mid-storm for this config's 0-300 s trigger window; earlier
     // the field is below the detectability floor, later the cells decay.
-    osse.spinup_system(1080.0);
-    let mut app = OsseCampaign::new(osse, faults.clone());
-    let campaign = ResumableCampaign {
-        n_cycles,
-        checkpoint_dir,
-        checkpoint_every: every,
-        faults,
-    };
-    let run = match &resume_from {
-        Some(path) => campaign.resume(&mut app, path),
-        None => campaign.run(&mut app),
-    }
-    .unwrap_or_else(|e| {
-        eprintln!("campaign failed: {e}");
-        std::process::exit(1);
+    cfg.spinup_seconds = 1080.0;
+    cfg.bus_dir = dir.join("bus");
+    cfg.ckpt_dir = dir;
+    cfg.checkpoint_every = every;
+    cfg.plan = plan;
+    // Both ways to fail here are bad arguments: a `--checkpoint-dir` that
+    // cannot be opened, or a plan naming a member that does not exist.
+    let started = HaloBus::new(&cfg.bus_dir)
+        .map_err(|e| format!("open {}: {e}", cfg.bus_dir.display()))
+        .and_then(|bus| ShardWorker::<f32>::start_or_resume_on(cfg, bus));
+    let (mut w, resumed) = started.unwrap_or_else(|e| {
+        eprintln!("cannot start the campaign: {e}");
+        std::process::exit(2);
     });
-    if let CampaignTermination::Crashed { at_cycle } = run.termination {
-        // A killed process writes no table and no farewell checkpoint.
-        eprintln!("injected crash at cycle {at_cycle}: dying abruptly (kill -9 stand-in)");
-        std::process::exit(137);
-    }
-    if let Some(from) = &run.resumed_from {
+    if resumed {
         println!(
-            "resumed from {} at cycle {}",
-            from.display(),
-            run.start_cycle
+            "resumed from the newest checkpoint at cycle {}",
+            w.next_cycle()
         );
     }
-    let table = run.table();
+    for c in w.next_cycle()..n_cycles as u64 {
+        // Crash faults fire on a fresh start only: the resumed process *is*
+        // the restart after the kill, and re-killing it would loop forever.
+        if !resumed && w.cfg.plan.has(c as usize, Fault::Crash) {
+            // A killed process writes no table.
+            eprintln!("injected crash at cycle {c}: dying abruptly (kill -9 stand-in)");
+            std::process::exit(137);
+        }
+        if let Err(e) = w.run_cycle(c) {
+            eprintln!("campaign failed: {e}");
+            std::process::exit(1);
+        }
+    }
+    let table = w.table();
     if let Some(path) = &table_file {
         std::fs::write(path, &table).expect("write --table-file");
     }
-    println!(
-        "{} checkpoint(s) written\n\n{table}",
-        run.checkpoints_written
-    );
+    println!("{table}");
 }
 
 fn main() {
@@ -103,7 +105,6 @@ fn main() {
     let mut inject: Option<String> = None;
     let mut checkpoint_dir: Option<PathBuf> = None;
     let mut every = 1usize;
-    let mut resume_from: Option<PathBuf> = None;
     let mut table_file: Option<PathBuf> = None;
     let argv: Vec<String> = std::env::args().collect();
     if let Some(i) = argv.iter().position(|a| a == "--cycles") {
@@ -126,9 +127,6 @@ fn main() {
     if let Some(i) = argv.iter().position(|a| a == "--every") {
         every = argv[i + 1].parse().expect("--every N");
     }
-    if let Some(i) = argv.iter().position(|a| a == "--resume") {
-        resume_from = Some(PathBuf::from(argv.get(i + 1).expect("--resume CKPT")));
-    }
     if let Some(i) = argv.iter().position(|a| a == "--table-file") {
         table_file = Some(PathBuf::from(argv.get(i + 1).expect("--table-file PATH")));
     }
@@ -138,16 +136,9 @@ fn main() {
         std::process::exit(2);
     });
 
-    if checkpoint_dir.is_some() || resume_from.is_some() {
+    if let Some(dir) = checkpoint_dir {
         println!("=== checkpointed campaign ({n_cycles} cycles of 30 model-seconds) ===\n");
-        run_checkpointed_campaign(
-            n_cycles,
-            plan,
-            checkpoint_dir,
-            every,
-            resume_from,
-            table_file,
-        );
+        run_checkpointed_campaign(n_cycles, plan, dir, every, table_file);
         return;
     }
 

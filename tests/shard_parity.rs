@@ -1,20 +1,27 @@
 //! Shard-federation correctness, anchored the hard way.
 //!
 //! 1. **Bit-parity**: a seeded OSSE produces a bit-identical analysis
-//!    single-process vs S=2 and S=4 shards when no faults are injected —
-//!    member states compared by bit pattern, outcome tables by bytes.
+//!    single-process vs S=1, S=2 and S=4 shards when no faults are
+//!    injected — member states compared by bit pattern, outcome tables by
+//!    bytes. Member faults (`nan`, `blowup`) keep that parity at any S.
 //! 2. **Kill/resume**: a virtually SIGKILLed shard resumes from its own
 //!    scoped checkpoint mid-campaign and the federation's final tables
-//!    and states still match the unfaulted run exactly.
+//!    and states still match the unfaulted run exactly. The single-process
+//!    checkpointed campaign is a one-shard worker and resumes the same way.
 //! 3. **Ladder determinism**: `halodrop`/`shardstall` scenarios land on
 //!    exact expected outcome tables (the affected cycle degrades to
 //!    `halo-reuse` on every *peer*, the faulty shard itself completes).
+//! 4. **Bad plans**: a plan naming a member or shard that does not exist is
+//!    refused at start, never an index panic mid-campaign.
 
 use bda::core::osse::{Osse, OsseConfig};
 use bda::shard::federation::NetTuning;
-use bda::shard::{Federation, FederationConfig, HaloTransport, LocalFederation, NetFederation};
+use bda::shard::{
+    Federation, FederationConfig, HaloBus, HaloTransport, LocalFederation, NetFederation,
+    ShardWorker,
+};
 use bda::workflow::{outcome_table, Fault, FaultPlan};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 const CYCLES: usize = 3;
 
@@ -33,13 +40,23 @@ fn member_bits(flats: &[Vec<f32>]) -> Vec<Vec<u32>> {
         .collect()
 }
 
-/// The single-process reference: same OSSE, same cycles, plus the
-/// campaign-style outcome table for byte comparison.
-fn reference() -> (Vec<Vec<u32>>, String, Vec<f64>) {
+/// Final analyzed member bits, outcome table and per-cycle posterior RMSE.
+type Reference = (Vec<Vec<u32>>, String, Vec<f64>);
+
+/// The single-process reference: same OSSE, same cycles, the plan's member
+/// faults poisoned before each cycle, plus the campaign-style outcome
+/// table for byte comparison.
+fn reference(plan: &FaultPlan, cycles: usize) -> Reference {
     let mut osse = Osse::<f32>::new(config());
     let mut records = Vec::new();
     let mut posteriors = Vec::new();
-    for c in 0..CYCLES {
+    for c in 0..cycles {
+        for m in plan.args(c, Fault::MemberNan) {
+            osse.ensemble.inject_nan(m);
+        }
+        for m in plan.args(c, Fault::MemberBlowUp) {
+            osse.ensemble.inject_blowup(m);
+        }
         let out = osse.cycle();
         posteriors.push(out.posterior_rmse_dbz);
         records.push(out.record(c as u64));
@@ -51,17 +68,43 @@ fn reference() -> (Vec<Vec<u32>>, String, Vec<f64>) {
     )
 }
 
-/// Run the campaign on whichever transport `start` opens the federation
-/// on — everything after that is the one harness.
+/// Every worker's assembled ensemble, outcome table and per-cycle
+/// posterior RMSE equal the single-process reference, bit for bit.
+fn assert_parity<B: HaloTransport>(fed: &Federation<f32, B>, reference: &Reference, what: &str) {
+    let (ref_bits, ref_table, ref_posteriors) = reference;
+    for (s, w) in fed.workers.iter().enumerate() {
+        assert_eq!(
+            member_bits(&w.osse.analyzed_flats()),
+            *ref_bits,
+            "{what} shard {s}: assembled ensemble diverged from single-process"
+        );
+        assert_eq!(
+            w.table(),
+            *ref_table,
+            "{what} shard {s}: outcome table diverged"
+        );
+        for (c, out) in w.outcomes.iter().enumerate() {
+            assert_eq!(
+                out.posterior_rmse_dbz.to_bits(),
+                ref_posteriors[c].to_bits(),
+                "{what} shard {s} cycle {c}: posterior RMSE diverged"
+            );
+        }
+    }
+}
+
+/// Run an `n_cycles` campaign on whichever transport `start` opens the
+/// federation on — everything after that is the one harness.
 fn run_on<B: HaloTransport>(
     n_shards: usize,
+    n_cycles: usize,
     plan: FaultPlan,
     tag: &str,
     start: impl FnOnce(FederationConfig) -> Result<Federation<f32, B>, String>,
 ) -> Federation<f32, B> {
     let dir = tmp_dir(tag);
     let _ = std::fs::remove_dir_all(&dir);
-    let mut cfg = FederationConfig::new(config(), n_shards, CYCLES, dir);
+    let mut cfg = FederationConfig::new(config(), n_shards, n_cycles, dir);
     cfg.plan = plan;
     let mut fed = start(cfg).expect("federation start");
     fed.run().expect("federation run");
@@ -69,46 +112,163 @@ fn run_on<B: HaloTransport>(
 }
 
 fn run_federation(n_shards: usize, plan: FaultPlan, tag: &str) -> LocalFederation<f32> {
-    run_on(n_shards, plan, tag, LocalFederation::start)
+    run_on(n_shards, CYCLES, plan, tag, LocalFederation::start)
+}
+
+fn start_net(cfg: FederationConfig) -> Result<NetFederation<f32>, String> {
+    NetFederation::start(cfg, NetTuning::default())
 }
 
 fn run_net_federation(n_shards: usize, plan: FaultPlan, tag: &str) -> NetFederation<f32> {
-    run_on(n_shards, plan, tag, |cfg| {
-        NetFederation::start(cfg, NetTuning::default())
-    })
+    run_on(n_shards, CYCLES, plan, tag, start_net)
+}
+
+/// The single-process checkpointed campaign, as `realtime_pipeline
+/// --checkpoint-dir` runs it: a one-shard worker over `dir`, resuming from
+/// the newest checkpoint there if one exists.
+fn one_shard(
+    dir: &Path,
+    n_cycles: usize,
+    plan: FaultPlan,
+) -> Result<(ShardWorker<f32>, bool), String> {
+    let mut cfg = FederationConfig::new(config(), 1, n_cycles, dir);
+    cfg.plan = plan;
+    let sc = cfg.shard_config(0);
+    let bus = HaloBus::new(&sc.bus_dir).map_err(|e| format!("open bus: {e}"))?;
+    ShardWorker::start_or_resume_on(sc, bus)
 }
 
 #[test]
 fn sharded_analysis_is_bit_identical_to_single_process() {
-    let (ref_bits, ref_table, ref_posteriors) = reference();
-    for n_shards in [2usize, 4] {
+    let reference = reference(&FaultPlan::none(), CYCLES);
+    for n_shards in [1usize, 2, 4] {
         let fed = run_federation(n_shards, FaultPlan::none(), &format!("clean{n_shards}"));
-        for (s, w) in fed.workers.iter().enumerate() {
-            assert_eq!(
-                member_bits(&w.osse.analyzed_flats()),
-                ref_bits,
-                "S={n_shards} shard {s}: assembled ensemble diverged from single-process"
-            );
-            assert_eq!(
-                w.table(),
-                ref_table,
-                "S={n_shards} shard {s}: outcome table diverged"
-            );
-            for (c, out) in w.outcomes.iter().enumerate() {
-                assert_eq!(
-                    out.posterior_rmse_dbz.to_bits(),
-                    ref_posteriors[c].to_bits(),
-                    "S={n_shards} shard {s} cycle {c}: posterior RMSE diverged"
-                );
-            }
-        }
+        assert_parity(&fed, &reference, &format!("S={n_shards}"));
         let _ = std::fs::remove_dir_all(&fed.cfg.dir);
     }
 }
 
 #[test]
+fn member_faults_stay_bit_identical_to_single_process_at_any_shard_count() {
+    // Every shard poisons the same member of its full replica right after
+    // its checkpoint, where a single process poisons its only replica, so
+    // quarantine and respawn run in step on every shard and transport.
+    let plan = FaultPlan::none()
+        .with(2, Fault::MemberNan, &[1])
+        .with(3, Fault::MemberBlowUp, &[4]);
+    let reference = reference(&plan, 4);
+    assert!(reference.1.contains("respawned [1]") && reference.1.contains("respawned [4]"));
+    for n_shards in [1usize, 2, 3] {
+        let tag = format!("member{n_shards}");
+        let fed = run_on(n_shards, 4, plan.clone(), &tag, LocalFederation::start);
+        assert_parity(&fed, &reference, &format!("file S={n_shards}"));
+        let _ = std::fs::remove_dir_all(&fed.cfg.dir);
+        let tag = format!("netmember{n_shards}");
+        let fed = run_on(n_shards, 4, plan.clone(), &tag, start_net);
+        assert_parity(&fed, &reference, &format!("socket S={n_shards}"));
+        let _ = std::fs::remove_dir_all(&fed.cfg.dir);
+    }
+}
+
+#[test]
+fn one_shard_worker_quarantines_and_respawns_a_poisoned_member() {
+    // `nan:2@2` over a short single-process campaign: every cycle delivers
+    // a finite analysis, the dead member is respawned, and the outcome log
+    // carries the quorum evidence.
+    let dir = tmp_dir("quarantine");
+    let _ = std::fs::remove_dir_all(&dir);
+    let plan = FaultPlan::none().with(2, Fault::MemberNan, &[2]);
+    let (mut w, resumed) = one_shard(&dir, 4, plan).expect("start");
+    assert!(!resumed);
+    w.run_to_completion().expect("run");
+    for (c, out) in w.outcomes.iter().enumerate() {
+        assert!(
+            out.prior_rmse_dbz.is_finite() && out.posterior_rmse_dbz.is_finite(),
+            "cycle {c} produced a non-finite analysis"
+        );
+        assert!(
+            out.analysis.points_analyzed > 0,
+            "cycle {c} skipped analysis"
+        );
+    }
+    assert_eq!(w.outcomes[2].n_alive, 5);
+    assert_eq!(w.outcomes[2].respawned, vec![2]);
+    assert_eq!(w.outcomes[3].n_alive, 6);
+    assert_eq!(w.records[2].label, "degraded");
+    assert!(w.records[2].detail.contains("alive 5"));
+    assert!(w.records[2].detail.contains("respawned [2]"));
+    for m in &w.osse.ensemble.members {
+        assert!(m.all_finite());
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn one_shard_worker_dropped_mid_campaign_resumes_bit_for_bit() {
+    // The member fault lands on the replayed cycle, so the resume must
+    // re-inject it (the snapshot before cycle 1 holds a healthy member).
+    let plan = FaultPlan::none().with(1, Fault::MemberNan, &[2]);
+    let (ref_dir, dir) = (tmp_dir("restart-ref"), tmp_dir("restart"));
+    for d in [&ref_dir, &dir] {
+        let _ = std::fs::remove_dir_all(d);
+    }
+    let (mut reference, _) = one_shard(&ref_dir, 4, plan.clone()).expect("start");
+    reference.run_to_completion().expect("run");
+
+    // Run cycles 0 and 1, then drop the worker: its in-memory state, and
+    // cycle 1's record with it, are gone.
+    let (mut w, _) = one_shard(&dir, 4, plan.clone()).expect("start");
+    w.run_cycle(0).expect("cycle 0");
+    w.run_cycle(1).expect("cycle 1");
+    drop(w);
+
+    // "Process restart" from the same directories: the newest snapshot is
+    // the one taken before cycle 1, so that cycle is replayed.
+    let (mut w, resumed) = one_shard(&dir, 4, plan).expect("restart");
+    assert!(resumed);
+    assert_eq!(w.next_cycle(), 1);
+    w.run_to_completion().expect("run");
+
+    // The outcome tables — full-precision RMSEs included — match, and so
+    // do the final prognostic states and RNG streams, bit for bit.
+    assert_eq!(w.table(), reference.table());
+    let (a, b) = (reference.osse.snapshot_state(), w.osse.snapshot_state());
+    assert_eq!(member_bits(&a.members), member_bits(&b.members));
+    assert_eq!(a.rng_states, b.rng_states);
+    for d in [&ref_dir, &dir] {
+        let _ = std::fs::remove_dir_all(d);
+    }
+}
+
+#[test]
+fn a_plan_naming_a_missing_shard_is_refused_at_start() {
+    // At S = 2 there is no shard 5 to kill. The plan must be refused before
+    // any worker cycles: the respawn at cycle 1 would index past the
+    // workers.
+    let dir = tmp_dir("badshard");
+    let mut cfg = FederationConfig::new(config(), 2, CYCLES, &dir);
+    cfg.plan = FaultPlan::none().with(1, Fault::ShardKill, &[5]);
+    let err = LocalFederation::<f32>::start(cfg)
+        .err()
+        .expect("plan refused");
+    assert!(err.contains("`shardkill:5@1` names shard 5"), "{err}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_plan_naming_a_missing_member_is_refused_at_start() {
+    // Six members: `nan:9@2` names none of them, and poisoning it at
+    // cycle 2 would index past the ensemble.
+    let dir = tmp_dir("badmember");
+    let plan = FaultPlan::none().with(2, Fault::MemberNan, &[9]);
+    let err = one_shard(&dir, CYCLES, plan).err().expect("plan refused");
+    assert!(err.contains("`nan:9@2` names member 9"), "{err}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn sigkilled_shard_resumes_from_its_own_checkpoint() {
-    let (ref_bits, ref_table, _) = reference();
+    let (ref_bits, ref_table, _) = reference(&FaultPlan::none(), CYCLES);
     // Kill shard 1 at the start of cycle 2: its in-memory state vanishes,
     // it must rebuild from its scoped checkpoint (written before cycle 1)
     // and replay cycle 1 from the halos still spooled on the bus.
@@ -141,28 +301,10 @@ fn socket_federation_is_bit_identical_to_single_process() {
     // The same parity anchor as the file bus, but every halo crossed a
     // real loopback socket (sealed BDAN frames, push + REQ-pull): the
     // transport seam must be invisible to the analysis.
-    let (ref_bits, ref_table, ref_posteriors) = reference();
-    for n_shards in [2usize, 4] {
+    let reference = reference(&FaultPlan::none(), CYCLES);
+    for n_shards in [1usize, 2, 4] {
         let fed = run_net_federation(n_shards, FaultPlan::none(), &format!("net{n_shards}"));
-        for (s, w) in fed.workers.iter().enumerate() {
-            assert_eq!(
-                member_bits(&w.osse.analyzed_flats()),
-                ref_bits,
-                "S={n_shards} shard {s}: socket-federated ensemble diverged"
-            );
-            assert_eq!(
-                w.table(),
-                ref_table,
-                "S={n_shards} shard {s}: outcome table diverged over sockets"
-            );
-            for (c, out) in w.outcomes.iter().enumerate() {
-                assert_eq!(
-                    out.posterior_rmse_dbz.to_bits(),
-                    ref_posteriors[c].to_bits(),
-                    "S={n_shards} shard {s} cycle {c}: posterior RMSE diverged over sockets"
-                );
-            }
-        }
+        assert_parity(&fed, &reference, &format!("socket S={n_shards}"));
         let _ = std::fs::remove_dir_all(&fed.cfg.dir);
     }
 }
@@ -172,7 +314,7 @@ fn sigkilled_shard_resumes_over_sockets_with_bit_parity() {
     // Kill shard 1 at the start of cycle 2 in a *socket* federation: the
     // respawn bumps its fenced epoch, and the replayed cycles pull every
     // missed halo from peer history via REQ — no file spool involved.
-    let (ref_bits, ref_table, _) = reference();
+    let (ref_bits, ref_table, _) = reference(&FaultPlan::none(), CYCLES);
     let fed = run_net_federation(
         2,
         FaultPlan::none().with(2, Fault::ShardKill, &[1]),
