@@ -1,12 +1,14 @@
-//! Per-kernel microbenchmarks at realistic LETKF sizes.
+//! Per-kernel microbenchmarks at realistic LETKF and model sizes.
 //!
 //! `benchmark/` measures the cycle (`T_obs` to ACK, with a per-layer
 //! trace); this harness pins the kernels themselves — batched eigensolve,
 //! blocked HEVI tridiagonal sweep, register-tiled GEMM, the lane-array dot
-//! and the axpy, and the whole per-grid-point transform — so a regression
-//! in any one of them is visible even when cycle-level noise would hide
-//! it. CI's `perf-gate` compares each row against the committed
-//! `BENCH_13_kernels.json`.
+//! and the axpy, the whole per-grid-point transform, and one model step of
+//! the 24x24x12 storm on a 1-thread pool and at pool width — so a
+//! regression in any one of them is visible even when cycle-level noise
+//! would hide it. CI's `perf-gate` compares each row of the committed
+//! `BENCH_13_kernels.json` against a fresh run; rows the file does not
+//! hold yet, such as the model-step pair, are reported but not gated.
 //!
 //! Sizes mirror the reduced OSSE and the paper's LETKF: ensemble sizes
 //! k = 16 (bench fixture), k = 64 and k = 128 (the benchmark's
@@ -28,10 +30,15 @@
 //! * `--reps N`     measured repetitions per kernel (default 200)
 
 use bda_bench::{local_obs, rng, spd_batch};
+use bda_grid::halo::HaloPolicy;
 use bda_letkf::weights::{apply_transform, compute_transform, TransformScratch};
 use bda_num::matrix::{axpy, dot8, MatrixS};
 use bda_num::tridiag::ThomasFactor;
 use bda_num::BatchedEigen;
+use bda_scale::base::Sounding;
+use bda_scale::forcing::TriggerSchedule;
+use bda_scale::{Model, ModelConfig};
+use rayon::ThreadPoolBuilder;
 use std::time::Instant;
 
 struct Row {
@@ -156,6 +163,26 @@ fn transform_bench(k: usize, nobs: usize, nvar: usize, reps: usize) -> (f64, f64
     (us, flops)
 }
 
+/// One `Model::step` of the `storm_cycle` model — 24x24x12, periodic, the
+/// three-bubble storm, integrated 90 s so every bubble has fired — on a
+/// `threads`-wide pool. Returns the mean microseconds per step.
+fn model_step_bench(threads: usize, reps: usize) -> f64 {
+    let mut cfg = ModelConfig::reduced(24, 24, 12);
+    cfg.halo = HaloPolicy::Periodic;
+    cfg.davies_width = 0;
+    let (lx, ly) = (cfg.grid.lx(), cfg.grid.ly());
+    let mut model = Model::<f32>::new(cfg, &Sounding::convective());
+    model.triggers = TriggerSchedule::storm_trio(lx, ly);
+    let pool = ThreadPoolBuilder::new()
+        .num_threads(threads)
+        .build()
+        .expect("pool build is infallible");
+    pool.install(|| {
+        model.integrate(90.0).expect("the storm stays finite");
+        time_op(reps, || model.step())
+    })
+}
+
 fn main() {
     let mut out = format!("{}/../../BENCH_13_kernels.json", env!("CARGO_MANIFEST_DIR"));
     let mut reps = 200usize;
@@ -175,7 +202,8 @@ fn main() {
     }
 
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    eprintln!("kernels: host_cores={host_cores} reps={reps}");
+    let pool_width = rayon::current_num_threads();
+    eprintln!("kernels: host_cores={host_cores} pool_width={pool_width} reps={reps}");
 
     let gemm_flops = |n: usize| 2.0 * (n as f64).powi(3);
     let (transform_us, transform_flops) = transform_bench(128, 76, 10, reps.div_ceil(4));
@@ -229,6 +257,16 @@ fn main() {
             name: "transform_k128_nobs76",
             mean_us: transform_us,
             flops: Some(transform_flops),
+        },
+        Row {
+            name: "model_step_24x24x12_t1",
+            mean_us: model_step_bench(1, reps),
+            flops: None,
+        },
+        Row {
+            name: "model_step_24x24x12_tw",
+            mean_us: model_step_bench(pool_width, reps),
+            flops: None,
         },
     ];
     for r in &rows {

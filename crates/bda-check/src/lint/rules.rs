@@ -75,16 +75,30 @@ pub const HOT_ANCHORS: &[(&str, &[&str])] = &[
     ),
     (
         "crates/bda-scale/src/advect.rs",
-        &["scalar_advection_upwind", "momentum_advection"],
+        &["scalar_advection_row", "momentum_advection_row"],
     ),
-    ("crates/bda-scale/src/dynamics.rs", &["step_dynamics"]),
+    (
+        "crates/bda-scale/src/dynamics.rs",
+        &[
+            "VerticalOperator::factor",
+            "explicit_tendencies_row",
+            "hyperdiffusion_block",
+            "forward_uv_row",
+            "vertical_solve_row",
+        ],
+    ),
     (
         "crates/bda-scale/src/turbulence.rs",
         &[
-            "horizontal_diffusion",
+            "smagorinsky_row",
+            "horizontal_diffusion_row",
             "ColumnPbl::step_column",
             "ColumnPbl::diffuse_implicit",
         ],
+    ),
+    (
+        "crates/bda-scale/src/model.rs",
+        &["scalar_update_row", "RowPhysics::step_row"],
     ),
     (
         "crates/bda-num/src/tridiag.rs",

@@ -1,7 +1,6 @@
 //! 3-D field storage with horizontal halos.
 
 use bda_num::Real;
-use rayon::prelude::*;
 
 /// A scalar field on an `nx x ny x nz` grid with `halo` extra cells on each
 /// horizontal side. Storage is `k`-fastest, so every vertical column —
@@ -244,24 +243,18 @@ impl<T: Real> Field3<T> {
         }
     }
 
-    /// Visit every interior column in parallel. The closure receives
-    /// `(i, j, column)` — the shape of all column-physics loops.
-    pub fn par_columns_mut(&mut self, f: impl Fn(usize, usize, &mut [T]) + Sync) {
-        let nyh = self.ny + 2 * self.halo;
-        let nz = self.nz;
-        let halo = self.halo;
-        let nx = self.nx;
-        let ny = self.ny;
-        self.data
-            .par_chunks_mut(nz)
+    /// The interior x-rows `i = 0..nx`, in order and each exactly once; the
+    /// halo rows are never handed out. A row is one contiguous slab of the
+    /// storage, so rows of one field are disjoint: the model's row-parallel
+    /// regions zip the rows of several fields and give each row to one
+    /// worker.
+    pub fn rows_mut(&mut self) -> impl ExactSizeIterator<Item = Row<'_, T>> {
+        let slab = (self.ny + 2 * self.halo) * self.nz;
+        let (nz, halo) = (self.nz, self.halo);
+        self.data[halo * slab..(halo + self.nx) * slab]
+            .chunks_exact_mut(slab.max(1))
             .enumerate()
-            .for_each(|(ci, col)| {
-                let ih = ci / nyh;
-                let jh = ci % nyh;
-                if ih >= halo && ih < nx + halo && jh >= halo && jh < ny + halo {
-                    f(ih - halo, jh - halo, col);
-                }
-            });
+            .map(move |(i, data)| Row { i, nz, halo, data })
     }
 
     /// Horizontal slice at level `k` as a dense row-major (`i`-major)
@@ -274,6 +267,43 @@ impl<T: Real> Field3<T> {
             }
         }
         out
+    }
+}
+
+/// One interior x-row of a [`Field3`]: every column at a fixed `i`, the
+/// halo columns in `j` included, as handed out by [`Field3::rows_mut`].
+pub struct Row<'a, T> {
+    i: usize,
+    nz: usize,
+    halo: usize,
+    data: &'a mut [T],
+}
+
+impl<T> Row<'_, T> {
+    /// The row's interior x index.
+    #[inline]
+    pub fn i(&self) -> usize {
+        self.i
+    }
+
+    #[inline]
+    fn base(&self, j: isize) -> usize {
+        debug_assert!(j >= -(self.halo as isize));
+        (j + self.halo as isize) as usize * self.nz
+    }
+
+    /// Contiguous vertical column at `(i, j)`, halo columns allowed.
+    #[inline]
+    pub fn column(&self, j: isize) -> &[T] {
+        let base = self.base(j);
+        &self.data[base..base + self.nz]
+    }
+
+    /// Mutable contiguous vertical column at `(i, j)`.
+    #[inline]
+    pub fn column_mut(&mut self, j: isize) -> &mut [T] {
+        let base = self.base(j);
+        &mut self.data[base..base + self.nz]
     }
 }
 
@@ -353,18 +383,27 @@ mod tests {
     }
 
     #[test]
-    fn par_columns_visit_exactly_interior() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let mut f = Field3::<f64>::zeros(5, 7, 3, 2);
-        let count = AtomicUsize::new(0);
-        f.par_columns_mut(|i, j, col| {
-            assert!(i < 5 && j < 7);
-            assert_eq!(col.len(), 3);
-            col[0] = (i + j) as f64;
-            count.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(count.load(Ordering::Relaxed), 35);
-        assert_eq!(f.at(4, 6, 0), 10.0);
+    fn rows_hand_out_each_interior_slab_once_and_no_halo() {
+        let (nx, ny, nz, halo) = (5, 7, 3, 2);
+        let mut f = Field3::<f64>::zeros(nx, ny, nz, halo);
+        let rows = f.rows_mut();
+        assert_eq!(rows.len(), nx);
+        for (n, mut row) in rows.enumerate() {
+            assert_eq!(row.i(), n);
+            for j in -(halo as isize)..(ny + halo) as isize {
+                assert_eq!(row.column(j).len(), nz);
+                for x in row.column_mut(j) {
+                    *x += 1.0;
+                }
+            }
+        }
+        for i in -(halo as isize)..(nx + halo) as isize {
+            let interior = (0..nx as isize).contains(&i);
+            for j in -(halo as isize)..(ny + halo) as isize {
+                let want = if interior { 1.0 } else { 0.0 };
+                assert!(f.column(i, j).iter().all(|&x| x == want), "({i}, {j})");
+            }
+        }
     }
 
     #[test]

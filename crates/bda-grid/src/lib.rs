@@ -32,5 +32,5 @@ pub mod spec;
 
 pub use boundary::DaviesWeights;
 pub use decomp::TileDecomp;
-pub use field::Field3;
+pub use field::{Field3, Row};
 pub use spec::{GridSpec, VerticalCoord};

@@ -7,7 +7,7 @@
 //! * Momentum uses second-order centered differences in advective form,
 //!   stabilized by the Smagorinsky mixing and hyperdiffusion.
 
-use bda_grid::{Field3, GridSpec};
+use bda_grid::{Field3, GridSpec, Row};
 use bda_num::Real;
 
 /// Precomputed grid metrics at model precision.
@@ -60,8 +60,10 @@ pub fn w_at_center<T: Real>(w: &Field3<T>, i: isize, j: isize, k: usize, nz: usi
 }
 
 /// First-order upwind flux-form advection tendency for a cell-centered
-/// scalar. Vertical fluxes are density-weighted with the base-state profile
-/// so the scheme conserves `rho0 * q` columns under sedimentation-free flow.
+/// scalar, on one x-row: writes row `i` of the tendency from rows
+/// `i - 1 ..= i + 1` of the inputs. Vertical fluxes are density-weighted
+/// with the base-state profile so the scheme conserves `rho0 * q` columns
+/// under sedimentation-free flow.
 ///
 /// The inner loop works on contiguous column slices (the `Field3` layout is
 /// k-fastest), so the per-cell cost is pure arithmetic — no flat-index
@@ -71,7 +73,7 @@ pub fn w_at_center<T: Real>(w: &Field3<T>, i: isize, j: isize, k: usize, nz: usi
 // Every `k±1` access is guarded by the surrounding `k == 0` / `k + 1 < nz`
 // branch; column slices all have length nz by the Field3 layout.
 // bda-check: allow(panic_path)
-pub fn scalar_advection_upwind<T: Real>(
+pub fn scalar_advection_row<T: Real>(
     q: &Field3<T>,
     u: &Field3<T>,
     v: &Field3<T>,
@@ -79,51 +81,50 @@ pub fn scalar_advection_upwind<T: Real>(
     rho0: &[T],
     rho0_face: &[T],
     m: &Metrics<T>,
-    tend: &mut Field3<T>,
+    tend: &mut Row<'_, T>,
 ) {
-    let (nx, ny, nz, _) = q.shape();
-    for i in 0..nx as isize {
-        for j in 0..ny as isize {
-            let qc = q.column(i, j);
-            let qxm = q.column(i - 1, j);
-            let qxp = q.column(i + 1, j);
-            let qym = q.column(i, j - 1);
-            let qyp = q.column(i, j + 1);
-            let uc = u.column(i, j);
-            let uxp = u.column(i + 1, j);
-            let vc = v.column(i, j);
-            let vyp = v.column(i, j + 1);
-            let wc = w.column(i, j);
-            let tc = tend.column_mut(i, j);
-            for k in 0..nz {
-                // Horizontal upwind fluxes at the four faces of cell (i,j).
-                let uw = uc[k];
-                let ue = uxp[k];
-                let vs = vc[k];
-                let vn = vyp[k];
-                let f_w = uw * upwind(uw, qxm[k], qc[k]);
-                let f_e = ue * upwind(ue, qc[k], qxp[k]);
-                let f_s = vs * upwind(vs, qym[k], qc[k]);
-                let f_n = vn * upwind(vn, qc[k], qyp[k]);
+    let (_, ny, nz, _) = q.shape();
+    let i = tend.i() as isize;
+    for j in 0..ny as isize {
+        let qc = q.column(i, j);
+        let qxm = q.column(i - 1, j);
+        let qxp = q.column(i + 1, j);
+        let qym = q.column(i, j - 1);
+        let qyp = q.column(i, j + 1);
+        let uc = u.column(i, j);
+        let uxp = u.column(i + 1, j);
+        let vc = v.column(i, j);
+        let vyp = v.column(i, j + 1);
+        let wc = w.column(i, j);
+        let tc = tend.column_mut(j);
+        for k in 0..nz {
+            // Horizontal upwind fluxes at the four faces of cell (i,j).
+            let uw = uc[k];
+            let ue = uxp[k];
+            let vs = vc[k];
+            let vn = vyp[k];
+            let f_w = uw * upwind(uw, qxm[k], qc[k]);
+            let f_e = ue * upwind(ue, qc[k], qxp[k]);
+            let f_s = vs * upwind(vs, qym[k], qc[k]);
+            let f_n = vn * upwind(vn, qc[k], qyp[k]);
 
-                // Vertical upwind fluxes at the bottom and top faces.
-                let wb = wc[k];
-                let f_b = if k == 0 {
-                    T::zero()
-                } else {
-                    rho0_face[k] * wb * upwind(wb, qc[k - 1], qc[k])
-                };
-                let f_t = if k + 1 < nz {
-                    let wt = wc[k + 1];
-                    rho0_face[k + 1] * wt * upwind(wt, qc[k], qc[k + 1])
-                } else {
-                    T::zero()
-                };
+            // Vertical upwind fluxes at the bottom and top faces.
+            let wb = wc[k];
+            let f_b = if k == 0 {
+                T::zero()
+            } else {
+                rho0_face[k] * wb * upwind(wb, qc[k - 1], qc[k])
+            };
+            let f_t = if k + 1 < nz {
+                let wt = wc[k + 1];
+                rho0_face[k + 1] * wt * upwind(wt, qc[k], qc[k + 1])
+            } else {
+                T::zero()
+            };
 
-                let horiz = (f_e - f_w + f_n - f_s) * m.inv_dx;
-                let vert = (f_t - f_b) * m.inv_dz[k] / rho0[k];
-                tc[k] = -(horiz + vert);
-            }
+            let horiz = (f_e - f_w + f_n - f_s) * m.inv_dx;
+            let vert = (f_t - f_b) * m.inv_dz[k] / rho0[k];
+            tc[k] = -(horiz + vert);
         }
     }
 }
@@ -149,81 +150,81 @@ pub fn w_center_col<T: Real>(w: &[T], k: usize, nz: usize) -> T {
 }
 
 /// Second-order centered advective-form tendencies for the three momentum
-/// components, written into the provided buffers. Column-sliced like
-/// [`scalar_advection_upwind`]; bit-identical to the indexed form.
+/// components on one x-row, written into row `i` of each tendency.
+/// Column-sliced like [`scalar_advection_row`]; bit-identical to the
+/// indexed form.
 #[allow(clippy::too_many_arguments)]
 // The z-face loop runs `1..nz` with `k+1` reads behind `k + 1 < nz` and
 // `k-1` safe for k >= 1; column slices have length nz.
 // bda-check: allow(panic_path)
-pub fn momentum_advection<T: Real>(
+pub fn momentum_advection_row<T: Real>(
     u: &Field3<T>,
     v: &Field3<T>,
     w: &Field3<T>,
     m: &Metrics<T>,
-    tu: &mut Field3<T>,
-    tv: &mut Field3<T>,
-    tw: &mut Field3<T>,
+    tu: &mut Row<'_, T>,
+    tv: &mut Row<'_, T>,
+    tw: &mut Row<'_, T>,
 ) {
-    let (nx, ny, nz, _) = u.shape();
+    let (_, ny, nz, _) = u.shape();
     let half = T::half();
     let quarter = T::of(0.25);
+    let i = tu.i() as isize;
 
-    for i in 0..nx as isize {
-        for j in 0..ny as isize {
-            let ucl = u.column(i, j);
-            let uxp = u.column(i + 1, j);
-            let uxm = u.column(i - 1, j);
-            let uyp = u.column(i, j + 1);
-            let uym = u.column(i, j - 1);
-            let uxp_ym = u.column(i + 1, j - 1);
-            let vcl = v.column(i, j);
-            let vxp = v.column(i + 1, j);
-            let vxm = v.column(i - 1, j);
-            let vyp = v.column(i, j + 1);
-            let vym = v.column(i, j - 1);
-            let vxm_yp = v.column(i - 1, j + 1);
-            let wcl = w.column(i, j);
-            let wxp = w.column(i + 1, j);
-            let wxm = w.column(i - 1, j);
-            let wyp = w.column(i, j + 1);
-            let wym = w.column(i, j - 1);
-            let tuc = tu.column_mut(i, j);
-            for k in 0..nz {
-                // ---- u tendency at the x-face (i,j,k) ----
-                let uc = ucl[k];
-                let dudx = (uxp[k] - uxm[k]) * half * m.inv_dx;
-                let vf = (vxm[k] + vxm_yp[k] + vcl[k] + vyp[k]) * quarter;
-                let dudy = (uyp[k] - uym[k]) * half * m.inv_dx;
-                let wf = (w_center_col(wxm, k, nz) + w_center_col(wcl, k, nz)) * half;
-                let dudz = vertical_gradient(ucl, k, nz, m);
-                tuc[k] = -(uc * dudx + vf * dudy + wf * dudz);
-            }
-            let tvc = tv.column_mut(i, j);
-            for k in 0..nz {
-                // ---- v tendency at the y-face (i,j,k) ----
-                let vc = vcl[k];
-                let dvdy = (vyp[k] - vym[k]) * half * m.inv_dx;
-                let uf = (uym[k] + uxp_ym[k] + ucl[k] + uxp[k]) * quarter;
-                let dvdx = (vxp[k] - vxm[k]) * half * m.inv_dx;
-                let wf = (w_center_col(wym, k, nz) + w_center_col(wcl, k, nz)) * half;
-                let dvdz = vertical_gradient(vcl, k, nz, m);
-                tvc[k] = -(uf * dvdx + vc * dvdy + wf * dvdz);
-            }
-            let twc = tw.column_mut(i, j);
-            twc[0] = T::zero(); // surface face is rigid
-            for k in 1..nz {
-                // ---- w tendency at the z-face (i,j,k) ----
-                let wc = wcl[k];
-                let dwdx = (wxp[k] - wxm[k]) * half * m.inv_dx;
-                let dwdy = (wyp[k] - wym[k]) * half * m.inv_dx;
-                let uf = (ucl[k - 1] + uxp[k - 1] + ucl[k] + uxp[k]) * quarter;
-                let vf = (vcl[k - 1] + vyp[k - 1] + vcl[k] + vyp[k]) * quarter;
-                // dw/dz at the face uses the two adjacent faces.
-                let w_above = if k + 1 < nz { wcl[k + 1] } else { T::zero() };
-                let w_below = if k >= 2 { wcl[k - 1] } else { T::zero() };
-                let dwdz = (w_above - w_below) / (m.dz[k] + m.dz[k - 1]);
-                twc[k] = -(uf * dwdx + vf * dwdy + wc * dwdz);
-            }
+    for j in 0..ny as isize {
+        let ucl = u.column(i, j);
+        let uxp = u.column(i + 1, j);
+        let uxm = u.column(i - 1, j);
+        let uyp = u.column(i, j + 1);
+        let uym = u.column(i, j - 1);
+        let uxp_ym = u.column(i + 1, j - 1);
+        let vcl = v.column(i, j);
+        let vxp = v.column(i + 1, j);
+        let vxm = v.column(i - 1, j);
+        let vyp = v.column(i, j + 1);
+        let vym = v.column(i, j - 1);
+        let vxm_yp = v.column(i - 1, j + 1);
+        let wcl = w.column(i, j);
+        let wxp = w.column(i + 1, j);
+        let wxm = w.column(i - 1, j);
+        let wyp = w.column(i, j + 1);
+        let wym = w.column(i, j - 1);
+        let tuc = tu.column_mut(j);
+        for k in 0..nz {
+            // ---- u tendency at the x-face (i,j,k) ----
+            let uc = ucl[k];
+            let dudx = (uxp[k] - uxm[k]) * half * m.inv_dx;
+            let vf = (vxm[k] + vxm_yp[k] + vcl[k] + vyp[k]) * quarter;
+            let dudy = (uyp[k] - uym[k]) * half * m.inv_dx;
+            let wf = (w_center_col(wxm, k, nz) + w_center_col(wcl, k, nz)) * half;
+            let dudz = vertical_gradient(ucl, k, nz, m);
+            tuc[k] = -(uc * dudx + vf * dudy + wf * dudz);
+        }
+        let tvc = tv.column_mut(j);
+        for k in 0..nz {
+            // ---- v tendency at the y-face (i,j,k) ----
+            let vc = vcl[k];
+            let dvdy = (vyp[k] - vym[k]) * half * m.inv_dx;
+            let uf = (uym[k] + uxp_ym[k] + ucl[k] + uxp[k]) * quarter;
+            let dvdx = (vxp[k] - vxm[k]) * half * m.inv_dx;
+            let wf = (w_center_col(wym, k, nz) + w_center_col(wcl, k, nz)) * half;
+            let dvdz = vertical_gradient(vcl, k, nz, m);
+            tvc[k] = -(uf * dvdx + vc * dvdy + wf * dvdz);
+        }
+        let twc = tw.column_mut(j);
+        twc[0] = T::zero(); // surface face is rigid
+        for k in 1..nz {
+            // ---- w tendency at the z-face (i,j,k) ----
+            let wc = wcl[k];
+            let dwdx = (wxp[k] - wxm[k]) * half * m.inv_dx;
+            let dwdy = (wyp[k] - wym[k]) * half * m.inv_dx;
+            let uf = (ucl[k - 1] + uxp[k - 1] + ucl[k] + uxp[k]) * quarter;
+            let vf = (vcl[k - 1] + vyp[k - 1] + vcl[k] + vyp[k]) * quarter;
+            // dw/dz at the face uses the two adjacent faces.
+            let w_above = if k + 1 < nz { wcl[k + 1] } else { T::zero() };
+            let w_below = if k >= 2 { wcl[k - 1] } else { T::zero() };
+            let dwdz = (w_above - w_below) / (m.dz[k] + m.dz[k - 1]);
+            twc[k] = -(uf * dwdx + vf * dwdy + wc * dwdz);
         }
     }
 }
@@ -254,6 +255,39 @@ mod tests {
         GridSpec::new(nx, nx, 100.0, VerticalCoord::uniform(nz, 1000.0))
     }
 
+    /// The scalar tendency over every row.
+    #[allow(clippy::too_many_arguments)]
+    fn advect_scalar(
+        q: &Field3<f64>,
+        u: &Field3<f64>,
+        v: &Field3<f64>,
+        w: &Field3<f64>,
+        rho0: &[f64],
+        rho0f: &[f64],
+        m: &Metrics<f64>,
+        tend: &mut Field3<f64>,
+    ) {
+        for mut row in tend.rows_mut() {
+            scalar_advection_row(q, u, v, w, rho0, rho0f, m, &mut row);
+        }
+    }
+
+    /// The momentum tendencies over every row.
+    fn advect_momentum(
+        u: &Field3<f64>,
+        v: &Field3<f64>,
+        w: &Field3<f64>,
+        m: &Metrics<f64>,
+        tu: &mut Field3<f64>,
+        tv: &mut Field3<f64>,
+        tw: &mut Field3<f64>,
+    ) {
+        let rows = tu.rows_mut().zip(tv.rows_mut()).zip(tw.rows_mut());
+        for ((mut ru, mut rv), mut rw) in rows {
+            momentum_advection_row(u, v, w, m, &mut ru, &mut rv, &mut rw);
+        }
+    }
+
     #[test]
     fn uniform_scalar_in_uniform_flow_has_zero_tendency() {
         let g = grid(8, 4);
@@ -268,7 +302,7 @@ mod tests {
         let rho0 = vec![1.0; 4];
         let rho0f = vec![1.0; 5];
         let mut tend = Field3::zeros(8, 8, 4, 2);
-        scalar_advection_upwind(&q, &u, &v, &w, &rho0, &rho0f, &m, &mut tend);
+        advect_scalar(&q, &u, &v, &w, &rho0, &rho0f, &m, &mut tend);
         assert!(tend.interior_max_abs() < 1e-12);
     }
 
@@ -286,7 +320,7 @@ mod tests {
         let rho0 = vec![1.0; 2];
         let rho0f = vec![1.0; 3];
         let mut tend = Field3::zeros(8, 8, 2, 2);
-        scalar_advection_upwind(&q, &u, &v, &w, &rho0, &rho0f, &m, &mut tend);
+        advect_scalar(&q, &u, &v, &w, &rho0, &rho0f, &m, &mut tend);
         // The spike cell loses mass, the cell to its east gains it.
         assert!(tend.at(3, 4, 0) < 0.0);
         assert!(tend.at(4, 4, 0) > 0.0);
@@ -318,7 +352,7 @@ mod tests {
         let rho0 = vec![1.0; 2];
         let rho0f = vec![1.0; 3];
         let mut tend = Field3::zeros(8, 8, 2, 2);
-        scalar_advection_upwind(&q, &u, &v, &w, &rho0, &rho0f, &m, &mut tend);
+        advect_scalar(&q, &u, &v, &w, &rho0, &rho0f, &m, &mut tend);
         let dt = 50.0; // CFL = u dt / dx = 0.5
         for i in 0..8 {
             for j in 0..8 {
@@ -346,7 +380,7 @@ mod tests {
         let rho0 = vec![1.0; 6];
         let rho0f = vec![1.0; 7];
         let mut tend = Field3::zeros(4, 4, 6, 2);
-        scalar_advection_upwind(&q, &u, &v, &w, &rho0, &rho0f, &m, &mut tend);
+        advect_scalar(&q, &u, &v, &w, &rho0, &rho0f, &m, &mut tend);
         // rho0 = 1, uniform dz: sum of dz*tend over the column must vanish
         // (rigid lid and surface -> zero boundary fluxes).
         let mut col_sum = 0.0;
@@ -368,7 +402,7 @@ mod tests {
         let mut tu = Field3::zeros(8, 8, 4, 2);
         let mut tv = Field3::zeros(8, 8, 4, 2);
         let mut tw = Field3::zeros(8, 8, 4, 2);
-        momentum_advection(&u, &v, &w, &m, &mut tu, &mut tv, &mut tw);
+        advect_momentum(&u, &v, &w, &m, &mut tu, &mut tv, &mut tw);
         assert!(tu.interior_max_abs() < 1e-12);
         assert!(tv.interior_max_abs() < 1e-12);
         assert!(tw.interior_max_abs() < 1e-12);
@@ -397,7 +431,7 @@ mod tests {
         let mut tu = Field3::zeros(8, 8, 2, 2);
         let mut tv = Field3::zeros(8, 8, 2, 2);
         let mut tw = Field3::zeros(8, 8, 2, 2);
-        momentum_advection(&u, &v, &w, &m, &mut tu, &mut tv, &mut tw);
+        advect_momentum(&u, &v, &w, &m, &mut tu, &mut tv, &mut tw);
         // At cell 4: u = 10.4, du/dx = a/dx = 0.001 -> tend = -10.4e-3.
         let expect = -(10.0 + a * 4.0) * a / 100.0;
         assert!((tu.at(4, 4, 0) - expect).abs() < 1e-9, "{}", tu.at(4, 4, 0));
@@ -415,7 +449,7 @@ mod tests {
         let mut tu = Field3::zeros(6, 6, 4, 2);
         let mut tv = Field3::zeros(6, 6, 4, 2);
         let mut tw = Field3::zeros(6, 6, 4, 2);
-        momentum_advection(&u, &v, &w, &m, &mut tu, &mut tv, &mut tw);
+        advect_momentum(&u, &v, &w, &m, &mut tu, &mut tv, &mut tw);
         for i in 0..6 {
             for j in 0..6 {
                 assert_eq!(tw.at(i, j, 0), 0.0);

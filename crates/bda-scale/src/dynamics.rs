@@ -14,13 +14,33 @@
 //! The prognostic pressure variable is the Exner perturbation `pi'` with
 //! `d pi'/dt = -cs^2/(cp rho0 theta0^2) div(rho0 theta0 u)`, the standard
 //! Klemp–Wilhelmson quasi-compressible closure.
+//!
+//! # Row regions
+//!
+//! [`step_dynamics`] runs as three fork–join regions over the interior
+//! x-rows, with serial halo fills between them:
+//!
+//! 1. [`explicit_tendencies_row`]: momentum advection, pressure gradient,
+//!    Coriolis and buoyancy into `tu`, `tv`, `tw`, plus the plain
+//!    divergence the damping needs; then, per block of `LAP_BLOCK` rows,
+//!    the hyperdiffusion;
+//! 2. [`forward_uv_row`]: divergence damping and the forward step of `u, v`;
+//! 3. `vertical_solve_row`: the mass-flux divergence with the new winds,
+//!    the blocked implicit `w`/`pi'` solve and the `pi'`/theta/sponge update.
+//!
+//! Each row writes only its own slab of each output and its own scratch,
+//! and the per-cell arithmetic is the serial loop nest's, so the result is
+//! the same bits at any pool width. A block recomputes the Laplacian of
+//! its two outer neighbour rows for the hyperdiffusion instead of reading
+//! a shared one: same inputs, same arithmetic, same bits.
 
-use crate::advect::{momentum_advection, w_center_col, Metrics};
+use crate::advect::{momentum_advection_row, w_center_col, Metrics};
 use crate::base::BaseState;
 use crate::config::ModelConfig;
 use crate::constants::{CP, GRAV};
+use crate::model::{par_rows, row_sets};
 use crate::state::ModelState;
-use bda_grid::Field3;
+use bda_grid::{Field3, Row};
 use bda_num::tridiag::ThomasFactor;
 use bda_num::Real;
 
@@ -29,15 +49,34 @@ const SPONGE_FRAC: f64 = 0.15;
 /// Sponge e-folding time at the model top, s.
 const SPONGE_TAU: f64 = 100.0;
 
+/// Full-size scratch fields a [`DynWorkspace`] holds.
+const BANK: usize = 8;
+
+/// x-rows per work item of the explicit-tendency region. An item computes
+/// the Laplacian of its rows and of their two outer neighbours once, so
+/// the hyperdiffusion's recomputed neighbour rows cost `(B + 2) / B` of a
+/// shared Laplacian instead of 3×. The partition depends on `nx` only.
+const LAP_BLOCK: usize = 4;
+
 /// Reusable buffers for one dynamics step.
 pub struct DynWorkspace<T> {
-    tu: Field3<T>,
-    tv: Field3<T>,
-    tw: Field3<T>,
-    /// Horizontal divergence of (rho0 theta0 u, rho0 theta0 v) at centers.
-    div_h: Field3<T>,
-    /// Horizontal Laplacian scratch for the hyperdiffusion.
-    lap: Field3<T>,
+    /// Full-size scratch fields. Inside [`step_dynamics`] the first four
+    /// hold the `u`, `v`, `w` tendencies and the horizontal divergence;
+    /// outside it all eight are dead, and the model driver reuses them for
+    /// its advected scalars and its diffusion snapshots.
+    pub(crate) bank: [Field3<T>; BANK],
+    /// Each [`LAP_BLOCK`] of x-rows' horizontal Laplacian, over its rows
+    /// and their two outer neighbours and the columns `j = -1 ..= ny`,
+    /// `[row][j + 1][level]`.
+    laps: Vec<Vec<T>>,
+    /// Each x-row's right-hand sides, `[level][j]` — the blocked solve
+    /// tile.
+    rhs: Vec<Vec<T>>,
+    op: VerticalOperator<T>,
+}
+
+/// The implicit vertical operator, shared read-only by every row.
+struct VerticalOperator<T> {
     /// Shared vertical-operator factorization: the HEVI coefficients depend
     /// only on the level, so one factorization per step serves every column.
     tri: ThomasFactor<T>,
@@ -47,8 +86,6 @@ pub struct DynWorkspace<T> {
     /// Per-face implicit coupling coefficient `dt cp theta0_f / dzc`,
     /// computed once per step (it depends only on the level).
     cface: Vec<T>,
-    /// One x-row of right-hand sides, `[level][j]` — the blocked solve tile.
-    rhs_block: Vec<T>,
     /// Sponge damping coefficient per level (1/s).
     sponge: Vec<T>,
 }
@@ -57,7 +94,6 @@ impl<T: Real> DynWorkspace<T> {
     pub fn new(cfg: &ModelConfig) -> Self {
         let g = &cfg.grid;
         let nz = g.nz();
-        let f = || Field3::zeros(g.nx, g.ny, nz, crate::state::HALO);
         let z_top = g.vertical.z_top();
         let z_sponge = z_top * (1.0 - SPONGE_FRAC);
         let sponge = (0..nz)
@@ -72,28 +108,58 @@ impl<T: Real> DynWorkspace<T> {
             })
             .collect();
         Self {
-            tu: f(),
-            tv: f(),
-            tw: f(),
-            div_h: f(),
-            lap: f(),
-            tri: ThomasFactor::new(),
-            sub: vec![T::zero(); nz],
-            diag: vec![T::zero(); nz],
-            sup: vec![T::zero(); nz],
-            cface: vec![T::zero(); nz + 1],
-            rhs_block: vec![T::zero(); nz * g.ny],
-            sponge,
+            bank: std::array::from_fn(|_| Field3::zeros(g.nx, g.ny, nz, crate::state::HALO)),
+            laps: (0..g.nx.div_ceil(LAP_BLOCK))
+                .map(|_| vec![T::zero(); (LAP_BLOCK + 2) * (g.ny + 2) * nz])
+                .collect(),
+            rhs: (0..g.nx).map(|_| vec![T::zero(); nz * g.ny]).collect(),
+            op: VerticalOperator {
+                tri: ThomasFactor::new(),
+                sub: vec![T::zero(); nz],
+                diag: vec![T::zero(); nz],
+                sup: vec![T::zero(); nz],
+                cface: vec![T::zero(); nz + 1],
+                sponge,
+            },
         }
+    }
+}
+
+impl<T: Real> VerticalOperator<T> {
+    /// Factor the implicit `w`/`pi'` operator for this step.
+    // `k±1` reads run over `1..nz`, inside buffers sized nz (nz + 1 for
+    // the faces) at construction.
+    // bda-check: allow(panic_path)
+    fn factor(&mut self, base: &BaseState<T>, m: &Metrics<T>, dt: T) {
+        let nz = self.sponge.len();
+        let n_solve = nz - 1; // unknowns w[1..nz-1]
+        if n_solve == 0 {
+            return;
+        }
+        let cp = T::of(CP);
+        for k in 1..nz {
+            let c = dt * cp * base.theta0_face[k] / m.dzc[k];
+            self.cface[k] = c;
+            let idx = k - 1;
+            let b_up = base.b_center[k]; // B at cell above face k
+            let b_dn = base.b_center[k - 1]; // B at cell below
+            self.diag[idx] = T::one()
+                + c * dt
+                    * (b_up * base.a_face[k] * m.inv_dz[k]
+                        + b_dn * base.a_face[k] * m.inv_dz[k - 1]);
+            self.sup[idx] = -c * dt * b_up * base.a_face[k + 1] * m.inv_dz[k];
+            self.sub[idx] = -c * dt * b_dn * base.a_face[k - 1] * m.inv_dz[k - 1];
+        }
+        self.tri.factor(
+            &self.sub[..n_solve],
+            &self.diag[..n_solve],
+            &self.sup[..n_solve],
+        );
     }
 }
 
 /// One HEVI dynamics step: updates `u`, `v`, `w`, `pi` (and the theta
 /// base-state vertical advection term). Halos must be filled on entry.
-// Every `k±1` stencil access sits behind an explicit `k == 0` / `k + 1 < nz`
-// boundary branch or a loop over `1..nz`; column slices and workspace
-// buffers are sized to nz (or nz+1 for faces) at construction.
-// bda-check: allow(panic_path)
 pub fn step_dynamics<T: Real>(
     state: &mut ModelState<T>,
     base: &BaseState<T>,
@@ -101,275 +167,381 @@ pub fn step_dynamics<T: Real>(
     m: &Metrics<T>,
     ws: &mut DynWorkspace<T>,
 ) {
+    let DynWorkspace {
+        bank,
+        laps,
+        rhs,
+        op,
+    } = ws;
+    let [tu, tv, tw, div_h, ..] = bank;
     let g = &cfg.grid;
-    let (nx, ny, nz) = (g.nx as isize, g.ny as isize, g.nz());
     let dt = T::of(cfg.dt);
+    let k4 = (cfg.hyperdiffusion > 0.0).then(|| T::of(cfg.hyperdiffusion * g.dx.powi(4) / cfg.dt));
+    let alpha = (cfg.divergence_damping > 0.0)
+        .then(|| T::of(cfg.divergence_damping * cfg.sound_speed * cfg.sound_speed * cfg.dt));
+
+    // --- explicit tendencies (and the plain divergence for the damping) ---
+    let s = &*state;
+    let mut sets: Vec<_> = row_sets([&mut *tu, &mut *tv, &mut *tw, &mut *div_h]).collect();
+    par_rows(
+        sets.chunks_mut(LAP_BLOCK).zip(laps.iter_mut()),
+        |(block, lap)| {
+            for [tu, tv, tw, dv] in block.iter_mut() {
+                let dv = alpha.is_some().then_some(dv);
+                explicit_tendencies_row(s, base, cfg, m, tu, tv, tw, dv);
+            }
+            if let Some(k4) = k4 {
+                for (c, f) in [&s.u, &s.v, &s.w].into_iter().enumerate() {
+                    hyperdiffusion_block(f, k4, m, lap, block, c);
+                }
+            }
+        },
+    );
+    drop(sets);
+    if alpha.is_some() {
+        cfg.halo.fill(div_h);
+    }
+
+    // --- divergence damping and the forward step for u, v (the "forward"
+    //     half of forward-backward) ---
+    let div = &*div_h;
+    par_rows(
+        row_sets([&mut *tu, &mut *tv, &mut state.u, &mut state.v]),
+        |[mut tu, mut tv, mut u, mut v]| {
+            forward_uv_row(div, alpha, m.inv_dx, dt, &mut tu, &mut tv, &mut u, &mut v);
+        },
+    );
+    cfg.halo.fill(&mut state.u);
+    cfg.halo.fill(&mut state.v);
+
+    // --- implicit vertical solve for w and pi' with the *updated* winds
+    //     (the "backward" half) ---
+    op.factor(base, m, dt);
+    let ModelState {
+        u, v, w, theta, pi, ..
+    } = state;
+    let (u, v, tw, op) = (&*u, &*v, &*tw, &*op);
+    par_rows(
+        row_sets([div_h, w, pi, theta]).zip(rhs.iter_mut()),
+        |([mut dv, mut w, mut pi, mut th], rhs)| {
+            vertical_solve_row(
+                u, v, tw, base, m, op, dt, rhs, &mut dv, &mut w, &mut pi, &mut th,
+            );
+        },
+    );
+}
+
+/// The explicit tendencies of one x-row: momentum advection, then the
+/// horizontal pressure gradient, Coriolis and buoyancy, into rows `i` of
+/// `tu`, `tv`, `tw`; and, when `div` is given, the plain velocity
+/// divergence into it. The hyperdiffusion is added after, per block.
+#[allow(clippy::too_many_arguments)]
+// Every `k±1` stencil access sits behind an explicit `k > 0` branch;
+// column slices are sized to nz by the Field3 layout.
+// bda-check: allow(panic_path)
+pub fn explicit_tendencies_row<T: Real>(
+    s: &ModelState<T>,
+    base: &BaseState<T>,
+    cfg: &ModelConfig,
+    m: &Metrics<T>,
+    tu: &mut Row<'_, T>,
+    tv: &mut Row<'_, T>,
+    tw: &mut Row<'_, T>,
+    div: Option<&mut Row<'_, T>>,
+) {
+    let (_, ny, nz, _) = s.u.shape();
+    let i = tu.i() as isize;
     let cp = T::of(CP);
     let grav = T::of(GRAV);
     let f_cor = T::of(cfg.coriolis_f);
 
-    // --- explicit tendencies: advection ---
-    momentum_advection(
-        &state.u, &state.v, &state.w, m, &mut ws.tu, &mut ws.tv, &mut ws.tw,
-    );
+    // --- advection ---
+    momentum_advection_row(&s.u, &s.v, &s.w, m, tu, tv, tw);
 
     // --- horizontal pressure gradient, Coriolis, buoyancy ---
     // Column-sliced: each (i,j) hoists its stencil columns once and the k
     // loop runs on contiguous slices. Arithmetic per cell is unchanged, so
     // the update is bit-identical to the indexed form.
     let quarter = T::of(0.25);
-    for i in 0..nx {
-        for j in 0..ny {
-            let pic = state.pi.column(i, j);
-            let pixm = state.pi.column(i - 1, j);
-            let piym = state.pi.column(i, j - 1);
-            let vxm = state.v.column(i - 1, j);
-            let vxm_yp = state.v.column(i - 1, j + 1);
-            let vc = state.v.column(i, j);
-            let vyp = state.v.column(i, j + 1);
-            let uym = state.u.column(i, j - 1);
-            let uxp_ym = state.u.column(i + 1, j - 1);
-            let ucl = state.u.column(i, j);
-            let uxp = state.u.column(i + 1, j);
-            let thc = state.theta.column(i, j);
-            let qvc = state.qv.column(i, j);
-            let qcc = state.qc.column(i, j);
-            let qrc = state.qr.column(i, j);
-            let qic = state.qi.column(i, j);
-            let qsc = state.qs.column(i, j);
-            let qgc = state.qg.column(i, j);
-            let cond = |k: usize| qcc[k] + qrc[k] + qic[k] + qsc[k] + qgc[k];
-            let tuc = ws.tu.column_mut(i, j);
-            let tvc = ws.tv.column_mut(i, j);
-            let twc = ws.tw.column_mut(i, j);
-            for k in 0..nz {
-                // u face (i, j): PGF = -cp theta0 d(pi')/dx.
-                let pgf_u = -cp * base.theta0[k] * (pic[k] - pixm[k]) * m.inv_dx;
-                let v_at_u = (vxm[k] + vxm_yp[k] + vc[k] + vyp[k]) * quarter;
-                tuc[k] += pgf_u + f_cor * (v_at_u - base.v0[k]);
+    for j in 0..ny as isize {
+        let pic = s.pi.column(i, j);
+        let pixm = s.pi.column(i - 1, j);
+        let piym = s.pi.column(i, j - 1);
+        let vxm = s.v.column(i - 1, j);
+        let vxm_yp = s.v.column(i - 1, j + 1);
+        let vc = s.v.column(i, j);
+        let vyp = s.v.column(i, j + 1);
+        let uym = s.u.column(i, j - 1);
+        let uxp_ym = s.u.column(i + 1, j - 1);
+        let ucl = s.u.column(i, j);
+        let uxp = s.u.column(i + 1, j);
+        let thc = s.theta.column(i, j);
+        let qvc = s.qv.column(i, j);
+        let qcc = s.qc.column(i, j);
+        let qrc = s.qr.column(i, j);
+        let qic = s.qi.column(i, j);
+        let qsc = s.qs.column(i, j);
+        let qgc = s.qg.column(i, j);
+        let cond = |k: usize| qcc[k] + qrc[k] + qic[k] + qsc[k] + qgc[k];
+        let tuc = tu.column_mut(j);
+        let tvc = tv.column_mut(j);
+        let twc = tw.column_mut(j);
+        for k in 0..nz {
+            // u face (i, j): PGF = -cp theta0 d(pi')/dx.
+            let pgf_u = -cp * base.theta0[k] * (pic[k] - pixm[k]) * m.inv_dx;
+            let v_at_u = (vxm[k] + vxm_yp[k] + vc[k] + vyp[k]) * quarter;
+            tuc[k] += pgf_u + f_cor * (v_at_u - base.v0[k]);
 
-                let pgf_v = -cp * base.theta0[k] * (pic[k] - piym[k]) * m.inv_dx;
-                let u_at_v = (uym[k] + uxp_ym[k] + ucl[k] + uxp[k]) * quarter;
-                tvc[k] += pgf_v - f_cor * (u_at_v - base.u0[k]);
+            let pgf_v = -cp * base.theta0[k] * (pic[k] - piym[k]) * m.inv_dx;
+            let u_at_v = (uym[k] + uxp_ym[k] + ucl[k] + uxp[k]) * quarter;
+            tvc[k] += pgf_v - f_cor * (u_at_v - base.u0[k]);
 
-                // w face k (skip the rigid surface face k = 0): buoyancy.
-                if k > 0 {
-                    let th_f = (thc[k - 1] + thc[k]) * T::half();
-                    let qv_f = (qvc[k - 1] + qvc[k]) * T::half();
-                    let qv0_f = (base.qv0[k - 1] + base.qv0[k]) * T::half();
-                    let qc_f = (cond(k - 1) + cond(k)) * T::half();
-                    let buoy =
-                        grav * (th_f / base.theta0_face[k] + T::of(0.61) * (qv_f - qv0_f) - qc_f);
-                    twc[k] += buoy;
-                }
+            // w face k (skip the rigid surface face k = 0): buoyancy.
+            if k > 0 {
+                let th_f = (thc[k - 1] + thc[k]) * T::half();
+                let qv_f = (qvc[k - 1] + qvc[k]) * T::half();
+                let qv0_f = (base.qv0[k - 1] + base.qv0[k]) * T::half();
+                let qc_f = (cond(k - 1) + cond(k)) * T::half();
+                let buoy =
+                    grav * (th_f / base.theta0_face[k] + T::of(0.61) * (qv_f - qv0_f) - qc_f);
+                twc[k] += buoy;
             }
         }
     }
 
-    // --- 4th-order horizontal hyperdiffusion on momentum and theta ---
-    if cfg.hyperdiffusion > 0.0 {
-        let k4 = T::of(cfg.hyperdiffusion * g.dx.powi(4) / cfg.dt);
-        apply_hyperdiffusion(&state.u, k4, m, &mut ws.lap, &mut ws.tu);
-        apply_hyperdiffusion(&state.v, k4, m, &mut ws.lap, &mut ws.tv);
-        apply_hyperdiffusion(&state.w, k4, m, &mut ws.lap, &mut ws.tw);
-    }
-
-    // --- divergence damping on the horizontal velocity (acoustic filter) ---
-    if cfg.divergence_damping > 0.0 {
-        let alpha = T::of(cfg.divergence_damping * cfg.sound_speed * cfg.sound_speed * cfg.dt);
-        // ws.div_h temporarily holds plain velocity divergence.
-        for i in 0..nx {
-            for j in 0..ny {
-                let ucl = state.u.column(i, j);
-                let uxp = state.u.column(i + 1, j);
-                let vc = state.v.column(i, j);
-                let vyp = state.v.column(i, j + 1);
-                let dc = ws.div_h.column_mut(i, j);
-                for k in 0..nz {
-                    dc[k] = (uxp[k] - ucl[k] + vyp[k] - vc[k]) * m.inv_dx;
-                }
-            }
-        }
-        cfg.halo.fill(&mut ws.div_h);
-        for i in 0..nx {
-            for j in 0..ny {
-                let dc = ws.div_h.column(i, j);
-                let dxm = ws.div_h.column(i - 1, j);
-                let dym = ws.div_h.column(i, j - 1);
-                let tuc = ws.tu.column_mut(i, j);
-                let tvc = ws.tv.column_mut(i, j);
-                for k in 0..nz {
-                    tuc[k] += alpha * (dc[k] - dxm[k]) * m.inv_dx;
-                    tvc[k] += alpha * (dc[k] - dym[k]) * m.inv_dx;
-                }
-            }
-        }
-    }
-
-    // --- forward step for u, v (the "forward" half of forward-backward) ---
-    for i in 0..nx {
-        for j in 0..ny {
-            let tuc = ws.tu.column(i, j);
-            let uc = state.u.column_mut(i, j);
+    // --- plain velocity divergence, for the damping ---
+    if let Some(div) = div {
+        for j in 0..ny as isize {
+            let ucl = s.u.column(i, j);
+            let uxp = s.u.column(i + 1, j);
+            let vc = s.v.column(i, j);
+            let vyp = s.v.column(i, j + 1);
+            let dc = div.column_mut(j);
             for k in 0..nz {
-                uc[k] += dt * tuc[k];
-            }
-            let tvc = ws.tv.column(i, j);
-            let vc = state.v.column_mut(i, j);
-            for k in 0..nz {
-                vc[k] += dt * tvc[k];
-            }
-        }
-    }
-    cfg.halo.fill(&mut state.u);
-    cfg.halo.fill(&mut state.v);
-
-    // --- horizontal mass-flux divergence with the *updated* winds (the
-    //     "backward" half), rho0 theta0 constant along levels ---
-    for i in 0..nx {
-        for j in 0..ny {
-            let ucl = state.u.column(i, j);
-            let uxp = state.u.column(i + 1, j);
-            let vc = state.v.column(i, j);
-            let vyp = state.v.column(i, j + 1);
-            let dc = ws.div_h.column_mut(i, j);
-            for k in 0..nz {
-                let a_c = base.rho0[k] * base.theta0[k];
-                dc[k] = a_c * (uxp[k] - ucl[k] + vyp[k] - vc[k]) * m.inv_dx;
-            }
-        }
-    }
-
-    // --- implicit vertical solve for w and pi' ---
-    //
-    // The tridiagonal coefficients depend only on the level, so the
-    // operator is factored once per step and each x-row of columns is
-    // swept as one `[level][j]` block: the forward/backward substitution
-    // inner loop is then unit-stride across `j` (SIMD across columns),
-    // while staying bit-identical to a column-at-a-time solve.
-    let n_solve = nz - 1; // unknowns w[1..nz-1]
-    let nyu = g.ny;
-    if n_solve > 0 {
-        for k in 1..nz {
-            let c = dt * cp * base.theta0_face[k] / m.dzc[k];
-            ws.cface[k] = c;
-            let idx = k - 1;
-            let b_up = base.b_center[k]; // B at cell above face k
-            let b_dn = base.b_center[k - 1]; // B at cell below
-            ws.diag[idx] = T::one()
-                + c * dt
-                    * (b_up * base.a_face[k] * m.inv_dz[k]
-                        + b_dn * base.a_face[k] * m.inv_dz[k - 1]);
-            ws.sup[idx] = -c * dt * b_up * base.a_face[k + 1] * m.inv_dz[k];
-            ws.sub[idx] = -c * dt * b_dn * base.a_face[k - 1] * m.inv_dz[k - 1];
-        }
-        ws.tri
-            .factor(&ws.sub[..n_solve], &ws.diag[..n_solve], &ws.sup[..n_solve]);
-    }
-    for i in 0..nx {
-        if n_solve > 0 {
-            // Fill the [level][j] block column by column: the reads are
-            // then contiguous per column while the per-face coefficients
-            // come from the precomputed `cface` (identical values, so the
-            // block is bit-identical to the row-by-row fill).
-            for ju in 0..nyu {
-                let j = ju as isize;
-                let wcol = state.w.column(i, j);
-                let twc = ws.tw.column(i, j);
-                let pic = state.pi.column(i, j);
-                let dvc = ws.div_h.column(i, j);
-                for k in 1..nz {
-                    let c = ws.cface[k];
-                    let b_up = base.b_center[k];
-                    let b_dn = base.b_center[k - 1];
-                    let w_star = wcol[k] + dt * twc[k];
-                    let dpi = pic[k] - pic[k - 1];
-                    let ddiv = b_up * dvc[k] - b_dn * dvc[k - 1];
-                    ws.rhs_block[(k - 1) * nyu + ju] = w_star - c * dpi + c * dt * ddiv;
-                }
-            }
-            ws.tri
-                .solve_columns(&mut ws.rhs_block[..n_solve * nyu], nyu);
-            for ju in 0..nyu {
-                let j = ju as isize;
-                let wcol = state.w.column_mut(i, j);
-                for (k, w) in wcol.iter_mut().enumerate().take(nz).skip(1) {
-                    *w = ws.rhs_block[(k - 1) * nyu + ju];
-                }
-            }
-        }
-        for j in 0..ny {
-            // pi' update with the implicit w.
-            let wcol = state.w.column(i, j);
-            let dvc = ws.div_h.column(i, j);
-            let pic = state.pi.column_mut(i, j);
-            for k in 0..nz {
-                let w_top = if k + 1 < nz { wcol[k + 1] } else { T::zero() };
-                let w_bot = wcol[k];
-                let vert = (base.a_face[k + 1] * w_top - base.a_face[k] * w_bot) * m.inv_dz[k];
-                let dpi = -dt * base.b_center[k] * (dvc[k] + vert);
-                pic[k] += dpi;
-            }
-            // theta': vertical advection of the base-state profile and the
-            // top sponge on w.
-            let wcol = state.w.column_mut(i, j);
-            let thc = state.theta.column_mut(i, j);
-            for k in 0..nz {
-                let wc = w_center_col(&*wcol, k, nz);
-                let dth0_dz = if k == 0 {
-                    (base.theta0[1] - base.theta0[0]) / m.dzc[1]
-                } else if k + 1 >= nz {
-                    (base.theta0[k] - base.theta0[k - 1]) / m.dzc[k]
-                } else {
-                    (base.theta0[k + 1] - base.theta0[k - 1]) / (m.dzc[k] + m.dzc[k + 1])
-                };
-                thc[k] += -dt * wc * dth0_dz;
-                if ws.sponge[k] > T::zero() {
-                    let damp = T::one() / (T::one() + dt * ws.sponge[k]);
-                    wcol[k] *= damp;
-                    thc[k] *= damp;
-                }
+                dc[k] = (uxp[k] - ucl[k] + vyp[k] - vc[k]) * m.inv_dx;
             }
         }
     }
 }
 
-/// Add `-k4 * laplacian(laplacian(f))` (horizontal only) to `tend`.
-fn apply_hyperdiffusion<T: Real>(
+/// Add the 4th-order horizontal hyperdiffusion `-k4 * laplacian(laplacian(f))`
+/// to tendency `c` of every row set in `block`, a run of consecutive
+/// x-rows. The inner Laplacian is computed into `lap` for the block's rows
+/// and their two outer neighbours (the halo width of 2 covers its
+/// stencil), with the same arithmetic a whole-field Laplacian would use
+/// for those cells.
+// `lap` is sized (LAP_BLOCK + 2) * (ny + 2) * nz at construction, the block
+// holds at most LAP_BLOCK rows, and every offset is `at(r, jj)` with
+// r < block.len() + 2, jj < ny + 2; column slices have length nz.
+// bda-check: allow(panic_path)
+fn hyperdiffusion_block<T: Real, const N: usize>(
     f: &Field3<T>,
     k4: T,
     m: &Metrics<T>,
-    lap: &mut Field3<T>,
-    tend: &mut Field3<T>,
+    lap: &mut [T],
+    block: &mut [[Row<'_, T>; N]],
+    c: usize,
 ) {
-    let (nx, ny, nz, _) = f.shape();
+    let (_, ny, nz, _) = f.shape();
     let inv_dx2 = m.inv_dx * m.inv_dx;
     let four = T::of(4.0);
-    // Laplacian on the interior extended by one cell (uses halo width 2).
-    for i in -1..=(nx as isize) {
-        for j in -1..=(ny as isize) {
-            let fc = f.column(i, j);
-            let fxp = f.column(i + 1, j);
-            let fxm = f.column(i - 1, j);
-            let fyp = f.column(i, j + 1);
-            let fym = f.column(i, j - 1);
-            let lc = lap.column_mut(i, j);
+    let Some(first) = block.first() else { return };
+    let i0 = first[c].i() as isize;
+    let n = block.len();
+    let width = ny + 2;
+    let at = |r: usize, jj: usize| (r * width + jj) * nz;
+    // Lap row r is x-row i0 - 1 + r. The block's own rows are needed over
+    // j = -1 ..= ny, the two outer neighbours over the interior columns.
+    for r in 0..n + 2 {
+        let ii = i0 + r as isize - 1;
+        let cols = if r == 0 || r == n + 1 {
+            1..width - 1
+        } else {
+            0..width
+        };
+        for jj in cols {
+            let j = jj as isize - 1;
+            let fc = f.column(ii, j);
+            let fxp = f.column(ii + 1, j);
+            let fxm = f.column(ii - 1, j);
+            let fyp = f.column(ii, j + 1);
+            let fym = f.column(ii, j - 1);
+            let o = at(r, jj);
+            let lc = &mut lap[o..o + nz];
             for k in 0..nz {
                 lc[k] = (fxp[k] + fxm[k] + fyp[k] + fym[k] - four * fc[k]) * inv_dx2;
             }
         }
     }
-    for i in 0..nx as isize {
-        for j in 0..ny as isize {
-            let lc = lap.column(i, j);
-            let lxp = lap.column(i + 1, j);
-            let lxm = lap.column(i - 1, j);
-            let lyp = lap.column(i, j + 1);
-            let lym = lap.column(i, j - 1);
-            let tc = tend.column_mut(i, j);
+    let lap = &*lap;
+    for (r, set) in (1..).zip(block.iter_mut()) {
+        for jj in 1..width - 1 {
+            let lc = &lap[at(r, jj)..at(r, jj) + nz];
+            let lxp = &lap[at(r + 1, jj)..at(r + 1, jj) + nz];
+            let lxm = &lap[at(r - 1, jj)..at(r - 1, jj) + nz];
+            let lyp = &lap[at(r, jj + 1)..at(r, jj + 1) + nz];
+            let lym = &lap[at(r, jj - 1)..at(r, jj - 1) + nz];
+            let tc = set[c].column_mut(jj as isize - 1);
             for k in 0..nz {
                 let l2 = (lxp[k] + lxm[k] + lyp[k] + lym[k] - four * lc[k]) * inv_dx2;
                 tc[k] += -k4 * l2;
+            }
+        }
+    }
+}
+
+/// Divergence damping (when `alpha` is set) on rows `i` of `tu`, `tv`, then
+/// the forward step of rows `i` of `u`, `v`. `div_h` holds the plain
+/// divergence with its halos filled.
+#[allow(clippy::too_many_arguments)]
+pub fn forward_uv_row<T: Real>(
+    div_h: &Field3<T>,
+    alpha: Option<T>,
+    inv_dx: T,
+    dt: T,
+    tu: &mut Row<'_, T>,
+    tv: &mut Row<'_, T>,
+    u: &mut Row<'_, T>,
+    v: &mut Row<'_, T>,
+) {
+    let (_, ny, nz, _) = div_h.shape();
+    let i = tu.i() as isize;
+    if let Some(alpha) = alpha {
+        for j in 0..ny as isize {
+            let dc = div_h.column(i, j);
+            let dxm = div_h.column(i - 1, j);
+            let dym = div_h.column(i, j - 1);
+            let tuc = tu.column_mut(j);
+            let tvc = tv.column_mut(j);
+            for k in 0..nz {
+                tuc[k] += alpha * (dc[k] - dxm[k]) * inv_dx;
+                tvc[k] += alpha * (dc[k] - dym[k]) * inv_dx;
+            }
+        }
+    }
+    for j in 0..ny as isize {
+        let tuc = tu.column(j);
+        let uc = u.column_mut(j);
+        for k in 0..nz {
+            uc[k] += dt * tuc[k];
+        }
+        let tvc = tv.column(j);
+        let vc = v.column_mut(j);
+        for k in 0..nz {
+            vc[k] += dt * tvc[k];
+        }
+    }
+}
+
+/// The backward half on one x-row: the horizontal mass-flux divergence of
+/// the updated winds into row `i` of `div_h`, the implicit vertical solve
+/// for `w` and `pi'` (the row's columns swept as one `[level][j]` block in
+/// `rhs_block`), then the `pi'` update, the vertical advection of the
+/// base-state theta profile and the top sponge.
+#[allow(clippy::too_many_arguments)]
+// Every `k±1` stencil access sits behind an explicit `k == 0` / `k + 1 < nz`
+// boundary branch or a loop over `1..nz`; column slices and workspace
+// buffers are sized to nz (or nz+1 for faces, nz*ny for the block) at
+// construction.
+// bda-check: allow(panic_path)
+fn vertical_solve_row<T: Real>(
+    u: &Field3<T>,
+    v: &Field3<T>,
+    tw: &Field3<T>,
+    base: &BaseState<T>,
+    m: &Metrics<T>,
+    op: &VerticalOperator<T>,
+    dt: T,
+    rhs_block: &mut [T],
+    div_h: &mut Row<'_, T>,
+    w: &mut Row<'_, T>,
+    pi: &mut Row<'_, T>,
+    theta: &mut Row<'_, T>,
+) {
+    let (_, ny, nz, _) = u.shape();
+    let i = w.i() as isize;
+
+    // --- horizontal mass-flux divergence, rho0 theta0 constant along
+    //     levels ---
+    for j in 0..ny as isize {
+        let ucl = u.column(i, j);
+        let uxp = u.column(i + 1, j);
+        let vc = v.column(i, j);
+        let vyp = v.column(i, j + 1);
+        let dc = div_h.column_mut(j);
+        for k in 0..nz {
+            let a_c = base.rho0[k] * base.theta0[k];
+            dc[k] = a_c * (uxp[k] - ucl[k] + vyp[k] - vc[k]) * m.inv_dx;
+        }
+    }
+
+    // --- implicit vertical solve ---
+    //
+    // The tridiagonal coefficients depend only on the level, so the
+    // operator is factored once per step and the row's columns are swept
+    // as one `[level][j]` block: the forward/backward substitution inner
+    // loop is then unit-stride across `j` (SIMD across columns), while
+    // staying bit-identical to a column-at-a-time solve.
+    let n_solve = nz - 1; // unknowns w[1..nz-1]
+    if n_solve > 0 {
+        // Fill the [level][j] block column by column: the reads are then
+        // contiguous per column while the per-face coefficients come from
+        // the precomputed `cface` (identical values, so the block is
+        // bit-identical to the row-by-row fill).
+        for ju in 0..ny {
+            let j = ju as isize;
+            let wcol = w.column(j);
+            let twc = tw.column(i, j);
+            let pic = pi.column(j);
+            let dvc = div_h.column(j);
+            for k in 1..nz {
+                let c = op.cface[k];
+                let b_up = base.b_center[k];
+                let b_dn = base.b_center[k - 1];
+                let w_star = wcol[k] + dt * twc[k];
+                let dpi = pic[k] - pic[k - 1];
+                let ddiv = b_up * dvc[k] - b_dn * dvc[k - 1];
+                rhs_block[(k - 1) * ny + ju] = w_star - c * dpi + c * dt * ddiv;
+            }
+        }
+        op.tri.solve_columns(&mut rhs_block[..n_solve * ny], ny);
+        for ju in 0..ny {
+            let wcol = w.column_mut(ju as isize);
+            for (k, wv) in wcol.iter_mut().enumerate().take(nz).skip(1) {
+                *wv = rhs_block[(k - 1) * ny + ju];
+            }
+        }
+    }
+    for j in 0..ny as isize {
+        // pi' update with the implicit w.
+        let wcol = w.column(j);
+        let dvc = div_h.column(j);
+        let pic = pi.column_mut(j);
+        for k in 0..nz {
+            let w_top = if k + 1 < nz { wcol[k + 1] } else { T::zero() };
+            let w_bot = wcol[k];
+            let vert = (base.a_face[k + 1] * w_top - base.a_face[k] * w_bot) * m.inv_dz[k];
+            let dpi = -dt * base.b_center[k] * (dvc[k] + vert);
+            pic[k] += dpi;
+        }
+        // theta': vertical advection of the base-state profile and the
+        // top sponge on w.
+        let wcol = w.column_mut(j);
+        let thc = theta.column_mut(j);
+        for k in 0..nz {
+            let wc = w_center_col(&*wcol, k, nz);
+            let dth0_dz = if k == 0 {
+                (base.theta0[1] - base.theta0[0]) / m.dzc[1]
+            } else if k + 1 >= nz {
+                (base.theta0[k] - base.theta0[k - 1]) / m.dzc[k]
+            } else {
+                (base.theta0[k + 1] - base.theta0[k - 1]) / (m.dzc[k] + m.dzc[k + 1])
+            };
+            thc[k] += -dt * wc * dth0_dz;
+            if op.sponge[k] > T::zero() {
+                let damp = T::one() / (T::one() + dt * op.sponge[k]);
+                wcol[k] *= damp;
+                thc[k] *= damp;
             }
         }
     }

@@ -564,7 +564,14 @@ mod tests {
         let (cfg, base, init) = setup();
         let mut ens = Ensemble::from_perturbations(&init, &cfg, 3, 4, 0.3, 5e-5);
         ens.inject_blowup(1);
-        let results = ens.forecast_members(&cfg, &base, 5.0, |_| Boundary::BaseState);
+        // Four workers: each member's row regions nest inside its own, so a
+        // failing member's rows never reach the other members' workers.
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(4)
+            .build()
+            .expect("pool build is infallible");
+        let results =
+            pool.install(|| ens.forecast_members(&cfg, &base, 5.0, |_| Boundary::BaseState));
         assert!(results[0].is_ok());
         // Depending on where the non-finite value bites, the failure is a
         // detected blow-up or a caught panic — either way it is member 1's

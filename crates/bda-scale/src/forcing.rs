@@ -166,6 +166,26 @@ impl TriggerSchedule {
         Self::new(events)
     }
 
+    /// The fixed storm of the benchmark's model workloads: three strong
+    /// warm bubbles in the first minute, so a domain carries radar echo
+    /// from about 300 s on.
+    pub fn storm_trio(lx: f64, ly: f64) -> Self {
+        let bubble = |time, fx: f64, fy: f64| TriggerEvent {
+            time,
+            x: fx * lx,
+            y: fy * ly,
+            z: 1200.0,
+            radius_h: 4000.0,
+            radius_v: 1500.0,
+            amplitude: 8.0,
+        };
+        Self::new(vec![
+            bubble(1.0, 0.3, 0.35),
+            bubble(30.0, 0.65, 0.4),
+            bubble(60.0, 0.45, 0.7),
+        ])
+    }
+
     /// Events with `t_prev < time <= t_now`, in order.
     pub fn due(&self, t_prev: f64, t_now: f64) -> impl Iterator<Item = &TriggerEvent> {
         self.events

@@ -4,8 +4,29 @@
 //! prognostic state, and advances it with the HEVI dynamics plus the physics
 //! suite in the same sequence SCALE-RM uses (dynamics → turbulence → surface
 //! → boundary layer → microphysics → radiation → boundary relaxation).
+//!
+//! # Row-parallel step
+//!
+//! [`Model::step`] is five fork–join regions over the interior x-rows, with
+//! serial halo fills between them: the three dynamics regions of
+//! [`crate::dynamics`], then
+//!
+//! * scalar advection of the eight scalars — each row's tendency and update
+//!   go into the dynamics workspace's dead fields, which then trade places
+//!   with the old fields — and the Smagorinsky viscosity;
+//! * horizontal diffusion of `u, v, w, theta, qv` from snapshots, fused with
+//!   the column physics (surface, boundary layer, microphysics, radiation).
+//!
+//! A single integration — the lead forecast, the truth run — spreads its
+//! rows over the pool. The ensemble forecast is already parallel over
+//! members, so there the same regions run serially on each member's worker:
+//! a region started inside another never forks. Each row writes only its
+//! own slab of each field, its own scratch (allocated once, in
+//! [`Model::from_parts`]) and its own precipitation entries, and no
+//! reduction crosses rows, so every field is the same bits at any pool
+//! width. The Davies rim, halo fills and positivity clamp stay serial.
 
-use crate::advect::{scalar_advection_upwind, Metrics};
+use crate::advect::{scalar_advection_row, Metrics};
 use crate::base::{BaseState, Sounding};
 use crate::config::ModelConfig;
 use crate::dynamics::{step_dynamics, DynWorkspace};
@@ -15,10 +36,11 @@ use crate::nesting::BoundaryFields;
 use crate::radiation::{column_heating, RadiationParams};
 use crate::state::{ModelState, PrognosticVar};
 use crate::surface::{bulk_fluxes, SurfaceFluxes, SurfaceParams};
-use crate::turbulence::{horizontal_diffusion, smagorinsky_viscosity, ColumnPbl};
+use crate::turbulence::{horizontal_diffusion_row, smagorinsky_row, ColumnPbl};
 use bda_grid::boundary::DaviesWeights;
-use bda_grid::Field3;
+use bda_grid::{Field3, Row};
 use bda_num::Real;
+use rayon::prelude::*;
 
 /// Lateral boundary condition source.
 pub enum Boundary<T> {
@@ -61,14 +83,15 @@ pub struct Model<T> {
     pub precip_accum: Vec<f64>,
     metrics: Metrics<T>,
     dynws: DynWorkspace<T>,
-    pbl: ColumnPbl<T>,
+    /// Column-physics scratch of each interior x-row.
+    phys_rows: Vec<PhysRow<T>>,
     kh: Field3<T>,
-    tend: Field3<T>,
-    rad_buf: Vec<f64>,
-    cloud_buf: Vec<f64>,
-    mp_flux: Vec<f64>,
     dz: Vec<T>,
     davies: Option<DaviesWeights>,
+    /// The all-zero profile the rim relaxes `w`, `pi'` and condensate to.
+    zeros: Vec<T>,
+    /// One time-dependent forcing profile at model precision.
+    profile: Vec<T>,
 }
 
 /// The scalars advanced by the upwind advection pass.
@@ -83,6 +106,210 @@ const ADVECTED: [PrognosticVar; 8] = [
     PrognosticVar::Tke,
 ];
 
+/// The fields the Smagorinsky viscosity mixes horizontally.
+const DIFFUSED: [PrognosticVar; 5] = [
+    PrognosticVar::U,
+    PrognosticVar::V,
+    PrognosticVar::W,
+    PrognosticVar::Theta,
+    PrognosticVar::Qv,
+];
+
+/// Row `i` of every field in `fields`, for `i = 0..nx` in order: the item a
+/// multi-field row region hands to one worker.
+pub(crate) fn row_sets<'a, T: Real, const N: usize>(
+    fields: [&'a mut Field3<T>; N],
+) -> impl Iterator<Item = [Row<'a, T>; N]> {
+    let mut rows = fields.map(Field3::rows_mut);
+    std::iter::from_fn(move || {
+        let set: Vec<Row<'a, T>> = rows.iter_mut().filter_map(Iterator::next).collect();
+        set.try_into().ok()
+    })
+}
+
+/// One fork–join region: `f` runs once per row item, across the pool. Rows
+/// write disjoint slabs, so which worker ran which row never shows in the
+/// result. Where the pool would run them on one thread anyway — width 1,
+/// or inside another parallel region such as a member's forecast — the
+/// items run in order here, without the region's bookkeeping.
+pub(crate) fn par_rows<I: Send>(items: impl Iterator<Item = I>, f: impl Fn(I) + Sync) {
+    if rayon::current_num_threads() == 1 {
+        items.for_each(f);
+    } else {
+        items.collect::<Vec<_>>().into_par_iter().for_each(f);
+    }
+}
+
+/// Turn row `i` of a tendency into the advanced field, `q + dt * tend`,
+/// in place.
+fn scalar_update_row<T: Real>(row: &mut Row<'_, T>, q: &Field3<T>, dt: T) {
+    let (_, ny, nz, _) = q.shape();
+    let i = row.i() as isize;
+    for j in 0..ny as isize {
+        let qc = q.column(i, j);
+        let rc = row.column_mut(j);
+        for k in 0..nz {
+            rc[k] = qc[k] + dt * rc[k];
+        }
+    }
+}
+
+/// One x-row's private column-physics scratch.
+struct PhysRow<T> {
+    pbl: ColumnPbl<T>,
+    mp_flux: Vec<f64>,
+    rad_buf: Vec<f64>,
+    cloud_buf: Vec<f64>,
+}
+
+impl<T: Real> PhysRow<T> {
+    fn new(nz: usize) -> Self {
+        Self {
+            pbl: ColumnPbl::new(nz),
+            mp_flux: vec![0.0; nz],
+            rad_buf: vec![0.0; nz],
+            cloud_buf: vec![0.0; nz],
+        }
+    }
+}
+
+/// What the fused diffusion + column-physics region reads and never
+/// writes.
+struct RowPhysics<'a, T> {
+    cfg: &'a ModelConfig,
+    base: &'a BaseState<T>,
+    metrics: &'a Metrics<T>,
+    mp: &'a MicrophysParams,
+    sfc: &'a SurfaceParams,
+    rad: &'a RadiationParams,
+    dz: &'a [T],
+    pi: &'a Field3<T>,
+    kh: &'a Field3<T>,
+    /// Snapshots of the [`DIFFUSED`] fields, halos included; empty when
+    /// turbulence is off.
+    snaps: &'a [Field3<T>],
+}
+
+impl<T: Real> RowPhysics<'_, T> {
+    /// One x-row: horizontal diffusion from the snapshots, then per column
+    /// the surface fluxes, boundary layer, microphysics and radiation.
+    /// `fields` are rows `i` of u, v, w, theta, qv, qc, qr, qi, qs, qg and
+    /// tke; `rate` and `accum` are the row's precipitation entries.
+    // Column slices have length nz and the row scratch is sized nz at
+    // construction; `rate`/`accum` are the row's ny-long chunks.
+    // bda-check: allow(panic_path)
+    fn step_row(
+        &self,
+        fields: [Row<'_, T>; 11],
+        scratch: &mut PhysRow<T>,
+        rate: &mut [f64],
+        accum: &mut [f64],
+    ) {
+        let [mut u, mut v, mut w, mut theta, mut qv, mut qc, mut qr, mut qi, mut qs, mut qg, mut tke] =
+            fields;
+        let cfg = self.cfg;
+        let dt = cfg.dt;
+        let dt_t = T::of(dt);
+        let (_, ny, nz, _) = self.pi.shape();
+        let i = u.i() as isize;
+        let zc = &cfg.grid.vertical.z_center;
+        let p_sfc = self.base.p0[0].f64();
+
+        // --- Smagorinsky horizontal mixing ---
+        if let [su, sv, sw, sth, sqv] = self.snaps {
+            for (q, snap) in [
+                (&mut u, su),
+                (&mut v, sv),
+                (&mut w, sw),
+                (&mut theta, sth),
+                (&mut qv, sqv),
+            ] {
+                horizontal_diffusion_row(q, snap, self.kh, self.metrics, dt_t);
+            }
+        }
+
+        // --- column physics ---
+        for ju in 0..ny {
+            let j = ju as isize;
+
+            // Surface fluxes from the lowest-level state.
+            let fluxes = if cfg.physics.surface_flux {
+                let th1 = (self.base.theta0[0] + theta.column(j)[0]).f64();
+                bulk_fluxes(
+                    self.sfc,
+                    u.column(j)[0].f64(),
+                    v.column(j)[0].f64(),
+                    th1,
+                    qv.column(j)[0].f64(),
+                    zc[0],
+                    cfg.surface_temperature,
+                    p_sfc,
+                )
+            } else {
+                SurfaceFluxes::default()
+            };
+
+            if cfg.physics.boundary_layer {
+                scratch.pbl.step_column(
+                    u.column_mut(j),
+                    v.column_mut(j),
+                    theta.column_mut(j),
+                    qv.column_mut(j),
+                    tke.column_mut(j),
+                    self.base,
+                    zc,
+                    self.dz,
+                    dt,
+                    T::of(fluxes.theta_flux),
+                    T::of(fluxes.qv_flux),
+                    T::of(fluxes.drag),
+                );
+            } else if cfg.physics.surface_flux {
+                // Without a PBL scheme, deposit the fluxes into level 0.
+                let dz0 = self.dz[0];
+                theta.column_mut(j)[0] += dt_t * T::of(fluxes.theta_flux) / dz0;
+                qv.column_mut(j)[0] += dt_t * T::of(fluxes.qv_flux) / dz0;
+            }
+
+            if cfg.physics.microphysics {
+                let mut col = ColumnView {
+                    theta: theta.column_mut(j),
+                    pi: self.pi.column(i, j),
+                    qv: qv.column_mut(j),
+                    qc: qc.column_mut(j),
+                    qr: qr.column_mut(j),
+                    qi: qi.column_mut(j),
+                    qs: qs.column_mut(j),
+                    qg: qg.column_mut(j),
+                };
+                let res = column_microphysics(
+                    &mut col,
+                    self.base,
+                    self.mp,
+                    self.dz,
+                    dt,
+                    &mut scratch.mp_flux,
+                );
+                rate[ju] = res.rain_rate_mmh;
+                accum[ju] += res.rain_rate_mmh * dt / 3600.0;
+            }
+
+            if cfg.physics.radiation {
+                let qcc = qc.column(j);
+                let qic = qi.column(j);
+                for k in 0..nz {
+                    scratch.cloud_buf[k] = (qcc[k] + qic[k]).f64();
+                }
+                column_heating(self.rad, &scratch.cloud_buf, zc, &mut scratch.rad_buf);
+                let th = theta.column_mut(j);
+                for (t, h) in th.iter_mut().zip(&scratch.rad_buf) {
+                    *t += T::of(h * dt);
+                }
+            }
+        }
+    }
+}
+
 impl<T: Real> Model<T> {
     /// Build a model from a configuration and sounding; the initial state
     /// carries the base-state wind and moisture.
@@ -93,27 +320,28 @@ impl<T: Real> Model<T> {
     }
 
     /// Build from an existing base state (ensemble members share one).
+    /// Every buffer a step touches is allocated here, the per-row scratch
+    /// included.
     pub fn from_parts(cfg: ModelConfig, base: BaseState<T>) -> Self {
-        let grid = cfg.grid.clone();
-        let state = ModelState::init_from_base(&grid, &base);
-        let metrics = Metrics::new(&grid);
+        let grid = &cfg.grid;
+        let (nx, ny, nz) = (grid.nx, grid.ny, grid.nz());
+        let state = ModelState::init_from_base(grid, &base);
+        let metrics = Metrics::new(grid);
         let dynws = DynWorkspace::new(&cfg);
-        let nz = grid.nz();
+        let dz = (0..nz).map(|k| T::of(grid.vertical.dz(k))).collect();
         let davies = if cfg.davies_width > 0 {
-            Some(DaviesWeights::new(grid.nx, grid.ny, cfg.davies_width))
+            Some(DaviesWeights::new(nx, ny, cfg.davies_width))
         } else {
             None
         };
         Self {
-            pbl: ColumnPbl::new(nz),
-            kh: Field3::zeros(grid.nx, grid.ny, nz, crate::state::HALO),
-            tend: Field3::zeros(grid.nx, grid.ny, nz, crate::state::HALO),
-            rad_buf: vec![0.0; nz],
-            cloud_buf: vec![0.0; nz],
-            mp_flux: vec![0.0; nz],
-            dz: (0..nz).map(|k| T::of(grid.vertical.dz(k))).collect(),
-            precip_rate: vec![0.0; grid.nx * grid.ny],
-            precip_accum: vec![0.0; grid.nx * grid.ny],
+            phys_rows: (0..nx).map(|_| PhysRow::new(nz)).collect(),
+            kh: Field3::zeros(nx, ny, nz, crate::state::HALO),
+            dz,
+            zeros: vec![T::zero(); nz],
+            profile: vec![T::zero(); nz],
+            precip_rate: vec![0.0; nx * ny],
+            precip_accum: vec![0.0; nx * ny],
             davies,
             boundary: Boundary::BaseState,
             triggers: TriggerSchedule::empty(),
@@ -139,14 +367,21 @@ impl<T: Real> Model<T> {
         let dt = self.cfg.dt;
         let t_prev = self.state.time;
         let t_now = t_prev + dt;
-        let grid = self.cfg.grid.clone();
-        let (nx, ny, nz) = (grid.nx, grid.ny, grid.nz());
+        let dt_t = T::of(dt);
+        let ny = self.cfg.grid.ny;
+        let turbulence = self.cfg.physics.turbulence;
 
         // --- scheduled convection triggers ---
-        let due: Vec<_> = self.triggers.due(t_prev, t_now).copied().collect();
-        for e in due {
-            self.state
-                .add_warm_bubble(&grid, e.x, e.y, e.z, e.radius_h, e.radius_v, e.amplitude);
+        for e in self.triggers.due(t_prev, t_now) {
+            self.state.add_warm_bubble(
+                &self.cfg.grid,
+                e.x,
+                e.y,
+                e.z,
+                e.radius_h,
+                e.radius_v,
+                e.amplitude,
+            );
         }
 
         // --- dynamics (HEVI) ---
@@ -160,181 +395,128 @@ impl<T: Real> Model<T> {
         );
         self.state.fill_halos(self.cfg.halo);
 
-        // --- scalar advection ---
-        let dt_t = T::of(dt);
-        for var in ADVECTED {
-            scalar_advection_upwind(
-                self.state.field(var),
-                &self.state.u,
-                &self.state.v,
-                &self.state.w,
-                &self.base.rho0,
-                &self.base.rho0_face,
-                &self.metrics,
-                &mut self.tend,
-            );
-            let tend = &self.tend;
-            let f = self.state.field_mut(var);
-            for i in 0..nx as isize {
-                for j in 0..ny as isize {
-                    let tc = tend.column(i, j);
-                    let fc = f.column_mut(i, j);
-                    for k in 0..nz {
-                        fc[k] += dt_t * tc[k];
-                    }
+        // --- scalar advection and the Smagorinsky viscosity ---
+        // Each row's advected scalars go to the dynamics workspace's bank
+        // (dead until the next step), which then trades places with the
+        // old fields: the update costs no second region.
+        let (s, base, metrics) = (&self.state, &self.base, &self.metrics);
+        let (cs, dx) = (self.cfg.smagorinsky_cs, self.cfg.grid.dx);
+        let scalars = ADVECTED.map(|var| s.field(var));
+        par_rows(
+            row_sets(self.dynws.bank.each_mut()).zip(self.kh.rows_mut()),
+            |(mut out, mut kh)| {
+                for (q, row) in scalars.iter().zip(&mut out) {
+                    scalar_advection_row(
+                        q,
+                        &s.u,
+                        &s.v,
+                        &s.w,
+                        &base.rho0,
+                        &base.rho0_face,
+                        metrics,
+                        row,
+                    );
+                    scalar_update_row(row, q, dt_t);
                 }
-            }
+                if turbulence {
+                    smagorinsky_row(&s.u, &s.v, cs, dx, &mut kh);
+                }
+            },
+        );
+        for (var, new) in ADVECTED.into_iter().zip(&mut self.dynws.bank) {
+            std::mem::swap(self.state.field_mut(var), new);
         }
+        self.state.fill_halos(self.cfg.halo);
 
-        // --- Smagorinsky horizontal mixing ---
-        if self.cfg.physics.turbulence {
-            smagorinsky_viscosity(
-                &self.state.u,
-                &self.state.v,
-                self.cfg.smagorinsky_cs,
-                grid.dx,
-                &mut self.kh,
-            );
+        // --- snapshots for the Smagorinsky horizontal mixing ---
+        if turbulence {
             self.cfg.halo.fill(&mut self.kh);
-            self.state.fill_halos(self.cfg.halo);
-            for var in [
-                PrognosticVar::U,
-                PrognosticVar::V,
-                PrognosticVar::W,
-                PrognosticVar::Theta,
-                PrognosticVar::Qv,
-            ] {
-                let kh = &self.kh;
-                horizontal_diffusion(
-                    self.state.field_mut(var),
-                    kh,
-                    &self.metrics,
-                    dt_t,
-                    &mut self.tend,
-                );
+            for (snap, var) in self.dynws.bank.iter_mut().zip(DIFFUSED) {
+                snap.copy_from(self.state.field(var));
             }
         }
 
-        // --- column physics ---
-        let zc = grid.vertical.z_center.clone();
-        let p_sfc = self.base.p0[0].f64();
-        for i in 0..nx {
-            for j in 0..ny {
-                let ii = i as isize;
-                let jj = j as isize;
-
-                // Surface fluxes from the lowest-level state.
-                let fluxes = if self.cfg.physics.surface_flux {
-                    let th1 = (self.base.theta0[0] + self.state.theta.at(ii, jj, 0)).f64();
-                    bulk_fluxes(
-                        &self.sfc_params,
-                        self.state.u.at(ii, jj, 0).f64(),
-                        self.state.v.at(ii, jj, 0).f64(),
-                        th1,
-                        self.state.qv.at(ii, jj, 0).f64(),
-                        zc[0],
-                        self.cfg.surface_temperature,
-                        p_sfc,
-                    )
-                } else {
-                    SurfaceFluxes::default()
-                };
-
-                if self.cfg.physics.boundary_layer {
-                    self.pbl.step_column(
-                        self.state.u.column_mut(ii, jj),
-                        self.state.v.column_mut(ii, jj),
-                        self.state.theta.column_mut(ii, jj),
-                        self.state.qv.column_mut(ii, jj),
-                        self.state.tke.column_mut(ii, jj),
-                        &self.base,
-                        &zc,
-                        &self.dz,
-                        dt,
-                        T::of(fluxes.theta_flux),
-                        T::of(fluxes.qv_flux),
-                        T::of(fluxes.drag),
-                    );
-                } else if self.cfg.physics.surface_flux {
-                    // Without a PBL scheme, deposit the fluxes into level 0.
-                    let dz0 = self.dz[0];
-                    self.state
-                        .theta
-                        .add_at(ii, jj, 0, dt_t * T::of(fluxes.theta_flux) / dz0);
-                    self.state
-                        .qv
-                        .add_at(ii, jj, 0, dt_t * T::of(fluxes.qv_flux) / dz0);
-                }
-
-                if self.cfg.physics.microphysics {
-                    let mut col = ColumnView {
-                        theta: self.state.theta.column_mut(ii, jj),
-                        pi: self.state.pi.column(ii, jj),
-                        qv: self.state.qv.column_mut(ii, jj),
-                        qc: self.state.qc.column_mut(ii, jj),
-                        qr: self.state.qr.column_mut(ii, jj),
-                        qi: self.state.qi.column_mut(ii, jj),
-                        qs: self.state.qs.column_mut(ii, jj),
-                        qg: self.state.qg.column_mut(ii, jj),
-                    };
-                    let res = column_microphysics(
-                        &mut col,
-                        &self.base,
-                        &self.mp_params,
-                        &self.dz,
-                        dt,
-                        &mut self.mp_flux,
-                    );
-                    let idx = i * ny + j;
-                    self.precip_rate[idx] = res.rain_rate_mmh;
-                    self.precip_accum[idx] += res.rain_rate_mmh * dt / 3600.0;
-                }
-
-                if self.cfg.physics.radiation {
-                    let qcc = self.state.qc.column(ii, jj);
-                    let qic = self.state.qi.column(ii, jj);
-                    for k in 0..nz {
-                        self.cloud_buf[k] = (qcc[k] + qic[k]).f64();
-                    }
-                    column_heating(&self.rad_params, &self.cloud_buf, &zc, &mut self.rad_buf);
-                    let th = self.state.theta.column_mut(ii, jj);
-                    for (t, h) in th.iter_mut().zip(&self.rad_buf) {
-                        *t += T::of(h * dt);
-                    }
-                }
-            }
-        }
+        // --- horizontal mixing and column physics ---
+        let ModelState {
+            u,
+            v,
+            w,
+            theta,
+            pi,
+            qv,
+            qc,
+            qr,
+            qi,
+            qs,
+            qg,
+            tke,
+            ..
+        } = &mut self.state;
+        let physics = RowPhysics {
+            cfg: &self.cfg,
+            base: &self.base,
+            metrics: &self.metrics,
+            mp: &self.mp_params,
+            sfc: &self.sfc_params,
+            rad: &self.rad_params,
+            dz: &self.dz,
+            pi,
+            kh: &self.kh,
+            snaps: if turbulence {
+                &self.dynws.bank[..DIFFUSED.len()]
+            } else {
+                &[]
+            },
+        };
+        let precip = self
+            .precip_rate
+            .chunks_mut(ny)
+            .zip(self.precip_accum.chunks_mut(ny));
+        par_rows(
+            row_sets([u, v, w, theta, qv, qc, qr, qi, qs, qg, tke])
+                .zip(self.phys_rows.iter_mut())
+                .zip(precip),
+            |((fields, scratch), (rate, accum))| physics.step_row(fields, scratch, rate, accum),
+        );
 
         // --- lateral boundary relaxation (Davies rim) ---
         if let Some(dw) = &self.davies {
             let alpha = T::of(dt / self.cfg.davies_tau);
-            let zeros = vec![T::zero(); nz];
+            let s = &mut self.state;
+            let zeros = &self.zeros;
             match &self.boundary {
                 Boundary::BaseState => {
-                    dw.relax_to_profile(&mut self.state.u, &self.base.u0, alpha);
-                    dw.relax_to_profile(&mut self.state.v, &self.base.v0, alpha);
-                    dw.relax_to_profile(&mut self.state.theta, &zeros, alpha);
-                    dw.relax_to_profile(&mut self.state.qv, &self.base.qv0, alpha);
+                    dw.relax_to_profile(&mut s.u, &self.base.u0, alpha);
+                    dw.relax_to_profile(&mut s.v, &self.base.v0, alpha);
+                    dw.relax_to_profile(&mut s.theta, zeros, alpha);
+                    dw.relax_to_profile(&mut s.qv, &self.base.qv0, alpha);
                 }
                 Boundary::Profiles(forcing) => {
                     let p = forcing.profiles_at(t_now);
-                    let conv = |v: &[f64]| -> Vec<T> { v.iter().map(|&x| T::of(x)).collect() };
-                    dw.relax_to_profile(&mut self.state.u, &conv(&p.u), alpha);
-                    dw.relax_to_profile(&mut self.state.v, &conv(&p.v), alpha);
-                    dw.relax_to_profile(&mut self.state.theta, &conv(&p.theta_pert), alpha);
-                    dw.relax_to_profile(&mut self.state.qv, &conv(&p.qv), alpha);
+                    let targets = [
+                        (&mut s.u, &p.u),
+                        (&mut s.v, &p.v),
+                        (&mut s.theta, &p.theta_pert),
+                        (&mut s.qv, &p.qv),
+                    ];
+                    for (f, target) in targets {
+                        for (b, &x) in self.profile.iter_mut().zip(target) {
+                            *b = T::of(x);
+                        }
+                        dw.relax_to_profile(f, &self.profile, alpha);
+                    }
                 }
                 Boundary::Fields(bf) => {
-                    dw.relax(&mut self.state.u, &bf.u, alpha);
-                    dw.relax(&mut self.state.v, &bf.v, alpha);
-                    dw.relax(&mut self.state.theta, &bf.theta, alpha);
-                    dw.relax(&mut self.state.qv, &bf.qv, alpha);
+                    dw.relax(&mut s.u, &bf.u, alpha);
+                    dw.relax(&mut s.v, &bf.v, alpha);
+                    dw.relax(&mut s.theta, &bf.theta, alpha);
+                    dw.relax(&mut s.qv, &bf.qv, alpha);
                 }
             }
             // Vertical velocity, pressure and hydrometeors relax to zero in
             // the rim to suppress boundary reflections and inflow artifacts.
-            dw.relax_to_profile(&mut self.state.w, &zeros, alpha);
-            dw.relax_to_profile(&mut self.state.pi, &zeros, alpha);
+            dw.relax_to_profile(&mut s.w, zeros, alpha);
+            dw.relax_to_profile(&mut s.pi, zeros, alpha);
             for var in [
                 PrognosticVar::Qc,
                 PrognosticVar::Qr,
@@ -342,7 +524,7 @@ impl<T: Real> Model<T> {
                 PrognosticVar::Qs,
                 PrognosticVar::Qg,
             ] {
-                dw.relax_to_profile(self.state.field_mut(var), &zeros, alpha);
+                dw.relax_to_profile(s.field_mut(var), zeros, alpha);
             }
         }
 

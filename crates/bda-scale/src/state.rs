@@ -140,11 +140,16 @@ impl<T: Real> ModelState<T> {
     /// Initialize winds and moisture from the base-state profiles.
     pub fn init_from_base(grid: &GridSpec, base: &BaseState<T>) -> Self {
         let mut s = Self::zeros(grid);
-        let nz = grid.nz();
-        s.u.par_columns_mut(|_, _, col| col.copy_from_slice(&base.u0[..nz]));
-        s.v.par_columns_mut(|_, _, col| col.copy_from_slice(&base.v0[..nz]));
-        s.qv.par_columns_mut(|_, _, col| col.copy_from_slice(&base.qv0[..nz]));
-        s.tke.par_columns_mut(|_, _, col| col.fill(T::of(0.01)));
+        let (ny, nz) = (grid.ny as isize, grid.nz());
+        let rows = s.u.rows_mut().zip(s.v.rows_mut());
+        for ((mut u, mut v), (mut qv, mut tke)) in rows.zip(s.qv.rows_mut().zip(s.tke.rows_mut())) {
+            for j in 0..ny {
+                u.column_mut(j).copy_from_slice(&base.u0[..nz]);
+                v.column_mut(j).copy_from_slice(&base.v0[..nz]);
+                qv.column_mut(j).copy_from_slice(&base.qv0[..nz]);
+                tke.column_mut(j).fill(T::of(0.01));
+            }
+        }
         s
     }
 

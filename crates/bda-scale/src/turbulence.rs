@@ -1,9 +1,10 @@
 //! Turbulent mixing: Smagorinsky horizontal diffusion and a TKE-based
 //! boundary-layer scheme of the MYNN level-2.5 class.
 //!
-//! * [`smagorinsky_viscosity`] computes a deformation-dependent eddy
-//!   viscosity `K = (Cs*dx)^2 |S|` from the horizontal strain and applies
-//!   explicit horizontal diffusion to momentum and scalars.
+//! * [`smagorinsky_row`] computes a deformation-dependent eddy viscosity
+//!   `K = (Cs*dx)^2 |S|` from the horizontal strain, and
+//!   [`horizontal_diffusion_row`] applies explicit horizontal diffusion with
+//!   it to momentum and scalars, one x-row at a time.
 //! * [`ColumnPbl`] advances prognostic TKE per column (shear production,
 //!   buoyancy production/destruction, dissipation) and mixes momentum, heat
 //!   and moisture vertically with an *implicit* tridiagonal solve — the same
@@ -12,90 +13,88 @@
 use crate::advect::Metrics;
 use crate::base::BaseState;
 use crate::constants::{GRAV, KARMAN};
-use bda_grid::Field3;
+use bda_grid::{Field3, Row};
 use bda_num::tridiag::TridiagWorkspace;
 use bda_num::Real;
 
-/// Compute the Smagorinsky horizontal eddy viscosity at cell centers.
-pub fn smagorinsky_viscosity<T: Real>(
+/// The Smagorinsky horizontal eddy viscosity at the cell centers of one
+/// x-row, written into row `i` of `kh`.
+pub fn smagorinsky_row<T: Real>(
     u: &Field3<T>,
     v: &Field3<T>,
     cs: f64,
     dx: f64,
-    kh: &mut Field3<T>,
+    kh: &mut Row<'_, T>,
 ) {
-    let (nx, ny, nz, _) = u.shape();
+    let (_, ny, nz, _) = u.shape();
     let inv_dx = T::of(1.0 / dx);
     let c2 = T::of((cs * dx) * (cs * dx));
     let quarter = T::of(0.25);
-    for i in 0..nx as isize {
-        for j in 0..ny as isize {
-            let uc = u.column(i, j);
-            let uxp = u.column(i + 1, j);
-            let uyp = u.column(i, j + 1);
-            let uym = u.column(i, j - 1);
-            let uxp_yp = u.column(i + 1, j + 1);
-            let uxp_ym = u.column(i + 1, j - 1);
-            let vc = v.column(i, j);
-            let vyp = v.column(i, j + 1);
-            let vxp = v.column(i + 1, j);
-            let vxm = v.column(i - 1, j);
-            let vxp_yp = v.column(i + 1, j + 1);
-            let vxm_yp = v.column(i - 1, j + 1);
-            let khc = kh.column_mut(i, j);
-            for k in 0..nz {
-                let dudx = (uxp[k] - uc[k]) * inv_dx;
-                let dvdy = (vyp[k] - vc[k]) * inv_dx;
-                // Cross terms estimated at the center with centered diffs.
-                let dudy = (uyp[k] + uxp_yp[k] - uym[k] - uxp_ym[k]) * quarter * inv_dx;
-                let dvdx = (vxp[k] + vxp_yp[k] - vxm[k] - vxm_yp[k]) * quarter * inv_dx;
-                let shear = dudy + dvdx;
-                let s2 = (dudx * dudx + dvdy * dvdy) * T::two() + shear * shear;
-                khc[k] = c2 * s2.sqrt();
-            }
+    let i = kh.i() as isize;
+    for j in 0..ny as isize {
+        let uc = u.column(i, j);
+        let uxp = u.column(i + 1, j);
+        let uyp = u.column(i, j + 1);
+        let uym = u.column(i, j - 1);
+        let uxp_yp = u.column(i + 1, j + 1);
+        let uxp_ym = u.column(i + 1, j - 1);
+        let vc = v.column(i, j);
+        let vyp = v.column(i, j + 1);
+        let vxp = v.column(i + 1, j);
+        let vxm = v.column(i - 1, j);
+        let vxp_yp = v.column(i + 1, j + 1);
+        let vxm_yp = v.column(i - 1, j + 1);
+        let khc = kh.column_mut(j);
+        for k in 0..nz {
+            let dudx = (uxp[k] - uc[k]) * inv_dx;
+            let dvdy = (vyp[k] - vc[k]) * inv_dx;
+            // Cross terms estimated at the center with centered diffs.
+            let dudy = (uyp[k] + uxp_yp[k] - uym[k] - uxp_ym[k]) * quarter * inv_dx;
+            let dvdx = (vxp[k] + vxp_yp[k] - vxm[k] - vxm_yp[k]) * quarter * inv_dx;
+            let shear = dudy + dvdx;
+            let s2 = (dudx * dudx + dvdy * dvdy) * T::two() + shear * shear;
+            khc[k] = c2 * s2.sqrt();
         }
     }
 }
 
-/// Apply explicit horizontal diffusion `d/dx(K dq/dx) + d/dy(K dq/dy)` to a
-/// field, with `K` at cell centers (interpolated to faces). `snap` is a
-/// caller-owned scratch field of the same shape: it receives a snapshot of
-/// `q` so the stencil is unbiased, without allocating a fresh field per call.
-pub fn horizontal_diffusion<T: Real>(
-    q: &mut Field3<T>,
+/// Explicit horizontal diffusion `d/dx(K dq/dx) + d/dy(K dq/dy)` on one
+/// x-row of `q`, with `K` at cell centers (interpolated to faces). The
+/// stencil reads `snap`, a snapshot of `q` taken (halos included) before
+/// any row is updated, so it is unbiased and rows may run in any order.
+// Column slices all have length nz by the Field3 layout.
+// bda-check: allow(panic_path)
+pub fn horizontal_diffusion_row<T: Real>(
+    q: &mut Row<'_, T>,
+    snap: &Field3<T>,
     kh: &Field3<T>,
     m: &Metrics<T>,
     dt: T,
-    snap: &mut Field3<T>,
 ) {
-    let (nx, ny, nz, _) = q.shape();
+    let (_, ny, nz, _) = snap.shape();
     let inv_dx2 = m.inv_dx * m.inv_dx;
-    // Work on a snapshot so the stencil is unbiased.
-    snap.copy_from(q);
-    let q0 = &*snap;
-    for i in 0..nx as isize {
-        for j in 0..ny as isize {
-            let kc = kh.column(i, j);
-            let kxp = kh.column(i + 1, j);
-            let kxm = kh.column(i - 1, j);
-            let kyp = kh.column(i, j + 1);
-            let kym = kh.column(i, j - 1);
-            let qc = q0.column(i, j);
-            let qxp = q0.column(i + 1, j);
-            let qxm = q0.column(i - 1, j);
-            let qyp = q0.column(i, j + 1);
-            let qym = q0.column(i, j - 1);
-            let qo = q.column_mut(i, j);
-            for k in 0..nz {
-                let k_e = (kc[k] + kxp[k]) * T::half();
-                let k_w = (kc[k] + kxm[k]) * T::half();
-                let k_n = (kc[k] + kyp[k]) * T::half();
-                let k_s = (kc[k] + kym[k]) * T::half();
-                let d = (k_e * (qxp[k] - qc[k]) - k_w * (qc[k] - qxm[k]) + k_n * (qyp[k] - qc[k])
-                    - k_s * (qc[k] - qym[k]))
-                    * inv_dx2;
-                qo[k] += dt * d;
-            }
+    let i = q.i() as isize;
+    for j in 0..ny as isize {
+        let kc = kh.column(i, j);
+        let kxp = kh.column(i + 1, j);
+        let kxm = kh.column(i - 1, j);
+        let kyp = kh.column(i, j + 1);
+        let kym = kh.column(i, j - 1);
+        let qc = snap.column(i, j);
+        let qxp = snap.column(i + 1, j);
+        let qxm = snap.column(i - 1, j);
+        let qyp = snap.column(i, j + 1);
+        let qym = snap.column(i, j - 1);
+        let qo = q.column_mut(j);
+        for k in 0..nz {
+            let k_e = (kc[k] + kxp[k]) * T::half();
+            let k_w = (kc[k] + kxm[k]) * T::half();
+            let k_n = (kc[k] + kyp[k]) * T::half();
+            let k_s = (kc[k] + kym[k]) * T::half();
+            let d = (k_e * (qxp[k] - qc[k]) - k_w * (qc[k] - qxm[k]) + k_n * (qyp[k] - qc[k])
+                - k_s * (qc[k] - qym[k]))
+                * inv_dx2;
+            qo[k] += dt * d;
         }
     }
 }
@@ -288,6 +287,13 @@ mod tests {
     use crate::base::Sounding;
     use bda_grid::VerticalCoord;
 
+    /// The eddy viscosity over every row, at Cs = 0.18 and dx = 500 m.
+    fn smagorinsky(u: &Field3<f64>, v: &Field3<f64>, kh: &mut Field3<f64>) {
+        for mut row in kh.rows_mut() {
+            smagorinsky_row(u, v, 0.18, 500.0, &mut row);
+        }
+    }
+
     fn setup(nz: usize) -> (BaseState<f64>, VerticalCoord, Vec<f64>) {
         let vc = VerticalCoord::stretched(nz, 3000.0, 1.05);
         let base = BaseState::from_sounding(&Sounding::dry_stable(), &vc, 340.0);
@@ -300,7 +306,7 @@ mod tests {
         let u = Field3::<f64>::constant(6, 6, 3, 2, 5.0);
         let v = Field3::<f64>::constant(6, 6, 3, 2, -2.0);
         let mut kh = Field3::zeros(6, 6, 3, 2);
-        smagorinsky_viscosity(&u, &v, 0.18, 500.0, &mut kh);
+        smagorinsky(&u, &v, &mut kh);
         assert_eq!(kh.interior_max_abs(), 0.0);
     }
 
@@ -310,7 +316,7 @@ mod tests {
         bda_grid::halo::fill_clamp(&mut u);
         let v = Field3::<f64>::zeros(6, 6, 3, 2);
         let mut kh = Field3::zeros(6, 6, 3, 2);
-        smagorinsky_viscosity(&u, &v, 0.18, 500.0, &mut kh);
+        smagorinsky(&u, &v, &mut kh);
         assert!(kh.at(3, 3, 0) > 0.0);
     }
 
@@ -330,8 +336,10 @@ mod tests {
             .flat_map(|i| (0..8).map(move |j| (i, j)))
             .map(|(i, j)| q.at(i, j, 0))
             .sum();
-        let mut snap = Field3::<f64>::zeros(8, 8, 2, 2);
-        horizontal_diffusion(&mut q, &kh, &m, 1.0, &mut snap);
+        let snap = q.clone();
+        for mut row in q.rows_mut() {
+            horizontal_diffusion_row(&mut row, &snap, &kh, &m, 1.0);
+        }
         assert!(q.at(4, 4, 0) < 10.0);
         assert!(q.at(3, 4, 0) > 0.0);
         let after: f64 = (0..8)

@@ -3,7 +3,7 @@
 use bda_grid::halo::fill_periodic;
 use bda_grid::{Field3, GridSpec, VerticalCoord};
 use bda_num::SplitMix64;
-use bda_scale::advect::{scalar_advection_upwind, Metrics};
+use bda_scale::advect::{scalar_advection_row, Metrics};
 use bda_scale::base::{BaseState, Sounding};
 use bda_scale::microphys::{column_microphysics, ColumnView, MicrophysParams};
 use bda_scale::surface::{bulk_fluxes, SurfaceParams};
@@ -49,7 +49,9 @@ proptest! {
         let rho0 = vec![1.0; nz];
         let rho0f = vec![1.0; nz + 1];
         let mut tend = Field3::zeros(nx, nx, nz, 2);
-        scalar_advection_upwind(&q, &u, &v, &w, &rho0, &rho0f, &m, &mut tend);
+        for mut row in tend.rows_mut() {
+            scalar_advection_row(&q, &u, &v, &w, &rho0, &rho0f, &m, &mut row);
+        }
         // Total tendency integrates to zero (flux form on periodic domain,
         // uniform dz, rho0 = 1, zero boundary fluxes).
         let mut total = 0.0;

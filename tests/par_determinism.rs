@@ -15,7 +15,11 @@
 //!   analysis ensemble, bit for bit, at 1 and at N threads;
 //! * the egress tile pipeline (`bda-serve`) encodes its per-cycle delta
 //!   frames on the same pool, so the broadcast byte stream — and its
-//!   digest — is identical under `BDA_THREADS=1` and `BDA_THREADS=4`.
+//!   digest — is identical under `BDA_THREADS=1` and `BDA_THREADS=4`;
+//! * the model splits one integration over x-rows and nests those rows
+//!   inside the ensemble's member loop: same state, bit for bit, at any
+//!   pool width, equal to digests pinned from the serial loop nest, and a
+//!   failed integration fails the same way at every width.
 
 use bda::letkf::{
     analyze, EnsembleMatrix, LetkfConfig, ObsEnsemble, ObsKind, Observation, StateLayout,
@@ -323,4 +327,163 @@ fn letkf_analysis_bitwise_parity_across_threads() {
             }
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// The model: one integration splits its stencil and column loops over
+// x-rows, and the ensemble forecast nests those rows inside its member
+// loop. Neither may change a bit.
+// ---------------------------------------------------------------------------
+
+use bda::grid::halo::HaloPolicy;
+use bda::num::fnv1a;
+use bda::scale::base::Sounding;
+use bda::scale::forcing::{LargeScaleForcing, TriggerSchedule};
+use bda::scale::model::{BlowUp, Boundary};
+use bda::scale::{Ensemble, Model, ModelConfig, PrognosticVar};
+
+/// FNV-1a of the 60-s storm state and precipitation, pinned from the
+/// serial loop-nest model that the row regions replaced.
+const STORM_60S_DIGEST: u64 = 0x76da_1981_0e11_041d;
+/// FNV-1a of the Davies-rim run under `Boundary::Profiles`, same origin.
+const RIM_60S_DIGEST: u64 = 0x224a_a9ee_880a_6c02;
+
+/// The benchmark's storm configuration at 16×16×10: periodic, no rim,
+/// three strong warm bubbles in the first minute.
+fn storm_model() -> Model<f32> {
+    let mut cfg = ModelConfig::reduced(16, 16, 10);
+    cfg.halo = HaloPolicy::Periodic;
+    cfg.davies_width = 0;
+    let (lx, ly) = (cfg.grid.lx(), cfg.grid.ly());
+    let mut m = Model::<f32>::new(cfg, &Sounding::convective());
+    m.triggers = TriggerSchedule::storm_trio(lx, ly);
+    m
+}
+
+/// A rimmed domain driven by large-scale profiles: the Davies path.
+fn rim_model() -> Model<f32> {
+    let cfg = ModelConfig::reduced(16, 16, 10);
+    let z = cfg.grid.vertical.z_center.clone();
+    let mut m = Model::<f32>::new(cfg, &Sounding::convective());
+    let g = m.cfg.grid.clone();
+    m.state
+        .add_warm_bubble(&g, g.lx() / 2.0, g.ly() / 2.0, 1200.0, 3000.0, 1500.0, 6.0);
+    m.boundary = Boundary::Profiles(LargeScaleForcing::new(Sounding::convective(), z, 5));
+    m
+}
+
+/// Every prognostic field and both precipitation arrays, bit for bit.
+fn model_digest(m: &Model<f32>) -> u64 {
+    let mut bytes = Vec::new();
+    for v in m.state.to_flat(&PrognosticVar::ALL) {
+        bytes.extend_from_slice(&v.to_bits().to_le_bytes());
+    }
+    for v in m.precip_rate.iter().chain(&m.precip_accum) {
+        bytes.extend_from_slice(&v.to_bits().to_le_bytes());
+    }
+    bytes.extend_from_slice(&m.state.time.to_bits().to_le_bytes());
+    fnv1a(&bytes)
+}
+
+fn integrate_on(threads: usize, mut m: Model<f32>, seconds: f64) -> Model<f32> {
+    pool(threads).install(|| m.integrate(seconds).expect("storm stays finite"));
+    m
+}
+
+fn assert_models_bit_equal(a: &Model<f32>, b: &Model<f32>, what: &str) {
+    for var in PrognosticVar::ALL {
+        let (fa, fb) = (a.state.field(var).raw(), b.state.field(var).raw());
+        assert!(
+            fa.iter().zip(fb).all(|(x, y)| x.to_bits() == y.to_bits()),
+            "{what}: field {} diverged",
+            var.name()
+        );
+    }
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(
+        bits(&a.precip_rate),
+        bits(&b.precip_rate),
+        "{what}: precip_rate"
+    );
+    assert_eq!(
+        bits(&a.precip_accum),
+        bits(&b.precip_accum),
+        "{what}: precip_accum"
+    );
+}
+
+/// (a) One storm integration at pool widths 1, 2 and 8 ends on the same
+/// bits in every prognostic field and both precipitation arrays.
+#[test]
+fn model_integration_is_bit_identical_across_pool_widths() {
+    let one = integrate_on(1, storm_model(), 60.0);
+    for threads in [2, 8] {
+        let wide = integrate_on(threads, storm_model(), 60.0);
+        assert_models_bit_equal(&one, &wide, &format!("{threads} threads"));
+    }
+}
+
+/// (c) The same integration, and a rimmed one, match the digests pinned
+/// from the serial loop-nest model.
+#[test]
+fn model_integration_matches_the_serial_golden_digest() {
+    let storm = integrate_on(2, storm_model(), 60.0);
+    let rim = integrate_on(2, rim_model(), 60.0);
+    eprintln!(
+        "storm digest {:#018x}, rim digest {:#018x}",
+        model_digest(&storm),
+        model_digest(&rim)
+    );
+    assert_eq!(model_digest(&storm), STORM_60S_DIGEST, "storm digest moved");
+    assert_eq!(model_digest(&rim), RIM_60S_DIGEST, "rim digest moved");
+}
+
+/// (b) The nested path: members run in parallel and each member's rows run
+/// serially on its worker; the ensemble is bit-equal at 1 and 4 threads.
+#[test]
+fn ensemble_forecast_is_bit_identical_across_pool_widths() {
+    let m = integrate_on(1, storm_model(), 5.0);
+    let run = |threads: usize| {
+        pool(threads).install(|| {
+            let mut ens = Ensemble::from_perturbations(&m.state, &m.cfg, 6, 17, 0.5, 3e-4);
+            let results = ens.forecast_members(&m.cfg, &m.base, 20.0, |_| Boundary::BaseState);
+            (results, ens.members)
+        })
+    };
+    let (r1, m1) = run(1);
+    let (r4, m4) = run(4);
+    assert_eq!(r1, r4);
+    for (k, (a, b)) in m1.iter().zip(&m4).enumerate() {
+        let (fa, fb) = (
+            a.to_flat(&PrognosticVar::ALL),
+            b.to_flat(&PrognosticVar::ALL),
+        );
+        assert!(
+            fa.iter().zip(&fb).all(|(x, y)| x.to_bits() == y.to_bits()),
+            "member {k} diverged between 1 and 4 threads"
+        );
+    }
+}
+
+/// A state seeded the way `Ensemble::inject_blowup` seeds one fails the
+/// same typed way at 1 and 2 threads, and the pool it failed on still
+/// integrates the storm to the same bits afterwards.
+#[test]
+fn blown_up_integration_fails_alike_at_any_width_and_leaves_the_pool_usable() {
+    let blow = |threads: usize| -> Result<Result<(), BlowUp>, ()> {
+        let mut m = storm_model();
+        m.state.u.set(0, 0, 0, f32::INFINITY);
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            pool(threads).install(|| m.integrate(60.0))
+        }))
+        .map_err(|_| ())
+    };
+    let one = blow(1);
+    let two = blow(2);
+    assert_eq!(one, two, "failure differs between 1 and 2 threads");
+    assert!(!matches!(one, Ok(Ok(()))), "an infinite wind must not pass");
+
+    let after = integrate_on(2, storm_model(), 60.0);
+    let reference = integrate_on(1, storm_model(), 60.0);
+    assert_models_bit_equal(&reference, &after, "after a failed integration");
 }
