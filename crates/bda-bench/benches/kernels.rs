@@ -3,12 +3,14 @@
 //! `benchmark/` measures the cycle (`T_obs` to ACK, with a per-layer
 //! trace); this harness pins the kernels themselves — batched eigensolve,
 //! blocked HEVI tridiagonal sweep, register-tiled GEMM, the lane-array dot
-//! and the axpy, the whole per-grid-point transform, and one model step of
-//! the 24x24x12 storm on a 1-thread pool and at pool width — so a
+//! and the axpy, the whole per-grid-point transform, the model's three
+//! heaviest kernels (the scalar advection of the 24x24x12 storm, one
+//! boundary-layer column and one storm microphysics column) and one model
+//! step of that storm on a 1-thread pool and at pool width — so a
 //! regression in any one of them is visible even when cycle-level noise
 //! would hide it. CI's `perf-gate` compares each row of the committed
-//! `BENCH_13_kernels.json` against a fresh run; rows the file does not
-//! hold yet, such as the model-step pair, are reported but not gated.
+//! `BENCH_13_kernels.json` against a fresh run, the model rows included;
+//! a row the file does not hold is reported but not gated.
 //!
 //! Sizes mirror the reduced OSSE and the paper's LETKF: ensemble sizes
 //! k = 16 (bench fixture), k = 64 and k = 128 (the benchmark's
@@ -24,6 +26,14 @@
 //! 6 n^3 — the last depends on the spectrum, so the figure is a yardstick
 //! across commits, not a hardware counter).
 //!
+//! The model-kernel rows carry `bytes` and `gbytes_per_s_computed`
+//! instead: the f32 traffic of one call, computed from the sizes as each
+//! array read once plus each array written once — 5 per cell per scalar
+//! for the advection (q, u, v, w in, the tendency out), 10 per level for
+//! the boundary layer (u, v, theta', qv, TKE in and out) and 15 per level
+//! for the microphysics (pi' in; theta' and six water species in and
+//! out). Like the flop counts, a yardstick, not a counter.
+//!
 //! Flags (unknown flags ignored so `cargo bench --bench kernels` works):
 //!
 //! * `--out PATH`   output path (default `<repo>/BENCH_13_kernels.json`)
@@ -31,13 +41,17 @@
 
 use bda_bench::{local_obs, rng, spd_batch};
 use bda_grid::halo::HaloPolicy;
+use bda_grid::Field3;
 use bda_letkf::weights::{apply_transform, compute_transform, TransformScratch};
 use bda_num::matrix::{axpy, dot8, MatrixS};
 use bda_num::tridiag::ThomasFactor;
 use bda_num::BatchedEigen;
+use bda_scale::advect::{scalar_advection_row, RowProfiles};
 use bda_scale::base::Sounding;
 use bda_scale::forcing::TriggerSchedule;
-use bda_scale::{Model, ModelConfig};
+use bda_scale::microphys::{column_microphysics, ColumnView, MicrophysParams};
+use bda_scale::turbulence::ColumnPbl;
+use bda_scale::{Model, ModelConfig, PrognosticVar};
 use rayon::ThreadPoolBuilder;
 use std::time::Instant;
 
@@ -46,6 +60,8 @@ struct Row {
     mean_us: f64,
     /// Floating-point operations per call, computed from the sizes.
     flops: Option<f64>,
+    /// Bytes moved per call, computed from the sizes.
+    bytes: Option<f64>,
 }
 
 /// Mean microseconds per call of `op` over `reps` calls (after one
@@ -163,10 +179,9 @@ fn transform_bench(k: usize, nobs: usize, nvar: usize, reps: usize) -> (f64, f64
     (us, flops)
 }
 
-/// One `Model::step` of the `storm_cycle` model — 24x24x12, periodic, the
-/// three-bubble storm, integrated 90 s so every bubble has fired — on a
-/// `threads`-wide pool. Returns the mean microseconds per step.
-fn model_step_bench(threads: usize, reps: usize) -> f64 {
+/// The `storm_cycle` model — 24x24x12, periodic, the three-bubble
+/// storm — integrated `seconds` on a `threads`-wide pool, with that pool.
+fn storm(threads: usize, seconds: f64) -> (Model<f32>, rayon::ThreadPool) {
     let mut cfg = ModelConfig::reduced(24, 24, 12);
     cfg.halo = HaloPolicy::Periodic;
     cfg.davies_width = 0;
@@ -177,10 +192,136 @@ fn model_step_bench(threads: usize, reps: usize) -> f64 {
         .num_threads(threads)
         .build()
         .expect("pool build is infallible");
-    pool.install(|| {
-        model.integrate(90.0).expect("the storm stays finite");
-        time_op(reps, || model.step())
-    })
+    pool.install(|| model.integrate(seconds).expect("the storm stays finite"));
+    (model, pool)
+}
+
+/// One `Model::step` of the storm, integrated 90 s so every bubble has
+/// fired, on a `threads`-wide pool. Returns the mean microseconds per
+/// step.
+fn model_step_bench(threads: usize, reps: usize) -> f64 {
+    let (mut model, pool) = storm(threads, 90.0);
+    pool.install(|| time_op(reps, || model.step()))
+}
+
+/// The upwind advection tendency of the eight advected scalars over the
+/// whole 90-s storm domain. Returns `(mean_us, bytes)`.
+fn scalar_advection_bench(reps: usize) -> (f64, f64) {
+    let (model, _) = storm(1, 90.0);
+    let (s, g) = (&model.state, &model.cfg.grid);
+    let profiles = RowProfiles::new(&model.base, model.metrics(), g.ny);
+    let scalars = [
+        PrognosticVar::Theta,
+        PrognosticVar::Qv,
+        PrognosticVar::Qc,
+        PrognosticVar::Qr,
+        PrognosticVar::Qi,
+        PrognosticVar::Qs,
+        PrognosticVar::Qg,
+        PrognosticVar::Tke,
+    ];
+    let mut tend = Field3::zeros(g.nx, g.ny, g.nz(), s.u.halo());
+    let us = time_op(reps, || {
+        for var in scalars {
+            for mut row in tend.rows_mut() {
+                let q = s.field(var);
+                scalar_advection_row(q, &s.u, &s.v, &s.w, &profiles, model.metrics(), &mut row);
+            }
+        }
+        std::hint::black_box(tend.at(0, 0, 0));
+    });
+    (us, (scalars.len() * 5 * g.ncells() * 4) as f64)
+}
+
+/// The wettest column of `model`: `(i, j)` of the largest column total of
+/// the five condensate species.
+fn wettest_column(model: &Model<f32>) -> (isize, isize) {
+    let (s, g) = (&model.state, &model.cfg.grid);
+    let mut best = ((0, 0), -1.0f32);
+    for i in 0..g.nx as isize {
+        for j in 0..g.ny as isize {
+            let total: f32 = [&s.qc, &s.qr, &s.qi, &s.qs, &s.qg]
+                .iter()
+                .map(|f| f.column(i, j).iter().sum::<f32>())
+                .sum();
+            if total > best.1 {
+                best = ((i, j), total);
+            }
+        }
+    }
+    best.0
+}
+
+/// One boundary-layer column step on the 12 levels of the 90-s storm's
+/// wettest column, its inputs restored before every call. Returns
+/// `(mean_us, bytes)`.
+fn pbl_column_bench(reps: usize) -> (f64, f64) {
+    let (model, _) = storm(1, 90.0);
+    let (s, g) = (&model.state, &model.cfg.grid);
+    let (i, j) = wettest_column(&model);
+    let nz = g.nz();
+    let start = [&s.u, &s.v, &s.theta, &s.qv, &s.tke].map(|f| f.column(i, j).to_vec());
+    let mut cols = start.clone();
+    let dz: Vec<f32> = (0..nz).map(|k| g.vertical.dz(k) as f32).collect();
+    let mut pbl = ColumnPbl::<f32>::new(nz);
+    let us = time_op(reps, || {
+        for (c, s) in cols.iter_mut().zip(&start) {
+            c.copy_from_slice(s);
+        }
+        let [u, v, theta, qv, tke] = &mut cols;
+        pbl.step_column(
+            u,
+            v,
+            theta,
+            qv,
+            tke,
+            &model.base,
+            &g.vertical.z_center,
+            &dz,
+            model.cfg.dt,
+            0.05,
+            1e-5,
+            0.01,
+        );
+        std::hint::black_box(cols[0][0]);
+    });
+    (us, (10 * nz * 4) as f64)
+}
+
+/// One microphysics column step on the 12 levels of the wettest column of
+/// the storm at 300 s, when it rains and holds mixed-phase cloud, its
+/// inputs restored before every call. Returns `(mean_us, bytes)`.
+fn microphysics_column_bench(reps: usize) -> (f64, f64) {
+    let (model, _) = storm(1, 300.0);
+    let (s, g) = (&model.state, &model.cfg.grid);
+    let (i, j) = wettest_column(&model);
+    let nz = g.nz();
+    let pi = s.pi.column(i, j).to_vec();
+    let start =
+        [&s.theta, &s.qv, &s.qc, &s.qr, &s.qi, &s.qs, &s.qg].map(|f| f.column(i, j).to_vec());
+    let mut cols = start.clone();
+    let dz: Vec<f32> = (0..nz).map(|k| g.vertical.dz(k) as f32).collect();
+    let params = MicrophysParams::default();
+    let mut flux = vec![0.0f64; nz];
+    let us = time_op(reps, || {
+        for (c, s) in cols.iter_mut().zip(&start) {
+            c.copy_from_slice(s);
+        }
+        let [theta, qv, qc, qr, qi, qs, qg] = &mut cols;
+        let mut col = ColumnView {
+            theta,
+            pi: &pi,
+            qv,
+            qc,
+            qr,
+            qi,
+            qs,
+            qg,
+        };
+        let r = column_microphysics(&mut col, &model.base, &params, &dz, model.cfg.dt, &mut flux);
+        std::hint::black_box(r.rain_rate_mmh);
+    });
+    (us, (15 * nz * 4) as f64)
 }
 
 fn main() {
@@ -207,66 +348,99 @@ fn main() {
 
     let gemm_flops = |n: usize| 2.0 * (n as f64).powi(3);
     let (transform_us, transform_flops) = transform_bench(128, 76, 10, reps.div_ceil(4));
+    let (advection_us, advection_bytes) = scalar_advection_bench(reps);
+    let (pbl_us, pbl_bytes) = pbl_column_bench(reps * 50);
+    let (micro_us, micro_bytes) = microphysics_column_bench(reps * 50);
     let rows = [
         Row {
             name: "eigensolve_k16",
             mean_us: eigensolve_bench(16, 64, reps),
             flops: Some(eigensolve_flops(16)),
+            bytes: None,
         },
         Row {
             name: "eigensolve_k64",
             mean_us: eigensolve_bench(64, 8, reps),
             flops: Some(eigensolve_flops(64)),
+            bytes: None,
         },
         Row {
             name: "eigensolve_k128",
             mean_us: eigensolve_bench(128, 4, reps.div_ceil(4)),
             flops: Some(eigensolve_flops(128)),
+            bytes: None,
         },
         Row {
             name: "tridiag_nz12_cols24",
             mean_us: tridiag_bench(12, 24, reps),
             flops: None,
+            bytes: None,
         },
         Row {
             name: "gemm_k64",
             mean_us: gemm_bench(64, reps),
             flops: Some(gemm_flops(64)),
+            bytes: None,
         },
         Row {
             name: "gemm_k128",
             mean_us: gemm_bench(128, reps),
             flops: Some(gemm_flops(128)),
+            bytes: None,
         },
         Row {
             name: "dot8_k100",
             mean_us: dot8_bench(100, reps),
             flops: Some(200.0),
+            bytes: None,
         },
         Row {
             name: "dot8_k128",
             mean_us: dot8_bench(128, reps),
             flops: Some(256.0),
+            bytes: None,
         },
         Row {
             name: "axpy_k100",
             mean_us: axpy_bench(100, reps),
             flops: Some(200.0),
+            bytes: None,
         },
         Row {
             name: "transform_k128_nobs76",
             mean_us: transform_us,
             flops: Some(transform_flops),
+            bytes: None,
+        },
+        Row {
+            name: "scalar_advection_24x24x12",
+            mean_us: advection_us,
+            flops: None,
+            bytes: Some(advection_bytes),
+        },
+        Row {
+            name: "pbl_column_nz12",
+            mean_us: pbl_us,
+            flops: None,
+            bytes: Some(pbl_bytes),
+        },
+        Row {
+            name: "microphysics_column_nz12_storm",
+            mean_us: micro_us,
+            flops: None,
+            bytes: Some(micro_bytes),
         },
         Row {
             name: "model_step_24x24x12_t1",
             mean_us: model_step_bench(1, reps),
             flops: None,
+            bytes: None,
         },
         Row {
             name: "model_step_24x24x12_tw",
             mean_us: model_step_bench(pool_width, reps),
             flops: None,
+            bytes: None,
         },
     ];
     for r in &rows {
@@ -283,9 +457,16 @@ fn main() {
                     f / r.mean_us / 1e3
                 )
             });
+            let traffic = r.bytes.map_or(String::new(), |b| {
+                format!(
+                    ", \"bytes\": {:.0}, \"gbytes_per_s_computed\": {:.4}",
+                    b,
+                    b / r.mean_us / 1e3
+                )
+            });
             format!(
-                "    {{ \"name\": \"{}\", \"mean_us\": {:.6}{} }}",
-                r.name, r.mean_us, roofline
+                "    {{ \"name\": \"{}\", \"mean_us\": {:.6}{}{} }}",
+                r.name, r.mean_us, roofline, traffic
             )
         })
         .collect();

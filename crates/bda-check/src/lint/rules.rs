@@ -71,11 +71,15 @@ pub const ALL_RULES: [&str; 9] = [
 pub const HOT_ANCHORS: &[(&str, &[&str])] = &[
     (
         "crates/bda-scale/src/microphys.rs",
-        &["column_microphysics", "sediment_species"],
+        &[
+            "column_microphysics",
+            "saturation_point",
+            "sediment_species",
+        ],
     ),
     (
         "crates/bda-scale/src/advect.rs",
-        &["scalar_advection_row", "momentum_advection_row"],
+        &["scalar_advection_row", "momentum_advection_row", "at"],
     ),
     (
         "crates/bda-scale/src/dynamics.rs",
@@ -93,7 +97,7 @@ pub const HOT_ANCHORS: &[(&str, &[&str])] = &[
             "smagorinsky_row",
             "horizontal_diffusion_row",
             "ColumnPbl::step_column",
-            "ColumnPbl::diffuse_implicit",
+            "ColumnPbl::diffuse_pair",
         ],
     ),
     (
@@ -101,9 +105,14 @@ pub const HOT_ANCHORS: &[(&str, &[&str])] = &[
         &["scalar_update_row", "RowPhysics::step_row"],
     ),
     (
+        "crates/bda-grid/src/field.rs",
+        &["Field3::columns", "Row::interior_mut"],
+    ),
+    (
         "crates/bda-num/src/tridiag.rs",
         &[
             "solve_thomas",
+            "solve_thomas_pair",
             "ThomasFactor::factor",
             "ThomasFactor::solve",
             "ThomasFactor::solve_columns",

@@ -1,6 +1,7 @@
 //! 3-D field storage with horizontal halos.
 
 use bda_num::Real;
+use std::ops::Range;
 
 /// A scalar field on an `nx x ny x nz` grid with `halo` extra cells on each
 /// horizontal side. Storage is `k`-fastest, so every vertical column —
@@ -115,6 +116,24 @@ impl<T: Real> Field3<T> {
     pub fn column_mut(&mut self, i: isize, j: isize) -> &mut [T] {
         let base = self.idx(i, j, 0);
         &mut self.data[base..base + self.nz]
+    }
+
+    /// The columns `j0 .. j1` of x-row `i` as one contiguous slice,
+    /// `(j1 - j0) * nz` long: column `j0 + c` starts at `c * nz`, so the
+    /// neighbours of the cell at offset `t` sit at `t ± nz` (y) and
+    /// `t ± 1` (z). `j0 .. j1` may reach into the halo on both sides. The
+    /// whole-row kernels slice their stencil's neighbour slabs with this
+    /// once per row and then run one loop over every cell of the row.
+    #[inline]
+    // `js` inside `-halo ..= ny + halo` (debug-asserted) keeps the span
+    // inside the storage; a span outside it is a caller bug and panics.
+    // bda-check: allow(panic_path)
+    pub fn columns(&self, i: isize, js: Range<isize>) -> &[T] {
+        debug_assert!(js.start <= js.end);
+        debug_assert!(js.end <= (self.ny + self.halo) as isize);
+        let base = self.idx(i, js.start, 0);
+        let len = (js.end - js.start) as usize * self.nz;
+        &self.data[base..base + len]
     }
 
     /// Raw storage (including halos) — used by the I/O layer.
@@ -305,6 +324,15 @@ impl<T> Row<'_, T> {
         let base = self.base(j);
         &mut self.data[base..base + self.nz]
     }
+
+    /// The row's interior columns `j = 0 .. ny` as one contiguous mutable
+    /// `ny * nz` slice, laid out like [`Field3::columns`].
+    #[inline]
+    pub fn interior_mut(&mut self) -> &mut [T] {
+        let edge = self.halo * self.nz;
+        let end = self.data.len() - edge;
+        &mut self.data[edge..end]
+    }
 }
 
 #[cfg(test)]
@@ -403,6 +431,27 @@ mod tests {
                 let want = if interior { 1.0 } else { 0.0 };
                 assert!(f.column(i, j).iter().all(|&x| x == want), "({i}, {j})");
             }
+        }
+    }
+
+    #[test]
+    fn column_runs_and_row_interiors_are_the_columns_laid_end_to_end() {
+        let (nx, ny, nz, halo) = (3, 4, 2, 2);
+        let f = Field3::<f64>::from_fn(nx, ny, nz, halo, |i, j, k| (100 * i + 10 * j + k) as f64);
+        for i in 0..nx as isize {
+            let run = f.columns(i, -1..ny as isize + 1);
+            assert_eq!(run.len(), (ny + 2) * nz);
+            for (c, j) in (-1..ny as isize + 1).enumerate() {
+                assert_eq!(&run[c * nz..(c + 1) * nz], f.column(i, j));
+            }
+        }
+        let mut g = f.clone();
+        for mut row in g.rows_mut() {
+            let i = row.i() as isize;
+            assert_eq!(row.interior_mut(), f.columns(i, 0..ny as isize));
+            row.interior_mut().fill(-1.0);
+            assert_eq!(row.column(-1), f.column(i, -1));
+            assert_eq!(row.column(ny as isize), f.column(i, ny as isize));
         }
     }
 

@@ -49,6 +49,55 @@ pub fn solve_thomas<T: Real>(sub: &[T], diag: &[T], sup: &[T], d: &mut [T], scra
     }
 }
 
+/// [`solve_thomas`] for two right-hand sides of one matrix, `a` and `b`,
+/// in one sweep: the matrix is eliminated once, and each right-hand side
+/// goes through exactly the division-form arithmetic a separate
+/// [`solve_thomas`] call gives it, so both results are the same bits as
+/// two calls. (The reciprocal form of [`ThomasFactor`] rounds
+/// differently.)
+///
+/// # Panics
+/// Panics if slice lengths disagree or a pivot underflows to zero.
+// The entry asserts pin every slice to length n; the in-loop `i±1`
+// offsets stay inside `1..n` / `0..n-1`.
+// bda-check: allow(panic_path)
+pub fn solve_thomas_pair<T: Real>(
+    sub: &[T],
+    diag: &[T],
+    sup: &[T],
+    a: &mut [T],
+    b: &mut [T],
+    scratch: &mut [T],
+) {
+    let n = diag.len();
+    assert_eq!(sub.len(), n);
+    assert_eq!(sup.len(), n);
+    assert_eq!(a.len(), n);
+    assert_eq!(b.len(), n);
+    assert!(scratch.len() >= n);
+    assert!(n > 0);
+
+    // Forward sweep.
+    let mut beta = diag[0];
+    assert!(beta.abs() > T::zero(), "zero pivot in Thomas algorithm");
+    a[0] /= beta;
+    b[0] /= beta;
+    for i in 1..n {
+        scratch[i] = sup[i - 1] / beta;
+        beta = diag[i] - sub[i] * scratch[i];
+        assert!(beta.abs() > T::zero(), "zero pivot in Thomas algorithm");
+        a[i] = (a[i] - sub[i] * a[i - 1]) / beta;
+        b[i] = (b[i] - sub[i] * b[i - 1]) / beta;
+    }
+    // Back substitution.
+    for i in (0..n - 1).rev() {
+        let correction = scratch[i + 1] * a[i + 1];
+        a[i] -= correction;
+        let correction = scratch[i + 1] * b[i + 1];
+        b[i] -= correction;
+    }
+}
+
 /// Convenience allocation-per-call wrapper around [`solve_thomas`].
 pub fn solve_thomas_alloc<T: Real>(sub: &[T], diag: &[T], sup: &[T], rhs: &[T]) -> Vec<T> {
     let mut d = rhs.to_vec();
@@ -227,28 +276,6 @@ impl<T: Real> ThomasFactor<T> {
     }
 }
 
-/// A reusable workspace for batched column solves, avoiding per-column
-/// allocation in the model's hot vertical-implicit loop.
-pub struct TridiagWorkspace<T> {
-    scratch: Vec<T>,
-}
-
-impl<T: Real> TridiagWorkspace<T> {
-    pub fn new(n: usize) -> Self {
-        Self {
-            scratch: vec![T::zero(); n],
-        }
-    }
-
-    /// Solve in place, reusing the internal scratch buffer.
-    pub fn solve(&mut self, sub: &[T], diag: &[T], sup: &[T], d: &mut [T]) {
-        if self.scratch.len() < diag.len() {
-            self.scratch.resize(diag.len(), T::zero());
-        }
-        solve_thomas(sub, diag, sup, d, &mut self.scratch);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -299,22 +326,6 @@ mod tests {
     fn single_element_system() {
         let x = solve_thomas_alloc(&[0.0_f64], &[2.0], &[0.0], &[8.0]);
         assert_eq!(x, vec![4.0]);
-    }
-
-    #[test]
-    fn workspace_reuse_matches_alloc() {
-        let n = 20;
-        let sub = vec![-0.5_f64; n];
-        let diag = vec![3.0; n];
-        let sup = vec![-0.7; n];
-        let rhs: Vec<f64> = (0..n).map(|i| 1.0 / (1.0 + i as f64)).collect();
-        let expected = solve_thomas_alloc(&sub, &diag, &sup, &rhs);
-        let mut ws = TridiagWorkspace::new(4); // deliberately undersized
-        let mut d = rhs.clone();
-        ws.solve(&sub, &diag, &sup, &mut d);
-        for (a, b) in d.iter().zip(&expected) {
-            assert!((a - b).abs() < 1e-13);
-        }
     }
 
     #[test]

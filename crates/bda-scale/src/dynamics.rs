@@ -34,7 +34,7 @@
 //! its two outer neighbour rows for the hyperdiffusion instead of reading
 //! a shared one: same inputs, same arithmetic, same bits.
 
-use crate::advect::{momentum_advection_row, w_center_col, Metrics};
+use crate::advect::{at, momentum_advection_row, w_center_col, Metrics, RowProfiles};
 use crate::base::BaseState;
 use crate::config::ModelConfig;
 use crate::constants::{CP, GRAV};
@@ -163,6 +163,7 @@ impl<T: Real> VerticalOperator<T> {
 pub fn step_dynamics<T: Real>(
     state: &mut ModelState<T>,
     base: &BaseState<T>,
+    p: &RowProfiles<T>,
     cfg: &ModelConfig,
     m: &Metrics<T>,
     ws: &mut DynWorkspace<T>,
@@ -188,7 +189,7 @@ pub fn step_dynamics<T: Real>(
         |(block, lap)| {
             for [tu, tv, tw, dv] in block.iter_mut() {
                 let dv = alpha.is_some().then_some(dv);
-                explicit_tendencies_row(s, base, cfg, m, tu, tv, tw, dv);
+                explicit_tendencies_row(s, p, cfg, m, tu, tv, tw, dv);
             }
             if let Some(k4) = k4 {
                 for (c, f) in [&s.u, &s.v, &s.w].into_iter().enumerate() {
@@ -235,13 +236,15 @@ pub fn step_dynamics<T: Real>(
 /// horizontal pressure gradient, Coriolis and buoyancy, into rows `i` of
 /// `tu`, `tv`, `tw`; and, when `div` is given, the plain velocity
 /// divergence into it. The hyperdiffusion is added after, per block.
+/// Whole-row passes like [`momentum_advection_row`]; the ground face
+/// keeps its tendency by select.
 #[allow(clippy::too_many_arguments)]
-// Every `k±1` stencil access sits behind an explicit `k > 0` branch;
-// column slices are sized to nz by the Field3 layout.
+// Every run is sliced to the row's n cells (reaching at most one column
+// into the halo) before the loops; the tiles are ny * nz long.
 // bda-check: allow(panic_path)
 pub fn explicit_tendencies_row<T: Real>(
     s: &ModelState<T>,
-    base: &BaseState<T>,
+    p: &RowProfiles<T>,
     cfg: &ModelConfig,
     m: &Metrics<T>,
     tu: &mut Row<'_, T>,
@@ -250,76 +253,69 @@ pub fn explicit_tendencies_row<T: Real>(
     div: Option<&mut Row<'_, T>>,
 ) {
     let (_, ny, nz, _) = s.u.shape();
-    let i = tu.i() as isize;
+    let n = ny * nz;
+    let (i, jn) = (tu.i() as isize, ny as isize);
     let cp = T::of(CP);
     let grav = T::of(GRAV);
     let f_cor = T::of(cfg.coriolis_f);
+    let quarter = T::of(0.25);
+    let half = T::half();
+    let vapour = T::of(0.61);
 
     // --- advection ---
-    momentum_advection_row(&s.u, &s.v, &s.w, m, tu, tv, tw);
+    momentum_advection_row(&s.u, &s.v, &s.w, p, m, tu, tv, tw);
 
-    // --- horizontal pressure gradient, Coriolis, buoyancy ---
-    // Column-sliced: each (i,j) hoists its stencil columns once and the k
-    // loop runs on contiguous slices. Arithmetic per cell is unchanged, so
-    // the update is bit-identical to the indexed form.
-    let quarter = T::of(0.25);
-    for j in 0..ny as isize {
-        let pic = s.pi.column(i, j);
-        let pixm = s.pi.column(i - 1, j);
-        let piym = s.pi.column(i, j - 1);
-        let vxm = s.v.column(i - 1, j);
-        let vxm_yp = s.v.column(i - 1, j + 1);
-        let vc = s.v.column(i, j);
-        let vyp = s.v.column(i, j + 1);
-        let uym = s.u.column(i, j - 1);
-        let uxp_ym = s.u.column(i + 1, j - 1);
-        let ucl = s.u.column(i, j);
-        let uxp = s.u.column(i + 1, j);
-        let thc = s.theta.column(i, j);
-        let qvc = s.qv.column(i, j);
-        let qcc = s.qc.column(i, j);
-        let qrc = s.qr.column(i, j);
-        let qic = s.qi.column(i, j);
-        let qsc = s.qs.column(i, j);
-        let qgc = s.qg.column(i, j);
-        let cond = |k: usize| qcc[k] + qrc[k] + qic[k] + qsc[k] + qgc[k];
-        let tuc = tu.column_mut(j);
-        let tvc = tv.column_mut(j);
-        let twc = tw.column_mut(j);
-        for k in 0..nz {
-            // u face (i, j): PGF = -cp theta0 d(pi')/dx.
-            let pgf_u = -cp * base.theta0[k] * (pic[k] - pixm[k]) * m.inv_dx;
-            let v_at_u = (vxm[k] + vxm_yp[k] + vc[k] + vyp[k]) * quarter;
-            tuc[k] += pgf_u + f_cor * (v_at_u - base.v0[k]);
+    // --- horizontal pressure gradient and Coriolis ---
+    // Runs over j = -1 .. ny put cell t at nz + t.
+    let pi_run = s.pi.columns(i, -1..jn);
+    let (pic, piym) = (at(pi_run, nz, n), at(pi_run, 0, n));
+    let pixm = s.pi.columns(i - 1, 0..jn);
+    let vxm_run = s.v.columns(i - 1, 0..jn + 1);
+    let (vxm, vxm_yp) = (at(vxm_run, 0, n), at(vxm_run, nz, n));
+    let v_run = s.v.columns(i, 0..jn + 1);
+    let (vc, vyp) = (at(v_run, 0, n), at(v_run, nz, n));
+    let u_run = s.u.columns(i, -1..jn);
+    let (ucl, uym) = (at(u_run, nz, n), at(u_run, 0, n));
+    let uxp_run = s.u.columns(i + 1, -1..jn);
+    let (uxp, uxp_ym) = (at(uxp_run, nz, n), at(uxp_run, 0, n));
+    let (theta0, u0, v0) = (&p.theta0[..n], &p.u0[..n], &p.v0[..n]);
+    let (tuc, tvc) = (tu.interior_mut(), tv.interior_mut());
+    for t in 0..n {
+        // u face (i, j): PGF = -cp theta0 d(pi')/dx.
+        let pgf_u = -cp * theta0[t] * (pic[t] - pixm[t]) * m.inv_dx;
+        let v_at_u = (vxm[t] + vxm_yp[t] + vc[t] + vyp[t]) * quarter;
+        tuc[t] += pgf_u + f_cor * (v_at_u - v0[t]);
 
-            let pgf_v = -cp * base.theta0[k] * (pic[k] - piym[k]) * m.inv_dx;
-            let u_at_v = (uym[k] + uxp_ym[k] + ucl[k] + uxp[k]) * quarter;
-            tvc[k] += pgf_v - f_cor * (u_at_v - base.u0[k]);
+        let pgf_v = -cp * theta0[t] * (pic[t] - piym[t]) * m.inv_dx;
+        let u_at_v = (uym[t] + uxp_ym[t] + ucl[t] + uxp[t]) * quarter;
+        tvc[t] += pgf_v - f_cor * (u_at_v - u0[t]);
+    }
 
-            // w face k (skip the rigid surface face k = 0): buoyancy.
-            if k > 0 {
-                let th_f = (thc[k - 1] + thc[k]) * T::half();
-                let qv_f = (qvc[k - 1] + qvc[k]) * T::half();
-                let qv0_f = (base.qv0[k - 1] + base.qv0[k]) * T::half();
-                let qc_f = (cond(k - 1) + cond(k)) * T::half();
-                let buoy =
-                    grav * (th_f / base.theta0_face[k] + T::of(0.61) * (qv_f - qv0_f) - qc_f);
-                twc[k] += buoy;
-            }
-        }
+    // --- buoyancy at the w faces (the rigid ground face keeps its value) ---
+    // Cell t and the level below it, `t - 1`, from one run per field.
+    fn pair<T: Real>(f: &Field3<T>, i: isize) -> (&[T], &[T]) {
+        let (_, ny, nz, _) = f.shape();
+        let run = f.columns(i, -1..ny as isize);
+        (at(run, nz, ny * nz), at(run, nz - 1, ny * nz))
+    }
+    let [(thc, thm), (qvc, qvm), (qcc, qcm), (qrc, qrm), (qic, qim), (qsc, qsm), (qgc, qgm)] =
+        [&s.theta, &s.qv, &s.qc, &s.qr, &s.qi, &s.qs, &s.qg].map(|f| pair(f, i));
+    let (lev, theta0_face, qv0_face) = (&p.level[..n], &p.theta0_face[..n], &p.qv0_face[..n]);
+    let twc = tw.interior_mut();
+    for t in 0..n {
+        let th_f = (thm[t] + thc[t]) * half;
+        let qv_f = (qvm[t] + qvc[t]) * half;
+        let cond_below = qcm[t] + qrm[t] + qim[t] + qsm[t] + qgm[t];
+        let cond = qcc[t] + qrc[t] + qic[t] + qsc[t] + qgc[t];
+        let qc_f = (cond_below + cond) * half;
+        let buoy = grav * (th_f / theta0_face[t] + vapour * (qv_f - qv0_face[t]) - qc_f);
+        twc[t] = if lev[t] == 0 { twc[t] } else { twc[t] + buoy };
     }
 
     // --- plain velocity divergence, for the damping ---
     if let Some(div) = div {
-        for j in 0..ny as isize {
-            let ucl = s.u.column(i, j);
-            let uxp = s.u.column(i + 1, j);
-            let vc = s.v.column(i, j);
-            let vyp = s.v.column(i, j + 1);
-            let dc = div.column_mut(j);
-            for k in 0..nz {
-                dc[k] = (uxp[k] - ucl[k] + vyp[k] - vc[k]) * m.inv_dx;
-            }
+        for (t, d) in div.interior_mut().iter_mut().enumerate().take(n) {
+            *d = (uxp[t] - ucl[t] + vyp[t] - vc[t]) * m.inv_dx;
         }
     }
 }
@@ -391,9 +387,11 @@ fn hyperdiffusion_block<T: Real, const N: usize>(
 }
 
 /// Divergence damping (when `alpha` is set) on rows `i` of `tu`, `tv`, then
-/// the forward step of rows `i` of `u`, `v`. `div_h` holds the plain
-/// divergence with its halos filled.
+/// the forward step of rows `i` of `u`, `v`, each a whole-row pass.
+/// `div_h` holds the plain divergence with its halos filled.
 #[allow(clippy::too_many_arguments)]
+// The runs are sliced to the row's n cells before the loop.
+// bda-check: allow(panic_path)
 pub fn forward_uv_row<T: Real>(
     div_h: &Field3<T>,
     alpha: Option<T>,
@@ -405,31 +403,23 @@ pub fn forward_uv_row<T: Real>(
     v: &mut Row<'_, T>,
 ) {
     let (_, ny, nz, _) = div_h.shape();
-    let i = tu.i() as isize;
+    let n = ny * nz;
+    let (i, jn) = (tu.i() as isize, ny as isize);
+    let (tuc, tvc) = (tu.interior_mut(), tv.interior_mut());
     if let Some(alpha) = alpha {
-        for j in 0..ny as isize {
-            let dc = div_h.column(i, j);
-            let dxm = div_h.column(i - 1, j);
-            let dym = div_h.column(i, j - 1);
-            let tuc = tu.column_mut(j);
-            let tvc = tv.column_mut(j);
-            for k in 0..nz {
-                tuc[k] += alpha * (dc[k] - dxm[k]) * inv_dx;
-                tvc[k] += alpha * (dc[k] - dym[k]) * inv_dx;
-            }
+        let d_run = div_h.columns(i, -1..jn);
+        let (dc, dym) = (at(d_run, nz, n), at(d_run, 0, n));
+        let dxm = div_h.columns(i - 1, 0..jn);
+        for t in 0..n {
+            tuc[t] += alpha * (dc[t] - dxm[t]) * inv_dx;
+            tvc[t] += alpha * (dc[t] - dym[t]) * inv_dx;
         }
     }
-    for j in 0..ny as isize {
-        let tuc = tu.column(j);
-        let uc = u.column_mut(j);
-        for k in 0..nz {
-            uc[k] += dt * tuc[k];
-        }
-        let tvc = tv.column(j);
-        let vc = v.column_mut(j);
-        for k in 0..nz {
-            vc[k] += dt * tvc[k];
-        }
+    for (uc, &du) in u.interior_mut().iter_mut().zip(&*tuc) {
+        *uc += dt * du;
+    }
+    for (vc, &dv) in v.interior_mut().iter_mut().zip(&*tvc) {
+        *vc += dt * dv;
     }
 }
 
@@ -572,7 +562,8 @@ mod tests {
         ws: &mut DynWorkspace<f64>,
     ) {
         state.fill_halos(cfg.halo);
-        step_dynamics(state, base, cfg, m, ws);
+        let p = RowProfiles::new(base, m, cfg.grid.ny);
+        step_dynamics(state, base, &p, cfg, m, ws);
     }
 
     #[test]
@@ -691,9 +682,10 @@ mod tests {
         state.add_warm_bubble(&g, g.lx() / 2.0, g.ly() / 2.0, 2000.0, 1500.0, 1200.0, 2.0);
         let m = Metrics::new(&cfg.grid);
         let mut ws = DynWorkspace::new(&cfg);
+        let p = RowProfiles::new(&base, &m, cfg.grid.ny);
         for _ in 0..100 {
             state.fill_halos(cfg.halo);
-            step_dynamics(&mut state, &base, &cfg, &m, &mut ws);
+            step_dynamics(&mut state, &base, &p, &cfg, &m, &mut ws);
         }
         assert!(state.all_finite());
         assert!(state.w.interior_max_abs() < 30.0);

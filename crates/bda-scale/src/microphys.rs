@@ -88,6 +88,23 @@ fn liquid_fraction(t: f64) -> f64 {
     ((t - (T0 - 15.0)) / 15.0).clamp(0.0, 1.0)
 }
 
+/// Saturation mixing ratio of new condensate with liquid fraction `fl`:
+/// the `fl`-weighted blend of the liquid and ice values. Where `fl` is
+/// exactly 1 or 0 only the phase that survives is evaluated — the same
+/// bits, because at any finite pressure both values are finite and
+/// non-negative (each is a clamped vapour pressure over a positive
+/// remainder), so `1·a + 0·b == a` and `0·a + 1·b == b`.
+#[inline]
+fn saturation_point(fl: f64, t: f64, p: f64) -> f64 {
+    if fl == 1.0 {
+        q_sat_liquid(t, p)
+    } else if fl == 0.0 {
+        q_sat_ice(t, p)
+    } else {
+        fl * q_sat_liquid(t, p) + (1.0 - fl) * q_sat_ice(t, p)
+    }
+}
+
 /// Terminal velocity (m/s) for rain as a function of rain water content
 /// rho*qr (kg/m^3): a bulk power law giving ~5 m/s at 0.1 g/m^3 and ~7 m/s
 /// at 1 g/m^3, capped at 10.
@@ -147,7 +164,7 @@ pub fn column_microphysics<T: Real>(
         // -- saturation adjustment (two fixed-point iterations) --
         for _ in 0..2 {
             let fl = liquid_fraction(t);
-            let qsat = fl * q_sat_liquid(t, p) + (1.0 - fl) * q_sat_ice(t, p);
+            let qsat = saturation_point(fl, t, p);
             let lheat = fl * LV + (1.0 - fl) * LS;
             // Effective latent-heating denominator (linearized Clausius-
             // Clapeyron around t).
@@ -284,10 +301,13 @@ fn sediment_species<T: Real>(
 ) -> f64 {
     let nz = q.len();
     debug_assert!(flux.len() >= nz);
-    // Determine the needed sub-step count from the max fall CFL.
+    // Determine the needed sub-step count from the max fall CFL. The
+    // fluxes of this pass are the first sub-step's: no second `vt` call.
     let mut max_cfl = 0.0_f64;
     for k in 0..nz {
-        let v = vt(base.rho0[k].f64() * q[k].f64().max(0.0));
+        let rq = base.rho0[k].f64() * q[k].f64().max(0.0);
+        let v = vt(rq);
+        flux[k] = v * rq;
         max_cfl = max_cfl.max(v * dt / dz[k].f64());
     }
     if max_cfl == 0.0 {
@@ -303,11 +323,14 @@ fn sediment_species<T: Real>(
     let dts = dt / nsub as f64;
 
     let mut surface_accum = 0.0;
-    for _ in 0..nsub {
-        // Downward flux through the *bottom* face of each cell.
-        for k in 0..nz {
-            let rq = base.rho0[k].f64() * q[k].f64().max(0.0);
-            flux[k] = vt(rq) * rq;
+    for sub in 0..nsub {
+        // Downward flux through the *bottom* face of each cell (the CFL
+        // pass left the first sub-step's in `flux`).
+        if sub > 0 {
+            for k in 0..nz {
+                let rq = base.rho0[k].f64() * q[k].f64().max(0.0);
+                flux[k] = vt(rq) * rq;
+            }
         }
         for k in 0..nz {
             let incoming = if k + 1 < nz { flux[k + 1] } else { 0.0 };
@@ -633,6 +656,31 @@ mod tests {
         assert!(flux >= 0.0);
         for (k, &v) in qr.iter().enumerate() {
             assert!(v >= 0.0 && v.is_finite(), "qr[{k}] = {v}");
+        }
+    }
+
+    #[test]
+    fn saturation_shortcut_is_bitwise_the_blend_at_pure_phases() {
+        // fl ∈ {0, 1} over the model's whole range of temperature and
+        // pressure, plus the extremes where the vapour pressure clamps
+        // or underflows to zero.
+        let blend =
+            |fl: f64, t: f64, p: f64| fl * q_sat_liquid(t, p) + (1.0 - fl) * q_sat_ice(t, p);
+        let temps = (0..=400)
+            .map(|n| 150.0 + 0.45 * f64::from(n))
+            .chain([1.0, 1e4, f64::MAX]);
+        for t in temps {
+            for p in [50.0, 1.0e3, 1.2e4, 5.0e4, 8.5e4, 1.013e5, 1.2e5] {
+                for fl in [0.0, 1.0] {
+                    let (got, want) = (saturation_point(fl, t, p), blend(fl, t, p));
+                    assert_eq!(got.to_bits(), want.to_bits(), "fl {fl}, t {t}, p {p}");
+                }
+                let fl = liquid_fraction(t);
+                assert_eq!(
+                    saturation_point(fl, t, p).to_bits(),
+                    blend(fl, t, p).to_bits()
+                );
+            }
         }
     }
 

@@ -26,7 +26,7 @@
 //! reduction crosses rows, so every field is the same bits at any pool
 //! width. The Davies rim, halo fills and positivity clamp stay serial.
 
-use crate::advect::{scalar_advection_row, Metrics};
+use crate::advect::{scalar_advection_row, Metrics, RowProfiles};
 use crate::base::{BaseState, Sounding};
 use crate::config::ModelConfig;
 use crate::dynamics::{step_dynamics, DynWorkspace};
@@ -82,6 +82,8 @@ pub struct Model<T> {
     /// Accumulated surface precipitation per column, mm.
     pub precip_accum: Vec<f64>,
     metrics: Metrics<T>,
+    /// The base state and metrics tiled for the whole-row kernels.
+    profiles: RowProfiles<T>,
     dynws: DynWorkspace<T>,
     /// Column-physics scratch of each interior x-row.
     phys_rows: Vec<PhysRow<T>>,
@@ -141,16 +143,11 @@ pub(crate) fn par_rows<I: Send>(items: impl Iterator<Item = I>, f: impl Fn(I) + 
 }
 
 /// Turn row `i` of a tendency into the advanced field, `q + dt * tend`,
-/// in place.
+/// in place, in one pass over the row.
 fn scalar_update_row<T: Real>(row: &mut Row<'_, T>, q: &Field3<T>, dt: T) {
-    let (_, ny, nz, _) = q.shape();
-    let i = row.i() as isize;
-    for j in 0..ny as isize {
-        let qc = q.column(i, j);
-        let rc = row.column_mut(j);
-        for k in 0..nz {
-            rc[k] = qc[k] + dt * rc[k];
-        }
+    let qc = q.columns(row.i() as isize, 0..q.ny() as isize);
+    for (r, &qv) in row.interior_mut().iter_mut().zip(qc) {
+        *r = qv + dt * *r;
     }
 }
 
@@ -327,6 +324,7 @@ impl<T: Real> Model<T> {
         let (nx, ny, nz) = (grid.nx, grid.ny, grid.nz());
         let state = ModelState::init_from_base(grid, &base);
         let metrics = Metrics::new(grid);
+        let profiles = RowProfiles::new(&base, &metrics, ny);
         let dynws = DynWorkspace::new(&cfg);
         let dz = (0..nz).map(|k| T::of(grid.vertical.dz(k))).collect();
         let davies = if cfg.davies_width > 0 {
@@ -352,6 +350,7 @@ impl<T: Real> Model<T> {
             base,
             state,
             metrics,
+            profiles,
             dynws,
         }
     }
@@ -389,6 +388,7 @@ impl<T: Real> Model<T> {
         step_dynamics(
             &mut self.state,
             &self.base,
+            &self.profiles,
             &self.cfg,
             &self.metrics,
             &mut self.dynws,
@@ -399,23 +399,14 @@ impl<T: Real> Model<T> {
         // Each row's advected scalars go to the dynamics workspace's bank
         // (dead until the next step), which then trades places with the
         // old fields: the update costs no second region.
-        let (s, base, metrics) = (&self.state, &self.base, &self.metrics);
+        let (s, profiles, metrics) = (&self.state, &self.profiles, &self.metrics);
         let (cs, dx) = (self.cfg.smagorinsky_cs, self.cfg.grid.dx);
         let scalars = ADVECTED.map(|var| s.field(var));
         par_rows(
             row_sets(self.dynws.bank.each_mut()).zip(self.kh.rows_mut()),
             |(mut out, mut kh)| {
                 for (q, row) in scalars.iter().zip(&mut out) {
-                    scalar_advection_row(
-                        q,
-                        &s.u,
-                        &s.v,
-                        &s.w,
-                        &base.rho0,
-                        &base.rho0_face,
-                        metrics,
-                        row,
-                    );
+                    scalar_advection_row(q, &s.u, &s.v, &s.w, profiles, metrics, row);
                     scalar_update_row(row, q, dt_t);
                 }
                 if turbulence {

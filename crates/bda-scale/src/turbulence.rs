@@ -10,15 +10,18 @@
 //!   and moisture vertically with an *implicit* tridiagonal solve — the same
 //!   split SCALE uses (vertical physics implicit, horizontal explicit).
 
-use crate::advect::Metrics;
+use crate::advect::{at, Metrics};
 use crate::base::BaseState;
 use crate::constants::{GRAV, KARMAN};
 use bda_grid::{Field3, Row};
-use bda_num::tridiag::TridiagWorkspace;
+use bda_num::tridiag::solve_thomas_pair;
 use bda_num::Real;
 
 /// The Smagorinsky horizontal eddy viscosity at the cell centers of one
-/// x-row, written into row `i` of `kh`.
+/// x-row, written into row `i` of `kh` in one whole-row pass (see
+/// [`crate::advect`]).
+// The runs are sliced to the row's n cells before the loop.
+// bda-check: allow(panic_path)
 pub fn smagorinsky_row<T: Real>(
     u: &Field3<T>,
     v: &Field3<T>,
@@ -27,42 +30,44 @@ pub fn smagorinsky_row<T: Real>(
     kh: &mut Row<'_, T>,
 ) {
     let (_, ny, nz, _) = u.shape();
+    let n = ny * nz;
+    let (i, jn) = (kh.i() as isize, ny as isize);
     let inv_dx = T::of(1.0 / dx);
     let c2 = T::of((cs * dx) * (cs * dx));
     let quarter = T::of(0.25);
-    let i = kh.i() as isize;
-    for j in 0..ny as isize {
-        let uc = u.column(i, j);
-        let uxp = u.column(i + 1, j);
-        let uyp = u.column(i, j + 1);
-        let uym = u.column(i, j - 1);
-        let uxp_yp = u.column(i + 1, j + 1);
-        let uxp_ym = u.column(i + 1, j - 1);
-        let vc = v.column(i, j);
-        let vyp = v.column(i, j + 1);
-        let vxp = v.column(i + 1, j);
-        let vxm = v.column(i - 1, j);
-        let vxp_yp = v.column(i + 1, j + 1);
-        let vxm_yp = v.column(i - 1, j + 1);
-        let khc = kh.column_mut(j);
-        for k in 0..nz {
-            let dudx = (uxp[k] - uc[k]) * inv_dx;
-            let dvdy = (vyp[k] - vc[k]) * inv_dx;
-            // Cross terms estimated at the center with centered diffs.
-            let dudy = (uyp[k] + uxp_yp[k] - uym[k] - uxp_ym[k]) * quarter * inv_dx;
-            let dvdx = (vxp[k] + vxp_yp[k] - vxm[k] - vxm_yp[k]) * quarter * inv_dx;
-            let shear = dudy + dvdx;
-            let s2 = (dudx * dudx + dvdy * dvdy) * T::two() + shear * shear;
-            khc[k] = c2 * s2.sqrt();
-        }
+    // Runs over j = -1 ..= ny put cell t at nz + t.
+    let u_run = u.columns(i, -1..jn + 1);
+    let (uc, uym, uyp) = (at(u_run, nz, n), at(u_run, 0, n), at(u_run, 2 * nz, n));
+    let uxp_run = u.columns(i + 1, -1..jn + 1);
+    let (uxp, uxp_ym, uxp_yp) = (
+        at(uxp_run, nz, n),
+        at(uxp_run, 0, n),
+        at(uxp_run, 2 * nz, n),
+    );
+    let v_run = v.columns(i, 0..jn + 1);
+    let (vc, vyp) = (at(v_run, 0, n), at(v_run, nz, n));
+    let vxp_run = v.columns(i + 1, 0..jn + 1);
+    let (vxp, vxp_yp) = (at(vxp_run, 0, n), at(vxp_run, nz, n));
+    let vxm_run = v.columns(i - 1, 0..jn + 1);
+    let (vxm, vxm_yp) = (at(vxm_run, 0, n), at(vxm_run, nz, n));
+    for (t, khc) in kh.interior_mut().iter_mut().enumerate().take(n) {
+        let dudx = (uxp[t] - uc[t]) * inv_dx;
+        let dvdy = (vyp[t] - vc[t]) * inv_dx;
+        // Cross terms estimated at the center with centered diffs.
+        let dudy = (uyp[t] + uxp_yp[t] - uym[t] - uxp_ym[t]) * quarter * inv_dx;
+        let dvdx = (vxp[t] + vxp_yp[t] - vxm[t] - vxm_yp[t]) * quarter * inv_dx;
+        let shear = dudy + dvdx;
+        let s2 = (dudx * dudx + dvdy * dvdy) * T::two() + shear * shear;
+        *khc = c2 * s2.sqrt();
     }
 }
 
 /// Explicit horizontal diffusion `d/dx(K dq/dx) + d/dy(K dq/dy)` on one
-/// x-row of `q`, with `K` at cell centers (interpolated to faces). The
-/// stencil reads `snap`, a snapshot of `q` taken (halos included) before
-/// any row is updated, so it is unbiased and rows may run in any order.
-// Column slices all have length nz by the Field3 layout.
+/// x-row of `q`, with `K` at cell centers (interpolated to faces), in one
+/// whole-row pass. The stencil reads `snap`, a snapshot of `q` taken
+/// (halos included) before any row is updated, so it is unbiased and rows
+/// may run in any order.
+// The runs are sliced to the row's n cells before the loop.
 // bda-check: allow(panic_path)
 pub fn horizontal_diffusion_row<T: Real>(
     q: &mut Row<'_, T>,
@@ -72,41 +77,39 @@ pub fn horizontal_diffusion_row<T: Real>(
     dt: T,
 ) {
     let (_, ny, nz, _) = snap.shape();
+    let n = ny * nz;
+    let (i, jn) = (q.i() as isize, ny as isize);
     let inv_dx2 = m.inv_dx * m.inv_dx;
-    let i = q.i() as isize;
-    for j in 0..ny as isize {
-        let kc = kh.column(i, j);
-        let kxp = kh.column(i + 1, j);
-        let kxm = kh.column(i - 1, j);
-        let kyp = kh.column(i, j + 1);
-        let kym = kh.column(i, j - 1);
-        let qc = snap.column(i, j);
-        let qxp = snap.column(i + 1, j);
-        let qxm = snap.column(i - 1, j);
-        let qyp = snap.column(i, j + 1);
-        let qym = snap.column(i, j - 1);
-        let qo = q.column_mut(j);
-        for k in 0..nz {
-            let k_e = (kc[k] + kxp[k]) * T::half();
-            let k_w = (kc[k] + kxm[k]) * T::half();
-            let k_n = (kc[k] + kyp[k]) * T::half();
-            let k_s = (kc[k] + kym[k]) * T::half();
-            let d = (k_e * (qxp[k] - qc[k]) - k_w * (qc[k] - qxm[k]) + k_n * (qyp[k] - qc[k])
-                - k_s * (qc[k] - qym[k]))
-                * inv_dx2;
-            qo[k] += dt * d;
-        }
+    let half = T::half();
+    // Runs over j = -1 ..= ny put cell t at nz + t.
+    let k_run = kh.columns(i, -1..jn + 1);
+    let (kc, kym, kyp) = (at(k_run, nz, n), at(k_run, 0, n), at(k_run, 2 * nz, n));
+    let kxp = kh.columns(i + 1, 0..jn);
+    let kxm = kh.columns(i - 1, 0..jn);
+    let q_run = snap.columns(i, -1..jn + 1);
+    let (qc, qym, qyp) = (at(q_run, nz, n), at(q_run, 0, n), at(q_run, 2 * nz, n));
+    let qxp = snap.columns(i + 1, 0..jn);
+    let qxm = snap.columns(i - 1, 0..jn);
+    for (t, qo) in q.interior_mut().iter_mut().enumerate().take(n) {
+        let k_e = (kc[t] + kxp[t]) * half;
+        let k_w = (kc[t] + kxm[t]) * half;
+        let k_n = (kc[t] + kyp[t]) * half;
+        let k_s = (kc[t] + kym[t]) * half;
+        let d = (k_e * (qxp[t] - qc[t]) - k_w * (qc[t] - qxm[t]) + k_n * (qyp[t] - qc[t])
+            - k_s * (qc[t] - qym[t]))
+            * inv_dx2;
+        *qo += dt * d;
     }
 }
 
 /// Per-column TKE boundary-layer scheme (1.5-order closure, MYNN-2.5 class).
 pub struct ColumnPbl<T> {
-    tri: TridiagWorkspace<T>,
+    /// Thomas-sweep scratch.
+    scratch: Vec<T>,
     km: Vec<T>,
     sub: Vec<T>,
     diag: Vec<T>,
     sup: Vec<T>,
-    rhs: Vec<T>,
 }
 
 /// Closure constants.
@@ -122,12 +125,11 @@ const TKE_MIN: f64 = 1e-4;
 impl<T: Real> ColumnPbl<T> {
     pub fn new(nz: usize) -> Self {
         Self {
-            tri: TridiagWorkspace::new(nz),
+            scratch: vec![T::zero(); nz],
             km: vec![T::zero(); nz],
             sub: vec![T::zero(); nz],
             diag: vec![T::zero(); nz],
             sup: vec![T::zero(); nz],
-            rhs: vec![T::zero(); nz],
         }
     }
 
@@ -208,41 +210,51 @@ impl<T: Real> ColumnPbl<T> {
 
         // --- implicit vertical diffusion of u, v, theta, qv ---
         // Momentum uses km; scalars use km/Pr. Surface fluxes/drag appear in
-        // the lowest-layer right-hand side.
+        // the lowest-layer right-hand side. u and v share one matrix, and
+        // theta and qv another.
         let drag_term = sfc_drag / dz[0];
-        self.diffuse_implicit(u, z_center, dz, dt_t, T::one(), Some(drag_term), T::zero());
-        self.diffuse_implicit(v, z_center, dz, dt_t, T::one(), Some(drag_term), T::zero());
+        self.diffuse_pair(
+            [u, v],
+            z_center,
+            dz,
+            dt_t,
+            T::one(),
+            Some(drag_term),
+            [T::zero(), T::zero()],
+        );
         let inv_pr = T::one() / T::of(PRT);
-        self.diffuse_implicit(
-            theta,
+        self.diffuse_pair(
+            [theta, qv],
             z_center,
             dz,
             dt_t,
             inv_pr,
             None,
-            sfc_flux_theta / dz[0],
+            [sfc_flux_theta / dz[0], sfc_flux_qv / dz[0]],
         );
-        self.diffuse_implicit(qv, z_center, dz, dt_t, inv_pr, None, sfc_flux_qv / dz[0]);
     }
 
-    /// Implicit vertical diffusion with eddy coefficient `fac * km` at faces,
+    /// Implicit vertical diffusion of two fields that share one operator:
+    /// eddy coefficient `fac * km` at faces, optional implicit surface drag
+    /// on the lowest layer, and each field's explicit surface source. The
+    /// matrix is built once and both fields go through one two-right-hand-
+    /// side sweep ([`solve_thomas_pair`]), in place — the same
+    /// bits as building and solving it once per field.
     #[allow(clippy::too_many_arguments)]
-    /// optional implicit surface drag on the lowest layer and an explicit
-    /// surface source term.
     // `k±1` face accesses run under loops bounded away from the ends after
     // the `nz < 2` early return; workspace buffers are sized to nz.
     // bda-check: allow(panic_path)
-    fn diffuse_implicit(
+    fn diffuse_pair(
         &mut self,
-        q: &mut [T],
+        [qa, qb]: [&mut [T]; 2],
         z_center: &[f64],
         dz: &[T],
         dt: T,
         fac: T,
         sfc_drag: Option<T>,
-        sfc_source: T,
+        [source_a, source_b]: [T; 2],
     ) {
-        let nz = q.len();
+        let nz = qa.len();
         if nz < 2 {
             return;
         }
@@ -264,20 +276,21 @@ impl<T: Real> ColumnPbl<T> {
             self.sub[k] = -a * k_dn;
             self.sup[k] = -a * k_up;
             self.diag[k] = T::one() + a * (k_up + k_dn);
-            self.rhs[k] = q[k];
         }
-        // Surface layer: implicit drag and explicit flux source.
+        // Surface layer: implicit drag and explicit flux sources.
         if let Some(d) = sfc_drag {
             self.diag[0] += dt * d;
         }
-        self.rhs[0] += dt * sfc_source;
-        self.tri.solve(
+        qa[0] += dt * source_a;
+        qb[0] += dt * source_b;
+        solve_thomas_pair(
             &self.sub[..nz],
             &self.diag[..nz],
             &self.sup[..nz],
-            &mut self.rhs[..nz],
+            qa,
+            qb,
+            &mut self.scratch,
         );
-        q.copy_from_slice(&self.rhs[..nz]);
     }
 }
 

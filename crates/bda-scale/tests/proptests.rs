@@ -2,8 +2,9 @@
 
 use bda_grid::halo::fill_periodic;
 use bda_grid::{Field3, GridSpec, VerticalCoord};
-use bda_num::SplitMix64;
-use bda_scale::advect::{scalar_advection_row, Metrics};
+use bda_num::tridiag::{solve_thomas, solve_thomas_pair};
+use bda_num::{Real, SplitMix64};
+use bda_scale::advect::{scalar_advection_row, Metrics, RowProfiles};
 use bda_scale::base::{BaseState, Sounding};
 use bda_scale::microphys::{column_microphysics, ColumnView, MicrophysParams};
 use bda_scale::surface::{bulk_fluxes, SurfaceParams};
@@ -14,6 +15,143 @@ fn random_field(nx: usize, nz: usize, scale: f64, seed: u64) -> Field3<f64> {
     let mut f = Field3::from_fn(nx, nx, nz, 2, |_, _, _| rng.gaussian(0.0, scale));
     fill_periodic(&mut f);
     f
+}
+
+/// The column-loop upwind tendency of one cell, written with `Field3::at`:
+/// the reference the whole-row kernel must match bit for bit.
+#[allow(clippy::too_many_arguments)]
+fn reference_tendency<T: Real>(
+    [q, u, v, w]: [&Field3<T>; 4],
+    base: &BaseState<T>,
+    m: &Metrics<T>,
+    i: isize,
+    j: isize,
+    k: usize,
+) -> T {
+    let up = |vel: T, minus: T, plus: T| if vel >= T::zero() { minus } else { plus };
+    let qc = q.at(i, j, k);
+    let (uw, ue, vs, vn) = (
+        u.at(i, j, k),
+        u.at(i + 1, j, k),
+        v.at(i, j, k),
+        v.at(i, j + 1, k),
+    );
+    let f_w = uw * up(uw, q.at(i - 1, j, k), qc);
+    let f_e = ue * up(ue, qc, q.at(i + 1, j, k));
+    let f_s = vs * up(vs, q.at(i, j - 1, k), qc);
+    let f_n = vn * up(vn, qc, q.at(i, j + 1, k));
+    let wb = w.at(i, j, k);
+    let f_b = if k == 0 {
+        T::zero()
+    } else {
+        base.rho0_face[k] * wb * up(wb, q.at(i, j, k - 1), qc)
+    };
+    let f_t = if k + 1 < m.nz {
+        let wt = w.at(i, j, k + 1);
+        base.rho0_face[k + 1] * wt * up(wt, qc, q.at(i, j, k + 1))
+    } else {
+        T::zero()
+    };
+    let horiz = (f_e - f_w + f_n - f_s) * m.inv_dx;
+    let vert = (f_t - f_b) * m.inv_dz[k] / base.rho0[k];
+    -(horiz + vert)
+}
+
+/// A random field at precision `T` whose values include exact `+0.0` and
+/// `-0.0` about a quarter of the time each (every value is zero when
+/// `scale` is 0), periodic halos filled.
+fn signed_zero_field<T: Real>(
+    nx: usize,
+    ny: usize,
+    nz: usize,
+    scale: f64,
+    rng: &mut SplitMix64,
+) -> Field3<T> {
+    let mut f = Field3::from_fn(nx, ny, nz, 2, |_, _, _| match rng.next_u64() % 4 {
+        0 => T::zero(),
+        1 => -T::zero(),
+        _ => T::of(rng.gaussian(0.0, scale)),
+    });
+    fill_periodic(&mut f);
+    f
+}
+
+/// The whole-row advection of one random state at precision `T` against
+/// [`reference_tendency`], by bit pattern (widening to f64 is exact).
+fn assert_advection_matches_reference<T: Real>(
+    (nx, ny, nz): (usize, usize, usize),
+    seed: u64,
+    q_scale: f64,
+) {
+    let grid = GridSpec::new(nx, ny, 500.0, VerticalCoord::stretched(nz, 12_000.0, 1.07));
+    let m = Metrics::<T>::new(&grid);
+    let base = BaseState::<T>::from_sounding(&Sounding::convective(), &grid.vertical, 340.0);
+    let p = RowProfiles::new(&base, &m, ny);
+    let mut rng = SplitMix64::new(seed);
+    let q = signed_zero_field::<T>(nx, ny, nz, q_scale, &mut rng);
+    let [u, v, w] = [8.0, 8.0, 3.0].map(|s| signed_zero_field::<T>(nx, ny, nz, s, &mut rng));
+    let mut tend = Field3::<T>::zeros(nx, ny, nz, 2);
+    for mut row in tend.rows_mut() {
+        scalar_advection_row(&q, &u, &v, &w, &p, &m, &mut row);
+    }
+    for i in 0..nx as isize {
+        for j in 0..ny as isize {
+            for k in 0..nz {
+                let want = reference_tendency([&q, &u, &v, &w], &base, &m, i, j, k);
+                let got = tend.at(i, j, k);
+                assert_eq!(
+                    got.f64().to_bits(),
+                    want.f64().to_bits(),
+                    "({i}, {j}, {k}): {got} vs {want}"
+                );
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The whole-row upwind advection equals the per-cell column form bit
+    /// for bit, at both precisions, on shapes whose rows are no multiple
+    /// of a lane width, with velocities of exactly `+0.0`/`-0.0` (where
+    /// the upwind select must pick the same side) and with an all-zero
+    /// tracer (a dry hydrometeor field, whose fluxes are signed zeros).
+    #[test]
+    fn whole_row_advection_is_bitwise_the_column_form(
+        seed in any::<u64>(),
+        nx in 2usize..6,
+        ny in 1usize..9,
+        nz in 2usize..10,
+        dry in any::<bool>(),
+    ) {
+        let q_scale = if dry { 0.0 } else { 2e-3 };
+        assert_advection_matches_reference::<f32>((nx, ny, nz), seed, q_scale);
+        assert_advection_matches_reference::<f64>((nx, ny, nz), seed, q_scale);
+    }
+
+    /// The two-right-hand-side Thomas sweep equals two `solve_thomas`
+    /// calls bit for bit, for both right-hand sides.
+    #[test]
+    fn thomas_pair_is_bitwise_two_single_solves(
+        seed in any::<u64>(),
+        n in 1usize..20,
+    ) {
+        let mut rng = SplitMix64::new(seed);
+        let mut draw = |mean: f32, sd: f32| -> Vec<f32> { (0..n).map(|_| rng.gaussian(mean, sd)).collect() };
+        let (sub, sup) = (draw(-0.3, 0.2), draw(-0.3, 0.2));
+        let diag = draw(1.8, 0.3);
+        let (a0, b0) = (draw(0.0, 3.0), draw(0.0, 3.0));
+        let mut scratch = vec![0.0f32; n];
+        let (mut a1, mut b1) = (a0.clone(), b0.clone());
+        solve_thomas(&sub, &diag, &sup, &mut a1, &mut scratch);
+        solve_thomas(&sub, &diag, &sup, &mut b1, &mut scratch);
+        let (mut a2, mut b2) = (a0, b0);
+        solve_thomas_pair(&sub, &diag, &sup, &mut a2, &mut b2, &mut scratch);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&a1), bits(&a2));
+        prop_assert_eq!(bits(&b1), bits(&b2));
+    }
 }
 
 proptest! {
@@ -46,15 +184,17 @@ proptest! {
             }
         }
         fill_periodic(&mut w);
-        let rho0 = vec![1.0; nz];
-        let rho0f = vec![1.0; nz + 1];
+        let mut base = BaseState::<f64>::from_sounding(&Sounding::convective(), &grid.vertical, 340.0);
+        base.rho0 = vec![1.0; nz];
+        base.rho0_face = vec![1.0; nz + 1];
+        let p = RowProfiles::new(&base, &m, nx);
         let mut tend = Field3::zeros(nx, nx, nz, 2);
         for mut row in tend.rows_mut() {
-            scalar_advection_row(&q, &u, &v, &w, &rho0, &rho0f, &m, &mut row);
+            scalar_advection_row(&q, &u, &v, &w, &p, &m, &mut row);
         }
         // Total tendency integrates to zero (flux form on periodic domain,
         // uniform dz, rho0 = 1, zero boundary fluxes).
-        let mut total = 0.0;
+        let mut total = 0.0f64;
         for i in 0..nx as isize {
             for j in 0..nx as isize {
                 for k in 0..nz {

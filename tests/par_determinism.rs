@@ -336,8 +336,9 @@ fn letkf_analysis_bitwise_parity_across_threads() {
 // ---------------------------------------------------------------------------
 
 use bda::grid::halo::HaloPolicy;
-use bda::num::fnv1a;
+use bda::num::{fnv1a, Real};
 use bda::scale::base::Sounding;
+use bda::scale::constants::T0;
 use bda::scale::forcing::{LargeScaleForcing, TriggerSchedule};
 use bda::scale::model::{BlowUp, Boundary};
 use bda::scale::{Ensemble, Model, ModelConfig, PrognosticVar};
@@ -347,17 +348,31 @@ use bda::scale::{Ensemble, Model, ModelConfig, PrognosticVar};
 const STORM_60S_DIGEST: u64 = 0x76da_1981_0e11_041d;
 /// FNV-1a of the Davies-rim run under `Boundary::Profiles`, same origin.
 const RIM_60S_DIGEST: u64 = 0x224a_a9ee_880a_6c02;
+/// The same 60-s storm in double precision, pinned from the column-at-a-
+/// time kernels before the whole-row loops replaced them.
+const STORM_F64_60S_DIGEST: u64 = 0xc668_219c_1192_af5d;
+/// A 60-s storm on a 9×11×7 grid, whose row slabs are no multiple of any
+/// SIMD lane width; same origin.
+const ODD_60S_DIGEST: u64 = 0xa1aa_a947_4804_55c1;
+/// The storm after 300 s, when rain has reached the ground and cloud sits
+/// in the mixed-phase band; same origin.
+const STORM_300S_DIGEST: u64 = 0x55aa_ef7a_cd37_c181;
 
-/// The benchmark's storm configuration at 16×16×10: periodic, no rim,
-/// three strong warm bubbles in the first minute.
-fn storm_model() -> Model<f32> {
-    let mut cfg = ModelConfig::reduced(16, 16, 10);
+/// The benchmark's storm configuration: periodic, no rim, three strong
+/// warm bubbles in the first minute.
+fn storm_of<T: Real>(nx: usize, ny: usize, nz: usize) -> Model<T> {
+    let mut cfg = ModelConfig::reduced(nx, ny, nz);
     cfg.halo = HaloPolicy::Periodic;
     cfg.davies_width = 0;
     let (lx, ly) = (cfg.grid.lx(), cfg.grid.ly());
-    let mut m = Model::<f32>::new(cfg, &Sounding::convective());
+    let mut m = Model::<T>::new(cfg, &Sounding::convective());
     m.triggers = TriggerSchedule::storm_trio(lx, ly);
     m
+}
+
+/// The storm at 16×16×10 in single precision.
+fn storm_model() -> Model<f32> {
+    storm_of(16, 16, 10)
 }
 
 /// A rimmed domain driven by large-scale profiles: the Davies path.
@@ -372,29 +387,76 @@ fn rim_model() -> Model<f32> {
     m
 }
 
+/// A model precision's bit pattern, for the digests.
+trait Bits: Real {
+    fn bits(self) -> u64;
+    fn push_le(self, out: &mut Vec<u8>);
+}
+
+impl Bits for f32 {
+    fn bits(self) -> u64 {
+        self.to_bits().into()
+    }
+    fn push_le(self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.to_bits().to_le_bytes());
+    }
+}
+
+impl Bits for f64 {
+    fn bits(self) -> u64 {
+        self.to_bits()
+    }
+    fn push_le(self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.to_bits().to_le_bytes());
+    }
+}
+
 /// Every prognostic field and both precipitation arrays, bit for bit.
-fn model_digest(m: &Model<f32>) -> u64 {
+fn model_digest<T: Bits>(m: &Model<T>) -> u64 {
     let mut bytes = Vec::new();
     for v in m.state.to_flat(&PrognosticVar::ALL) {
-        bytes.extend_from_slice(&v.to_bits().to_le_bytes());
+        v.push_le(&mut bytes);
     }
-    for v in m.precip_rate.iter().chain(&m.precip_accum) {
-        bytes.extend_from_slice(&v.to_bits().to_le_bytes());
+    for &v in m.precip_rate.iter().chain(&m.precip_accum) {
+        v.push_le(&mut bytes);
     }
-    bytes.extend_from_slice(&m.state.time.to_bits().to_le_bytes());
+    m.state.time.push_le(&mut bytes);
     fnv1a(&bytes)
 }
 
-fn integrate_on(threads: usize, mut m: Model<f32>, seconds: f64) -> Model<f32> {
+fn integrate_on<T: Real>(threads: usize, mut m: Model<T>, seconds: f64) -> Model<T> {
     pool(threads).install(|| m.integrate(seconds).expect("storm stays finite"));
     m
 }
 
-fn assert_models_bit_equal(a: &Model<f32>, b: &Model<f32>, what: &str) {
+/// Cells holding cloud water or ice whose temperature lies in the
+/// mixed-phase band, where the liquid fraction of new condensate is
+/// strictly between 0 and 1.
+fn mixed_phase_cloud_cells<T: Real>(m: &Model<T>) -> usize {
+    let (s, b) = (&m.state, &m.base);
+    let g = &m.cfg.grid;
+    let mut n = 0;
+    for i in 0..g.nx as isize {
+        for j in 0..g.ny as isize {
+            for k in 0..g.nz() {
+                let theta = (b.theta0[k] + s.theta.at(i, j, k)).f64();
+                let pi = (b.pi0[k] + s.pi.at(i, j, k)).f64().max(1e-3);
+                let t = theta * pi;
+                let cloud = (s.qc.at(i, j, k) + s.qi.at(i, j, k)).f64();
+                if t > T0 - 15.0 && t < T0 && cloud > 0.0 {
+                    n += 1;
+                }
+            }
+        }
+    }
+    n
+}
+
+fn assert_models_bit_equal<T: Bits>(a: &Model<T>, b: &Model<T>, what: &str) {
     for var in PrognosticVar::ALL {
         let (fa, fb) = (a.state.field(var).raw(), b.state.field(var).raw());
         assert!(
-            fa.iter().zip(fb).all(|(x, y)| x.to_bits() == y.to_bits()),
+            fa.iter().zip(fb).all(|(&x, &y)| x.bits() == y.bits()),
             "{what}: field {} diverged",
             var.name()
         );
@@ -436,6 +498,45 @@ fn model_integration_matches_the_serial_golden_digest() {
     );
     assert_eq!(model_digest(&storm), STORM_60S_DIGEST, "storm digest moved");
     assert_eq!(model_digest(&rim), RIM_60S_DIGEST, "rim digest moved");
+}
+
+/// The storm in double precision, and on a grid whose row slabs are no
+/// multiple of a lane width, match digests pinned from the column-at-a-
+/// time kernels: the whole-row loops change no bit on either path.
+#[test]
+fn f64_and_odd_shaped_storms_match_their_golden_digests() {
+    let wide = integrate_on(2, storm_of::<f64>(16, 16, 10), 60.0);
+    let odd = integrate_on(2, storm_of::<f32>(9, 11, 7), 60.0);
+    eprintln!(
+        "f64 storm digest {:#018x}, odd storm digest {:#018x}",
+        model_digest(&wide),
+        model_digest(&odd)
+    );
+    assert_eq!(
+        model_digest(&wide),
+        STORM_F64_60S_DIGEST,
+        "f64 digest moved"
+    );
+    assert_eq!(model_digest(&odd), ODD_60S_DIGEST, "odd-shape digest moved");
+    let odd_serial = integrate_on(1, storm_of::<f32>(9, 11, 7), 60.0);
+    assert_models_bit_equal(&odd_serial, &odd, "odd shape, 1 vs 2 threads");
+}
+
+/// A storm run long enough for rain to reach the ground (sedimentation
+/// fluxes through every level) and for cloud to sit in the mixed-phase
+/// band (the blended saturation point), pinned like the 60-s runs.
+#[test]
+fn rain_and_mixed_phase_storm_matches_its_golden_digest() {
+    let m = integrate_on(2, storm_model(), 300.0);
+    let rain: f64 = m.precip_accum.iter().sum();
+    let mixed = mixed_phase_cloud_cells(&m);
+    eprintln!(
+        "300-s storm digest {:#018x}, rain {rain:e} mm, {mixed} mixed-phase cloud cells",
+        model_digest(&m)
+    );
+    assert!(rain > 0.0, "no rain reached the ground");
+    assert!(mixed > 0, "no cloud in the mixed-phase band");
+    assert_eq!(model_digest(&m), STORM_300S_DIGEST, "300-s digest moved");
 }
 
 /// (b) The nested path: members run in parallel and each member's rows run
