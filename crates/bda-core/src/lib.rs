@@ -9,7 +9,11 @@
 //!   simulator every 30 s, the 1000-member (configurably reduced) LETKF
 //!   assimilates reflectivity and Doppler velocity, and 30-minute ensemble
 //!   forecasts are launched from the mean + random members — parts <1-1>,
-//!   <1-2> and <2> of Fig. 2.
+//!   <1-2> and <2> of Fig. 2. [`Osse`] is a thin pair split at the radar:
+//! * [`nature`] — the truth run, its triggers and the radar network; yields
+//!   one [`Volume`] at `T_obs` per cycle;
+//! * [`assim`] — the member forecast and the analysis of one volume. It
+//!   never sees the truth, and the live pipeline runs the same code.
 //! * [`products`] — the final products: 2-km reflectivity maps with radar
 //!   no-data hatching (Figs. 1, 6) and 3-D reflectivity structure dumps
 //!   (Fig. 8).
@@ -28,10 +32,14 @@
 //! assert!(outcome.n_obs_used > 0);
 //! ```
 
+pub mod assim;
+pub mod nature;
 pub mod osse;
 pub mod products;
 pub mod sensitivity;
 pub mod systems;
 
-pub use osse::{CycleOutcome, Osse, OsseConfig, PendingCycle};
+pub use assim::Assimilator;
+pub use nature::{Nature, Volume};
+pub use osse::{CycleOutcome, Osse, OsseConfig, PendingCycle, Scoring};
 pub use systems::{OperationalSystem, TABLE1};

@@ -9,24 +9,29 @@
 //! * part <1-1> — LETKF analysis of reflectivity + Doppler velocity;
 //! * part <1-2> — 30-second ensemble forecasts between analyses;
 //! * part <2> — 30-minute forecasts from the mean + random members.
+//!
+//! [`Osse`] is a thin pair split at the radar, as the real system is: a
+//! [`Nature`] yields one volume per cycle, an [`Assimilator`] forecasts the
+//! ensemble and analyzes that volume without ever seeing the truth, and
+//! [`Scoring`] — the one part that reads both — verifies the result.
 
-use crate::products::reflectivity_map;
+use crate::assim::Assimilator;
+use crate::nature::{Nature, Volume};
+use crate::products::{composite_reflectivity_map, reflectivity_map};
+use bda_grid::GridSpec;
 use bda_io::checkpoint::{CampaignSnapshot, OutcomeRecord};
-use bda_letkf::diagnostics::{innovation_statistics, InnovationStats};
-use bda_letkf::obs::{QcPipeline, QcReport};
-use bda_letkf::{
-    analyze_quorum_region, AnalysisError, AnalysisStats, LetkfConfig, ObsEnsemble, StateLayout,
-};
+use bda_letkf::diagnostics::InnovationStats;
+use bda_letkf::obs::QcReport;
+use bda_letkf::{AnalysisStats, LetkfConfig, StateLayout};
 use bda_num::{Real, SplitMix64};
-use bda_pawr::operator::ensemble_equivalents;
-use bda_pawr::{PawrSimulator, RadarConfig, RadarNetwork};
+use bda_pawr::{RadarConfig, RadarNetwork};
 use bda_scale::base::Sounding;
 use bda_scale::forcing::TriggerSchedule;
-use bda_scale::model::Boundary;
 use bda_scale::state::PrognosticVar;
-use bda_scale::{
-    BaseState, Ensemble, HealthBounds, MemberError, Model, ModelConfig, ModelState, ANALYZED_VARS,
-};
+use bda_scale::{BaseState, Ensemble, MemberError, ModelConfig, ModelState, ANALYZED_VARS};
+
+/// Height of the verification maps, m (Figs. 1 and 6 are 2-km maps).
+const MAP_Z: f64 = 2000.0;
 
 /// OSSE configuration.
 #[derive(Clone, Debug)]
@@ -122,10 +127,29 @@ impl OsseConfig {
         self.network = Some(RadarNetwork::dual(&self.model.grid));
         self
     }
+
+    /// The radar network observing the domain: a single radar is a
+    /// one-radar network, which scans and routes H(x) bit for bit like the
+    /// bare simulator.
+    pub(crate) fn radar_network(&self) -> RadarNetwork {
+        match &self.network {
+            Some(net) => net.clone(),
+            None => RadarNetwork::new(vec![self.radar.clone()]),
+        }
+    }
+
+    /// The base state truth and ensemble share.
+    pub(crate) fn base_state<T: Real>(&self) -> BaseState<T> {
+        BaseState::from_sounding(
+            &self.sounding,
+            &self.model.grid.vertical,
+            self.model.sound_speed,
+        )
+    }
 }
 
 /// Outcome of one 30-second cycle.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct CycleOutcome {
     /// Analysis (valid) time, s.
     pub time: f64,
@@ -141,7 +165,7 @@ pub struct CycleOutcome {
     pub innovation_reflectivity: InnovationStats,
     pub innovation_doppler: InnovationStats,
     /// RMSE of the ensemble-mean 2-km reflectivity against truth, before
-    /// and after the analysis (visible cells only).
+    /// and after the analysis (visible cells only); NaN until scored.
     pub prior_rmse_dbz: f64,
     pub posterior_rmse_dbz: f64,
     /// Members that survived the post-forecast health scan and entered the
@@ -224,53 +248,18 @@ impl CycleOutcome {
 /// to [`Osse::cycle`].
 #[derive(Clone, Debug)]
 pub struct PendingCycle {
-    time: f64,
-    n_obs_scanned: usize,
-    n_obs_used: usize,
-    qc: QcReport,
-    analysis: AnalysisStats,
-    innovation_reflectivity: InnovationStats,
-    innovation_doppler: InnovationStats,
-    prior_rmse_dbz: f64,
-    n_alive: usize,
-    member_errors: Vec<MemberError>,
-    respawned: Vec<usize>,
-    below_quorum: bool,
-    mask: Vec<bool>,
+    /// The outcome this cycle becomes; `cycle_finish` scores its posterior.
+    outcome: CycleOutcome,
+    /// The truth's 2-km map at `T_obs`, the posterior's reference.
     truth_map: Vec<f64>,
     /// Analyzed points applied from peers' halos (0 in single-process mode).
     extra_points_analyzed: usize,
 }
 
 impl PendingCycle {
-    /// Analysis (valid) time of the paused cycle, s.
-    pub fn time(&self) -> f64 {
-        self.time
-    }
-
-    /// Observations surviving QC this cycle.
-    pub fn n_obs_used(&self) -> usize {
-        self.n_obs_used
-    }
-
     /// Grid points analyzed by this process (own region only).
     pub fn points_analyzed(&self) -> usize {
-        self.analysis.points_analyzed
-    }
-
-    /// Members that survived the health scan.
-    pub fn n_alive(&self) -> usize {
-        self.n_alive
-    }
-
-    /// Members respawned from the analysis mean this cycle.
-    pub fn respawned(&self) -> &[usize] {
-        &self.respawned
-    }
-
-    /// Whether the analysis was skipped for lack of quorum.
-    pub fn below_quorum(&self) -> bool {
-        self.below_quorum
+        self.outcome.analysis.points_analyzed
     }
 
     /// Record `n` analyzed points applied from peer shards' halos, so the
@@ -297,104 +286,94 @@ pub struct ForecastCase {
     pub mask: Vec<bool>,
 }
 
-/// Jitter a trigger schedule for one ensemble member: storms exist in every
-/// member's world, but displaced, re-timed and re-scaled.
-fn jitter_triggers(
-    triggers: &TriggerSchedule,
-    grid: &bda_grid::GridSpec,
-    seed: u64,
-    member: u64,
-) -> TriggerSchedule {
-    let mut rng = SplitMix64::new(seed).split(member);
-    let events = triggers
-        .events()
-        .iter()
-        .map(|e| {
-            let mut j = *e;
-            j.x = (e.x + rng.gaussian(0.0f64, 1500.0)).clamp(0.0, grid.lx());
-            j.y = (e.y + rng.gaussian(0.0f64, 1500.0)).clamp(0.0, grid.ly());
-            j.time = (e.time + rng.gaussian(0.0f64, 45.0)).max(0.0);
-            j.amplitude = e.amplitude * rng.uniform_in(0.75, 1.25);
-            j
-        })
-        .collect();
-    TriggerSchedule::new(events)
+/// Verification against the truth: 2-km reflectivity maps and their RMSE
+/// over the radar-covered cells. The one part of the OSSE that reads both
+/// halves; the coverage mask is constant, so it is computed once.
+#[derive(Clone, Debug)]
+pub struct Scoring {
+    grid: GridSpec,
+    floor_dbz: f64,
+    mask: Vec<bool>,
+}
+
+impl Scoring {
+    pub fn new<T: Real>(cfg: &OsseConfig, nature: &Nature<T>) -> Self {
+        let grid = cfg.model.grid.clone();
+        Self {
+            mask: nature.radar().visibility_mask(&grid, MAP_Z),
+            floor_dbz: cfg.radar.min_detectable_dbz,
+            grid,
+        }
+    }
+
+    /// The 2-km reflectivity map of `state` (j-outer).
+    pub fn map<T: Real>(&self, state: &ModelState<T>, base: &BaseState<T>) -> Vec<f64> {
+        reflectivity_map(state, base, &self.grid, MAP_Z, self.floor_dbz)
+    }
+
+    /// RMSE of `state`'s 2-km reflectivity against `truth_map` over the
+    /// covered cells, dBZ.
+    pub fn rmse<T: Real>(
+        &self,
+        state: &ModelState<T>,
+        base: &BaseState<T>,
+        truth_map: &[f64],
+    ) -> f64 {
+        let map = self.map(state, base);
+        let mut ss = 0.0;
+        let mut n = 0usize;
+        for ((a, b), _) in map
+            .iter()
+            .zip(truth_map)
+            .zip(&self.mask)
+            .filter(|(_, &m)| m)
+        {
+            ss += (a - b).powi(2);
+            n += 1;
+        }
+        if n == 0 {
+            0.0
+        } else {
+            (ss / n as f64).sqrt()
+        }
+    }
 }
 
 /// The full OSSE system.
 pub struct Osse<T: Real> {
     pub cfg: OsseConfig,
-    base: BaseState<T>,
-    /// Truth integration engine (owns the nature state).
-    nature: Model<T>,
+    /// The truth run and the radars: one volume per cycle.
+    pub nature: Nature<T>,
+    /// The ensemble forecast and the analysis: sees volumes, never the truth.
+    pub assim: Assimilator<T>,
     pub ensemble: Ensemble<T>,
-    sim: PawrSimulator,
-    layout: StateLayout,
+    /// Analysis (valid) time, s.
     pub time: f64,
+    scoring: Scoring,
+    /// Forecast-member selection stream (part <2>).
     rng: SplitMix64,
-    /// Physical-plausibility bounds for the per-cycle member health scan.
-    pub health_bounds: HealthBounds,
-    /// Minimum surviving members for an analysis; below it the cycle
-    /// degrades to forecast-only and the supervisor's ladder takes over.
-    pub min_quorum: usize,
-    /// Dedicated stream for respawn perturbations, so quarantine/respawn
-    /// stays reproducible (and checkpointable) independently of other draws.
-    respawn_rng: SplitMix64,
 }
 
 impl<T: Real> Osse<T> {
     pub fn new(cfg: OsseConfig) -> Self {
         cfg.model.validate();
         cfg.letkf.validate();
-        let base = BaseState::from_sounding(
-            &cfg.sounding,
-            &cfg.model.grid.vertical,
-            cfg.model.sound_speed,
-        );
-        let mut nature = Model::from_parts(cfg.model.clone(), base.clone());
-        nature.triggers = cfg.nature_triggers.clone();
-        nature.boundary = Boundary::BaseState;
-
-        let init = ModelState::init_from_base(&cfg.model.grid, &base);
-        let ensemble = Ensemble::from_perturbations(
-            &init,
-            &cfg.model,
-            cfg.letkf.ensemble_size,
-            cfg.seed,
-            cfg.init_theta_sd,
-            cfg.init_qv_sd,
-        );
-        let grid = &cfg.model.grid;
-        let layout = StateLayout {
-            nx: grid.nx,
-            ny: grid.ny,
-            nz: grid.nz(),
-            nvar: ANALYZED_VARS.len(),
-            dx: grid.dx,
-            z_center: grid.vertical.z_center.clone(),
-        };
-        let sim = PawrSimulator::new(cfg.radar.clone());
-        let rng = SplitMix64::new(cfg.seed ^ 0x0553);
-        let respawn_rng = SplitMix64::new(cfg.seed ^ 0xDEAD);
-        let min_quorum = (cfg.letkf.ensemble_size / 2).max(2);
+        let nature = Nature::new(&cfg);
+        let assim = Assimilator::new(&cfg);
         Self {
-            base,
+            ensemble: assim.initial_ensemble(),
+            scoring: Scoring::new(&cfg, &nature),
+            rng: SplitMix64::new(cfg.seed ^ 0x0553),
             nature,
-            ensemble,
-            sim,
-            layout,
+            assim,
             time: 0.0,
             cfg,
-            rng,
-            health_bounds: HealthBounds::default(),
-            min_quorum,
-            respawn_rng,
         }
     }
 
     /// Truth state (for verification only — the DA never touches it).
     pub fn truth(&self) -> &ModelState<T> {
-        &self.nature.state
+        self.nature.truth()
     }
 
     /// Capture the full cycling state for a campaign checkpoint.
@@ -406,20 +385,13 @@ impl<T: Real> Osse<T> {
     /// forecast-member selection, entry 1 = respawn perturbations. The
     /// driver fills in `next_cycle` and the outcome log.
     pub fn snapshot_state(&self) -> CampaignSnapshot<T> {
-        let mut members = Vec::with_capacity(1 + self.ensemble.size());
-        let mut member_times = Vec::with_capacity(1 + self.ensemble.size());
-        members.push(self.nature.state.to_flat(&PrognosticVar::ALL));
-        member_times.push(self.nature.state.time);
-        for m in &self.ensemble.members {
-            members.push(m.to_flat(&PrognosticVar::ALL));
-            member_times.push(m.time);
-        }
+        let states = || std::iter::once(self.truth()).chain(&self.ensemble.members);
         CampaignSnapshot {
             next_cycle: 0,
             time: self.time,
-            rng_states: vec![self.rng.state(), self.respawn_rng.state()],
-            members,
-            member_times,
+            rng_states: vec![self.rng.state(), self.assim.respawn_rng.state()],
+            members: states().map(|s| s.to_flat(&PrognosticVar::ALL)).collect(),
+            member_times: states().map(|s| s.time).collect(),
             outcomes: Vec::new(),
         }
     }
@@ -441,145 +413,61 @@ impl<T: Real> Osse<T> {
             "snapshot must carry 2 RNG streams"
         );
         self.nature
-            .state
-            .from_flat(&PrognosticVar::ALL, &snap.members[0]);
-        self.nature.state.time = snap.member_times[0];
+            .restore(&snap.members[0], snap.member_times[0], snap.time);
         for (i, m) in self.ensemble.members.iter_mut().enumerate() {
             m.from_flat(&PrognosticVar::ALL, &snap.members[i + 1]);
             m.time = snap.member_times[i + 1];
         }
         self.time = snap.time;
         self.rng = SplitMix64::from_state(snap.rng_states[0]);
-        self.respawn_rng = SplitMix64::from_state(snap.rng_states[1]);
+        self.assim.respawn_rng = SplitMix64::from_state(snap.rng_states[1]);
     }
 
     /// Spin up the whole system: truth and ensemble advance together, each
-    /// member seeing a *jittered* copy of the nature triggers (displaced,
-    /// re-timed, re-scaled). After spin-up every member carries its own
-    /// version of the storms, so the ensemble has the reflectivity spread
-    /// radar assimilation needs — the state the continuously cycling
+    /// member seeing a jittered copy of the nature triggers
+    /// ([`Assimilator::spinup`]) — the state the continuously cycling
     /// production system maintained at all times.
     pub fn spinup_system(&mut self, seconds: f64) {
-        self.nature
-            .integrate(seconds)
-            // Truth divergence invalidates the whole OSSE; fatal by design.
-            .expect("nature run blew up during spin-up"); // bda-check: allow(unwrap)
-        let triggers = self.cfg.nature_triggers.clone();
-        let seed = self.cfg.seed ^ 0x51F0;
-        let grid = self.cfg.model.grid.clone();
-        self.ensemble
-            .forecast_with(&self.cfg.model, &self.base, seconds, |idx, engine| {
-                engine.boundary = Boundary::BaseState;
-                engine.triggers = jitter_triggers(&triggers, &grid, seed, idx as u64);
-            })
-            // Spin-up happens before the fault-tolerant cycle loop exists;
-            // a member dying here means the configuration itself is broken.
-            .expect("ensemble member blew up during spin-up"); // bda-check: allow(unwrap)
+        self.nature.integrate(seconds);
+        self.assim.spinup(&mut self.ensemble, seconds);
         self.time += seconds;
     }
 
     /// Maximum truth reflectivity anywhere in the volume, dBZ (diagnostic
     /// for "has convection developed yet?").
     pub fn truth_max_dbz(&self) -> f64 {
-        let grid = &self.cfg.model.grid;
-        let mut m = f64::NEG_INFINITY;
-        for k in 0..grid.nz() {
-            for j in 0..grid.ny {
-                for i in 0..grid.nx {
-                    m = m.max(bda_pawr::operator::h_reflectivity(
-                        self.truth(),
-                        &self.base,
-                        i,
-                        j,
-                        k,
-                        -30.0,
-                    ));
-                }
-            }
-        }
-        m
+        composite_reflectivity_map(self.truth(), self.base(), &self.cfg.model.grid, -30.0)
+            .into_iter()
+            .fold(f64::NEG_INFINITY, f64::max)
     }
 
     pub fn base(&self) -> &BaseState<T> {
-        &self.base
-    }
-
-    pub fn radar(&self) -> &PawrSimulator {
-        &self.sim
+        self.assim.base()
     }
 
     /// Radar coverage mask at height `z` (network-aware).
     pub fn coverage_mask(&self, z: f64) -> Vec<bool> {
-        match &self.cfg.network {
-            Some(net) => net.visibility_mask(&self.cfg.model.grid, z),
-            None => self.sim.visibility_mask(&self.cfg.model.grid, z),
-        }
+        self.nature.radar().visibility_mask(&self.cfg.model.grid, z)
     }
 
-    /// Ensemble calibration check: rank histogram of the truth reflectivity
-    /// against the member reflectivities at height `z`, over the radar-
-    /// covered cells. A flat histogram means the spread is trustworthy.
-    pub fn rank_histogram(&self, z: f64) -> bda_verify::RankHistogram {
-        let grid = &self.cfg.model.grid;
-        let floor = self.cfg.radar.min_detectable_dbz;
-        let truth = self.truth_reflectivity_map(z);
-        let member_maps: Vec<Vec<f64>> = self
-            .ensemble
-            .members
-            .iter()
-            .map(|m| reflectivity_map(m, &self.base, grid, z, floor))
-            .collect();
+    /// Ensemble calibration check: rank histogram of the truth's 2-km
+    /// reflectivity against the members', over the radar-covered cells. A
+    /// flat histogram means the spread is trustworthy.
+    pub fn rank_histogram(&self) -> bda_verify::RankHistogram {
+        let s = &self.scoring;
+        let map = |m| s.map(m, self.base());
+        let truth = map(self.truth());
+        let member_maps: Vec<Vec<f64>> = self.ensemble.members.iter().map(map).collect();
         // Exclude cells where truth and every member sit exactly at the
         // clear-air floor: ties there are not evidence about the spread.
-        let mut mask = self.coverage_mask(z);
+        let floor = s.floor_dbz;
+        let mut mask = s.mask.clone();
         for (idx, m) in mask.iter_mut().enumerate() {
-            if *m {
-                let any_echo = truth[idx] > floor || member_maps.iter().any(|mm| mm[idx] > floor);
-                *m = any_echo;
-            }
+            *m = *m && (truth[idx] > floor || member_maps.iter().any(|mm| mm[idx] > floor));
         }
         let mut h = bda_verify::RankHistogram::new(self.ensemble.size());
         h.add_fields(&truth, &member_maps, Some(&mask));
         h
-    }
-
-    /// Ensemble-mean 2-km reflectivity map.
-    pub fn mean_reflectivity_map(&self, z: f64) -> Vec<f64> {
-        let mean = self.ensemble.mean();
-        reflectivity_map(
-            &mean,
-            &self.base,
-            &self.cfg.model.grid,
-            z,
-            self.cfg.radar.min_detectable_dbz,
-        )
-    }
-
-    /// Truth 2-km reflectivity map.
-    pub fn truth_reflectivity_map(&self, z: f64) -> Vec<f64> {
-        reflectivity_map(
-            self.truth(),
-            &self.base,
-            &self.cfg.model.grid,
-            z,
-            self.cfg.radar.min_detectable_dbz,
-        )
-    }
-
-    fn masked_rmse(&self, a: &[f64], b: &[f64], mask: &[bool]) -> f64 {
-        let mut ss = 0.0;
-        let mut n = 0usize;
-        for i in 0..a.len() {
-            if mask[i] {
-                ss += (a[i] - b[i]).powi(2);
-                n += 1;
-            }
-        }
-        if n == 0 {
-            0.0
-        } else {
-            (ss / n as f64).sqrt()
-        }
     }
 
     /// One full 30-second cycle: advance truth and ensemble, scan the truth,
@@ -593,7 +481,7 @@ impl<T: Real> Osse<T> {
     /// The analysis state layout (`ANALYZED_VARS` over the model grid) —
     /// what [`Osse::analyzed_flats`] vectors are indexed by.
     pub fn layout(&self) -> &StateLayout {
-        &self.layout
+        self.assim.layout()
     }
 
     /// Flatten every member's current `ANALYZED_VARS` state — called by a
@@ -628,196 +516,32 @@ impl<T: Real> Osse<T> {
 
     /// First half of [`Osse::cycle`], with the analysis optionally
     /// restricted to the x-strip `region = Some((i0, i1))` — the shard
-    /// federation's entry point. Runs forecast, scan, QC, the (restricted)
-    /// analysis and member respawn, then pauses before the posterior
+    /// federation's entry point. The nature advances and scans, the
+    /// assimilator forecasts and analyzes the volume, and the prior is
+    /// scored in between; the cycle then pauses before the posterior
     /// diagnostics so a shard can exchange halos first.
     pub fn cycle_begin(&mut self, region: Option<(usize, usize)>) -> PendingCycle {
         let dt = self.cfg.cycle_interval;
-        let grid = self.cfg.model.grid.clone();
-
-        // Advance truth (part of "the real world" — if it blows up the whole
-        // OSSE is meaningless, so this stays fatal) and the ensemble
-        // (part <1-2>: 1000-member 30-s forecasts, per-member outcomes).
-        // See the comment above: truth failure is fatal by design.
-        self.nature.integrate(dt).expect("nature run blew up"); // bda-check: allow(unwrap)
-        let forecast_results =
-            self.ensemble
-                .forecast_members(&self.cfg.model, &self.base, dt, |_| Boundary::BaseState);
-        let health = self
-            .ensemble
-            .health_scan(&forecast_results, &self.health_bounds);
+        let volume = Volume::scanned(self.nature.advance(dt));
+        let health = self.assim.forecast(&mut self.ensemble, dt);
         self.time += dt;
 
-        // Total ensemble death is unrecoverable in-model: there is no state
-        // left to respawn from, so hand the cycle to the supervisor above.
-        if health.n_alive() == 0 {
-            return PendingCycle {
-                time: self.time,
-                n_obs_scanned: 0,
-                n_obs_used: 0,
-                qc: QcReport::default(),
-                analysis: AnalysisStats::default(),
-                innovation_reflectivity: InnovationStats::default(),
-                innovation_doppler: InnovationStats::default(),
-                prior_rmse_dbz: f64::NAN,
-                n_alive: 0,
-                member_errors: health.errors,
-                respawned: Vec::new(),
-                below_quorum: true,
-                mask: Vec::new(),
-                truth_map: Vec::new(),
-                extra_points_analyzed: 0,
-            };
-        }
-        let alive_flags = health.alive_flags();
-        let alive_idx = health.alive();
-
-        // Scan the truth (the MP-PAWR volume at T_obs) and evaluate the
-        // forward operator on every member, honoring each radar's geometry.
-        let floor = self.cfg.radar.min_detectable_dbz;
-        let (scan, hx) = if let Some(net) = &self.cfg.network {
-            let (scan, counts) = net.scan_with_counts(
-                &self.nature.state,
-                &self.base,
-                &grid,
-                self.time,
-                self.cfg.seed,
-            );
-            let hx = net.ensemble_equivalents(
-                &scan.obs,
-                &counts,
-                &self.ensemble.members,
-                &self.base,
-                &grid,
-                floor,
-            );
-            (scan, hx)
+        // The prior, scored over the surviving members before the update.
+        let truth_map = self.scoring.map(self.truth(), self.base());
+        let alive = health.alive();
+        let prior_rmse_dbz = if alive.is_empty() {
+            f64::NAN
         } else {
-            let scan = self.sim.scan(
-                &self.nature.state,
-                &self.base,
-                &grid,
-                self.time,
-                self.cfg.seed,
-            );
-            let hx = ensemble_equivalents(
-                &scan.obs,
-                &self.ensemble.members,
-                &self.base,
-                &grid,
-                &self.cfg.radar,
-                floor,
-            );
-            (scan, hx)
+            let prior = self.ensemble.mean_of(&alive);
+            self.scoring.rmse(&prior, self.base(), &truth_map)
         };
-        let n_obs_scanned = scan.obs.len();
-        // Quarantine: only surviving members contribute observation
-        // equivalents — a NaN row from a dead member would poison the QC
-        // innovation means for everyone.
-        let hx: Vec<Vec<T>> = hx
-            .into_iter()
-            .zip(&alive_flags)
-            .filter(|(_, &a)| a)
-            .map(|(h, _)| h)
-            .collect();
-        let ens_obs = ObsEnsemble::new(scan.obs, hx);
-        let (ens_obs, qc) = QcPipeline::new(&self.cfg.letkf).run(&ens_obs);
-        let n_obs_used = ens_obs.len();
-        let (innovation_reflectivity, innovation_doppler) = innovation_statistics(&ens_obs);
-
-        // Diagnostics before the update (over surviving members only).
-        let mask = self.coverage_mask(2000.0);
-        let truth_map = self.truth_reflectivity_map(2000.0);
-        let floor2 = self.cfg.radar.min_detectable_dbz;
-        let prior_map = reflectivity_map(
-            &self.ensemble.mean_of(&alive_idx),
-            &self.base,
-            &grid,
-            2000.0,
-            floor2,
-        );
-        let prior_rmse_dbz = self.masked_rmse(&prior_map, &truth_map, &mask);
-
-        // Part <1-1>: the LETKF analysis on the surviving quorum. A cycle
-        // with no usable observations — radar outage, dropped scan, or total
-        // QC rejection — degrades to an ensemble-forecast-only cycle, as
-        // does a quorum failure: the members continue unanalyzed and the
-        // outcome reports zero points analyzed (see
-        // `CycleOutcome::analysis_skipped`). Neither observation loss nor
-        // member death must ever abort the 30-second cadence.
-        let mut below_quorum = false;
-        let analysis = if n_obs_used == 0 {
-            AnalysisStats::default()
-        } else {
-            let mut flats: Vec<Vec<T>> = self
-                .ensemble
-                .members
-                .iter()
-                .map(|m| m.to_flat(&ANALYZED_VARS))
-                .collect();
-            match analyze_quorum_region(
-                &mut flats,
-                &alive_flags,
-                self.layout.clone(),
-                &ens_obs,
-                &self.cfg.letkf,
-                self.min_quorum,
-                region,
-            ) {
-                Ok(q) => {
-                    for &m in &alive_idx {
-                        self.ensemble.members[m].from_flat(&ANALYZED_VARS, &flats[m]);
-                        self.ensemble.members[m].clamp_physical();
-                    }
-                    q.stats
-                }
-                Err(AnalysisError::BelowQuorum { .. }) => {
-                    below_quorum = true;
-                    AnalysisStats::default()
-                }
-                Err(e) => {
-                    // Localization / size errors are analysis-step failures,
-                    // not member failures: degrade to forecast-only exactly
-                    // like an empty scan.
-                    debug_assert!(false, "analysis failed: {e}");
-                    below_quorum = true;
-                    AnalysisStats::default()
-                }
-            }
-        };
-
-        // Respawn quarantined members from the (analysis) mean of the
-        // survivors plus re-inflated perturbations, so the ensemble
-        // self-heals over the next cycles.
-        let respawned = health.dead();
-        if !respawned.is_empty() {
-            let template = self.ensemble.mean_of(&alive_idx);
-            for &m in &respawned {
-                self.ensemble.respawn(
-                    m,
-                    &template,
-                    &grid,
-                    &mut self.respawn_rng,
-                    self.cfg.init_theta_sd,
-                    self.cfg.init_qv_sd,
-                );
-            }
-        }
-
+        let mut outcome = self
+            .assim
+            .analyze(&mut self.ensemble, health, volume, region);
+        outcome.prior_rmse_dbz = prior_rmse_dbz;
+        outcome.posterior_rmse_dbz = prior_rmse_dbz;
         PendingCycle {
-            time: self.time,
-            n_obs_scanned,
-            n_obs_used,
-            qc,
-            analysis,
-            innovation_reflectivity,
-            innovation_doppler,
-            prior_rmse_dbz,
-            n_alive: alive_idx.len(),
-            member_errors: health.errors,
-            respawned,
-            below_quorum,
-            mask,
+            outcome,
             truth_map,
             extra_points_analyzed: 0,
         }
@@ -830,46 +554,13 @@ impl<T: Real> Osse<T> {
     /// ([`PendingCycle::note_exchanged_points`]) — and otherwise equals the
     /// prior, exactly as the unsplit cycle reported forecast-only cycles.
     pub fn cycle_finish(&mut self, pending: PendingCycle) -> CycleOutcome {
-        let PendingCycle {
-            time,
-            n_obs_scanned,
-            n_obs_used,
-            qc,
-            analysis,
-            innovation_reflectivity,
-            innovation_doppler,
-            prior_rmse_dbz,
-            n_alive,
-            member_errors,
-            respawned,
-            below_quorum,
-            mask,
-            truth_map,
-            extra_points_analyzed,
-        } = pending;
-        let total_analyzed = analysis.points_analyzed + extra_points_analyzed;
-        let posterior_rmse_dbz = if n_alive > 0 && total_analyzed > 0 {
-            let post_map = self.mean_reflectivity_map(2000.0);
-            self.masked_rmse(&post_map, &truth_map, &mask)
-        } else {
-            prior_rmse_dbz
-        };
-
-        CycleOutcome {
-            time,
-            n_obs_scanned,
-            n_obs_used,
-            qc,
-            analysis,
-            innovation_reflectivity,
-            innovation_doppler,
-            prior_rmse_dbz,
-            posterior_rmse_dbz,
-            n_alive,
-            member_errors,
-            respawned,
-            below_quorum,
+        let mut out = pending.outcome;
+        if out.n_alive > 0 && out.analysis.points_analyzed + pending.extra_points_analyzed > 0 {
+            out.posterior_rmse_dbz =
+                self.scoring
+                    .rmse(&self.ensemble.mean(), self.base(), &pending.truth_map);
         }
+        out
     }
 
     /// Run `n` consecutive cycles, returning all outcomes.
@@ -878,16 +569,14 @@ impl<T: Real> Osse<T> {
     }
 
     /// Part <2>: launch a 30-minute (or `duration`) forecast from the mean
-    /// analysis + `extra_members` random members, verified against a cloned
-    /// continuation of the truth at each lead in `leads`.
+    /// analysis + `extra_members` random members, verified against a fork
+    /// of the nature run at each lead in `leads`.
     ///
     /// The OSSE's own truth and ensemble are *not* advanced — this matches
     /// the real system where part <2> runs on separate nodes while cycling
     /// continues.
     pub fn run_forecast_case(&mut self, leads: &[f64], extra_members: usize) -> ForecastCase {
         assert!(!leads.is_empty());
-        let grid = self.cfg.model.grid.clone();
-        let duration_max = leads.iter().cloned().fold(0.0, f64::max);
 
         // Forecast ensemble: mean + random members (the paper's 1 + 10).
         let mean = self.ensemble.mean();
@@ -899,18 +588,13 @@ impl<T: Real> Osse<T> {
         let mut fc_ens = Ensemble {
             members: fc_members,
         };
-
-        // Clone the truth engine to produce verifying fields.
-        let mut truth_engine = Model::from_parts(self.cfg.model.clone(), self.base.clone());
-        truth_engine.triggers = self.cfg.nature_triggers.clone();
-        let _ = truth_engine.swap_state(self.truth().clone());
-
-        let mask = self.coverage_mask(2000.0);
+        let mut truth = self.nature.fork();
+        let mask = self.scoring.mask.clone();
         let floor = self.cfg.radar.min_detectable_dbz;
 
         // Persistence base: the noisy observed map at initialization.
         let mut obs_rng = SplitMix64::new(self.cfg.seed ^ 0x0B5E).split(self.time.to_bits());
-        let truth_init = reflectivity_map(self.truth(), &self.base, &grid, 2000.0, floor);
+        let truth_init = self.scoring.map(truth.truth(), self.base());
         let observed_dbz_init: Vec<f64> = truth_init
             .iter()
             .enumerate()
@@ -932,29 +616,17 @@ impl<T: Real> Osse<T> {
             if step > 0.0 {
                 // A blown-up forecast member is dropped from the (mean +
                 // random members) ensemble rather than aborting part <2>.
-                let results = fc_ens
-                    .forecast_members(&self.cfg.model, &self.base, step, |_| Boundary::BaseState);
-                let health = fc_ens.health_scan(&results, &self.health_bounds);
-                let alive = health.alive();
+                let alive = self.assim.forecast(&mut fc_ens, step).alive();
                 assert!(!alive.is_empty(), "every forecast member blew up");
                 if alive.len() < fc_ens.size() {
                     fc_ens = fc_ens.subset(&alive);
                 }
-                // bda-check: allow(unwrap) — truth failure is fatal by design.
-                truth_engine.integrate(step).expect("truth clone blew up");
+                truth.integrate(step);
             }
-            let fc_mean = fc_ens.mean();
-            forecast_dbz.push(reflectivity_map(&fc_mean, &self.base, &grid, 2000.0, floor));
-            truth_dbz.push(reflectivity_map(
-                &truth_engine.state,
-                &self.base,
-                &grid,
-                2000.0,
-                floor,
-            ));
+            forecast_dbz.push(self.scoring.map(&fc_ens.mean(), self.base()));
+            truth_dbz.push(self.scoring.map(truth.truth(), self.base()));
             t_prev = lead;
         }
-        let _ = duration_max;
 
         ForecastCase {
             leads: leads.to_vec(),
@@ -1007,7 +679,7 @@ mod tests {
         // A later healthy cycle resumes analysis from the degraded state.
         osse.cfg.radar.range_max =
             RadarConfig::reduced(osse.cfg.model.grid.lx(), osse.cfg.model.grid.ly()).range_max;
-        osse.sim = PawrSimulator::new(osse.cfg.radar.clone());
+        osse.nature.radar = osse.cfg.radar_network();
         let healthy = osse.cycle();
         assert!(healthy.n_obs_used > 0);
         assert!(!healthy.analysis_skipped());
@@ -1061,7 +733,7 @@ mod tests {
     #[test]
     fn below_quorum_skips_analysis_but_still_respawns() {
         let mut osse = small(); // 6 members
-        osse.min_quorum = 6; // any death now breaks quorum
+        osse.assim.min_quorum = 6; // any death now breaks quorum
         osse.ensemble.inject_nan(0);
         let out = osse.cycle();
         assert!(out.below_quorum);
@@ -1105,7 +777,7 @@ mod tests {
             );
         }
         assert_eq!(a.rng.state(), b.rng.state());
-        assert_eq!(a.respawn_rng.state(), b.respawn_rng.state());
+        assert_eq!(a.assim.respawn_rng.state(), b.assim.respawn_rng.state());
     }
 
     #[test]
@@ -1200,6 +872,20 @@ mod tests {
     }
 
     #[test]
+    fn forecast_case_verifies_against_the_nature_run_itself() {
+        let mut osse = small();
+        osse.spinup_system(1080.0);
+        let case = osse.run_forecast_case(&[0.0, 60.0], 2);
+        osse.run_cycles(2);
+        let truth_map = osse.scoring.map(osse.truth(), osse.base());
+        let bits = |m: &[f64]| m.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert!(truth_map
+            .iter()
+            .any(|&v| v > osse.cfg.radar.min_detectable_dbz));
+        assert_eq!(bits(&case.truth_dbz[1]), bits(&truth_map));
+    }
+
+    #[test]
     #[should_panic]
     fn descending_leads_rejected() {
         let mut osse = small();
@@ -1210,7 +896,7 @@ mod tests {
     fn rank_histogram_has_one_bin_per_interval_and_counts_covered_cells() {
         let mut osse = small();
         osse.cycle();
-        let h = osse.rank_histogram(2000.0);
+        let h = osse.rank_histogram();
         assert_eq!(h.ensemble_size(), 6);
         assert_eq!(h.counts().len(), 7);
         // Counts only echo-bearing covered cells, so bounded by coverage.

@@ -94,21 +94,10 @@ impl RadarNetwork {
         (merged, counts)
     }
 
-    /// Merged scan without the count bookkeeping.
-    pub fn scan<T: Real>(
-        &self,
-        state: &ModelState<T>,
-        base: &BaseState<T>,
-        grid: &GridSpec,
-        time: f64,
-        seed: u64,
-    ) -> ScanResult<T> {
-        self.scan_with_counts(state, base, grid, time, seed).0
-    }
-
     /// Model equivalents for the merged observation set: each observation
     /// must be evaluated with the beam geometry of the radar that took it.
-    /// Observations are ordered radar-by-radar, matching [`Self::scan`].
+    /// Observations are ordered radar-by-radar, matching
+    /// [`Self::scan_with_counts`].
     pub fn ensemble_equivalents<T: Real>(
         &self,
         obs: &[Observation<T>],
@@ -133,18 +122,6 @@ impl RadarNetwork {
             offset += count;
         }
         hx
-    }
-
-    /// Per-radar observation counts for one truth scan.
-    pub fn scan_counts<T: Real>(
-        &self,
-        state: &ModelState<T>,
-        base: &BaseState<T>,
-        grid: &GridSpec,
-        time: f64,
-        seed: u64,
-    ) -> Vec<usize> {
-        self.scan_with_counts(state, base, grid, time, seed).1
     }
 
     /// Combined visibility mask at height `z`: a cell is covered if any
@@ -220,8 +197,7 @@ mod tests {
         let (grid, base, mut state) = setup();
         state.qr.set(8, 8, 2, 2e-3);
         let net = RadarNetwork::dual(&grid);
-        let scan = net.scan(&state, &base, &grid, 30.0, 5);
-        let counts = net.scan_counts(&state, &base, &grid, 30.0, 5);
+        let (scan, counts) = net.scan_with_counts(&state, &base, &grid, 30.0, 5);
         assert_eq!(counts.len(), 2);
         assert_eq!(counts.iter().sum::<usize>(), scan.obs.len());
         assert!(scan.raw_bytes > net.radars()[0].cfg.raw_scan_bytes);
@@ -238,7 +214,7 @@ mod tests {
             state.qr.set(i as isize, j as isize, k, 3e-3);
         }
         let net = RadarNetwork::dual(&grid);
-        let scan = net.scan(&state, &base, &grid, 0.0, 9);
+        let (scan, _) = net.scan_with_counts(&state, &base, &grid, 0.0, 9);
         // Doppler observations at the same location from the two radars
         // should report *different* radial velocities (different geometry).
         let x = grid.x_center(i);
@@ -265,8 +241,7 @@ mod tests {
             state.qr.set(i as isize, j as isize, k, 3e-3);
         }
         let net = RadarNetwork::dual(&grid);
-        let scan = net.scan(&state, &base, &grid, 0.0, 11);
-        let counts = net.scan_counts(&state, &base, &grid, 0.0, 11);
+        let (scan, counts) = net.scan_with_counts(&state, &base, &grid, 0.0, 11);
         let hx = net.ensemble_equivalents(&scan.obs, &counts, &[state.clone()], &base, &grid, 5.0);
         assert_eq!(hx.len(), 1);
         assert_eq!(hx[0].len(), scan.obs.len());
@@ -280,6 +255,65 @@ mod tests {
                     o.value
                 );
             }
+        }
+    }
+
+    #[test]
+    fn one_radar_network_is_bit_identical_to_its_simulator() {
+        // The OSSE treats a single radar as a one-radar network; this pins
+        // that the network adds nothing: same obs, H(x) and mask, bit for bit.
+        let (grid, base, mut state) = setup();
+        state.u.fill(6.0);
+        for (i, j) in [(5, 9), (8, 8), (11, 4)] {
+            for k in 1..4 {
+                state.qr.set(i, j, k, 2e-3);
+            }
+        }
+        let cfg = RadarConfig::reduced(grid.lx(), grid.ly());
+        let sim = PawrSimulator::new(cfg.clone());
+        let net = RadarNetwork::new(vec![cfg.clone()]);
+        let bits = |obs: &[Observation<f64>]| -> Vec<[u64; 5]> {
+            obs.iter()
+                .map(|o| [o.x, o.y, o.z, o.value, o.error_sd].map(f64::to_bits))
+                .collect()
+        };
+        let want = sim.scan(&state, &base, &grid, 30.0, 5);
+        let (got, counts) = net.scan_with_counts(&state, &base, &grid, 30.0, 5);
+        assert!(want.n_doppler > 0, "need Doppler obs for a meaningful test");
+        assert_eq!(counts, vec![want.obs.len()]);
+        assert_eq!(bits(&got.obs), bits(&want.obs));
+        assert!(got.obs.iter().zip(&want.obs).all(|(a, b)| a.kind == b.kind));
+        assert_eq!(
+            (
+                got.time,
+                got.n_reflectivity,
+                got.n_doppler,
+                got.n_clear_air,
+                got.raw_bytes
+            ),
+            (
+                want.time,
+                want.n_reflectivity,
+                want.n_doppler,
+                want.n_clear_air,
+                want.raw_bytes
+            )
+        );
+
+        let mut member = state.clone();
+        member.qr.set(6, 6, 2, 1e-3);
+        let members = [state.clone(), member];
+        let hx_sim =
+            crate::operator::ensemble_equivalents(&want.obs, &members, &base, &grid, &cfg, 5.0);
+        let hx_net = net.ensemble_equivalents(&got.obs, &counts, &members, &base, &grid, 5.0);
+        let hx_bits = |hx: &[Vec<f64>]| -> Vec<Vec<u64>> {
+            hx.iter()
+                .map(|m| m.iter().map(|v| v.to_bits()).collect())
+                .collect()
+        };
+        assert_eq!(hx_bits(&hx_net), hx_bits(&hx_sim));
+        for z in [500.0, 2000.0, 6000.0] {
+            assert_eq!(net.visibility_mask(&grid, z), sim.visibility_mask(&grid, z));
         }
     }
 

@@ -11,11 +11,14 @@
 //! Every shard runs the *full* truth integration and ensemble forecast (a
 //! clean cycle draws from no mutable RNG stream — the scan is seeded by
 //! `cfg.seed` and the cycle time, and the respawn stream only advances
-//! when members die, identically on every shard). Only the LETKF analysis
-//! is region-restricted, and the per-gridpoint LETKF transform makes a
-//! region-restricted analysis bit-identical at owned points. After halo
-//! exchange each shard therefore holds the same assembled ensemble the
-//! single-process cycle would have produced — bit-for-bit, which is what
+//! when members die, identically on every shard). So each shard still
+//! holds a whole `Nature` — its own truth run and radar — inside its
+//! `Osse`; one `Nature` publishing each volume to assimilation-only
+//! shards is the next step. Only the LETKF analysis is region-restricted,
+//! and the per-gridpoint LETKF transform makes a region-restricted
+//! analysis bit-identical at owned points. After halo exchange each shard
+//! therefore holds the same assembled ensemble the single-process cycle
+//! would have produced — bit-for-bit, which is what
 //! `tests/shard_parity.rs` pins down.
 //!
 //! ## Cycle split

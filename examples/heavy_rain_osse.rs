@@ -181,7 +181,12 @@ fn main() {
         println!("\nFig. 8 analogue — 3-D reflectivity structure of the truth:");
         print!(
             "{}",
-            products::volume_view(osse.truth(), osse.base(), &grid, osse.radar())
+            products::volume_view(
+                osse.truth(),
+                osse.base(),
+                &grid,
+                &osse.nature.radar().radars()[0]
+            )
         );
     }
 

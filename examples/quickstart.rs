@@ -70,7 +70,7 @@ fn main() {
     }
 
     // Ensemble calibration after cycling (flat rank histogram = healthy).
-    let rank = osse.rank_histogram(2000.0);
+    let rank = osse.rank_histogram();
     println!(
         "\nensemble calibration: envelope-outlier fraction {:.2} (calibrated target {:.2})",
         rank.outlier_fraction(),

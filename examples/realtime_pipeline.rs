@@ -1,9 +1,12 @@
 //! The live three-thread pipeline — Figs. 2 and 4 with real computation.
 //!
-//! A radar thread scans the (advancing) nature run and encodes each volume;
-//! the bytes travel through the JIT-DT pipe to the assimilation thread,
-//! which decodes, applies QC and runs the LETKF; the analysis mean is handed
-//! to the forecast thread, which integrates it forward. The pipeline always
+//! The OSSE is split at the radar. The radar thread owns the `Nature`: it
+//! advances the truth, scans it and encodes each volume. The bytes travel
+//! through the JIT-DT pipe to the assimilation thread, which owns the
+//! `Assimilator` and its ensemble and runs exactly the OSSE's cycle on the
+//! decoded volume: the 30-s ensemble forecast with its health scan, H(x),
+//! QC, the quorum LETKF and member respawn. The analysis mean is handed to
+//! the forecast thread, which integrates it forward. The pipeline always
 //! runs under the fault-tolerant cycle supervisor; the per-cycle outcome
 //! table — stage timings with the Fig. 4 segmentation, dispositions, and
 //! availability (the Fig. 5 accounting) — is printed at the end. `--inject`
@@ -31,13 +34,9 @@
 //! pipeline; each cycle's QC accounting — accepted/total plus per-stage
 //! rejections — is printed alongside the analysis.
 
-use bda_core::osse::OsseConfig;
-use bda_letkf::{analyze, EnsembleMatrix, ObsEnsemble, QcPipeline, StateLayout};
+use bda_core::osse::{Osse, OsseConfig};
 use bda_pawr::codec::{decode_volume_salvage, encode_volume, ValueBounds};
-use bda_pawr::operator::ensemble_equivalents;
-use bda_pawr::PawrSimulator;
-use bda_scale::model::Boundary;
-use bda_scale::{Ensemble, Model, ModelState, ANALYZED_VARS};
+use bda_scale::{Model, ModelState};
 use bda_shard::{HaloBus, ShardConfig, ShardWorker};
 use bda_verify::maps::area_fraction;
 use bda_workflow::{CycleSupervisor, Fault, FaultPlan, ForecastInput};
@@ -144,61 +143,20 @@ fn main() {
 
     println!("=== live real-time pipeline ({n_cycles} cycles of 30 model-seconds) ===\n");
 
-    let cfg = OsseConfig::reduced(14, 10, 8, 3, 99);
-    let grid = cfg.model.grid.clone();
-    let model_cfg = cfg.model.clone();
-    let letkf_cfg = cfg.letkf.clone();
-    let radar_cfg = cfg.radar.clone();
-    let base = bda_scale::BaseState::<f32>::from_sounding(
-        &cfg.sounding,
-        &grid.vertical,
-        model_cfg.sound_speed,
-    );
-
-    // Radar-side: the truth and the scanner.
-    let mut nature = Model::from_parts(model_cfg.clone(), base.clone());
-    nature.triggers = cfg.nature_triggers.clone();
+    // The OSSE split at the radar: the nature run goes to the radar
+    // thread, the assimilator and its ensemble to the assimilation thread,
+    // which sees nothing but the volumes that cross the pipe.
+    let mut osse = Osse::<f32>::new(OsseConfig::reduced(14, 10, 8, 3, 99));
     println!("spinning up convection before going live...");
-    nature.integrate(720.0).expect("nature blew up");
-    let sim = PawrSimulator::new(radar_cfg.clone());
-    let sim_scan = sim.clone();
-    let base_scan = base.clone();
-    let grid_scan = grid.clone();
-
-    // Assimilation-side: the ensemble.
-    let init = ModelState::init_from_base(&grid, &base);
-    let mut ensemble = Ensemble::from_perturbations(
-        &init,
-        &model_cfg,
-        letkf_cfg.ensemble_size,
-        cfg.seed,
-        cfg.init_theta_sd,
-        cfg.init_qv_sd,
-    );
-    // Spin the ensemble up alongside the truth so members carry storms too.
-    let spin_triggers = cfg.nature_triggers.clone();
-    ensemble
-        .forecast_with(&model_cfg, &base, 720.0, |_, engine| {
-            engine.triggers = spin_triggers.clone();
-        })
-        .expect("ensemble spin-up failed");
-    let layout = StateLayout {
-        nx: grid.nx,
-        ny: grid.ny,
-        nz: grid.nz(),
-        nvar: ANALYZED_VARS.len(),
-        dx: grid.dx,
-        z_center: grid.vertical.z_center.clone(),
-    };
-    let model_cfg_a = model_cfg.clone();
-    let base_a = base.clone();
-    let grid_a = grid.clone();
-    let radar_a = radar_cfg.clone();
-
-    // Forecast-side engine.
-    let mut fc_engine = Model::from_parts(model_cfg.clone(), base.clone());
-    let base_f = base.clone();
-    let grid_f = grid.clone();
+    osse.spinup_system(720.0);
+    let dt = osse.cfg.cycle_interval;
+    let mut fc_engine = Model::from_parts(osse.cfg.model.clone(), osse.base().clone());
+    let Osse {
+        mut nature,
+        mut assim,
+        mut ensemble,
+        ..
+    } = osse;
 
     println!(
         "running under the cycle supervisor, {} fault(s) injected\n",
@@ -211,55 +169,23 @@ fn main() {
     let report = supervisor.run(
         n_cycles,
         // --- radar thread: advance truth 30 s, scan, encode ---
-        move |cycle: usize| {
-            nature
-                .integrate(30.0)
-                .map_err(|e| format!("nature blew up: {e:?}"))?;
-            let scan = sim_scan.scan(
-                &nature.state,
-                &base_scan,
-                &grid_scan,
-                (cycle as f64 + 1.0) * 30.0,
-                7,
-            );
-            Ok(encode_volume(&scan))
-        },
-        // --- assimilation thread: salvage decode, 30-s ensemble forecast,
-        // QC, LETKF ---
+        move |_cycle: usize| Ok(encode_volume(&nature.advance(dt).0)),
+        // --- assimilation thread: salvage decode, then the OSSE's own
+        // 30-s ensemble forecast, QC, quorum LETKF and respawn ---
         move |_cycle: usize, bytes| {
             let (vol, salvage) = decode_volume_salvage::<f32>(&bytes, &ValueBounds::default())
                 .map_err(|e| format!("unusable volume: {e:?}"))?;
-            ensemble
-                .forecast(&model_cfg_a, &base_a, 30.0, |_| Boundary::BaseState)
-                .map_err(|e| format!("member blew up: {e:?}"))?;
-            let hx = ensemble_equivalents(
-                &vol.obs,
-                &ensemble.members,
-                &base_a,
-                &grid_a,
-                &radar_a,
-                radar_a.min_detectable_dbz,
-            );
-            let obs = ObsEnsemble::new(vol.obs, hx);
-            let (obs, qc) = QcPipeline::new(&letkf_cfg).run(&obs);
-            let mut qc_note = qc.summary();
+            let health = assim.forecast(&mut ensemble, dt);
+            let out = assim.analyze(&mut ensemble, health, vol.into(), None);
+            if out.below_quorum {
+                return Err(format!("below quorum: {} members alive", out.n_alive));
+            }
+            let mut qc_note = out.qc.summary();
             if !salvage.clean() {
                 qc_note.push_str(&format!(
                     ", salvaged {}/{} records",
                     salvage.kept, salvage.declared
                 ));
-            }
-            let mut flats: Vec<Vec<f32>> = ensemble
-                .members
-                .iter()
-                .map(|m| m.to_flat(&ANALYZED_VARS))
-                .collect();
-            let mut mat = EnsembleMatrix::from_members(&flats, layout.clone());
-            analyze(&mut mat, &obs, &letkf_cfg).map_err(|e| format!("analysis: {e}"))?;
-            mat.to_members(&mut flats);
-            for (m, f) in ensemble.members.iter_mut().zip(&flats) {
-                m.from_flat(&ANALYZED_VARS, f);
-                m.clamp_physical();
             }
             Ok((ensemble.mean(), qc_note))
         },
@@ -283,13 +209,9 @@ fn main() {
             fc_engine
                 .integrate(120.0)
                 .map_err(|e| format!("forecast blew up: {e:?}"))?;
-            let map = bda_core::products::reflectivity_map(
-                &fc_engine.state,
-                &base_f,
-                &grid_f,
-                2000.0,
-                5.0,
-            );
+            let e = &fc_engine;
+            let map =
+                bda_core::products::reflectivity_map(&e.state, &e.base, &e.cfg.grid, 2000.0, 5.0);
             let rain = area_fraction(&map, 30.0, None);
             println!(
                 "cycle {cycle}: forecast from {provenance}, rain area {:.1}%",
