@@ -18,7 +18,7 @@ use bda_num::{Real, SplitMix64};
 use bda_pawr::RadarNetwork;
 use bda_scale::forcing::TriggerSchedule;
 use bda_scale::model::Boundary;
-use bda_scale::{BaseState, Ensemble, EnsembleHealth, HealthBounds, ModelState, ANALYZED_VARS};
+use bda_scale::{BaseState, Ensemble, EnsembleHealth, ModelState, ANALYZED_VARS};
 
 /// Jitter a trigger schedule for one ensemble member: storms exist in every
 /// member's world, but displaced, re-timed and re-scaled.
@@ -140,7 +140,7 @@ impl<T: Real> Assimilator<T> {
     pub fn forecast(&self, ensemble: &mut Ensemble<T>, dt: f64) -> EnsembleHealth {
         let results =
             ensemble.forecast_members(&self.cfg.model, &self.base, dt, |_| Boundary::BaseState);
-        ensemble.health_scan(&results, &HealthBounds::default())
+        ensemble.health_scan(&results)
     }
 
     /// Assimilate `volume` into the surviving members of `health`, with the

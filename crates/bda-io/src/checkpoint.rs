@@ -7,11 +7,12 @@
 //! RNG stream state, the index of the next cycle, and the supervisor's
 //! per-cycle outcome log. Byte layout: DESIGN.md, "Sealed frames".
 //!
-//! Durability: [`write_checkpoint`] writes to a temporary file in the same
-//! directory, fsyncs it, then atomically renames it into place (and fsyncs
-//! the directory on Unix). A `kill -9` at any instant leaves either the old
-//! checkpoint, the new one, or a temp file that [`latest_checkpoint`]
-//! ignores — never a half-written snapshot that validates.
+//! Durability: [`write_checkpoint_scoped`] goes through [`write_atomic`]
+//! (a temporary file in the same directory, fsynced, then atomically
+//! renamed into place) and then fsyncs the directory on Unix. A `kill -9`
+//! at any instant leaves either the old checkpoint, the new one, or a temp
+//! file that [`latest_checkpoint_scoped`] ignores — never a half-written
+//! snapshot that validates.
 
 use crate::format::{get_members, members_bytes, put_members, FormatError};
 use crate::frame::{self, FrameError, Kind};
@@ -195,11 +196,6 @@ pub fn decode_snapshot<T: Real>(data: &[u8]) -> Result<CampaignSnapshot<T>, Chec
     })
 }
 
-/// Canonical file name for a snapshot taken before cycle `next_cycle`.
-pub fn checkpoint_file_name(next_cycle: u64) -> String {
-    format!("{CKPT_PREFIX}{next_cycle:06}{CKPT_SUFFIX}")
-}
-
 /// A scope tag usable in checkpoint file names: non-empty ASCII
 /// alphanumerics (shard ids like `s003`). Anything else — separators,
 /// dots, empty strings — could collide with the name grammar itself.
@@ -207,9 +203,9 @@ pub fn valid_scope(scope: &str) -> bool {
     !scope.is_empty() && scope.bytes().all(|b| b.is_ascii_alphanumeric())
 }
 
-/// File name for a snapshot owned by `scope` (e.g. shard `s003`):
-/// `ckpt-s003-000042.bdac`. `None` yields the unscoped
-/// [`checkpoint_file_name`]. Scoped and unscoped names never collide:
+/// File name for a snapshot taken before cycle `next_cycle`, owned by
+/// `scope` (e.g. shard `s003`): `ckpt-s003-000042.bdac`, or the unscoped
+/// `ckpt-000042.bdac` for `None`. Scoped and unscoped names never collide:
 /// the unscoped scan requires an all-digit stem, the scoped scan requires
 /// its exact `scope-` prefix.
 pub fn checkpoint_file_name_scoped(scope: Option<&str>, next_cycle: u64) -> String {
@@ -218,23 +214,30 @@ pub fn checkpoint_file_name_scoped(scope: Option<&str>, next_cycle: u64) -> Stri
             assert!(valid_scope(tag), "invalid checkpoint scope `{tag}`");
             format!("{CKPT_PREFIX}{tag}-{next_cycle:06}{CKPT_SUFFIX}")
         }
-        None => checkpoint_file_name(next_cycle),
+        None => format!("{CKPT_PREFIX}{next_cycle:06}{CKPT_SUFFIX}"),
     }
 }
 
-/// Atomically persist a snapshot under `dir` (created if missing).
-///
-/// Write-temp + fsync + rename (+ directory fsync on Unix): a crash at any
-/// point leaves either no new file or a complete one that validates.
-pub fn write_checkpoint<T: Real>(
-    dir: &Path,
-    snap: &CampaignSnapshot<T>,
-) -> Result<PathBuf, CheckpointError> {
-    write_checkpoint_scoped(dir, None, snap)
+/// Write `bytes` to `dir/name` atomically: a temp file in the same
+/// directory, fsynced, then renamed into place, so a reader never observes
+/// a half-written file and a crash leaves the old file, the new one or a
+/// `.tmp-` leftover. The directory itself is not fsynced; a caller whose
+/// rename must survive power loss does that at its own call site.
+pub fn write_atomic(dir: &Path, name: &str, bytes: &[u8]) -> std::io::Result<PathBuf> {
+    let tmp_path = dir.join(format!("{TMP_PREFIX}{name}"));
+    {
+        let mut f = std::fs::File::create(&tmp_path)?;
+        std::io::Write::write_all(&mut f, bytes)?;
+        f.sync_all()?;
+    }
+    let final_path = dir.join(name);
+    std::fs::rename(&tmp_path, &final_path)?;
+    Ok(final_path)
 }
 
-/// [`write_checkpoint`] under a scope tag, for co-located per-shard
-/// checkpoint files that must never cross-resume.
+/// Atomically persist a snapshot under `dir` (created if missing), under
+/// a scope tag for co-located per-shard checkpoint files that must never
+/// cross-resume.
 pub fn write_checkpoint_scoped<T: Real>(
     dir: &Path,
     scope: Option<&str>,
@@ -242,15 +245,11 @@ pub fn write_checkpoint_scoped<T: Real>(
 ) -> Result<PathBuf, CheckpointError> {
     std::fs::create_dir_all(dir)?;
     let bytes = encode_snapshot(snap)?;
-    let final_name = checkpoint_file_name_scoped(scope, snap.next_cycle);
-    let tmp_path = dir.join(format!("{TMP_PREFIX}{final_name}"));
-    let final_path = dir.join(final_name);
-    {
-        let mut f = std::fs::File::create(&tmp_path)?;
-        std::io::Write::write_all(&mut f, &bytes)?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp_path, &final_path)?;
+    let final_path = write_atomic(
+        dir,
+        &checkpoint_file_name_scoped(scope, snap.next_cycle),
+        &bytes,
+    )?;
     #[cfg(unix)]
     {
         if let Ok(d) = std::fs::File::open(dir) {
@@ -266,31 +265,21 @@ pub fn read_checkpoint<T: Real>(path: &Path) -> Result<CampaignSnapshot<T>, Chec
     decode_snapshot(&data)
 }
 
-/// Find the newest *valid* checkpoint in `dir`: candidates are scanned
-/// newest-first (by cycle index in the file name) and the first one that
-/// opens and decodes wins. Temp files and corrupt, truncated or version-1
-/// snapshots are skipped, so a crash mid-write falls back to the previous
-/// checkpoint instead of failing the resume.
-pub fn latest_checkpoint<T: Real>(
-    dir: &Path,
-) -> Result<Option<(PathBuf, CampaignSnapshot<T>)>, CheckpointError> {
-    latest_checkpoint_scoped(dir, None)
-}
-
-/// [`latest_checkpoint`] restricted to one scope tag. With `Some("s003")`
-/// only `ckpt-s003-NNNNNN.bdac` files are candidates; with `None` only the
-/// unscoped `ckpt-NNNNNN.bdac` names match — so shards sharing a directory
-/// can never resume from each other's (or the campaign driver's) snapshots.
-pub fn latest_checkpoint_scoped<T: Real>(
+/// Every checkpoint file name of one scope in `dir`, newest first by the
+/// cycle index in the name. With `Some("s003")` only
+/// `ckpt-s003-NNNNNN.bdac` files count; with `None` only the unscoped
+/// `ckpt-NNNNNN.bdac` names do — so shards sharing a directory never see
+/// each other's (or an unscoped run's) snapshots.
+fn scoped_candidates(
     dir: &Path,
     scope: Option<&str>,
-) -> Result<Option<(PathBuf, CampaignSnapshot<T>)>, CheckpointError> {
+) -> Result<Vec<(u64, PathBuf)>, CheckpointError> {
     if let Some(tag) = scope {
         assert!(valid_scope(tag), "invalid checkpoint scope `{tag}`");
     }
     let entries = match std::fs::read_dir(dir) {
         Ok(e) => e,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
         Err(e) => return Err(e.into()),
     };
     let mut candidates: Vec<(u64, PathBuf)> = Vec::new();
@@ -320,12 +309,42 @@ pub fn latest_checkpoint_scoped<T: Real>(
         }
     }
     candidates.sort_by_key(|c| std::cmp::Reverse(c.0));
-    for (_, path) in candidates {
+    Ok(candidates)
+}
+
+/// Find the newest *valid* checkpoint of one scope in `dir`: candidates
+/// are scanned newest-first (by cycle index in the file name) and the
+/// first one that opens and decodes wins. Temp files and corrupt,
+/// truncated or version-1 snapshots are skipped, so a crash mid-write
+/// falls back to the previous checkpoint instead of failing the resume.
+pub fn latest_checkpoint_scoped<T: Real>(
+    dir: &Path,
+    scope: Option<&str>,
+) -> Result<Option<(PathBuf, CampaignSnapshot<T>)>, CheckpointError> {
+    for (_, path) in scoped_candidates(dir, scope)? {
         if let Ok(snap) = read_checkpoint::<T>(&path) {
             return Ok(Some((path, snap)));
         }
     }
     Ok(None)
+}
+
+/// Delete all but the newest `keep` checkpoints of one scope in `dir`, so
+/// a cycling campaign's spool stays bounded while
+/// [`latest_checkpoint_scoped`] can still fall back past a torn newest
+/// file. A file that is already gone counts as deleted.
+pub fn prune_checkpoints_scoped(
+    dir: &Path,
+    scope: Option<&str>,
+    keep: usize,
+) -> Result<(), CheckpointError> {
+    for (_, path) in scoped_candidates(dir, scope)?.into_iter().skip(keep) {
+        match std::fs::remove_file(&path) {
+            Err(e) if e.kind() != std::io::ErrorKind::NotFound => return Err(e.into()),
+            _ => {}
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -385,7 +404,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("bda-ckpt-v1-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        let v1 = dir.join(checkpoint_file_name(8));
+        let v1 = dir.join(checkpoint_file_name_scoped(None, 8));
         std::fs::write(&v1, V1_FILE).unwrap();
         let err = read_checkpoint::<f32>(&v1).unwrap_err();
         assert!(matches!(
@@ -394,10 +413,14 @@ mod tests {
         ));
         assert_eq!(err.to_string(), "checkpoint: unsupported version 1");
         // Alone in its directory it is no candidate at all...
-        assert!(latest_checkpoint::<f32>(&dir).unwrap().is_none());
+        assert!(latest_checkpoint_scoped::<f32>(&dir, None)
+            .unwrap()
+            .is_none());
         // ...and an older file this reader speaks wins over it.
-        let p3 = write_checkpoint(&dir, &sample()).unwrap();
-        let (path, found) = latest_checkpoint::<f32>(&dir).unwrap().unwrap();
+        let p3 = write_checkpoint_scoped(&dir, None, &sample()).unwrap();
+        let (path, found) = latest_checkpoint_scoped::<f32>(&dir, None)
+            .unwrap()
+            .unwrap();
         assert_eq!(path, p3);
         assert_eq!(found, sample());
         let _ = std::fs::remove_dir_all(&dir);
@@ -474,16 +497,18 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("bda-ckpt-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let mut snap = sample();
-        write_checkpoint(&dir, &snap).unwrap();
+        write_checkpoint_scoped(&dir, None, &snap).unwrap();
         snap.next_cycle = 7;
         snap.time = 210.0;
-        let p7 = write_checkpoint(&dir, &snap).unwrap();
+        let p7 = write_checkpoint_scoped(&dir, None, &snap).unwrap();
         // A corrupt newer file must be skipped.
-        let p9 = dir.join(checkpoint_file_name(9));
+        let p9 = dir.join(checkpoint_file_name_scoped(None, 9));
         std::fs::write(&p9, b"garbage").unwrap();
         // Leftover temp files are ignored.
         std::fs::write(dir.join(".tmp-ckpt-000011.bdac"), b"partial").unwrap();
-        let (path, found) = latest_checkpoint::<f32>(&dir).unwrap().unwrap();
+        let (path, found) = latest_checkpoint_scoped::<f32>(&dir, None)
+            .unwrap()
+            .unwrap();
         assert_eq!(path, p7);
         assert_eq!(found, snap);
         let _ = std::fs::remove_dir_all(&dir);
@@ -513,7 +538,9 @@ mod tests {
             .unwrap();
         assert_eq!(s1.next_cycle, 9);
         // The unscoped scan sees neither shard's files...
-        assert!(latest_checkpoint::<f32>(&dir).unwrap().is_none());
+        assert!(latest_checkpoint_scoped::<f32>(&dir, None)
+            .unwrap()
+            .is_none());
         // ...an unknown scope sees nothing...
         assert!(latest_checkpoint_scoped::<f32>(&dir, Some("s002"))
             .unwrap()
@@ -526,12 +553,14 @@ mod tests {
         // An unscoped snapshot with a *newer* cycle index must not shadow
         // the scoped scan either.
         snap.next_cycle = 42;
-        write_checkpoint(&dir, &snap).unwrap();
+        write_checkpoint_scoped(&dir, None, &snap).unwrap();
         let (_, s0b) = latest_checkpoint_scoped::<f32>(&dir, Some("s000"))
             .unwrap()
             .unwrap();
         assert_eq!(s0b.next_cycle, 5);
-        let (_, su) = latest_checkpoint::<f32>(&dir).unwrap().unwrap();
+        let (_, su) = latest_checkpoint_scoped::<f32>(&dir, None)
+            .unwrap()
+            .unwrap();
         assert_eq!(su.next_cycle, 42);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -549,7 +578,9 @@ mod tests {
     #[test]
     fn latest_on_missing_dir_is_none() {
         let dir = std::env::temp_dir().join("bda-ckpt-definitely-missing");
-        assert!(latest_checkpoint::<f32>(&dir).unwrap().is_none());
+        assert!(latest_checkpoint_scoped::<f32>(&dir, None)
+            .unwrap()
+            .is_none());
     }
 
     #[test]

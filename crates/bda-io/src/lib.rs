@@ -13,9 +13,10 @@
 //! * [`transport::MemoryTransport`] — the BDA pattern: states move by RAM
 //!   copy through an in-process queue, no filesystem involved.
 //!
-//! `bda-bench`'s `ablation_io_path` measures the contrast; the workflow
-//! crate takes the transport as a parameter so the full cycle can run in
-//! either mode.
+//! `bda-bench`'s `ablation_io_path` bench measures the contrast. It and
+//! the tests (this crate's and the workspace's `codec_transport_roundtrip`)
+//! are the only users of [`EnsembleTransport`]: no cycle driver takes a
+//! transport parameter.
 //!
 //! [`mod@frame`] is the one sealed-frame envelope (magic, version, body,
 //! FNV-1a trailer) under every `BDA?` byte format in the workspace —
@@ -32,9 +33,9 @@ pub mod frame;
 pub mod transport;
 
 pub use checkpoint::{
-    checkpoint_file_name_scoped, latest_checkpoint, latest_checkpoint_scoped, read_checkpoint,
-    valid_scope, write_checkpoint, write_checkpoint_scoped, CampaignSnapshot, CheckpointError,
-    OutcomeRecord,
+    checkpoint_file_name_scoped, latest_checkpoint_scoped, prune_checkpoints_scoped,
+    read_checkpoint, valid_scope, write_atomic, write_checkpoint_scoped, CampaignSnapshot,
+    CheckpointError, OutcomeRecord,
 };
 pub use format::{decode_states, encode_states};
 pub use transport::{EnsembleTransport, FileTransport, MemoryTransport};

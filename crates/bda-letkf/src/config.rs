@@ -1,6 +1,5 @@
 //! LETKF configuration — defaults reproduce Table 2 of the paper.
 
-use crate::obs::QcConfig;
 use serde::{Deserialize, Serialize};
 
 /// Experimental settings of the LETKF (paper Table 2).
@@ -29,9 +28,6 @@ pub struct LetkfConfig {
     /// Multiplicative background inflation (1 = none; RTPP is the paper's
     /// inflation mechanism).
     pub infl_mult: f64,
-    /// Multi-stage observation QC settings ([`crate::obs::QcPipeline`]):
-    /// physical bounds and ensemble-background departure thresholds.
-    pub qc: QcConfig,
 }
 
 impl Default for LetkfConfig {
@@ -57,7 +53,6 @@ impl LetkfConfig {
             loc_vertical: 2000.0,
             rtpp: 0.95,
             infl_mult: 1.0,
-            qc: QcConfig::default(),
         }
     }
 
@@ -86,7 +81,6 @@ impl LetkfConfig {
         assert!((0.0..=1.0).contains(&self.rtpp), "rtpp must be in [0,1]");
         assert!(self.infl_mult >= 1.0);
         assert!(self.max_obs_per_grid > 0);
-        self.qc.validate();
     }
 }
 
@@ -109,7 +103,6 @@ mod tests {
         assert_eq!(c.loc_horizontal, 2000.0);
         assert_eq!(c.loc_vertical, 2000.0);
         assert_eq!(c.rtpp, 0.95);
-        assert_eq!(c.qc, QcConfig::default());
         c.validate();
     }
 

@@ -47,6 +47,5 @@ pub use driver::{
 pub use ensmatrix::{EnsembleMatrix, StateLayout};
 pub use localization::LocalizationError;
 pub use obs::{
-    gross_error_check, KindCounts, ObsEnsemble, ObsKind, Observation, QcConfig, QcPipeline,
-    QcReport,
+    gross_error_check, KindCounts, ObsEnsemble, ObsKind, Observation, QcPipeline, QcReport,
 };

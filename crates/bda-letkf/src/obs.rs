@@ -100,52 +100,30 @@ impl<T: Real> ObsEnsemble<T> {
     }
 }
 
-/// Physical-bounds and departure-check settings for [`QcPipeline`].
-///
-/// The bounds are ingest sanity limits per [`ObsKind`] — far wider than the
-/// radar can produce, so anything outside them is corrupted data, not
-/// unusual weather. The `departure_k_*` multipliers drive the
-/// ensemble-background departure check: reject observation `y` when
-/// `|y − mean(H(x))| > k · sqrt(σ_o² + σ_b²)`, with `σ_b²` the ensemble
-/// variance of the model equivalents.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct QcConfig {
-    /// Reflectivity physical bounds, dBZ.
-    pub dbz_min: f64,
-    pub dbz_max: f64,
-    /// Doppler velocity magnitude ceiling, m/s.
-    pub doppler_abs_max: f64,
-    /// Observation error SD ceiling (both kinds share it; the SD also must
-    /// be finite and strictly positive).
-    pub error_sd_max: f64,
-    /// Departure-check multiplier for reflectivity.
-    pub departure_k_reflectivity: f64,
-    /// Departure-check multiplier for Doppler velocity.
-    pub departure_k_doppler: f64,
-}
+// Ingest sanity limits per [`ObsKind`], shared by the volume decoder
+// (`bda_pawr::codec::ValueBounds`) and stage 1 of [`QcPipeline`]: far
+// wider than the radar can produce, so anything outside them is corrupted
+// data, not unusual weather.
 
-impl Default for QcConfig {
-    fn default() -> Self {
-        Self {
-            dbz_min: -60.0,
-            dbz_max: 100.0,
-            doppler_abs_max: 150.0,
-            error_sd_max: 1.0e3,
-            departure_k_reflectivity: 3.0,
-            departure_k_doppler: 3.0,
-        }
-    }
-}
+/// Lowest plausible reflectivity, dBZ.
+pub const DBZ_MIN: f64 = -60.0;
+/// Highest plausible reflectivity, dBZ.
+pub const DBZ_MAX: f64 = 100.0;
+/// Doppler velocity magnitude ceiling, m/s.
+pub const DOPPLER_ABS_MAX: f64 = 150.0;
+/// Observation error SD ceiling (both kinds share it; the SD also must be
+/// finite and strictly positive).
+pub const ERROR_SD_MAX: f64 = 1.0e3;
 
-impl QcConfig {
-    pub fn validate(&self) {
-        assert!(self.dbz_max > self.dbz_min);
-        assert!(self.doppler_abs_max > 0.0);
-        assert!(self.error_sd_max > 0.0);
-        assert!(self.departure_k_reflectivity > 0.0);
-        assert!(self.departure_k_doppler > 0.0);
-    }
-}
+// Multipliers of the ensemble-background departure check (stage 3 of
+// [`QcPipeline`]): reject observation `y` when
+// `|y − mean(H(x))| > k · sqrt(σ_o² + σ_b²)`, with `σ_b²` the ensemble
+// variance of the model equivalents.
+
+/// Departure-check multiplier for reflectivity.
+pub const DEPARTURE_K_REFLECTIVITY: f64 = 3.0;
+/// Departure-check multiplier for Doppler velocity.
+pub const DEPARTURE_K_DOPPLER: f64 = 3.0;
 
 /// Result of the gross-error check.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -219,7 +197,7 @@ pub struct QcReport {
     /// Observations presented to the pipeline.
     pub total: usize,
     /// Stage 1 — gross: non-finite value/SD/equivalents or outside the
-    /// physical bounds of [`QcConfig`].
+    /// ingest limits ([`DBZ_MIN`] … [`ERROR_SD_MAX`]).
     pub rejected_gross: KindCounts,
     /// Stage 2 — innovation: `|y − mean(H(x))|` beyond the fixed Table-2
     /// gross-error thresholds.
@@ -293,7 +271,6 @@ impl<'a> QcPipeline<'a> {
     /// Run all stages; returns the surviving ensemble and the report.
     #[allow(clippy::needless_range_loop)]
     pub fn run<T: Real>(&self, ens: &ObsEnsemble<T>) -> (ObsEnsemble<T>, QcReport) {
-        let qc = &self.cfg.qc;
         let k = ens.ensemble_size();
         let mut keep = vec![true; ens.len()];
         let mut report = QcReport {
@@ -307,14 +284,14 @@ impl<'a> QcPipeline<'a> {
 
             // Stage 1: gross structural / physical-bounds checks.
             let in_bounds = match o.kind {
-                ObsKind::Reflectivity => (qc.dbz_min..=qc.dbz_max).contains(&value),
-                ObsKind::DopplerVelocity => value.abs() <= qc.doppler_abs_max,
+                ObsKind::Reflectivity => (DBZ_MIN..=DBZ_MAX).contains(&value),
+                ObsKind::DopplerVelocity => value.abs() <= DOPPLER_ABS_MAX,
             };
             let structurally_ok = value.is_finite()
                 && in_bounds
                 && sd.is_finite()
                 && sd > 0.0
-                && sd <= qc.error_sd_max
+                && sd <= ERROR_SD_MAX
                 && o.x.is_finite()
                 && o.y.is_finite()
                 && o.z.is_finite()
@@ -352,8 +329,8 @@ impl<'a> QcPipeline<'a> {
                 0.0
             };
             let kf = match o.kind {
-                ObsKind::Reflectivity => qc.departure_k_reflectivity,
-                ObsKind::DopplerVelocity => qc.departure_k_doppler,
+                ObsKind::Reflectivity => DEPARTURE_K_REFLECTIVITY,
+                ObsKind::DopplerVelocity => DEPARTURE_K_DOPPLER,
             };
             if departure > kf * (sd * sd + var_b).sqrt() {
                 keep[i] = false;

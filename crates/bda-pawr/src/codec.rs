@@ -21,7 +21,7 @@
 //!   torn or partially poisoned volume instead of discarding it whole.
 
 use crate::scan::ScanResult;
-use bda_letkf::{ObsKind, Observation};
+use bda_letkf::{obs, ObsKind, Observation};
 use bda_num::{fnv1a, Real};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -45,30 +45,32 @@ pub const MAX_RECORDS: u64 = 1 << 26;
 /// These are ingest sanity limits, intentionally far wider than anything the
 /// radar can produce (MP-PAWR reflectivity saturates well below 80 dBZ and
 /// the Nyquist velocity is tens of m/s); anything outside them is garbage
-/// bytes, not weather. Fine-grained screening happens later in the
-/// observation QC pipeline.
+/// bytes, not weather. The value and error-SD limits are the observation
+/// QC's own ([`bda_letkf::obs::DBZ_MIN`] and its siblings), so the decoder
+/// and QC stage 1 cannot drift apart; fine-grained screening happens later
+/// in the observation QC pipeline.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ValueBounds {
-    pub dbz_min: f64,
-    pub dbz_max: f64,
-    pub doppler_abs_max: f64,
+    dbz_min: f64,
+    dbz_max: f64,
+    doppler_abs_max: f64,
     /// Horizontal coordinate magnitude ceiling, m.
-    pub coord_abs_max: f64,
-    pub z_min: f64,
-    pub z_max: f64,
-    pub error_sd_max: f64,
+    coord_abs_max: f64,
+    z_min: f64,
+    z_max: f64,
+    error_sd_max: f64,
 }
 
 impl Default for ValueBounds {
     fn default() -> Self {
         Self {
-            dbz_min: -60.0,
-            dbz_max: 100.0,
-            doppler_abs_max: 150.0,
+            dbz_min: obs::DBZ_MIN,
+            dbz_max: obs::DBZ_MAX,
+            doppler_abs_max: obs::DOPPLER_ABS_MAX,
             coord_abs_max: 1.0e6,
             z_min: -1_000.0,
             z_max: 50_000.0,
-            error_sd_max: 1.0e3,
+            error_sd_max: obs::ERROR_SD_MAX,
         }
     }
 }

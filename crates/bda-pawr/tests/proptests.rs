@@ -1,5 +1,6 @@
 //! Property-based invariants of the radar geometry and codec.
 
+use bda_letkf::obs::{DBZ_MAX, DBZ_MIN, DOPPLER_ABS_MAX};
 use bda_letkf::{ObsKind, Observation};
 use bda_pawr::codec::{decode_volume_salvage, ValueBounds};
 use bda_pawr::fuzz::VolumeMutator;
@@ -197,14 +198,12 @@ proptest! {
         // No catch_unwind needed: a panic fails the test. The property is
         // that both decoders return *something* typed for arbitrary bytes.
         let _ = decode_volume::<f32>(&mutant.bytes);
-        let bounds = ValueBounds::default();
-        if let Ok((vol, report)) = decode_volume_salvage::<f32>(&mutant.bytes, &bounds) {
+        if let Ok((vol, report)) = decode_volume_salvage::<f32>(&mutant.bytes, &ValueBounds::default()) {
             prop_assert!(report.kept <= report.parseable);
             for o in &vol.obs {
                 let v = o.value as f64;
                 prop_assert!(v.is_finite());
-                prop_assert!((bounds.dbz_min..=bounds.dbz_max).contains(&v)
-                    || v.abs() <= bounds.doppler_abs_max);
+                prop_assert!((DBZ_MIN..=DBZ_MAX).contains(&v) || v.abs() <= DOPPLER_ABS_MAX);
             }
         }
     }

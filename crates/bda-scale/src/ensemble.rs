@@ -70,31 +70,18 @@ pub enum MemberHealth {
     Dead,
 }
 
-/// Physical-plausibility bounds for the member health scan. Values are
-/// deliberately generous: they flag states that are numerically alive but
-/// meteorologically absurd (a 150 m/s updraft), not marginal ones.
-#[derive(Clone, Copy, Debug)]
-pub struct HealthBounds {
-    /// |u|, |v| ceiling, m/s.
-    pub max_horizontal_wind: f64,
-    /// |w| ceiling, m/s.
-    pub max_w: f64,
-    /// |theta'| ceiling, K.
-    pub max_theta_pert: f64,
-    /// Mixing-ratio ceiling for all water species, kg/kg.
-    pub max_moisture: f64,
-}
+// Physical-plausibility bounds for the member health scan. Values are
+// deliberately generous: they flag states that are numerically alive but
+// meteorologically absurd (a 150 m/s updraft), not marginal ones.
 
-impl Default for HealthBounds {
-    fn default() -> Self {
-        Self {
-            max_horizontal_wind: 150.0,
-            max_w: 100.0,
-            max_theta_pert: 60.0,
-            max_moisture: 0.1,
-        }
-    }
-}
+/// |u|, |v| ceiling of a healthy member, m/s.
+const MAX_HORIZONTAL_WIND: f64 = 150.0;
+/// |w| ceiling of a healthy member, m/s.
+const MAX_W: f64 = 100.0;
+/// |theta'| ceiling of a healthy member, K.
+const MAX_THETA_PERT: f64 = 60.0;
+/// Mixing-ratio ceiling of a healthy member for all water species, kg/kg.
+const MAX_MOISTURE: f64 = 0.1;
 
 /// Result of scanning every member after a forecast step.
 #[derive(Clone, Debug)]
@@ -320,11 +307,7 @@ impl<T: Real> Ensemble<T> {
     /// physical bounds; Healthy otherwise. The scan is one pass per field
     /// (`Field3::interior_finite_max_abs`) and runs in parallel over
     /// members, so it is cheap relative to the forecast itself.
-    pub fn health_scan(
-        &self,
-        results: &[Result<(), MemberError>],
-        bounds: &HealthBounds,
-    ) -> EnsembleHealth {
+    pub fn health_scan(&self, results: &[Result<(), MemberError>]) -> EnsembleHealth {
         assert_eq!(results.len(), self.members.len());
         let verdicts: Vec<(MemberHealth, Option<MemberError>)> = self
             .members
@@ -346,10 +329,10 @@ impl<T: Real> Ensemble<T> {
                         Some(v) => v.f64(),
                     };
                     let bound = match var {
-                        PrognosticVar::U | PrognosticVar::V => Some(bounds.max_horizontal_wind),
-                        PrognosticVar::W => Some(bounds.max_w),
-                        PrognosticVar::Theta => Some(bounds.max_theta_pert),
-                        v if v.is_moisture() => Some(bounds.max_moisture),
+                        PrognosticVar::U | PrognosticVar::V => Some(MAX_HORIZONTAL_WIND),
+                        PrognosticVar::W => Some(MAX_W),
+                        PrognosticVar::Theta => Some(MAX_THETA_PERT),
+                        v if v.is_moisture() => Some(MAX_MOISTURE),
                         _ => None, // Pi / TKE: finiteness only
                     };
                     if suspect.is_none() {
@@ -529,7 +512,7 @@ mod tests {
         let mut ens = Ensemble::from_perturbations(&init, &cfg, 4, 4, 0.3, 5e-5);
         ens.inject_nan(2);
         let results = vec![Ok(()); 4];
-        let health = ens.health_scan(&results, &HealthBounds::default());
+        let health = ens.health_scan(&results);
         assert_eq!(health.status[2], MemberHealth::Dead);
         assert_eq!(health.dead(), vec![2]);
         assert_eq!(health.alive(), vec![0, 1, 3]);
@@ -551,7 +534,7 @@ mod tests {
         let mut ens = Ensemble::from_perturbations(&init, &cfg, 3, 4, 0.3, 5e-5);
         ens.members[1].w.set(1, 1, 1, 500.0); // finite but unphysical
         let results = vec![Ok(()); 3];
-        let health = ens.health_scan(&results, &HealthBounds::default());
+        let health = ens.health_scan(&results);
         assert_eq!(health.status[1], MemberHealth::Suspect(PrognosticVar::W));
         // Suspect members still count as alive (assimilation pulls them back).
         assert_eq!(health.n_alive(), 3);
@@ -578,7 +561,7 @@ mod tests {
         // typed error, not a process abort.
         assert_eq!(results[1].unwrap_err().member(), 1);
         assert!(results[2].is_ok());
-        let health = ens.health_scan(&results, &HealthBounds::default());
+        let health = ens.health_scan(&results);
         assert_eq!(health.dead(), vec![1]);
     }
 

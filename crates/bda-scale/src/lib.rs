@@ -48,6 +48,6 @@ pub mod turbulence;
 
 pub use base::BaseState;
 pub use config::{ModelConfig, PhysicsSwitches};
-pub use ensemble::{Ensemble, EnsembleHealth, HealthBounds, MemberError, MemberHealth};
+pub use ensemble::{Ensemble, EnsembleHealth, MemberError, MemberHealth};
 pub use model::Model;
 pub use state::{ModelState, PrognosticVar, ANALYZED_VARS};

@@ -46,6 +46,12 @@ pub const FRESH_JOIN: u64 = u64::MAX;
 /// Server → client message header: sequence number + frame length.
 pub const MSG_HEADER_BYTES: usize = 8 + 4;
 
+/// Handshake completion deadline; a connector silent past this is dropped
+/// without ever reaching the subscriber list.
+const HANDSHAKE_TIMEOUT: Duration = Duration::from_millis(250);
+/// Tile cache budget in bytes (snapshot-plus-delta catch-up window).
+const CACHE_BYTES: usize = 4 << 20;
+
 /// Server tuning knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct ServeConfig {
@@ -56,11 +62,6 @@ pub struct ServeConfig {
     /// backstop evicts. Must exceed one cycle's frame count plus a
     /// round-trip, or healthy clients get culled.
     pub ack_lag: u64,
-    /// Handshake completion deadline; a connector silent past this is
-    /// dropped without ever reaching the subscriber list.
-    pub handshake_timeout: Duration,
-    /// Tile cache budget in bytes (snapshot-plus-delta catch-up window).
-    pub cache_bytes: usize,
 }
 
 impl Default for ServeConfig {
@@ -69,8 +70,6 @@ impl Default for ServeConfig {
             tile: TileConfig::default(),
             queue_frames: 512,
             ack_lag: 64,
-            handshake_timeout: Duration::from_millis(250),
-            cache_bytes: 4 << 20,
         }
     }
 }
@@ -398,14 +397,13 @@ impl NowcastServer {
         });
         let acceptor = {
             let shared = Arc::clone(&shared);
-            let timeout = cfg.handshake_timeout;
             std::thread::Builder::new()
                 .name("bda-serve-acceptor".into())
-                .spawn(move || accept_loop(&listener, &shared, timeout))?
+                .spawn(move || accept_loop(&listener, &shared))?
         };
         Ok(Self {
             tiler: Tiler::new(cfg.tile),
-            cache: TileCache::new(cfg.cache_bytes),
+            cache: TileCache::new(CACHE_BYTES),
             cfg,
             addr,
             shared,
@@ -586,7 +584,7 @@ impl Drop for NowcastServer {
 
 /// Acceptor thread body: nonblocking accepts plus per-connection
 /// nonblocking handshakes, so one silent connector never delays another.
-fn accept_loop(listener: &TcpListener, shared: &Shared, timeout: Duration) {
+fn accept_loop(listener: &TcpListener, shared: &Shared) {
     struct Inflight {
         stream: Option<TcpStream>,
         buf: [u8; HELLO_BYTES],
@@ -661,7 +659,7 @@ fn accept_loop(listener: &TcpListener, shared: &Shared, timeout: Duration) {
         }
         let mut done = Vec::new();
         for c in &mut inflight {
-            if step(c, &mut done, shared).is_none() && c.since.elapsed() >= timeout
+            if step(c, &mut done, shared).is_none() && c.since.elapsed() >= HANDSHAKE_TIMEOUT
             // bda-check: allow(wallclock) — handshake deadline
             {
                 shared.handshake_failures.fetch_add(1, Ordering::SeqCst);

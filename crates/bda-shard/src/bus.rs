@@ -3,8 +3,10 @@
 //! This is deliberately the *file* flavour of JIT-DT — the paper's
 //! transfer daemon watches for new-file creation and ships whole volumes;
 //! here every shard publishes `halo-c{cycle}-s{shard}.bin` atomically
-//! (tmp + rename, the [`bda_io::checkpoint`] convention) and peers poll
-//! for it. Sequencing discipline comes from the same
+//! ([`bda_io::write_atomic`], the checkpoint's tmp + rename) and peers
+//! poll for it. Each publish deletes the publisher's slot
+//! [`INBOX_KEEP_CYCLES`] + 1 cycles back, so the spool holds a bounded
+//! window of halos. Sequencing discipline comes from the same
 //! [`bda_jitdt::SeqTracker`] the ingest and egress paths use: each
 //! receiver classifies halo cycle numbers per peer, so a replayed halo is
 //! a typed duplicate and a stale one is typed out-of-order instead of
@@ -16,9 +18,9 @@
 //! decide deadlines and quorum.
 
 use crate::msg::{decode_halo, encode_halo, HaloError, HaloFrame};
+use crate::netbus::INBOX_KEEP_CYCLES;
 use bda_num::Real;
 use std::fs;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -116,20 +118,26 @@ impl HaloBus {
     /// convention for its control-plane files (port registry, epoch fence,
     /// link health) in the same directory.
     pub(crate) fn write_atomic(&self, name: &str, bytes: &[u8]) -> std::io::Result<()> {
-        let tmp = self.dir.join(format!(".tmp-{name}"));
-        {
-            let mut f = fs::File::create(&tmp)?;
-            f.write_all(bytes)?;
-            f.sync_all()?;
-        }
-        fs::rename(&tmp, self.dir.join(name))
+        bda_io::write_atomic(&self.dir, name, bytes).map(drop)
     }
 
-    /// Publish a halo frame for its (cycle, shard) slot.
+    /// Publish a halo frame for its (cycle, shard) slot, and delete the
+    /// publisher's slot [`INBOX_KEEP_CYCLES`] + 1 cycles back. Every cycle
+    /// publishes one frame, and a respawn replays at most
+    /// `INBOX_KEEP_CYCLES` cycles (a longer checkpoint interval is refused
+    /// at start), so this keeps exactly the window a replay can collect.
     pub fn publish<T: Real>(&self, frame: &HaloFrame<T>) -> Result<(), String> {
+        let (cycle, shard) = (frame.cycle(), frame.shard());
         let bytes = encode_halo(frame).map_err(|e| format!("encode halo: {e}"))?;
-        self.write_atomic(&halo_name(frame.cycle(), frame.shard()), &bytes)
-            .map_err(|e| format!("publish halo: {e}"))
+        self.write_atomic(&halo_name(cycle, shard), &bytes)
+            .map_err(|e| format!("publish halo: {e}"))?;
+        let Some(old) = cycle.checked_sub(INBOX_KEEP_CYCLES + 1) else {
+            return Ok(());
+        };
+        match fs::remove_file(self.dir.join(halo_name(old, shard))) {
+            Err(e) if e.kind() != std::io::ErrorKind::NotFound => Err(format!("prune halo: {e}")),
+            _ => Ok(()),
+        }
     }
 
     /// Single non-blocking poll of shard `shard`'s slot for `cycle`.
@@ -279,6 +287,7 @@ mod tests {
     use super::*;
     use crate::msg::HaloMsg;
     use bda_io::frame::FrameError;
+    use bda_num::cast;
 
     fn tmp_bus(tag: &str) -> HaloBus {
         let dir = std::env::temp_dir().join(format!("bda-halo-bus-{tag}-{}", std::process::id()));
@@ -360,6 +369,34 @@ mod tests {
         bus.write_record(3, 0, "completed alive 6").unwrap();
         assert!(bus.has_record(3, 0));
         assert_eq!(bus.read_record(3, 0).unwrap(), "completed alive 6");
+    }
+
+    #[test]
+    fn the_spool_keeps_only_the_replay_window() {
+        let bus = tmp_bus("window");
+        let last = INBOX_KEEP_CYCLES + 9;
+        for cycle in 0..=last {
+            bus.publish(&strip(cycle, 0)).unwrap();
+        }
+        assert_eq!(
+            bus.try_collect::<f32>(0, 0),
+            CollectStatus::Missing { peer_dead: false }
+        );
+        assert!(matches!(
+            bus.try_collect::<f32>(last, 0),
+            CollectStatus::Ready(_)
+        ));
+        let halos = fs::read_dir(bus.dir())
+            .unwrap()
+            .filter(|e| {
+                let name = e.as_ref().unwrap().file_name();
+                name.to_string_lossy().starts_with("halo-")
+            })
+            .count();
+        assert!(
+            halos <= cast::index_of_u64(INBOX_KEEP_CYCLES) + 1,
+            "{halos} halo files"
+        );
     }
 
     #[test]

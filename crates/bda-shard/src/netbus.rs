@@ -27,7 +27,7 @@
 //!   replay, partition heal and plain packet loss all share this one
 //!   path, which is why socket federations keep bit-parity across them.
 //! - **Bounded, jittered reconnect.** Outbound links redial through the
-//!   shared [`Backoff`] helper; a link down past `partition_after` turns
+//!   shared [`Backoff`] helper; a link down past `PARTITION_AFTER` turns
 //!   [`LinkHealth::Partitioned`], one that keeps redialing turns
 //!   [`LinkHealth::Flapping`] — published to the control plane for the
 //!   supervisor's quorum arithmetic.
@@ -77,27 +77,30 @@ pub fn epoch_name(shard: usize) -> String {
     format!("epoch-s{shard:03}")
 }
 
-/// Tuning for one shard's socket transport. Defaults suit in-process
-/// tests; the multi-process example stretches the deadlines.
+/// Interval between heartbeats (which double as the reconnect and
+/// link-health clock).
+const HEARTBEAT: Duration = Duration::from_millis(25);
+/// Reconnect backoff base (jittered, see [`Backoff`]).
+const RECONNECT_BASE: Duration = Duration::from_millis(5);
+/// Reconnect backoff cap.
+const RECONNECT_CAP: Duration = Duration::from_millis(160);
+/// Dial timeout for one connection attempt.
+const CONNECT_TIMEOUT: Duration = Duration::from_millis(250);
+/// Socket read timeout — the granularity at which reader threads notice
+/// shutdown.
+const READ_TIMEOUT: Duration = Duration::from_millis(25);
+/// A link down longer than this is `Partitioned`.
+const PARTITION_AFTER: Duration = Duration::from_millis(400);
+/// Reconnect count at which a link turns `Flapping` (sticky).
+const FLAP_RECONNECTS: u64 = 3;
+
+/// Who one shard's socket transport is and how it advertises itself. Its
+/// timing (heartbeat, reconnect backoff, timeouts, the partition and
+/// flapping thresholds) is set by the constants above.
 #[derive(Clone, Debug)]
 pub struct NetBusConfig {
     pub shard: usize,
     pub n_shards: usize,
-    /// Interval between heartbeats (which double as the reconnect and
-    /// link-health clock).
-    pub heartbeat: Duration,
-    /// Reconnect backoff base / cap (jittered, see [`Backoff`]).
-    pub reconnect_base: Duration,
-    pub reconnect_cap: Duration,
-    /// Dial timeout for one connection attempt.
-    pub connect_timeout: Duration,
-    /// Socket read timeout — the granularity at which reader threads
-    /// notice shutdown.
-    pub read_timeout: Duration,
-    /// A link down longer than this is `Partitioned`.
-    pub partition_after: Duration,
-    /// Reconnect count at which a link turns `Flapping` (sticky).
-    pub flap_reconnects: u64,
     /// Seed for reconnect jitter (derived per shard).
     pub seed: u64,
     /// Chaos mode: advertise under [`raw_registry_name`] and leave
@@ -110,13 +113,6 @@ impl NetBusConfig {
         Self {
             shard,
             n_shards,
-            heartbeat: Duration::from_millis(25),
-            reconnect_base: Duration::from_millis(5),
-            reconnect_cap: Duration::from_millis(160),
-            connect_timeout: Duration::from_millis(250),
-            read_timeout: Duration::from_millis(25),
-            partition_after: Duration::from_millis(400),
-            flap_reconnects: 3,
             seed: 0xB0A5_0000 ^ cast::u64_of(shard),
             raw_registry: false,
         }
@@ -154,10 +150,10 @@ struct Link {
 }
 
 impl Link {
-    fn health(&self, partition_after: Duration) -> LinkHealth {
+    fn health(&self) -> LinkHealth {
         if let Some(since) = self.down_since {
             // bda-check: allow(wallclock) — link-health clock.
-            if since.elapsed() >= partition_after {
+            if since.elapsed() >= PARTITION_AFTER {
                 return LinkHealth::Partitioned;
             }
         }
@@ -231,7 +227,7 @@ impl NetBus {
             .map(|peer| {
                 Mutex::new(Link {
                     stream: None,
-                    backoff: Backoff::new(cfg.reconnect_base, cfg.reconnect_cap)
+                    backoff: Backoff::new(RECONNECT_BASE, RECONNECT_CAP)
                         .with_jitter(0.25, cfg.seed ^ cast::u64_of(peer)),
                     next_attempt: None,
                     connects: 0,
@@ -295,7 +291,7 @@ impl NetBus {
     }
 
     /// Whether `shard` is alive but visibly *behind* `cycle` — beacons
-    /// still fresh (within `partition_after`) and its advertised cycle
+    /// still fresh (within `PARTITION_AFTER`) and its advertised cycle
     /// short of the requested one. A lagging peer is a scheduling fact,
     /// not a fault: free-running federations extend their collect past
     /// the nominal deadline for it (a peer stuck in its *own* deadline
@@ -323,21 +319,14 @@ impl NetBus {
         }
         let heard = *self.shared.last_heard[shard].lock();
         // bda-check: allow(wallclock) — peer-liveness clock.
-        heard.is_some_and(|at| at.elapsed() < self.shared.cfg.partition_after)
+        heard.is_some_and(|at| at.elapsed() < PARTITION_AFTER)
     }
 
     /// Per-peer link health (own slot reads `Connected`).
     pub fn link_health(&self) -> Vec<(usize, LinkHealth)> {
         (0..self.shared.cfg.n_shards)
             .filter(|&p| p != self.shared.cfg.shard)
-            .map(|p| {
-                (
-                    p,
-                    self.shared.links[p]
-                        .lock()
-                        .health(self.shared.cfg.partition_after),
-                )
-            })
+            .map(|p| (p, self.shared.links[p].lock().health()))
             .collect()
     }
 }
@@ -390,7 +379,7 @@ fn accept_loop(shared: Arc<Shared>, listener: TcpListener) {
         match listener.accept() {
             Ok((stream, _)) => {
                 let _ = stream.set_nonblocking(false);
-                let _ = stream.set_read_timeout(Some(shared.cfg.read_timeout));
+                let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
                 let _ = stream.set_nodelay(true);
                 let conn_shared = Arc::clone(&shared);
                 let handle = std::thread::spawn(move || reader_loop(conn_shared, stream));
@@ -549,11 +538,11 @@ fn try_dial(shared: &Arc<Shared>, peer: usize, link: &mut Link) -> bool {
         }
     }
     let dial = peer_addr(shared, peer)
-        .and_then(|addr| TcpStream::connect_timeout(&addr, shared.cfg.connect_timeout).ok());
+        .and_then(|addr| TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT).ok());
     let Some(stream) = dial else {
         // A peer we cannot reach is down whether or not we ever held a
         // connection to it — the first failed attempt timestamps the
-        // outage, and `partition_after` later it is typed Partitioned.
+        // outage, and `PARTITION_AFTER` later it is typed Partitioned.
         if link.down_since.is_none() {
             link.down_since = Some(now);
         }
@@ -563,7 +552,7 @@ fn try_dial(shared: &Arc<Shared>, peer: usize, link: &mut Link) -> bool {
         return false;
     };
     let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(shared.cfg.read_timeout));
+    let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
     let hello = encode_msg(&NetMsg::Hello {
         sender: shared.cfg.shard,
         epoch: shared.epoch,
@@ -584,7 +573,7 @@ fn try_dial(shared: &Arc<Shared>, peer: usize, link: &mut Link) -> bool {
         return false;
     }
     link.connects += 1;
-    if link.connects > shared.cfg.flap_reconnects {
+    if link.connects > FLAP_RECONNECTS {
         link.flapping = true;
     }
     {
@@ -618,13 +607,10 @@ fn heartbeat_loop(shared: Arc<Shared>) {
                 continue;
             }
             link_send(&shared, peer, &beat);
-            states.push((
-                peer,
-                shared.links[peer].lock().health(shared.cfg.partition_after),
-            ));
+            states.push((peer, shared.links[peer].lock().health()));
         }
         let _ = shared.ctl.write_link_states(shared.cfg.shard, &states);
-        std::thread::sleep(shared.cfg.heartbeat);
+        std::thread::sleep(HEARTBEAT);
     }
 }
 
@@ -703,7 +689,7 @@ impl HaloTransport for NetBus {
             cycle,
         });
         let mut last_req: Option<Instant> = None;
-        let req_every = poll.max(self.shared.cfg.heartbeat);
+        let req_every = poll.max(HEARTBEAT);
         loop {
             let status = self.try_collect::<T>(cycle, shard);
             let keep_waiting = matches!(status, CollectStatus::Missing { peer_dead: false })

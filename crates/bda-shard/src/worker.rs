@@ -24,9 +24,9 @@
 //! ## Cycle split
 //!
 //! [`ShardWorker::run_cycle_publish`] checkpoints (scoped, checksum-sealed, in
-//! the [`bda_io::checkpoint`] format), applies the plan's member faults
-//! (`nan:M@C`, `blowup:M@C`), runs [`Osse::cycle_begin`] on its strip and
-//! publishes the analyzed strip;
+//! the [`bda_io::checkpoint`] format, keeping the newest two), applies the
+//! plan's member faults (`nan:M@C`, `blowup:M@C`), runs
+//! [`Osse::cycle_begin`] on its strip and publishes the analyzed strip;
 //! [`ShardWorker::run_cycle_collect`] gathers peer strips, steps the
 //! degradation ladder for anything missing, and finishes the cycle. The
 //! ladder, in order:
@@ -42,13 +42,20 @@
 use crate::bus::{CollectStatus, HaloBus, HaloTransport};
 use crate::layout::ShardLayout;
 use crate::msg::{HaloFrame, HaloMsg};
+use crate::netbus::INBOX_KEEP_CYCLES;
 use bda_core::osse::{CycleOutcome, Osse, OsseConfig, PendingCycle};
-use bda_io::checkpoint::{latest_checkpoint_scoped, write_checkpoint_scoped, OutcomeRecord};
+use bda_io::checkpoint::{
+    latest_checkpoint_scoped, prune_checkpoints_scoped, write_checkpoint_scoped, OutcomeRecord,
+};
 use bda_jitdt::{SeqClass, SeqTracker};
 use bda_num::{cast, Real};
 use bda_workflow::{outcome_table, Fault, FaultPlan};
 use std::path::PathBuf;
 use std::time::Duration;
+
+/// Snapshots a worker keeps per scope: the newest, and one to fall back to
+/// if the newest is torn.
+const CHECKPOINTS_KEPT: usize = 2;
 
 /// Everything a shard process needs to run its slice of the federation.
 #[derive(Clone, Debug)]
@@ -65,7 +72,9 @@ pub struct ShardConfig {
     /// Checkpoint directory — deliberately shareable between shards: the
     /// scoped filename grammar keeps co-located shards from cross-resuming.
     pub ckpt_dir: PathBuf,
-    /// Checkpoint at the start of every `checkpoint_every`-th cycle.
+    /// Checkpoint at the start of every `checkpoint_every`-th cycle; at
+    /// most [`INBOX_KEEP_CYCLES`], the window of halos a respawn can
+    /// replay. The newest two snapshots stay on disk.
     pub checkpoint_every: usize,
     /// Shard-level fault schedule (`shardstall`/`halodrop` are modeled at
     /// the sender so both local and multi-process runs are deterministic).
@@ -140,11 +149,18 @@ impl<T: Real, B: HaloTransport> ShardWorker<T, B> {
     /// Build the worker on `bus` and either resume from the newest valid
     /// scoped checkpoint or start fresh (spinning up the system). Returns
     /// `true` when a checkpoint was resumed. A fault plan naming a member
-    /// or shard that does not exist is refused here, before any cycle runs.
+    /// or shard that does not exist, and a checkpoint interval longer than
+    /// [`INBOX_KEEP_CYCLES`], are refused here, before any cycle runs.
     pub fn start_or_resume_on(cfg: ShardConfig, bus: B) -> Result<(Self, bool), String> {
         assert!(cfg.shard < cfg.n_shards, "shard index out of range");
         cfg.plan
             .check_targets(cfg.osse.letkf.ensemble_size, cfg.n_shards)?;
+        if cast::u64_of(cfg.checkpoint_every) > INBOX_KEEP_CYCLES {
+            return Err(format!(
+                "checkpoint_every {} exceeds the {INBOX_KEEP_CYCLES}-cycle halo replay window",
+                cfg.checkpoint_every
+            ));
+        }
         let mut osse = Osse::<T>::new(cfg.osse.clone());
         let slayout = ShardLayout::new(&osse.layout().clone(), cfg.n_shards);
         let scope = ShardConfig::scope_tag(cfg.shard);
@@ -212,6 +228,13 @@ impl<T: Real, B: HaloTransport> ShardWorker<T, B> {
                 .cloned()
                 .collect();
             write_checkpoint_scoped(&self.cfg.ckpt_dir, Some(&self.scope), &snap)
+                .and_then(|_| {
+                    prune_checkpoints_scoped(
+                        &self.cfg.ckpt_dir,
+                        Some(&self.scope),
+                        CHECKPOINTS_KEPT,
+                    )
+                })
                 .map_err(|e| format!("checkpoint: {e}"))?;
         }
 

@@ -362,9 +362,7 @@ fn a_lagging_peer_extends_the_collect_deadline() {
 fn a_dead_peer_turns_the_link_partitioned_on_the_control_plane() {
     let dir = tmp_dir("linkhealth");
     let _ = std::fs::remove_dir_all(&dir);
-    let mut cfg = NetBusConfig::new(0, 2);
-    cfg.partition_after = Duration::from_millis(150);
-    let a = NetBus::start(cfg, &dir).expect("netbus start");
+    let a = NetBus::start(NetBusConfig::new(0, 2), &dir).expect("netbus start");
     let b = bus(&dir, 1);
 
     // Traffic brings the link up.
@@ -381,7 +379,7 @@ fn a_dead_peer_turns_the_link_partitioned_on_the_control_plane() {
         .iter()
         .any(|&(p, h)| p == 1 && h == LinkHealth::Connected));
 
-    // Peer dies; past `partition_after` the link is typed Partitioned —
+    // Peer dies; past `PARTITION_AFTER` the link is typed Partitioned —
     // both on the accessor and on the control-plane file the supervisor
     // reads for quorum.
     drop(b);

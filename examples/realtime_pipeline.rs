@@ -64,8 +64,9 @@ fn run_checkpointed_campaign(
     cfg.ckpt_dir = dir;
     cfg.checkpoint_every = every;
     cfg.plan = plan;
-    // Both ways to fail here are bad arguments: a `--checkpoint-dir` that
-    // cannot be opened, or a plan naming a member that does not exist.
+    // Every way to fail here is a bad argument: a `--checkpoint-dir` that
+    // cannot be opened, a plan naming a member that does not exist, or an
+    // `--every` longer than the halo replay window.
     let started = HaloBus::new(&cfg.bus_dir)
         .map_err(|e| format!("open {}: {e}", cfg.bus_dir.display()))
         .and_then(|bus| ShardWorker::<f32>::start_or_resume_on(cfg, bus));

@@ -13,12 +13,12 @@ use bda::jitdt::Bytes;
 use bda::letkf::{ObsKind, Observation};
 use bda::pawr::codec::{decode_volume, encode_volume};
 use bda::pawr::scan::ScanResult;
+use bda::workflow::supervisor::MAX_RESTARTS;
 use bda::workflow::{
     CycleDisposition, CycleSupervisor, DegradedMode, FaultPlan, FaultRates, ForecastInput,
     StageError, SupervisorReport,
 };
 use std::sync::mpsc;
-use std::time::Duration;
 
 /// A small synthetic volume whose mean reflectivity encodes the cycle
 /// number, so the analysis product is checkable downstream.
@@ -94,9 +94,6 @@ fn run_supervised(
 
 fn supervisor_with(faults: FaultPlan) -> CycleSupervisor {
     CycleSupervisor {
-        stall_timeout: Duration::from_millis(40),
-        max_restarts: 3,
-        backoff_base: Duration::from_millis(2),
         faults,
         ..CycleSupervisor::default()
     }
@@ -180,7 +177,7 @@ fn exhausted_transfer_budget_becomes_a_degraded_cycle() {
         CycleDisposition::Degraded {
             cause: StageError::TransferTimeout { attempts },
             ..
-        } => assert_eq!(*attempts, sup.max_restarts + 1),
+        } => assert_eq!(*attempts, MAX_RESTARTS + 1),
         other => panic!("exhausted retries should degrade, got {other:?}"),
     }
     assert!(report.cycles[1].disposition.delivered_forecast());

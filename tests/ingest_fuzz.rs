@@ -14,6 +14,7 @@
 //!
 //! Every case is replayable from `(SEED, case index)` alone.
 
+use bda::letkf::obs::{DBZ_MAX, DBZ_MIN, DOPPLER_ABS_MAX, ERROR_SD_MAX};
 use bda::letkf::{LetkfConfig, ObsEnsemble, ObsKind, Observation, QcPipeline};
 use bda::num::SplitMix64;
 use bda::pawr::codec::{decode_volume, decode_volume_salvage, encode_volume, ValueBounds};
@@ -51,17 +52,17 @@ fn clean_volume() -> Vec<u8> {
     encode_volume(&scan).to_vec()
 }
 
-fn assert_obs_in_bounds(obs: &[Observation<f32>], b: &ValueBounds, ctx: &str) {
+fn assert_obs_in_bounds(obs: &[Observation<f32>], ctx: &str) {
     for (i, o) in obs.iter().enumerate() {
         let v = o.value as f64;
         assert!(v.is_finite(), "{ctx}: obs {i} non-finite value");
         match o.kind {
             ObsKind::Reflectivity => assert!(
-                (b.dbz_min..=b.dbz_max).contains(&v),
+                (DBZ_MIN..=DBZ_MAX).contains(&v),
                 "{ctx}: obs {i} reflectivity {v} out of bounds"
             ),
             ObsKind::DopplerVelocity => assert!(
-                v.abs() <= b.doppler_abs_max,
+                v.abs() <= DOPPLER_ABS_MAX,
                 "{ctx}: obs {i} doppler {v} out of bounds"
             ),
         }
@@ -71,7 +72,7 @@ fn assert_obs_in_bounds(obs: &[Observation<f32>], b: &ValueBounds, ctx: &str) {
         );
         let sd = o.error_sd as f64;
         assert!(
-            sd.is_finite() && sd > 0.0 && sd <= b.error_sd_max,
+            sd.is_finite() && sd > 0.0 && sd <= ERROR_SD_MAX,
             "{ctx}: obs {i} bad error sd {sd}"
         );
     }
@@ -99,7 +100,7 @@ fn fuzz_corpus_never_panics_and_never_leaks_bad_obs() {
         match &strict {
             Ok(vol) => {
                 decoded_ok += 1;
-                assert_obs_in_bounds(&vol.obs, &bounds, &format!("case {case} strict"));
+                assert_obs_in_bounds(&vol.obs, &format!("case {case} strict"));
             }
             Err(_) => rejected += 1,
         }
@@ -116,7 +117,7 @@ fn fuzz_corpus_never_panics_and_never_leaks_bad_obs() {
                     report.kept <= report.parseable && report.parseable as u64 <= report.declared,
                     "case {case}: inconsistent salvage report {report:?}"
                 );
-                assert_obs_in_bounds(&vol.obs, &bounds, &format!("case {case} salvage"));
+                assert_obs_in_bounds(&vol.obs, &format!("case {case} salvage"));
                 vol.obs
             }
             Err(_) => Vec::new(),
@@ -137,7 +138,7 @@ fn fuzz_corpus_never_panics_and_never_leaks_bad_obs() {
         let (kept, report) = catch_unwind(AssertUnwindSafe(|| QcPipeline::new(&cfg).run(&ens)))
             .unwrap_or_else(|_| panic!("case {case} ({class:?}): QC panicked"));
         assert_eq!(report.accepted(), kept.len());
-        assert_obs_in_bounds(&kept.obs, &bounds, &format!("case {case} post-QC"));
+        assert_obs_in_bounds(&kept.obs, &format!("case {case} post-QC"));
     }
 
     // The corpus must actually exercise both sides: many volumes die with a
@@ -219,5 +220,5 @@ fn qc_is_a_second_wall_behind_the_decoder() {
         report.rejected_gross.total(),
         n_bad
     );
-    assert_obs_in_bounds(&kept.obs, &ValueBounds::default(), "post-QC");
+    assert_obs_in_bounds(&kept.obs, "post-QC");
 }

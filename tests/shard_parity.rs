@@ -12,10 +12,14 @@
 //!    exact expected outcome tables (the affected cycle degrades to
 //!    `halo-reuse` on every *peer*, the faulty shard itself completes).
 //! 4. **Bad plans**: a plan naming a member or shard that does not exist is
-//!    refused at start, never an index panic mid-campaign.
+//!    refused at start, never an index panic mid-campaign; so is a
+//!    checkpoint interval longer than the halo replay window.
+//! 5. **Bounded spools**: a cycling worker keeps its two newest
+//!    checkpoints, not one per cycle.
 
 use bda::core::osse::{Osse, OsseConfig};
 use bda::shard::federation::NetTuning;
+use bda::shard::netbus::INBOX_KEEP_CYCLES;
 use bda::shard::{
     Federation, FederationConfig, HaloBus, HaloTransport, LocalFederation, NetFederation,
     ShardWorker,
@@ -263,6 +267,38 @@ fn a_plan_naming_a_missing_member_is_refused_at_start() {
     let plan = FaultPlan::none().with(2, Fault::MemberNan, &[9]);
     let err = one_shard(&dir, CYCLES, plan).err().expect("plan refused");
     assert!(err.contains("`nan:9@2` names member 9"), "{err}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_checkpoint_interval_past_the_replay_window_is_refused_at_start() {
+    let dir = tmp_dir("badevery");
+    let mut cfg = FederationConfig::new(config(), 1, CYCLES, &dir);
+    cfg.checkpoint_every = usize::try_from(INBOX_KEEP_CYCLES).unwrap() + 1;
+    let sc = cfg.shard_config(0);
+    let bus = HaloBus::new(&sc.bus_dir).expect("open bus");
+    let err = ShardWorker::<f32>::start_or_resume_on(sc, bus)
+        .err()
+        .expect("interval refused");
+    let named = format!("checkpoint_every {}", INBOX_KEEP_CYCLES + 1);
+    assert!(err.contains(&named), "{err}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_cycling_worker_keeps_its_two_newest_checkpoints() {
+    let dir = tmp_dir("spool");
+    let _ = std::fs::remove_dir_all(&dir);
+    let (mut w, _) = one_shard(&dir, 5, FaultPlan::none()).expect("start");
+    assert_eq!(w.cfg.checkpoint_every, 1);
+    w.run_to_completion().expect("run");
+    let mut kept: Vec<String> = std::fs::read_dir(&w.cfg.ckpt_dir)
+        .expect("checkpoint dir")
+        .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+        .filter(|name| name.starts_with("ckpt-s000-"))
+        .collect();
+    kept.sort();
+    assert_eq!(kept, ["ckpt-s000-000003.bdac", "ckpt-s000-000004.bdac"]);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
