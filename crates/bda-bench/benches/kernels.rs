@@ -34,6 +34,13 @@
 //! for the microphysics (pi' in; theta' and six water species in and
 //! out). Like the flop counts, a yardstick, not a counter.
 //!
+//! The byte-path rows pin the radar volume's trip to the filter at the
+//! `shell_replay` benchmark's size: one FNV-1a pass over 2 MiB (the floor
+//! every hop pays once), encoding and salvage-decoding a 100,000-record
+//! volume, and moving 2 MiB through the JIT-DT pipe in 64-KiB chunks with
+//! the sender on a thread of its own, as the benchmark does. Their `bytes`
+//! is the buffer's length.
+//!
 //! Flags (unknown flags ignored so `cargo bench --bench kernels` works):
 //!
 //! * `--out PATH`   output path (default `<repo>/BENCH_13_kernels.json`)
@@ -42,10 +49,15 @@
 use bda_bench::{local_obs, rng, spd_batch};
 use bda_grid::halo::HaloPolicy;
 use bda_grid::Field3;
+use bda_jitdt::pipe::pipe;
+use bda_jitdt::Bytes;
 use bda_letkf::weights::{apply_transform, compute_transform, TransformScratch};
+use bda_letkf::{ObsKind, Observation};
 use bda_num::matrix::{axpy, dot8, MatrixS};
 use bda_num::tridiag::ThomasFactor;
-use bda_num::BatchedEigen;
+use bda_num::{fnv1a, BatchedEigen};
+use bda_pawr::codec::{decode_volume_salvage, encode_volume, ValueBounds};
+use bda_pawr::scan::ScanResult;
 use bda_scale::advect::{scalar_advection_row, RowProfiles};
 use bda_scale::base::Sounding;
 use bda_scale::forcing::TriggerSchedule;
@@ -324,6 +336,100 @@ fn microphysics_column_bench(reps: usize) -> (f64, f64) {
     (us, (15 * nz * 4) as f64)
 }
 
+/// A seeded volume of `n` in-bounds observations, so salvage keeps every
+/// record.
+fn seeded_scan(n: usize) -> ScanResult<f32> {
+    let mut r = rng(31);
+    let obs = (0..n)
+        .map(|i| {
+            let doppler = i % 5 < 2;
+            Observation {
+                kind: if doppler {
+                    ObsKind::DopplerVelocity
+                } else {
+                    ObsKind::Reflectivity
+                },
+                x: r.uniform_in(0.0, 128_000.0),
+                y: r.uniform_in(0.0, 128_000.0),
+                z: r.uniform_in(0.0, 16_000.0),
+                value: if doppler {
+                    r.uniform_in(-30.0, 30.0) as f32
+                } else {
+                    r.uniform_in(5.0, 65.0) as f32
+                },
+                error_sd: if doppler { 3.0 } else { 5.0 },
+            }
+        })
+        .collect();
+    ScanResult {
+        time: 30.0,
+        obs,
+        n_reflectivity: 0,
+        n_doppler: 0,
+        n_clear_air: 0,
+        raw_bytes: 0,
+    }
+}
+
+/// A 2-MiB payload of seeded bytes.
+fn payload_2mb() -> Bytes {
+    let mut r = rng(37);
+    Bytes::from(
+        (0..2usize << 20)
+            .map(|_| r.next_u64() as u8)
+            .collect::<Vec<u8>>(),
+    )
+}
+
+fn fnv1a_bench(reps: usize) -> (f64, f64) {
+    let data = payload_2mb();
+    let us = time_op(reps, || {
+        std::hint::black_box(fnv1a(std::hint::black_box(&data)));
+    });
+    (us, data.len() as f64)
+}
+
+fn volume_encode_bench(n: usize, reps: usize) -> (f64, f64) {
+    let scan = seeded_scan(n);
+    let bytes = encode_volume(&scan).len();
+    let us = time_op(reps, || {
+        std::hint::black_box(encode_volume(std::hint::black_box(&scan)));
+    });
+    (us, bytes as f64)
+}
+
+fn volume_decode_bench(n: usize, reps: usize) -> (f64, f64) {
+    let bytes = encode_volume(&seeded_scan(n));
+    let bounds = ValueBounds::default();
+    let decode = || {
+        decode_volume_salvage::<f32>(std::hint::black_box(&bytes), &bounds)
+            .expect("a freshly encoded volume decodes")
+    };
+    assert!(decode().1.clean(), "salvage keeps every record");
+    let us = time_op(reps, || {
+        std::hint::black_box(decode());
+    });
+    (us, bytes.len() as f64)
+}
+
+fn pipe_transfer_bench(reps: usize) -> (f64, f64) {
+    let data = payload_2mb();
+    let (tx, rx) = pipe(64 * 1024, 64);
+    let us = time_op(reps, || {
+        std::thread::scope(|s| {
+            let sent = data.clone();
+            let sender = s.spawn(|| tx.send(sent));
+            let got = rx.recv().expect("the pipe delivers");
+            sender
+                .join()
+                .expect("sender thread")
+                .expect("the pipe accepts");
+            std::hint::black_box(got);
+        });
+    });
+    (us, data.len() as f64)
+}
+
 fn main() {
     let mut out = format!("{}/../../BENCH_13_kernels.json", env!("CARGO_MANIFEST_DIR"));
     let mut reps = 200usize;
@@ -351,6 +457,10 @@ fn main() {
     let (advection_us, advection_bytes) = scalar_advection_bench(reps);
     let (pbl_us, pbl_bytes) = pbl_column_bench(reps * 50);
     let (micro_us, micro_bytes) = microphysics_column_bench(reps * 50);
+    let (fnv_us, fnv_bytes) = fnv1a_bench(reps);
+    let (encode_us, encode_bytes) = volume_encode_bench(100_000, reps);
+    let (decode_us, decode_bytes) = volume_decode_bench(100_000, reps);
+    let (pipe_us, pipe_bytes) = pipe_transfer_bench(reps);
     let rows = [
         Row {
             name: "eigensolve_k16",
@@ -441,6 +551,30 @@ fn main() {
             mean_us: model_step_bench(pool_width, reps),
             flops: None,
             bytes: None,
+        },
+        Row {
+            name: "fnv1a_2mb",
+            mean_us: fnv_us,
+            flops: None,
+            bytes: Some(fnv_bytes),
+        },
+        Row {
+            name: "volume_encode_100k",
+            mean_us: encode_us,
+            flops: None,
+            bytes: Some(encode_bytes),
+        },
+        Row {
+            name: "volume_decode_100k",
+            mean_us: decode_us,
+            flops: None,
+            bytes: Some(decode_bytes),
+        },
+        Row {
+            name: "pipe_transfer_2mb",
+            mean_us: pipe_us,
+            flops: None,
+            bytes: Some(pipe_bytes),
         },
     ];
     for r in &rows {

@@ -2,26 +2,38 @@
 //!
 //! The live end-to-end pipeline example moves encoded PAWR volumes between
 //! the "radar" thread and the "assimilation" thread through this pipe —
-//! chunked like the real JIT-DT stream, with a length/checksum trailer that
-//! the receiver verifies before handing the volume to the LETKF.
+//! chunked like the real JIT-DT stream. A volume travels as one `Header`
+//! frame (its length, the receiver's capacity hint), its chunks, and one
+//! `End` frame carrying the FNV-1a checksum of every byte sent.
+//!
+//! Each side reads the bytes once: the sender hashes each chunk just before
+//! it sends it, the receiver hashes each chunk as it appends it, so the two
+//! passes overlap and the first frame leaves at once. The receiver verifies
+//! length and checksum at `End`, before it hands the volume over. The pipe
+//! checks its own bytes and never relies on the payload's format.
+//!
+//! A receive that the stall watchdog ends mid-volume keeps what has
+//! arrived; the next receive continues that volume where it stopped.
 
+use bda_num::Fnv1a;
 use bytes::{Bytes, BytesMut};
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
+use parking_lot::Mutex;
 use std::time::Duration;
 
 /// FNV-1a payload checksum (the workspace-shared implementation in
-/// [`bda_num::hash`] — the same polynomial as the PAWR codec trailer).
+/// [`bda_num::hash`] — the same function as the PAWR codec trailer).
 ///
 /// Re-exported here so pipeline supervisors can checksum a volume at scan
-/// time and verify it end to end — the pipe's own trailer only covers the
+/// time and verify it end to end — the pipe's own checksum only covers the
 /// transfer hop, not corruption introduced before the send.
 pub use bda_num::fnv1a;
 
 /// Frames flowing through the pipe.
 enum Frame {
-    Header { total_len: u64, checksum: u64 },
+    Header { total_len: u64 },
     Chunk(Bytes),
-    End,
+    End { checksum: u64 },
 }
 
 /// Sending half.
@@ -30,9 +42,18 @@ pub struct PipeSender {
     chunk_bytes: usize,
 }
 
+/// A volume whose `Header` has arrived and whose `End` has not.
+struct Partial {
+    total_len: u64,
+    buf: BytesMut,
+    hash: Fnv1a,
+}
+
 /// Receiving half.
 pub struct PipeReceiver {
     rx: Receiver<Frame>,
+    /// The volume in progress, kept across a [`PipeError::Stalled`] return.
+    partial: Mutex<Option<Partial>>,
 }
 
 /// Errors on the receiving side.
@@ -73,68 +94,82 @@ pub fn pipe(chunk_bytes: usize, capacity: usize) -> (PipeSender, PipeReceiver) {
             tx,
             chunk_bytes: chunk_bytes.max(1),
         },
-        PipeReceiver { rx },
+        PipeReceiver {
+            rx,
+            partial: Mutex::new(None),
+        },
     )
 }
 
 impl PipeSender {
+    fn put(&self, frame: Frame) -> Result<(), PipeError> {
+        self.tx.send(frame).map_err(|_| PipeError::Disconnected)
+    }
+
     /// Send one complete volume. Blocks when the pipe is full (natural
     /// back-pressure, like the real TCP stream).
     pub fn send(&self, data: Bytes) -> Result<(), PipeError> {
-        let header = Frame::Header {
+        self.put(Frame::Header {
             total_len: data.len() as u64,
-            checksum: fnv1a(&data),
-        };
-        self.tx.send(header).map_err(|_| PipeError::Disconnected)?;
-        let mut offset = 0;
-        while offset < data.len() {
-            let end = (offset + self.chunk_bytes).min(data.len());
-            self.tx
-                .send(Frame::Chunk(data.slice(offset..end)))
-                .map_err(|_| PipeError::Disconnected)?;
-            offset = end;
+        })?;
+        let mut hash = Fnv1a::new();
+        for start in (0..data.len()).step_by(self.chunk_bytes) {
+            let end = (start + self.chunk_bytes).min(data.len());
+            hash.update(&data[start..end]);
+            self.put(Frame::Chunk(data.slice(start..end)))?;
         }
-        self.tx
-            .send(Frame::End)
-            .map_err(|_| PipeError::Disconnected)
+        self.put(Frame::End {
+            checksum: hash.finish(),
+        })
     }
 }
 
-/// Assemble one volume — header, chunks until `End` — and verify its
-/// length and checksum. `next` is how the caller waits for a frame.
-fn assemble(next: impl Fn() -> Result<Frame, PipeError>) -> Result<Bytes, PipeError> {
-    let Frame::Header {
-        total_len,
-        checksum,
-    } = next()?
-    else {
-        return Err(PipeError::ProtocolViolation);
-    };
-    let mut buf = BytesMut::with_capacity(total_len as usize);
-    loop {
-        match next()? {
-            Frame::Chunk(c) => buf.extend_from_slice(&c),
-            Frame::End => break,
-            Frame::Header { .. } => return Err(PipeError::ProtocolViolation),
+impl Partial {
+    /// Verify length and checksum against the `End` frame.
+    fn finish(self, checksum: u64) -> Result<Bytes, PipeError> {
+        if self.buf.len() as u64 != self.total_len {
+            return Err(PipeError::LengthMismatch {
+                expected: self.total_len,
+                got: self.buf.len() as u64,
+            });
         }
+        if self.hash.finish() != checksum {
+            return Err(PipeError::ChecksumMismatch);
+        }
+        Ok(self.buf.freeze())
     }
-    if buf.len() as u64 != total_len {
-        return Err(PipeError::LengthMismatch {
-            expected: total_len,
-            got: buf.len() as u64,
-        });
-    }
-    let data = buf.freeze();
-    if fnv1a(&data) != checksum {
-        return Err(PipeError::ChecksumMismatch);
-    }
-    Ok(data)
 }
 
 impl PipeReceiver {
+    /// Assemble one volume — header, chunks until `End` — and verify its
+    /// length and checksum. `next` is how the caller waits for a frame; an
+    /// error from it leaves the volume in progress for the next call.
+    fn assemble(&self, next: impl Fn() -> Result<Frame, PipeError>) -> Result<Bytes, PipeError> {
+        let mut partial = self.partial.lock();
+        loop {
+            let frame = next()?;
+            match (partial.take(), frame) {
+                (None, Frame::Header { total_len }) => {
+                    *partial = Some(Partial {
+                        total_len,
+                        buf: BytesMut::with_capacity(total_len as usize),
+                        hash: Fnv1a::new(),
+                    });
+                }
+                (Some(mut p), Frame::Chunk(c)) => {
+                    p.hash.update(&c);
+                    p.buf.extend_from_slice(&c);
+                    *partial = Some(p);
+                }
+                (Some(p), Frame::End { checksum }) => return p.finish(checksum),
+                _ => return Err(PipeError::ProtocolViolation),
+            }
+        }
+    }
+
     /// Receive one complete volume, verifying length and checksum.
     pub fn recv(&self) -> Result<Bytes, PipeError> {
-        assemble(|| self.rx.recv().map_err(|_| PipeError::Disconnected))
+        self.assemble(|| self.rx.recv().map_err(|_| PipeError::Disconnected))
     }
 
     /// Receive one complete volume under a live stall watchdog: if the
@@ -146,8 +181,10 @@ impl PipeReceiver {
     ///
     /// The timeout is per-frame (a watchdog on *progress*), not a bound on
     /// total volume duration, so a slow-but-moving large volume completes.
+    /// A volume cut off by the watchdog is not lost: the next call picks it
+    /// up at the frame where this one stopped.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<Bytes, PipeError> {
-        assemble(|| {
+        self.assemble(|| {
             self.rx.recv_timeout(timeout).map_err(|e| match e {
                 RecvTimeoutError::Timeout => PipeError::Stalled,
                 RecvTimeoutError::Disconnected => PipeError::Disconnected,
@@ -254,6 +291,104 @@ mod tests {
         bad[3] ^= 0x40;
         assert_ne!(good, fnv1a(&bad));
         assert_eq!(good, fnv1a(&payload));
+    }
+
+    /// Push one volume's frames by hand: `Header`, `chunks`, then `End`
+    /// carrying the checksum of `checksum_of`.
+    fn push(tx: &PipeSender, total_len: usize, chunks: &[&[u8]], checksum_of: &[u8]) {
+        tx.put(Frame::Header {
+            total_len: total_len as u64,
+        })
+        .unwrap();
+        for c in chunks {
+            tx.put(Frame::Chunk(Bytes::copy_from_slice(c))).unwrap();
+        }
+        tx.put(Frame::End {
+            checksum: fnv1a(checksum_of),
+        })
+        .unwrap();
+    }
+
+    #[test]
+    fn a_volume_cut_off_by_the_watchdog_resumes_on_the_next_receive() {
+        let (tx, rx) = pipe(4, 64);
+        let first = b"0123456789abcdef";
+        let chunks: Vec<&[u8]> = first.chunks(4).collect();
+        tx.put(Frame::Header { total_len: 16 }).unwrap();
+        tx.put(Frame::Chunk(Bytes::copy_from_slice(chunks[0])))
+            .unwrap();
+        let wait = Duration::from_millis(20);
+        assert_eq!(rx.recv_timeout(wait).unwrap_err(), PipeError::Stalled);
+        for c in &chunks[1..] {
+            tx.put(Frame::Chunk(Bytes::copy_from_slice(c))).unwrap();
+        }
+        tx.put(Frame::End {
+            checksum: fnv1a(first),
+        })
+        .unwrap();
+        tx.send(Bytes::from_static(b"second")).unwrap();
+        assert_eq!(&rx.recv_timeout(wait).unwrap()[..], first);
+        assert_eq!(&rx.recv_timeout(wait).unwrap()[..], b"second");
+    }
+
+    #[test]
+    fn a_chunk_altered_in_flight_is_a_checksum_mismatch() {
+        let (tx, rx) = pipe(4, 64);
+        push(&tx, 8, &[b"abcd", b"eXgh"], b"abcdefgh");
+        assert_eq!(rx.recv().unwrap_err(), PipeError::ChecksumMismatch);
+        // The next volume is unaffected.
+        tx.send(Bytes::from_static(b"next")).unwrap();
+        assert_eq!(&rx.recv().unwrap()[..], b"next");
+    }
+
+    #[test]
+    fn a_dropped_chunk_is_a_length_mismatch() {
+        let (tx, rx) = pipe(4, 64);
+        push(&tx, 8, &[b"abcd"], b"abcdefgh");
+        assert_eq!(
+            rx.recv().unwrap_err(),
+            PipeError::LengthMismatch {
+                expected: 8,
+                got: 4
+            }
+        );
+    }
+
+    #[test]
+    fn an_end_without_a_header_is_a_protocol_violation() {
+        let (tx, rx) = pipe(4, 64);
+        tx.put(Frame::End { checksum: 0 }).unwrap();
+        assert_eq!(rx.recv().unwrap_err(), PipeError::ProtocolViolation);
+        tx.send(Bytes::from_static(b"next")).unwrap();
+        assert_eq!(&rx.recv().unwrap()[..], b"next");
+    }
+
+    #[test]
+    fn a_second_header_mid_volume_is_a_protocol_violation() {
+        let (tx, rx) = pipe(4, 64);
+        tx.put(Frame::Header { total_len: 8 }).unwrap();
+        tx.put(Frame::Chunk(Bytes::from_static(b"abcd"))).unwrap();
+        tx.send(Bytes::from_static(b"other")).unwrap();
+        assert_eq!(rx.recv().unwrap_err(), PipeError::ProtocolViolation);
+    }
+
+    #[test]
+    fn a_large_volume_shows_progress_to_a_tight_watchdog() {
+        // 32 MiB in 64-KiB chunks under a 20-ms per-frame watchdog: the
+        // sender must not go silent while it checksums the volume.
+        let data: Vec<u8> = (0..32u32 << 20).map(|i| (i % 251) as u8).collect();
+        let payload = Bytes::from(data);
+        let (tx, rx) = pipe(64 * 1024, 64);
+        let sent = payload.clone();
+        let (got, sent) = std::thread::scope(move |s| {
+            let sender = s.spawn(move || tx.send(sent));
+            let got = rx.recv_timeout(Duration::from_millis(20));
+            // A receiver that gave up must not leave the sender blocked.
+            drop(rx);
+            (got, sender.join().unwrap())
+        });
+        assert_eq!(got.unwrap(), payload);
+        sent.unwrap();
     }
 
     #[test]

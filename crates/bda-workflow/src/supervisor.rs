@@ -39,7 +39,7 @@
 //!   corrupt observations fall back to persistence;
 //! * **end-to-end payload checksum** — volumes are checksummed at scan
 //!   time and verified before assimilation, catching corruption the pipe's
-//!   own per-hop trailer cannot see.
+//!   own per-hop checksum (its `End` frame) cannot see.
 //!
 //! The transport geometry, the watchdog budget and the campaign clock are
 //! the constants below ([`PIPE_CHUNK_BYTES`] … [`STALE_HORIZON_S`]): the
