@@ -35,11 +35,12 @@
 //! out). Like the flop counts, a yardstick, not a counter.
 //!
 //! The byte-path rows pin the radar volume's trip to the filter at the
-//! `shell_replay` benchmark's size: one FNV-1a pass over 2 MiB (the floor
-//! every hop pays once), encoding and salvage-decoding a 100,000-record
-//! volume, and moving 2 MiB through the JIT-DT pipe in 64-KiB chunks with
-//! the sender on a thread of its own, as the benchmark does. Their `bytes`
-//! is the buffer's length.
+//! `shell_replay` benchmark's size: one pass of the integrity checksum over
+//! 2 MiB (the floor every hop pays once), one FNV-1a pass over the same
+//! bytes (the digest, for the ratio), encoding and salvage-decoding a
+//! 100,000-record volume, and moving 2 MiB through the JIT-DT pipe in
+//! 64-KiB chunks with the sender on a thread of its own, as the benchmark
+//! does. Their `bytes` is the buffer's length.
 //!
 //! Flags (unknown flags ignored so `cargo bench --bench kernels` works):
 //!
@@ -55,7 +56,7 @@ use bda_letkf::weights::{apply_transform, compute_transform, TransformScratch};
 use bda_letkf::{ObsKind, Observation};
 use bda_num::matrix::{axpy, dot8, MatrixS};
 use bda_num::tridiag::ThomasFactor;
-use bda_num::{fnv1a, BatchedEigen};
+use bda_num::{checksum, fnv1a, BatchedEigen};
 use bda_pawr::codec::{decode_volume_salvage, encode_volume, ValueBounds};
 use bda_pawr::scan::ScanResult;
 use bda_scale::advect::{scalar_advection_row, RowProfiles};
@@ -389,6 +390,14 @@ fn fnv1a_bench(reps: usize) -> (f64, f64) {
     (us, data.len() as f64)
 }
 
+fn checksum_bench(reps: usize) -> (f64, f64) {
+    let data = payload_2mb();
+    let us = time_op(reps, || {
+        std::hint::black_box(checksum(std::hint::black_box(&data)));
+    });
+    (us, data.len() as f64)
+}
+
 fn volume_encode_bench(n: usize, reps: usize) -> (f64, f64) {
     let scan = seeded_scan(n);
     let bytes = encode_volume(&scan).len();
@@ -458,6 +467,7 @@ fn main() {
     let (pbl_us, pbl_bytes) = pbl_column_bench(reps * 50);
     let (micro_us, micro_bytes) = microphysics_column_bench(reps * 50);
     let (fnv_us, fnv_bytes) = fnv1a_bench(reps);
+    let (sum_us, sum_bytes) = checksum_bench(reps);
     let (encode_us, encode_bytes) = volume_encode_bench(100_000, reps);
     let (decode_us, decode_bytes) = volume_decode_bench(100_000, reps);
     let (pipe_us, pipe_bytes) = pipe_transfer_bench(reps);
@@ -557,6 +567,12 @@ fn main() {
             mean_us: fnv_us,
             flops: None,
             bytes: Some(fnv_bytes),
+        },
+        Row {
+            name: "checksum_2mb",
+            mean_us: sum_us,
+            flops: None,
+            bytes: Some(sum_bytes),
         },
         Row {
             name: "volume_encode_100k",

@@ -20,9 +20,10 @@ use bda_num::Real;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::path::{Path, PathBuf};
 
-/// Version 1 files (own member loop, CRC-32 trailer) are refused as
+/// Version 1 files (own member loop, CRC-32 trailer) and version 2 files
+/// (today's body under an FNV-1a trailer) are refused as
 /// [`FrameError::UnsupportedVersion`], not misread.
-const VERSION: u16 = 2;
+const VERSION: u16 = 3;
 const TMP_PREFIX: &str = ".tmp-";
 const CKPT_PREFIX: &str = "ckpt-";
 const CKPT_SUFFIX: &str = ".bdac";
@@ -424,6 +425,18 @@ mod tests {
         assert_eq!(path, p3);
         assert_eq!(found, sample());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A snapshot as the version-2 encoder (FNV-1a trailer) wrote it, from
+    /// the last commit that had one.
+    const V2_FILE: &[u8] = include_bytes!("../tests/fixtures/ckpt-v2.bdac");
+
+    #[test]
+    fn version_2_file_is_refused_by_name_not_by_checksum() {
+        assert!(matches!(
+            decode_snapshot::<f32>(V2_FILE),
+            Err(CheckpointError::Frame(FrameError::UnsupportedVersion(2)))
+        ));
     }
 
     /// Seal a hand-built body: the trailer is valid, so only the decoder's

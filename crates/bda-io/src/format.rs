@@ -10,7 +10,9 @@ use crate::frame::{self, FrameError, Kind};
 use bda_num::Real;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
-const VERSION: u16 = 1;
+/// Version 1 was today's layout under an FNV-1a trailer; it is refused as
+/// [`FrameError::UnsupportedVersion`], not misread.
+const VERSION: u16 = 2;
 /// `precision | k | n` ahead of the values.
 const BLOCK_HEADER_BYTES: usize = 1 + 8 + 8;
 /// Zero-length members occupy no bytes, so the bytes present cannot bound
@@ -213,15 +215,27 @@ mod tests {
         );
     }
 
-    /// A frame the parent commit produced, byte for byte: `BDAF` is a
-    /// file and wire format, and the envelope refactor must not move it.
+    /// `BDAF` is a file and wire format, so one frame is pinned byte for
+    /// byte. `V1` is the same two members as the version-1 encoder wrote
+    /// them: only the version word and the trailer (FNV-1a then) differ,
+    /// and the reader refuses it by its version, not by its checksum.
     #[test]
     fn golden_frame_is_byte_identical() {
-        let golden = "42444146000104000000000000000200000000000000020000c03f000080be\
-                      0000e040000018411b822cc50406188d";
+        let golden = "42444146000204000000000000000200000000000000020000c03f000080be\
+                      0000e040000018413cd49dfc2a3cc068";
+        const V1: &str = "42444146000104000000000000000200000000000000020000c03f000080be\
+                          0000e040000018411b822cc50406188d";
         let bytes = encode_states(&[vec![1.5_f32, -0.25], vec![7.0, 9.5]]).unwrap();
         let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
         assert_eq!(hex, golden);
+        let v1: Vec<u8> = (0..V1.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&V1[i..i + 2], 16).unwrap())
+            .collect();
+        assert_eq!(
+            decode_states::<f32>(&v1).unwrap_err(),
+            FormatError::Frame(FrameError::UnsupportedVersion(1))
+        );
     }
 
     /// Seal a hand-built block: the trailer is valid, so only the length

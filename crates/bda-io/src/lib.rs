@@ -19,7 +19,7 @@
 //! transport parameter.
 //!
 //! [`mod@frame`] is the one sealed-frame envelope (magic, version, body,
-//! FNV-1a trailer) under every `BDA?` byte format in the workspace —
+//! checksum trailer) under every `BDA?` byte format in the workspace —
 //! DESIGN.md §14 tabulates them. [`mod@format`] is the member-state codec:
 //! the `BDAF` frame of the file path and the member-values block that the
 //! checkpoint and the shard halo frame embed. [`mod@checkpoint`] persists

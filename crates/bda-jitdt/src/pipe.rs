@@ -4,30 +4,34 @@
 //! the "radar" thread and the "assimilation" thread through this pipe —
 //! chunked like the real JIT-DT stream. A volume travels as one `Header`
 //! frame (its length, the receiver's capacity hint), its chunks, and one
-//! `End` frame carrying the FNV-1a checksum of every byte sent.
+//! `End` frame carrying the integrity checksum ([`bda_num::Checksum`]) of
+//! every byte sent.
 //!
-//! Each side reads the bytes once: the sender hashes each chunk just before
-//! it sends it, the receiver hashes each chunk as it appends it, so the two
-//! passes overlap and the first frame leaves at once. The receiver verifies
-//! length and checksum at `End`, before it hands the volume over. The pipe
-//! checks its own bytes and never relies on the payload's format.
+//! Each side reads the bytes once: the sender checksums each chunk just
+//! before it sends it, the receiver checksums each chunk as it appends it,
+//! so the two passes overlap and the first frame leaves at once. The
+//! checksum is lane-parallel (about 0.1 ns/B), so neither pass is the
+//! transfer's floor. The receiver verifies length and checksum at `End`,
+//! before it hands the volume over. The pipe checks its own bytes and
+//! never relies on the payload's format.
 //!
 //! A receive that the stall watchdog ends mid-volume keeps what has
 //! arrived; the next receive continues that volume where it stopped.
 
-use bda_num::Fnv1a;
+use bda_num::Checksum;
 use bytes::{Bytes, BytesMut};
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 use std::time::Duration;
 
-/// FNV-1a payload checksum (the workspace-shared implementation in
-/// [`bda_num::hash`] — the same function as the PAWR codec trailer).
+/// The integrity checksum (the workspace-shared one in [`bda_num::hash`],
+/// the same function as this pipe's `End` frame and the PAWR codec
+/// trailer).
 ///
 /// Re-exported here so pipeline supervisors can checksum a volume at scan
 /// time and verify it end to end — the pipe's own checksum only covers the
 /// transfer hop, not corruption introduced before the send.
-pub use bda_num::fnv1a;
+pub use bda_num::checksum;
 
 /// Frames flowing through the pipe.
 enum Frame {
@@ -46,7 +50,7 @@ pub struct PipeSender {
 struct Partial {
     total_len: u64,
     buf: BytesMut,
-    hash: Fnv1a,
+    hash: Checksum,
 }
 
 /// Receiving half.
@@ -112,7 +116,7 @@ impl PipeSender {
         self.put(Frame::Header {
             total_len: data.len() as u64,
         })?;
-        let mut hash = Fnv1a::new();
+        let mut hash = Checksum::new();
         for start in (0..data.len()).step_by(self.chunk_bytes) {
             let end = (start + self.chunk_bytes).min(data.len());
             hash.update(&data[start..end]);
@@ -153,7 +157,7 @@ impl PipeReceiver {
                     *partial = Some(Partial {
                         total_len,
                         buf: BytesMut::with_capacity(total_len as usize),
-                        hash: Fnv1a::new(),
+                        hash: Checksum::new(),
                     });
                 }
                 (Some(mut p), Frame::Chunk(c)) => {
@@ -283,14 +287,14 @@ mod tests {
 
     #[test]
     fn public_checksum_matches_pipe_trailer_discipline() {
-        // fnv1a is exposed so supervisors can checksum at scan time; it must
-        // agree with itself across call sites and differ on corruption.
+        // checksum is exposed so supervisors can checksum at scan time; it
+        // must agree with itself across call sites and differ on corruption.
         let payload = b"volume payload".to_vec();
-        let good = fnv1a(&payload);
+        let good = checksum(&payload);
         let mut bad = payload.clone();
         bad[3] ^= 0x40;
-        assert_ne!(good, fnv1a(&bad));
-        assert_eq!(good, fnv1a(&payload));
+        assert_ne!(good, checksum(&bad));
+        assert_eq!(good, checksum(&payload));
     }
 
     /// Push one volume's frames by hand: `Header`, `chunks`, then `End`
@@ -304,7 +308,7 @@ mod tests {
             tx.put(Frame::Chunk(Bytes::copy_from_slice(c))).unwrap();
         }
         tx.put(Frame::End {
-            checksum: fnv1a(checksum_of),
+            checksum: checksum(checksum_of),
         })
         .unwrap();
     }
@@ -323,7 +327,7 @@ mod tests {
             tx.put(Frame::Chunk(Bytes::copy_from_slice(c))).unwrap();
         }
         tx.put(Frame::End {
-            checksum: fnv1a(first),
+            checksum: checksum(first),
         })
         .unwrap();
         tx.send(Bytes::from_static(b"second")).unwrap();

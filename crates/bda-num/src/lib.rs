@@ -31,7 +31,7 @@ pub mod stats;
 pub mod tridiag;
 
 pub use eigen::{BatchedEigen, JacobiEigen, QlEigen, SymEigDecomp, SymEigSolver};
-pub use hash::{fnv1a, Fnv1a};
+pub use hash::{checksum, fnv1a, Checksum, Fnv1a};
 pub use matrix::MatrixS;
 pub use real::Real;
 pub use rng::SplitMix64;

@@ -9,8 +9,8 @@
 //! always produces the same mutated buffer, so a CI failure is replayable
 //! from its log line alone.
 
-use crate::codec::{HEADER_BYTES, RECORD_BYTES};
-use bda_num::{fnv1a, SplitMix64};
+use crate::codec::{seal, HEADER_BYTES, RECORD_BYTES};
+use bda_num::SplitMix64;
 
 /// The corruption classes the mutator draws from. Exposed so tests can
 /// assert coverage of each class, and so failure logs name the attack.
@@ -48,9 +48,9 @@ const CLASSES: [Corruption; 7] = [
 pub struct MutatedVolume {
     pub case: u64,
     pub class: Corruption,
-    /// Whether the trailer checksum was recomputed after mutation — a
-    /// forged-but-consistent volume that sails past the checksum and must
-    /// be caught by field validation instead.
+    /// Whether the trailer was re-sealed after mutation (with the codec's
+    /// own [`seal`]) — a forged-but-consistent volume that sails past the
+    /// checksum and must be caught by field validation instead.
     pub checksum_fixed: bool,
     pub bytes: Vec<u8>,
 }
@@ -141,10 +141,7 @@ impl<'a> VolumeMutator<'a> {
         // checksum — has to be the thing that stops it.
         let checksum_fixed = bytes.len() > 8 && !rng.next_u64().is_multiple_of(4);
         if checksum_fixed {
-            let body = bytes.len() - 8;
-            let sum = fnv1a(&bytes[..body]);
-            let tail = bytes.len();
-            bytes[tail - 8..].copy_from_slice(&sum.to_be_bytes());
+            seal(&mut bytes);
         }
         MutatedVolume {
             case,

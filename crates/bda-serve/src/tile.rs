@@ -32,7 +32,9 @@ use bda_num::cast::{round_u8_sat, u16_of_index};
 use bytes::{Buf, BufMut, Bytes};
 use rayon::prelude::*;
 
-const VERSION: u16 = 1;
+/// Version 1 was today's layout under an FNV-1a trailer; it is refused as
+/// [`FrameError::UnsupportedVersion`], not misread.
+const VERSION: u16 = 2;
 /// cycle u64 | zoom u8 | tx, ty, w, h u16 | flags u8 | payload length u32,
 /// ahead of the RLE payload.
 const FIXED_BYTES: usize = 8 + 1 + 2 + 2 + 2 + 2 + 1 + 4;
@@ -674,26 +676,38 @@ mod tests {
         );
     }
 
-    /// A frame the parent commit produced, byte for byte, and a delta
-    /// stream's digests: `BDAT` is what subscribers parse, and the envelope
-    /// refactor must not move it.
+    /// A frame pinned byte for byte, and a delta stream's digests: `BDAT`
+    /// is what subscribers parse. `V1` is the same tile as the version-1
+    /// encoder wrote it: only the version word and the trailer (FNV-1a
+    /// then) differ, and the reader refuses it by its version, not by its
+    /// checksum.
     #[test]
     fn golden_frame_and_stream_digests_are_byte_identical() {
-        let golden = "424441540001000000000000002a01000300020004000303000000080400030502\
-                      090300b0bd27d89b91039b";
+        let golden = "424441540002000000000000002a01000300020004000303000000080400030502\
+                      090300708c2e0c475d247f";
+        const V1: &str = "424441540001000000000000002a01000300020004000303000000080400030502\
+                          090300b0bd27d89b91039b";
         let cells = [0, 0, 0, 0, 5, 5, 5, 9, 9, 0, 0, 0];
         let frame = encode_tile(42, 1, 3, 2, 4, 3, true, true, &cells).unwrap();
         let hex: String = frame.iter().map(|b| format!("{b:02x}")).collect();
         assert_eq!(hex, golden);
+        let v1: Vec<u8> = (0..V1.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&V1[i..i + 2], 16).unwrap())
+            .collect();
+        assert_eq!(
+            decode_tile(&v1).unwrap_err(),
+            TileError::Frame(FrameError::UnsupportedVersion(1))
+        );
 
         let mut tiler = Tiler::new(TileConfig {
             tile: 16,
             max_zoom: 2,
         });
         let expect = [
-            (0xdc74_6c2b_1003_abe2, 4378),
-            (0x1a8a_7fa7_a8d5_23e6, 3606),
-            (0x9c9e_b111_0fca_a618, 3252),
+            (0xe6db_783b_0e14_a8f8, 4378),
+            (0xa8ff_9f77_b822_ac68, 3606),
+            (0x0963_e168_369b_a3f7, 3252),
         ];
         for (cycle, want) in (0u64..).zip(expect) {
             let field = synthetic_reflectivity(cycle, 48, 40);

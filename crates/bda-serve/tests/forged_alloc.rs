@@ -51,9 +51,9 @@ static GLOBAL: LargestRequest = LargestRequest;
 
 #[test]
 fn forged_but_sealed_tile_dimensions_reserve_what_the_runs_can_fill() {
-    // Tile codec version 1: cycle | zoom | tx | ty | w | h | flags |
+    // Tile codec version 2: cycle | zoom | tx | ty | w | h | flags |
     // payload length | one (run, value) pair.
-    let mut buf = frame::begin(Kind::Tile, 1, 24);
+    let mut buf = frame::begin(Kind::Tile, 2, 24);
     buf.put_u64(1);
     buf.put_u8(0);
     buf.put_u16(0);

@@ -14,8 +14,10 @@ use bda_io::frame::{self, FrameError, Kind};
 use bda_num::{cast, Real};
 use bytes::{Buf, BufMut, Bytes};
 
-/// Version 1 nested a whole sealed `BDAF` frame where the member block is.
-const VERSION: u16 = 2;
+/// Version 1 nested a whole sealed `BDAF` frame where the member block is;
+/// version 2 was today's layout under an FNV-1a trailer. Both are refused
+/// as [`FrameError::UnsupportedVersion`], not misread.
+const VERSION: u16 = 3;
 /// kind u8 | shard u32 | cycle u64 | i0 u32 | i1 u32 | points_analyzed u64
 const FIXED_BYTES: usize = 1 + 4 + 8 + 4 + 4 + 8;
 
@@ -221,6 +223,18 @@ mod tests {
         assert_eq!(
             decode_halo::<f32>(&bytes).unwrap_err(),
             HaloError::Frame(FrameError::ChecksumMismatch)
+        );
+    }
+
+    /// A strip frame as the version-2 encoder (FNV-1a trailer) wrote it,
+    /// from the last commit that had one.
+    const V2_FRAME: &[u8] = include_bytes!("../tests/fixtures/halo-v2.bdax");
+
+    #[test]
+    fn version_2_frame_is_refused_by_name_not_by_checksum() {
+        assert_eq!(
+            decode_halo::<f32>(V2_FRAME).unwrap_err(),
+            HaloError::Frame(FrameError::UnsupportedVersion(2))
         );
     }
 

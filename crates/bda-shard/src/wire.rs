@@ -7,13 +7,18 @@
 //!
 //! ```text
 //! magic "BDAN" (4) | body length u32 | sealed body
-//! body = kind u8 | sender u32 | epoch u64 | payload… | FNV-1a trailer u64
+//! body = kind u8 | sender u32 | epoch u64 | payload… | checksum trailer u64
 //! ```
 //!
 //! The magic is [`Kind::Net`]'s and the trailer is [`bda_io::frame`]'s, but
 //! the header is this module's own: a stream reader needs the length before
 //! it has the body, and a magic it can rescan for (DESIGN.md, "Sealed
-//! frames"). Kinds: `HELLO` (handshake, carries the
+//! frames"). The header carries no version field. The trailer therefore
+//! changes with the build (it moved from FNV-1a to
+//! [`bda_num::checksum`] without a version bump), which is sound because
+//! both ends of a federation connection are always the same binary: the
+//! shards run in one process, or `examples/federation.rs` re-invokes its
+//! own executable for each of them. Kinds: `HELLO` (handshake, carries the
 //! sender's fenced epoch), `HALO` (payload = one sealed `BDAX` halo frame,
 //! prefixed by its cycle so in-path tooling can route without decoding
 //! members), `REQ` (pull request for a peer's published halo — the replay

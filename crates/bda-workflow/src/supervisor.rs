@@ -53,7 +53,7 @@
 
 use crate::backoff::Backoff;
 use crate::fault::{Fault, FaultPlan, Stage};
-use bda_jitdt::pipe::{fnv1a, PipeError};
+use bda_jitdt::pipe::{checksum, PipeError};
 use bda_jitdt::sequence::{sequenced_pipe, DeliveryDrop, DeliveryError, SequencedReceiver};
 use bytes::Bytes;
 use crossbeam::channel::bounded;
@@ -522,7 +522,7 @@ impl CycleSupervisor {
                         cycle,
                         t_obs: Instant::now(), // bda-check: allow(wallclock) — wall-time telemetry column
                         scan_s,
-                        checksum: scanned.as_deref().map(fnv1a).map_err(Clone::clone),
+                        checksum: scanned.as_deref().map(checksum).map_err(Clone::clone),
                     };
                     if meta_tx.send(meta).is_err() {
                         return;
@@ -746,7 +746,7 @@ impl CycleSupervisor {
         let received = self.receive_volume(vol_rx, meta.cycle, ingest);
         ingest.transfer_s = meta.t_obs.elapsed().as_secs_f64();
         let volume = received?;
-        let got = fnv1a(&volume);
+        let got = checksum(&volume);
         if got != expected {
             return Err(StageError::CorruptVolume { expected, got });
         }

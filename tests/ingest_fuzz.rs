@@ -11,14 +11,20 @@
 //! 2. **No out-of-bounds observation reaches the analysis.** Whatever
 //!    survives decode + QC is finite and inside the physical bounds the
 //!    LETKF assumes.
+//! 3. **The checksum claims hold.** A mutant the mutator re-sealed passes
+//!    the checksum, so field validation is what stops it; an unsealed bit
+//!    flip fails it. A re-seal that drifted from the decoders would turn
+//!    most of the corpus into checksum rejections without this.
 //!
 //! Every case is replayable from `(SEED, case index)` alone.
 
 use bda::letkf::obs::{DBZ_MAX, DBZ_MIN, DOPPLER_ABS_MAX, ERROR_SD_MAX};
 use bda::letkf::{LetkfConfig, ObsEnsemble, ObsKind, Observation, QcPipeline};
 use bda::num::SplitMix64;
-use bda::pawr::codec::{decode_volume, decode_volume_salvage, encode_volume, ValueBounds};
-use bda::pawr::fuzz::VolumeMutator;
+use bda::pawr::codec::{
+    decode_volume, decode_volume_salvage, encode_volume, DecodeError, ValueBounds,
+};
+use bda::pawr::fuzz::{Corruption, VolumeMutator};
 use bda::pawr::scan::ScanResult;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -90,6 +96,8 @@ fn fuzz_corpus_never_panics_and_never_leaks_bad_obs() {
     let mut decoded_ok = 0u64;
     let mut rejected = 0u64;
     let mut salvaged_nonempty = 0u64;
+    let mut resealed = 0u64;
+    let mut unsealed_flips = 0u64;
     for mutant in mutator.corpus(CASES) {
         let case = mutant.case;
         let class = mutant.class;
@@ -111,6 +119,40 @@ fn fuzz_corpus_never_panics_and_never_leaks_bad_obs() {
             decode_volume_salvage::<f32>(&mutant.bytes, &bounds)
         }))
         .unwrap_or_else(|_| panic!("case {case} ({class:?}): salvage decode panicked"));
+
+        // The checksum claims: a re-sealed mutant passes the checksum in
+        // both decoders; an unsealed bit flip fails it, unless the header
+        // (judged first) already refused the volume in both.
+        let salvage_mismatch = salvage.as_ref().ok().map(|(_, r)| r.checksum_mismatch);
+        if mutant.checksum_fixed {
+            resealed += 1;
+            assert_ne!(
+                strict.as_ref().err(),
+                Some(&DecodeError::ChecksumMismatch),
+                "case {case} ({class:?}): re-sealed mutant fails the checksum"
+            );
+            assert_ne!(
+                salvage_mismatch,
+                Some(true),
+                "case {case} ({class:?}): re-sealed mutant fails the salvage checksum"
+            );
+        } else if class == Corruption::BitFlips && mutant.bytes != clean {
+            unsealed_flips += 1;
+            match &strict {
+                Err(DecodeError::ChecksumMismatch) => assert_eq!(
+                    salvage_mismatch,
+                    Some(true),
+                    "case {case}: salvage missed a bit flip"
+                ),
+                Err(header) => assert_eq!(
+                    salvage.as_ref().err(),
+                    Some(header),
+                    "case {case}: a bit flip passed the checksum"
+                ),
+                Ok(_) => panic!("case {case}: a bit flip decoded cleanly"),
+            }
+        }
+
         let survivors = match salvage {
             Ok((vol, report)) => {
                 assert!(
@@ -144,6 +186,11 @@ fn fuzz_corpus_never_panics_and_never_leaks_bad_obs() {
     // The corpus must actually exercise both sides: many volumes die with a
     // typed error, and a meaningful number survive into QC.
     assert!(rejected > CASES / 4, "only {rejected}/{CASES} rejected");
+    assert!(resealed > CASES / 2, "only {resealed}/{CASES} re-sealed");
+    assert!(
+        unsealed_flips > CASES / 100,
+        "only {unsealed_flips}/{CASES} unsealed bit flips"
+    );
     assert!(decoded_ok > 0, "no mutant decoded cleanly");
     assert!(
         salvaged_nonempty > CASES / 10,
