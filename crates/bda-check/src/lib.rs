@@ -6,8 +6,9 @@
 //!   bda-check -- lint`) enforcing the rules in `DESIGN.md` §10: no
 //!   panicking shortcuts in library code, no NaN-hostile float ordering,
 //!   no lossy casts in numeric kernels, no wall-clock or OS randomness in
-//!   deterministic cycle paths, and no sync primitives in `vendor/rayon`
-//!   outside its checked facade.
+//!   deterministic cycle paths, no sync primitives in `vendor/rayon`
+//!   outside its checked facade, no public item without a caller, and no
+//!   allow marker that suppresses nothing.
 //! * the loom interleaving suite (`tests/loom_pool.rs`, behind the
 //!   `loom-model` feature) — runs the *actual* pool protocol from
 //!   `vendor/rayon` under the vendored loom model checker, exploring

@@ -65,6 +65,18 @@ pub struct HashBinding {
     pub line: usize,
 }
 
+/// One bare-`pub` item (`pub fn`, `pub struct`, `pub const`, ...; never
+/// `pub(crate)`, `pub use`, `pub mod` or a `pub` field).
+#[derive(Debug, Clone)]
+pub struct PubItem {
+    pub name: String,
+    /// 1-based line of the `pub` keyword.
+    pub line: usize,
+    /// Token-index range of the whole definition, `pub` to its closing
+    /// `}` or `;` inclusive: the name inside it is not a caller.
+    pub span: (usize, usize),
+}
+
 /// Everything the rules need from one parsed file.
 #[derive(Debug, Default)]
 pub struct FileIndex {
@@ -74,27 +86,13 @@ pub struct FileIndex {
     /// conservative for hot propagation.
     pub calls: Vec<Vec<CallSite>>,
     pub hash_bindings: Vec<HashBinding>,
-}
-
-impl FileIndex {
-    /// Index of the innermost function whose body covers `line`, if any.
-    /// Innermost = the latest-starting covering span, so a nested item
-    /// wins over its enclosure.
-    pub fn fn_at_line(&self, line: usize) -> Option<usize> {
-        let mut best: Option<usize> = None;
-        for (i, f) in self.fns.iter().enumerate() {
-            if f.line <= line && line <= f.body_lines.1 {
-                let better = match best {
-                    None => true,
-                    Some(b) => self.fns[b].line <= f.line,
-                };
-                if better {
-                    best = Some(i);
-                }
-            }
-        }
-        best
-    }
+    pub pub_items: Vec<PubItem>,
+    /// Token-index ranges of `use` / `pub use` items, `use` to `;`
+    /// inclusive: an import or re-export names an item without calling it.
+    pub use_spans: Vec<(usize, usize)>,
+    /// Token index of each `impl` header's self type (the `Foo` of
+    /// `impl Tr for Foo`): an impl block extends a type, it does not use it.
+    pub impl_self_types: Vec<usize>,
 }
 
 const KEYWORDS: [&str; 18] = [
@@ -102,7 +100,7 @@ const KEYWORDS: [&str; 18] = [
     "unsafe", "break", "continue", "where", "impl", "ref",
 ];
 
-fn ident(toks: &[Token], i: usize) -> Option<&str> {
+pub(crate) fn ident(toks: &[Token], i: usize) -> Option<&str> {
     match toks.get(i).map(|t| &t.tok) {
         Some(Tok::Ident(s)) => Some(s.as_str()),
         _ => None,
@@ -139,9 +137,10 @@ fn matching_close(toks: &[Token], open: usize) -> usize {
 
 /// Parse an `impl` header starting at the `impl` token: returns the
 /// implemented type's name (the `Foo` of `impl Foo`, `impl Tr for Foo`,
-/// `impl<T> Foo<T>`) and the index of the body's `{`, or `None` when the
-/// header is not followed by a body before EOF.
-fn parse_impl_header(toks: &[Token], at: usize) -> Option<(String, usize)> {
+/// `impl<T> Foo<T>`), the index of that name's token and the index of the
+/// body's `{`, or `None` when the header is not followed by a body before
+/// EOF.
+fn parse_impl_header(toks: &[Token], at: usize) -> Option<(String, usize, usize)> {
     let mut i = at + 1;
     // Skip `<...>` generic parameters (nested angles balanced; `->` cannot
     // appear in an impl generics list).
@@ -163,7 +162,7 @@ fn parse_impl_header(toks: &[Token], at: usize) -> Option<(String, usize)> {
     // Collect path segments until `for`, `where` or the body `{`; the
     // last plain segment seen before the body (or before `where`) is the
     // type name, and a `for` resets the collection (trait impl).
-    let mut name: Option<String> = None;
+    let mut name: Option<(String, usize)> = None;
     let mut angle = 0i64;
     while i < toks.len() {
         match &toks[i].tok {
@@ -173,13 +172,13 @@ fn parse_impl_header(toks: &[Token], at: usize) -> Option<(String, usize)> {
                 } else if s == "where" {
                     break;
                 } else {
-                    name = Some(s.clone());
+                    name = Some((s.clone(), i));
                 }
             }
             Tok::Punct(b'<') => angle += 1,
             Tok::Punct(b'>') => angle -= 1,
             Tok::Open(b'{') if angle <= 0 => {
-                return name.map(|n| (n, i));
+                return name.map(|(n, at)| (n, at, i));
             }
             Tok::Punct(b';') => return None, // e.g. nothing parseable
             _ => {}
@@ -190,7 +189,7 @@ fn parse_impl_header(toks: &[Token], at: usize) -> Option<(String, usize)> {
     let mut depth = 0i64;
     while i < toks.len() {
         match &toks[i].tok {
-            Tok::Open(b'{') if depth == 0 => return name.map(|n| (n, i)),
+            Tok::Open(b'{') if depth == 0 => return name.map(|(n, at)| (n, at, i)),
             Tok::Open(_) => depth += 1,
             Tok::Close(_) => depth -= 1,
             _ => {}
@@ -217,7 +216,8 @@ pub fn index_file(toks: &[Token]) -> FileIndex {
         }
         match ident(toks, i) {
             Some("impl") => {
-                if let Some((name, body_open)) = parse_impl_header(toks, i) {
+                if let Some((name, name_at, body_open)) = parse_impl_header(toks, i) {
+                    out.impl_self_types.push(name_at);
                     let close = matching_close(toks, body_open);
                     impl_stack.push((close, name));
                     i = body_open + 1;
@@ -235,6 +235,17 @@ pub fn index_file(toks: &[Token]) -> FileIndex {
                         out.hash_bindings.push(b);
                     }
                 }
+            }
+            Some("pub") => {
+                if let Some(item) = parse_pub_item(toks, i) {
+                    out.pub_items.push(item);
+                }
+            }
+            Some("use") => {
+                let end = (i..toks.len())
+                    .find(|&j| is_punct(toks, j, b';'))
+                    .unwrap_or(toks.len().saturating_sub(1));
+                out.use_spans.push((i, end));
             }
             _ => {}
         }
@@ -299,6 +310,59 @@ fn parse_fn(toks: &[Token], at: usize, qual: Option<String>) -> Option<FnItem> {
         j += 1;
     }
     None
+}
+
+/// Parse the bare-`pub` item whose `pub` keyword sits at `at`: skips the
+/// `const`/`unsafe`/`async`/`extern "abi"` qualifiers of a `fn`, and
+/// returns `None` for `pub(..)`, `pub use`, `pub mod`, `pub` fields and
+/// macro fragments (`pub fn $name`).
+fn parse_pub_item(toks: &[Token], at: usize) -> Option<PubItem> {
+    let mut i = at + 1;
+    let kind = loop {
+        match ident(toks, i)? {
+            "unsafe" | "async" => i += 1,
+            "extern" => {
+                i += 1;
+                if matches!(toks.get(i).map(|t| &t.tok), Some(Tok::Str)) {
+                    i += 1;
+                }
+            }
+            "const" if matches!(ident(toks, i + 1), Some("fn" | "unsafe" | "async")) => i += 1,
+            "static" if ident(toks, i + 1) == Some("mut") => {
+                i += 2;
+                break "static";
+            }
+            k @ ("fn" | "struct" | "enum" | "union" | "trait" | "type" | "const" | "static") => {
+                i += 1;
+                break k;
+            }
+            _ => return None,
+        }
+    };
+    let name = ident(toks, i)?.to_string();
+    // A fn, type or trait ends at its body's `}` (or a `;` for tuple and
+    // unit structs); a const, static or alias ends at its `;`.
+    let braced = matches!(kind, "fn" | "struct" | "enum" | "union" | "trait");
+    let mut depth = 0i64;
+    let mut j = i + 1;
+    while j < toks.len() {
+        match &toks[j].tok {
+            Tok::Punct(b';') if depth == 0 => break,
+            Tok::Open(b'{') if depth == 0 && braced => {
+                j = matching_close(toks, j);
+                break;
+            }
+            Tok::Open(_) => depth += 1,
+            Tok::Close(_) => depth -= 1,
+            _ => {}
+        }
+        j += 1;
+    }
+    Some(PubItem {
+        name,
+        line: toks[at].line,
+        span: (at, j.min(toks.len().saturating_sub(1))),
+    })
 }
 
 /// If the token at `at` is the name of a call expression (`name(..)`,
@@ -428,18 +492,18 @@ mod tests {
     fn body_line_spans_cover_multiline_bodies() {
         let idx = index("fn f() {\n    let a = 1;\n    g(a);\n}\nfn h() {}\n");
         assert_eq!(idx.fns[0].body_lines, (1, 4));
-        assert_eq!(idx.fn_at_line(3), Some(0));
-        assert_eq!(idx.fn_at_line(5), Some(1));
-        assert_eq!(idx.fn_at_line(40), None);
+        assert_eq!(idx.fns[1].body_lines, (5, 5));
     }
 
     #[test]
-    fn nested_fn_is_innermost_at_its_lines() {
+    fn nested_fn_gets_its_own_span_inside_its_enclosure() {
         let idx = index("fn outer() {\n    fn inner() {\n        q();\n    }\n    inner();\n}\n");
-        let inner = idx.fn_at_line(3).unwrap();
-        assert_eq!(idx.fns[inner].name, "inner");
-        let outer = idx.fn_at_line(5).unwrap();
-        assert_eq!(idx.fns[outer].name, "outer");
+        let spans: Vec<(&str, (usize, usize))> = idx
+            .fns
+            .iter()
+            .map(|f| (f.name.as_str(), f.body_lines))
+            .collect();
+        assert_eq!(spans, vec![("outer", (1, 6)), ("inner", (2, 4))]);
     }
 
     #[test]
@@ -486,6 +550,31 @@ mod tests {
         assert_eq!(idx.fns[0].name, "gen");
         assert!(idx.fns[0].body.is_some());
         assert_eq!(idx.calls[0][0].callee, "inner");
+    }
+
+    #[test]
+    fn pub_items_and_use_spans() {
+        let src = "pub use a::{b, c};\npub(crate) fn hidden() {}\npub const fn k() -> u8 { 1 }\n\
+                   pub struct S { pub field: [u8; 4] }\npub struct T(u8);\n\
+                   pub const N: [u8; 2] = [0; 2];\npub static mut G: u8 = 0;\n\
+                   pub mod m {}\nimpl S {\n    pub unsafe fn m(&self) {}\n}\n";
+        let idx = index(src);
+        let items: Vec<(&str, usize)> = idx
+            .pub_items
+            .iter()
+            .map(|p| (p.name.as_str(), p.line))
+            .collect();
+        assert_eq!(
+            items,
+            vec![("k", 3), ("S", 4), ("T", 5), ("N", 6), ("G", 7), ("m", 10)]
+        );
+        assert_eq!(idx.use_spans.len(), 1);
+        let toks = tokens::tokenize(&lexer::mask(src));
+        // Each span ends on the item's own closing token.
+        for p in &idx.pub_items {
+            let last = &toks[p.span.1].tok;
+            assert!(matches!(last, Tok::Close(b'}') | Tok::Punct(b';')), "{p:?}");
+        }
     }
 
     #[test]

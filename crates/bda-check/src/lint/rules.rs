@@ -1,4 +1,4 @@
-//! The deny-by-default rule set.
+//! The deny-by-default rule set: eleven rules.
 //!
 //! Five rules are token-pattern scans over [masked](super::lexer::mask)
 //! source, scoped by file path and by `#[cfg(test)]` regions. Four more —
@@ -8,7 +8,11 @@
 //! function bodies, an impl-qualified item map and a one-level call graph,
 //! so they can scope to *designated hot regions* (the [`HOT_ANCHORS`]
 //! table plus `// bda-check: hot` markers, propagated one call-graph level
-//! into workspace callees) instead of whole files.
+//! into workspace callees) instead of whole files. The last two need the
+//! whole workspace at once, so only [`analyze_files`] runs them, never
+//! [`check_file`]: `uncalled_pub` (a bare `pub` library item whose name no
+//! non-test code outside its own definition mentions) and `unused_allow`
+//! (an allow marker that suppressed nothing).
 //!
 //! Suppression is per-site and auditable: an allow marker (`bda-check:`
 //! followed by e.g. `allow(unwrap)`, any rule id from [`ALL_RULES`]) in a
@@ -20,7 +24,8 @@
 //! review's sight, as path scopes.
 
 use super::{lexer, parse, tokens};
-use std::collections::BTreeMap;
+use std::cell::RefCell;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// One lint violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -45,9 +50,11 @@ pub const RULE_HOT_ALLOC: &str = "hot_alloc";
 pub const RULE_PANIC_PATH: &str = "panic_path";
 pub const RULE_UNORDERED_ITER: &str = "unordered_iter";
 pub const RULE_HOT_FMA: &str = "hot_fma";
+pub const RULE_UNCALLED_PUB: &str = "uncalled_pub";
+pub const RULE_UNUSED_ALLOW: &str = "unused_allow";
 
 /// All rule ids, for `allow(...)` validation and docs.
-pub const ALL_RULES: [&str; 9] = [
+pub const ALL_RULES: [&str; 11] = [
     RULE_UNWRAP,
     RULE_PARTIAL_CMP,
     RULE_LOSSY_CAST,
@@ -57,6 +64,8 @@ pub const ALL_RULES: [&str; 9] = [
     RULE_PANIC_PATH,
     RULE_UNORDERED_ITER,
     RULE_HOT_FMA,
+    RULE_UNCALLED_PUB,
+    RULE_UNUSED_ALLOW,
 ];
 
 /// The designated hot regions: the per-cycle inner loops whose
@@ -111,10 +120,8 @@ pub const HOT_ANCHORS: &[(&str, &[&str])] = &[
     (
         "crates/bda-num/src/tridiag.rs",
         &[
-            "solve_thomas",
             "solve_thomas_pair",
             "ThomasFactor::factor",
-            "ThomasFactor::solve",
             "ThomasFactor::solve_columns",
         ],
     ),
@@ -137,7 +144,6 @@ pub const HOT_ANCHORS: &[(&str, &[&str])] = &[
     (
         "crates/bda-num/src/matrix.rs",
         &[
-            "dot",
             "dot8",
             "axpy",
             "matmul_into",
@@ -148,7 +154,6 @@ pub const HOT_ANCHORS: &[(&str, &[&str])] = &[
             "gram_tile",
             "tile_step",
             "segment",
-            "matvec_into",
             "transpose_in_place",
             "swap_rows",
         ],
@@ -201,6 +206,15 @@ struct FileScope {
     /// checkpoints or digests — where hash-container iteration order is a
     /// determinism hazard (`unordered_iter`).
     ordered: bool,
+    /// Library code whose bare `pub` items need a caller (`uncalled_pub`):
+    /// workspace library files, binaries (`main.rs`, `src/bin/`) excepted.
+    api: bool,
+    /// Code whose identifiers count as callers for `uncalled_pub`: the
+    /// crates' `src` and `benches`, the root `src/`, `examples/`, and the
+    /// read-only `benchmark/src`. Test trees never count.
+    caller: bool,
+    /// Read for the caller index only, never linted (`benchmark/src`).
+    index_only: bool,
 }
 
 fn classify(rel: &str) -> FileScope {
@@ -248,6 +262,17 @@ fn classify(rel: &str) -> FileScope {
         ]
         .iter()
         .any(|p| rel.starts_with(p)),
+        api: workspace_any
+            && !test_path
+            && !rel.ends_with("/main.rs")
+            && !rel.contains("/src/bin/"),
+        caller: !rel.contains("/tests/")
+            && (rel.starts_with("src/")
+                || rel.starts_with("examples/")
+                || rel.starts_with("benchmark/src/")
+                || (rel.starts_with("crates/")
+                    && (rel.contains("/src/") || rel.contains("/benches/")))),
+        index_only: rel.starts_with("benchmark/"),
     }
 }
 
@@ -401,11 +426,15 @@ struct FileAnalysis {
     in_test: Vec<bool>,
     toks: Vec<tokens::Token>,
     index: parse::FileIndex,
-    /// Per-line allows (a marker covers its own line and the next).
-    allows: Vec<Vec<&'static str>>,
+    /// Per-line allows (a marker covers its own line and the next), each
+    /// with the 0-based line of the marker that grants it.
+    allows: Vec<Vec<(&'static str, usize)>>,
     /// Per-function allows for the parser-backed rules: a marker on (or
     /// directly above) the `fn` line covers the whole body.
-    fn_allows: Vec<Vec<&'static str>>,
+    fn_allows: Vec<Vec<(&'static str, usize)>>,
+    /// Every marker that can suppress something, as (line, rule): what
+    /// `unused_allow` checks against the suppressions actually made.
+    markers: Vec<(usize, &'static str)>,
     /// Functions carrying a `bda-check: hot` marker.
     hot_marked: Vec<bool>,
     /// Findings produced during analysis itself (unknown allow names).
@@ -422,7 +451,8 @@ fn analyze_one(rel: &str, src: &str) -> FileAnalysis {
     let toks = tokens::tokenize(&proj.code);
     let index = parse::index_file(&toks);
 
-    let mut allows: Vec<Vec<&'static str>> = vec![Vec::new(); raw_lines.len()];
+    let mut allows: Vec<Vec<(&'static str, usize)>> = vec![Vec::new(); raw_lines.len()];
+    let mut markers = Vec::new();
     let mut hot_lines: Vec<bool> = vec![false; raw_lines.len() + 2];
     let mut early_findings = Vec::new();
     for (idx, comment) in comment_lines.iter().enumerate() {
@@ -451,11 +481,11 @@ fn analyze_one(rel: &str, src: &str) -> FileAnalysis {
                 snippet: raw_lines.get(idx).map_or("", |r| r.trim()).to_string(),
             });
         }
-        if !allowed.is_empty() {
-            allows[idx].extend_from_slice(&allowed);
+        for rule in allowed {
+            markers.push((idx, rule));
+            allows[idx].push((rule, idx));
             if idx + 1 < raw_lines.len() {
-                let tail = allowed.clone();
-                allows[idx + 1].extend(tail);
+                allows[idx + 1].push((rule, idx));
             }
         }
         if has_hot_marker(comment) {
@@ -484,6 +514,7 @@ fn analyze_one(rel: &str, src: &str) -> FileAnalysis {
         index,
         allows,
         fn_allows,
+        markers,
         hot_marked,
         early_findings,
     }
@@ -547,6 +578,9 @@ fn hot_set(
         }
     }
     for (fi, fa) in files.iter().enumerate() {
+        if fa.scope.index_only {
+            continue;
+        }
         for (k, marked) in fa.hot_marked.iter().enumerate() {
             if *marked {
                 hot.entry((fi, k)).or_insert(HotReason::Marker);
@@ -583,57 +617,160 @@ fn hot_set(
     hot
 }
 
-/// Analyze a set of files together: the single entry point behind both
-/// [`check_file`] (one file) and the workspace walk in [`super::run`].
-/// Hot propagation crosses file boundaries only within the given set.
+/// Analyze a set of files together as the workspace: the entry point
+/// behind the walk in [`super::run`], and the only one that runs the two
+/// whole-workspace rules, `uncalled_pub` and `unused_allow`. Hot
+/// propagation and caller lookup cross file boundaries only within the
+/// given set; `benchmark/` files are read as callers and never linted.
 pub fn analyze_files(files: &[(String, String)]) -> Vec<Finding> {
-    let analyses: Vec<FileAnalysis> = files
-        .iter()
-        .map(|(rel, src)| analyze_one(rel, src))
-        .collect();
-    let mut findings = Vec::new();
-    for fa in &analyses {
-        findings.extend(fa.early_findings.iter().cloned());
-    }
-    let hot = hot_set(&analyses, &mut findings);
-
-    for (fi, fa) in analyses.iter().enumerate() {
-        let hot_fns: Vec<(usize, HotReason)> = hot
-            .range((fi, 0)..(fi + 1, 0))
-            .map(|((_, k), r)| (*k, r.clone()))
-            .collect();
-        check_one(fa, &hot_fns, &mut findings);
-    }
-    findings
+    analyze(files, true)
 }
 
 /// Lint one file's source. `rel` is the workspace-relative path with `/`
 /// separators; it drives every scoping decision, so callers (and fixture
 /// tests) can lint arbitrary text under any nominal location. Hot
-/// propagation is file-local here; the workspace runner propagates across
-/// files.
+/// propagation is file-local here, and the whole-workspace rules are off;
+/// the workspace runner propagates across files.
+// bda-check: allow(uncalled_pub) -- the single-file entry point the rule fixtures in `tests/lint_rules.rs` drive
 pub fn check_file(rel: &str, src: &str) -> Vec<Finding> {
-    let mut findings = analyze_files(&[(rel.to_string(), src.to_string())]);
+    let mut findings = analyze(&[(rel.to_string(), src.to_string())], false);
     findings.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
     findings
 }
 
-/// Is the finding at `line` (1-based) suppressed by a function-level
-/// allow — a marker on the `fn` line of any function whose span covers it?
-fn fn_allowed(fa: &FileAnalysis, line: usize, rule: &'static str) -> bool {
+fn analyze(files: &[(String, String)], workspace: bool) -> Vec<Finding> {
+    let analyses: Vec<FileAnalysis> = files
+        .iter()
+        .map(|(rel, src)| analyze_one(rel, src))
+        .collect();
+    let mut findings = Vec::new();
+    for fa in analyses.iter().filter(|fa| !fa.scope.index_only) {
+        findings.extend(fa.early_findings.iter().cloned());
+    }
+    let hot = hot_set(&analyses, &mut findings);
+    let uncalled = if workspace {
+        uncalled_pub_items(&analyses)
+    } else {
+        vec![Vec::new(); analyses.len()]
+    };
+
+    for (fi, fa) in analyses.iter().enumerate() {
+        if fa.scope.index_only {
+            continue;
+        }
+        let hot_fns: Vec<(usize, HotReason)> = hot
+            .range((fi, 0)..(fi + 1, 0))
+            .map(|((_, k), r)| (*k, r.clone()))
+            .collect();
+        let used = RefCell::new(BTreeSet::new());
+        check_one(fa, &hot_fns, &uncalled[fi], &used, &mut findings);
+        if workspace {
+            let used = used.into_inner();
+            for &(idx, rule) in &fa.markers {
+                if !used.contains(&(idx, rule)) {
+                    findings.push(Finding {
+                        file: fa.rel.clone(),
+                        line: idx + 1,
+                        rule: RULE_UNUSED_ALLOW,
+                        message: format!(
+                            "`allow({rule})` suppresses nothing on its own line, the next, or \
+                             the fn it heads: delete the marker"
+                        ),
+                        snippet: fa.raw_lines.get(idx).map_or("", |r| r.trim()).to_string(),
+                    });
+                }
+            }
+        }
+    }
+    findings
+}
+
+/// `uncalled_pub`: per file, the bare-`pub` items of library code whose
+/// name no caller token outside their own definition mentions. Matching
+/// is by name, receivers unresolved: a dead item that shares its name
+/// with a live one is missed, but a named item is never flagged.
+fn uncalled_pub_items(files: &[FileAnalysis]) -> Vec<Vec<&parse::PubItem>> {
+    let counted: Vec<Vec<bool>> = files.iter().map(caller_tokens).collect();
+    let mut mentions: BTreeMap<&str, usize> = BTreeMap::new();
+    for (fa, c) in files.iter().zip(&counted) {
+        for j in (0..fa.toks.len()).filter(|&j| c[j]) {
+            if let Some(s) = parse::ident(&fa.toks, j) {
+                *mentions.entry(s).or_default() += 1;
+            }
+        }
+    }
+    files
+        .iter()
+        .zip(&counted)
+        .map(|(fa, c)| {
+            if !fa.scope.api {
+                return Vec::new();
+            }
+            fa.index
+                .pub_items
+                .iter()
+                .filter(|p| {
+                    if fa.in_test.get(p.line - 1).copied().unwrap_or(false) {
+                        return false;
+                    }
+                    let own = (p.span.0..=p.span.1)
+                        .filter(|&j| c[j] && parse::ident(&fa.toks, j) == Some(p.name.as_str()))
+                        .count();
+                    mentions.get(p.name.as_str()).copied().unwrap_or(0) == own
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Which of a file's tokens count as callers: every token of a caller
+/// file outside `#[cfg(test)]` regions, `use` items and the self type of
+/// `impl` headers.
+fn caller_tokens(fa: &FileAnalysis) -> Vec<bool> {
+    let mut counted: Vec<bool> = fa
+        .toks
+        .iter()
+        .map(|t| fa.scope.caller && !fa.in_test.get(t.line - 1).copied().unwrap_or(false))
+        .collect();
+    for &(lo, hi) in &fa.index.use_spans {
+        counted[lo..=hi].fill(false);
+    }
+    for &at in &fa.index.impl_self_types {
+        counted[at] = false;
+    }
+    counted
+}
+
+/// The function-level allow for `rule` covering `line` (1-based), if any:
+/// a marker on the `fn` line of a function whose span covers the line.
+fn fn_allow(fa: &FileAnalysis, line: usize, rule: &'static str) -> Option<usize> {
     fa.index
         .fns
         .iter()
-        .enumerate()
-        .any(|(k, f)| f.line <= line && line <= f.body_lines.1 && fa.fn_allows[k].contains(&rule))
+        .zip(&fa.fn_allows)
+        .filter(|(f, _)| f.line <= line && line <= f.body_lines.1)
+        .find_map(|(_, a)| a.iter().find(|(r, _)| *r == rule).map(|&(_, m)| m))
 }
 
-fn check_one(fa: &FileAnalysis, hot_fns: &[(usize, HotReason)], findings: &mut Vec<Finding>) {
+fn check_one(
+    fa: &FileAnalysis,
+    hot_fns: &[(usize, HotReason)],
+    uncalled: &[&parse::PubItem],
+    used: &RefCell<BTreeSet<(usize, &'static str)>>,
+    findings: &mut Vec<Finding>,
+) {
     let scope = &fa.scope;
     let rel = fa.rel.as_str();
 
+    // A suppressed finding credits the marker that suppressed it, so
+    // `unused_allow` can report the markers no finding needed.
     let push = |findings: &mut Vec<Finding>, idx: usize, rule: &'static str, msg: String| {
-        if fa.allows.get(idx).is_some_and(|a| a.contains(&rule)) || fn_allowed(fa, idx + 1, rule) {
+        let line_allow = fa
+            .allows
+            .get(idx)
+            .and_then(|a| a.iter().find(|(r, _)| *r == rule).map(|&(_, m)| m));
+        if let Some(marker) = line_allow.or_else(|| fn_allow(fa, idx + 1, rule)) {
+            used.borrow_mut().insert((marker, rule));
             return;
         }
         findings.push(Finding {
@@ -644,6 +781,19 @@ fn check_one(fa: &FileAnalysis, hot_fns: &[(usize, HotReason)], findings: &mut V
             snippet: fa.raw_lines.get(idx).map_or("", |r| r.trim()).to_string(),
         });
     };
+
+    for item in uncalled {
+        push(
+            findings,
+            item.line - 1,
+            RULE_UNCALLED_PUB,
+            format!(
+                "`pub` item `{}` is named by no non-test code outside its own definition: \
+                 delete it, move it under #[cfg(test)], or justify an allow marker",
+                item.name
+            ),
+        );
+    }
 
     // ------------------------------------------------------------------
     // Line-scan rules (the original lexer-level set).

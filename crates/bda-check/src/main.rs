@@ -15,7 +15,8 @@ USAGE:
     cargo run -p bda-check -- lint [--root <dir>] [--json]
 
 COMMANDS:
-    lint    Scan src/, crates/ and vendor/rayon/ for rule violations.
+    lint    Scan src/, crates/ and vendor/rayon/ for rule violations
+            (benchmark/src is read as a caller, never linted).
 
 OPTIONS:
     --root <dir>    Workspace root (default: nearest ancestor of the
@@ -23,8 +24,9 @@ OPTIONS:
     --json          Emit the machine-readable report (CI artifact format)
                     instead of the human-readable one.
 
-RULES (suppress per-site with `// bda-check: allow(rule_id)`; the four
-parser-backed rules also honor a marker on a `fn` line, covering its body):
+RULES (eleven; suppress per-site with `// bda-check: allow(rule_id)` and a
+reason; the four hot/ordering rules also honor a marker on a `fn` line,
+covering its body):
     unwrap              no .unwrap()/.expect() in non-test library code
     partial_cmp_unwrap  no partial_cmp(..).unwrap(); use total_cmp
     lossy_cast          no lossy `as` casts in the bda-num/bda-letkf
@@ -46,6 +48,11 @@ parser-backed rules also honor a marker on a `fn` line, covering its body):
                         the loop from vectorizing
     unordered_iter      no HashMap/HashSet iteration in crates feeding
                         outcome tables, wire frames, checkpoints, digests
+    uncalled_pub        no bare `pub` library item that no non-test code
+                        names outside its own definition (callers: crates'
+                        src and benches, src/, examples/, benchmark/src;
+                        matched by name, so a shared name hides a dead item)
+    unused_allow        no allow marker that suppresses nothing
 ";
 
 fn main() -> ExitCode {

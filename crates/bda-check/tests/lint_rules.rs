@@ -3,7 +3,7 @@
 //! skips). Each fixture is linted under a *nominal* path so one text file
 //! can be exercised in several scopes: library, test, kernel, vendor.
 
-use bda_check::lint::rules::check_file;
+use bda_check::lint::rules::{analyze_files, check_file};
 use bda_check::lint::{find_workspace_root, run};
 use std::path::Path;
 
@@ -179,6 +179,79 @@ fn unordered_iter_rule_bindings_hops_and_scope() {
     // checkpoints or digests — physics crates iterate hash maps freely.
     assert_eq!(
         lines_for("crates/bda-scale/src/fixture.rs", src, "unordered_iter"),
+        Vec::<usize>::new()
+    );
+}
+
+/// Lint `files` together as a workspace and keep `rule`'s findings as
+/// (file, line).
+fn workspace_hits(files: &[(&str, &str)], rule: &str) -> Vec<(String, usize)> {
+    let files: Vec<(String, String)> = files
+        .iter()
+        .map(|(rel, src)| (rel.to_string(), src.to_string()))
+        .collect();
+    analyze_files(&files)
+        .into_iter()
+        .filter(|f| f.rule == rule)
+        .map(|f| (f.file, f.line))
+        .collect()
+}
+
+#[test]
+fn uncalled_pub_counts_only_non_test_callers() {
+    let src = include_str!("fixtures/uncalled_pub.rs");
+    let files = [
+        (LIB_PATH, src),
+        (
+            "crates/bda-core/tests/it.rs",
+            "fn t() {\n    bda_core::fixture::only_in_tests_dir();\n}\n",
+        ),
+        (
+            "crates/bda-core/src/lib.rs",
+            "pub use fixture::only_reexported;\n",
+        ),
+        (
+            "examples/demo.rs",
+            "fn main() {\n    bda_core::fixture::called_from_example();\n    \
+             bda_core::fixture::marked_but_called();\n}\n",
+        ),
+        (
+            "benchmark/src/main.rs",
+            "fn main() {\n    bda_core::fixture::called_from_benchmark();\n}\n",
+        ),
+    ];
+    let at = |line| (LIB_PATH.to_string(), line);
+    // Called only from a #[cfg(test)] module, a tests/ path, a `pub use`
+    // line or its own body; an impl of a type nothing names, and the
+    // method nobody calls. Example and benchmark callers count, the
+    // justified marker suppresses, and `pub(crate)` is rustc's.
+    assert_eq!(
+        workspace_hits(&files, "uncalled_pub"),
+        vec![at(5), at(7), at(9), at(11), at(31), at(34)]
+    );
+    // A marker on an item that has a caller suppresses nothing.
+    assert_eq!(workspace_hits(&files, "unused_allow"), vec![at(26)]);
+    // The rule needs the whole workspace: the single-file mode skips it.
+    assert_eq!(
+        lines_for(LIB_PATH, src, "uncalled_pub"),
+        Vec::<usize>::new()
+    );
+}
+
+#[test]
+fn unused_allow_reports_a_marker_over_clean_code() {
+    let src = include_str!("fixtures/unused_allow.rs");
+    assert_eq!(
+        workspace_hits(&[(LIB_PATH, src)], "unused_allow"),
+        vec![(LIB_PATH.to_string(), 3)]
+    );
+    // The marker that suppresses the `.unwrap()` is used.
+    assert_eq!(
+        workspace_hits(&[(LIB_PATH, src)], "unwrap"),
+        Vec::<(String, usize)>::new()
+    );
+    assert_eq!(
+        lines_for(LIB_PATH, src, "unused_allow"),
         Vec::<usize>::new()
     );
 }

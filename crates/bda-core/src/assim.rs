@@ -201,8 +201,7 @@ impl<T: Real> Assimilator<T> {
         // with no usable observations — radar outage, dropped scan, or total
         // QC rejection — degrades to an ensemble-forecast-only cycle, as
         // does a quorum failure: the members continue unanalyzed and the
-        // outcome reports zero points analyzed (see
-        // `CycleOutcome::analysis_skipped`). Neither observation loss nor
+        // outcome reports zero points analyzed. Neither observation loss nor
         // member death must ever abort the 30-second cadence.
         if out.n_obs_used > 0 {
             let mut flats: Vec<Vec<T>> = ensemble

@@ -181,14 +181,6 @@ pub struct CycleOutcome {
 }
 
 impl CycleOutcome {
-    /// True when the cycle ran without an analysis because no observation
-    /// survived the scan + QC (radar outage, dropped scan, total rejection).
-    /// The ensemble still advanced — this is a forecast-only cycle, the
-    /// in-model end of the workflow supervisor's degradation ladder.
-    pub fn analysis_skipped(&self) -> bool {
-        self.n_obs_used == 0 || self.below_quorum
-    }
-
     /// True when at least one member was quarantined this cycle.
     pub fn ensemble_degraded(&self) -> bool {
         !self.member_errors.is_empty()
@@ -641,6 +633,16 @@ impl<T: Real> Osse<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl CycleOutcome {
+        /// True when the cycle ran without an analysis because no observation
+        /// survived the scan + QC (radar outage, dropped scan, total rejection).
+        /// The ensemble still advanced — this is a forecast-only cycle, the
+        /// in-model end of the workflow supervisor's degradation ladder.
+        pub fn analysis_skipped(&self) -> bool {
+            self.n_obs_used == 0 || self.below_quorum
+        }
+    }
 
     fn small() -> Osse<f32> {
         Osse::new(OsseConfig::reduced(10, 8, 6, 2, 11))

@@ -1,11 +1,9 @@
 //! 2-D horizontal tile decomposition.
 //!
 //! The paper runs SCALE-LETKF over thousands of Fugaku nodes with a 2-D
-//! horizontal domain decomposition; inside one address space the same
-//! structure drives Rayon work partitioning and lets the workflow performance
-//! model reason about per-node tile sizes.
+//! horizontal domain decomposition; here the same split cuts the domain
+//! into the shard federation's x-strips.
 
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// One rectangular tile of the horizontal domain: `i0 <= i < i1`,
@@ -25,11 +23,6 @@ impl Tile {
 
     pub fn contains(&self, i: usize, j: usize) -> bool {
         i >= self.i0 && i < self.i1 && j >= self.j0 && j < self.j1
-    }
-
-    /// Iterate the (i, j) pairs of this tile.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        (self.i0..self.i1).flat_map(move |i| (self.j0..self.j1).map(move |j| (i, j)))
     }
 }
 
@@ -82,58 +75,8 @@ impl TileDecomp {
         }
     }
 
-    /// Square-ish decomposition into roughly `n` tiles (for "one tile per
-    /// worker" setups).
-    pub fn roughly(nx: usize, ny: usize, n: usize) -> Self {
-        let n = n.max(1).min(nx * ny);
-        let mut best = (1, n);
-        let mut best_score = usize::MAX;
-        for px in 1..=n {
-            if !n.is_multiple_of(px) {
-                continue;
-            }
-            let py = n / px;
-            if px > nx || py > ny {
-                continue;
-            }
-            // Prefer aspect ratios matching the domain.
-            let score = (px * ny).abs_diff(py * nx);
-            if score < best_score {
-                best_score = score;
-                best = (px, py);
-            }
-        }
-        Self::new(nx, ny, best.0, best.1)
-    }
-
     pub fn tiles(&self) -> &[Tile] {
         &self.tiles
-    }
-
-    pub fn ntiles(&self) -> usize {
-        self.tiles.len()
-    }
-
-    /// Which tile owns cell (i, j)? `None` if the cell lies outside the
-    /// decomposed domain.
-    pub fn owner(&self, i: usize, j: usize) -> Option<usize> {
-        self.tiles.iter().position(|t| t.contains(i, j))
-    }
-
-    /// Run a closure over every tile in parallel, collecting the results in
-    /// tile order.
-    pub fn par_map<R: Send>(&self, f: impl Fn(usize, &Tile) -> R + Sync) -> Vec<R> {
-        self.tiles
-            .par_iter()
-            .enumerate()
-            .map(|(idx, t)| f(idx, t))
-            .collect()
-    }
-
-    /// Largest tile size in cells — the load-balance figure the node
-    /// allocation model uses.
-    pub fn max_tile_cells(&self) -> usize {
-        self.tiles.iter().map(Tile::cells).max().unwrap_or(0)
     }
 }
 
@@ -160,46 +103,5 @@ mod tests {
         let d = TileDecomp::new(10, 10, 3, 1);
         let widths: Vec<usize> = d.tiles().iter().map(|t| t.i1 - t.i0).collect();
         assert_eq!(widths, vec![4, 3, 3]);
-    }
-
-    #[test]
-    fn owner_is_consistent_with_contains() {
-        let d = TileDecomp::new(8, 8, 2, 2);
-        assert!(d.tiles()[d.owner(0, 0).unwrap()].contains(0, 0));
-        assert!(d.tiles()[d.owner(7, 7).unwrap()].contains(7, 7));
-    }
-
-    #[test]
-    fn par_map_preserves_tile_order() {
-        let d = TileDecomp::new(16, 16, 4, 4);
-        let ids = d.par_map(|idx, _| idx);
-        assert_eq!(ids, (0..16).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn roughly_produces_requested_count_when_divisible() {
-        let d = TileDecomp::roughly(64, 64, 16);
-        assert_eq!(d.ntiles(), 16);
-        assert_eq!(d.px, 4);
-        assert_eq!(d.py, 4);
-    }
-
-    #[test]
-    fn tile_iter_covers_cells() {
-        let t = Tile {
-            i0: 1,
-            i1: 3,
-            j0: 0,
-            j1: 2,
-        };
-        let cells: Vec<_> = t.iter().collect();
-        assert_eq!(cells, vec![(1, 0), (1, 1), (2, 0), (2, 1)]);
-        assert_eq!(t.cells(), 4);
-    }
-
-    #[test]
-    fn max_tile_cells_reflects_imbalance() {
-        let d = TileDecomp::new(10, 1, 3, 1);
-        assert_eq!(d.max_tile_cells(), 4);
     }
 }

@@ -177,20 +177,6 @@ impl<T: Real> Field3<T> {
         }
     }
 
-    /// Interior mean.
-    pub fn interior_mean(&self) -> T {
-        let mut sum = T::zero();
-        for i in 0..self.nx {
-            for j in 0..self.ny {
-                let col = self.column(i as isize, j as isize);
-                for &v in col {
-                    sum += v;
-                }
-            }
-        }
-        sum / T::of_usize(self.nx * self.ny * self.nz)
-    }
-
     /// Maximum absolute interior value.
     pub fn interior_max_abs(&self) -> T {
         let mut m = T::zero();
@@ -274,18 +260,6 @@ impl<T: Real> Field3<T> {
             .chunks_exact_mut(slab.max(1))
             .enumerate()
             .map(move |(i, data)| Row { i, nz, halo, data })
-    }
-
-    /// Horizontal slice at level `k` as a dense row-major (`i`-major)
-    /// interior-only vector — used for map products (Figs. 1 and 6).
-    pub fn level_slice(&self, k: usize) -> Vec<T> {
-        let mut out = Vec::with_capacity(self.nx * self.ny);
-        for j in 0..self.ny {
-            for i in 0..self.nx {
-                out.push(self.at(i as isize, j as isize, k));
-            }
-        }
-        out
     }
 }
 
@@ -397,8 +371,7 @@ mod tests {
     #[test]
     fn interior_statistics() {
         let f = Field3::<f64>::from_fn(2, 2, 1, 3, |i, j, _| (i + j) as f64);
-        // values: 0,1,1,2 -> mean 1.0, max abs 2.0
-        assert!((f.interior_mean() - 1.0).abs() < 1e-12);
+        // values: 0,1,1,2 -> max abs 2.0
         assert_eq!(f.interior_max_abs(), 2.0);
         assert!(f.interior_all_finite());
     }
@@ -453,14 +426,6 @@ mod tests {
             assert_eq!(row.column(-1), f.column(i, -1));
             assert_eq!(row.column(ny as isize), f.column(i, ny as isize));
         }
-    }
-
-    #[test]
-    fn level_slice_is_row_major_j_outer() {
-        let f = Field3::<f64>::from_fn(2, 3, 2, 1, |i, j, k| (i + 10 * j + 100 * k) as f64);
-        let s = f.level_slice(1);
-        // j-major rows: (i=0..2, j fixed), j=0 first.
-        assert_eq!(s, vec![100.0, 101.0, 110.0, 111.0, 120.0, 121.0]);
     }
 
     #[test]

@@ -12,15 +12,6 @@ pub struct VerticalCoord {
 }
 
 impl VerticalCoord {
-    /// Uniform spacing up to `z_top`.
-    pub fn uniform(nz: usize, z_top: f64) -> Self {
-        assert!(nz > 0 && z_top > 0.0);
-        let dz = z_top / nz as f64;
-        let z_face: Vec<f64> = (0..=nz).map(|k| k as f64 * dz).collect();
-        let z_center: Vec<f64> = (0..nz).map(|k| (k as f64 + 0.5) * dz).collect();
-        Self { z_center, z_face }
-    }
-
     /// Stretched spacing: thin layers near the surface growing geometrically
     /// by `ratio` per layer until `z_top` — the usual NWP arrangement (the
     /// paper's 60 levels over 16.4 km are bottom-refined).
@@ -175,8 +166,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn uniform_vertical_has_constant_dz() {
-        let v = VerticalCoord::uniform(10, 1000.0);
+    fn stretched_with_ratio_one_has_constant_dz() {
+        let v = VerticalCoord::stretched(10, 1000.0, 1.0);
         assert_eq!(v.nz(), 10);
         for k in 0..10 {
             assert!((v.dz(k) - 100.0).abs() < 1e-9);
@@ -199,17 +190,8 @@ mod tests {
     }
 
     #[test]
-    fn stretched_with_ratio_one_is_uniform() {
-        let a = VerticalCoord::stretched(8, 800.0, 1.0);
-        let b = VerticalCoord::uniform(8, 800.0);
-        for k in 0..8 {
-            assert!((a.dz(k) - b.dz(k)).abs() < 1e-9);
-        }
-    }
-
-    #[test]
     fn level_of_picks_nearest_center() {
-        let v = VerticalCoord::uniform(4, 400.0); // centers 50,150,250,350
+        let v = VerticalCoord::stretched(4, 400.0, 1.0); // centers 50,150,250,350
         assert_eq!(v.level_of(0.0), 0);
         assert_eq!(v.level_of(160.0), 1);
         assert_eq!(v.level_of(1e9), 3);

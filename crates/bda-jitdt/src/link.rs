@@ -43,11 +43,6 @@ impl LinkModel {
         }
     }
 
-    /// Ideal transfer time for `bytes` with no jitter or stalls.
-    pub fn ideal_seconds(&self, bytes: usize) -> f64 {
-        self.latency_s + (bytes as f64 * 8.0) / self.effective_bandwidth_bps
-    }
-
     pub fn validate(&self) {
         assert!(self.effective_bandwidth_bps > 0.0);
         assert!(self.latency_s >= 0.0);
@@ -59,6 +54,13 @@ impl LinkModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl LinkModel {
+        /// Ideal transfer time for `bytes` with no jitter or stalls.
+        pub fn ideal_seconds(&self, bytes: usize) -> f64 {
+            self.latency_s + (bytes as f64 * 8.0) / self.effective_bandwidth_bps
+        }
+    }
 
     #[test]
     fn sinet_moves_100mb_in_about_3_seconds() {

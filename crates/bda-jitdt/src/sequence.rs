@@ -146,11 +146,6 @@ impl SeqTracker {
         Self::default()
     }
 
-    /// Newest sequence number seen so far.
-    pub fn newest(&self) -> Option<u64> {
-        self.newest
-    }
-
     /// Classify `seq` against history. `Fresh` advances the tracker; the
     /// other classes leave it untouched, so a replay of a gapped message
     /// is still a duplicate.
@@ -297,16 +292,18 @@ impl SequencedReceiver {
         let raw = self.inner.recv_timeout(timeout)?;
         self.classify(raw, now)
     }
-
-    /// Sequence number of the newest volume seen so far.
-    pub fn newest_seq(&self) -> Option<u64> {
-        self.tracker.newest()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl SeqTracker {
+        /// Newest sequence number seen so far.
+        pub fn newest(&self) -> Option<u64> {
+            self.newest
+        }
+    }
 
     fn seq_pipe(horizon: Option<f64>) -> (SequencedSender, SequencedReceiver) {
         sequenced_pipe(64, 64, horizon)
@@ -324,7 +321,6 @@ mod tests {
         );
         let v1 = rx.recv(60.0).unwrap();
         assert_eq!(v1.seq, 1);
-        assert_eq!(rx.newest_seq(), Some(1));
     }
 
     #[test]

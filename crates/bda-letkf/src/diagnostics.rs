@@ -6,10 +6,6 @@
 //! plus the observation error should explain the innovation variance. A
 //! consistency ratio well below 1 means the ensemble is overdispersive;
 //! well above 1 means spread collapse (what RTPP exists to prevent).
-//!
-//! Also provides Desroziers-style adaptive multiplicative inflation — an
-//! *extension* beyond the paper's fixed-RTPP configuration (the paper lists
-//! only RTPP in Table 2), useful for the sensitivity studies.
 
 use crate::obs::{ObsEnsemble, ObsKind};
 use bda_num::cast;
@@ -33,23 +29,13 @@ pub struct InnovationStats {
 impl InnovationStats {
     /// Spread-consistency ratio `var(d) / (HPH^T + R)`; ~1 for a healthy
     /// filter, > 1 when the ensemble is overconfident.
+    // bda-check: allow(uncalled_pub) -- the filter-health number the per-cycle record needs; `tests/end_to_end_cycle.rs` checks it
     pub fn consistency_ratio(&self) -> f64 {
         let denom = self.hpht + self.r;
         if denom <= 0.0 {
             return f64::NAN;
         }
         self.variance / denom
-    }
-
-    /// Desroziers-style multiplicative inflation estimate: the factor by
-    /// which background variance should grow so that consistency holds.
-    /// Clamped to [1, max_factor]; deflation is left to RTPP.
-    pub fn inflation_estimate(&self, max_factor: f64) -> f64 {
-        if self.hpht <= 0.0 {
-            return 1.0;
-        }
-        let target_hpht = (self.variance - self.r).max(0.0);
-        (target_hpht / self.hpht).clamp(1.0, max_factor)
     }
 }
 
@@ -89,45 +75,6 @@ pub fn innovation_statistics<T: Real>(ens: &ObsEnsemble<T>) -> (InnovationStats,
         }
     }
     (stats[0], stats[1])
-}
-
-/// Running adaptive-inflation state: exponentially smoothed estimates, one
-/// scalar factor applied through `LetkfConfig::infl_mult`.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
-pub struct AdaptiveInflation {
-    /// Current multiplicative factor.
-    pub factor: f64,
-    /// Smoothing weight for new estimates (0..1).
-    pub smoothing: f64,
-    /// Upper bound on the factor.
-    pub max_factor: f64,
-}
-
-impl Default for AdaptiveInflation {
-    fn default() -> Self {
-        Self {
-            factor: 1.0,
-            smoothing: 0.1,
-            max_factor: 2.0,
-        }
-    }
-}
-
-impl AdaptiveInflation {
-    /// Update from this cycle's innovation statistics (both kinds pooled by
-    /// observation count).
-    pub fn update(&mut self, refl: &InnovationStats, dopp: &InnovationStats) -> f64 {
-        let total = refl.count + dopp.count;
-        if total == 0 {
-            return self.factor;
-        }
-        let est = (refl.inflation_estimate(self.max_factor) * cast::f64_of(refl.count)
-            + dopp.inflation_estimate(self.max_factor) * cast::f64_of(dopp.count))
-            / cast::f64_of(total);
-        self.factor = ((1.0 - self.smoothing) * self.factor + self.smoothing * est)
-            .clamp(1.0, self.max_factor);
-        self.factor
-    }
 }
 
 #[cfg(test)]
@@ -186,7 +133,7 @@ mod tests {
     }
 
     #[test]
-    fn collapsed_ensemble_has_large_ratio_and_inflation() {
+    fn collapsed_ensemble_has_large_ratio() {
         // Tiny spread but large innovations: the filter is overconfident.
         let ens = make_ens(50, 200, 0.1, 6.0, 1.0, 2);
         let (r, _) = innovation_statistics(&ens);
@@ -195,15 +142,13 @@ mod tests {
             "ratio {:.1}",
             r.consistency_ratio()
         );
-        assert!(r.inflation_estimate(100.0) > 5.0);
     }
 
     #[test]
-    fn overdispersive_ensemble_suggests_no_inflation() {
+    fn overdispersive_ensemble_has_small_ratio() {
         let ens = make_ens(50, 200, 8.0, 1.0, 1.0, 3);
         let (r, _) = innovation_statistics(&ens);
         assert!(r.consistency_ratio() < 0.5);
-        assert_eq!(r.inflation_estimate(2.0), 1.0, "deflation is RTPP's job");
     }
 
     #[test]
@@ -215,27 +160,10 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_inflation_moves_smoothly_and_is_bounded() {
-        let mut ai = AdaptiveInflation::default();
-        let collapsed = make_ens(30, 100, 0.1, 6.0, 1.0, 5);
-        let (r, d) = innovation_statistics(&collapsed);
-        let f1 = ai.update(&r, &d);
-        assert!(f1 > 1.0 && f1 <= ai.max_factor);
-        // Repeated updates converge toward the cap without exceeding it.
-        for _ in 0..100 {
-            ai.update(&r, &d);
-        }
-        assert!(ai.factor <= ai.max_factor + 1e-12);
-        assert!(ai.factor > f1);
-    }
-
-    #[test]
     fn empty_observation_set_is_neutral() {
         let ens = ObsEnsemble::<f64>::new(vec![], vec![vec![]; 3]);
         let (r, d) = innovation_statistics(&ens);
         assert_eq!(r.count, 0);
         assert_eq!(d.count, 0);
-        let mut ai = AdaptiveInflation::default();
-        assert_eq!(ai.update(&r, &d), 1.0);
     }
 }

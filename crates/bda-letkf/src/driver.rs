@@ -18,7 +18,7 @@ pub enum AnalysisError {
     /// Observation equivalents don't match the ensemble size.
     EnsembleSizeMismatch { hx: usize, k: usize },
     /// Too few surviving members to form a meaningful analysis
-    /// ([`analyze_quorum`] only).
+    /// ([`analyze_quorum_region`] only).
     BelowQuorum { alive: usize, required: usize },
 }
 
@@ -75,15 +75,6 @@ impl AnalysisStats {
         self.max_local_obs = self.max_local_obs.max(other.max_local_obs);
         self
     }
-
-    /// Mean number of local observations per analyzed point.
-    pub fn mean_local_obs(&self) -> f64 {
-        if self.points_analyzed == 0 {
-            0.0
-        } else {
-            cast::f64_of_u64(self.total_local_obs) / cast::f64_of(self.points_analyzed)
-        }
-    }
 }
 
 /// Per-worker scratch.
@@ -114,7 +105,7 @@ impl<T: Real> Workspace<T> {
 
 /// Run the LETKF analysis in place on an ensemble.
 ///
-/// Observations should already have passed [`crate::obs::gross_error_check`].
+/// Observations should already have passed [`crate::obs::QcPipeline`].
 /// Grid points outside `[analysis_z_min, analysis_z_max]` (Table 2) are left
 /// untouched, as are points with no observation within the localization
 /// cutoff.
@@ -287,7 +278,9 @@ impl QuorumStats {
 /// the ensemble covariance needs at least two members.
 pub const ABSOLUTE_MIN_QUORUM: usize = 2;
 
-/// Run the LETKF on the surviving subset of a partially-dead ensemble.
+/// Run the LETKF on the surviving subset of a partially-dead ensemble,
+/// over the x-strip `i0 <= i < i1` (see [`analyze_region`]) or, with
+/// `None`, the whole domain.
 ///
 /// `members` are flat state vectors ([`StateLayout`] order), index-aligned
 /// with `alive`; dead members are left untouched. `obs` must carry
@@ -297,19 +290,6 @@ pub const ABSOLUTE_MIN_QUORUM: usize = 2;
 /// the reduced quorum. Below `min_quorum` (clamped to at least
 /// [`ABSOLUTE_MIN_QUORUM`]) nothing is touched and the caller's degradation
 /// ladder takes over.
-pub fn analyze_quorum<T: Real>(
-    members: &mut [Vec<T>],
-    alive: &[bool],
-    layout: StateLayout,
-    obs: &ObsEnsemble<T>,
-    cfg: &LetkfConfig,
-    min_quorum: usize,
-) -> Result<QuorumStats, AnalysisError> {
-    analyze_quorum_region(members, alive, layout, obs, cfg, min_quorum, None)
-}
-
-/// [`analyze_quorum`] restricted to the x-strip `i0 <= i < i1` (see
-/// [`analyze_region`]); `None` is bit-identical to [`analyze_quorum`].
 #[allow(clippy::too_many_arguments)]
 pub fn analyze_quorum_region<T: Real>(
     members: &mut [Vec<T>],
@@ -588,9 +568,10 @@ mod tests {
         };
         let before = rmse_at_obs_points(&mat);
         let stats = analyze(&mut mat, &obs, &cfg).unwrap();
+        // At least one local observation per analyzed point, on average.
+        assert!(stats.total_local_obs >= stats.points_analyzed as u64);
         let after = rmse_at_obs_points(&mat);
         assert!(after < before, "RMSE did not improve: {before} -> {after}");
-        assert!(stats.mean_local_obs() >= 1.0);
     }
 
     #[test]
@@ -632,7 +613,8 @@ mod tests {
         alive[3] = false;
         let obs = obs_for_alive(&obs_full, &alive);
         let dead_before = members[3].clone();
-        let q = analyze_quorum(&mut members, &alive, tw.layout.clone(), &obs, &cfg, 2).unwrap();
+        let q = analyze_quorum_region(&mut members, &alive, tw.layout.clone(), &obs, &cfg, 2, None)
+            .unwrap();
         assert_eq!(q.k_alive, 11);
         assert_eq!(q.k_total, 12);
         assert!(q.degraded());
@@ -676,7 +658,8 @@ mod tests {
         let obs = obs_at(&tw, 3, 3, 1, 8.0, 0.5);
         let mut members = tw.members.clone();
         let alive = vec![true; 10];
-        let q = analyze_quorum(&mut members, &alive, tw.layout.clone(), &obs, &cfg, 2).unwrap();
+        let q = analyze_quorum_region(&mut members, &alive, tw.layout.clone(), &obs, &cfg, 2, None)
+            .unwrap();
         assert!(!q.degraded());
         let mut mat = EnsembleMatrix::from_members(&tw.members, tw.layout.clone());
         let stats = analyze(&mut mat, &obs, &cfg).unwrap();
@@ -695,9 +678,10 @@ mod tests {
         let alive = vec![true, false, false, false, false, true];
         let obs = obs_for_alive(&obs_full, &alive);
         let before = members.clone();
-        let err = analyze_quorum(&mut members, &alive, tw.layout.clone(), &obs, &cfg, 4)
-            .err()
-            .unwrap();
+        let err =
+            analyze_quorum_region(&mut members, &alive, tw.layout.clone(), &obs, &cfg, 4, None)
+                .err()
+                .unwrap();
         assert_eq!(
             err,
             AnalysisError::BelowQuorum {
@@ -835,7 +819,8 @@ mod tests {
         let obs = obs_for_alive(&obs_full, &alive);
         // min_quorum 0 still refuses a single-member "ensemble".
         assert_eq!(
-            analyze_quorum(&mut members, &alive, tw.layout.clone(), &obs, &cfg, 0).err(),
+            analyze_quorum_region(&mut members, &alive, tw.layout.clone(), &obs, &cfg, 0, None)
+                .err(),
             Some(AnalysisError::BelowQuorum {
                 alive: 1,
                 required: ABSOLUTE_MIN_QUORUM

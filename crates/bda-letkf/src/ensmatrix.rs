@@ -114,13 +114,6 @@ impl<T: Real> EnsembleMatrix<T> {
         }
     }
 
-    /// The k member values of element (grid point g, variable v).
-    #[inline]
-    pub fn element(&self, g: usize, v: usize) -> &[T] {
-        let base = (g * self.layout.nvar + v) * self.k;
-        &self.data[base..base + self.k]
-    }
-
     /// Expose the raw storage split into per-grid-point mutable blocks of
     /// `nvar * k` values each, for parallel iteration. Block `g` holds the
     /// elements of grid point `g` for all variables.
@@ -132,18 +125,27 @@ impl<T: Real> EnsembleMatrix<T> {
     pub fn block_len(&self) -> usize {
         self.layout.nvar * self.k
     }
-
-    /// Ensemble mean of element (g, v).
-    pub fn element_mean(&self, g: usize, v: usize) -> T {
-        let vals = self.element(g, v);
-        let sum = vals.iter().copied().fold(T::zero(), |a, b| a + b);
-        sum / T::of_usize(self.k)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl<T: Real> EnsembleMatrix<T> {
+        /// The k member values of element (grid point g, variable v).
+        #[inline]
+        pub fn element(&self, g: usize, v: usize) -> &[T] {
+            let base = (g * self.layout.nvar + v) * self.k;
+            &self.data[base..base + self.k]
+        }
+
+        /// Ensemble mean of element (g, v).
+        pub fn element_mean(&self, g: usize, v: usize) -> T {
+            let vals = self.element(g, v);
+            let sum = vals.iter().copied().fold(T::zero(), |a, b| a + b);
+            sum / T::of_usize(self.k)
+        }
+    }
 
     fn layout() -> StateLayout {
         StateLayout {

@@ -23,8 +23,7 @@
 //! 2. Quality control: [`obs::QcPipeline`] — gross physical-bounds checks,
 //!    the Table-2 innovation thresholds, and an adaptive ensemble-background
 //!    departure check, with per-stage rejection counters in
-//!    [`obs::QcReport`]. (The bare Table-2 check remains available as
-//!    [`obs::gross_error_check`].)
+//!    [`obs::QcReport`].
 //! 3. Pack the forecast ensemble into an [`ensmatrix::EnsembleMatrix`]
 //!    (member-contiguous per state element).
 //! 4. [`driver::analyze`] transforms every grid point in the configured
@@ -41,11 +40,9 @@ pub mod weights;
 
 pub use config::LetkfConfig;
 pub use driver::{
-    analyze, analyze_quorum, analyze_quorum_region, analyze_region, AnalysisError, AnalysisStats,
-    QuorumStats, ABSOLUTE_MIN_QUORUM,
+    analyze, analyze_quorum_region, analyze_region, AnalysisError, AnalysisStats, QuorumStats,
+    ABSOLUTE_MIN_QUORUM,
 };
 pub use ensmatrix::{EnsembleMatrix, StateLayout};
 pub use localization::LocalizationError;
-pub use obs::{
-    gross_error_check, KindCounts, ObsEnsemble, ObsKind, Observation, QcPipeline, QcReport,
-};
+pub use obs::{KindCounts, ObsEnsemble, ObsKind, Observation, QcPipeline, QcReport};

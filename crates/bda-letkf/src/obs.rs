@@ -125,50 +125,6 @@ pub const DEPARTURE_K_REFLECTIVITY: f64 = 3.0;
 /// Departure-check multiplier for Doppler velocity.
 pub const DEPARTURE_K_DOPPLER: f64 = 3.0;
 
-/// Result of the gross-error check.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct QcStats {
-    pub total: usize,
-    pub rejected_reflectivity: usize,
-    pub rejected_doppler: usize,
-}
-
-impl QcStats {
-    pub fn accepted(&self) -> usize {
-        self.total - self.rejected_reflectivity - self.rejected_doppler
-    }
-}
-
-/// Gross error check (Table 2): discard observations whose innovation
-/// against the ensemble mean exceeds the per-kind threshold. Returns the
-/// filtered set and rejection statistics.
-#[allow(clippy::needless_range_loop)]
-pub fn gross_error_check<T: Real>(
-    ens: &ObsEnsemble<T>,
-    cfg: &LetkfConfig,
-) -> (ObsEnsemble<T>, QcStats) {
-    let mut keep = vec![true; ens.len()];
-    let mut stats = QcStats {
-        total: ens.len(),
-        ..QcStats::default()
-    };
-    for i in 0..ens.len() {
-        let innov = ens.innovation(i).abs().f64();
-        let (threshold, counter) = match ens.obs[i].kind {
-            ObsKind::Reflectivity => (
-                cfg.gross_err_reflectivity_dbz,
-                &mut stats.rejected_reflectivity,
-            ),
-            ObsKind::DopplerVelocity => (cfg.gross_err_doppler_ms, &mut stats.rejected_doppler),
-        };
-        if innov > threshold {
-            keep[i] = false;
-            *counter += 1;
-        }
-    }
-    (ens.filter(&keep), stats)
-}
-
 /// Per-[`ObsKind`] rejection counters for one QC stage.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct KindCounts {
@@ -254,7 +210,7 @@ impl QcReport {
 ///    member's model equivalent finite (a NaN equivalent would poison the
 ///    ensemble mean and every weight downstream).
 /// 2. **Innovation** — the fixed Table-2 gross-error thresholds on
-///    `|y − mean(H(x))|` (10 dBZ / 15 m/s), as in [`gross_error_check`].
+///    `|y − mean(H(x))|` (10 dBZ / 15 m/s).
 /// 3. **Departure** — the adaptive ensemble-background departure check:
 ///    reject when `|y − mean(H(x))| > k·sqrt(σ_o² + σ_b²)` where `σ_b²` is
 ///    the ensemble variance of the equivalents. Unlike stage 2 this
@@ -367,7 +323,7 @@ mod tests {
     }
 
     #[test]
-    fn gross_check_rejects_outliers_per_kind() {
+    fn innovation_stage_rejects_outliers_per_kind() {
         let cfg = LetkfConfig::reduced(2);
         let ens = ObsEnsemble::new(
             vec![
@@ -378,11 +334,12 @@ mod tests {
             ],
             vec![vec![20.0, 20.0, 20.0, 20.0], vec![24.0, 24.0, 24.0, 24.0]],
         );
-        let (filtered, stats) = gross_error_check(&ens, &cfg);
+        let (filtered, report) = QcPipeline::new(&cfg).run(&ens);
         assert_eq!(filtered.len(), 2);
-        assert_eq!(stats.rejected_reflectivity, 1);
-        assert_eq!(stats.rejected_doppler, 1);
-        assert_eq!(stats.accepted(), 2);
+        assert_eq!(report.rejected_innovation.reflectivity, 1);
+        assert_eq!(report.rejected_innovation.doppler, 1);
+        assert_eq!(report.rejected(), 2);
+        assert_eq!(report.accepted(), 2);
         assert_eq!(filtered.obs[0].value, 30.0);
         assert_eq!(filtered.obs[1].value, 10.0);
         // hx filtered consistently.
@@ -414,9 +371,9 @@ mod tests {
     fn empty_ensemble_passes_qc() {
         let cfg = LetkfConfig::reduced(2);
         let ens = ObsEnsemble::<f64>::new(vec![], vec![vec![], vec![]]);
-        let (f, stats) = gross_error_check(&ens, &cfg);
+        let (f, report) = QcPipeline::new(&cfg).run(&ens);
         assert!(f.is_empty());
-        assert_eq!(stats.total, 0);
+        assert_eq!(report.total, 0);
     }
 
     #[test]
@@ -491,24 +448,5 @@ mod tests {
         assert_eq!(b.total, 20);
         assert_eq!(b.rejected(), 4);
         assert_eq!(b.accepted(), 16);
-    }
-
-    #[test]
-    fn pipeline_matches_gross_error_check_on_clean_in_range_obs() {
-        // On well-behaved obs whose departures are within the adaptive
-        // threshold, the pipeline reduces to exactly the Table-2 check.
-        let cfg = LetkfConfig::reduced(2);
-        let ens = ObsEnsemble::new(
-            vec![
-                obs(ObsKind::Reflectivity, 30.0),
-                obs(ObsKind::Reflectivity, 45.0),
-                obs(ObsKind::DopplerVelocity, 60.0),
-            ],
-            vec![vec![20.0; 3], vec![24.0; 3]],
-        );
-        let (f_old, _) = gross_error_check(&ens, &cfg);
-        let (f_new, r) = QcPipeline::new(&cfg).run(&ens);
-        assert_eq!(f_old.len(), f_new.len());
-        assert_eq!(r.rejected_innovation.total(), 2);
     }
 }

@@ -40,29 +40,9 @@ pub struct SymEigDecomp<T> {
 }
 
 impl<T: Real> SymEigDecomp<T> {
-    /// Reconstruct `V f(diag) V^T` for a scalar function of the eigenvalues —
-    /// the LETKF uses this with `f = 1/x` (analysis covariance) and
-    /// `f = 1/sqrt(x)` (transform weights).
-    pub fn apply_spectral(&self, f: impl Fn(T) -> T) -> MatrixS<T> {
-        let n = self.values.len();
-        let v = &self.vectors;
-        let fvals: Vec<T> = self.values.iter().map(|&l| f(l)).collect();
-        let mut out = MatrixS::zeros(n);
-        for i in 0..n {
-            for j in i..n {
-                let mut acc = T::zero();
-                for m in 0..n {
-                    acc += v[(i, m)] * fvals[m] * v[(j, m)];
-                }
-                out[(i, j)] = acc;
-                out[(j, i)] = acc;
-            }
-        }
-        out
-    }
-
     /// Largest |residual| entry of `A v - lambda v` over all pairs, a direct
     /// correctness gauge used in tests.
+    // bda-check: allow(uncalled_pub) -- the residual oracle the eigensolver tests in this crate and `tests/invariants_proptest.rs` compare against
     pub fn max_residual(&self, a: &MatrixS<T>) -> T {
         let n = self.values.len();
         let mut worst = T::zero();
@@ -188,22 +168,7 @@ pub(crate) mod testutil {
 
 #[cfg(test)]
 mod tests {
-    use super::testutil::*;
     use super::*;
-
-    #[test]
-    fn apply_spectral_inverse_recovers_inverse() {
-        let a = random_symmetric::<f64>(8, 42, 10.0);
-        let dec = JacobiEigen::default().decompose(&a);
-        let ainv = dec.apply_spectral(|l| 1.0 / l);
-        let prod = a.matmul(&ainv);
-        for i in 0..8 {
-            for j in 0..8 {
-                let want = if i == j { 1.0 } else { 0.0 };
-                assert!((prod[(i, j)] - want).abs() < 1e-9);
-            }
-        }
-    }
 
     #[test]
     fn in_place_sort_matches_clone_based_reference() {

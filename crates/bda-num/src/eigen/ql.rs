@@ -244,7 +244,6 @@ fn accumulate_q<T: Real>(a: &mut MatrixS<T>, d: &mut [T], g: &mut [T]) {
 /// rotation is the upper row of the one before, so it is carried in
 /// registers: per rotation one row segment is read and one written, and a
 /// strip of every row fits the first-level cache for the whole sweep.
-// bda-check: allow(panic_path)
 fn apply_sweep<T: Real>(zt: &mut MatrixS<T>, m: usize, rot: &[(T, T)]) {
     let n = zt.n();
     let data = zt.as_mut_slice();

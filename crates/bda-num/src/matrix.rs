@@ -38,15 +38,6 @@ impl<T: Real> MatrixS<T> {
         m
     }
 
-    /// Build from a row-major slice; panics if `data.len() != n*n`.
-    pub fn from_rows(n: usize, data: &[T]) -> Self {
-        assert_eq!(data.len(), n * n, "row-major data must be n*n long");
-        Self {
-            n,
-            data: data.to_vec(),
-        }
-    }
-
     /// Build from a function of (row, col).
     pub fn from_fn(n: usize, mut f: impl FnMut(usize, usize) -> T) -> Self {
         let mut data = Vec::with_capacity(n * n);
@@ -130,13 +121,6 @@ impl<T: Real> MatrixS<T> {
         &mut self.data[i * self.n..(i + 1) * self.n]
     }
 
-    /// `self * other`, allocating the result.
-    pub fn matmul(&self, other: &Self) -> Self {
-        let mut out = Self::zeros(self.n);
-        self.matmul_into(other, &mut out);
-        out
-    }
-
     /// `self * other` into caller-owned storage (resized as needed).
     ///
     /// Outputs accumulate in 4 x 8 register tiles: per `k`, one contiguous
@@ -164,7 +148,6 @@ impl<T: Real> MatrixS<T> {
     }
 
     /// Output columns `j0..j0 + C` of [`Self::matmul_into`].
-    // bda-check: allow(panic_path)
     fn matmul_panel<const C: usize>(&self, other: &Self, out: &mut Self, j0: usize) {
         let n = self.n;
         let mut i0 = 0;
@@ -206,7 +189,6 @@ impl<T: Real> MatrixS<T> {
 
     /// Output rows `m0..m0 + R` of [`Self::weighted_gram_into`], from the
     /// tile that holds the diagonal rightwards.
-    // bda-check: allow(panic_path)
     fn gram_row_block<const R: usize>(&mut self, rows: &[T], scale: &[T], m0: usize) {
         let n = self.n;
         let mut j0 = m0 - m0 % TILE_COLS;
@@ -220,26 +202,6 @@ impl<T: Real> MatrixS<T> {
         }
     }
 
-    /// `self * v` for a length-n vector.
-    pub fn matvec(&self, v: &[T]) -> Vec<T> {
-        let mut out = vec![T::zero(); self.n];
-        self.matvec_into(v, &mut out);
-        out
-    }
-
-    /// `self * v` into a caller-owned output slice (allocation-free).
-    // Entry asserts pin `v`/`out` to n; the row slice `i*n..(i+1)*n` is in
-    // bounds for every i < n.
-    // bda-check: allow(panic_path)
-    pub fn matvec_into(&self, v: &[T], out: &mut [T]) {
-        assert_eq!(v.len(), self.n);
-        assert_eq!(out.len(), self.n);
-        let n = self.n;
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = dot8(&self.data[i * n..(i + 1) * n], v);
-        }
-    }
-
     /// Transpose, allocating the result.
     pub fn transpose(&self) -> Self {
         let mut out = self.clone();
@@ -248,8 +210,6 @@ impl<T: Real> MatrixS<T> {
     }
 
     /// Transpose in place: swap each pair across the diagonal.
-    // `i < j < n`, so both flat indices are below n*n.
-    // bda-check: allow(panic_path)
     pub fn transpose_in_place(&mut self) {
         let n = self.n;
         for i in 0..n {
@@ -271,28 +231,6 @@ impl<T: Real> MatrixS<T> {
             }
         }
         m
-    }
-
-    /// Frobenius norm.
-    pub fn frobenius(&self) -> T {
-        self.data
-            .iter()
-            .fold(T::zero(), |acc, &x| acc + x * x)
-            .sqrt()
-    }
-
-    /// Symmetrize in place: `A <- (A + A^T)/2`. The LETKF background
-    /// covariance in ensemble space is symmetric by construction but
-    /// accumulates rounding asymmetry in single precision.
-    pub fn symmetrize(&mut self) {
-        let n = self.n;
-        for i in 0..n {
-            for j in (i + 1)..n {
-                let avg = (self.data[i * n + j] + self.data[j * n + i]) * T::half();
-                self.data[i * n + j] = avg;
-                self.data[j * n + i] = avg;
-            }
-        }
     }
 
     /// Is this matrix symmetric to within `tol`?
@@ -429,20 +367,6 @@ fn gram_tile<T: Real, const R: usize, const C: usize>(
     }
 }
 
-/// Dot product of two equal-length slices, strictly sequential accumulation
-/// order (one chain of multiply-then-add). Use [`dot8`] on hot paths; keep
-/// this where an exact left-to-right accumulation order is part of a
-/// contract.
-#[inline]
-pub fn dot<T: Real>(a: &[T], b: &[T]) -> T {
-    debug_assert_eq!(a.len(), b.len());
-    let mut acc = T::zero();
-    for (&x, &y) in a.iter().zip(b) {
-        acc += x * y;
-    }
-    acc
-}
-
 /// Dot product with eight independent partial sums held as a lane array.
 ///
 /// Lane `l` sums the elements at index `l` of each 8-chunk, which is the
@@ -450,7 +374,7 @@ pub fn dot<T: Real>(a: &[T], b: &[T]) -> T {
 /// and adds. The lanes combine in a fixed order,
 /// `((l0 + l4) + (l1 + l5)) + ((l2 + l6) + (l3 + l7))`, then a sequential
 /// tail, so the result is deterministic for a given length — but it is
-/// *not* bit-identical to [`dot`] (different association).
+/// *not* bit-identical to a sequential dot product (different association).
 #[inline]
 pub fn dot8<T: Real>(a: &[T], b: &[T]) -> T {
     debug_assert_eq!(a.len(), b.len());
@@ -484,6 +408,44 @@ pub fn axpy<T: Real>(alpha: T, x: &[T], y: &mut [T]) {
 mod tests {
     use super::*;
 
+    /// Dot product of two equal-length slices, strictly sequential accumulation
+    /// order (one chain of multiply-then-add): the reference [`dot8`] is
+    /// tested against.
+    fn dot<T: Real>(a: &[T], b: &[T]) -> T {
+        debug_assert_eq!(a.len(), b.len());
+        let mut acc = T::zero();
+        for (&x, &y) in a.iter().zip(b) {
+            acc += x * y;
+        }
+        acc
+    }
+
+    impl<T: Real> MatrixS<T> {
+        /// Build from a row-major slice; panics if `data.len() != n*n`.
+        pub fn from_rows(n: usize, data: &[T]) -> Self {
+            assert_eq!(data.len(), n * n, "row-major data must be n*n long");
+            Self {
+                n,
+                data: data.to_vec(),
+            }
+        }
+
+        /// Frobenius norm.
+        pub fn frobenius(&self) -> T {
+            self.data
+                .iter()
+                .fold(T::zero(), |acc, &x| acc + x * x)
+                .sqrt()
+        }
+
+        /// `self * other`, allocating the result.
+        pub fn matmul(&self, other: &Self) -> Self {
+            let mut out = Self::zeros(self.n);
+            self.matmul_into(other, &mut out);
+            out
+        }
+    }
+
     #[test]
     fn identity_is_matmul_neutral() {
         let a = MatrixS::<f64>::from_fn(4, |i, j| (i * 4 + j) as f64);
@@ -501,27 +463,11 @@ mod tests {
     }
 
     #[test]
-    fn matvec_matches_matmul_column() {
-        let a = MatrixS::from_rows(3, &[1.0, 0.0, 2.0, -1.0, 3.0, 1.0, 0.5, 0.5, 0.5]);
-        let v = [1.0, 2.0, 3.0];
-        let got = a.matvec(&v);
-        assert_eq!(got, vec![7.0, 8.0, 3.0]);
-    }
-
-    #[test]
     fn transpose_involution() {
         let a = MatrixS::<f32>::from_fn(5, |i, j| (i as f32) - 2.0 * (j as f32));
         let t = a.transpose();
         assert_eq!(t[(1, 3)], a[(3, 1)]);
         assert_eq!(t.transpose(), a);
-    }
-
-    #[test]
-    fn symmetrize_produces_symmetric() {
-        let mut a = MatrixS::from_rows(2, &[1.0, 2.0, 4.0, 3.0]);
-        a.symmetrize();
-        assert!(a.is_symmetric(0.0));
-        assert_eq!(a[(0, 1)], 3.0);
     }
 
     #[test]
@@ -644,15 +590,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn matvec_into_reuses_buffer() {
-        let a = MatrixS::from_rows(3, &[1.0, 0.0, 2.0, -1.0, 3.0, 1.0, 0.5, 0.5, 0.5]);
-        let v = [1.0, 2.0, 3.0];
-        let mut out = vec![9.0; 3];
-        a.matvec_into(&v, &mut out);
-        assert_eq!(out, vec![7.0, 8.0, 3.0]);
     }
 
     #[test]

@@ -116,7 +116,7 @@ macro_rules! impl_real {
             #[inline]
             fn of(v: f64) -> Self {
                 // The Real trait's rounding conversion primitive itself.
-                v as $t // bda-check: allow(lossy_cast)
+                v as $t
             }
             #[inline]
             fn f64(self) -> f64 {

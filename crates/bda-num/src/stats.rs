@@ -26,11 +26,6 @@ pub fn variance<T: Real>(xs: &[T]) -> T {
     ss / T::of_usize(xs.len() - 1)
 }
 
-/// Sample standard deviation.
-pub fn stddev<T: Real>(xs: &[T]) -> T {
-    variance(xs).sqrt()
-}
-
 /// Root-mean-square difference between two equal-length fields.
 pub fn rmse<T: Real>(a: &[T], b: &[T]) -> T {
     assert_eq!(a.len(), b.len());
@@ -42,32 +37,6 @@ pub fn rmse<T: Real>(a: &[T], b: &[T]) -> T {
         .zip(b)
         .fold(T::zero(), |acc, (&x, &y)| (x - y).mul_add(x - y, acc));
     (ss / T::of_usize(a.len())).sqrt()
-}
-
-/// Pearson correlation; zero if either side is constant.
-pub fn correlation<T: Real>(a: &[T], b: &[T]) -> T {
-    assert_eq!(a.len(), b.len());
-    if a.len() < 2 {
-        return T::zero();
-    }
-    let ma = mean(a);
-    let mb = mean(b);
-    let mut cov = T::zero();
-    let mut va = T::zero();
-    let mut vb = T::zero();
-    for (&x, &y) in a.iter().zip(b) {
-        let dx = x - ma;
-        let dy = y - mb;
-        cov = dx.mul_add(dy, cov);
-        va = dx.mul_add(dx, va);
-        vb = dy.mul_add(dy, vb);
-    }
-    let denom = (va * vb).sqrt();
-    if denom == T::zero() {
-        T::zero()
-    } else {
-        cov / denom
-    }
 }
 
 /// Percentile with linear interpolation between order statistics;
@@ -161,66 +130,6 @@ impl Histogram {
     }
 }
 
-/// Online mean/min/max/count accumulator for streaming workflow statistics.
-#[derive(Clone, Debug, Default)]
-pub struct Running {
-    n: u64,
-    sum: f64,
-    sumsq: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Running {
-    pub fn new() -> Self {
-        Self {
-            n: 0,
-            sum: 0.0,
-            sumsq: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        self.sum += x;
-        self.sumsq += x * x;
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.sum / cast::f64_of_u64(self.n)
-        }
-    }
-
-    pub fn stddev(&self) -> f64 {
-        if self.n < 2 {
-            return 0.0;
-        }
-        let m = self.mean();
-        ((self.sumsq - cast::f64_of_u64(self.n) * m * m) / (cast::f64_of_u64(self.n) - 1.0))
-            .max(0.0)
-            .sqrt()
-    }
-
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -238,7 +147,6 @@ mod tests {
         assert_eq!(mean(&e), 0.0);
         assert_eq!(variance(&e), 0.0);
         assert_eq!(variance(&[3.0_f64]), 0.0);
-        assert_eq!(stddev(&[3.0_f64]), 0.0);
     }
 
     #[test]
@@ -247,17 +155,6 @@ mod tests {
         assert_eq!(rmse(&a, &a), 0.0);
         let b = [2.0_f32, 3.0, 4.0];
         assert!((rmse(&a, &b) - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn correlation_bounds_and_signs() {
-        let a = [1.0_f64, 2.0, 3.0, 4.0];
-        let b = [2.0, 4.0, 6.0, 8.0];
-        assert!((correlation(&a, &b) - 1.0).abs() < 1e-12);
-        let c = [8.0, 6.0, 4.0, 2.0];
-        assert!((correlation(&a, &c) + 1.0).abs() < 1e-12);
-        let flat = [5.0; 4];
-        assert_eq!(correlation(&a, &flat), 0.0);
     }
 
     #[test]
@@ -286,19 +183,5 @@ mod tests {
         assert_eq!(h.total(), 4);
         assert!((h.center(0) - 0.5).abs() < 1e-12);
         assert!(h.ascii(20).lines().count() == 10);
-    }
-
-    #[test]
-    fn running_accumulator() {
-        let mut r = Running::new();
-        for x in [1.0, 2.0, 3.0, 4.0] {
-            r.push(x);
-        }
-        assert_eq!(r.count(), 4);
-        assert!((r.mean() - 2.5).abs() < 1e-12);
-        assert_eq!(r.min(), 1.0);
-        assert_eq!(r.max(), 4.0);
-        let expected_sd = (5.0f64 / 3.0).sqrt();
-        assert!((r.stddev() - expected_sd).abs() < 1e-12);
     }
 }

@@ -3,58 +3,22 @@
 //! The HEVI (horizontally explicit, vertically implicit) dynamical core of
 //! `bda-scale` treats vertically propagating acoustic and gravity modes
 //! implicitly, which reduces each column update to a tridiagonal solve — the
-//! same structure as in SCALE-RM. The Thomas algorithm below is the workhorse;
-//! a periodic variant is provided for tests and for doubly-periodic research
-//! configurations.
+//! same structure as in SCALE-RM. The Thomas algorithm below is the
+//! workhorse.
 
 use crate::real::Real;
 
-/// Solve `A x = d` for tridiagonal `A` using the Thomas algorithm.
+/// Solve `A x = a` and `A y = b` for tridiagonal `A` in one Thomas sweep,
+/// overwriting `a` with `x` and `b` with `y`.
 ///
 /// `sub[i]` is the subdiagonal coefficient of row `i` (with `sub[0]` unused),
 /// `diag[i]` the main diagonal, `sup[i]` the superdiagonal (with `sup[n-1]`
-/// unused). The solution overwrites `d`. Scratch must be at least `n` long.
-///
-/// The algorithm is stable for diagonally dominant systems, which the
-/// vertically implicit operator always is (its diagonal carries the
-/// `1 + dt^2 c_s^2 / dz^2` acoustic term).
-///
-/// # Panics
-/// Panics if slice lengths disagree or a pivot underflows to zero.
-// The entry asserts are the documented contract above and pin every slice
-// to length n; the in-loop `i±1` offsets stay inside `1..n` / `0..n-1`.
-// bda-check: allow(panic_path)
-pub fn solve_thomas<T: Real>(sub: &[T], diag: &[T], sup: &[T], d: &mut [T], scratch: &mut [T]) {
-    let n = diag.len();
-    assert_eq!(sub.len(), n);
-    assert_eq!(sup.len(), n);
-    assert_eq!(d.len(), n);
-    assert!(scratch.len() >= n);
-    assert!(n > 0);
-
-    // Forward sweep.
-    let mut beta = diag[0];
-    assert!(beta.abs() > T::zero(), "zero pivot in Thomas algorithm");
-    d[0] /= beta;
-    for i in 1..n {
-        scratch[i] = sup[i - 1] / beta;
-        beta = diag[i] - sub[i] * scratch[i];
-        assert!(beta.abs() > T::zero(), "zero pivot in Thomas algorithm");
-        d[i] = (d[i] - sub[i] * d[i - 1]) / beta;
-    }
-    // Back substitution.
-    for i in (0..n - 1).rev() {
-        let correction = scratch[i + 1] * d[i + 1];
-        d[i] -= correction;
-    }
-}
-
-/// [`solve_thomas`] for two right-hand sides of one matrix, `a` and `b`,
-/// in one sweep: the matrix is eliminated once, and each right-hand side
-/// goes through exactly the division-form arithmetic a separate
-/// [`solve_thomas`] call gives it, so both results are the same bits as
-/// two calls. (The reciprocal form of [`ThomasFactor`] rounds
-/// differently.)
+/// unused). Scratch must be at least `n` long. The matrix is eliminated
+/// once, and each right-hand side goes through exactly the division-form
+/// arithmetic of a one-right-hand-side Thomas solve, so both results are
+/// the same bits as two such solves. (The reciprocal form of
+/// [`ThomasFactor`] rounds differently.) Stable for diagonally dominant
+/// systems.
 ///
 /// # Panics
 /// Panics if slice lengths disagree or a pivot underflows to zero.
@@ -98,60 +62,6 @@ pub fn solve_thomas_pair<T: Real>(
     }
 }
 
-/// Convenience allocation-per-call wrapper around [`solve_thomas`].
-pub fn solve_thomas_alloc<T: Real>(sub: &[T], diag: &[T], sup: &[T], rhs: &[T]) -> Vec<T> {
-    let mut d = rhs.to_vec();
-    let mut scratch = vec![T::zero(); diag.len()];
-    solve_thomas(sub, diag, sup, &mut d, &mut scratch);
-    d
-}
-
-/// Multiply a tridiagonal matrix by a vector (for verification).
-pub fn tridiag_matvec<T: Real>(sub: &[T], diag: &[T], sup: &[T], x: &[T]) -> Vec<T> {
-    let n = diag.len();
-    let mut y = vec![T::zero(); n];
-    for i in 0..n {
-        let mut acc = diag[i] * x[i];
-        if i > 0 {
-            acc += sub[i] * x[i - 1];
-        }
-        if i + 1 < n {
-            acc += sup[i] * x[i + 1];
-        }
-        y[i] = acc;
-    }
-    y
-}
-
-/// Solve a cyclic (periodic) tridiagonal system via the Sherman–Morrison
-/// correction. `alpha` couples row 0 to column n-1 and `beta` row n-1 to
-/// column 0.
-pub fn solve_cyclic<T: Real>(
-    sub: &[T],
-    diag: &[T],
-    sup: &[T],
-    alpha: T,
-    beta: T,
-    rhs: &[T],
-) -> Vec<T> {
-    let n = diag.len();
-    assert!(n >= 3, "cyclic solve requires n >= 3");
-    let gamma = -diag[0];
-    let mut dmod = diag.to_vec();
-    dmod[0] = diag[0] - gamma;
-    dmod[n - 1] = diag[n - 1] - alpha * beta / gamma;
-
-    let x = solve_thomas_alloc(sub, &dmod, sup, rhs);
-
-    let mut u = vec![T::zero(); n];
-    u[0] = gamma;
-    u[n - 1] = alpha;
-    let z = solve_thomas_alloc(sub, &dmod, sup, &u);
-
-    let fact = (x[0] + beta * x[n - 1] / gamma) / (T::one() + z[0] + beta * z[n - 1] / gamma);
-    x.iter().zip(&z).map(|(&xi, &zi)| xi - fact * zi).collect()
-}
-
 /// A precomputed Thomas factorization for coefficient sets shared across
 /// many right-hand sides.
 ///
@@ -186,7 +96,7 @@ impl<T: Real> ThomasFactor<T> {
     }
 
     /// Factor the tridiagonal operator (same slice conventions as
-    /// [`solve_thomas`]). Allocation-free after warm-up.
+    /// [`solve_thomas_pair`]). Allocation-free after warm-up.
     ///
     /// # Panics
     /// Panics if slice lengths disagree or a pivot underflows to zero.
@@ -217,28 +127,11 @@ impl<T: Real> ThomasFactor<T> {
         }
     }
 
-    /// Solve one right-hand side in place using the stored factorization.
-    // The entry assert pins `d` to the factored size n that `w`/`inv_beta`/
-    // `sub` already have; both sweeps index strictly inside `0..n`.
-    // bda-check: allow(panic_path)
-    pub fn solve(&self, d: &mut [T]) {
-        let n = self.n;
-        assert_eq!(d.len(), n);
-        d[0] *= self.inv_beta[0];
-        for i in 1..n {
-            d[i] = (d[i] - self.sub[i] * d[i - 1]) * self.inv_beta[i];
-        }
-        for i in (0..n - 1).rev() {
-            let correction = self.w[i + 1] * d[i + 1];
-            d[i] -= correction;
-        }
-    }
-
     /// Solve `ncols` right-hand sides at once. `block` is row-major
     /// `[level][column]` (level-major, columns contiguous), so both sweeps
     /// run a unit-stride inner loop across columns — the operation the
     /// autovectorizer turns into full-width SIMD. Each column's arithmetic
-    /// is identical to [`ThomasFactor::solve`], so the blocked solve is
+    /// is identical to a one-column solve, so the blocked solve is
     /// bit-identical to solving the columns one at a time.
     // The entry assert pins `block` to n*ncols; every row offset is a
     // `split_at_mut` product strictly inside that length.
@@ -279,6 +172,86 @@ impl<T: Real> ThomasFactor<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::SplitMix64;
+    use proptest::prelude::*;
+
+    impl<T: Real> ThomasFactor<T> {
+        /// Solve one right-hand side in place using the stored factorization:
+        /// the per-column reference [`Self::solve_columns`] is tested against.
+        pub fn solve(&self, d: &mut [T]) {
+            let n = self.n;
+            assert_eq!(d.len(), n);
+            d[0] *= self.inv_beta[0];
+            for i in 1..n {
+                d[i] = (d[i] - self.sub[i] * d[i - 1]) * self.inv_beta[i];
+            }
+            for i in (0..n - 1).rev() {
+                let correction = self.w[i + 1] * d[i + 1];
+                d[i] -= correction;
+            }
+        }
+    }
+
+    /// Solve `A x = d` for tridiagonal `A` using the Thomas algorithm.
+    ///
+    /// `sub[i]` is the subdiagonal coefficient of row `i` (with `sub[0]` unused),
+    /// `diag[i]` the main diagonal, `sup[i]` the superdiagonal (with `sup[n-1]`
+    /// unused). The solution overwrites `d`. Scratch must be at least `n` long.
+    ///
+    /// The algorithm is stable for diagonally dominant systems, which the
+    /// vertically implicit operator always is (its diagonal carries the
+    /// `1 + dt^2 c_s^2 / dz^2` acoustic term).
+    ///
+    /// # Panics
+    /// Panics if slice lengths disagree or a pivot underflows to zero.
+    fn solve_thomas<T: Real>(sub: &[T], diag: &[T], sup: &[T], d: &mut [T], scratch: &mut [T]) {
+        let n = diag.len();
+        assert_eq!(sub.len(), n);
+        assert_eq!(sup.len(), n);
+        assert_eq!(d.len(), n);
+        assert!(scratch.len() >= n);
+        assert!(n > 0);
+
+        // Forward sweep.
+        let mut beta = diag[0];
+        assert!(beta.abs() > T::zero(), "zero pivot in Thomas algorithm");
+        d[0] /= beta;
+        for i in 1..n {
+            scratch[i] = sup[i - 1] / beta;
+            beta = diag[i] - sub[i] * scratch[i];
+            assert!(beta.abs() > T::zero(), "zero pivot in Thomas algorithm");
+            d[i] = (d[i] - sub[i] * d[i - 1]) / beta;
+        }
+        // Back substitution.
+        for i in (0..n - 1).rev() {
+            let correction = scratch[i + 1] * d[i + 1];
+            d[i] -= correction;
+        }
+    }
+
+    fn solve_thomas_alloc<T: Real>(sub: &[T], diag: &[T], sup: &[T], rhs: &[T]) -> Vec<T> {
+        let mut d = rhs.to_vec();
+        let mut scratch = vec![T::zero(); diag.len()];
+        solve_thomas(sub, diag, sup, &mut d, &mut scratch);
+        d
+    }
+
+    /// Multiply a tridiagonal matrix by a vector.
+    fn tridiag_matvec<T: Real>(sub: &[T], diag: &[T], sup: &[T], x: &[T]) -> Vec<T> {
+        let n = diag.len();
+        let mut y = vec![T::zero(); n];
+        for i in 0..n {
+            let mut acc = diag[i] * x[i];
+            if i > 0 {
+                acc += sub[i] * x[i - 1];
+            }
+            if i + 1 < n {
+                acc += sup[i] * x[i + 1];
+            }
+            y[i] = acc;
+        }
+        y
+    }
 
     fn residual_inf<T: Real>(sub: &[T], diag: &[T], sup: &[T], x: &[T], rhs: &[T]) -> f64 {
         tridiag_matvec(sub, diag, sup, x)
@@ -326,36 +299,6 @@ mod tests {
     fn single_element_system() {
         let x = solve_thomas_alloc(&[0.0_f64], &[2.0], &[0.0], &[8.0]);
         assert_eq!(x, vec![4.0]);
-    }
-
-    #[test]
-    fn cyclic_solver_closes_the_ring() {
-        // Periodic 1-D Laplacian-like ring with dominant diagonal.
-        let n = 16;
-        let sub = vec![-1.0_f64; n];
-        let diag = vec![4.0; n];
-        let sup = vec![-1.0; n];
-        let alpha = -1.0; // A[0][n-1]
-        let beta = -1.0; // A[n-1][0]
-        let rhs: Vec<f64> = (0..n).map(|i| (i as f64).cos()).collect();
-        let x = solve_cyclic(&sub, &diag, &sup, alpha, beta, &rhs);
-        // Verify against a dense multiply including corner couplings.
-        for i in 0..n {
-            let mut acc = diag[i] * x[i];
-            if i > 0 {
-                acc += sub[i] * x[i - 1];
-            }
-            if i + 1 < n {
-                acc += sup[i] * x[i + 1];
-            }
-            if i == 0 {
-                acc += alpha * x[n - 1];
-            }
-            if i == n - 1 {
-                acc += beta * x[0];
-            }
-            assert!((acc - rhs[i]).abs() < 1e-11, "row {i}: {acc} vs {}", rhs[i]);
-        }
     }
 
     #[test]
@@ -431,5 +374,32 @@ mod tests {
         f.factor(&[0.0, -1.0], &[2.0, 2.0], &[-1.0, 0.0]);
         let mut empty: Vec<f64> = Vec::new();
         f.solve_columns(&mut empty, 0);
+    }
+
+    proptest! {
+        /// The two-right-hand-side Thomas sweep equals two `solve_thomas`
+        /// calls bit for bit, for both right-hand sides.
+        #[test]
+        fn thomas_pair_is_bitwise_two_single_solves(
+            seed in any::<u64>(),
+            n in 1usize..20,
+        ) {
+            let mut rng = SplitMix64::new(seed);
+            let mut draw = |mean: f32, sd: f32| -> Vec<f32> {
+                (0..n).map(|_| rng.gaussian(mean, sd)).collect()
+            };
+            let (sub, sup) = (draw(-0.3, 0.2), draw(-0.3, 0.2));
+            let diag = draw(1.8, 0.3);
+            let (a0, b0) = (draw(0.0, 3.0), draw(0.0, 3.0));
+            let mut scratch = vec![0.0f32; n];
+            let (mut a1, mut b1) = (a0.clone(), b0.clone());
+            solve_thomas(&sub, &diag, &sup, &mut a1, &mut scratch);
+            solve_thomas(&sub, &diag, &sup, &mut b1, &mut scratch);
+            let (mut a2, mut b2) = (a0, b0);
+            solve_thomas_pair(&sub, &diag, &sup, &mut a2, &mut b2, &mut scratch);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&a1), bits(&a2));
+            prop_assert_eq!(bits(&b1), bits(&b2));
+        }
     }
 }

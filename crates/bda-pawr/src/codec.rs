@@ -18,20 +18,21 @@
 //! assimilation, so every header field and every record field is validated
 //! before it is used:
 //!
-//! * the record count is multiplied with [`usize::checked_mul`] and capped
-//!   at [`MAX_RECORDS`], so a forged count can neither wrap the `Truncated`
-//!   comparison nor drive `Vec::with_capacity` into an OOM abort;
+//! * the record count is capped at [`MAX_RECORDS`], and the records walked
+//!   (and allocated for) are bounded by the bytes present, so a forged count
+//!   cannot drive `Vec::with_capacity` into an OOM abort;
 //! * every float field must be finite and inside generous physical bounds
-//!   ([`ValueBounds`]), rejected with a typed per-record [`RecordError`];
-//! * [`decode_volume_salvage`] additionally recovers the good records from a
-//!   torn or partially poisoned volume instead of discarding it whole.
+//!   ([`ValueBounds`]); a record that is not is dropped and counted by its
+//!   [`RecordError`] kind;
+//! * [`decode_volume_salvage`] recovers the good records from a torn or
+//!   partially poisoned volume instead of discarding it whole, and its
+//!   [`SalvageReport`] says what was dropped and whether the checksum held.
 //!
 //! Each side makes one pass of the checksum. The encoder writes straight
 //! into one buffer of the final size, then checksums header and records in
-//! one call. The decoders check the header first, then the checksum, and
-//! only then walk the records, so a checksum mismatch outranks a truncated
-//! section or a bad record. The checksum is lane-parallel (about 0.1 ns/B),
-//! so that one pass costs little next to parsing the records.
+//! one call. The decoder checks the header first, then the checksum, and
+//! only then walks the records. The checksum is lane-parallel (about
+//! 0.1 ns/B), so that one pass costs little next to parsing the records.
 
 use crate::scan::ScanResult;
 use bda_letkf::{obs, ObsKind, Observation};
@@ -144,8 +145,6 @@ pub enum DecodeError {
     TooShort,
     BadMagic,
     UnsupportedVersion(u16),
-    ChecksumMismatch,
-    Truncated,
     /// Declared record count exceeds [`MAX_RECORDS`] or overflows the
     /// byte-length computation.
     CountOverflow {
@@ -153,12 +152,6 @@ pub enum DecodeError {
     },
     /// Scan timestamp is not a finite number.
     BadTimestamp,
-    /// A record failed field validation (strict mode only; salvage mode
-    /// counts and skips instead).
-    BadRecord {
-        index: usize,
-        error: RecordError,
-    },
 }
 
 impl std::fmt::Display for DecodeError {
@@ -167,15 +160,10 @@ impl std::fmt::Display for DecodeError {
             DecodeError::TooShort => write!(f, "volume file too short"),
             DecodeError::BadMagic => write!(f, "bad magic bytes"),
             DecodeError::UnsupportedVersion(v) => write!(f, "unsupported version {v}"),
-            DecodeError::ChecksumMismatch => write!(f, "checksum mismatch"),
-            DecodeError::Truncated => write!(f, "truncated record section"),
             DecodeError::CountOverflow { declared } => {
                 write!(f, "declared record count {declared} exceeds limits")
             }
             DecodeError::BadTimestamp => write!(f, "non-finite scan timestamp"),
-            DecodeError::BadRecord { index, error } => {
-                write!(f, "record {index}: {error}")
-            }
         }
     }
 }
@@ -408,40 +396,6 @@ fn parse_header(data: &[u8]) -> Result<Header<'_>, DecodeError> {
     })
 }
 
-/// Decode and integrity-check a volume file (strict mode).
-///
-/// Every record must validate; the first bad record fails the whole volume
-/// with a typed [`DecodeError::BadRecord`]. A checksum mismatch outranks a
-/// truncated record section and a bad record. Use
-/// [`decode_volume_salvage`] to recover the good records from a partially
-/// bad volume instead.
-pub fn decode_volume<T: Real>(data: &[u8]) -> Result<DecodedVolume<T>, DecodeError> {
-    let h = parse_header(data)?;
-    if !h.checksum_ok {
-        return Err(DecodeError::ChecksumMismatch);
-    }
-    // `declared <= MAX_RECORDS` holds, so the multiplication cannot
-    // overflow u64 arithmetic; `checked_mul` still guards the usize
-    // conversion on 32-bit targets.
-    let need =
-        (h.declared as usize)
-            .checked_mul(RECORD_BYTES)
-            .ok_or(DecodeError::CountOverflow {
-                declared: h.declared,
-            })?;
-    let records = h.records.get(..need).ok_or(DecodeError::Truncated)?;
-    // Capacity is bounded by the bytes actually present, never by the
-    // declared count alone.
-    let mut obs = Vec::with_capacity(records.len() / RECORD_BYTES);
-    for (index, rec) in records.as_chunks::<RECORD_BYTES>().0.iter().enumerate() {
-        let (kind, [x, y, z, value, error_sd]) = read_record(rec);
-        let o = validate_record(kind, x, y, z, value, error_sd, &ValueBounds::default())
-            .map_err(|error| DecodeError::BadRecord { index, error })?;
-        obs.push(o);
-    }
-    Ok(DecodedVolume { time: h.time, obs })
-}
-
 /// Decode a volume, keeping every record that parses and validates.
 ///
 /// Salvage proceeds through checksum mismatches and record-section
@@ -482,7 +436,7 @@ pub fn decode_volume_salvage<T: Real>(
 
 /// The byte-at-a-time codec this module's single-pass one replaced, kept
 /// as the oracle the equivalence sweep compares against: same bytes out of
-/// the encoder, same `Result` out of both decoders. Its record logic is its
+/// the encoder, same `Result` out of the decoder. Its record logic is its
 /// own; its version and its seal are production's [`VERSION`] and
 /// [`seal`], so the sweep pins the record layout and the error precedence
 /// of the current format.
@@ -551,37 +505,6 @@ mod reference {
             records: buf,
             checksum_ok,
         })
-    }
-
-    pub fn decode_volume<T: Real>(data: &[u8]) -> Result<DecodedVolume<T>, DecodeError> {
-        let h = parse_header(data)?;
-        if !h.checksum_ok {
-            return Err(DecodeError::ChecksumMismatch);
-        }
-        let need =
-            (h.declared as usize)
-                .checked_mul(RECORD_BYTES)
-                .ok_or(DecodeError::CountOverflow {
-                    declared: h.declared,
-                })?;
-        let mut buf = h.records;
-        if buf.remaining() < need {
-            return Err(DecodeError::Truncated);
-        }
-        let n = (h.declared as usize).min(buf.remaining() / RECORD_BYTES);
-        let mut obs = Vec::with_capacity(n);
-        for index in 0..n {
-            let kind_byte = buf.get_u8();
-            let x = buf.get_f32() as f64;
-            let y = buf.get_f32() as f64;
-            let z = buf.get_f32() as f64;
-            let value = buf.get_f32() as f64;
-            let error_sd = buf.get_f32() as f64;
-            let o = validate_record(kind_byte, x, y, z, value, error_sd, &ValueBounds::default())
-                .map_err(|error| DecodeError::BadRecord { index, error })?;
-            obs.push(o);
-        }
-        Ok(DecodedVolume { time: h.time, obs })
     }
 
     pub fn decode_volume_salvage<T: Real>(
@@ -657,7 +580,8 @@ mod tests {
     fn roundtrip_preserves_observations() {
         let scan = sample_scan();
         let bytes = encode_volume(&scan);
-        let dec: DecodedVolume<f64> = decode_volume(&bytes).unwrap();
+        let (dec, report) = decode_volume_salvage::<f64>(&bytes, &ValueBounds::default()).unwrap();
+        assert!(report.clean());
         assert_eq!(dec.time, 1234.5);
         assert_eq!(dec.obs.len(), 2);
         assert_eq!(dec.obs[0].kind, ObsKind::Reflectivity);
@@ -674,19 +598,10 @@ mod tests {
         let mut corrupted = bytes.to_vec();
         let mid = corrupted.len() / 2;
         corrupted[mid] ^= 0xFF;
-        assert_eq!(
-            decode_volume::<f64>(&corrupted).unwrap_err(),
-            DecodeError::ChecksumMismatch
-        );
-    }
-
-    #[test]
-    fn truncation_is_detected() {
-        let scan = sample_scan();
-        let bytes = encode_volume(&scan);
-        // Chop off some records but keep a (now wrong) tail.
-        let short = &bytes[..bytes.len() - 20];
-        assert!(decode_volume::<f64>(short).is_err());
+        let (_, report) =
+            decode_volume_salvage::<f64>(&corrupted, &ValueBounds::default()).unwrap();
+        assert!(report.checksum_mismatch);
+        assert!(!report.clean());
     }
 
     #[test]
@@ -697,7 +612,7 @@ mod tests {
         bad[0] = b'X';
         seal(&mut bad);
         assert_eq!(
-            decode_volume::<f64>(&bad).unwrap_err(),
+            decode_volume_salvage::<f64>(&bad, &ValueBounds::default()).unwrap_err(),
             DecodeError::BadMagic
         );
     }
@@ -712,8 +627,10 @@ mod tests {
             n_clear_air: 0,
             raw_bytes: 0,
         };
-        let dec: DecodedVolume<f64> = decode_volume(&encode_volume(&scan)).unwrap();
+        let bytes = encode_volume(&scan);
+        let (dec, report) = decode_volume_salvage::<f64>(&bytes, &ValueBounds::default()).unwrap();
         assert!(dec.obs.is_empty());
+        assert!(report.clean());
     }
 
     /// A four-record volume as the version-1 encoder (FNV-1a trailer) wrote
@@ -724,10 +641,6 @@ mod tests {
     fn version_1_volume_is_refused_by_name() {
         assert_eq!(V1_VOLUME.len(), HEADER_BYTES + 4 * RECORD_BYTES + 8);
         assert_eq!(
-            decode_volume::<f32>(V1_VOLUME).unwrap_err(),
-            DecodeError::UnsupportedVersion(1)
-        );
-        assert_eq!(
             decode_volume_salvage::<f32>(V1_VOLUME, &ValueBounds::default()).unwrap_err(),
             DecodeError::UnsupportedVersion(1)
         );
@@ -736,7 +649,9 @@ mod tests {
         let mut current = V1_VOLUME.to_vec();
         current[4..6].copy_from_slice(&VERSION.to_be_bytes());
         seal(&mut current);
-        let dec = decode_volume::<f32>(&current).unwrap();
+        let (dec, report) =
+            decode_volume_salvage::<f32>(&current, &ValueBounds::default()).unwrap();
+        assert!(report.clean());
         assert_eq!(dec.time, 1234.5);
         assert_eq!(dec.obs.len(), 4);
         assert_eq!(dec.obs[1].value, -4.25);
@@ -745,7 +660,7 @@ mod tests {
     #[test]
     fn too_short_input() {
         assert_eq!(
-            decode_volume::<f64>(&[1, 2, 3]).unwrap_err(),
+            decode_volume_salvage::<f64>(&[1, 2, 3], &ValueBounds::default()).unwrap_err(),
             DecodeError::TooShort
         );
     }
@@ -761,7 +676,7 @@ mod tests {
     }
 
     /// Regression for the forged-length OOM: a record count chosen so that
-    /// `n * RECORD_BYTES` wraps usize used to pass the `Truncated` check and
+    /// `n * RECORD_BYTES` wraps usize used to pass the truncation check and
     /// abort inside `Vec::with_capacity`. With a valid checksum the forged
     /// count — not the checksum — is what the decoder must catch.
     #[test]
@@ -777,36 +692,20 @@ mod tests {
             bad[14..22].copy_from_slice(&forged.to_be_bytes());
             seal(&mut bad);
             assert_eq!(
-                decode_volume::<f64>(&bad).unwrap_err(),
+                decode_volume_salvage::<f64>(&bad, &ValueBounds::default()).unwrap_err(),
                 DecodeError::CountOverflow { declared: forged },
                 "forged count {forged} must be rejected before any allocation"
             );
         }
-        // A large-but-legal count against a tiny buffer is Truncated, and
+        // A large-but-legal count against a tiny buffer is truncated, and
         // must not allocate for the declared count either.
         let mut bad = encode_volume(&scan).to_vec();
         bad[14..22].copy_from_slice(&MAX_RECORDS.to_be_bytes());
         seal(&mut bad);
-        assert_eq!(
-            decode_volume::<f64>(&bad).unwrap_err(),
-            DecodeError::Truncated
-        );
-    }
-
-    #[test]
-    fn non_finite_fields_rejected_with_typed_error() {
-        let scan = sample_scan();
-        let mut bad = encode_volume(&scan).to_vec();
-        // Record 0 value field: header(22) + kind(1) + x,y,z(12) = offset 35.
-        bad[35..39].copy_from_slice(&f32::NAN.to_be_bytes());
-        seal(&mut bad);
-        match decode_volume::<f64>(&bad).unwrap_err() {
-            DecodeError::BadRecord {
-                index: 0,
-                error: RecordError::NonFinite(FieldId::Value),
-            } => {}
-            other => panic!("expected NonFinite(Value), got {other:?}"),
-        }
+        let (dec, report) = decode_volume_salvage::<f64>(&bad, &ValueBounds::default()).unwrap();
+        assert!(report.truncated);
+        assert_eq!((report.parseable, dec.obs.len()), (2, 2));
+        assert!(dec.obs.capacity() <= 2);
     }
 
     #[test]
@@ -816,17 +715,11 @@ mod tests {
         // Record 1 value field: 22 + 21 + 13 = offset 56. 900 m/s is no wind.
         bad[56..60].copy_from_slice(&900.0f32.to_be_bytes());
         seal(&mut bad);
-        match decode_volume::<f64>(&bad).unwrap_err() {
-            DecodeError::BadRecord {
-                index: 1,
-                error:
-                    RecordError::OutOfRange {
-                        field: FieldId::Value,
-                        ..
-                    },
-            } => {}
-            other => panic!("expected OutOfRange(Value), got {other:?}"),
-        }
+        let (dec, report) = decode_volume_salvage::<f64>(&bad, &ValueBounds::default()).unwrap();
+        assert_eq!(report.rejected_out_of_range, 1);
+        assert_eq!(report.rejected(), 1);
+        assert_eq!(dec.obs.len(), 1);
+        assert_eq!(dec.obs[0].kind, ObsKind::Reflectivity);
     }
 
     #[test]
@@ -835,7 +728,7 @@ mod tests {
         scan.time = f64::INFINITY;
         let bytes = encode_volume(&scan);
         assert_eq!(
-            decode_volume::<f64>(&bytes).unwrap_err(),
+            decode_volume_salvage::<f64>(&bytes, &ValueBounds::default()).unwrap_err(),
             DecodeError::BadTimestamp
         );
     }
@@ -847,7 +740,6 @@ mod tests {
         // Poison record 0's value; record 1 stays intact.
         bad[35..39].copy_from_slice(&f32::NAN.to_be_bytes());
         seal(&mut bad);
-        assert!(decode_volume::<f64>(&bad).is_err());
         let (dec, report) = decode_volume_salvage::<f64>(&bad, &ValueBounds::default()).unwrap();
         assert_eq!(dec.obs.len(), 1);
         assert_eq!(dec.obs[0].kind, ObsKind::DopplerVelocity);
@@ -864,7 +756,6 @@ mod tests {
         // Tear mid-record-1: record 0 survives; checksum and count no
         // longer match what's present.
         let torn = &bytes[..HEADER_BYTES + RECORD_BYTES + 10];
-        assert!(decode_volume::<f64>(torn).is_err());
         let (dec, report) = decode_volume_salvage::<f64>(torn, &ValueBounds::default()).unwrap();
         assert_eq!(dec.obs.len(), 1);
         assert_eq!(dec.obs[0].value, 37.5);
@@ -884,8 +775,8 @@ mod tests {
     }
 
     /// A seeded scan of `n` records. With `poison`, about one record in
-    /// 500 carries a value a decoder must reject (non-finite, out of range,
-    /// non-positive error SD), so strict mode fails on a record too.
+    /// 500 carries a value the decoder must reject (non-finite, out of
+    /// range, non-positive error SD).
     fn random_scan<T: Real>(
         rng: &mut bda_num::SplitMix64,
         n: usize,
@@ -927,33 +818,40 @@ mod tests {
         }
     }
 
-    /// Decode `bytes` at `T` with both implementations; returns the strict
-    /// outcome's name.
-    fn assert_decoders_agree<T: Real>(bytes: &[u8]) -> &'static str {
+    /// Decode `bytes` at `T` with both implementations; records in `seen`
+    /// the outcome's name, and for a decoded volume every report flag set.
+    fn assert_decoders_agree<T: Real>(bytes: &[u8], seen: &mut Vec<String>) {
         let bounds = ValueBounds::default();
-        let strict = decode_volume::<T>(bytes).map(|v| (v.time, v.obs));
-        let oracle = reference::decode_volume::<T>(bytes).map(|v| (v.time, v.obs));
-        assert_eq!(strict, oracle);
         let salvage = decode_volume_salvage::<T>(bytes, &bounds).map(|(v, r)| (v.time, v.obs, r));
         let oracle =
             reference::decode_volume_salvage::<T>(bytes, &bounds).map(|(v, r)| (v.time, v.obs, r));
         assert_eq!(salvage, oracle);
-        match strict {
-            Ok(_) => "Ok",
-            Err(DecodeError::TooShort) => "TooShort",
-            Err(DecodeError::BadMagic) => "BadMagic",
-            Err(DecodeError::UnsupportedVersion(_)) => "UnsupportedVersion",
-            Err(DecodeError::ChecksumMismatch) => "ChecksumMismatch",
-            Err(DecodeError::Truncated) => "Truncated",
-            Err(DecodeError::CountOverflow { .. }) => "CountOverflow",
-            Err(DecodeError::BadTimestamp) => "BadTimestamp",
-            Err(DecodeError::BadRecord { .. }) => "BadRecord",
+        match &salvage {
+            Ok((_, _, r)) => {
+                let flags = [
+                    (true, "Ok"),
+                    (r.checksum_mismatch, "ChecksumMismatch"),
+                    (r.truncated, "Truncated"),
+                    (r.rejected() > 0, "BadRecord"),
+                ];
+                seen.extend(flags.iter().filter(|f| f.0).map(|f| f.1.to_string()));
+            }
+            Err(e) => seen.push(
+                match e {
+                    DecodeError::TooShort => "TooShort",
+                    DecodeError::BadMagic => "BadMagic",
+                    DecodeError::UnsupportedVersion(_) => "UnsupportedVersion",
+                    DecodeError::CountOverflow { .. } => "CountOverflow",
+                    DecodeError::BadTimestamp => "BadTimestamp",
+                }
+                .to_string(),
+            ),
         }
     }
 
     /// Encode `scan` with both encoders, then decode it and every mutant
     /// of it with both implementations. Records every corruption class
-    /// and strict outcome met in `seen`.
+    /// and decode outcome met in `seen`.
     fn assert_codecs_agree<T: Real>(scan: &ScanResult<T>, seed: u64, seen: &mut Vec<String>) {
         let bytes = encode_volume(scan);
         assert_eq!(bytes, reference::encode_volume(scan), "encoder bytes");
@@ -963,14 +861,14 @@ mod tests {
             cases.push(m.bytes);
         }
         for case in &cases {
-            seen.push(assert_decoders_agree::<f32>(case).into());
-            seen.push(assert_decoders_agree::<f64>(case).into());
+            assert_decoders_agree::<f32>(case, seen);
+            assert_decoders_agree::<f64>(case, seen);
         }
     }
 
     /// The single-pass codec against the byte-at-a-time reference: same
-    /// bytes out of the encoder, and the same `Result` — variant, record
-    /// index, salvage report, observations — out of both decoders, for
+    /// bytes out of the encoder, and the same `Result` — error variant,
+    /// salvage report, observations — out of both decoders, for
     /// random f32 and f64 scans of 0–5,000 records and every corruption
     /// class of the fuzz mutator.
     #[test]

@@ -1,7 +1,7 @@
 //! Deterministic corruption mutator for the volume wire format.
 //!
 //! Generates hostile variants of an encoded PAWR volume — the corpus the
-//! ingest-hardening tests push through [`crate::codec::decode_volume`] and
+//! ingest-hardening tests push through [`crate::codec::decode_volume_salvage`] and
 //! the LETKF QC to prove that no corruption, however shaped, can panic the
 //! decoder or smuggle an out-of-bounds observation into the analysis.
 //!
@@ -56,6 +56,7 @@ pub struct MutatedVolume {
 }
 
 /// Seeded corruption mutator over a clean encoded volume.
+// bda-check: allow(uncalled_pub) -- the fuzz harness: the ingest tests and the codec equivalence sweep build it
 pub struct VolumeMutator<'a> {
     clean: &'a [u8],
     rng: SplitMix64,
@@ -152,6 +153,7 @@ impl<'a> VolumeMutator<'a> {
     }
 
     /// Iterator over cases `0..n`.
+    // bda-check: allow(uncalled_pub) -- the fuzz harness: the ingest tests and the codec equivalence sweep drive it
     pub fn corpus(&self, n: u64) -> impl Iterator<Item = MutatedVolume> + '_ {
         (0..n).map(move |case| self.mutate(case))
     }

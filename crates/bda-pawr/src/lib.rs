@@ -31,7 +31,7 @@ pub mod operator;
 pub mod reflectivity;
 pub mod scan;
 
-pub use codec::{decode_volume, decode_volume_salvage, encode_volume, SalvageReport, ValueBounds};
+pub use codec::{decode_volume_salvage, encode_volume, SalvageReport, ValueBounds};
 pub use config::RadarConfig;
 pub use fuzz::{Corruption, MutatedVolume, VolumeMutator};
 pub use network::RadarNetwork;

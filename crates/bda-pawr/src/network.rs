@@ -9,7 +9,6 @@
 //! wind vector) and fewer blind spots.
 
 use crate::config::RadarConfig;
-use crate::geometry::visibility;
 use crate::scan::{PawrSimulator, ScanResult};
 use bda_grid::GridSpec;
 use bda_letkf::Observation;
@@ -42,10 +41,6 @@ impl RadarNetwork {
         a.range_max = grid.lx() * 0.75;
         b.range_max = grid.lx() * 0.75;
         Self::new(vec![a, b])
-    }
-
-    pub fn n_radars(&self) -> usize {
-        self.radars.len()
     }
 
     pub fn radars(&self) -> &[PawrSimulator] {
@@ -135,22 +130,6 @@ impl RadarNetwork {
         }
         mask
     }
-
-    /// Number of radars covering each cell at height `z` (dual-Doppler
-    /// retrieval needs >= 2).
-    pub fn coverage_count(&self, grid: &GridSpec, z: f64) -> Vec<u8> {
-        let mut count = vec![0u8; grid.nx * grid.ny];
-        for sim in &self.radars {
-            for j in 0..grid.ny {
-                for i in 0..grid.nx {
-                    if visibility(&sim.cfg, grid.x_center(i), grid.y_center(j), z).is_ok() {
-                        count[j * grid.nx + i] += 1;
-                    }
-                }
-            }
-        }
-        count
-    }
 }
 
 #[cfg(test)]
@@ -169,7 +148,7 @@ mod tests {
     fn dual_network_covers_more_than_either_radar() {
         let (grid, _, _) = setup();
         let net = RadarNetwork::dual(&grid);
-        assert_eq!(net.n_radars(), 2);
+        assert_eq!(net.radars().len(), 2);
         let combined: usize = net
             .visibility_mask(&grid, 2000.0)
             .iter()
@@ -184,11 +163,11 @@ mod tests {
             assert!(combined >= single, "network lost coverage");
         }
         // Overlap exists: some cells see both radars (dual Doppler).
-        let dual_cells = net
-            .coverage_count(&grid, 2000.0)
-            .iter()
-            .filter(|&&c| c >= 2)
-            .count();
+        let (a, b) = (
+            net.radars()[0].visibility_mask(&grid, 2000.0),
+            net.radars()[1].visibility_mask(&grid, 2000.0),
+        );
+        let dual_cells = a.iter().zip(&b).filter(|(&x, &y)| x && y).count();
         assert!(dual_cells > 0, "no dual-Doppler overlap region");
     }
 

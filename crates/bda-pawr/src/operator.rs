@@ -159,7 +159,12 @@ mod tests {
 
     /// Uniform-vertical grid so beam elevations are easy to reason about.
     fn flat_setup() -> (GridSpec, BaseState<f64>, ModelState<f64>, RadarConfig) {
-        let grid = GridSpec::new(12, 12, 500.0, bda_grid::VerticalCoord::uniform(10, 5000.0));
+        let grid = GridSpec::new(
+            12,
+            12,
+            500.0,
+            bda_grid::VerticalCoord::stretched(10, 5000.0, 1.0),
+        );
         let base = BaseState::from_sounding(&Sounding::convective(), &grid.vertical, 340.0);
         let state = ModelState::init_from_base(&grid, &base);
         let radar = RadarConfig::reduced(grid.lx(), grid.ly());

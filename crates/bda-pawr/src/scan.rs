@@ -117,9 +117,8 @@ impl PawrSimulator {
         }
     }
 
-    /// Horizontal visibility mask at height `z` (j-outer/i-inner order,
-    /// matching `Field3::level_slice`): `false` cells are the hatched
-    /// no-data regions of Fig. 6b.
+    /// Horizontal visibility mask at height `z` (j-outer/i-inner order):
+    /// `false` cells are the hatched no-data regions of Fig. 6b.
     pub fn visibility_mask(&self, grid: &GridSpec, z: f64) -> Vec<bool> {
         let mut mask = Vec::with_capacity(grid.nx * grid.ny);
         for j in 0..grid.ny {

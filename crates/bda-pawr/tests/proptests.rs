@@ -7,7 +7,7 @@ use bda_pawr::fuzz::VolumeMutator;
 use bda_pawr::geometry::{beam_to, visibility, Invisibility};
 use bda_pawr::reflectivity::{fall_speed, to_dbz, z_rain, z_total};
 use bda_pawr::scan::ScanResult;
-use bda_pawr::{decode_volume, encode_volume, RadarConfig};
+use bda_pawr::{encode_volume, RadarConfig};
 use proptest::prelude::*;
 
 proptest! {
@@ -120,7 +120,8 @@ proptest! {
         let bytes = encode_volume(&scan);
         // Header 22 + trailer 8 + 21 per record.
         prop_assert_eq!(bytes.len(), 30 + 21 * n);
-        let dec = decode_volume::<f32>(&bytes).unwrap();
+        let (dec, report) = decode_volume_salvage::<f32>(&bytes, &ValueBounds::default()).unwrap();
+        prop_assert!(report.clean());
         prop_assert_eq!(dec.time, scan.time);
         prop_assert_eq!(dec.obs.len(), n);
         for (a, b) in dec.obs.iter().zip(&scan.obs) {
@@ -157,7 +158,8 @@ proptest! {
             raw_bytes: 0,
         };
         let bytes = encode_volume(&scan);
-        let dec = decode_volume::<f64>(&bytes).unwrap();
+        let (dec, report) = decode_volume_salvage::<f64>(&bytes, &ValueBounds::default()).unwrap();
+        prop_assert!(report.clean());
         prop_assert_eq!(dec.obs.len(), n);
         for (a, b) in dec.obs.iter().zip(&scan.obs) {
             prop_assert_eq!(a.kind, b.kind);
@@ -196,8 +198,7 @@ proptest! {
         let clean = encode_volume(&scan);
         let mutant = VolumeMutator::new(&clean, seed).mutate(case);
         // No catch_unwind needed: a panic fails the test. The property is
-        // that both decoders return *something* typed for arbitrary bytes.
-        let _ = decode_volume::<f32>(&mutant.bytes);
+        // that the decoder returns *something* typed for arbitrary bytes.
         if let Ok((vol, report)) = decode_volume_salvage::<f32>(&mutant.bytes, &ValueBounds::default()) {
             prop_assert!(report.kept <= report.parseable);
             for o in &vol.obs {

@@ -162,10 +162,6 @@ pub(crate) fn at<T>(run: &[T], at: usize, n: usize) -> &[T] {
 /// One whole-row pass (see the module docs): the upwind choices are
 /// selects, and the ground and lid faces select an exact `+0` flux.
 #[allow(clippy::too_many_arguments)]
-// Every run is sliced to the row's n cells (or reaches at most one column
-// into the halo, which is at least one column wide) before the loop, and
-// the tiles are ny * nz long by construction.
-// bda-check: allow(panic_path)
 pub fn scalar_advection_row<T: Real>(
     q: &Field3<T>,
     u: &Field3<T>,
@@ -241,9 +237,6 @@ pub fn w_center_col<T: Real>(w: &[T], k: usize, nz: usize) -> T {
 /// are selected, the tiled denominator matches), the lid face's `w` is
 /// an exact `+0`, and the ground face's tendency is selected to `+0`.
 #[allow(clippy::too_many_arguments)]
-// Every run is sliced to the row's n cells (reaching at most one column
-// into the halo) before the loops; the tiles are ny * nz long.
-// bda-check: allow(panic_path)
 pub fn momentum_advection_row<T: Real>(
     u: &Field3<T>,
     v: &Field3<T>,
@@ -345,13 +338,13 @@ mod tests {
     use bda_grid::VerticalCoord;
 
     fn grid(nx: usize, nz: usize) -> GridSpec {
-        GridSpec::new(nx, nx, 100.0, VerticalCoord::uniform(nz, 1000.0))
+        GridSpec::new(nx, nx, 100.0, VerticalCoord::stretched(nz, 1000.0, 1.0))
     }
 
     /// Row profiles of a base state whose density profiles are replaced by
     /// `rho0` and `rho0f`.
     fn profiles(m: &Metrics<f64>, ny: usize, rho0: &[f64], rho0f: &[f64]) -> RowProfiles<f64> {
-        let vc = VerticalCoord::uniform(m.nz, 1000.0);
+        let vc = VerticalCoord::stretched(m.nz, 1000.0, 1.0);
         let mut base = BaseState::from_sounding(&Sounding::dry_stable(), &vc, 340.0);
         base.rho0 = rho0.to_vec();
         base.rho0_face = rho0f.to_vec();

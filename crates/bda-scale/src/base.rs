@@ -40,23 +40,6 @@ pub struct Sounding {
 }
 
 impl Sounding {
-    /// Dry, stable midlatitude profile (for dynamics-only tests).
-    pub fn dry_stable() -> Self {
-        Self {
-            p_surface: 101_325.0,
-            theta_surface: 300.0,
-            dtheta_dz_tropo: 4.0e-3,
-            z_tropopause: 12_000.0,
-            dtheta_dz_strato: 20.0e-3,
-            rh_surface: 0.0,
-            rh_scale_height: 3000.0,
-            u_surface: 0.0,
-            u_shear: 0.0,
-            shear_depth: 5000.0,
-            v_constant: 0.0,
-        }
-    }
-
     /// Convectively unstable, moist, sheared profile in the spirit of
     /// Weisman & Klemp (1982) — the environment that produces the heavy
     /// convective rain the BDA system targets.
@@ -212,6 +195,25 @@ impl<T: Real> BaseState<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Sounding {
+        /// Dry, stable midlatitude profile (for dynamics-only tests).
+        pub fn dry_stable() -> Self {
+            Self {
+                p_surface: 101_325.0,
+                theta_surface: 300.0,
+                dtheta_dz_tropo: 4.0e-3,
+                z_tropopause: 12_000.0,
+                dtheta_dz_strato: 20.0e-3,
+                rh_surface: 0.0,
+                rh_scale_height: 3000.0,
+                u_surface: 0.0,
+                u_shear: 0.0,
+                shear_depth: 5000.0,
+                v_constant: 0.0,
+            }
+        }
+    }
 
     fn vc() -> VerticalCoord {
         VerticalCoord::stretched(40, 16_400.0, 1.05)

@@ -31,19 +31,6 @@ impl Default for PhysicsSwitches {
     }
 }
 
-impl PhysicsSwitches {
-    /// Dynamics-only configuration for dry idealized tests.
-    pub fn dry() -> Self {
-        Self {
-            microphysics: false,
-            radiation: false,
-            surface_flux: false,
-            boundary_layer: false,
-            turbulence: true,
-        }
-    }
-}
-
 /// Full model configuration.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct ModelConfig {
@@ -140,6 +127,19 @@ impl ModelConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl PhysicsSwitches {
+        /// Dynamics-only configuration for dry idealized tests.
+        pub fn dry() -> Self {
+            Self {
+                microphysics: false,
+                radiation: false,
+                surface_flux: false,
+                boundary_layer: false,
+                turbulence: true,
+            }
+        }
+    }
 
     #[test]
     fn table3_values() {

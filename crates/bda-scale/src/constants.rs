@@ -6,8 +6,6 @@ pub const RD: f64 = 287.04;
 pub const RV: f64 = 461.5;
 /// Specific heat of dry air at constant pressure, J kg^-1 K^-1.
 pub const CP: f64 = 1004.64;
-/// Specific heat of dry air at constant volume, J kg^-1 K^-1.
-pub const CV: f64 = CP - RD;
 /// Gravitational acceleration, m s^-2.
 pub const GRAV: f64 = 9.80665;
 /// Reference surface pressure, Pa.
@@ -26,8 +24,6 @@ pub const KAPPA: f64 = RD / CP;
 pub const EPS_VAP: f64 = RD / RV;
 /// Von Karman constant.
 pub const KARMAN: f64 = 0.4;
-/// Density of liquid water, kg m^-3.
-pub const RHO_WATER: f64 = 1000.0;
 
 /// Saturation vapor pressure over liquid water (Tetens formula), Pa.
 pub fn e_sat_liquid(t_kelvin: f64) -> f64 {
@@ -107,8 +103,7 @@ mod tests {
     }
 
     #[test]
-    fn cv_consistency() {
-        assert!((CV - (CP - RD)).abs() < 1e-12);
+    fn kappa_is_rd_over_cp() {
         assert!((KAPPA - 0.2857).abs() < 1e-3);
     }
 }

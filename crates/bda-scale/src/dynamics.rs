@@ -239,9 +239,6 @@ pub fn step_dynamics<T: Real>(
 /// Whole-row passes like [`momentum_advection_row`]; the ground face
 /// keeps its tendency by select.
 #[allow(clippy::too_many_arguments)]
-// Every run is sliced to the row's n cells (reaching at most one column
-// into the halo) before the loops; the tiles are ny * nz long.
-// bda-check: allow(panic_path)
 pub fn explicit_tendencies_row<T: Real>(
     s: &ModelState<T>,
     p: &RowProfiles<T>,
@@ -390,8 +387,6 @@ fn hyperdiffusion_block<T: Real, const N: usize>(
 /// the forward step of rows `i` of `u`, `v`, each a whole-row pass.
 /// `div_h` holds the plain divergence with its halos filled.
 #[allow(clippy::too_many_arguments)]
-// The runs are sliced to the row's n cells before the loop.
-// bda-check: allow(panic_path)
 pub fn forward_uv_row<T: Real>(
     div_h: &Field3<T>,
     alpha: Option<T>,

@@ -129,10 +129,6 @@ impl EnsembleHealth {
             .count()
     }
 
-    pub fn all_healthy(&self) -> bool {
-        self.status.iter().all(|s| *s == MemberHealth::Healthy)
-    }
-
     /// One-line summary for cycle reports, e.g. `alive 3/4, dead [1]`.
     pub fn summary(&self) -> String {
         let mut s = format!("alive {}/{}", self.n_alive(), self.status.len());
@@ -539,7 +535,6 @@ mod tests {
         // Suspect members still count as alive (assimilation pulls them back).
         assert_eq!(health.n_alive(), 3);
         assert_eq!(health.n_suspect(), 1);
-        assert!(!health.all_healthy());
     }
 
     #[test]

@@ -34,7 +34,6 @@ pub mod advect;
 pub mod base;
 pub mod config;
 pub mod constants;
-pub mod diagnostics;
 pub mod dynamics;
 pub mod ensemble;
 pub mod forcing;

@@ -192,9 +192,6 @@ impl<T: Real> RowPhysics<'_, T> {
     /// the surface fluxes, boundary layer, microphysics and radiation.
     /// `fields` are rows `i` of u, v, w, theta, qv, qc, qr, qi, qs, qg and
     /// tke; `rate` and `accum` are the row's precipitation entries.
-    // Column slices have length nz and the row scratch is sized nz at
-    // construction; `rate`/`accum` are the row's ny-long chunks.
-    // bda-check: allow(panic_path)
     fn step_row(
         &self,
         fields: [Row<'_, T>; 11],
@@ -539,17 +536,6 @@ impl<T: Real> Model<T> {
         }
     }
 
-    /// Maximum instantaneous rain rate over the domain, mm/h.
-    pub fn max_rain_rate(&self) -> f64 {
-        self.precip_rate.iter().copied().fold(0.0, f64::max)
-    }
-
-    /// Area (number of columns) with rain rate at or above `threshold` mm/h —
-    /// the statistic Fig. 5 plots against time-to-solution.
-    pub fn rain_area(&self, threshold: f64) -> usize {
-        self.precip_rate.iter().filter(|&&r| r >= threshold).count()
-    }
-
     pub fn metrics(&self) -> &Metrics<T> {
         &self.metrics
     }
@@ -648,8 +634,10 @@ mod tests {
         }
         let _ = g;
         m.integrate(60.0).unwrap();
-        assert!(m.max_rain_rate() > 0.0, "no rain reached the surface");
-        assert!(m.rain_area(0.1) > 0);
+        assert!(
+            m.precip_rate.iter().any(|&r| r >= 0.1),
+            "no rain reached the surface"
+        );
         assert!(m.precip_accum.iter().sum::<f64>() > 0.0);
     }
 

@@ -105,33 +105,17 @@ pub fn outer_to_inner_boundary<T: Real>(
     out
 }
 
-/// Member-paired boundaries for a nested ensemble (Fig. 3b): inner member
-/// `m` is driven by outer member `m`, preserving the ensemble's boundary
-/// uncertainty. Computed in parallel over members.
-pub fn member_boundaries<T: Real>(
-    outer_members: &[ModelState<T>],
-    outer_grid: &GridSpec,
-    inner_grid: &GridSpec,
-    offset: (f64, f64),
-) -> Vec<BoundaryFields<T>> {
-    use rayon::prelude::*;
-    outer_members
-        .par_iter()
-        .map(|m| outer_to_inner_boundary(m, outer_grid, inner_grid, offset))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use bda_grid::VerticalCoord;
 
     fn outer_grid() -> GridSpec {
-        GridSpec::new(12, 12, 1500.0, VerticalCoord::uniform(4, 4000.0))
+        GridSpec::new(12, 12, 1500.0, VerticalCoord::stretched(4, 4000.0, 1.0))
     }
 
     fn inner_grid() -> GridSpec {
-        GridSpec::new(9, 9, 500.0, VerticalCoord::uniform(4, 4000.0))
+        GridSpec::new(9, 9, 500.0, VerticalCoord::stretched(4, 4000.0, 1.0))
     }
 
     #[test]
@@ -194,28 +178,10 @@ mod tests {
     }
 
     #[test]
-    fn member_boundaries_pair_one_to_one() {
-        let og = outer_grid();
-        let ig = inner_grid();
-        let members: Vec<ModelState<f64>> = (0..3)
-            .map(|m| {
-                let mut s = ModelState::zeros(&og);
-                s.u.fill(m as f64);
-                s
-            })
-            .collect();
-        let bfs = member_boundaries(&members, &og, &ig, (3000.0, 3000.0));
-        assert_eq!(bfs.len(), 3);
-        for (m, bf) in bfs.iter().enumerate() {
-            assert!((bf.u.at(4, 4, 0) - m as f64).abs() < 1e-12);
-        }
-    }
-
-    #[test]
     #[should_panic]
     fn mismatched_levels_rejected() {
         let og = outer_grid();
-        let ig = GridSpec::new(9, 9, 500.0, VerticalCoord::uniform(6, 4000.0));
+        let ig = GridSpec::new(9, 9, 500.0, VerticalCoord::stretched(6, 4000.0, 1.0));
         let outer = ModelState::<f64>::zeros(&og);
         let _ = outer_to_inner_boundary(&outer, &og, &ig, (0.0, 0.0));
     }

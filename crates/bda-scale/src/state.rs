@@ -1,7 +1,6 @@
 //! Prognostic model state.
 
 use crate::base::BaseState;
-use crate::constants::*;
 use bda_grid::halo::HaloPolicy;
 use bda_grid::{Field3, GridSpec};
 use bda_num::{Real, SplitMix64};
@@ -237,26 +236,6 @@ impl<T: Real> ModelState<T> {
         }
     }
 
-    /// Total condensate mixing ratio at a cell (liquid + ice).
-    pub fn q_condensate(&self, i: isize, j: isize, k: usize) -> T {
-        self.qc.at(i, j, k)
-            + self.qr.at(i, j, k)
-            + self.qi.at(i, j, k)
-            + self.qs.at(i, j, k)
-            + self.qg.at(i, j, k)
-    }
-
-    /// Absolute temperature at a cell, from base + perturbation.
-    pub fn temperature(&self, base: &BaseState<T>, i: isize, j: isize, k: usize) -> T {
-        (base.theta0[k] + self.theta.at(i, j, k)) * (base.pi0[k] + self.pi.at(i, j, k))
-    }
-
-    /// Pressure at a cell, Pa.
-    pub fn pressure(&self, base: &BaseState<T>, i: isize, j: isize, k: usize) -> T {
-        let pi_total = (base.pi0[k] + self.pi.at(i, j, k)).max(T::of(1e-3));
-        T::of(P00) * pi_total.powf(T::of(1.0 / KAPPA))
-    }
-
     /// Insert a warm, moist bubble — the classic convection trigger used by
     /// the nature run and by ensemble perturbations.
     ///
@@ -446,27 +425,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn q_condensate_sums_species() {
-        let g = grid();
-        let mut s = ModelState::<f64>::zeros(&g);
-        s.qc.set(0, 0, 0, 1e-3);
-        s.qr.set(0, 0, 0, 2e-3);
-        s.qg.set(0, 0, 0, 0.5e-3);
-        assert!((s.q_condensate(0, 0, 0) - 3.5e-3).abs() < 1e-12);
-    }
-
-    #[test]
-    fn temperature_and_pressure_are_physical() {
-        let g = grid();
-        let b = BaseState::<f64>::from_sounding(&Sounding::dry_stable(), &g.vertical, 340.0);
-        let s = ModelState::init_from_base(&g, &b);
-        let t = s.temperature(&b, 0, 0, 0);
-        assert!((250.0..320.0).contains(&t), "T = {t}");
-        let p = s.pressure(&b, 0, 0, 0);
-        assert!((80_000.0..102_000.0).contains(&p), "p = {p}");
     }
 
     #[test]

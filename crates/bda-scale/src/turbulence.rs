@@ -20,8 +20,6 @@ use bda_num::Real;
 /// The Smagorinsky horizontal eddy viscosity at the cell centers of one
 /// x-row, written into row `i` of `kh` in one whole-row pass (see
 /// [`crate::advect`]).
-// The runs are sliced to the row's n cells before the loop.
-// bda-check: allow(panic_path)
 pub fn smagorinsky_row<T: Real>(
     u: &Field3<T>,
     v: &Field3<T>,
@@ -67,8 +65,6 @@ pub fn smagorinsky_row<T: Real>(
 /// whole-row pass. The stencil reads `snap`, a snapshot of `q` taken
 /// (halos included) before any row is updated, so it is unbiased and rows
 /// may run in any order.
-// The runs are sliced to the row's n cells before the loop.
-// bda-check: allow(panic_path)
 pub fn horizontal_diffusion_row<T: Real>(
     q: &mut Row<'_, T>,
     snap: &Field3<T>,
@@ -339,7 +335,7 @@ mod tests {
             8,
             8,
             500.0,
-            VerticalCoord::uniform(2, 1000.0),
+            VerticalCoord::stretched(2, 1000.0, 1.0),
         ));
         let mut q = Field3::<f64>::zeros(8, 8, 2, 2);
         q.set(4, 4, 0, 10.0);

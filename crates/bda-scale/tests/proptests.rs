@@ -2,7 +2,6 @@
 
 use bda_grid::halo::fill_periodic;
 use bda_grid::{Field3, GridSpec, VerticalCoord};
-use bda_num::tridiag::{solve_thomas, solve_thomas_pair};
 use bda_num::{Real, SplitMix64};
 use bda_scale::advect::{scalar_advection_row, Metrics, RowProfiles};
 use bda_scale::base::{BaseState, Sounding};
@@ -130,28 +129,6 @@ proptest! {
         assert_advection_matches_reference::<f64>((nx, ny, nz), seed, q_scale);
     }
 
-    /// The two-right-hand-side Thomas sweep equals two `solve_thomas`
-    /// calls bit for bit, for both right-hand sides.
-    #[test]
-    fn thomas_pair_is_bitwise_two_single_solves(
-        seed in any::<u64>(),
-        n in 1usize..20,
-    ) {
-        let mut rng = SplitMix64::new(seed);
-        let mut draw = |mean: f32, sd: f32| -> Vec<f32> { (0..n).map(|_| rng.gaussian(mean, sd)).collect() };
-        let (sub, sup) = (draw(-0.3, 0.2), draw(-0.3, 0.2));
-        let diag = draw(1.8, 0.3);
-        let (a0, b0) = (draw(0.0, 3.0), draw(0.0, 3.0));
-        let mut scratch = vec![0.0f32; n];
-        let (mut a1, mut b1) = (a0.clone(), b0.clone());
-        solve_thomas(&sub, &diag, &sup, &mut a1, &mut scratch);
-        solve_thomas(&sub, &diag, &sup, &mut b1, &mut scratch);
-        let (mut a2, mut b2) = (a0, b0);
-        solve_thomas_pair(&sub, &diag, &sup, &mut a2, &mut b2, &mut scratch);
-        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        prop_assert_eq!(bits(&a1), bits(&a2));
-        prop_assert_eq!(bits(&b1), bits(&b2));
-    }
 }
 
 proptest! {
@@ -166,7 +143,7 @@ proptest! {
     ) {
         let nx = 8;
         let nz = 6;
-        let grid = GridSpec::new(nx, nx, 500.0, VerticalCoord::uniform(nz, 3000.0));
+        let grid = GridSpec::new(nx, nx, 500.0, VerticalCoord::stretched(nz, 3000.0, 1.0));
         let m = Metrics::<f64>::new(&grid);
         let mut q = random_field(nx, nz, 1.0, seed);
         // Positive tracer.

@@ -98,10 +98,6 @@ impl TileCache {
         self.bytes
     }
 
-    pub fn cached_cycles(&self) -> usize {
-        self.cycles.len()
-    }
-
     pub fn evicted_cycles(&self) -> usize {
         self.evicted_cycles
     }
@@ -144,6 +140,12 @@ impl TileCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl TileCache {
+        pub fn cached_cycles(&self) -> usize {
+            self.cycles.len()
+        }
+    }
 
     fn frame(len: usize, tag: u8) -> Bytes {
         Bytes::from(vec![tag; len])

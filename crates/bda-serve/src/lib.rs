@@ -10,7 +10,7 @@
 //!
 //! > **No client can stall a cycle.** Slow readers, never-ACK clients,
 //! > half-open sockets, and reconnect storms cost *that client* its
-//! > connection (with a typed [`EvictReason`](server::EvictReason)), never
+//! > connection (with a typed [`EvictReason`]), never
 //! > the broadcast deadline.
 //!
 //! Late joiners and evicted reconnectors are brought current from a

@@ -512,7 +512,7 @@ impl NowcastServer {
             joined_delta,
             joined_current,
             evicted,
-            elapsed_ms: t0.elapsed().as_secs_f64() * 1e3, // bda-check: allow(wallclock) — publish-latency telemetry
+            elapsed_ms: t0.elapsed().as_secs_f64() * 1e3,
         })
     }
 
@@ -659,9 +659,7 @@ fn accept_loop(listener: &TcpListener, shared: &Shared) {
         }
         let mut done = Vec::new();
         for c in &mut inflight {
-            if step(c, &mut done, shared).is_none() && c.since.elapsed() >= HANDSHAKE_TIMEOUT
-            // bda-check: allow(wallclock) — handshake deadline
-            {
+            if step(c, &mut done, shared).is_none() && c.since.elapsed() >= HANDSHAKE_TIMEOUT {
                 shared.handshake_failures.fetch_add(1, Ordering::SeqCst);
                 c.stream = None;
             }

@@ -17,13 +17,13 @@
 //!
 //! Which clients are hostile is a pure function of the seed; *when*
 //! behaviours trigger comes from the shared
-//! [`FaultPlan`](bda_workflow::fault::FaultPlan) (`slowclient:N@C`,
+//! [`FaultPlan`] (`slowclient:N@C`,
 //! `connstorm:N@C`), so one spec string composes ingest and egress faults
 //! into a single reproducible campaign.
 //!
 //! Every healthy client verifies each frame end-to-end: checksum via
 //! [`decode_tile`], sequencing via the shared
-//! [`SeqTracker`](bda_jitdt::sequence::SeqTracker), and delta reassembly
+//! [`SeqTracker`], and delta reassembly
 //! via [`TileAssembler`] — so the swarm report is also an integrity check
 //! of the whole egress path.
 

@@ -55,12 +55,6 @@ pub fn quantize_dbz(dbz: f64) -> u8 {
     round_u8_sat((dbz - DBZ_FLOOR) / DBZ_STEP)
 }
 
-/// Palette index back to the center of its dBZ bin.
-#[inline]
-pub fn dequantize(q: u8) -> f64 {
-    DBZ_FLOOR + f64::from(q) * DBZ_STEP
-}
-
 /// Tiling parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct TileConfig {
@@ -394,10 +388,6 @@ impl CycleTiles {
     pub fn delta_bytes(&self) -> usize {
         self.deltas.iter().map(|b| b.len()).sum()
     }
-
-    pub fn key_bytes(&self) -> usize {
-        self.keys.iter().map(|b| b.len()).sum()
-    }
 }
 
 /// Stateful per-stream encoder: quantizes, builds the zoom pyramid, and
@@ -602,6 +592,17 @@ pub fn synthetic_reflectivity(cycle: u64, w: usize, h: usize) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl CycleTiles {
+        pub fn key_bytes(&self) -> usize {
+            self.keys.iter().map(|b| b.len()).sum()
+        }
+    }
+
+    /// Palette index back to the center of its dBZ bin.
+    fn dequantize(q: u8) -> f64 {
+        DBZ_FLOOR + f64::from(q) * DBZ_STEP
+    }
 
     #[test]
     fn quantization_clamps_hostile_values() {

@@ -2,9 +2,9 @@
 //!
 //! [`ChaosProxy`] sits between a shard's advertised port and its real
 //! listener: it registers *itself* under the shard's
-//! [`registry_name`](crate::netbus::registry_name) while the shard (in
+//! [`registry_name`] while the shard (in
 //! `raw_registry` mode) hides under
-//! [`raw_registry_name`](crate::netbus::raw_registry_name). Every peer
+//! [`raw_registry_name`]. Every peer
 //! connection therefore flows through the proxy, which parses `BDAN`
 //! message boundaries in both directions and applies the scheduled
 //! network faults from a [`FaultPlan`]:
@@ -18,7 +18,7 @@
 //!   degrade before the frame lands.
 //! - `wiregarbage:S@C` — messages from `S` about cycle `C` are forwarded
 //!   as seeded garbage plus a checksum-broken copy: the receiver's
-//!   [`NetFrameReader`](crate::wire::NetFrameReader) resyncs and counts
+//!   [`NetFrameReader`] resyncs and counts
 //!   typed garbage/corrupt events, and the halo never decodes.
 //!
 //! Fault matching is per *message* on its declared `(sender, cycle)` —

@@ -75,6 +75,7 @@ impl<P: Clone> FenceTable<P> {
     }
 
     /// Current fence for `sender`.
+    // bda-check: allow(uncalled_pub) -- test probe: the fence-table suite and the loom netbus model read it
     pub fn fence_of(&self, sender: usize) -> u64 {
         self.fenced[sender].load(Ordering::SeqCst)
     }

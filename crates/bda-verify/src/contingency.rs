@@ -73,73 +73,6 @@ impl ContingencyTable {
             Some(self.hits as f64 / denom as f64)
         }
     }
-
-    /// Probability of detection.
-    pub fn pod(&self) -> Option<f64> {
-        let denom = self.hits + self.misses;
-        if denom == 0 {
-            None
-        } else {
-            Some(self.hits as f64 / denom as f64)
-        }
-    }
-
-    /// False alarm ratio.
-    pub fn far(&self) -> Option<f64> {
-        let denom = self.hits + self.false_alarms;
-        if denom == 0 {
-            None
-        } else {
-            Some(self.false_alarms as f64 / denom as f64)
-        }
-    }
-
-    /// Frequency bias: forecast event count / observed event count.
-    pub fn bias(&self) -> Option<f64> {
-        let denom = self.hits + self.misses;
-        if denom == 0 {
-            None
-        } else {
-            Some((self.hits + self.false_alarms) as f64 / denom as f64)
-        }
-    }
-
-    /// Equitable threat score (Gilbert skill score).
-    pub fn ets(&self) -> Option<f64> {
-        let n = self.total();
-        if n == 0 {
-            return None;
-        }
-        let hits_random =
-            (self.hits + self.misses) as f64 * (self.hits + self.false_alarms) as f64 / n as f64;
-        let denom = (self.hits + self.misses + self.false_alarms) as f64 - hits_random;
-        if denom.abs() < 1e-12 {
-            None
-        } else {
-            Some((self.hits as f64 - hits_random) / denom)
-        }
-    }
-
-    /// All scores bundled.
-    pub fn scores(&self) -> Scores {
-        Scores {
-            threat: self.threat_score(),
-            pod: self.pod(),
-            far: self.far(),
-            bias: self.bias(),
-            ets: self.ets(),
-        }
-    }
-}
-
-/// Bundle of categorical scores.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
-pub struct Scores {
-    pub threat: Option<f64>,
-    pub pod: Option<f64>,
-    pub far: Option<f64>,
-    pub bias: Option<f64>,
-    pub ets: Option<f64>,
 }
 
 #[cfg(test)]
@@ -153,9 +86,6 @@ mod tests {
         assert_eq!(t.hits, 2);
         assert_eq!(t.correct_negatives, 2);
         assert_eq!(t.threat_score(), Some(1.0));
-        assert_eq!(t.pod(), Some(1.0));
-        assert_eq!(t.far(), Some(0.0));
-        assert_eq!(t.bias(), Some(1.0));
     }
 
     #[test]
@@ -164,8 +94,6 @@ mod tests {
         let obs = vec![0.0_f64, 0.0, 35.0, 35.0];
         let t = ContingencyTable::from_fields(&fcst, &obs, 30.0, None);
         assert_eq!(t.threat_score(), Some(0.0));
-        assert_eq!(t.pod(), Some(0.0));
-        assert_eq!(t.far(), Some(1.0));
     }
 
     #[test]
@@ -184,7 +112,6 @@ mod tests {
             }
         );
         assert_eq!(t.threat_score(), Some(1.0 / 3.0));
-        assert_eq!(t.bias(), Some(1.0));
     }
 
     #[test]
@@ -202,8 +129,6 @@ mod tests {
         let quiet = vec![0.0_f64; 10];
         let t = ContingencyTable::from_fields(&quiet, &quiet, 30.0, None);
         assert_eq!(t.threat_score(), None);
-        assert_eq!(t.pod(), None);
-        assert_eq!(t.bias(), None);
     }
 
     #[test]
@@ -218,20 +143,6 @@ mod tests {
         b.merge(&a);
         assert_eq!(b.hits, 2);
         assert_eq!(b.total(), 20);
-    }
-
-    #[test]
-    fn ets_is_below_threat_when_random_hits_exist() {
-        let t = ContingencyTable {
-            hits: 50,
-            misses: 20,
-            false_alarms: 30,
-            correct_negatives: 100,
-        };
-        let ts = t.threat_score().unwrap();
-        let ets = t.ets().unwrap();
-        assert!(ets < ts, "ets {ets} vs ts {ts}");
-        assert!(ets > 0.0);
     }
 
     #[test]

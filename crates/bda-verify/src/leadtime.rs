@@ -10,7 +10,6 @@ pub struct LeadTimeSeries {
     /// Lead times, s (bin labels).
     lead_times: Vec<f64>,
     tables: Vec<ContingencyTable>,
-    cases: Vec<u64>,
 }
 
 impl LeadTimeSeries {
@@ -19,7 +18,6 @@ impl LeadTimeSeries {
         Self {
             lead_times: (0..n_leads).map(|i| i as f64 * dt).collect(),
             tables: vec![ContingencyTable::default(); n_leads],
-            cases: vec![0; n_leads],
         }
     }
 
@@ -34,12 +32,6 @@ impl LeadTimeSeries {
     /// Add one case's table at lead index `lead`.
     pub fn add(&mut self, lead: usize, table: &ContingencyTable) {
         self.tables[lead].merge(table);
-        self.cases[lead] += 1;
-    }
-
-    /// Number of cases accumulated at each lead.
-    pub fn case_counts(&self) -> &[u64] {
-        &self.cases
     }
 
     /// Aggregate threat score per lead time (None where undefined).
@@ -50,13 +42,6 @@ impl LeadTimeSeries {
     /// The aggregate table at one lead.
     pub fn table(&self, lead: usize) -> &ContingencyTable {
         &self.tables[lead]
-    }
-
-    /// Is the curve monotonically non-increasing (the paper's "monotonic
-    /// decline of forecast skill", treating undefined scores as gaps)?
-    pub fn is_monotone_decline(&self, tolerance: f64) -> bool {
-        let scores: Vec<f64> = self.threat_scores().into_iter().flatten().collect();
-        scores.windows(2).all(|w| w[1] <= w[0] + tolerance)
     }
 
     /// Render a two-curve comparison table (Fig. 7 style) as text.
@@ -98,7 +83,6 @@ mod tests {
         s.add(0, &table(10, 0, 0));
         s.add(0, &table(10, 10, 0));
         s.add(1, &table(5, 5, 0));
-        assert_eq!(s.case_counts(), &[2, 1, 0]);
         let ts = s.threat_scores();
         assert_eq!(ts[0], Some(20.0 / 30.0));
         assert_eq!(ts[1], Some(0.5));
@@ -110,19 +94,6 @@ mod tests {
         let s = LeadTimeSeries::new(4, 30.0);
         assert_eq!(s.lead_times(), &[0.0, 30.0, 60.0, 90.0]);
         assert_eq!(s.n_leads(), 4);
-    }
-
-    #[test]
-    fn monotone_decline_detection() {
-        let mut s = LeadTimeSeries::new(3, 30.0);
-        s.add(0, &table(9, 1, 0));
-        s.add(1, &table(7, 3, 0));
-        s.add(2, &table(5, 5, 0));
-        assert!(s.is_monotone_decline(1e-9));
-        let mut r = LeadTimeSeries::new(2, 30.0);
-        r.add(0, &table(5, 5, 0));
-        r.add(1, &table(9, 1, 0));
-        assert!(!r.is_monotone_decline(1e-9));
     }
 
     #[test]

@@ -21,7 +21,7 @@ pub mod maps;
 pub mod persistence;
 pub mod rank;
 
-pub use contingency::{ContingencyTable, Scores};
+pub use contingency::ContingencyTable;
 pub use fss::fss;
 pub use leadtime::LeadTimeSeries;
 pub use persistence::PersistenceForecast;

@@ -84,21 +84,6 @@ impl RankHistogram {
     pub fn calibrated_outlier_fraction(&self) -> f64 {
         2.0 / self.counts.len() as f64
     }
-
-    /// Normalized departure from flatness: chi-square statistic divided by
-    /// the sample count (0 = perfectly flat).
-    pub fn flatness_deficit(&self) -> f64 {
-        let t = self.total();
-        if t == 0 {
-            return 0.0;
-        }
-        let expected = t as f64 / self.counts.len() as f64;
-        self.counts
-            .iter()
-            .map(|&c| (c as f64 - expected).powi(2) / expected)
-            .sum::<f64>()
-            / t as f64
-    }
 }
 
 #[cfg(test)]
@@ -124,7 +109,6 @@ mod tests {
             assert!(dev < 0.15, "bin {r}: {c} vs {expected}");
         }
         assert!((h.outlier_fraction() - h.calibrated_outlier_fraction()).abs() < 0.03);
-        assert!(h.flatness_deficit() < 0.01);
     }
 
     #[test]
@@ -143,7 +127,6 @@ mod tests {
             "outliers {:.2} not elevated",
             h.outlier_fraction()
         );
-        assert!(h.flatness_deficit() > 0.5);
     }
 
     #[test]

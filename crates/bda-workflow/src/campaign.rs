@@ -147,14 +147,6 @@ impl CampaignResult {
         h
     }
 
-    /// Net production time, s.
-    pub fn net_uptime(&self) -> f64 {
-        self.periods
-            .iter()
-            .map(|p| p.records.iter().filter(|r| r.tts.is_some()).count() as f64 * 30.0)
-            .sum()
-    }
-
     /// Export the Fig. 5 series (time, time-to-solution, rain areas) as CSV
     /// for external plotting — one file per period, subsampled by `stride`
     /// cycles. Returns the written paths.
@@ -417,12 +409,5 @@ mod tests {
         assert!(lost > 0, "a link this bad must lose cycles");
         assert!(r.total_forecasts() > 0, "not every cycle should be lost");
         assert_eq!(records.len(), (2.0 * 3600.0 / 30.0) as usize);
-    }
-
-    #[test]
-    fn net_uptime_consistent_with_forecast_count() {
-        let cfg = CampaignConfig::short(3.0, 11);
-        let r = run_campaign(&cfg);
-        assert!((r.net_uptime() - r.total_forecasts() as f64 * 30.0).abs() < 1e-9);
     }
 }

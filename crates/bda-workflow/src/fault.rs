@@ -9,8 +9,8 @@
 //!
 //! Every kind of failure is one [`Fault`] variant and one row of the kind
 //! table (`Fault::grammar`): its `--inject` token name and the shape of
-//! its arguments. Building, parsing, [`FaultPlan::to_spec`] and argument
-//! lookup all read that table and nothing else.
+//! its arguments. Building, parsing and argument lookup all read that
+//! table and nothing else.
 
 use bda_num::rng::SplitMix64;
 use std::collections::BTreeMap;
@@ -391,20 +391,6 @@ impl FaultPlan {
         Ok(plan)
     }
 
-    /// Serialize the plan back to the compact spec grammar accepted by
-    /// [`FaultPlan::parse`]. For any plan, `parse(&plan.to_spec(), n)`
-    /// reconstructs an equal plan — the round-trip contract the parse
-    /// tests pin down.
-    pub fn to_spec(&self) -> String {
-        let mut tokens = Vec::with_capacity(self.len());
-        for (&cycle, faults) in &self.by_cycle {
-            for &(fault, args) in faults {
-                tokens.push(token(cycle, fault, args));
-            }
-        }
-        tokens.join(", ")
-    }
-
     /// Check that every member and shard the plan names exists: the member
     /// kinds (`nan`, `blowup`) against `members`, the shard kinds
     /// (`shardkill`, `shardstall`, `halodrop`, `netstall`, `wiregarbage`,
@@ -450,6 +436,22 @@ impl FaultPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl FaultPlan {
+        /// Serialize the plan back to the compact spec grammar accepted by
+        /// [`FaultPlan::parse`]. For any plan, `parse(&plan.to_spec(), n)`
+        /// reconstructs an equal plan — the round-trip contract the parse
+        /// tests pin down.
+        pub fn to_spec(&self) -> String {
+            let mut tokens = Vec::with_capacity(self.len());
+            for (&cycle, faults) in &self.by_cycle {
+                for &(fault, args) in faults {
+                    tokens.push(token(cycle, fault, args));
+                }
+            }
+            tokens.join(", ")
+        }
+    }
 
     /// First-argument list of `fault` on `cycle`.
     fn args(plan: &FaultPlan, cycle: usize, fault: Fault) -> Vec<usize> {

@@ -42,14 +42,6 @@ impl NodeAllocation {
         }
     }
 
-    /// The enlarged allocation used July 27 – August 8.
-    pub fn bda2021_enlarged() -> Self {
-        Self {
-            total: 13_854,
-            ..Self::bda2021()
-        }
-    }
-
     /// Inner-domain nodes (the paper's 8888).
     pub fn inner_total(&self) -> usize {
         self.inner_part1 + self.inner_part2
@@ -58,17 +50,6 @@ impl NodeAllocation {
     /// Total CPU cores on the inner domain (the paper's 426,624).
     pub fn inner_cores(&self) -> usize {
         self.inner_total() * self.cores_per_node
-    }
-
-    /// Nodes per analysis member on part <1>.
-    pub fn nodes_per_analysis_member(&self) -> f64 {
-        self.inner_part1 as f64 / self.ensemble_size as f64
-    }
-
-    /// Nodes per 30-minute forecast member, accounting for concurrent
-    /// forecast slots sharing part <2>.
-    pub fn nodes_per_forecast_member(&self) -> f64 {
-        self.inner_part2 as f64 / (self.forecast_members * self.forecast_slots) as f64
     }
 
     /// Fraction of the full Fugaku (158,976 nodes) this allocation uses —
@@ -106,25 +87,6 @@ mod tests {
         let a = NodeAllocation::bda2021();
         let f = a.fugaku_fraction();
         assert!((0.065..0.08).contains(&f), "fraction = {f:.4}");
-    }
-
-    #[test]
-    fn eight_nodes_per_analysis_member() {
-        let a = NodeAllocation::bda2021();
-        assert!((a.nodes_per_analysis_member() - 8.008).abs() < 1e-9);
-    }
-
-    #[test]
-    fn forecast_members_fit_in_part2() {
-        let a = NodeAllocation::bda2021();
-        assert!(a.nodes_per_forecast_member() >= 1.0);
-    }
-
-    #[test]
-    fn enlarged_allocation_is_larger() {
-        let a = NodeAllocation::bda2021_enlarged();
-        assert_eq!(a.total, 13_854);
-        a.validate();
     }
 
     #[test]

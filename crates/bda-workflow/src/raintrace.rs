@@ -98,10 +98,6 @@ impl RainTrace {
     pub fn load_factor(&self, t: f64) -> f64 {
         (self.area_1mmh(t) / self.domain_km2).clamp(0.0, 1.0)
     }
-
-    pub fn n_episodes(&self) -> usize {
-        self.episodes.len()
-    }
 }
 
 #[cfg(test)]
@@ -135,7 +131,11 @@ mod tests {
     #[test]
     fn episodes_produce_heavy_rain_peaks() {
         let tr = RainTrace::generate(MONTH, 11);
-        assert!(tr.n_episodes() >= 5, "only {} episodes", tr.n_episodes());
+        assert!(
+            tr.episodes.len() >= 5,
+            "only {} episodes",
+            tr.episodes.len()
+        );
         let max20 = (0..20_000)
             .map(|i| tr.area_20mmh(i as f64 * 120.0))
             .fold(0.0, f64::max);

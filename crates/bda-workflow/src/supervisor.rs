@@ -1275,7 +1275,7 @@ mod tests {
         // 6 cycles, each stage 20 ms. Serial would be >= 6 * 60 = 360 ms;
         // the pipeline should be well below that.
         let sleepy = || std::thread::sleep(Duration::from_millis(20));
-        let t0 = Instant::now(); // bda-check: allow(wallclock) — wall-time telemetry column
+        let t0 = Instant::now();
         let report = CycleSupervisor::default().run(
             6,
             |_| {

@@ -7,7 +7,7 @@
 
 use bda::io::{EnsembleTransport, FileTransport, MemoryTransport};
 use bda::jitdt::pipe::pipe;
-use bda::pawr::{decode_volume, encode_volume, PawrSimulator, RadarConfig};
+use bda::pawr::{decode_volume_salvage, encode_volume, PawrSimulator, RadarConfig, ValueBounds};
 use bda::scale::base::Sounding;
 use bda::scale::{BaseState, ModelState};
 use bda_grid::GridSpec;
@@ -42,7 +42,9 @@ fn scan_survives_codec_and_pipe_bit_exact() {
     h.join().unwrap();
     assert_eq!(&received[..], &encoded[..], "pipe corrupted the volume");
 
-    let decoded = decode_volume::<f32>(&received).unwrap();
+    let (decoded, report) =
+        decode_volume_salvage::<f32>(&received, &ValueBounds::default()).unwrap();
+    assert!(report.clean(), "{report:?}");
     assert_eq!(decoded.time, scan.time);
     assert_eq!(decoded.obs.len(), scan.obs.len());
     for (a, b) in decoded.obs.iter().zip(&scan.obs) {

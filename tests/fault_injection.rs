@@ -11,7 +11,7 @@
 
 use bda::jitdt::Bytes;
 use bda::letkf::{ObsKind, Observation};
-use bda::pawr::codec::{decode_volume, encode_volume};
+use bda::pawr::codec::{decode_volume_salvage, encode_volume, ValueBounds};
 use bda::pawr::scan::ScanResult;
 use bda::workflow::supervisor::MAX_RESTARTS;
 use bda::workflow::{
@@ -68,7 +68,11 @@ fn run_supervised(
         n_cycles,
         |cycle| Ok(volume_for(cycle)),
         |_cycle, bytes| {
-            let vol = decode_volume::<f32>(&bytes).map_err(|e| format!("{e:?}"))?;
+            let (vol, report) = decode_volume_salvage::<f32>(&bytes, &ValueBounds::default())
+                .map_err(|e| format!("{e:?}"))?;
+            if !report.clean() {
+                return Err(format!("{report:?}"));
+            }
             // The first observation's value is `cycle as f32`.
             let tag = vol
                 .obs

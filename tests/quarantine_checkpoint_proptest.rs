@@ -9,7 +9,9 @@
 
 use bda::core::osse::{Osse, OsseConfig};
 use bda::io::checkpoint::{decode_snapshot, encode_snapshot, CampaignSnapshot, OutcomeRecord};
-use bda::letkf::{analyze_quorum, LetkfConfig, ObsEnsemble, ObsKind, Observation, StateLayout};
+use bda::letkf::{
+    analyze_quorum_region, LetkfConfig, ObsEnsemble, ObsKind, Observation, StateLayout,
+};
 use bda::num::SplitMix64;
 use proptest::prelude::*;
 
@@ -73,7 +75,7 @@ proptest! {
         let alive: Vec<bool> = (0..k).map(|m| m != dead).collect();
         let obs = center_obs(&members, &alive, &layout);
         let cfg = LetkfConfig::reduced(k - 1);
-        let q = analyze_quorum(&mut members, &alive, layout, &obs, &cfg, 2).unwrap();
+        let q = analyze_quorum_region(&mut members, &alive, layout, &obs, &cfg, 2, None).unwrap();
         prop_assert_eq!(q.k_alive, k - 1);
         prop_assert!(q.degraded());
         prop_assert!(q.stats.points_analyzed > 0);

@@ -3,12 +3,12 @@
 //!
 //! The two halves are driven by hand, the way the live pipeline drives
 //! them: the nature's volume is sealed with `encode_volume` and opened with
-//! `decode_volume` before the assimilator sees it. Member bits and outcome
-//! records must equal `Osse::cycle()`'s through a storm with a quarantined
-//! member — so the analysis depends on nothing but the volume.
+//! `decode_volume_salvage` before the assimilator sees it. Member bits and
+//! outcome records must equal `Osse::cycle()`'s through a storm with a
+//! quarantined member — so the analysis depends on nothing but the volume.
 
 use bda::core::{Assimilator, Nature, Osse, OsseConfig, Scoring, Volume};
-use bda::pawr::{decode_volume, encode_volume};
+use bda::pawr::{decode_volume_salvage, encode_volume, ValueBounds};
 use bda::scale::{Ensemble, ANALYZED_VARS};
 use bda::workflow::{Fault, FaultPlan};
 
@@ -54,7 +54,15 @@ fn the_analysis_sees_only_the_wire() {
 
         let (scan, _) = nature.advance(dt);
         let wire = encode_volume(&scan);
-        let volume = Volume::from(decode_volume::<f32>(&wire).expect("a clean volume decodes"));
+        let (decoded, salvage) = decode_volume_salvage::<f32>(&wire, &ValueBounds::default())
+            .expect("a clean volume decodes");
+        assert_eq!(
+            (salvage.kept as u64, salvage.declared),
+            (scan.obs.len() as u64, scan.obs.len() as u64),
+            "cycle {c}: every declared record kept"
+        );
+        assert!(salvage.clean(), "cycle {c}: {salvage:?}");
+        let volume = Volume::from(decoded);
         let health = assim.forecast(&mut ensemble, dt);
         let truth_map = scoring.map(nature.truth(), assim.base());
         let prior = ensemble.mean_of(&health.alive());
