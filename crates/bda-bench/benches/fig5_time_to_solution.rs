@@ -1,9 +1,9 @@
 //! E-F5 — Fig. 5: time-to-solution over the month-long campaign.
 //!
-//! Prints the regenerated Fig. 5 statistics (total forecast count,
-//! histogram, fraction under 3 minutes — paper: 75,248 forecasts, ~97%)
-//! and benchmarks the campaign simulator and the per-cycle performance
-//! model.
+//! Benchmarks the campaign simulator and the per-cycle performance model.
+//! The Fig. 5 statistics themselves (total forecast count, histogram,
+//! fraction under 3 minutes — paper: 75,248 forecasts, ~97%) are printed
+//! by `examples/olympics_campaign`.
 
 use bda_workflow::campaign::{run_campaign, CampaignConfig};
 use bda_workflow::PerfModel;
@@ -11,16 +11,6 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 fn bench(c: &mut Criterion) {
-    // --- the regenerated figure, once ---
-    let full = run_campaign(&CampaignConfig::bda2021());
-    eprintln!("\n================ Fig. 5 (regenerated) ================");
-    eprint!("{}", full.report());
-    eprintln!(
-        "paper reference: 75,248 forecasts, ~97% under 3 minutes; measured: {} forecasts, {:.1}%\n",
-        full.total_forecasts(),
-        full.fraction_below(3.0) * 100.0
-    );
-
     let perf = PerfModel::bda2021();
     c.bench_function("fig5/perf_model_sample", |b| {
         let mut seed = 0u64;

@@ -14,11 +14,12 @@
 //!   used by the workflow's time-to-solution accounting.
 //! * [`pipe`] — a real in-process byte pipe (crossbeam channel) used
 //!   by the live end-to-end pipeline example to actually move encoded scan
-//!   volumes between threads with integrity checking.
-//! * [`sequence`] — sequence-number + scan-timestamp framing on top of the
-//!   pipe, so receivers detect duplicates, reordering, stale scans, and
-//!   mid-stream truncation as typed outcomes instead of trusting arrival
-//!   order.
+//!   volumes between threads with integrity checking; each volume's header
+//!   frame carries its sequence number.
+//! * [`sequence`] — the [`SeqTracker`] classifier every sequenced stream
+//!   (radar volumes, shard halos, subscriber tiles) runs where it takes
+//!   messages in, so duplicates and reordering become typed outcomes
+//!   instead of trusting arrival order.
 
 pub mod link;
 pub mod pipe;
@@ -29,8 +30,5 @@ pub mod transfer;
 /// code can name it without depending on the `bytes` crate directly.
 pub use bytes::Bytes;
 pub use link::LinkModel;
-pub use sequence::{
-    sequenced_pipe, DeliveryDrop, DeliveryError, SeqClass, SeqTracker, SequencedReceiver,
-    SequencedSender, SequencedVolume,
-};
+pub use sequence::{DeliveryDrop, SeqClass, SeqTracker};
 pub use transfer::{JitDt, TransferOutcome};

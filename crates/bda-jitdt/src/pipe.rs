@@ -3,9 +3,11 @@
 //! The live end-to-end pipeline example moves encoded PAWR volumes between
 //! the "radar" thread and the "assimilation" thread through this pipe —
 //! chunked like the real JIT-DT stream. A volume travels as one `Header`
-//! frame (its length, the receiver's capacity hint), its chunks, and one
-//! `End` frame carrying the integrity checksum ([`bda_num::Checksum`]) of
-//! every byte sent.
+//! frame (its length, the receiver's capacity hint, and its sequence
+//! number), its chunks, and one `End` frame carrying the integrity checksum
+//! ([`bda_num::Checksum`]) of every byte sent. The sequence number is the
+//! sender's label for the volume (the supervisor sends its cycle index);
+//! the pipe carries it and never interprets it.
 //!
 //! Each side reads the bytes once: the sender checksums each chunk just
 //! before it sends it, the receiver checksums each chunk as it appends it,
@@ -16,7 +18,8 @@
 //! never relies on the payload's format.
 //!
 //! A receive that the stall watchdog ends mid-volume keeps what has
-//! arrived; the next receive continues that volume where it stopped.
+//! arrived, sequence number included; the next receive continues that
+//! volume where it stopped.
 
 use bda_num::Checksum;
 use bytes::{Bytes, BytesMut};
@@ -35,7 +38,7 @@ pub use bda_num::checksum;
 
 /// Frames flowing through the pipe.
 enum Frame {
-    Header { total_len: u64 },
+    Header { total_len: u64, seq: u64 },
     Chunk(Bytes),
     End { checksum: u64 },
 }
@@ -48,6 +51,7 @@ pub struct PipeSender {
 
 /// A volume whose `Header` has arrived and whose `End` has not.
 struct Partial {
+    seq: u64,
     total_len: u64,
     buf: BytesMut,
     hash: Checksum,
@@ -110,11 +114,17 @@ impl PipeSender {
         self.tx.send(frame).map_err(|_| PipeError::Disconnected)
     }
 
-    /// Send one complete volume. Blocks when the pipe is full (natural
-    /// back-pressure, like the real TCP stream).
+    /// Send one complete volume with sequence number 0.
     pub fn send(&self, data: Bytes) -> Result<(), PipeError> {
+        self.send_seq(0, data)
+    }
+
+    /// Send one complete volume labelled `seq`. Blocks when the pipe is
+    /// full (natural back-pressure, like the real TCP stream).
+    pub fn send_seq(&self, seq: u64, data: Bytes) -> Result<(), PipeError> {
         self.put(Frame::Header {
             total_len: data.len() as u64,
+            seq,
         })?;
         let mut hash = Checksum::new();
         for start in (0..data.len()).step_by(self.chunk_bytes) {
@@ -130,7 +140,7 @@ impl PipeSender {
 
 impl Partial {
     /// Verify length and checksum against the `End` frame.
-    fn finish(self, checksum: u64) -> Result<Bytes, PipeError> {
+    fn finish(self, checksum: u64) -> Result<(u64, Bytes), PipeError> {
         if self.buf.len() as u64 != self.total_len {
             return Err(PipeError::LengthMismatch {
                 expected: self.total_len,
@@ -140,7 +150,7 @@ impl Partial {
         if self.hash.finish() != checksum {
             return Err(PipeError::ChecksumMismatch);
         }
-        Ok(self.buf.freeze())
+        Ok((self.seq, self.buf.freeze()))
     }
 }
 
@@ -148,13 +158,17 @@ impl PipeReceiver {
     /// Assemble one volume — header, chunks until `End` — and verify its
     /// length and checksum. `next` is how the caller waits for a frame; an
     /// error from it leaves the volume in progress for the next call.
-    fn assemble(&self, next: impl Fn() -> Result<Frame, PipeError>) -> Result<Bytes, PipeError> {
+    fn assemble(
+        &self,
+        next: impl Fn() -> Result<Frame, PipeError>,
+    ) -> Result<(u64, Bytes), PipeError> {
         let mut partial = self.partial.lock();
         loop {
             let frame = next()?;
             match (partial.take(), frame) {
-                (None, Frame::Header { total_len }) => {
+                (None, Frame::Header { total_len, seq }) => {
                     *partial = Some(Partial {
+                        seq,
                         total_len,
                         buf: BytesMut::with_capacity(total_len as usize),
                         hash: Checksum::new(),
@@ -174,11 +188,18 @@ impl PipeReceiver {
     /// Receive one complete volume, verifying length and checksum.
     pub fn recv(&self) -> Result<Bytes, PipeError> {
         self.assemble(|| self.rx.recv().map_err(|_| PipeError::Disconnected))
+            .map(|(_, data)| data)
     }
 
-    /// Receive one complete volume under a live stall watchdog: if the
-    /// stream goes quiet for longer than `timeout` — before the header or
-    /// mid-volume between chunks — the call gives up with
+    /// [`recv_seq_timeout`](Self::recv_seq_timeout) without the sequence
+    /// number.
+    pub fn recv_timeout(&self, timeout: Duration) -> Result<Bytes, PipeError> {
+        self.recv_seq_timeout(timeout).map(|(_, data)| data)
+    }
+
+    /// Receive one complete volume and its sequence number under a live
+    /// stall watchdog: if the stream goes quiet for longer than `timeout` —
+    /// before the header or mid-volume between chunks — the call gives up with
     /// [`PipeError::Stalled`] instead of blocking forever. This is the
     /// JIT-DT behaviour on Fugaku: a transfer daemon that stops making
     /// progress is declared dead and restarted rather than waited on.
@@ -187,7 +208,7 @@ impl PipeReceiver {
     /// total volume duration, so a slow-but-moving large volume completes.
     /// A volume cut off by the watchdog is not lost: the next call picks it
     /// up at the frame where this one stopped.
-    pub fn recv_timeout(&self, timeout: Duration) -> Result<Bytes, PipeError> {
+    pub fn recv_seq_timeout(&self, timeout: Duration) -> Result<(u64, Bytes), PipeError> {
         self.assemble(|| {
             self.rx.recv_timeout(timeout).map_err(|e| match e {
                 RecvTimeoutError::Timeout => PipeError::Stalled,
@@ -302,6 +323,7 @@ mod tests {
     fn push(tx: &PipeSender, total_len: usize, chunks: &[&[u8]], checksum_of: &[u8]) {
         tx.put(Frame::Header {
             total_len: total_len as u64,
+            seq: 0,
         })
         .unwrap();
         for c in chunks {
@@ -318,11 +340,15 @@ mod tests {
         let (tx, rx) = pipe(4, 64);
         let first = b"0123456789abcdef";
         let chunks: Vec<&[u8]> = first.chunks(4).collect();
-        tx.put(Frame::Header { total_len: 16 }).unwrap();
+        tx.put(Frame::Header {
+            total_len: 16,
+            seq: 41,
+        })
+        .unwrap();
         tx.put(Frame::Chunk(Bytes::copy_from_slice(chunks[0])))
             .unwrap();
         let wait = Duration::from_millis(20);
-        assert_eq!(rx.recv_timeout(wait).unwrap_err(), PipeError::Stalled);
+        assert_eq!(rx.recv_seq_timeout(wait).unwrap_err(), PipeError::Stalled);
         for c in &chunks[1..] {
             tx.put(Frame::Chunk(Bytes::copy_from_slice(c))).unwrap();
         }
@@ -331,8 +357,12 @@ mod tests {
         })
         .unwrap();
         tx.send(Bytes::from_static(b"second")).unwrap();
-        assert_eq!(&rx.recv_timeout(wait).unwrap()[..], first);
-        assert_eq!(&rx.recv_timeout(wait).unwrap()[..], b"second");
+        // The resumed volume keeps the sequence number its header carried;
+        // the pipe delivers numbers as sent and never interprets them.
+        let (seq, data) = rx.recv_seq_timeout(wait).unwrap();
+        assert_eq!((seq, &data[..]), (41, &first[..]));
+        let (seq, data) = rx.recv_seq_timeout(wait).unwrap();
+        assert_eq!((seq, &data[..]), (0, &b"second"[..]));
     }
 
     #[test]
@@ -370,7 +400,11 @@ mod tests {
     #[test]
     fn a_second_header_mid_volume_is_a_protocol_violation() {
         let (tx, rx) = pipe(4, 64);
-        tx.put(Frame::Header { total_len: 8 }).unwrap();
+        tx.put(Frame::Header {
+            total_len: 8,
+            seq: 0,
+        })
+        .unwrap();
         tx.put(Frame::Chunk(Bytes::from_static(b"abcd"))).unwrap();
         tx.send(Bytes::from_static(b"other")).unwrap();
         assert_eq!(rx.recv().unwrap_err(), PipeError::ProtocolViolation);

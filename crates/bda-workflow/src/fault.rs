@@ -54,9 +54,9 @@ pub enum Fault {
     /// The volume is sent twice with the same sequence number — a transfer
     /// daemon replay. The receiver must drop the second copy.
     DuplicateVolume,
-    /// The volume carries a scan timestamp far older than the staleness
-    /// horizon — a backlogged delivery. The receiver must reject it with a
-    /// typed stale outcome rather than assimilate old weather.
+    /// The cycle's scan timestamp is back-dated far past the staleness
+    /// horizon — a backlogged delivery. The receiver must reject the volume
+    /// with a typed stale outcome rather than assimilate old weather.
     StaleScan,
     /// Member `M`'s forecast state is poisoned with NaN at the start of
     /// the cycle — the health scan must quarantine and respawn it.

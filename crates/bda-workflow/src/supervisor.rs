@@ -24,13 +24,17 @@
 //!
 //! * **panic isolation** — each stage closure runs under `catch_unwind`;
 //!   a panicking assimilation poisons one cycle, not the pipeline;
-//! * **stall watchdog + retry** — the transfer wait uses the JIT-DT pipe's
-//!   [`recv_timeout`](bda_jitdt::pipe::PipeReceiver::recv_timeout) watchdog
+//! * **stall watchdog + retry** — the transfer wait uses the JIT-DT
+//!   pipe's [`recv_seq_timeout`](PipeReceiver::recv_seq_timeout) watchdog
 //!   and retries with bounded exponential backoff, mirroring the paper's
 //!   transfer-daemon auto-restart;
-//! * **newest-scan-wins** — when the assimilation falls behind, queued
-//!   stale scans are superseded by the latest one (a 30-second-old analysis
-//!   is worth more than a 90-second-old one delivered late);
+//! * **newest-scan-wins** — every volume travels under its cycle index,
+//!   and the assimilation thread classifies each arrival once, with one
+//!   [`SeqTracker`]: replays and leftovers of earlier cycles are dropped,
+//!   and only a cycle's own volume is checked against the staleness
+//!   horizon. When the assimilation falls behind, queued stale scans are
+//!   superseded by the latest one (a 30-second-old analysis is worth more
+//!   than a 90-second-old one delivered late);
 //! * **assimilation deadline** — an analysis that blows its deadline is
 //!   discarded and the cycle recorded as skipped rather than delaying
 //!   every cycle after it;
@@ -53,10 +57,11 @@
 
 use crate::backoff::Backoff;
 use crate::fault::{Fault, FaultPlan, Stage};
-use bda_jitdt::pipe::{checksum, PipeError};
-use bda_jitdt::sequence::{sequenced_pipe, DeliveryDrop, DeliveryError, SequencedReceiver};
+use bda_jitdt::pipe::{checksum, pipe, PipeError, PipeReceiver};
+use bda_jitdt::{DeliveryDrop, SeqClass, SeqTracker};
 use bytes::Bytes;
 use crossbeam::channel::bounded;
+use std::cmp::Ordering;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
@@ -129,6 +134,17 @@ impl std::fmt::Display for StageError {
 }
 
 impl std::error::Error for StageError {}
+
+impl From<PipeError> for StageError {
+    fn from(e: PipeError) -> Self {
+        match e {
+            PipeError::LengthMismatch { expected, got } => {
+                StageError::TruncatedVolume { expected, got }
+            }
+            other => StageError::Pipe(other.to_string()),
+        }
+    }
+}
 
 /// How a degraded cycle's forecast was produced.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -389,8 +405,8 @@ pub const BACKOFF_BASE: Duration = Duration::from_millis(5);
 /// Volume scan timestamps and the receiver's staleness clock both advance
 /// by this much per cycle.
 pub const SCAN_INTERVAL_S: f64 = 30.0;
-/// Volumes whose scan timestamp is older than this at receive time are
-/// rejected as stale.
+/// A cycle's volume whose scan timestamp is older than this at receive
+/// time is rejected as stale.
 pub const STALE_HORIZON_S: f64 = 90.0;
 
 /// The pipeline's policy switches and its fault schedule.
@@ -414,6 +430,9 @@ struct ScanMeta {
     cycle: usize,
     t_obs: Instant,
     scan_s: f64,
+    /// Scan completion time on the campaign clock, seconds (back-dated by a
+    /// `StaleScan` fault).
+    scan_time: f64,
     checksum: Result<u64, StageError>,
 }
 
@@ -496,8 +515,7 @@ impl CycleSupervisor {
         F: FnMut(usize, ForecastInput<'_, P>) -> Result<(), String> + Send,
         E: FnMut(usize, &CycleDisposition) -> Option<String> + Send,
     {
-        let (vol_tx, vol_rx) =
-            sequenced_pipe(PIPE_CHUNK_BYTES, PIPE_CAPACITY, Some(STALE_HORIZON_S));
+        let (vol_tx, vol_rx) = pipe(PIPE_CHUNK_BYTES, PIPE_CAPACITY);
         let (meta_tx, meta_rx) = bounded::<ScanMeta>(PIPE_CAPACITY);
         let (ana_tx, ana_rx) = bounded::<AssimOutcome<P>>(PIPE_CAPACITY);
         let (out_tx, out_rx) = bounded::<CycleReport>(n_cycles.max(1));
@@ -507,21 +525,26 @@ impl CycleSupervisor {
         std::thread::scope(|s| {
             // Radar thread: scan (panic-isolated), checksum at T_obs, then
             // apply scheduled payload corruption *after* the checksum — the
-            // supervised receiver must catch it. Volumes are sequenced with
-            // the cycle index and the campaign-clock scan time; dup/stale
-            // faults replay or back-date the send.
+            // supervised receiver must catch it. Volumes are sent under the
+            // cycle index; the campaign-clock scan time travels in the
+            // metadata. Dup/stale faults replay the send or back-date it.
             s.spawn(move || {
-                let mut vol_tx = vol_tx;
                 for cycle in 0..n_cycles {
                     let (scanned, scan_s) = if plan.has(cycle, Fault::DropScan) {
                         (Err(StageError::ScanDropped), 0.0)
                     } else {
                         self.run_stage(Stage::Scan, cycle, || scan(cycle))
                     };
+                    let mut scan_time = cycle as f64 * SCAN_INTERVAL_S;
+                    if plan.has(cycle, Fault::StaleScan) {
+                        // Back-date far past the horizon.
+                        scan_time -= STALE_HORIZON_S + 10.0 * SCAN_INTERVAL_S;
+                    }
                     let meta = ScanMeta {
                         cycle,
                         t_obs: Instant::now(), // bda-check: allow(wallclock) — wall-time telemetry column
                         scan_s,
+                        scan_time,
                         checksum: scanned.as_deref().map(checksum).map_err(Clone::clone),
                     };
                     if meta_tx.send(meta).is_err() {
@@ -535,28 +558,20 @@ impl CycleSupervisor {
                     } else {
                         volume
                     };
-                    let mut scan_time = cycle as f64 * SCAN_INTERVAL_S;
-                    if plan.has(cycle, Fault::StaleScan) {
-                        // Back-date far past the horizon.
-                        scan_time -= STALE_HORIZON_S + 10.0 * SCAN_INTERVAL_S;
-                    }
                     let sends = 1 + usize::from(plan.has(cycle, Fault::DuplicateVolume));
                     for _ in 0..sends {
-                        if vol_tx
-                            .send_with_seq(cycle as u64, scan_time, &wire)
-                            .is_err()
-                        {
+                        if vol_tx.send_seq(cycle as u64, wire.clone()).is_err() {
                             return;
                         }
                     }
                 }
             });
 
-            // Assimilation thread: newest-scan-wins, watchdog + retry on
-            // the transfer, checksum verification, panic-isolated
-            // assimilation under a deadline.
+            // Assimilation thread: newest-scan-wins, one sequence tracker
+            // for every arrival, watchdog + retry on the transfer, checksum
+            // verification, panic-isolated assimilation under a deadline.
             s.spawn(move || {
-                let mut vol_rx = vol_rx;
+                let mut tracker = SeqTracker::new();
                 while let Ok(first) = meta_rx.recv() {
                     let mut meta = first;
                     if self.supersede_stale {
@@ -576,7 +591,8 @@ impl CycleSupervisor {
                     let mut ingest = Ingest::default();
                     let result = self.ingest_and_assimilate(
                         &meta,
-                        &mut vol_rx,
+                        &vol_rx,
+                        &mut tracker,
                         &mut assimilate,
                         &mut ingest,
                     );
@@ -738,12 +754,13 @@ impl CycleSupervisor {
     fn ingest_and_assimilate<P>(
         &self,
         meta: &ScanMeta,
-        vol_rx: &mut SequencedReceiver,
+        vol_rx: &PipeReceiver,
+        tracker: &mut SeqTracker,
         assimilate: &mut impl FnMut(usize, Bytes) -> Result<P, String>,
         ingest: &mut Ingest,
     ) -> Result<P, StageError> {
         let expected = meta.checksum.clone()?;
-        let received = self.receive_volume(vol_rx, meta.cycle, ingest);
+        let received = self.receive_volume(vol_rx, tracker, meta, ingest);
         ingest.transfer_s = meta.t_obs.elapsed().as_secs_f64();
         let volume = received?;
         let got = checksum(&volume);
@@ -757,82 +774,91 @@ impl CycleSupervisor {
         result
     }
 
-    /// Wait for `cycle`'s volume under the stall watchdog, retrying with
-    /// bounded exponential backoff. Duplicate and out-of-order volumes
-    /// (replays, leftovers from abandoned or superseded cycles) are dropped
-    /// and recorded in `ingest`, as are the watchdog windows that elapsed;
-    /// stale scans and mid-stream truncation surface as their own typed
-    /// [`StageError`]s.
+    /// Wait for `meta.cycle`'s volume under the stall watchdog, retrying
+    /// with bounded exponential backoff, and classify every arrival once:
     ///
-    /// Injected `TransferStall` faults consume the first watchdog windows
-    /// deterministically: the receiver behaves exactly as if the stream had
-    /// been silent for that many windows, regardless of thread scheduling.
+    /// 1. a replay (`Duplicate`) or a straggler behind the newest volume
+    ///    seen (`OutOfOrder`) is dropped;
+    /// 2. a fresh volume from an earlier cycle (a leftover from an
+    ///    abandoned or superseded cycle) is dropped as out of order behind
+    ///    this cycle — newest-scan-wins, whatever its age;
+    /// 3. a volume from a later cycle is a [`StageError::Pipe`];
+    /// 4. this cycle's own volume is checked against the staleness horizon
+    ///    and either fails as [`StageError::StaleScan`] or is accepted.
+    ///
+    /// Drops and the watchdog windows that elapsed are recorded in
+    /// `ingest`. Injected `TransferStall` faults consume the first watchdog
+    /// windows deterministically: the receiver behaves exactly as if the
+    /// stream had been silent for that many windows, regardless of thread
+    /// scheduling.
     fn receive_volume(
         &self,
-        vol_rx: &mut SequencedReceiver,
-        cycle: usize,
+        vol_rx: &PipeReceiver,
+        tracker: &mut SeqTracker,
+        meta: &ScanMeta,
         ingest: &mut Ingest,
     ) -> Result<Bytes, StageError> {
-        // The receiver's campaign clock: cycle C runs at C * interval.
-        let now = cycle as f64 * SCAN_INTERVAL_S;
+        let cycle = meta.cycle as u64;
         let mut injected_left = self
             .faults
-            .args(cycle, Fault::TransferStall)
+            .args(meta.cycle, Fault::TransferStall)
             .next()
             .unwrap_or(0);
         // Shared retry policy (unjittered so the watchdog's historical
         // delay schedule — base * 2^min(n-1, 4) — is preserved exactly).
         let mut backoff = Backoff::new(BACKOFF_BASE, BACKOFF_BASE * 16);
         loop {
-            if injected_left > 0 {
+            let arrival = if injected_left > 0 {
                 injected_left -= 1;
                 std::thread::sleep(STALL_TIMEOUT);
+                Err(PipeError::Stalled)
             } else {
-                match vol_rx.recv_timeout(now, STALL_TIMEOUT) {
-                    Ok(v) if v.seq == cycle as u64 => return Ok(v.payload),
-                    Ok(v) if v.seq < cycle as u64 => {
-                        // Late volume from an abandoned cycle: newest
-                        // (this cycle) wins.
-                        ingest.drops.push(DeliveryDrop::OutOfOrder {
-                            seq: v.seq,
-                            newest: cycle as u64,
+                vol_rx.recv_seq_timeout(STALL_TIMEOUT)
+            };
+            let (seq, volume) = match arrival {
+                Ok(arrival) => arrival,
+                Err(PipeError::Stalled) => {
+                    // A watchdog window elapsed in silence.
+                    ingest.retries += 1;
+                    if ingest.retries > MAX_RESTARTS {
+                        return Err(StageError::TransferTimeout {
+                            attempts: ingest.retries,
                         });
-                        continue;
                     }
-                    Ok(v) => {
-                        return Err(StageError::Pipe(format!(
-                            "volume seq {} ahead of expected cycle {cycle}",
-                            v.seq
-                        )));
+                    if let Some(delay) = backoff.next_delay() {
+                        std::thread::sleep(delay);
                     }
-                    Err(DeliveryError::Duplicate { seq }) => {
-                        ingest.drops.push(DeliveryDrop::Duplicate { seq });
-                        continue;
-                    }
-                    Err(DeliveryError::OutOfOrder { seq, newest }) => {
-                        ingest.drops.push(DeliveryDrop::OutOfOrder { seq, newest });
-                        continue;
-                    }
-                    Err(DeliveryError::Stale {
-                        age_s, horizon_s, ..
-                    }) => return Err(StageError::StaleScan { age_s, horizon_s }),
-                    Err(DeliveryError::Truncated { expected, got }) => {
-                        return Err(StageError::TruncatedVolume { expected, got });
-                    }
-                    Err(DeliveryError::Pipe(PipeError::Stalled)) => {}
-                    Err(e) => return Err(StageError::Pipe(e.to_string())),
+                    continue;
                 }
-            }
-            // A watchdog window elapsed in silence.
-            ingest.retries += 1;
-            if ingest.retries > MAX_RESTARTS {
-                return Err(StageError::TransferTimeout {
-                    attempts: ingest.retries,
-                });
-            }
-            if let Some(delay) = backoff.next_delay() {
-                std::thread::sleep(delay);
-            }
+                Err(e) => return Err(e.into()),
+            };
+            let drop = match (tracker.classify(seq), seq.cmp(&cycle)) {
+                (SeqClass::Duplicate { seq }, _) => DeliveryDrop::Duplicate { seq },
+                (SeqClass::OutOfOrder { seq, newest }, _) => {
+                    DeliveryDrop::OutOfOrder { seq, newest }
+                }
+                (SeqClass::Fresh { .. }, Ordering::Less) => {
+                    DeliveryDrop::OutOfOrder { seq, newest: cycle }
+                }
+                (SeqClass::Fresh { .. }, Ordering::Greater) => {
+                    return Err(StageError::Pipe(format!(
+                        "volume seq {seq} ahead of expected cycle {cycle}"
+                    )));
+                }
+                (SeqClass::Fresh { .. }, Ordering::Equal) => {
+                    // The receiver's campaign clock: cycle C runs at
+                    // C * interval.
+                    let age_s = meta.cycle as f64 * SCAN_INTERVAL_S - meta.scan_time;
+                    if age_s > STALE_HORIZON_S {
+                        return Err(StageError::StaleScan {
+                            age_s,
+                            horizon_s: STALE_HORIZON_S,
+                        });
+                    }
+                    return Ok(volume);
+                }
+            };
+            ingest.drops.push(drop);
         }
     }
 }
@@ -1154,8 +1180,129 @@ mod tests {
                 assert!(*by > c.cycle, "superseded by an older cycle");
             }
         }
-        // The last cycle is never superseded.
-        assert!(report.cycles[7].disposition.delivered_forecast());
+        // The last cycle is never superseded, and it assimilates the
+        // newest scan: the superseded cycles' volumes still queued ahead of
+        // it are leftovers, dropped behind it whatever their age rather
+        // than failing it as stale.
+        let last = &report.cycles[7];
+        assert_eq!(
+            last.disposition,
+            CycleDisposition::Completed,
+            "{}",
+            report.table()
+        );
+        for d in &last.drops {
+            assert!(
+                matches!(d, DeliveryDrop::OutOfOrder { newest: 7, .. }),
+                "unexpected drop {d:?}:\n{}",
+                report.table()
+            );
+        }
+    }
+
+    /// Run `receive_volume` for one cycle against whatever is queued in the
+    /// pipe, with a `scan_time` on the campaign clock.
+    fn receive(
+        rx: &PipeReceiver,
+        tracker: &mut SeqTracker,
+        cycle: usize,
+        scan_time: f64,
+    ) -> (Result<Bytes, StageError>, Vec<DeliveryDrop>) {
+        let meta = ScanMeta {
+            cycle,
+            t_obs: Instant::now(),
+            scan_s: 0.0,
+            scan_time,
+            checksum: Ok(0),
+        };
+        let mut ingest = Ingest::default();
+        let got = CycleSupervisor::default().receive_volume(rx, tracker, &meta, &mut ingest);
+        (got, ingest.drops)
+    }
+
+    #[test]
+    fn each_arrival_is_classified_once_and_only_the_cycle_is_age_checked() {
+        let (tx, rx) = pipe(PIPE_CHUNK_BYTES, PIPE_CAPACITY);
+        let mut tracker = SeqTracker::new();
+        let send = |seq: u64| tx.send_seq(seq, Bytes::from(vec![seq as u8])).unwrap();
+        let at = |cycle: usize| cycle as f64 * SCAN_INTERVAL_S;
+
+        // A leftover from cycle 1 (scanned at 30 s, 120 s old at cycle 5:
+        // past the horizon) is queued ahead of cycle 5's own volume. It is
+        // dropped as out of order behind cycle 5 and does not fail it.
+        send(1);
+        send(5);
+        let (got, drops) = receive(&rx, &mut tracker, 5, at(5));
+        assert_eq!(got.unwrap()[..], [5]);
+        assert_eq!(drops, [DeliveryDrop::OutOfOrder { seq: 1, newest: 5 }]);
+
+        // A replay of cycle 5 and a straggler behind it: typed drops,
+        // classified against the newest volume seen.
+        send(5);
+        send(3);
+        send(6);
+        let (got, drops) = receive(&rx, &mut tracker, 6, at(6));
+        assert_eq!(got.unwrap()[..], [6]);
+        assert_eq!(
+            drops,
+            [
+                DeliveryDrop::Duplicate { seq: 5 },
+                DeliveryDrop::OutOfOrder { seq: 3, newest: 5 }
+            ]
+        );
+
+        // The cycle's own volume is age-checked; a replay of a stale
+        // volume is a duplicate, not stale again.
+        send(7);
+        send(7);
+        send(8);
+        let (got, _) = receive(&rx, &mut tracker, 7, at(7) - STALE_HORIZON_S - 1.0);
+        assert_eq!(
+            got.unwrap_err(),
+            StageError::StaleScan {
+                age_s: STALE_HORIZON_S + 1.0,
+                horizon_s: STALE_HORIZON_S
+            }
+        );
+        let (got, drops) = receive(&rx, &mut tracker, 8, at(8));
+        assert_eq!(got.unwrap()[..], [8]);
+        assert_eq!(drops, [DeliveryDrop::Duplicate { seq: 7 }]);
+
+        // A volume from a later cycle than the one awaited is a pipe fault.
+        send(10);
+        let (got, _) = receive(&rx, &mut tracker, 9, at(9));
+        assert_eq!(
+            got.unwrap_err(),
+            StageError::Pipe("volume seq 10 ahead of expected cycle 9".into())
+        );
+    }
+
+    #[test]
+    fn pipe_errors_map_onto_stage_errors() {
+        assert_eq!(
+            StageError::from(PipeError::LengthMismatch {
+                expected: 10,
+                got: 4
+            }),
+            StageError::TruncatedVolume {
+                expected: 10,
+                got: 4
+            }
+        );
+        assert_eq!(
+            StageError::from(PipeError::ChecksumMismatch),
+            StageError::Pipe("checksum mismatch".into())
+        );
+        // The watchdog through the pipe: silence is a retried window, and
+        // an exhausted budget a typed timeout.
+        let (_tx, rx) = pipe(PIPE_CHUNK_BYTES, PIPE_CAPACITY);
+        let (got, _) = receive(&rx, &mut SeqTracker::new(), 0, 0.0);
+        assert_eq!(
+            got.unwrap_err(),
+            StageError::TransferTimeout {
+                attempts: MAX_RESTARTS + 1
+            }
+        );
     }
 
     #[test]
