@@ -7,7 +7,7 @@
 //! per grid point).
 
 use bda_bench::{grid_obs, layout_members, letkf_layout};
-use bda_letkf::{analyze, EnsembleMatrix, LetkfConfig};
+use bda_letkf::{analyze_quorum_region, LetkfConfig};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
@@ -26,9 +26,13 @@ fn bench(c: &mut Criterion) {
         let obs = grid_obs(&l, &ms, 3);
         group.bench_function(BenchmarkId::from_parameter(k), |b| {
             let cfg = LetkfConfig::reduced(k);
+            let alive = vec![true; k];
             b.iter(|| {
-                let mut mat = EnsembleMatrix::from_members(black_box(&ms), l.clone());
-                black_box(analyze(&mut mat, &obs, &cfg).unwrap())
+                let mut members = black_box(&ms).clone();
+                black_box(
+                    analyze_quorum_region(&mut members, &alive, l.clone(), &obs, &cfg, 2, None)
+                        .unwrap(),
+                )
             })
         });
     }
@@ -45,9 +49,13 @@ fn bench(c: &mut Criterion) {
             let mut cfg = LetkfConfig::reduced(k);
             cfg.loc_horizontal = loc;
             cfg.loc_vertical = loc;
+            let alive = vec![true; k];
             b.iter(|| {
-                let mut mat = EnsembleMatrix::from_members(black_box(&ms), l.clone());
-                black_box(analyze(&mut mat, &obs, &cfg).unwrap())
+                let mut members = black_box(&ms).clone();
+                black_box(
+                    analyze_quorum_region(&mut members, &alive, l.clone(), &obs, &cfg, 2, None)
+                        .unwrap(),
+                )
             })
         });
     }

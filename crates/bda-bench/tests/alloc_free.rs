@@ -144,7 +144,7 @@ fn letkf_grid_point_solve_is_allocation_free_after_warmup() {
     let local = local_obs(K, NOBS, 0x00a1_10c7);
     let mut rng = SplitMix64::new(0x5eed_b10c);
     let mut block: Vec<f32> = (0..NVAR * K).map(|_| rng.gaussian(5.0f32, 1.0)).collect();
-    // Per-worker scratch, as `analyze_region` keeps it.
+    // Per-worker scratch, as the driver's `analyze_group` keeps it.
     let mut solver = BatchedEigen::<f32>::with_capacity(K);
     let mut scratch = TransformScratch::new();
     let mut trans = MatrixS::zeros(K);

@@ -158,7 +158,10 @@ pub const HOT_ANCHORS: &[(&str, &[&str])] = &[
             "swap_rows",
         ],
     ),
-    ("crates/bda-letkf/src/driver.rs", &["analyze_region"]),
+    (
+        "crates/bda-letkf/src/driver.rs",
+        &["analyze_group", "Setup::point"],
+    ),
     (
         "crates/bda-letkf/src/weights.rs",
         &["compute_transform", "apply_transform"],

@@ -204,13 +204,13 @@ impl<T: Real> Assimilator<T> {
         // outcome reports zero points analyzed. Neither observation loss nor
         // member death must ever abort the 30-second cadence.
         if out.n_obs_used > 0 {
-            let mut flats: Vec<Vec<T>> = ensemble
+            let mut fields: Vec<_> = ensemble
                 .members
-                .iter()
-                .map(|m| m.to_flat(&ANALYZED_VARS))
+                .iter_mut()
+                .map(ModelState::analyzed_fields_mut)
                 .collect();
             match analyze_quorum_region(
-                &mut flats,
+                &mut fields,
                 &alive_flags,
                 self.layout.clone(),
                 &ens_obs,
@@ -220,7 +220,6 @@ impl<T: Real> Assimilator<T> {
             ) {
                 Ok(q) => {
                     for &m in &alive_idx {
-                        ensemble.members[m].from_flat(&ANALYZED_VARS, &flats[m]);
                         ensemble.members[m].clamp_physical();
                     }
                     out.analysis = q.stats;
@@ -255,5 +254,108 @@ impl<T: Real> Assimilator<T> {
         }
         out.member_errors = health.errors;
         out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bda_letkf::{LetkfConfig, ObsKind};
+    use rayon::ThreadPoolBuilder;
+
+    /// Every value of every field, halos included, as bits.
+    fn bits(members: &[ModelState<f32>]) -> Vec<u32> {
+        let all = bda_scale::state::PrognosticVar::ALL;
+        members
+            .iter()
+            .flat_map(|m| all.into_iter().flat_map(|v| m.field(v).raw().to_vec()))
+            .map(f32::to_bits)
+            .collect()
+    }
+
+    #[test]
+    fn field_path_leaves_the_members_the_flats_path_leaves() {
+        let cfg = OsseConfig::reduced(10, 8, 6, 2, 11);
+        let assim = Assimilator::<f32>::new(&cfg);
+        let members = assim.initial_ensemble().members;
+        let layout = assim.layout().clone();
+        let theta = ANALYZED_VARS
+            .iter()
+            .position(|&v| v == bda_scale::state::PrognosticVar::Theta)
+            .expect("theta is analysed");
+        let letkf = LetkfConfig::reduced(members.len());
+        for alive in [vec![true; 6], vec![true, true, false, true, true, true]] {
+            // Theta observations on every third column at level 2, their
+            // equivalents read from the alive members.
+            let mut obs = Vec::new();
+            let mut hx: Vec<Vec<f32>> = vec![Vec::new(); alive.iter().filter(|&&a| a).count()];
+            for i in (0..layout.nx).step_by(3) {
+                for j in (1..layout.ny).step_by(3) {
+                    let (x, y) = layout.xy(i, j);
+                    obs.push(Observation {
+                        kind: ObsKind::Reflectivity,
+                        x,
+                        y,
+                        z: layout.z_center[2],
+                        value: 1.5,
+                        error_sd: 0.5,
+                    });
+                    let live = members.iter().zip(&alive).filter(|(_, &a)| a);
+                    for (h, (m, _)) in hx.iter_mut().zip(live) {
+                        h.push(m.to_flat(&ANALYZED_VARS)[layout.member_index(theta, i, j, 2)]);
+                    }
+                }
+            }
+            let obs = ObsEnsemble::new(obs, hx);
+            for region in [None, Some((3, 7))] {
+                let mut via_flats = members.clone();
+                let mut flats: Vec<Vec<f32>> = via_flats
+                    .iter()
+                    .map(|m| m.to_flat(&ANALYZED_VARS))
+                    .collect();
+                let want = analyze_quorum_region(
+                    &mut flats,
+                    &alive,
+                    layout.clone(),
+                    &obs,
+                    &letkf,
+                    2,
+                    region,
+                )
+                .expect("flats analysis runs");
+                for (m, flat) in via_flats.iter_mut().zip(&flats) {
+                    m.from_flat(&ANALYZED_VARS, flat);
+                }
+                assert!(want.stats.points_analyzed > 0);
+                for threads in [1, 4] {
+                    let mut in_place = members.clone();
+                    let mut fields: Vec<_> = in_place
+                        .iter_mut()
+                        .map(ModelState::analyzed_fields_mut)
+                        .collect();
+                    let got = ThreadPoolBuilder::new()
+                        .num_threads(threads)
+                        .build()
+                        .expect("pool build is infallible")
+                        .install(|| {
+                            analyze_quorum_region(
+                                &mut fields,
+                                &alive,
+                                layout.clone(),
+                                &obs,
+                                &letkf,
+                                2,
+                                region,
+                            )
+                        })
+                        .expect("field analysis runs");
+                    assert_eq!(got, want, "{region:?}, {threads} threads: stats");
+                    assert!(
+                        bits(&in_place) == bits(&via_flats),
+                        "{region:?}, {threads} threads: members differ"
+                    );
+                }
+            }
+        }
     }
 }

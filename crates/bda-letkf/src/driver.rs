@@ -1,13 +1,22 @@
-//! The parallel LETKF driver: one transform per analysis grid point.
+//! The parallel LETKF driver: one transform per analysis grid point, on
+//! the members where they live. The analysed rows are cut into *tiles*
+//! (one row `i`, a run of columns `j`: one contiguous slice of each member
+//! variable) shared by at most [`MAX_CHUNKS`] parallel groups. A group
+//! allocates one `Workspace` and one tile block; per tile it copies the
+//! tile point-major into the block (`[(p * nvar + v) * k + m]`), transforms
+//! each point's `nvar * k` values and copies the block back. An analysis
+//! holds the members once plus one block and one workspace per worker.
 
 use crate::config::LetkfConfig;
-use crate::ensmatrix::{EnsembleMatrix, StateLayout};
+use crate::ensmatrix::StateLayout;
 use crate::localization::{localization_weight, LocalizationError, ObsIndex};
 use crate::obs::ObsEnsemble;
 use crate::weights::{apply_transform, compute_transform, LocalObs, TransformScratch};
+use bda_grid::Field3;
 use bda_num::cast;
 use bda_num::{BatchedEigen, MatrixS, Real};
-use rayon::prelude::*;
+use rayon::{prelude::*, MAX_CHUNKS};
+use std::ops::Range;
 
 /// Why an analysis step could not run. All variants are recoverable by the
 /// supervisor's degradation ladder; none should panic the pipeline.
@@ -17,8 +26,7 @@ pub enum AnalysisError {
     Localization(LocalizationError),
     /// Observation equivalents don't match the ensemble size.
     EnsembleSizeMismatch { hx: usize, k: usize },
-    /// Too few surviving members to form a meaningful analysis
-    /// ([`analyze_quorum_region`] only).
+    /// Too few surviving members to form a meaningful analysis.
     BelowQuorum { alive: usize, required: usize },
 }
 
@@ -66,7 +74,7 @@ pub struct AnalysisStats {
 }
 
 impl AnalysisStats {
-    fn merge(mut self, other: Self) -> Self {
+    pub(crate) fn merge(mut self, other: Self) -> Self {
         self.points_analyzed += other.points_analyzed;
         self.points_no_obs += other.points_no_obs;
         self.points_outside_range += other.points_outside_range;
@@ -78,7 +86,7 @@ impl AnalysisStats {
 }
 
 /// Per-worker scratch.
-struct Workspace<T> {
+pub(crate) struct Workspace<T> {
     local: LocalObs<T>,
     candidates: Vec<(f64, u32)>, // (localization weight, obs index)
     solver: BatchedEigen<T>,
@@ -88,10 +96,9 @@ struct Workspace<T> {
 }
 
 impl<T: Real> Workspace<T> {
-    // Fold-identity constructor: one allocation per rayon worker chunk,
-    // amortized across every grid point the chunk analyzes.
-    // bda-check: allow(hot_alloc)
-    fn new(k: usize) -> Self {
+    // One allocation per parallel group, amortized across every grid point
+    // the group analyzes. bda-check: allow(hot_alloc)
+    pub(crate) fn new(k: usize) -> Self {
         Self {
             local: LocalObs::new(k),
             candidates: Vec::new(),
@@ -103,157 +110,166 @@ impl<T: Real> Workspace<T> {
     }
 }
 
-/// Run the LETKF analysis in place on an ensemble.
-///
-/// Observations should already have passed [`crate::obs::QcPipeline`].
-/// Grid points outside `[analysis_z_min, analysis_z_max]` (Table 2) are left
-/// untouched, as are points with no observation within the localization
-/// cutoff.
-pub fn analyze<T: Real>(
-    ens: &mut EnsembleMatrix<T>,
-    obs: &ObsEnsemble<T>,
-    cfg: &LetkfConfig,
-) -> Result<AnalysisStats, AnalysisError> {
-    analyze_region(ens, obs, cfg, None)
+/// What every grid point reads: innovations, perturbations, index, Table 2.
+pub(crate) struct Setup<'a, T> {
+    obs: &'a ObsEnsemble<T>,
+    cfg: &'a LetkfConfig,
+    layout: &'a StateLayout,
+    index: ObsIndex,
+    dy: Vec<T>,
+    /// Row-major `[obs][member]`.
+    yb: Vec<T>,
 }
 
-/// [`analyze`] restricted to the x-strip `i0 <= i < i1` of the domain —
-/// the per-shard analysis of a federated run. `None` analyzes everything
-/// and is bit-identical to [`analyze`].
-///
-/// Because the LETKF transform is independent per grid point (innovations
-/// and observation-space perturbations are precomputed from the full
-/// observation set, and each point's transform reads only its own local
-/// gather), the values produced at the points *inside* the region are
-/// bit-identical to what a whole-domain analysis would produce there —
-/// the property the shard-parity tests pin down.
-pub fn analyze_region<T: Real>(
-    ens: &mut EnsembleMatrix<T>,
-    obs: &ObsEnsemble<T>,
-    cfg: &LetkfConfig,
-    region: Option<(usize, usize)>,
-) -> Result<AnalysisStats, AnalysisError> {
-    cfg.validate();
-    let k = ens.k;
-    if obs.ensemble_size() != k {
-        return Err(AnalysisError::EnsembleSizeMismatch {
-            hx: obs.ensemble_size(),
-            k,
-        });
+impl<'a, T: Real> Setup<'a, T> {
+    /// The setup of a `k`-member analysis of QC'd observations.
+    pub(crate) fn new(
+        obs: &'a ObsEnsemble<T>,
+        cfg: &'a LetkfConfig,
+        layout: &'a StateLayout,
+        k: usize,
+    ) -> Result<Self, AnalysisError> {
+        cfg.validate();
+        if obs.ensemble_size() != k {
+            return Err(AnalysisError::EnsembleSizeMismatch {
+                hx: obs.ensemble_size(),
+                k,
+            });
+        }
+        let nobs = obs.len();
+        let mut dy = vec![T::zero(); nobs];
+        let mut yb = vec![T::zero(); nobs * k];
+        for i in 0..nobs {
+            let mean = obs.hx_mean(i);
+            dy[i] = obs.obs[i].value - mean;
+            for m in 0..k {
+                yb[i * k + m] = obs.hx[m][i] - mean;
+            }
+        }
+        Ok(Self {
+            obs,
+            cfg,
+            layout,
+            index: ObsIndex::build(&obs.obs, cfg.cutoff_horizontal())?,
+            dy,
+            yb,
+        })
     }
 
-    // Precompute innovations and observation-space perturbation rows.
-    let nobs = obs.len();
-    // Per-analysis setup, before the per-grid-point loop: two allocations
-    // per cycle, not per point. bda-check: allow(hot_alloc)
-    let mut dy = vec![T::zero(); nobs];
-    // bda-check: allow(hot_alloc)
-    let mut yb = vec![T::zero(); nobs * k]; // row-major [obs][member]
-    for i in 0..nobs {
-        let mean = obs.hx_mean(i);
-        dy[i] = obs.obs[i].value - mean;
-        for m in 0..k {
-            // In bounds: i < nobs, m < k, so i*k + m < nobs*k = yb.len().
-            // bda-check: allow(panic_path)
-            yb[i * k + m] = obs.hx[m][i] - mean;
+    /// The transform of grid point `(i, j, kz)` on its values `block`
+    /// (`[v * k + m]`). Points outside the Table-2 height range, or with no
+    /// observation within the localization cutoff, are left untouched.
+    pub(crate) fn point(
+        &self,
+        ws: &mut Workspace<T>,
+        stats: &mut AnalysisStats,
+        (i, j, kz): (usize, usize, usize),
+        block: &mut [T],
+    ) {
+        let (cfg, k) = (self.cfg, self.obs.ensemble_size());
+        let z = self.layout.z_center[kz];
+        if z < cfg.analysis_z_min || z > cfg.analysis_z_max {
+            stats.points_outside_range += 1;
+            return;
+        }
+        let (x, y) = self.layout.xy(i, j);
+        let obs = &self.obs.obs;
+
+        // Gather localized observations.
+        ws.candidates.clear();
+        self.index.for_each_near(obs, x, y, |idx, rh| {
+            let rv = (obs[idx].z - z).abs();
+            if rv >= cfg.cutoff_vertical() {
+                return;
+            }
+            let w = localization_weight(rh, cfg.loc_horizontal, rv, cfg.loc_vertical);
+            if w > 1e-8 {
+                ws.candidates.push((w, cast::u32_of_index(idx)));
+            }
+        });
+        if ws.candidates.is_empty() {
+            stats.points_no_obs += 1;
+            return;
+        }
+        // Cap at max_obs_per_grid, keeping the strongest weights (the
+        // paper's Table 2 cap of 1000).
+        if ws.candidates.len() > cfg.max_obs_per_grid {
+            ws.candidates.sort_unstable_by(|a, b| b.0.total_cmp(&a.0));
+            ws.candidates.truncate(cfg.max_obs_per_grid);
+        }
+
+        ws.local.clear();
+        for &(w, idx) in &ws.candidates {
+            let i_obs = cast::index_of_u32(idx);
+            let err = obs[i_obs].error_sd;
+            let rinv = T::of(w) / (err * err);
+            // In bounds: i_obs < nobs by construction of candidates.
+            ws.local
+                // bda-check: allow(panic_path)
+                .push(self.dy[i_obs], rinv, &self.yb[i_obs * k..(i_obs + 1) * k]);
+        }
+
+        if compute_transform(
+            &ws.local,
+            T::of(cfg.rtpp),
+            T::of(cfg.infl_mult),
+            &mut ws.solver,
+            &mut ws.scratch,
+            &mut ws.trans,
+        ) {
+            for vals in block.chunks_exact_mut(k) {
+                apply_transform(vals, &ws.trans, &mut ws.pert);
+            }
+            stats.points_analyzed += 1;
+            stats.total_local_obs += cast::u64_of(ws.candidates.len());
+            stats.max_local_obs = stats.max_local_obs.max(ws.candidates.len());
         }
     }
+}
 
-    let index = ObsIndex::build(&obs.obs, cfg.cutoff_horizontal())?;
+/// Row `i`, a run `js` of its columns, and where the tile starts in a slab.
+type Tile = (usize, Range<usize>, usize);
 
-    let rtpp = T::of(cfg.rtpp);
-    let infl = T::of(cfg.infl_mult);
-    let ch = cfg.loc_horizontal;
-    let cv = cfg.loc_vertical;
-    let cutoff_v = cfg.cutoff_vertical();
-    let zmin = cfg.analysis_z_min;
-    let zmax = cfg.analysis_z_max;
-    let max_obs = cfg.max_obs_per_grid;
+/// Values a tile block holds at most, unless one column has more (256 KiB).
+const TILE_VALUES: usize = 1 << 16;
 
-    let block_len = ens.block_len();
-    let (layout, _, data) = ens.grid_point_blocks_mut();
-    let (ny, nz, nvar) = (layout.ny, layout.nz, layout.nvar);
+/// Every tile of a group through one workspace and one tile block, both
+/// dropped on return: at most one of each per worker is alive.
+fn analyze_group<T: Real>(
+    setup: &Setup<T>,
+    tiles: &[Tile],
+    mut runs: Vec<&mut [T]>,
+) -> AnalysisStats {
+    let (k, nz, point_len) = (setup.obs.ensemble_size(), setup.layout.nz, runs.len());
+    let widest = tiles.iter().map(|(_, js, _)| js.len()).max().unwrap_or(0);
+    // One workspace and one tile block for all the group's tiles.
+    let mut ws = Workspace::new(k);
+    let mut block = vec![T::zero(); widest * nz * point_len]; // bda-check: allow(hot_alloc)
+    let mut stats = AnalysisStats::default();
+    for (i, js, at) in tiles {
+        let at = at - tiles[0].2;
+        let (tile, _) = block.split_at_mut(js.len() * nz * point_len);
+        copy_tile(tile, &mut runs, at, k, true);
+        for (p, point) in tile.chunks_exact_mut(point_len).enumerate() {
+            setup.point(&mut ws, &mut stats, (*i, js.start + p / nz, p % nz), point);
+        }
+        copy_tile(tile, &mut runs, at, k, false);
+    }
+    stats
+}
 
-    let stats = data
-        .par_chunks_mut(block_len)
-        .enumerate()
-        .fold(
-            || (AnalysisStats::default(), Workspace::<T>::new(k)),
-            |(mut stats, mut ws), (g, block)| {
-                let kz = g % nz;
-                let j = (g / nz) % ny;
-                let i = g / (nz * ny);
-                if let Some((i0, i1)) = region {
-                    if i < i0 || i >= i1 {
-                        stats.points_outside_region += 1;
-                        return (stats, ws);
-                    }
-                }
-                let z = layout.z_center[kz];
-                if z < zmin || z > zmax {
-                    stats.points_outside_range += 1;
-                    return (stats, ws);
-                }
-                let (x, y) = layout.xy(i, j);
-
-                // Gather localized observations.
-                ws.candidates.clear();
-                index.for_each_near(&obs.obs, x, y, |idx, rh| {
-                    let rv = (obs.obs[idx].z - z).abs();
-                    if rv >= cutoff_v {
-                        return;
-                    }
-                    let w = localization_weight(rh, ch, rv, cv);
-                    if w > 1e-8 {
-                        ws.candidates.push((w, cast::u32_of_index(idx)));
-                    }
-                });
-                if ws.candidates.is_empty() {
-                    stats.points_no_obs += 1;
-                    return (stats, ws);
-                }
-                // Cap at max_obs_per_grid, keeping the strongest weights
-                // (the paper's Table 2 cap of 1000).
-                if ws.candidates.len() > max_obs {
-                    ws.candidates.sort_unstable_by(|a, b| b.0.total_cmp(&a.0));
-                    ws.candidates.truncate(max_obs);
-                }
-
-                ws.local.clear();
-                for &(w, idx) in &ws.candidates {
-                    let i_obs = cast::index_of_u32(idx);
-                    let err = obs.obs[i_obs].error_sd;
-                    let rinv = T::of(w) / (err * err);
-                    // In bounds: i_obs < nobs by construction of candidates.
-                    ws.local
-                        // bda-check: allow(panic_path)
-                        .push(dy[i_obs], rinv, &yb[i_obs * k..(i_obs + 1) * k]);
-                }
-
-                if compute_transform(
-                    &ws.local,
-                    rtpp,
-                    infl,
-                    &mut ws.solver,
-                    &mut ws.scratch,
-                    &mut ws.trans,
-                ) {
-                    for v in 0..nvar {
-                        // In bounds: block has nvar*k elements, v < nvar.
-                        // bda-check: allow(panic_path)
-                        let vals = &mut block[v * k..(v + 1) * k];
-                        apply_transform(vals, &ws.trans, &mut ws.pert);
-                    }
-                    stats.points_analyzed += 1;
-                    stats.total_local_obs += cast::u64_of(ws.candidates.len());
-                    stats.max_local_obs = stats.max_local_obs.max(ws.candidates.len());
-                }
-                (stats, ws)
-            },
-        )
-        .map(|(stats, _)| stats)
-        .reduce(AnalysisStats::default, AnalysisStats::merge);
-    Ok(stats)
+/// Copy one tile between `tile` and every run (into `tile` when `gather`,
+/// back otherwise): run `m * nvar + v` holds the tile from offset `at`,
+/// point-major in `tile`, its value at point `p` at `(p * nvar + v) * k + m`.
+fn copy_tile<T: Copy>(tile: &mut [T], runs: &mut [&mut [T]], at: usize, k: usize, gather: bool) {
+    let (nvar, step) = (runs.len() / k, runs.len());
+    for (mv, run) in runs.iter_mut().enumerate() {
+        let lane = tile.iter_mut().skip((mv % nvar) * k + mv / nvar);
+        for (t, r) in lane.step_by(step).zip(&mut run[at..]) {
+            let (dst, src) = if gather { (t, r) } else { (r, t) };
+            *dst = *src;
+        }
+    }
 }
 
 /// Statistics of a quorum analysis: the LETKF ran on the `k_alive` surviving
@@ -278,21 +294,51 @@ impl QuorumStats {
 /// the ensemble covariance needs at least two members.
 pub const ABSOLUTE_MIN_QUORUM: usize = 2;
 
-/// Run the LETKF on the surviving subset of a partially-dead ensemble,
-/// over the x-strip `i0 <= i < i1` (see [`analyze_region`]) or, with
-/// `None`, the whole domain.
+/// A member state as the driver reads and writes it in place: one slab per
+/// analysed variable, laid out like a [`Field3`] with `halo` ghost cells on
+/// either horizontal side (a flat [`StateLayout`] state has `halo = 0`).
+pub trait AnalysedVars<T> {
+    /// The halo width and the slabs, in analysed-variable order.
+    fn slabs(&mut self, layout: &StateLayout) -> (usize, Vec<&mut [T]>);
+}
+
+impl<T> AnalysedVars<T> for Vec<T> {
+    fn slabs(&mut self, layout: &StateLayout) -> (usize, Vec<&mut [T]>) {
+        (0, self.chunks_mut(layout.n_grid_points()).collect())
+    }
+}
+
+impl<T: Real, const N: usize> AnalysedVars<T> for [&mut Field3<T>; N] {
+    fn slabs(&mut self, layout: &StateLayout) -> (usize, Vec<&mut [T]>) {
+        let halo = self.first().map_or(0, |f| f.halo());
+        let shape = (layout.nx, layout.ny, layout.nz, halo);
+        assert!(self.iter().all(|f| f.shape() == shape), "field shape");
+        (halo, self.iter_mut().map(|f| f.raw_mut()).collect())
+    }
+}
+
+/// Run the LETKF in place on the surviving subset of a partially-dead
+/// ensemble, over the x-strip `i0 <= i < i1` or, with `None`, the whole
+/// domain.
 ///
-/// `members` are flat state vectors ([`StateLayout`] order), index-aligned
-/// with `alive`; dead members are left untouched. `obs` must carry
+/// `members` are index-aligned with `alive`; dead members are left
+/// untouched, and halos are neither read nor written. `obs` must carry
 /// observation equivalents for the *alive* members only, in ascending member
 /// order. The transform is computed with k = `alive.count()`, so the
 /// ensemble-covariance weighting `1/(k-1)` is automatically consistent with
 /// the reduced quorum. Below `min_quorum` (clamped to at least
 /// [`ABSOLUTE_MIN_QUORUM`]) nothing is touched and the caller's degradation
 /// ladder takes over.
+///
+/// Because the transform is independent per grid point (innovations and
+/// observation-space perturbations are precomputed from the full
+/// observation set, and each point's transform reads only its own local
+/// gather), the values produced *inside* a region are bit-identical to what
+/// a whole-domain analysis produces there, and points outside it are
+/// never read — the property the shard-parity tests pin down.
 #[allow(clippy::too_many_arguments)]
-pub fn analyze_quorum_region<T: Real>(
-    members: &mut [Vec<T>],
+pub fn analyze_quorum_region<T: Real, M: AnalysedVars<T>>(
+    members: &mut [M],
     alive: &[bool],
     layout: StateLayout,
     obs: &ObsEnsemble<T>,
@@ -300,14 +346,9 @@ pub fn analyze_quorum_region<T: Real>(
     min_quorum: usize,
     region: Option<(usize, usize)>,
 ) -> Result<QuorumStats, AnalysisError> {
-    assert_eq!(
-        alive.len(),
-        members.len(),
-        "alive flags must align with members"
-    );
     let k_total = members.len();
-    let alive_idx: Vec<usize> = (0..k_total).filter(|&m| alive[m]).collect();
-    let k_alive = alive_idx.len();
+    assert_eq!(alive.len(), k_total, "alive flags must align with members");
+    let k_alive = alive.iter().filter(|&&a| a).count();
     let required = min_quorum.max(ABSOLUTE_MIN_QUORUM);
     if k_alive < required {
         return Err(AnalysisError::BelowQuorum {
@@ -315,20 +356,58 @@ pub fn analyze_quorum_region<T: Real>(
             required,
         });
     }
-    // Move (not copy) the surviving members into a dense sub-ensemble,
-    // run the standard transform on it, and scatter back.
-    let mut flats: Vec<Vec<T>> = alive_idx
-        .iter()
-        .map(|&m| std::mem::take(&mut members[m]))
+    let mut halo = None;
+    let alive_members = members.iter_mut().zip(alive).filter(|(_, &a)| a);
+    let slabs: Vec<Vec<&mut [T]>> = (alive_members.enumerate())
+        .map(|(m, (member, _))| {
+            let (h, vars) = member.slabs(&layout);
+            let len = (layout.nx + 2 * h) * (layout.ny + 2 * h) * layout.nz;
+            let ok = vars.len() == layout.nvar && vars.iter().all(|v| v.len() == len);
+            assert!(ok && h == *halo.get_or_insert(h), "bad slabs: member {m}");
+            vars
+        })
         .collect();
-    let mut mat = EnsembleMatrix::from_members(&flats, layout);
-    let result = analyze_region(&mut mat, obs, cfg, region);
-    mat.to_members(&mut flats);
-    for (&slot, flat) in alive_idx.iter().zip(flats) {
-        members[slot] = flat;
+    let (halo, setup) = (halo.unwrap_or(0), Setup::new(obs, cfg, &layout, k_alive)?);
+
+    // At most nx * ny / (2 * MAX_CHUNKS) columns per tile give a domain
+    // with that many columns 2 * MAX_CHUNKS tiles, so its groups (at most
+    // MAX_CHUNKS) come out near even; TILE_VALUES keeps the block small.
+    let (nx, ny) = (layout.nx, layout.ny);
+    let rows = region.map_or(0..nx, |(i0, i1)| i0.min(nx)..i1.clamp(i0.min(nx), nx));
+    let fit = TILE_VALUES / (layout.nz * layout.nvar * k_alive).max(1);
+    let cols = (nx * ny / (2 * MAX_CHUNKS)).min(fit).clamp(1, ny.max(1));
+    let at = |i, j| ((halo + i) * (ny + 2 * halo) + halo + j) * layout.nz;
+    let mut tiles: Vec<Tile> = Vec::new();
+    for i in rows.clone() {
+        for j in (0..ny).step_by(cols) {
+            tiles.push((i, j..ny.min(j + cols), at(i, j)));
+        }
     }
+    let per_group = tiles.len().div_ceil(MAX_CHUNKS).max(1);
+    let mut groups: Vec<(&[Tile], Vec<&mut [T]>)> = (tiles.chunks(per_group))
+        .map(|tiles| (tiles, Vec::with_capacity(k_alive * layout.nvar)))
+        .collect();
+
+    // Each group owns its run of every alive member's variables, `[m * nvar + v]`.
+    for slab in slabs.into_iter().flatten() {
+        let (mut rest, mut at) = (slab, 0);
+        for (tiles, runs) in &mut groups {
+            let (start, (_, js, last)) = (tiles[0].2, &tiles[tiles.len() - 1]);
+            let end = last + js.len() * layout.nz;
+            let (_, tail) = std::mem::take(&mut rest).split_at_mut(start - at);
+            let (run, tail) = tail.split_at_mut(end - start);
+            runs.push(run);
+            (rest, at) = (tail, end);
+        }
+    }
+
+    let mut stats = groups
+        .into_par_iter()
+        .map(|(tiles, runs)| analyze_group(&setup, tiles, runs))
+        .reduce(AnalysisStats::default, AnalysisStats::merge);
+    stats.points_outside_region = (nx - rows.len()) * ny * layout.nz;
     Ok(QuorumStats {
-        stats: result?,
+        stats,
         k_alive,
         k_total,
     })
@@ -337,9 +416,10 @@ pub fn analyze_quorum_region<T: Real>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ensmatrix::StateLayout;
+    use crate::ensmatrix::reference;
     use crate::obs::{ObsKind, Observation};
     use bda_num::SplitMix64;
+    use rayon::ThreadPoolBuilder;
 
     /// Identical-twin setup: nvar = 1 field, observations sample variable 0
     /// at given grid points with an identity forward operator.
@@ -391,12 +471,38 @@ mod tests {
         ObsEnsemble::new(vec![o], hx)
     }
 
-    fn point_stats(mat: &EnsembleMatrix<f64>, g: usize) -> (f64, f64) {
-        let vals = mat.element(g, 0);
+    /// The analysis on every member of `members`.
+    fn analyze_all(
+        members: &mut [Vec<f64>],
+        layout: &StateLayout,
+        obs: &ObsEnsemble<f64>,
+        cfg: &LetkfConfig,
+        region: Option<(usize, usize)>,
+    ) -> Result<AnalysisStats, AnalysisError> {
+        let alive = vec![true; members.len()];
+        analyze_quorum_region(members, &alive, layout.clone(), obs, cfg, 2, region).map(|q| q.stats)
+    }
+
+    /// Ensemble mean and spread of variable `v` at `(i, j, kz)`.
+    fn point_stats(
+        members: &[Vec<f64>],
+        layout: &StateLayout,
+        v: usize,
+        (i, j, kz): (usize, usize, usize),
+    ) -> (f64, f64) {
+        let vals: Vec<f64> = members
+            .iter()
+            .map(|m| m[layout.member_index(v, i, j, kz)])
+            .collect();
         let k = vals.len();
         let mean: f64 = vals.iter().sum::<f64>() / k as f64;
         let var: f64 = vals.iter().map(|&v| (v - mean).powi(2)).sum::<f64>() / (k - 1) as f64;
         (mean, var.sqrt())
+    }
+
+    fn values_at(members: &[Vec<f64>], layout: &StateLayout, p: (usize, usize, usize)) -> Vec<f64> {
+        let idx = layout.member_index(0, p.0, p.1, p.2);
+        members.iter().map(|m| m[idx]).collect()
     }
 
     #[test]
@@ -404,12 +510,11 @@ mod tests {
         let tw = twin(8, 4, 20, 1);
         let cfg = LetkfConfig::reduced(20);
         let obs = obs_at(&tw, 4, 4, 1, 9.0, 0.5);
-        let mut mat = EnsembleMatrix::from_members(&tw.members, tw.layout.clone());
-        let g_obs = (4 * tw.layout.ny + 4) * tw.layout.nz + 1;
-        let (mean_before, sd_before) = point_stats(&mat, g_obs);
-        let stats = analyze(&mut mat, &obs, &cfg).unwrap();
+        let mut members = tw.members.clone();
+        let (mean_before, sd_before) = point_stats(&members, &tw.layout, 0, (4, 4, 1));
+        let stats = analyze_all(&mut members, &tw.layout, &obs, &cfg, None).unwrap();
         assert!(stats.points_analyzed > 0);
-        let (mean_after, sd_after) = point_stats(&mat, g_obs);
+        let (mean_after, sd_after) = point_stats(&members, &tw.layout, 0, (4, 4, 1));
         assert!(
             (mean_after - 9.0).abs() < (mean_before - 9.0).abs(),
             "mean did not move toward obs: {mean_before} -> {mean_after}"
@@ -423,12 +528,14 @@ mod tests {
         let tw = twin(10, 4, 15, 2);
         let cfg = LetkfConfig::reduced(15);
         let obs = obs_at(&tw, 1, 1, 1, 12.0, 0.5);
-        let mut mat = EnsembleMatrix::from_members(&tw.members, tw.layout.clone());
+        let mut members = tw.members.clone();
         // Point at the opposite corner, far beyond the 4-km cutoff.
-        let g_far = (9 * tw.layout.ny + 9) * tw.layout.nz + 1;
-        let before: Vec<f64> = mat.element(g_far, 0).to_vec();
-        analyze(&mut mat, &obs, &cfg).unwrap();
-        assert_eq!(mat.element(g_far, 0), before.as_slice());
+        let far = (9, 9, 1);
+        analyze_all(&mut members, &tw.layout, &obs, &cfg, None).unwrap();
+        assert_eq!(
+            values_at(&members, &tw.layout, far),
+            values_at(&tw.members, &tw.layout, far)
+        );
     }
 
     #[test]
@@ -438,11 +545,13 @@ mod tests {
         tw.layout.z_center[4] = 15_000.0;
         let cfg = LetkfConfig::reduced(10);
         let obs = obs_at(&tw, 3, 3, 1, 8.0, 0.5);
-        let mut mat = EnsembleMatrix::from_members(&tw.members, tw.layout.clone());
-        let g_high = (3 * tw.layout.ny + 3) * tw.layout.nz + 4;
-        let before: Vec<f64> = mat.element(g_high, 0).to_vec();
-        let stats = analyze(&mut mat, &obs, &cfg).unwrap();
-        assert_eq!(mat.element(g_high, 0), before.as_slice());
+        let mut members = tw.members.clone();
+        let stats = analyze_all(&mut members, &tw.layout, &obs, &cfg, None).unwrap();
+        let high = (3, 3, 4);
+        assert_eq!(
+            values_at(&members, &tw.layout, high),
+            values_at(&tw.members, &tw.layout, high)
+        );
         assert!(stats.points_outside_range > 0);
     }
 
@@ -451,11 +560,10 @@ mod tests {
         let tw = twin(5, 3, 8, 4);
         let cfg = LetkfConfig::reduced(8);
         let obs = ObsEnsemble::<f64>::new(vec![], vec![vec![]; 8]);
-        let mut mat = EnsembleMatrix::from_members(&tw.members, tw.layout.clone());
-        let before: Vec<f64> = mat.element(0, 0).to_vec();
-        let stats = analyze(&mut mat, &obs, &cfg).unwrap();
+        let mut members = tw.members.clone();
+        let stats = analyze_all(&mut members, &tw.layout, &obs, &cfg, None).unwrap();
         assert_eq!(stats.points_analyzed, 0);
-        assert_eq!(mat.element(0, 0), before.as_slice());
+        assert_eq!(members, tw.members);
     }
 
     #[test]
@@ -476,8 +584,8 @@ mod tests {
             }
         }
         let obs = ObsEnsemble::new(all_obs, hx);
-        let mut mat = EnsembleMatrix::from_members(&tw.members, tw.layout.clone());
-        let stats = analyze(&mut mat, &obs, &cfg).unwrap();
+        let mut members = tw.members.clone();
+        let stats = analyze_all(&mut members, &tw.layout, &obs, &cfg, None).unwrap();
         assert!(
             stats.max_local_obs <= 3,
             "cap violated: {}",
@@ -524,12 +632,11 @@ mod tests {
         let src = layout.member_index(0, 3, 3, 1);
         let hx: Vec<Vec<f64>> = members.iter().map(|m| vec![m[src]]).collect();
         let obs = ObsEnsemble::new(vec![o], hx);
-        let mut mat = EnsembleMatrix::from_members(&members, layout.clone());
-        let g = (3 * layout.ny + 3) * layout.nz + 1;
-        let v1_before = mat.element_mean(g, 1);
-        analyze(&mut mat, &obs, &LetkfConfig::reduced(20)).unwrap();
-        let v0_after = mat.element_mean(g, 0);
-        let v1_after = mat.element_mean(g, 1);
+        let p = (3, 3, 1);
+        let (v1_before, _) = point_stats(&members, &layout, 1, p);
+        analyze_all(&mut members, &layout, &obs, &LetkfConfig::reduced(20), None).unwrap();
+        let (v0_after, _) = point_stats(&members, &layout, 0, p);
+        let (v1_after, _) = point_stats(&members, &layout, 1, p);
         // Var 0 pulled toward 8; var 1 (≈ 2 * var 0) pulled toward 16.
         assert!((v0_after - 8.0).abs() < 2.0, "v0 = {v0_after}");
         assert!(
@@ -545,9 +652,10 @@ mod tests {
         let tw = twin(10, 4, 30, 7);
         let cfg = LetkfConfig::reduced(30);
         let truth = 7.5_f64;
+        let pts = [(2, 2), (2, 7), (7, 2), (7, 7), (5, 5)];
         let mut all_obs = Vec::new();
         let mut hx: Vec<Vec<f64>> = vec![Vec::new(); 30];
-        for (i, j) in [(2, 2), (2, 7), (7, 2), (7, 7), (5, 5)] {
+        for (i, j) in pts {
             let o = obs_at(&tw, i, j, 2, truth, 0.4);
             all_obs.push(o.obs[0]);
             for (m, hxm) in hx.iter_mut().enumerate() {
@@ -555,22 +663,20 @@ mod tests {
             }
         }
         let obs = ObsEnsemble::new(all_obs, hx);
-        let mut mat = EnsembleMatrix::from_members(&tw.members, tw.layout.clone());
-        let rmse_at_obs_points = |mat: &EnsembleMatrix<f64>| -> f64 {
-            let pts = [(2, 2), (2, 7), (7, 2), (7, 7), (5, 5)];
+        let rmse_at_obs_points = |members: &[Vec<f64>]| -> f64 {
             let mut s = 0.0;
             for (i, j) in pts {
-                let g = (i * tw.layout.ny + j) * tw.layout.nz + 2;
-                let (m, _) = point_stats(mat, g);
+                let (m, _) = point_stats(members, &tw.layout, 0, (i, j, 2));
                 s += (m - truth).powi(2);
             }
             (s / pts.len() as f64).sqrt()
         };
-        let before = rmse_at_obs_points(&mat);
-        let stats = analyze(&mut mat, &obs, &cfg).unwrap();
+        let mut members = tw.members.clone();
+        let before = rmse_at_obs_points(&members);
+        let stats = analyze_all(&mut members, &tw.layout, &obs, &cfg, None).unwrap();
         // At least one local observation per analyzed point, on average.
         assert!(stats.total_local_obs >= stats.points_analyzed as u64);
-        let after = rmse_at_obs_points(&mat);
+        let after = rmse_at_obs_points(&members);
         assert!(after < before, "RMSE did not improve: {before} -> {after}");
     }
 
@@ -579,12 +685,13 @@ mod tests {
         let tw = twin(5, 3, 8, 11);
         let cfg = LetkfConfig::reduced(8);
         let obs = obs_at(&tw, 2, 2, 1, 9.0, 0.5);
-        // Build a matrix with one member fewer than the obs equivalents.
-        let mut mat = EnsembleMatrix::from_members(&tw.members[..7], tw.layout.clone());
+        // One member fewer than the obs equivalents.
+        let mut members = tw.members[..7].to_vec();
         assert_eq!(
-            analyze(&mut mat, &obs, &cfg).err(),
+            analyze_all(&mut members, &tw.layout, &obs, &cfg, None).err(),
             Some(AnalysisError::EnsembleSizeMismatch { hx: 8, k: 7 })
         );
+        assert_eq!(members, tw.members[..7]);
     }
 
     /// Restrict an ObsEnsemble's model equivalents to the alive members.
@@ -652,7 +759,7 @@ mod tests {
     }
 
     #[test]
-    fn quorum_matches_plain_analysis_when_all_members_alive() {
+    fn quorum_matches_the_reference_when_all_members_alive() {
         let tw = twin(6, 3, 10, 31);
         let cfg = LetkfConfig::reduced(10);
         let obs = obs_at(&tw, 3, 3, 1, 8.0, 0.5);
@@ -661,11 +768,10 @@ mod tests {
         let q = analyze_quorum_region(&mut members, &alive, tw.layout.clone(), &obs, &cfg, 2, None)
             .unwrap();
         assert!(!q.degraded());
-        let mut mat = EnsembleMatrix::from_members(&tw.members, tw.layout.clone());
-        let stats = analyze(&mut mat, &obs, &cfg).unwrap();
-        assert_eq!(q.stats, stats);
         let mut reference = tw.members.clone();
-        mat.to_members(&mut reference);
+        let stats =
+            reference::analyze_region(&mut reference, &tw.layout, &obs, &cfg, None).unwrap();
+        assert_eq!(q.stats, stats);
         assert_eq!(members, reference);
     }
 
@@ -693,20 +799,16 @@ mod tests {
     }
 
     #[test]
-    fn region_none_is_bit_identical_to_full_analysis() {
+    fn region_covering_every_row_is_bit_identical_to_none() {
         let tw = twin(10, 4, 12, 61);
         let cfg = LetkfConfig::reduced(12);
         let obs = obs_at(&tw, 4, 4, 1, 9.0, 0.5);
-        let mut full = EnsembleMatrix::from_members(&tw.members, tw.layout.clone());
-        let mut region = EnsembleMatrix::from_members(&tw.members, tw.layout.clone());
-        let s_full = analyze(&mut full, &obs, &cfg).unwrap();
-        let s_region = analyze_region(&mut region, &obs, &cfg, None).unwrap();
+        let mut full = tw.members.clone();
+        let mut region = tw.members.clone();
+        let s_full = analyze_all(&mut full, &tw.layout, &obs, &cfg, None).unwrap();
+        let s_region = analyze_all(&mut region, &tw.layout, &obs, &cfg, Some((0, 10))).unwrap();
         assert_eq!(s_full, s_region);
-        let mut a = tw.members.clone();
-        let mut b = tw.members.clone();
-        full.to_members(&mut a);
-        region.to_members(&mut b);
-        assert_eq!(a, b);
+        assert_eq!(full, region);
     }
 
     #[test]
@@ -728,18 +830,15 @@ mod tests {
         }
         let obs = ObsEnsemble::new(all_obs, hx);
 
-        let mut full = EnsembleMatrix::from_members(&tw.members, tw.layout.clone());
-        analyze(&mut full, &obs, &cfg).unwrap();
         let mut full_members = tw.members.clone();
-        full.to_members(&mut full_members);
+        analyze_all(&mut full_members, &tw.layout, &obs, &cfg, None).unwrap();
 
         let (i0, i1) = (0usize, 5usize);
-        let mut strip = EnsembleMatrix::from_members(&tw.members, tw.layout.clone());
-        let stats = analyze_region(&mut strip, &obs, &cfg, Some((i0, i1))).unwrap();
+        let mut strip_members = tw.members.clone();
+        let stats =
+            analyze_all(&mut strip_members, &tw.layout, &obs, &cfg, Some((i0, i1))).unwrap();
         assert!(stats.points_analyzed > 0);
         assert!(stats.points_outside_region > 0);
-        let mut strip_members = tw.members.clone();
-        strip.to_members(&mut strip_members);
 
         let l = &tw.layout;
         for (m, (fm, sm)) in full_members.iter().zip(&strip_members).enumerate() {
@@ -774,10 +873,8 @@ mod tests {
         let cfg = LetkfConfig::reduced(8);
         let obs = obs_at(&tw, 5, 5, 1, 10.0, 0.5);
 
-        let mut full = EnsembleMatrix::from_members(&tw.members, tw.layout.clone());
-        analyze(&mut full, &obs, &cfg).unwrap();
         let mut full_members = tw.members.clone();
-        full.to_members(&mut full_members);
+        analyze_all(&mut full_members, &tw.layout, &obs, &cfg, None).unwrap();
 
         for n_shards in [2usize, 4] {
             let mut stitched = tw.members.clone();
@@ -786,10 +883,8 @@ mod tests {
                 let w = tw.layout.nx / n_shards + usize::from(s < tw.layout.nx % n_shards);
                 let (i0, i1) = (cursor, cursor + w);
                 cursor = i1;
-                let mut mat = EnsembleMatrix::from_members(&tw.members, tw.layout.clone());
-                analyze_region(&mut mat, &obs, &cfg, Some((i0, i1))).unwrap();
                 let mut strip_members = tw.members.clone();
-                mat.to_members(&mut strip_members);
+                analyze_all(&mut strip_members, &tw.layout, &obs, &cfg, Some((i0, i1))).unwrap();
                 let l = &tw.layout;
                 for (dst, src) in stitched.iter_mut().zip(&strip_members) {
                     for i in i0..i1 {
@@ -826,5 +921,135 @@ mod tests {
                 required: ABSOLUTE_MIN_QUORUM
             })
         );
+    }
+
+    /// A random `nx` x `ny` x `nz` ensemble of `nvar` variables and `k`
+    /// members, with reflectivity observations of variable 0 on every
+    /// other column at level 1.
+    fn shaped(
+        (nx, ny, nz, nvar, k): (usize, usize, usize, usize, usize),
+        seed: u64,
+    ) -> (StateLayout, Vec<Vec<f64>>, ObsEnsemble<f64>) {
+        let layout = StateLayout {
+            nx,
+            ny,
+            nz,
+            nvar,
+            dx: 500.0,
+            z_center: (0..nz).map(|kk| 500.0 + kk as f64 * 500.0).collect(),
+        };
+        let mut rng = SplitMix64::new(seed);
+        let members: Vec<Vec<f64>> = (0..k)
+            .map(|_| {
+                (0..layout.n_elements())
+                    .map(|_| rng.gaussian(5.0, 1.0))
+                    .collect()
+            })
+            .collect();
+        let mut obs = Vec::new();
+        let mut hx: Vec<Vec<f64>> = vec![Vec::new(); k];
+        for i in (0..nx).step_by(2) {
+            for j in (1..ny).step_by(2) {
+                let (x, y) = layout.xy(i, j);
+                obs.push(Observation {
+                    kind: ObsKind::Reflectivity,
+                    x,
+                    y,
+                    z: layout.z_center[1.min(nz - 1)],
+                    value: rng.gaussian(8.0, 2.0),
+                    error_sd: 0.5,
+                });
+                let src = layout.member_index(0, i, j, 1.min(nz - 1));
+                for (m, member) in members.iter().enumerate() {
+                    hx[m].push(member[src]);
+                }
+            }
+        }
+        (layout, members, ObsEnsemble::new(obs, hx))
+    }
+
+    #[test]
+    fn tiled_driver_matches_the_element_major_reference_bit_for_bit() {
+        // Shapes whose tiles do not divide evenly: a single x-row, odd ny,
+        // fewer columns than 2 * MAX_CHUNKS tiles want (one-column tiles),
+        // ragged last tiles (17 = 8 * 2 + 1 and 23 = 7 * 3 + 2 columns in
+        // 2- and 3-column tiles), and K = 2.
+        let shapes = [
+            (1, 7, 3, 2, 5),
+            (3, 3, 2, 1, 4),
+            (5, 13, 4, 3, 6),
+            (9, 17, 3, 2, 4),
+            (11, 23, 2, 2, 3),
+            (4, 5, 3, 2, 2),
+        ];
+        for (s, &shape) in shapes.iter().enumerate() {
+            let (layout, members, obs_full) = shaped(shape, 0x711e + s as u64);
+            let (nx, k) = (layout.nx, members.len());
+            let cfg = LetkfConfig::reduced(k);
+            // Region edges fall on row edges, hence on tile edges; these
+            // cut groups in their middles, cover nothing, or overhang nx.
+            let regions = [
+                None,
+                Some((0, nx)),
+                Some((nx / 2, nx)),
+                Some((1, nx.saturating_sub(1).max(1))),
+                Some((nx / 3, nx / 3 + 1)),
+                Some((2, 2)),
+                Some((nx - 1, nx + 3)),
+            ];
+            // Every member alive, then (where K allows) one dead member.
+            let mut alives = vec![vec![true; k]];
+            if k > 2 {
+                let mut a = vec![true; k];
+                a[k / 2] = false;
+                alives.push(a);
+            }
+            for alive in &alives {
+                let obs = obs_for_alive(&obs_full, alive);
+                for region in regions {
+                    let mut reference: Vec<Vec<f64>> = members
+                        .iter()
+                        .zip(alive)
+                        .filter(|(_, &a)| a)
+                        .map(|(m, _)| m.clone())
+                        .collect();
+                    let want =
+                        reference::analyze_region(&mut reference, &layout, &obs, &cfg, region)
+                            .unwrap();
+                    for threads in [1, 2, 4] {
+                        let mut tiled = members.clone();
+                        let got = ThreadPoolBuilder::new()
+                            .num_threads(threads)
+                            .build()
+                            .unwrap()
+                            .install(|| {
+                                analyze_quorum_region(
+                                    &mut tiled,
+                                    alive,
+                                    layout.clone(),
+                                    &obs,
+                                    &cfg,
+                                    2,
+                                    region,
+                                )
+                            })
+                            .unwrap();
+                        let ctx = format!("shape {shape:?}, alive {alive:?}, region {region:?}, {threads} threads");
+                        assert_eq!(got.stats, want, "{ctx}: stats");
+                        let mut analysed = reference.iter();
+                        for (m, (out, before)) in tiled.iter().zip(&members).enumerate() {
+                            let expect = if alive[m] {
+                                analysed.next().unwrap()
+                            } else {
+                                before
+                            };
+                            let bits =
+                                |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                            assert_eq!(bits(out), bits(expect), "{ctx}: member {m}");
+                        }
+                    }
+                }
+            }
+        }
     }
 }

@@ -1,15 +1,8 @@
-//! Member-contiguous ensemble state storage.
-//!
-//! The LETKF transform at one grid point reads and writes the values of all
-//! members at that point. Storing the ensemble member-major (one flat state
-//! per member) would make that a strided gather; [`EnsembleMatrix`] instead
-//! transposes to *element-major* storage where the k member values of each
-//! state element are contiguous — the cache layout the transform wants, and
-//! the layout that lets Rayon hand each grid point's block to a worker as
-//! one mutable chunk.
+//! The geometry of the analysed state. The driver gathers one tile at a
+//! time into the element-major block its transform wants; the
+//! whole-ensemble transpose it replaced is kept here as a test reference.
 
 use bda_num::cast;
-use bda_num::Real;
 use serde::{Deserialize, Serialize};
 
 /// Geometry of the flattened analysis state.
@@ -54,84 +47,78 @@ impl StateLayout {
     }
 }
 
-/// Element-major ensemble storage: `data[(g * nvar + v) * k + m]` where
-/// `g = (i * ny + j) * nz + kz` is the grid-point index.
-pub struct EnsembleMatrix<T> {
-    pub layout: StateLayout,
-    pub k: usize,
-    data: Vec<T>,
-}
-
-impl<T: Real> EnsembleMatrix<T> {
-    /// Transpose member-major flat states into element-major storage.
-    pub fn from_members(members: &[Vec<T>], layout: StateLayout) -> Self {
-        let k = members.len();
-        assert!(k >= 2, "ensemble needs at least 2 members");
-        let n_elem_per_member = layout.nvar * layout.n_grid_points();
-        for (m, member) in members.iter().enumerate() {
-            assert_eq!(member.len(), n_elem_per_member, "member {m} length");
-        }
-        let mut data = vec![T::zero(); n_elem_per_member * k];
-        let (nx, ny, nz, nvar) = (layout.nx, layout.ny, layout.nz, layout.nvar);
-        for (m, member) in members.iter().enumerate() {
-            for v in 0..nvar {
-                for i in 0..nx {
-                    for j in 0..ny {
-                        for kz in 0..nz {
-                            let g = (i * ny + j) * nz + kz;
-                            let src = layout.member_index(v, i, j, kz);
-                            data[(g * nvar + v) * k + m] = member[src];
-                        }
-                    }
-                }
-            }
-        }
-        Self { layout, k, data }
-    }
-
-    /// Transpose back into the given member-major flat states.
-    pub fn to_members(&self, members: &mut [Vec<T>]) {
-        assert_eq!(members.len(), self.k);
-        let (nx, ny, nz, nvar) = (
-            self.layout.nx,
-            self.layout.ny,
-            self.layout.nz,
-            self.layout.nvar,
-        );
-        for (m, member) in members.iter_mut().enumerate() {
-            assert_eq!(member.len(), self.layout.n_elements());
-            for v in 0..nvar {
-                for i in 0..nx {
-                    for j in 0..ny {
-                        for kz in 0..nz {
-                            let g = (i * ny + j) * nz + kz;
-                            let dst = self.layout.member_index(v, i, j, kz);
-                            member[dst] = self.data[(g * nvar + v) * self.k + m];
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Expose the raw storage split into per-grid-point mutable blocks of
-    /// `nvar * k` values each, for parallel iteration. Block `g` holds the
-    /// elements of grid point `g` for all variables.
-    pub fn grid_point_blocks_mut(&mut self) -> (&StateLayout, usize, &mut [T]) {
-        (&self.layout, self.k, &mut self.data)
-    }
-
-    /// Block size per grid point.
-    pub fn block_len(&self) -> usize {
-        self.layout.nvar * self.k
-    }
-}
-
+/// The element-major path the tiled driver replaced, kept as the oracle
+/// its parity tests compare against: the whole ensemble transposed into
+/// `data[(g * nvar + v) * k + m]` (`g = (i * ny + j) * nz + kz`), every
+/// grid point's block analysed by the same per-point body, and the result
+/// transposed back.
 #[cfg(test)]
-mod tests {
-    use super::*;
+pub(crate) mod reference {
+    use super::StateLayout;
+    use crate::config::LetkfConfig;
+    use crate::driver::{AnalysisError, AnalysisStats, Setup, Workspace};
+    use crate::obs::ObsEnsemble;
+    use bda_num::Real;
+    use rayon::prelude::*;
+
+    pub struct EnsembleMatrix<T> {
+        pub layout: StateLayout,
+        pub k: usize,
+        data: Vec<T>,
+    }
 
     impl<T: Real> EnsembleMatrix<T> {
+        /// Transpose member-major flat states into element-major storage.
+        pub fn from_members(members: &[Vec<T>], layout: StateLayout) -> Self {
+            let k = members.len();
+            assert!(k >= 2, "ensemble needs at least 2 members");
+            let n_elem_per_member = layout.nvar * layout.n_grid_points();
+            for (m, member) in members.iter().enumerate() {
+                assert_eq!(member.len(), n_elem_per_member, "member {m} length");
+            }
+            let mut data = vec![T::zero(); n_elem_per_member * k];
+            let (nx, ny, nz, nvar) = (layout.nx, layout.ny, layout.nz, layout.nvar);
+            for (m, member) in members.iter().enumerate() {
+                for v in 0..nvar {
+                    for i in 0..nx {
+                        for j in 0..ny {
+                            for kz in 0..nz {
+                                let g = (i * ny + j) * nz + kz;
+                                let src = layout.member_index(v, i, j, kz);
+                                data[(g * nvar + v) * k + m] = member[src];
+                            }
+                        }
+                    }
+                }
+            }
+            Self { layout, k, data }
+        }
+
+        /// Transpose back into the given member-major flat states.
+        pub fn to_members(&self, members: &mut [Vec<T>]) {
+            assert_eq!(members.len(), self.k);
+            let (nx, ny, nz, nvar) = (
+                self.layout.nx,
+                self.layout.ny,
+                self.layout.nz,
+                self.layout.nvar,
+            );
+            for (m, member) in members.iter_mut().enumerate() {
+                assert_eq!(member.len(), self.layout.n_elements());
+                for v in 0..nvar {
+                    for i in 0..nx {
+                        for j in 0..ny {
+                            for kz in 0..nz {
+                                let g = (i * ny + j) * nz + kz;
+                                let dst = self.layout.member_index(v, i, j, kz);
+                                member[dst] = self.data[(g * nvar + v) * self.k + m];
+                            }
+                        }
+                    }
+                }
+            }
+        }
+
         /// The k member values of element (grid point g, variable v).
         #[inline]
         pub fn element(&self, g: usize, v: usize) -> &[T] {
@@ -146,6 +133,48 @@ mod tests {
             sum / T::of_usize(self.k)
         }
     }
+
+    /// Analyze `members` (all alive) through the element-major transpose:
+    /// one chunk of grid-point blocks per fold accumulator, as the driver
+    /// ran before it was tiled.
+    pub fn analyze_region<T: Real>(
+        members: &mut [Vec<T>],
+        layout: &StateLayout,
+        obs: &ObsEnsemble<T>,
+        cfg: &LetkfConfig,
+        region: Option<(usize, usize)>,
+    ) -> Result<AnalysisStats, AnalysisError> {
+        let k = members.len();
+        let setup = Setup::new(obs, cfg, layout, k)?;
+        let mut mat = EnsembleMatrix::from_members(members, layout.clone());
+        let (ny, nz) = (layout.ny, layout.nz);
+        let stats = mat
+            .data
+            .par_chunks_mut(layout.nvar * k)
+            .enumerate()
+            .fold(
+                || (AnalysisStats::default(), Workspace::new(k)),
+                |(mut stats, mut ws), (g, block)| {
+                    let (i, j, kz) = (g / (nz * ny), (g / nz) % ny, g % nz);
+                    if region.is_some_and(|(i0, i1)| i < i0 || i >= i1) {
+                        stats.points_outside_region += 1;
+                    } else {
+                        setup.point(&mut ws, &mut stats, (i, j, kz), block);
+                    }
+                    (stats, ws)
+                },
+            )
+            .map(|(stats, _)| stats)
+            .reduce(AnalysisStats::default, AnalysisStats::merge);
+        mat.to_members(members);
+        Ok(stats)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::reference::EnsembleMatrix;
+    use super::*;
 
     fn layout() -> StateLayout {
         StateLayout {
@@ -196,30 +225,6 @@ mod tests {
         let src = l.member_index(0, 0, 0, 0);
         let expect = (src as f64 + (1000 + src) as f64 + (2000 + src) as f64) / 3.0;
         assert!((mat.element_mean(g, 0) - expect).abs() < 1e-12);
-    }
-
-    #[test]
-    fn block_layout_groups_grid_points() {
-        let l = layout();
-        let ms = members();
-        let mut mat = EnsembleMatrix::from_members(&ms, l);
-        let block_len = mat.block_len();
-        assert_eq!(block_len, 2 * 3);
-        let (_, k, data) = mat.grid_point_blocks_mut();
-        assert_eq!(k, 3);
-        // First block must equal elements (g=0, v=0) then (g=0, v=1).
-        let b0 = &data[..block_len];
-        assert_eq!(&b0[..3], mat_elem_copy(&ms, 0, 0).as_slice());
-        assert_eq!(&b0[3..], mat_elem_copy(&ms, 0, 1).as_slice());
-    }
-
-    fn mat_elem_copy(ms: &[Vec<f64>], g: usize, v: usize) -> Vec<f64> {
-        let l = layout();
-        // g -> (i, j, kz)
-        let kz = g % l.nz;
-        let j = (g / l.nz) % l.ny;
-        let i = g / (l.nz * l.ny);
-        ms.iter().map(|m| m[l.member_index(v, i, j, kz)]).collect()
     }
 
     #[test]

@@ -24,11 +24,9 @@
 //!    the Table-2 innovation thresholds, and an adaptive ensemble-background
 //!    departure check, with per-stage rejection counters in
 //!    [`obs::QcReport`].
-//! 3. Pack the forecast ensemble into an [`ensmatrix::EnsembleMatrix`]
-//!    (member-contiguous per state element).
-//! 4. [`driver::analyze`] transforms every grid point in the configured
-//!    height range in parallel.
-//! 5. Unpack to member states; the model applies physical clamping.
+//! 3. [`driver::analyze_quorum_region`] transforms every grid point in the
+//!    configured height range in parallel, on the members where they live
+//!    ([`driver::AnalysedVars`]); the model then applies physical clamping.
 
 pub mod config;
 pub mod diagnostics;
@@ -40,9 +38,9 @@ pub mod weights;
 
 pub use config::LetkfConfig;
 pub use driver::{
-    analyze, analyze_quorum_region, analyze_region, AnalysisError, AnalysisStats, QuorumStats,
+    analyze_quorum_region, AnalysedVars, AnalysisError, AnalysisStats, QuorumStats,
     ABSOLUTE_MIN_QUORUM,
 };
-pub use ensmatrix::{EnsembleMatrix, StateLayout};
+pub use ensmatrix::StateLayout;
 pub use localization::LocalizationError;
 pub use obs::{KindCounts, ObsEnsemble, ObsKind, Observation, QcPipeline, QcReport};

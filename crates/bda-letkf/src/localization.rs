@@ -72,10 +72,8 @@ pub struct ObsIndex {
 
 impl ObsIndex {
     /// Build the index from observation positions.
-    // Per-analysis setup, called once per cycle before the per-grid-point
-    // loop; bucket indices are clamped with `.min(nx-1)`/`.min(ny-1)` so
+    // Bucket indices are clamped with `.min(nx-1)`/`.min(ny-1)` so
     // `bi*ny + bj < nx*ny` always holds.
-    // bda-check: allow(hot_alloc, panic_path)
     pub fn build<T: Real>(obs: &[Observation<T>], cutoff: f64) -> Result<Self, LocalizationError> {
         if !(cutoff > 0.0 && cutoff.is_finite()) {
             return Err(LocalizationError::BadCutoff { cutoff });

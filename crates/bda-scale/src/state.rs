@@ -188,6 +188,25 @@ impl<T: Real> ModelState<T> {
         }
     }
 
+    /// Mutably borrow every [`ANALYZED_VARS`] field at once, in that order
+    /// — what the LETKF analyses in place.
+    pub fn analyzed_fields_mut(&mut self) -> [&mut Field3<T>; ANALYZED_VARS.len()] {
+        let Self {
+            u,
+            v,
+            w,
+            theta,
+            qv,
+            qc,
+            qr,
+            qi,
+            qs,
+            qg,
+            ..
+        } = self;
+        [u, v, w, theta, qv, qc, qr, qi, qs, qg]
+    }
+
     /// Fill all halos with the given policy.
     pub fn fill_halos(&mut self, policy: HaloPolicy) {
         for var in PrognosticVar::ALL {
@@ -380,6 +399,18 @@ mod tests {
         t.from_flat(&ANALYZED_VARS, &flat);
         assert_eq!(t.theta.at(2, 3, 1), 1.5);
         assert_eq!(t.qr.at(5, 5, 2), 3.2e-3);
+    }
+
+    #[test]
+    fn analyzed_fields_follow_analyzed_vars() {
+        let g = grid();
+        let mut s = ModelState::<f64>::zeros(&g);
+        for (n, var) in ANALYZED_VARS.into_iter().enumerate() {
+            s.field_mut(var).set(1, 2, 3, n as f64 + 1.0);
+        }
+        for (n, f) in s.analyzed_fields_mut().into_iter().enumerate() {
+            assert_eq!(f.at(1, 2, 3), n as f64 + 1.0);
+        }
     }
 
     #[test]

@@ -21,34 +21,39 @@ struct Args {
     fig8: bool,
 }
 
-fn parse_args() -> Args {
+const USAGE: &str = "usage: heavy_rain_osse [--cycles N] [--cases M] [--fig8]";
+
+/// The arguments, or why they are not valid.
+fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut args = Args {
         spinup_cycles: 6,
         cases: 8,
         fig8: false,
     };
-    let argv: Vec<String> = std::env::args().collect();
-    let mut i = 1;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--cycles" => {
-                i += 1;
-                args.spinup_cycles = argv[i].parse().expect("--cycles N");
-            }
-            "--cases" => {
-                i += 1;
-                args.cases = argv[i].parse().expect("--cases M");
-            }
+    let mut rest = argv.iter();
+    while let Some(arg) = rest.next() {
+        let mut count = |flag: &str| {
+            let value = rest.next().ok_or(format!("{flag} needs a value"))?;
+            value
+                .parse::<usize>()
+                .map_err(|e| format!("{flag} {value}: {e}"))
+        };
+        match arg.as_str() {
+            "--cycles" => args.spinup_cycles = count("--cycles")?,
+            "--cases" => args.cases = count("--cases")?,
             "--fig8" => args.fig8 = true,
-            other => panic!("unknown argument {other}"),
+            other => return Err(format!("unknown argument {other}")),
         }
-        i += 1;
     }
-    args
+    Ok(args)
 }
 
 fn main() {
-    let args = parse_args();
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = parse_args(&argv).unwrap_or_else(|e| {
+        eprintln!("{e}\n{USAGE}");
+        std::process::exit(2);
+    });
     println!("=== heavy-rain OSSE (Figs. 6/7/8 at reduced scale) ===");
     println!(
         "spin-up {} cycles, then {} forecast cases\n",

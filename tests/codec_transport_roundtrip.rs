@@ -85,7 +85,7 @@ fn file_and_memory_transport_deliver_identical_states() {
 
 #[test]
 fn analysis_is_transport_invariant() {
-    use bda::letkf::{analyze, EnsembleMatrix, LetkfConfig, ObsEnsemble, StateLayout};
+    use bda::letkf::{analyze_quorum_region, LetkfConfig, ObsEnsemble, StateLayout};
     use bda::pawr::operator::ensemble_equivalents;
 
     let (grid, base, truth, sim) = scan_setup();
@@ -113,11 +113,15 @@ fn analysis_is_transport_invariant() {
         .map(|m| m.to_flat(&bda::scale::ANALYZED_VARS))
         .collect();
 
+    let alive = [true; 4];
+    let analyze = |flats: &mut [Vec<f32>]| {
+        let cfg = LetkfConfig::reduced(4);
+        analyze_quorum_region(flats, &alive, layout.clone(), &obs, &cfg, 2, None).unwrap();
+    };
+
     // Route A: direct (memory).
     let mut flats_a = flats.clone();
-    let mut mat = EnsembleMatrix::from_members(&flats_a, layout.clone());
-    analyze(&mut mat, &obs, &LetkfConfig::reduced(4)).unwrap();
-    mat.to_members(&mut flats_a);
+    analyze(&mut flats_a);
 
     // Route B: states pass through the file transport first.
     let dir = std::env::temp_dir().join(format!("bda_it_inv_{}", std::process::id()));
@@ -125,9 +129,7 @@ fn analysis_is_transport_invariant() {
     let mut t = FileTransport::new(&dir).unwrap();
     t.send(&flats).unwrap();
     let mut flats_b: Vec<Vec<f32>> = t.recv().unwrap();
-    let mut mat_b = EnsembleMatrix::from_members(&flats_b, layout);
-    analyze(&mut mat_b, &obs, &LetkfConfig::reduced(4)).unwrap();
-    mat_b.to_members(&mut flats_b);
+    analyze(&mut flats_b);
     let _ = std::fs::remove_dir_all(&dir);
 
     assert_eq!(flats_a, flats_b, "analysis depended on the transport path");

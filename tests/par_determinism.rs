@@ -22,7 +22,7 @@
 //!   failed integration fails the same way at every width.
 
 use bda::letkf::{
-    analyze, EnsembleMatrix, LetkfConfig, ObsEnsemble, ObsKind, Observation, StateLayout,
+    analyze_quorum_region, LetkfConfig, ObsEnsemble, ObsKind, Observation, StateLayout,
 };
 use bda::num::SplitMix64;
 use bda::serve::tile::{stream_digest, synthetic_reflectivity, TileConfig, Tiler};
@@ -306,10 +306,19 @@ fn letkf_analysis_bitwise_parity_across_threads() {
                 .build()
                 .unwrap()
                 .install(|| {
-                    let mut mat = EnsembleMatrix::from_members(&members, layout.clone());
-                    let stats = analyze(&mut mat, &obs, &cfg).expect("analysis runs");
                     let mut out = members.clone();
-                    mat.to_members(&mut out);
+                    let alive = vec![true; k];
+                    let stats = analyze_quorum_region(
+                        &mut out,
+                        &alive,
+                        layout.clone(),
+                        &obs,
+                        &cfg,
+                        2,
+                        None,
+                    )
+                    .expect("analysis runs")
+                    .stats;
                     (stats, out)
                 })
         };
