@@ -167,6 +167,10 @@ pub const HOT_ANCHORS: &[(&str, &[&str])] = &[
         &["compute_transform", "apply_transform"],
     ),
     (
+        "crates/bda-jitdt/src/pipe.rs",
+        &["PipeReceiver::assemble", "PipeSender::send_seq"],
+    ),
+    (
         "vendor/rayon/src/protocol.rs",
         &[
             "pop_front",
@@ -380,6 +384,7 @@ const ALLOC_PATTERNS: &[&str] = &[
     "format!",
     "Vec::new",
     "Vec::with_capacity",
+    "BytesMut::with_capacity",
     "Box::new",
     "String::new",
     "String::from",

@@ -20,6 +20,18 @@
 //! A receive that the stall watchdog ends mid-volume keeps what has
 //! arrived, sequence number included; the next receive continues that
 //! volume where it stopped.
+//!
+//! The receiver keeps at most one delivered volume: a handle to the last
+//! one. At the next `Header` it takes that buffer back if the caller has
+//! dropped every other handle, and assembles the new volume into it, so a
+//! steady stream of volumes reuses one buffer instead of faulting in a
+//! fresh one per volume. A caller that still holds the volume, or a slice
+//! of it, gets a fresh buffer instead and never sees its bytes change.
+//!
+//! [`recv_seq_timeout`](PipeReceiver::recv_seq_timeout) also takes the
+//! caller's verdict on each volume's sequence number at its `Header`. A
+//! rejected volume is drained chunk by chunk, with no copy and no checksum,
+//! and reported back as dropped: its length and checksum go unchecked.
 
 use bda_num::Checksum;
 use bytes::{Bytes, BytesMut};
@@ -53,15 +65,25 @@ pub struct PipeSender {
 struct Partial {
     seq: u64,
     total_len: u64,
-    buf: BytesMut,
-    hash: Checksum,
+    /// The bytes so far and their checksum; `None` while the volume is
+    /// drained because the caller rejected it at its header.
+    body: Option<(BytesMut, Checksum)>,
+}
+
+/// What the receiver keeps between frames.
+#[derive(Default)]
+struct RecvState {
+    /// The volume in progress, kept across a [`PipeError::Stalled`] return.
+    partial: Option<Partial>,
+    /// The last volume delivered, whose buffer the next one reuses once the
+    /// caller has dropped every other handle to it.
+    last: Option<Bytes>,
 }
 
 /// Receiving half.
 pub struct PipeReceiver {
     rx: Receiver<Frame>,
-    /// The volume in progress, kept across a [`PipeError::Stalled`] return.
-    partial: Mutex<Option<Partial>>,
+    state: Mutex<RecvState>,
 }
 
 /// Errors on the receiving side.
@@ -104,7 +126,7 @@ pub fn pipe(chunk_bytes: usize, capacity: usize) -> (PipeSender, PipeReceiver) {
         },
         PipeReceiver {
             rx,
-            partial: Mutex::new(None),
+            state: Mutex::default(),
         },
     )
 }
@@ -139,66 +161,113 @@ impl PipeSender {
 }
 
 impl Partial {
-    /// Verify length and checksum against the `End` frame.
-    fn finish(self, checksum: u64) -> Result<(u64, Bytes), PipeError> {
-        if self.buf.len() as u64 != self.total_len {
+    /// Verify a kept volume's length and checksum against the `End` frame.
+    /// A drained volume is not checked and comes back as `None`.
+    fn finish(self, checksum: u64) -> Result<(u64, Option<Bytes>), PipeError> {
+        let Some((buf, hash)) = self.body else {
+            return Ok((self.seq, None));
+        };
+        if buf.len() as u64 != self.total_len {
             return Err(PipeError::LengthMismatch {
                 expected: self.total_len,
-                got: self.buf.len() as u64,
+                got: buf.len() as u64,
             });
         }
-        if self.hash.finish() != checksum {
+        if hash.finish() != checksum {
             return Err(PipeError::ChecksumMismatch);
         }
-        Ok((self.seq, self.buf.freeze()))
+        Ok((self.seq, Some(buf.freeze())))
     }
 }
 
 impl PipeReceiver {
-    /// Assemble one volume — header, chunks until `End` — and verify its
-    /// length and checksum. `next` is how the caller waits for a frame; an
-    /// error from it leaves the volume in progress for the next call.
+    /// Take one volume — header, chunks until `End` — assembling and
+    /// verifying it if `keep` accepts its sequence number and draining it
+    /// otherwise. `next` is how the caller waits for a frame; an error from
+    /// it leaves the volume in progress for the next call.
     fn assemble(
         &self,
         next: impl Fn() -> Result<Frame, PipeError>,
-    ) -> Result<(u64, Bytes), PipeError> {
-        let mut partial = self.partial.lock();
+        mut keep: impl FnMut(u64) -> bool,
+    ) -> Result<(u64, Option<Bytes>), PipeError> {
+        let mut state = self.state.lock();
+        let RecvState { partial, last } = &mut *state;
         loop {
             let frame = next()?;
             match (partial.take(), frame) {
                 (None, Frame::Header { total_len, seq }) => {
+                    let body = keep(seq).then(|| {
+                        let len = total_len as usize;
+                        let buf = match last.take().map(Bytes::try_into_mut) {
+                            Some(Ok(mut buf)) => {
+                                buf.clear();
+                                buf.reserve(len);
+                                buf
+                            }
+                            // bda-check: allow(hot_alloc) — the first volume, or the caller still holds the last one
+                            _ => BytesMut::with_capacity(len),
+                        };
+                        (buf, Checksum::new())
+                    });
                     *partial = Some(Partial {
                         seq,
                         total_len,
-                        buf: BytesMut::with_capacity(total_len as usize),
-                        hash: Checksum::new(),
+                        body,
                     });
                 }
                 (Some(mut p), Frame::Chunk(c)) => {
-                    p.hash.update(&c);
-                    p.buf.extend_from_slice(&c);
+                    if let Some((buf, hash)) = &mut p.body {
+                        hash.update(&c);
+                        buf.extend_from_slice(&c);
+                    }
                     *partial = Some(p);
                 }
-                (Some(p), Frame::End { checksum }) => return p.finish(checksum),
+                (Some(p), Frame::End { checksum }) => {
+                    let (seq, volume) = p.finish(checksum)?;
+                    if let Some(v) = &volume {
+                        // bda-check: allow(hot_alloc) — a handle, not a copy: the next volume's buffer
+                        *last = Some(v.clone());
+                    }
+                    return Ok((seq, volume));
+                }
                 _ => return Err(PipeError::ProtocolViolation),
             }
         }
     }
 
+    /// Take volumes until one is kept; keeping every volume, the next one.
+    fn first_kept(
+        &self,
+        next: impl Fn() -> Result<Frame, PipeError>,
+    ) -> Result<Bytes, PipeError> {
+        loop {
+            if let (_, Some(volume)) = self.assemble(&next, |_| true)? {
+                return Ok(volume);
+            }
+        }
+    }
+
+    /// The next frame, or [`PipeError::Stalled`] after `timeout` of silence.
+    fn next_within(&self, timeout: Duration) -> Result<Frame, PipeError> {
+        self.rx.recv_timeout(timeout).map_err(|e| match e {
+            RecvTimeoutError::Timeout => PipeError::Stalled,
+            RecvTimeoutError::Disconnected => PipeError::Disconnected,
+        })
+    }
+
     /// Receive one complete volume, verifying length and checksum.
     pub fn recv(&self) -> Result<Bytes, PipeError> {
-        self.assemble(|| self.rx.recv().map_err(|_| PipeError::Disconnected))
-            .map(|(_, data)| data)
+        self.first_kept(|| self.rx.recv().map_err(|_| PipeError::Disconnected))
     }
 
-    /// [`recv_seq_timeout`](Self::recv_seq_timeout) without the sequence
-    /// number.
+    /// Receive one complete volume, verifying length and checksum, under the
+    /// stall watchdog of [`recv_seq_timeout`](Self::recv_seq_timeout).
     pub fn recv_timeout(&self, timeout: Duration) -> Result<Bytes, PipeError> {
-        self.recv_seq_timeout(timeout).map(|(_, data)| data)
+        self.first_kept(|| self.next_within(timeout))
     }
 
-    /// Receive one complete volume and its sequence number under a live
-    /// stall watchdog: if the stream goes quiet for longer than `timeout` —
+    /// Receive one volume and its sequence number under a live stall
+    /// watchdog: if the stream goes quiet for longer than `timeout` —
     /// before the header or mid-volume between chunks — the call gives up with
     /// [`PipeError::Stalled`] instead of blocking forever. This is the
     /// JIT-DT behaviour on Fugaku: a transfer daemon that stops making
@@ -208,13 +277,17 @@ impl PipeReceiver {
     /// total volume duration, so a slow-but-moving large volume completes.
     /// A volume cut off by the watchdog is not lost: the next call picks it
     /// up at the frame where this one stopped.
-    pub fn recv_seq_timeout(&self, timeout: Duration) -> Result<(u64, Bytes), PipeError> {
-        self.assemble(|| {
-            self.rx.recv_timeout(timeout).map_err(|e| match e {
-                RecvTimeoutError::Timeout => PipeError::Stalled,
-                RecvTimeoutError::Disconnected => PipeError::Disconnected,
-            })
-        })
+    ///
+    /// `keep` is the caller's verdict on the volume's sequence number, asked
+    /// once, at its header. A kept volume is assembled, its length and
+    /// checksum verified, and returned as `Some`. A rejected one is drained
+    /// unread and unchecked, and returned as `None`.
+    pub fn recv_seq_timeout(
+        &self,
+        timeout: Duration,
+        keep: impl FnMut(u64) -> bool,
+    ) -> Result<(u64, Option<Bytes>), PipeError> {
+        self.assemble(|| self.next_within(timeout), keep)
     }
 }
 
@@ -318,12 +391,12 @@ mod tests {
         assert_eq!(good, checksum(&payload));
     }
 
-    /// Push one volume's frames by hand: `Header`, `chunks`, then `End`
-    /// carrying the checksum of `checksum_of`.
-    fn push(tx: &PipeSender, total_len: usize, chunks: &[&[u8]], checksum_of: &[u8]) {
+    /// Push one volume's frames by hand: `Header` (with `seq`), `chunks`,
+    /// then `End` carrying the checksum of `checksum_of`.
+    fn push(tx: &PipeSender, seq: u64, total_len: usize, chunks: &[&[u8]], checksum_of: &[u8]) {
         tx.put(Frame::Header {
             total_len: total_len as u64,
-            seq: 0,
+            seq,
         })
         .unwrap();
         for c in chunks {
@@ -348,7 +421,10 @@ mod tests {
         tx.put(Frame::Chunk(Bytes::copy_from_slice(chunks[0])))
             .unwrap();
         let wait = Duration::from_millis(20);
-        assert_eq!(rx.recv_seq_timeout(wait).unwrap_err(), PipeError::Stalled);
+        assert_eq!(
+            rx.recv_seq_timeout(wait, |_| true).unwrap_err(),
+            PipeError::Stalled
+        );
         for c in &chunks[1..] {
             tx.put(Frame::Chunk(Bytes::copy_from_slice(c))).unwrap();
         }
@@ -359,16 +435,98 @@ mod tests {
         tx.send(Bytes::from_static(b"second")).unwrap();
         // The resumed volume keeps the sequence number its header carried;
         // the pipe delivers numbers as sent and never interprets them.
-        let (seq, data) = rx.recv_seq_timeout(wait).unwrap();
-        assert_eq!((seq, &data[..]), (41, &first[..]));
-        let (seq, data) = rx.recv_seq_timeout(wait).unwrap();
-        assert_eq!((seq, &data[..]), (0, &b"second"[..]));
+        let (seq, data) = rx.recv_seq_timeout(wait, |_| true).unwrap();
+        assert_eq!((seq, &data.unwrap()[..]), (41, &first[..]));
+        let (seq, data) = rx.recv_seq_timeout(wait, |_| true).unwrap();
+        assert_eq!((seq, &data.unwrap()[..]), (0, &b"second"[..]));
+    }
+
+    #[test]
+    fn a_held_volume_and_its_slices_never_change() {
+        let (tx, rx) = pipe(4, 64);
+        tx.send(Bytes::from_static(b"volume-k")).unwrap();
+        let k = rx.recv().unwrap();
+        let tail = k.slice(7..);
+        drop(k);
+        // Only a slice of volume k is held: its buffer is not reused.
+        tx.send(Bytes::from_static(b"volume-l")).unwrap();
+        let l = rx.recv().unwrap();
+        tx.send(Bytes::from_static(b"volume-m")).unwrap();
+        // The whole of volume l is held while m arrives.
+        let m = rx.recv().unwrap();
+        assert_eq!(&tail[..], b"k");
+        assert_eq!(&l[..], b"volume-l");
+        assert_eq!(&m[..], b"volume-m");
+        assert_ne!(l.as_ptr(), m.as_ptr());
+    }
+
+    #[test]
+    fn a_dropped_volume_lends_its_buffer_to_the_next() {
+        let (tx, rx) = pipe(4, 64);
+        tx.send(Bytes::from_static(b"first volume")).unwrap();
+        let first = rx.recv().unwrap();
+        let at = first.as_ptr();
+        drop(first);
+        tx.send(Bytes::from_static(b"second vol")).unwrap();
+        let second = rx.recv().unwrap();
+        assert_eq!((&second[..], second.as_ptr()), (&b"second vol"[..], at));
+    }
+
+    #[test]
+    fn a_volume_cut_off_by_the_watchdog_resumes_into_the_reused_buffer() {
+        let (tx, rx) = pipe(4, 64);
+        tx.send(Bytes::from_static(b"0123456789ab")).unwrap();
+        let at = rx.recv().unwrap().as_ptr();
+        let next = b"abcdefgh";
+        tx.put(Frame::Header {
+            total_len: 8,
+            seq: 2,
+        })
+        .unwrap();
+        tx.put(Frame::Chunk(Bytes::copy_from_slice(&next[..4])))
+            .unwrap();
+        let wait = Duration::from_millis(20);
+        assert_eq!(
+            rx.recv_seq_timeout(wait, |_| true).unwrap_err(),
+            PipeError::Stalled
+        );
+        tx.put(Frame::Chunk(Bytes::copy_from_slice(&next[4..])))
+            .unwrap();
+        tx.put(Frame::End {
+            checksum: checksum(next),
+        })
+        .unwrap();
+        let (seq, data) = rx.recv_seq_timeout(wait, |_| true).unwrap();
+        let data = data.unwrap();
+        assert_eq!((seq, &data[..], data.as_ptr()), (2, &next[..], at));
+    }
+
+    #[test]
+    fn a_volume_rejected_at_its_header_is_drained_unchecked() {
+        // The supervisor's case: six leftovers of superseded cycles are
+        // queued ahead of cycle 7's volume. Each leftover carries a wrong
+        // `End` checksum (and one a missing chunk), so assembling or
+        // checksumming any of them would fail the receive.
+        let (tx, rx) = pipe(4, 64);
+        for seq in 1..=6 {
+            push(&tx, seq, 8, &[b"abcd", b"efgh"], b"not these bytes");
+        }
+        push(&tx, 6, 8, &[b"abcd"], b"abcdefgh");
+        tx.send_seq(7, Bytes::from_static(b"cycle 7 volume")).unwrap();
+        let tracker = crate::SeqTracker::new();
+        let keep = |seq| seq >= 7 && matches!(tracker.peek(seq), crate::SeqClass::Fresh { .. });
+        let wait = Duration::from_millis(20);
+        for seq in [1, 2, 3, 4, 5, 6, 6] {
+            assert_eq!(rx.recv_seq_timeout(wait, keep).unwrap(), (seq, None));
+        }
+        let (seq, data) = rx.recv_seq_timeout(wait, keep).unwrap();
+        assert_eq!((seq, &data.unwrap()[..]), (7, &b"cycle 7 volume"[..]));
     }
 
     #[test]
     fn a_chunk_altered_in_flight_is_a_checksum_mismatch() {
         let (tx, rx) = pipe(4, 64);
-        push(&tx, 8, &[b"abcd", b"eXgh"], b"abcdefgh");
+        push(&tx, 0, 8, &[b"abcd", b"eXgh"], b"abcdefgh");
         assert_eq!(rx.recv().unwrap_err(), PipeError::ChecksumMismatch);
         // The next volume is unaffected.
         tx.send(Bytes::from_static(b"next")).unwrap();
@@ -378,7 +536,7 @@ mod tests {
     #[test]
     fn a_dropped_chunk_is_a_length_mismatch() {
         let (tx, rx) = pipe(4, 64);
-        push(&tx, 8, &[b"abcd"], b"abcdefgh");
+        push(&tx, 0, 8, &[b"abcd"], b"abcdefgh");
         assert_eq!(
             rx.recv().unwrap_err(),
             PipeError::LengthMismatch {

@@ -72,21 +72,25 @@ impl SeqTracker {
     /// other classes leave it untouched, so a replay of a gapped message
     /// is still a duplicate.
     pub fn classify(&mut self, seq: u64) -> SeqClass {
+        let class = self.peek(seq);
+        if let SeqClass::Fresh { .. } = class {
+            self.newest = Some(seq);
+        }
+        class
+    }
+
+    /// How [`classify`](Self::classify) would class `seq` now, without
+    /// recording it.
+    pub fn peek(&self, seq: u64) -> SeqClass {
         match self.newest {
             Some(newest) if seq == newest => SeqClass::Duplicate { seq },
             Some(newest) if seq < newest => SeqClass::OutOfOrder { seq, newest },
-            Some(newest) => {
-                self.newest = Some(seq);
-                SeqClass::Fresh {
-                    gap: seq - newest - 1,
-                }
-            }
-            None => {
-                self.newest = Some(seq);
-                // Joining mid-stream is not a gap: the first number seen
-                // defines the local origin.
-                SeqClass::Fresh { gap: 0 }
-            }
+            Some(newest) => SeqClass::Fresh {
+                gap: seq - newest - 1,
+            },
+            // Joining mid-stream is not a gap: the first number seen
+            // defines the local origin.
+            None => SeqClass::Fresh { gap: 0 },
         }
     }
 }
@@ -109,6 +113,8 @@ mod tests {
         // Mid-stream join defines the local origin: no gap reported.
         assert_eq!(t.classify(10), SeqClass::Fresh { gap: 0 });
         assert_eq!(t.classify(11), SeqClass::Fresh { gap: 0 });
+        assert_eq!(t.peek(15), SeqClass::Fresh { gap: 3 });
+        assert_eq!(t.newest(), Some(11), "a peek records nothing");
         assert_eq!(t.classify(15), SeqClass::Fresh { gap: 3 });
         assert_eq!(t.classify(15), SeqClass::Duplicate { seq: 15 });
         assert_eq!(

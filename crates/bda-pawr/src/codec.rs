@@ -228,31 +228,34 @@ pub fn seal(volume: &mut [u8]) {
 
 /// Encode a scan into its on-wire volume file.
 ///
-/// The header and the records are written straight into one buffer of the
-/// final size, and [`seal`] appends the checksum over both.
+/// The header and the records are appended to one buffer reserved at the
+/// final size, so each of their bytes is written once, and [`seal`] writes
+/// the checksum over both into the last 8 bytes.
 pub fn encode_volume<T: Real>(scan: &ScanResult<T>) -> Bytes {
     let body = HEADER_BYTES + scan.obs.len() * RECORD_BYTES;
-    let mut buf = vec![0u8; body + 8];
-    let (header, rest) = buf.split_at_mut(HEADER_BYTES);
-    header[..4].copy_from_slice(MAGIC);
-    header[4..6].copy_from_slice(&VERSION.to_be_bytes());
-    header[6..14].copy_from_slice(&scan.time.to_be_bytes());
-    header[14..].copy_from_slice(&(scan.obs.len() as u64).to_be_bytes());
-    for (rec, o) in rest
-        .as_chunks_mut::<RECORD_BYTES>()
-        .0
-        .iter_mut()
-        .zip(&scan.obs)
-    {
-        rec[0] = match o.kind {
-            ObsKind::Reflectivity => 0,
-            ObsKind::DopplerVelocity => 1,
-        };
-        let fields = [o.x, o.y, o.z, o.value.f64(), o.error_sd.f64()];
-        for (slot, v) in rec[1..].chunks_exact_mut(4).zip(fields) {
-            slot.copy_from_slice(&(v as f32).to_be_bytes());
+    let mut buf = Vec::with_capacity(body + 8);
+    buf.extend_from_slice(MAGIC);
+    buf.extend_from_slice(&VERSION.to_be_bytes());
+    buf.extend_from_slice(&scan.time.to_be_bytes());
+    buf.extend_from_slice(&(scan.obs.len() as u64).to_be_bytes());
+    // Records are written a block at a time into a stack buffer and
+    // appended with one copy per block.
+    let mut block = [[0u8; RECORD_BYTES]; 64];
+    for obs in scan.obs.chunks(block.len()) {
+        let recs = &mut block[..obs.len()];
+        for (rec, o) in recs.iter_mut().zip(obs) {
+            rec[0] = match o.kind {
+                ObsKind::Reflectivity => 0,
+                ObsKind::DopplerVelocity => 1,
+            };
+            let fields = [o.x, o.y, o.z, o.value.f64(), o.error_sd.f64()];
+            for (slot, v) in rec[1..].chunks_exact_mut(4).zip(fields) {
+                slot.copy_from_slice(&(v as f32).to_be_bytes());
+            }
         }
+        buf.extend_from_slice(recs.as_flattened());
     }
+    buf.extend_from_slice(&[0; 8]);
     seal(&mut buf);
     Bytes::from(buf)
 }

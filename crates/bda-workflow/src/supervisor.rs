@@ -786,6 +786,12 @@ impl CycleSupervisor {
     /// 4. this cycle's own volume is checked against the staleness horizon
     ///    and either fails as [`StageError::StaleScan`] or is accepted.
     ///
+    /// The pipe asks for a verdict at each volume's header, before any of
+    /// its body arrives. The answer is a [`SeqTracker::peek`], which
+    /// records nothing, so a volume that step 1 or 2 will drop is drained
+    /// without being assembled or checksummed, and is still classified
+    /// here, once, like any other arrival.
+    ///
     /// Drops and the watchdog windows that elapsed are recorded in
     /// `ingest`. Injected `TransferStall` faults consume the first watchdog
     /// windows deterministically: the receiver behaves exactly as if the
@@ -813,7 +819,9 @@ impl CycleSupervisor {
                 std::thread::sleep(STALL_TIMEOUT);
                 Err(PipeError::Stalled)
             } else {
-                vol_rx.recv_seq_timeout(STALL_TIMEOUT)
+                vol_rx.recv_seq_timeout(STALL_TIMEOUT, |seq| {
+                    seq >= cycle && matches!(tracker.peek(seq), SeqClass::Fresh { .. })
+                })
             };
             let (seq, volume) = match arrival {
                 Ok(arrival) => arrival,
@@ -855,7 +863,12 @@ impl CycleSupervisor {
                             horizon_s: STALE_HORIZON_S,
                         });
                     }
-                    return Ok(volume);
+                    // Always `Some`: the header verdict kept it, and no
+                    // classification runs between a volume's header and
+                    // its end.
+                    return volume.ok_or_else(|| {
+                        StageError::Pipe(format!("volume seq {seq} drained at its header"))
+                    });
                 }
             };
             ingest.drops.push(drop);
