@@ -197,9 +197,10 @@ struct FileScope {
     /// silently as a truncated index corrupts a weight), and the backoff
     /// helper whose jitter math crosses float/integer nanoseconds.
     kernel: bool,
-    /// The deterministic science crates. Telemetry belongs to the shell
-    /// crates around them, so here the `allow(wallclock)` marker is itself
-    /// a finding and suppresses nothing.
+    /// The deterministic science crates, and the live cycle's policy.
+    /// Telemetry belongs to the shell code around them, so here the
+    /// `allow(wallclock)` marker is itself a finding and suppresses
+    /// nothing.
     clockless: bool,
     /// `vendor/rayon/src`, where the pool-facade rule applies.
     rayon_src: bool,
@@ -253,6 +254,9 @@ fn classify(rel: &str) -> FileScope {
             "crates/bda-letkf/src/",
             "crates/bda-pawr/src/",
             "crates/bda-verify/src/",
+            // The live cycle's decisions: `now` is an argument, so a
+            // simulated campaign and a test script run the same policy.
+            "crates/bda-workflow/src/policy.rs",
         ]
         .iter()
         .any(|p| rel.starts_with(p)),
@@ -471,8 +475,9 @@ fn analyze_one(rel: &str, src: &str) -> FileAnalysis {
                 file: rel.to_string(),
                 line: idx + 1,
                 rule: RULE_WALLCLOCK,
-                message: "`allow(wallclock)` in a deterministic science crate: kernels read no \
-                          clock — time the call from the shell crate that makes it"
+                message: "`allow(wallclock)` in clockless code (a science crate or the cycle \
+                          policy): it reads no clock — time the call from the shell code that \
+                          makes it, and pass the reading in"
                     .to_string(),
                 snippet: raw_lines.get(idx).map_or("", |r| r.trim()).to_string(),
             });

@@ -84,6 +84,16 @@ fn wallclock_rule_hits_and_telemetry_allow() {
         lines_for("crates/bda-scale/src/fixture.rs", src, "wallclock"),
         vec![4, 8, 12, 12]
     );
+    // The cycle policy is clockless too, while the supervisor that runs it
+    // keeps its telemetry marker.
+    assert_eq!(
+        lines_for("crates/bda-workflow/src/policy.rs", src, "wallclock"),
+        vec![4, 8, 12, 12]
+    );
+    assert_eq!(
+        lines_for("crates/bda-workflow/src/supervisor.rs", src, "wallclock"),
+        vec![4, 8]
+    );
 }
 
 #[test]

@@ -236,10 +236,7 @@ impl PipeReceiver {
     }
 
     /// Take volumes until one is kept; keeping every volume, the next one.
-    fn first_kept(
-        &self,
-        next: impl Fn() -> Result<Frame, PipeError>,
-    ) -> Result<Bytes, PipeError> {
+    fn first_kept(&self, next: impl Fn() -> Result<Frame, PipeError>) -> Result<Bytes, PipeError> {
         loop {
             if let (_, Some(volume)) = self.assemble(&next, |_| true)? {
                 return Ok(volume);
@@ -512,7 +509,8 @@ mod tests {
             push(&tx, seq, 8, &[b"abcd", b"efgh"], b"not these bytes");
         }
         push(&tx, 6, 8, &[b"abcd"], b"abcdefgh");
-        tx.send_seq(7, Bytes::from_static(b"cycle 7 volume")).unwrap();
+        tx.send_seq(7, Bytes::from_static(b"cycle 7 volume"))
+            .unwrap();
         let tracker = crate::SeqTracker::new();
         let keep = |seq| seq >= 7 && matches!(tracker.peek(seq), crate::SeqClass::Fresh { .. });
         let wait = Duration::from_millis(20);

@@ -45,7 +45,11 @@ static GLOBAL: Counting = Counting;
 
 #[test]
 fn received_and_dropped_volumes_reuse_one_buffer() {
-    let volume = Bytes::from((0..2u32 << 20).map(|i| (i % 251) as u8).collect::<Vec<u8>>());
+    let volume = Bytes::from(
+        (0..2u32 << 20)
+            .map(|i| (i % 251) as u8)
+            .collect::<Vec<u8>>(),
+    );
     // 64-KiB chunks, 64 in flight: a 2-MiB volume fits in the pipe, so
     // one thread can send it and then receive it.
     let (tx, rx) = pipe(64 * 1024, 64);
@@ -59,5 +63,8 @@ fn received_and_dropped_volumes_reuse_one_buffer() {
         assert_eq!(got, volume);
     }
     let fresh = LARGE_BLOCKS.load(Ordering::Relaxed) - before;
-    assert_eq!(fresh, 0, "{fresh} blocks of 1 MiB or more for 8 received volumes");
+    assert_eq!(
+        fresh, 0,
+        "{fresh} blocks of 1 MiB or more for 8 received volumes"
+    );
 }

@@ -10,7 +10,9 @@
 //!   hardened for unattended operation: panic isolation, transfer stall
 //!   watchdogs with retry, per-stage deadlines, newest-scan-wins
 //!   supersession, and a graceful-degradation ladder — exercised by the
-//!   deterministic fault-injection plans of [`fault`].
+//!   deterministic fault-injection plans of [`fault`]. Every one of those
+//!   decisions is made by the clockless state machine in [`policy`]; the
+//!   threads only move bytes and report events.
 //! * **Campaign performance model** ([`campaign`], [`perfmodel`]) — a
 //!   discrete-event simulation of the month-long Fugaku deployment at full
 //!   scale: node allocation (2002 outer + 8008 part <1> + 880 part <2> of
@@ -35,6 +37,7 @@ pub mod fault;
 pub mod nodes;
 pub mod outage;
 pub mod perfmodel;
+pub mod policy;
 pub mod raintrace;
 pub mod shard_supervisor;
 pub mod supervisor;

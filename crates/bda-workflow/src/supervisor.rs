@@ -28,13 +28,12 @@
 //!   pipe's [`recv_seq_timeout`](PipeReceiver::recv_seq_timeout) watchdog
 //!   and retries with bounded exponential backoff, mirroring the paper's
 //!   transfer-daemon auto-restart;
-//! * **newest-scan-wins** — every volume travels under its cycle index,
-//!   and the assimilation thread classifies each arrival once, with one
-//!   [`SeqTracker`]: replays and leftovers of earlier cycles are dropped,
-//!   and only a cycle's own volume is checked against the staleness
-//!   horizon. When the assimilation falls behind, queued stale scans are
-//!   superseded by the latest one (a 30-second-old analysis is worth more
-//!   than a 90-second-old one delivered late);
+//! * **newest-scan-wins** — every volume travels under its cycle index and
+//!   each arrival is classified once: replays and leftovers of earlier
+//!   cycles are dropped, and only a cycle's own volume is checked against
+//!   the staleness horizon. When the assimilation falls behind, queued
+//!   stale scans are superseded by the latest one (a 30-second-old
+//!   analysis is worth more than a 90-second-old one delivered late);
 //! * **assimilation deadline** — an analysis that blows its deadline is
 //!   discarded and the cycle recorded as skipped rather than delaying
 //!   every cycle after it;
@@ -44,6 +43,17 @@
 //! * **end-to-end payload checksum** — volumes are checksummed at scan
 //!   time and verified before assimilation, catching corruption the pipe's
 //!   own per-hop checksum (its `End` frame) cannot see.
+//!
+//! **Who decides and who acts.** Every decision in that list is made by
+//! one [`CyclePolicy`], a clockless state machine. This module is its
+//! runtime: the three threads, the pipe and its watchdog window, the stage
+//! closures under `catch_unwind`, the `Instant` readings and the sleeps.
+//! The runtime turns what happens into policy events stamped with those
+//! readings, carries out the actions it gets back, and decides nothing. It
+//! also injects the [`FaultPlan`]'s faults, which simulate the world the
+//! pipeline runs in: dropped, replayed, corrupted and back-dated scans,
+//! stage panics, and silent watchdog windows. The three threads share the
+//! policy behind one lock, held for one decision at a time.
 //!
 //! The transport geometry, the watchdog budget and the campaign clock are
 //! the constants below ([`PIPE_CHUNK_BYTES`] … [`STALE_HORIZON_S`]): the
@@ -55,13 +65,13 @@
 //! aggregates them into the availability statistic that corresponds to the
 //! gray outage shading of the paper's Fig. 5.
 
-use crate::backoff::Backoff;
 use crate::fault::{Fault, FaultPlan, Stage};
+use crate::policy::{Action, CyclePolicy, Event};
 use bda_jitdt::pipe::{checksum, pipe, PipeError, PipeReceiver};
-use bda_jitdt::{DeliveryDrop, SeqClass, SeqTracker};
+use bda_jitdt::DeliveryDrop;
 use bytes::Bytes;
 use crossbeam::channel::bounded;
-use std::cmp::Ordering;
+use parking_lot::Mutex;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
@@ -269,21 +279,6 @@ pub struct CycleReport {
     pub egress: Option<String>,
 }
 
-impl CycleReport {
-    /// A cycle that never reached the forecast stage: no timing, no
-    /// egress note, and (until the caller says otherwise) a quiet ingest.
-    fn new(cycle: usize, disposition: CycleDisposition) -> Self {
-        Self {
-            cycle,
-            disposition,
-            timing: None,
-            transfer_retries: 0,
-            drops: Vec::new(),
-            egress: None,
-        }
-    }
-}
-
 /// Aggregated outcome of a supervised run.
 #[derive(Clone, Debug, Default)]
 pub struct SupervisorReport {
@@ -424,18 +419,6 @@ pub struct CycleSupervisor {
     pub faults: FaultPlan,
 }
 
-/// Scan-side metadata for one cycle. `checksum` is `Err` when no volume was
-/// sent through the pipe (dropped scan or scan-stage failure).
-struct ScanMeta {
-    cycle: usize,
-    t_obs: Instant,
-    scan_s: f64,
-    /// Scan completion time on the campaign clock, seconds (back-dated by a
-    /// `StaleScan` fault).
-    scan_time: f64,
-    checksum: Result<u64, StageError>,
-}
-
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
@@ -444,22 +427,6 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     } else {
         "non-string panic payload".to_string()
     }
-}
-
-/// How far one cycle's ingest got on the assimilation thread.
-#[derive(Default)]
-struct Ingest {
-    retries: usize,
-    drops: Vec<DeliveryDrop>,
-    transfer_s: f64,
-    assim_s: f64,
-}
-
-/// What the assimilation thread hands the forecast thread per cycle.
-struct AssimOutcome<P> {
-    meta: ScanMeta,
-    ingest: Ingest,
-    result: Result<P, StageError>,
 }
 
 impl CycleSupervisor {
@@ -516,38 +483,44 @@ impl CycleSupervisor {
         E: FnMut(usize, &CycleDisposition) -> Option<String> + Send,
     {
         let (vol_tx, vol_rx) = pipe(PIPE_CHUNK_BYTES, PIPE_CAPACITY);
-        let (meta_tx, meta_rx) = bounded::<ScanMeta>(PIPE_CAPACITY);
-        let (ana_tx, ana_rx) = bounded::<AssimOutcome<P>>(PIPE_CAPACITY);
-        let (out_tx, out_rx) = bounded::<CycleReport>(n_cycles.max(1));
-        let out_tx_assim = out_tx.clone();
+        let (sealed_tx, sealed_rx) = bounded::<()>(PIPE_CAPACITY);
+        let (ana_tx, ana_rx) = bounded::<(usize, Option<P>)>(PIPE_CAPACITY);
+        let policy = Mutex::new(CyclePolicy::new(
+            self.assimilation_deadline,
+            self.supersede_stale,
+        ));
+        let epoch = Instant::now(); // bda-check: allow(wallclock) — wall-time telemetry column
+        let now = || epoch.elapsed().as_secs_f64();
+        // One decision per lock: never held across a stage, a receive or
+        // a sleep.
+        let decide = &|event| policy.lock().on(event, now());
         let plan = &self.faults;
 
         std::thread::scope(|s| {
             // Radar thread: scan (panic-isolated), checksum at T_obs, then
-            // apply scheduled payload corruption *after* the checksum — the
-            // supervised receiver must catch it. Volumes are sent under the
-            // cycle index; the campaign-clock scan time travels in the
-            // metadata. Dup/stale faults replay the send or back-date it.
+            // inject the plan's faults into the world the volume travels
+            // through: a dropped scan, a back-dated scan time, a payload
+            // corrupted after its checksum, a replayed send.
             s.spawn(move || {
                 for cycle in 0..n_cycles {
-                    let (scanned, scan_s) = if plan.has(cycle, Fault::DropScan) {
-                        (Err(StageError::ScanDropped), 0.0)
+                    let started = now();
+                    let scanned = if plan.has(cycle, Fault::DropScan) {
+                        Err(StageError::ScanDropped)
                     } else {
                         self.run_stage(Stage::Scan, cycle, || scan(cycle))
                     };
                     let mut scan_time = cycle as f64 * SCAN_INTERVAL_S;
                     if plan.has(cycle, Fault::StaleScan) {
-                        // Back-date far past the horizon.
                         scan_time -= STALE_HORIZON_S + 10.0 * SCAN_INTERVAL_S;
                     }
-                    let meta = ScanMeta {
+                    let checksum = scanned.as_deref().map(checksum).map_err(Clone::clone);
+                    decide(Event::Scanned {
                         cycle,
-                        t_obs: Instant::now(), // bda-check: allow(wallclock) — wall-time telemetry column
-                        scan_s,
+                        started,
                         scan_time,
-                        checksum: scanned.as_deref().map(checksum).map_err(Clone::clone),
-                    };
-                    if meta_tx.send(meta).is_err() {
+                        checksum,
+                    });
+                    if sealed_tx.send(()).is_err() {
                         return;
                     }
                     let Ok(volume) = scanned else { continue };
@@ -567,318 +540,131 @@ impl CycleSupervisor {
                 }
             });
 
-            // Assimilation thread: newest-scan-wins, one sequence tracker
-            // for every arrival, watchdog + retry on the transfer, checksum
-            // verification, panic-isolated assimilation under a deadline.
+            // Assimilation thread: one ingest per sealed scan.
             s.spawn(move || {
-                let mut tracker = SeqTracker::new();
-                while let Ok(first) = meta_rx.recv() {
-                    let mut meta = first;
-                    if self.supersede_stale {
-                        let mut superseded = Vec::new();
-                        while let Ok(newer) = meta_rx.try_recv() {
-                            superseded.push(std::mem::replace(&mut meta, newer));
+                while sealed_rx.recv().is_ok() {
+                    if let Some(handed) = self.ingest(decide, &vol_rx, &mut assimilate) {
+                        if ana_tx.send(handed).is_err() {
+                            return;
                         }
-                        let by = meta.cycle;
-                        for old in superseded {
-                            let cause = SkipCause::Superseded { by };
-                            let _ = out_tx_assim.send(CycleReport::new(
-                                old.cycle,
-                                CycleDisposition::Skipped { cause },
-                            ));
-                        }
-                    }
-                    let mut ingest = Ingest::default();
-                    let result = self.ingest_and_assimilate(
-                        &meta,
-                        &vol_rx,
-                        &mut tracker,
-                        &mut assimilate,
-                        &mut ingest,
-                    );
-                    let late = self
-                        .assimilation_deadline
-                        .map(|d| d.as_secs_f64())
-                        .filter(|&deadline_s| result.is_ok() && ingest.assim_s > deadline_s);
-                    if let Some(deadline_s) = late {
-                        // Late analysis: discard the product rather than
-                        // delay every later cycle.
-                        let cause = SkipCause::Deadline(StageError::DeadlineExceeded {
-                            stage: Stage::Assimilation,
-                            elapsed_s: ingest.assim_s,
-                            deadline_s,
-                        });
-                        let _ = out_tx_assim.send(CycleReport {
-                            transfer_retries: ingest.retries,
-                            drops: ingest.drops,
-                            ..CycleReport::new(meta.cycle, CycleDisposition::Skipped { cause })
-                        });
-                        continue;
-                    }
-                    let outcome = AssimOutcome {
-                        meta,
-                        ingest,
-                        result,
-                    };
-                    if ana_tx.send(outcome).is_err() {
-                        return;
                     }
                 }
             });
 
-            // Forecast thread: degradation ladder, panic-isolated forecast,
-            // final disposition.
+            // Forecast thread: the rung the policy names, panic-isolated
+            // forecast, then egress under `catch_unwind`.
             s.spawn(move || {
                 let mut last_good: Option<P> = None;
-                while let Ok(AssimOutcome {
-                    meta,
-                    ingest,
-                    result,
-                }) = ana_rx.recv()
-                {
-                    let cycle = meta.cycle;
-                    let (fresh, degradation) = match result {
-                        Ok(product) => (Some(product), None),
-                        Err(cause) => {
-                            // Ladder: an assimilation-side failure means
-                            // observations arrived but no analysis was
-                            // computed — continue from the previous one if
-                            // it exists. Anything earlier (no scan, lost or
-                            // corrupt volume) means no usable observations:
-                            // persistence.
-                            let assimilation_side = matches!(
-                                &cause,
-                                StageError::Panicked {
-                                    stage: Stage::Assimilation,
-                                    ..
-                                } | StageError::Failed {
-                                    stage: Stage::Assimilation,
-                                    ..
-                                }
-                            );
-                            let mode = if assimilation_side && last_good.is_some() {
-                                DegradedMode::PreviousAnalysis
-                            } else {
-                                DegradedMode::Persistence
-                            };
-                            (None, Some((mode, cause)))
+                while let Ok((cycle, fresh)) = ana_rx.recv() {
+                    let input = match decide(Event::Forecasting { cycle }) {
+                        Action::Forecast(None) => fresh.as_ref().map(ForecastInput::Analysis),
+                        Action::Forecast(Some(DegradedMode::PreviousAnalysis)) => {
+                            last_good.as_ref().map(ForecastInput::PreviousAnalysis)
                         }
+                        _ => None,
                     };
-                    let input = match (&fresh, &degradation) {
-                        (Some(p), _) => ForecastInput::Analysis(p),
-                        (None, Some((DegradedMode::PreviousAnalysis, _))) => {
-                            match last_good.as_ref() {
-                                Some(prev) => ForecastInput::PreviousAnalysis(prev),
-                                None => ForecastInput::Persistence,
-                            }
-                        }
-                        _ => ForecastInput::Persistence,
-                    };
-                    let (forecasted, forecast_s) =
-                        self.run_stage(Stage::Forecast, cycle, || forecast(cycle, input));
-                    let timing = CycleTiming {
-                        cycle,
-                        scan_s: meta.scan_s,
-                        transfer_s: ingest.transfer_s,
-                        assimilation_s: ingest.assim_s,
-                        forecast_s,
-                        time_to_solution_s: meta.t_obs.elapsed().as_secs_f64(),
-                    };
-                    let disposition = match (forecasted, degradation) {
-                        (Err(cause), _) => CycleDisposition::Failed { cause },
-                        (Ok(()), None) => CycleDisposition::Completed,
-                        (Ok(()), Some((mode, cause))) => CycleDisposition::Degraded { mode, cause },
-                    };
-                    // A fresh analysis is valid even if this forecast run
-                    // failed — keep it for the next cycle's ladder.
-                    if let Some(p) = fresh {
-                        last_good = Some(p);
+                    let input = input.unwrap_or(ForecastInput::Persistence);
+                    let result = self.run_stage(Stage::Forecast, cycle, || forecast(cycle, input));
+                    let published = decide(Event::Forecasted { cycle, result });
+                    // A fresh analysis stays valid even if its forecast failed.
+                    last_good = fresh.or(last_good);
+                    if let Action::Publish(disposition) = published {
+                        let note = catch_unwind(AssertUnwindSafe(|| egress(cycle, &disposition)))
+                            .unwrap_or_else(|p| {
+                                Some(format!("egress panicked: {}", panic_message(p)))
+                            });
+                        decide(Event::Published { cycle, note });
                     }
-                    // Egress runs after the disposition is final: a stalled
-                    // or panicking publisher is a recorded note, never a
-                    // changed outcome.
-                    let egress_note =
-                        match catch_unwind(AssertUnwindSafe(|| egress(cycle, &disposition))) {
-                            Ok(note) => note,
-                            Err(p) => Some(format!("egress panicked: {}", panic_message(p))),
-                        };
-                    let _ = out_tx.send(CycleReport {
-                        timing: Some(timing),
-                        transfer_retries: ingest.retries,
-                        drops: ingest.drops,
-                        egress: egress_note,
-                        ..CycleReport::new(cycle, disposition)
-                    });
                 }
             });
         });
 
-        let mut cycles: Vec<CycleReport> = out_rx.try_iter().collect();
-        cycles.sort_by_key(|c| c.cycle);
-        SupervisorReport { cycles }
+        policy.into_inner().report()
     }
 
     /// Run one stage closure panic-isolated, with the plan's scheduled
     /// panic for (`stage`, `cycle`) injected inside the isolation, and map
-    /// what happened onto the typed [`StageError`]s. Returns the stage's
-    /// wall time alongside.
+    /// what happened onto the typed [`StageError`]s.
     fn run_stage<R>(
         &self,
         stage: Stage,
         cycle: usize,
         f: impl FnOnce() -> Result<R, String>,
-    ) -> (Result<R, StageError>, f64) {
+    ) -> Result<R, StageError> {
         let inject_panic = self.faults.has(cycle, Fault::StagePanic(stage));
-        let t0 = Instant::now(); // bda-check: allow(wallclock) — wall-time telemetry column
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             if inject_panic {
                 panic!("injected {stage} panic (cycle {cycle})");
             }
             f()
         }));
-        let elapsed_s = t0.elapsed().as_secs_f64();
-        let result = match outcome {
-            Err(p) => Err(StageError::Panicked {
-                stage,
-                message: panic_message(p),
-            }),
-            Ok(Err(message)) => Err(StageError::Failed { stage, message }),
-            Ok(Ok(value)) => Ok(value),
+        let message = match outcome {
+            Ok(result) => return result.map_err(|message| StageError::Failed { stage, message }),
+            Err(p) => panic_message(p),
         };
-        (result, elapsed_s)
+        Err(StageError::Panicked { stage, message })
     }
 
-    /// One cycle on the assimilation thread: wait for the volume, verify
-    /// it against the scan-time checksum, assimilate it. `ingest` records
-    /// how far the cycle got, whatever the result.
-    fn ingest_and_assimilate<P>(
+    /// One sealed scan through the pipe and the assimilation stage, as the
+    /// policy directs: what to hand the forecast thread, if anything. A
+    /// scheduled `TransferStall` stands in for the first watchdog windows
+    /// of the cycle's receive, so it elapses the same way whatever the
+    /// thread scheduling.
+    fn ingest<P>(
         &self,
-        meta: &ScanMeta,
+        decide: &impl Fn(Event) -> Action,
         vol_rx: &PipeReceiver,
-        tracker: &mut SeqTracker,
         assimilate: &mut impl FnMut(usize, Bytes) -> Result<P, String>,
-        ingest: &mut Ingest,
-    ) -> Result<P, StageError> {
-        let expected = meta.checksum.clone()?;
-        let received = self.receive_volume(vol_rx, tracker, meta, ingest);
-        ingest.transfer_s = meta.t_obs.elapsed().as_secs_f64();
-        let volume = received?;
-        let got = checksum(&volume);
-        if got != expected {
-            return Err(StageError::CorruptVolume { expected, got });
-        }
-        let (result, assim_s) = self.run_stage(Stage::Assimilation, meta.cycle, || {
-            assimilate(meta.cycle, volume)
-        });
-        ingest.assim_s = assim_s;
-        result
-    }
-
-    /// Wait for `meta.cycle`'s volume under the stall watchdog, retrying
-    /// with bounded exponential backoff, and classify every arrival once:
-    ///
-    /// 1. a replay (`Duplicate`) or a straggler behind the newest volume
-    ///    seen (`OutOfOrder`) is dropped;
-    /// 2. a fresh volume from an earlier cycle (a leftover from an
-    ///    abandoned or superseded cycle) is dropped as out of order behind
-    ///    this cycle — newest-scan-wins, whatever its age;
-    /// 3. a volume from a later cycle is a [`StageError::Pipe`];
-    /// 4. this cycle's own volume is checked against the staleness horizon
-    ///    and either fails as [`StageError::StaleScan`] or is accepted.
-    ///
-    /// The pipe asks for a verdict at each volume's header, before any of
-    /// its body arrives. The answer is a [`SeqTracker::peek`], which
-    /// records nothing, so a volume that step 1 or 2 will drop is drained
-    /// without being assembled or checksummed, and is still classified
-    /// here, once, like any other arrival.
-    ///
-    /// Drops and the watchdog windows that elapsed are recorded in
-    /// `ingest`. Injected `TransferStall` faults consume the first watchdog
-    /// windows deterministically: the receiver behaves exactly as if the
-    /// stream had been silent for that many windows, regardless of thread
-    /// scheduling.
-    fn receive_volume(
-        &self,
-        vol_rx: &PipeReceiver,
-        tracker: &mut SeqTracker,
-        meta: &ScanMeta,
-        ingest: &mut Ingest,
-    ) -> Result<Bytes, StageError> {
-        let cycle = meta.cycle as u64;
-        let mut injected_left = self
-            .faults
-            .args(meta.cycle, Fault::TransferStall)
-            .next()
-            .unwrap_or(0);
-        // Shared retry policy (unjittered so the watchdog's historical
-        // delay schedule — base * 2^min(n-1, 4) — is preserved exactly).
-        let mut backoff = Backoff::new(BACKOFF_BASE, BACKOFF_BASE * 16);
+    ) -> Option<(usize, Option<P>)> {
+        let (mut silenced, mut volume, mut product) = (0, None, None);
+        let mut action = decide(Event::Ready);
         loop {
-            let arrival = if injected_left > 0 {
-                injected_left -= 1;
-                std::thread::sleep(STALL_TIMEOUT);
-                Err(PipeError::Stalled)
-            } else {
-                vol_rx.recv_seq_timeout(STALL_TIMEOUT, |seq| {
-                    seq >= cycle && matches!(tracker.peek(seq), SeqClass::Fresh { .. })
-                })
+            action = match action {
+                Action::Receive { cycle, after } => {
+                    std::thread::sleep(after);
+                    let silent = self.faults.args(cycle, Fault::TransferStall).next();
+                    let event = if silenced < silent.unwrap_or(0) {
+                        silenced += 1;
+                        std::thread::sleep(STALL_TIMEOUT);
+                        Event::Stalled
+                    } else {
+                        let keep = |seq| decide(Event::Header { seq }) == Action::Keep(true);
+                        match vol_rx.recv_seq_timeout(STALL_TIMEOUT, keep) {
+                            Ok((seq, bytes)) => {
+                                let checksum = bytes.as_deref().map(checksum);
+                                volume = bytes;
+                                Event::Volume { seq, checksum }
+                            }
+                            Err(PipeError::Stalled) => Event::Stalled,
+                            Err(e) => Event::TransferFailed(e.into()),
+                        }
+                    };
+                    decide(event)
+                }
+                Action::Assimilate { cycle } => {
+                    let bytes = volume.take().unwrap_or_default();
+                    let result =
+                        self.run_stage(Stage::Assimilation, cycle, || assimilate(cycle, bytes));
+                    let event =
+                        Event::Assimilated(result.as_ref().map(|_| ()).map_err(Clone::clone));
+                    product = result.ok();
+                    decide(event)
+                }
+                Action::Hand { cycle } => return Some((cycle, product)),
+                _ => return None,
             };
-            let (seq, volume) = match arrival {
-                Ok(arrival) => arrival,
-                Err(PipeError::Stalled) => {
-                    // A watchdog window elapsed in silence.
-                    ingest.retries += 1;
-                    if ingest.retries > MAX_RESTARTS {
-                        return Err(StageError::TransferTimeout {
-                            attempts: ingest.retries,
-                        });
-                    }
-                    if let Some(delay) = backoff.next_delay() {
-                        std::thread::sleep(delay);
-                    }
-                    continue;
-                }
-                Err(e) => return Err(e.into()),
-            };
-            let drop = match (tracker.classify(seq), seq.cmp(&cycle)) {
-                (SeqClass::Duplicate { seq }, _) => DeliveryDrop::Duplicate { seq },
-                (SeqClass::OutOfOrder { seq, newest }, _) => {
-                    DeliveryDrop::OutOfOrder { seq, newest }
-                }
-                (SeqClass::Fresh { .. }, Ordering::Less) => {
-                    DeliveryDrop::OutOfOrder { seq, newest: cycle }
-                }
-                (SeqClass::Fresh { .. }, Ordering::Greater) => {
-                    return Err(StageError::Pipe(format!(
-                        "volume seq {seq} ahead of expected cycle {cycle}"
-                    )));
-                }
-                (SeqClass::Fresh { .. }, Ordering::Equal) => {
-                    // The receiver's campaign clock: cycle C runs at
-                    // C * interval.
-                    let age_s = meta.cycle as f64 * SCAN_INTERVAL_S - meta.scan_time;
-                    if age_s > STALE_HORIZON_S {
-                        return Err(StageError::StaleScan {
-                            age_s,
-                            horizon_s: STALE_HORIZON_S,
-                        });
-                    }
-                    // Always `Some`: the header verdict kept it, and no
-                    // classification runs between a volume's header and
-                    // its end.
-                    return volume.ok_or_else(|| {
-                        StageError::Pipe(format!("volume seq {seq} drained at its header"))
-                    });
-                }
-            };
-            ingest.drops.push(drop);
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    //! The runtime, threaded: one test per thing the threads, the pipe and
+    //! the stage isolation must do. Every decision is scripted against the
+    //! policy in `policy.rs`.
+
     use super::*;
+    use crate::policy::tests::{clean, degraded, ingest, play};
 
     fn counting_stages(
         n: usize,
@@ -918,516 +704,13 @@ mod tests {
         assert!(log.iter().all(|(_, k)| *k == "fresh"));
         for (i, c) in report.cycles.iter().enumerate() {
             assert_eq!(c.cycle, i);
-            assert!(c.timing.is_some());
+            let t = c.timing.unwrap();
+            assert!(t.time_to_solution_s >= t.assimilation_s + t.forecast_s);
             assert_eq!(c.transfer_retries, 0);
         }
-    }
-
-    #[test]
-    fn empty_run_reports_nothing() {
-        let sup = CycleSupervisor::default();
-        let (report, _) = counting_stages(0, &sup);
-        assert!(report.cycles.is_empty());
-        assert_eq!(report.availability(), 1.0);
-    }
-
-    #[test]
-    fn assimilation_panic_degrades_to_previous_analysis() {
-        let sup = CycleSupervisor {
-            faults: FaultPlan::none().with(2, Fault::StagePanic(Stage::Assimilation), &[]),
-            ..CycleSupervisor::default()
-        };
-        let (report, log) = counting_stages(5, &sup);
-        assert_eq!(report.cycles.len(), 5);
-        assert_eq!(report.completed(), 4);
-        assert_eq!(report.degraded(), 1);
-        match &report.cycles[2].disposition {
-            CycleDisposition::Degraded { mode, cause } => {
-                assert_eq!(*mode, DegradedMode::PreviousAnalysis);
-                assert!(matches!(
-                    cause,
-                    StageError::Panicked {
-                        stage: Stage::Assimilation,
-                        ..
-                    }
-                ));
-            }
-            other => panic!("expected degraded, got {other:?}"),
-        }
-        assert_eq!(log[2], (2, "previous"));
-        // Neighbours unaffected.
-        assert_eq!(log[1], (1, "fresh"));
-        assert_eq!(log[3], (3, "fresh"));
-    }
-
-    #[test]
-    fn first_cycle_assimilation_panic_falls_to_persistence() {
-        // No previous analysis exists yet, so the ladder bottoms out.
-        let sup = CycleSupervisor {
-            faults: FaultPlan::none().with(0, Fault::StagePanic(Stage::Assimilation), &[]),
-            ..CycleSupervisor::default()
-        };
-        let (report, log) = counting_stages(3, &sup);
-        match &report.cycles[0].disposition {
-            CycleDisposition::Degraded { mode, .. } => {
-                assert_eq!(*mode, DegradedMode::Persistence)
-            }
-            other => panic!("expected degraded, got {other:?}"),
-        }
-        assert_eq!(log[0], (0, "persistence"));
-    }
-
-    #[test]
-    fn dropped_scan_forecasts_from_persistence() {
-        let sup = CycleSupervisor {
-            faults: FaultPlan::none().with(1, Fault::DropScan, &[]),
-            ..CycleSupervisor::default()
-        };
-        let (report, log) = counting_stages(3, &sup);
-        match &report.cycles[1].disposition {
-            CycleDisposition::Degraded { mode, cause } => {
-                assert_eq!(*mode, DegradedMode::Persistence);
-                assert_eq!(*cause, StageError::ScanDropped);
-            }
-            other => panic!("expected degraded, got {other:?}"),
-        }
-        assert_eq!(log[1], (1, "persistence"));
-        assert_eq!(report.availability(), 1.0);
-    }
-
-    #[test]
-    fn corrupt_volume_rejected_by_checksum() {
-        let sup = CycleSupervisor {
-            faults: FaultPlan::none().with(2, Fault::CorruptVolume, &[]),
-            ..CycleSupervisor::default()
-        };
-        let (report, log) = counting_stages(4, &sup);
-        match &report.cycles[2].disposition {
-            CycleDisposition::Degraded { mode, cause } => {
-                assert_eq!(*mode, DegradedMode::Persistence);
-                assert!(matches!(cause, StageError::CorruptVolume { .. }));
-            }
-            other => panic!("expected degraded, got {other:?}"),
-        }
-        assert_eq!(log[2], (2, "persistence"));
-    }
-
-    #[test]
-    fn duplicate_volume_dropped_and_reported() {
-        let sup = CycleSupervisor {
-            faults: FaultPlan::none().with(1, Fault::DuplicateVolume, &[]),
-            ..CycleSupervisor::default()
-        };
-        let (report, log) = counting_stages(4, &sup);
-        // Every cycle still completes: the replayed copy is dropped, not
-        // assimilated twice.
-        assert_eq!(report.completed(), 4);
-        assert!(log.iter().all(|(_, k)| *k == "fresh"));
-        // The duplicate surfaces while waiting for the *next* cycle's
-        // volume, as a typed drop on that cycle's report.
-        let drops: Vec<_> = report.cycles.iter().flat_map(|c| &c.drops).collect();
-        assert_eq!(drops, vec![&DeliveryDrop::Duplicate { seq: 1 }]);
-        assert!(report.cycles[2]
-            .drops
-            .contains(&DeliveryDrop::Duplicate { seq: 1 }));
-        assert!(
-            report.table().contains("dropped duplicate seq 1"),
-            "table:\n{}",
-            report.table()
-        );
-    }
-
-    #[test]
-    fn stale_scan_rejected_with_typed_outcome() {
-        let sup = CycleSupervisor {
-            faults: FaultPlan::none().with(2, Fault::StaleScan, &[]),
-            ..CycleSupervisor::default()
-        };
-        let (report, log) = counting_stages(4, &sup);
-        match &report.cycles[2].disposition {
-            CycleDisposition::Degraded {
-                mode: DegradedMode::Persistence,
-                cause: StageError::StaleScan { age_s, horizon_s },
-            } => {
-                assert_eq!(*horizon_s, 90.0);
-                assert!(age_s > horizon_s);
-            }
-            other => panic!("stale scan should degrade to persistence, got {other:?}"),
-        }
-        assert_eq!(log[2], (2, "persistence"));
-        // Neighbours are untouched and availability holds.
-        assert!(matches!(
-            report.cycles[3].disposition,
-            CycleDisposition::Completed
-        ));
-        assert!(report.table().contains("stale scan"));
-    }
-
-    #[test]
-    fn stalled_transfer_retries_and_completes() {
-        let sup = CycleSupervisor {
-            faults: FaultPlan::none().with(1, Fault::TransferStall, &[2]),
-            ..CycleSupervisor::default()
-        };
-        let (report, _) = counting_stages(3, &sup);
-        assert_eq!(report.completed(), 3);
-        assert_eq!(report.cycles[1].transfer_retries, 2);
-        assert_eq!(report.cycles[0].transfer_retries, 0);
-        // The stalled cycle's transfer time reflects the quiet windows.
-        let t = report.cycles[1].timing.unwrap();
-        assert!(t.transfer_s >= 0.1, "transfer {:.3}", t.transfer_s);
-    }
-
-    #[test]
-    fn exhausted_transfer_retries_degrade_to_persistence() {
-        let sup = CycleSupervisor {
-            faults: FaultPlan::none().with(1, Fault::TransferStall, &[8]),
-            ..CycleSupervisor::default()
-        };
-        let (report, _) = counting_stages(3, &sup);
-        match &report.cycles[1].disposition {
-            CycleDisposition::Degraded { mode, cause } => {
-                assert_eq!(*mode, DegradedMode::Persistence);
-                assert_eq!(
-                    *cause,
-                    StageError::TransferTimeout {
-                        attempts: MAX_RESTARTS + 1
-                    }
-                );
-            }
-            other => panic!("expected degraded, got {other:?}"),
-        }
-        // The abandoned volume must not poison later cycles.
-        assert!(matches!(
-            report.cycles[2].disposition,
-            CycleDisposition::Completed
-        ));
-    }
-
-    #[test]
-    fn forecast_panic_is_failed_but_isolated() {
-        let sup = CycleSupervisor {
-            faults: FaultPlan::none().with(1, Fault::StagePanic(Stage::Forecast), &[]),
-            ..CycleSupervisor::default()
-        };
-        let (report, _) = counting_stages(3, &sup);
-        assert!(matches!(
-            report.cycles[1].disposition,
-            CycleDisposition::Failed {
-                cause: StageError::Panicked {
-                    stage: Stage::Forecast,
-                    ..
-                }
-            }
-        ));
-        assert!(matches!(
-            report.cycles[2].disposition,
-            CycleDisposition::Completed
-        ));
-    }
-
-    #[test]
-    fn assimilation_deadline_skips_late_cycle() {
-        let sup = CycleSupervisor {
-            assimilation_deadline: Some(Duration::from_millis(5)),
-            ..CycleSupervisor::default()
-        };
-        let report = sup.run(
-            3,
-            |_| Ok(Bytes::from_static(b"v")),
-            |c, _| {
-                if c == 1 {
-                    std::thread::sleep(Duration::from_millis(30));
-                }
-                Ok(c)
-            },
-            |_, _: ForecastInput<'_, usize>| Ok(()),
-        );
-        assert!(matches!(
-            &report.cycles[1].disposition,
-            CycleDisposition::Skipped {
-                cause: SkipCause::Deadline(StageError::DeadlineExceeded {
-                    stage: Stage::Assimilation,
-                    ..
-                })
-            }
-        ));
-        assert!(report.cycles[1].timing.is_none());
-        assert!(matches!(
-            report.cycles[2].disposition,
-            CycleDisposition::Completed
-        ));
-    }
-
-    #[test]
-    fn slow_assimilation_supersedes_stale_scans() {
-        // Scans arrive every ~2 ms but each assimilation takes ~40 ms: by
-        // the time a cycle finishes, several scans are queued; the
-        // supervisor must jump to the newest and skip the rest.
-        let sup = CycleSupervisor {
-            supersede_stale: true,
-            ..CycleSupervisor::default()
-        };
-        let assimilated = std::sync::Mutex::new(Vec::new());
-        let report = sup.run(
-            8,
-            |c| {
-                std::thread::sleep(Duration::from_millis(2));
-                Ok(Bytes::from(vec![c as u8]))
-            },
-            |c, _| {
-                assimilated.lock().unwrap().push(c);
-                std::thread::sleep(Duration::from_millis(40));
-                Ok(c)
-            },
-            |_, _: ForecastInput<'_, usize>| Ok(()),
-        );
-        assert_eq!(report.cycles.len(), 8);
-        let skipped = report.skipped();
-        assert!(skipped > 0, "expected superseded cycles, got none");
-        for c in &report.cycles {
-            if let CycleDisposition::Skipped {
-                cause: SkipCause::Superseded { by },
-            } = &c.disposition
-            {
-                assert!(*by > c.cycle, "superseded by an older cycle");
-            }
-        }
-        // The last cycle is never superseded, and it assimilates the
-        // newest scan: the superseded cycles' volumes still queued ahead of
-        // it are leftovers, dropped behind it whatever their age rather
-        // than failing it as stale.
-        let last = &report.cycles[7];
-        assert_eq!(
-            last.disposition,
-            CycleDisposition::Completed,
-            "{}",
-            report.table()
-        );
-        for d in &last.drops {
-            assert!(
-                matches!(d, DeliveryDrop::OutOfOrder { newest: 7, .. }),
-                "unexpected drop {d:?}:\n{}",
-                report.table()
-            );
-        }
-    }
-
-    /// Run `receive_volume` for one cycle against whatever is queued in the
-    /// pipe, with a `scan_time` on the campaign clock.
-    fn receive(
-        rx: &PipeReceiver,
-        tracker: &mut SeqTracker,
-        cycle: usize,
-        scan_time: f64,
-    ) -> (Result<Bytes, StageError>, Vec<DeliveryDrop>) {
-        let meta = ScanMeta {
-            cycle,
-            t_obs: Instant::now(),
-            scan_s: 0.0,
-            scan_time,
-            checksum: Ok(0),
-        };
-        let mut ingest = Ingest::default();
-        let got = CycleSupervisor::default().receive_volume(rx, tracker, &meta, &mut ingest);
-        (got, ingest.drops)
-    }
-
-    #[test]
-    fn each_arrival_is_classified_once_and_only_the_cycle_is_age_checked() {
-        let (tx, rx) = pipe(PIPE_CHUNK_BYTES, PIPE_CAPACITY);
-        let mut tracker = SeqTracker::new();
-        let send = |seq: u64| tx.send_seq(seq, Bytes::from(vec![seq as u8])).unwrap();
-        let at = |cycle: usize| cycle as f64 * SCAN_INTERVAL_S;
-
-        // A leftover from cycle 1 (scanned at 30 s, 120 s old at cycle 5:
-        // past the horizon) is queued ahead of cycle 5's own volume. It is
-        // dropped as out of order behind cycle 5 and does not fail it.
-        send(1);
-        send(5);
-        let (got, drops) = receive(&rx, &mut tracker, 5, at(5));
-        assert_eq!(got.unwrap()[..], [5]);
-        assert_eq!(drops, [DeliveryDrop::OutOfOrder { seq: 1, newest: 5 }]);
-
-        // A replay of cycle 5 and a straggler behind it: typed drops,
-        // classified against the newest volume seen.
-        send(5);
-        send(3);
-        send(6);
-        let (got, drops) = receive(&rx, &mut tracker, 6, at(6));
-        assert_eq!(got.unwrap()[..], [6]);
-        assert_eq!(
-            drops,
-            [
-                DeliveryDrop::Duplicate { seq: 5 },
-                DeliveryDrop::OutOfOrder { seq: 3, newest: 5 }
-            ]
-        );
-
-        // The cycle's own volume is age-checked; a replay of a stale
-        // volume is a duplicate, not stale again.
-        send(7);
-        send(7);
-        send(8);
-        let (got, _) = receive(&rx, &mut tracker, 7, at(7) - STALE_HORIZON_S - 1.0);
-        assert_eq!(
-            got.unwrap_err(),
-            StageError::StaleScan {
-                age_s: STALE_HORIZON_S + 1.0,
-                horizon_s: STALE_HORIZON_S
-            }
-        );
-        let (got, drops) = receive(&rx, &mut tracker, 8, at(8));
-        assert_eq!(got.unwrap()[..], [8]);
-        assert_eq!(drops, [DeliveryDrop::Duplicate { seq: 7 }]);
-
-        // A volume from a later cycle than the one awaited is a pipe fault.
-        send(10);
-        let (got, _) = receive(&rx, &mut tracker, 9, at(9));
-        assert_eq!(
-            got.unwrap_err(),
-            StageError::Pipe("volume seq 10 ahead of expected cycle 9".into())
-        );
-    }
-
-    #[test]
-    fn pipe_errors_map_onto_stage_errors() {
-        assert_eq!(
-            StageError::from(PipeError::LengthMismatch {
-                expected: 10,
-                got: 4
-            }),
-            StageError::TruncatedVolume {
-                expected: 10,
-                got: 4
-            }
-        );
-        assert_eq!(
-            StageError::from(PipeError::ChecksumMismatch),
-            StageError::Pipe("checksum mismatch".into())
-        );
-        // The watchdog through the pipe: silence is a retried window, and
-        // an exhausted budget a typed timeout.
-        let (_tx, rx) = pipe(PIPE_CHUNK_BYTES, PIPE_CAPACITY);
-        let (got, _) = receive(&rx, &mut SeqTracker::new(), 0, 0.0);
-        assert_eq!(
-            got.unwrap_err(),
-            StageError::TransferTimeout {
-                attempts: MAX_RESTARTS + 1
-            }
-        );
-    }
-
-    #[test]
-    fn report_table_mentions_every_cycle_and_availability() {
-        let sup = CycleSupervisor {
-            faults: FaultPlan::none().with(1, Fault::CorruptVolume, &[]),
-            ..CycleSupervisor::default()
-        };
-        let (report, _) = counting_stages(3, &sup);
-        let table = report.table();
-        assert!(table.contains("availability"));
-        assert!(table.contains("degraded"));
-        // Per-stage wall-clock columns: ingest, analysis, forecast,
-        // end-to-end.
-        for col in ["obs(ms)", "letkf(ms)", "fcst(ms)", "tts(ms)"] {
-            assert!(table.contains(col), "missing column {col}:\n{table}");
-        }
-        for c in 0..3 {
-            assert!(
-                table.contains(&format!("\n{c:5}  ")),
-                "missing cycle {c}:\n{table}"
-            );
-        }
-    }
-
-    #[test]
-    fn egress_notes_reach_report_and_table() {
-        let sup = CycleSupervisor {
-            faults: FaultPlan::none().with(1, Fault::DropScan, &[]),
-            ..CycleSupervisor::default()
-        };
-        let report = sup.run_with_egress(
-            3,
-            |c| Ok(Bytes::from(vec![c as u8; 16])),
-            |c, _| Ok(c),
-            |_, _: ForecastInput<'_, usize>| Ok(()),
-            |c, d| Some(format!("published cycle {c} ({})", d.label())),
-        );
-        assert_eq!(report.cycles.len(), 3);
-        assert_eq!(
-            report.cycles[0].egress.as_deref(),
-            Some("published cycle 0 (completed)")
-        );
-        // The degraded cycle still publishes (last-good product).
-        assert_eq!(
-            report.cycles[1].egress.as_deref(),
-            Some("published cycle 1 (degraded)")
-        );
-        let table = report.table();
-        assert!(table.contains("egress"), "missing column:\n{table}");
-        assert!(
-            table.contains("published cycle 2"),
-            "missing note:\n{table}"
-        );
-    }
-
-    #[test]
-    fn egress_panic_is_recorded_not_escalated() {
-        let sup = CycleSupervisor::default();
-        let report = sup.run_with_egress(
-            3,
-            |c| Ok(Bytes::from(vec![c as u8; 16])),
-            |c, _| Ok(c),
-            |_, _: ForecastInput<'_, usize>| Ok(()),
-            |c, _| {
-                if c == 1 {
-                    panic!("injected egress panic");
-                }
-                None
-            },
-        );
-        // The publisher dying cannot change the forecast's outcome.
-        assert_eq!(report.completed(), 3);
-        assert!(report.cycles[1]
-            .egress
-            .as_deref()
-            .is_some_and(|e| e.contains("egress panicked")));
-        assert_eq!(report.cycles[2].egress, None);
-    }
-
-    #[test]
-    fn table_has_no_egress_column_without_notes() {
-        let sup = CycleSupervisor::default();
-        let (report, _) = counting_stages(2, &sup);
-        assert!(!report.table().contains("egress"));
-    }
-
-    #[test]
-    fn time_to_solution_covers_assimilation_and_forecast() {
-        let sleepy = |ms| std::thread::sleep(Duration::from_millis(ms));
-        let report = CycleSupervisor::default().run(
-            3,
-            |_| Ok(Bytes::from_static(b"volume")),
-            |_, _| {
-                sleepy(20);
-                Ok(())
-            },
-            |_, _: ForecastInput<'_, ()>| {
-                sleepy(30);
-                Ok(())
-            },
-        );
-        assert_eq!(report.completed(), 3);
-        for t in report.cycles.iter().map(|c| c.timing.unwrap()) {
-            assert!(t.assimilation_s >= 0.018, "assim {:.3}", t.assimilation_s);
-            assert!(t.forecast_s >= 0.028, "forecast {:.3}", t.forecast_s);
-            assert!(
-                t.time_to_solution_s >= t.assimilation_s + t.forecast_s - 1e-6,
-                "tts {:.3} < sum of stages",
-                t.time_to_solution_s
-            );
-        }
+        let (empty, _) = counting_stages(0, &sup);
+        assert!(empty.cycles.is_empty());
+        assert_eq!(empty.availability(), 1.0);
     }
 
     #[test]
@@ -1476,5 +759,181 @@ mod tests {
             },
         );
         assert_eq!(report.completed(), 2, "{}", report.table());
+    }
+
+    #[test]
+    fn a_silent_pipe_times_out_through_the_real_watchdog() {
+        // The sender stays open and sends nothing: every receive is ended
+        // by the pipe's own watchdog, and the policy's budget runs out.
+        let (_tx, rx) = pipe(PIPE_CHUNK_BYTES, PIPE_CAPACITY);
+        let policy = Mutex::new(CyclePolicy::new(None, false));
+        let decide = |event| policy.lock().on(event, 0.0);
+        let (started, scan_time, checksum) = (0.0, 0.0, Ok(0));
+        let cycle = 0;
+        decide(Event::Scanned {
+            cycle,
+            started,
+            scan_time,
+            checksum,
+        });
+        let sup = CycleSupervisor::default();
+        let handed = sup.ingest(&decide, &rx, &mut |_, _| Ok(()));
+        assert_eq!(handed, Some((0, None)));
+        let cause = StageError::TransferTimeout {
+            attempts: MAX_RESTARTS + 1,
+        };
+        let mode = DegradedMode::Persistence;
+        let result = Ok(());
+        assert_eq!(
+            decide(Event::Forecasting { cycle }),
+            Action::Forecast(Some(mode))
+        );
+        assert_eq!(
+            decide(Event::Forecasted { cycle, result }),
+            Action::Publish(CycleDisposition::Degraded { mode, cause })
+        );
+    }
+
+    #[test]
+    fn egress_panic_is_recorded_not_escalated() {
+        let sup = CycleSupervisor::default();
+        let report = sup.run_with_egress(
+            3,
+            |c| Ok(Bytes::from(vec![c as u8; 16])),
+            |c, _| Ok(c),
+            |_, _: ForecastInput<'_, usize>| Ok(()),
+            |c, d| {
+                if c == 1 {
+                    panic!("injected egress panic");
+                }
+                Some(format!("published cycle {c} ({})", d.label()))
+            },
+        );
+        // The publisher dying cannot change the forecast's outcome.
+        assert_eq!(report.completed(), 3);
+        assert_eq!(
+            report.cycles[0].egress.as_deref(),
+            Some("published cycle 0 (completed)")
+        );
+        assert!(report.cycles[1]
+            .egress
+            .as_deref()
+            .is_some_and(|e| e.contains("egress panicked")));
+    }
+
+    #[test]
+    fn slow_assimilation_supersedes_stale_scans() {
+        // Scans arrive every ~2 ms but each assimilation takes ~40 ms: by
+        // the time a cycle finishes, several scans are queued; the runtime
+        // must jump to the newest and skip the rest. The exact skipped set
+        // depends on thread timing here; the policy script pins it.
+        let sup = CycleSupervisor {
+            supersede_stale: true,
+            ..CycleSupervisor::default()
+        };
+        let report = sup.run(
+            8,
+            |c| {
+                std::thread::sleep(Duration::from_millis(2));
+                Ok(Bytes::from(vec![c as u8]))
+            },
+            |c, _| {
+                std::thread::sleep(Duration::from_millis(40));
+                Ok(c)
+            },
+            |_, _: ForecastInput<'_, usize>| Ok(()),
+        );
+        assert_eq!(report.cycles.len(), 8);
+        assert!(report.skipped() > 0, "expected superseded cycles, got none");
+        for c in &report.cycles {
+            if let CycleDisposition::Skipped {
+                cause: SkipCause::Superseded { by },
+            } = &c.disposition
+            {
+                assert!(*by > c.cycle, "superseded by an older cycle");
+            }
+        }
+        let last = &report.cycles[7];
+        assert_eq!(
+            last.disposition,
+            CycleDisposition::Completed,
+            "{}",
+            report.table()
+        );
+    }
+
+    #[test]
+    fn pipe_errors_map_onto_stage_errors() {
+        assert_eq!(
+            StageError::from(PipeError::LengthMismatch {
+                expected: 10,
+                got: 4
+            }),
+            StageError::TruncatedVolume {
+                expected: 10,
+                got: 4
+            }
+        );
+        assert_eq!(
+            StageError::from(PipeError::ChecksumMismatch),
+            StageError::Pipe("checksum mismatch".into())
+        );
+    }
+
+    /// Three scripted cycles, the middle one degraded by a corrupt volume.
+    fn scripted_report(note: impl Fn(usize) -> Option<String>) -> SupervisorReport {
+        let mut p = CyclePolicy::new(None, false);
+        for cycle in 0..3 {
+            if cycle == 1 {
+                play(&mut p, ingest(cycle, 0xbad, Action::Hand { cycle }));
+                let cause = StageError::CorruptVolume {
+                    expected: 1,
+                    got: 0xbad,
+                };
+                play(&mut p, degraded(cycle, DegradedMode::Persistence, cause));
+            } else {
+                play(&mut p, clean(cycle));
+            }
+            let note = note(cycle);
+            p.on(Event::Published { cycle, note }, 99.0);
+        }
+        p.report()
+    }
+
+    #[test]
+    fn report_table_mentions_every_cycle_and_availability() {
+        let report = scripted_report(|_| None);
+        let table = report.table();
+        assert!(table.contains("availability"));
+        assert!(table.contains("degraded"));
+        assert!(table.contains("volume corrupt"));
+        // Per-stage wall-clock columns: ingest, analysis, forecast,
+        // end-to-end.
+        for col in ["obs(ms)", "letkf(ms)", "fcst(ms)", "tts(ms)"] {
+            assert!(table.contains(col), "missing column {col}:\n{table}");
+        }
+        for c in 0..3 {
+            assert!(
+                table.contains(&format!("\n{c:5}  ")),
+                "missing cycle {c}:\n{table}"
+            );
+        }
+        assert!(!table.contains("egress"), "no notes, no column:\n{table}");
+    }
+
+    #[test]
+    fn egress_notes_reach_report_and_table() {
+        let report = scripted_report(|c| Some(format!("published cycle {c}")));
+        // The degraded cycle still publishes (last-good product).
+        assert_eq!(
+            report.cycles[1].egress.as_deref(),
+            Some("published cycle 1")
+        );
+        let table = report.table();
+        assert!(table.contains("egress"), "missing column:\n{table}");
+        assert!(
+            table.contains("published cycle 2"),
+            "missing note:\n{table}"
+        );
     }
 }

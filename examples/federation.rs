@@ -76,36 +76,54 @@ struct Opts {
     shard: Option<usize>,
 }
 
-fn parse_opts() -> Opts {
-    let argv: Vec<String> = std::env::args().collect();
-    let get = |flag: &str| -> Option<&str> {
-        argv.iter()
-            .position(|a| a == flag)
-            .map(|i| argv[i + 1].as_str())
+const USAGE: &str = "usage: federation [--shards S] [--cycles N] [--seed SEED] [--dual] \
+                     [--faults SPEC] [--parity] [--dir PATH] [--net] [--chaos] \
+                     [--expect SPEC]";
+
+/// `flag`'s value as a number, or why it is not one.
+fn number<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    value.parse().map_err(|e| format!("{flag} {value}: {e}"))
+}
+
+/// The options, or why they are not valid.
+fn parse_opts(argv: &[String]) -> Result<Opts, String> {
+    let mut o = Opts {
+        shards: 2,
+        cycles: 4,
+        seed: 11,
+        dual: false,
+        faults: "shardkill:1@2".to_string(),
+        parity: false,
+        net: false,
+        chaos: false,
+        expect: String::new(),
+        dir: std::env::temp_dir().join(format!("bda-federation-{}", std::process::id())),
+        shard: None,
     };
-    let num = |flag: &str, default: usize| -> usize {
-        get(flag)
-            .map(|v| v.parse().unwrap_or_else(|_| panic!("{flag} N")))
-            .unwrap_or(default)
-    };
-    let chaos = argv.iter().any(|a| a == "--chaos");
-    Opts {
-        shards: num("--shards", 2),
-        cycles: num("--cycles", 4),
-        seed: get("--seed")
-            .map(|v| v.parse().expect("--seed S"))
-            .unwrap_or(11),
-        dual: argv.iter().any(|a| a == "--dual"),
-        faults: get("--faults").unwrap_or("shardkill:1@2").to_string(),
-        parity: argv.iter().any(|a| a == "--parity"),
-        net: chaos || argv.iter().any(|a| a == "--net"),
-        chaos,
-        expect: get("--expect").unwrap_or("").to_string(),
-        dir: get("--dir").map(PathBuf::from).unwrap_or_else(|| {
-            std::env::temp_dir().join(format!("bda-federation-{}", std::process::id()))
-        }),
-        shard: get("--shard").map(|v| v.parse().expect("--shard I")),
+    let mut rest = argv.iter();
+    while let Some(arg) = rest.next() {
+        let mut value = || rest.next().ok_or(format!("{arg} needs a value"));
+        match arg.as_str() {
+            "--shards" => o.shards = number(arg, value()?)?,
+            "--cycles" => o.cycles = number(arg, value()?)?,
+            "--seed" => o.seed = number(arg, value()?)?,
+            "--shard" => o.shard = Some(number(arg, value()?)?),
+            "--faults" => o.faults = value()?.clone(),
+            "--expect" => o.expect = value()?.clone(),
+            "--dir" => o.dir = PathBuf::from(value()?),
+            "--dual" => o.dual = true,
+            "--parity" => o.parity = true,
+            "--net" => o.net = true,
+            "--chaos" => o.chaos = true,
+            other => return Err(format!("unknown argument {other}")),
+        }
     }
+    // Chaos proxies sit on the socket transport.
+    o.net |= o.chaos;
+    Ok(o)
 }
 
 fn osse_config(o: &Opts) -> OsseConfig {
@@ -496,7 +514,11 @@ fn supervisor_main(o: &Opts) -> i32 {
 }
 
 fn main() {
-    let o = parse_opts();
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let o = parse_opts(&argv).unwrap_or_else(|e| {
+        eprintln!("{e}\n{USAGE}");
+        std::process::exit(2);
+    });
     let code = match o.shard {
         Some(shard) => worker_main(&o, shard),
         None => supervisor_main(&o),

@@ -100,38 +100,60 @@ fn run_checkpointed_campaign(
     println!("{table}");
 }
 
-fn main() {
-    let mut n_cycles = 5usize;
-    let mut inject: Option<String> = None;
-    let mut checkpoint_dir: Option<PathBuf> = None;
-    let mut every = 1usize;
-    let mut table_file: Option<PathBuf> = None;
-    let argv: Vec<String> = std::env::args().collect();
-    if let Some(i) = argv.iter().position(|a| a == "--cycles") {
-        n_cycles = argv[i + 1].parse().expect("--cycles N");
-    }
-    if let Some(i) = argv.iter().position(|a| a == "--inject") {
-        match argv.get(i + 1) {
-            Some(spec) => inject = Some(spec.clone()),
-            None => {
-                eprintln!("--inject requires a fault spec, e.g. --inject \"panic:assim@2\"");
-                std::process::exit(2);
-            }
+struct Args {
+    cycles: usize,
+    inject: String,
+    checkpoint_dir: Option<PathBuf>,
+    every: usize,
+    table_file: Option<PathBuf>,
+}
+
+const USAGE: &str = "usage: realtime_pipeline [--cycles N] [--inject SPEC] \
+                     [--checkpoint-dir DIR] [--every N] [--table-file PATH]";
+
+/// The arguments, or why they are not valid.
+fn parse_args(argv: &[String]) -> Result<Args, String> {
+    let mut args = Args {
+        cycles: 5,
+        inject: String::new(),
+        checkpoint_dir: None,
+        every: 1,
+        table_file: None,
+    };
+    let mut rest = argv.iter();
+    while let Some(arg) = rest.next() {
+        let value = rest.next().ok_or(format!("{arg} needs a value"));
+        let count = |value: &String| {
+            value
+                .parse::<usize>()
+                .map_err(|e| format!("{arg} {value}: {e}"))
+        };
+        match arg.as_str() {
+            "--cycles" => args.cycles = count(value?)?,
+            "--inject" => args.inject = value?.clone(),
+            "--checkpoint-dir" => args.checkpoint_dir = Some(PathBuf::from(value?)),
+            "--every" => args.every = count(value?)?,
+            "--table-file" => args.table_file = Some(PathBuf::from(value?)),
+            other => return Err(format!("unknown argument {other}")),
         }
     }
-    if let Some(i) = argv.iter().position(|a| a == "--checkpoint-dir") {
-        checkpoint_dir = Some(PathBuf::from(
-            argv.get(i + 1).expect("--checkpoint-dir DIR"),
-        ));
-    }
-    if let Some(i) = argv.iter().position(|a| a == "--every") {
-        every = argv[i + 1].parse().expect("--every N");
-    }
-    if let Some(i) = argv.iter().position(|a| a == "--table-file") {
-        table_file = Some(PathBuf::from(argv.get(i + 1).expect("--table-file PATH")));
-    }
+    Ok(args)
+}
 
-    let plan = FaultPlan::parse(inject.as_deref().unwrap_or(""), n_cycles).unwrap_or_else(|e| {
+fn main() {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let Args {
+        cycles: n_cycles,
+        inject,
+        checkpoint_dir,
+        every,
+        table_file,
+    } = parse_args(&argv).unwrap_or_else(|e| {
+        eprintln!("{e}\n{USAGE}");
+        std::process::exit(2);
+    });
+
+    let plan = FaultPlan::parse(&inject, n_cycles).unwrap_or_else(|e| {
         eprintln!("bad --inject spec: {e}");
         std::process::exit(2);
     });
