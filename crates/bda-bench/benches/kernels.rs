@@ -42,6 +42,12 @@
 //! 64-KiB chunks with the sender on a thread of its own, as the benchmark
 //! does. Their `bytes` is the buffer's length.
 //!
+//! The egress row encodes the benchmark's 256x256 product on a 1-thread
+//! pool: `Tiler::encode_cycle` on the delta path (quantize, the zoom
+//! pyramid, and a key and a delta frame per tile), alternating two
+//! cycles of `synthetic_reflectivity` so that every call encodes a real
+//! change. Its `bytes` is the product's cell count.
+//!
 //! Flags (unknown flags ignored so `cargo bench --bench kernels` works):
 //!
 //! * `--out PATH`   output path (default `<repo>/BENCH_13_kernels.json`)
@@ -65,6 +71,7 @@ use bda_scale::forcing::TriggerSchedule;
 use bda_scale::microphys::{column_microphysics, ColumnView, MicrophysParams};
 use bda_scale::turbulence::ColumnPbl;
 use bda_scale::{Model, ModelConfig, PrognosticVar};
+use bda_serve::tile::{synthetic_reflectivity, TileConfig, Tiler};
 use rayon::ThreadPoolBuilder;
 use std::time::Instant;
 
@@ -439,6 +446,33 @@ fn pipe_transfer_bench(reps: usize) -> (f64, f64) {
     (us, data.len() as f64)
 }
 
+fn tile_encode_bench(reps: usize) -> (f64, f64) {
+    const N: usize = 256;
+    let fields = [
+        synthetic_reflectivity(0, N, N),
+        synthetic_reflectivity(1, N, N),
+    ];
+    let pool = ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .expect("pool build is infallible");
+    let mut tiler = Tiler::new(TileConfig::default());
+    let mut cycle = 0u64;
+    let mut encode = || {
+        let field = &fields[(cycle % 2) as usize];
+        let tiles = tiler
+            .encode_cycle(cycle, std::hint::black_box(field), N, N, false)
+            .expect("the synthetic product encodes");
+        cycle += 1;
+        std::hint::black_box(tiles);
+    };
+    // The first call has no previous cycle: it leaves the delta path's
+    // base in place, and `time_op`'s warm-up call is then a delta too.
+    encode();
+    let us = pool.install(|| time_op(reps, encode));
+    (us, (N * N) as f64)
+}
+
 fn main() {
     let mut out = format!("{}/../../BENCH_13_kernels.json", env!("CARGO_MANIFEST_DIR"));
     let mut reps = 200usize;
@@ -471,6 +505,7 @@ fn main() {
     let (encode_us, encode_bytes) = volume_encode_bench(100_000, reps);
     let (decode_us, decode_bytes) = volume_decode_bench(100_000, reps);
     let (pipe_us, pipe_bytes) = pipe_transfer_bench(reps);
+    let (tile_us, tile_bytes) = tile_encode_bench(reps);
     let rows = [
         Row {
             name: "eigensolve_k16",
@@ -591,6 +626,12 @@ fn main() {
             mean_us: pipe_us,
             flops: None,
             bytes: Some(pipe_bytes),
+        },
+        Row {
+            name: "tile_encode_256x256",
+            mean_us: tile_us,
+            flops: None,
+            bytes: Some(tile_bytes),
         },
     ];
     for r in &rows {

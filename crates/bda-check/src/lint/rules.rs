@@ -171,6 +171,15 @@ pub const HOT_ANCHORS: &[(&str, &[&str])] = &[
         &["PipeReceiver::assemble", "PipeSender::send_seq"],
     ),
     (
+        "crates/bda-serve/src/server.rs",
+        &[
+            "ClientConn::pump",
+            "ClientConn::fold_acks",
+            "SendQueue::batch",
+            "SendQueue::advance",
+        ],
+    ),
+    (
         "vendor/rayon/src/protocol.rs",
         &[
             "pop_front",
@@ -398,6 +407,7 @@ const ALLOC_PATTERNS: &[&str] = &[
     ".to_string()",
     ".collect",
     ".clone()",
+    ".split_off(",
 ];
 
 /// Panic-family macros denied inside hot regions. `debug_assert*` is

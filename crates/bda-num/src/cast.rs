@@ -90,9 +90,18 @@ pub fn index_of_u64(n: u64) -> usize {
 /// Round-half-away to the nearest `u8`, saturating at 0/255; NaN → 0.
 /// This is the dBZ quantizer of the egress tile codec: a non-finite or
 /// out-of-palette value must clamp into the colormap, never wrap.
+///
+/// Equal to `x.round() as u8` for every `x`, but call-free: on the
+/// baseline x86-64 target `round` is a libm call per cell. The value is
+/// clamped into [0, 255], truncated, and rounded up when the remainder,
+/// which is exact, is at least one half. A NaN stays NaN through the
+/// clamp, truncates to 0 and fails the comparison. The clamp keeps the sum
+/// in range: only 255.0 itself truncates to 255, and its remainder is 0.
 #[inline]
 pub fn round_u8_sat(x: f64) -> u8 {
-    x.round() as u8 // bda-check: allow(lossy_cast)
+    let c = x.clamp(0.0, 255.0);
+    let t = c as u8; // bda-check: allow(lossy_cast)
+    t + u8::from(c - f64::from(t) >= 0.5)
 }
 
 /// `usize` → `u8` for palette/zoom indices with a checked precondition.
@@ -171,5 +180,47 @@ mod tests {
         assert_eq!(round_u8_sat(-5.0), 0);
         assert_eq!(round_u8_sat(f64::NAN), 0);
         assert_eq!(round_u8_sat(f64::INFINITY), 255);
+    }
+
+    /// The call-free form against `round` on a dense sweep of [−2, 260],
+    /// every half-integer in it and its neighbours one ulp away, and the
+    /// values at and past the edges.
+    #[test]
+    fn round_u8_sat_equals_round_then_saturate() {
+        let check = |x: f64| {
+            assert_eq!(
+                round_u8_sat(x),
+                x.round() as u8,
+                "x = {x:e} ({:#x})",
+                x.to_bits()
+            );
+        };
+        let mut special = vec![
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+            f64::MAX,
+            f64::MIN,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            1e300,
+            -1e300,
+            2f64.powi(52),
+            2f64.powi(64),
+            0.5 - f64::EPSILON / 4.0,
+        ];
+        for k in -4i32..=520 {
+            let h = f64::from(k) / 2.0;
+            special.extend([h, h.next_down(), h.next_up()]);
+        }
+        special.into_iter().for_each(check);
+        // 2^20 evenly spaced steps, so most remainders are not halves.
+        let n = 1u32 << 20;
+        for i in 0..=n {
+            check(-2.0 + 262.0 * f64::from(i) / f64::from(n));
+        }
     }
 }

@@ -33,6 +33,10 @@
 //! one call. The decoder checks the header first, then the checksum, and
 //! only then walks the records. The checksum is lane-parallel (about
 //! 0.1 ns/B), so that one pass costs little next to parsing the records.
+//! The record walk is inlined into the caller. A record that passes the
+//! branch-free range filter `ValueBounds::accepts` is pushed as an
+//! `Observation` straight from its fields; every other record goes to the
+//! classifier that keeps it or names its rejection.
 
 use crate::scan::ScanResult;
 use bda_letkf::{obs, ObsKind, Observation};
@@ -262,6 +266,10 @@ pub fn encode_volume<T: Real>(scan: &ScanResult<T>) -> Bytes {
 
 /// The wire fields of one record: the kind byte, then x, y, z, value and
 /// error SD widened from their big-endian f32s.
+///
+/// `#[inline]` because the generic decoder is compiled in its caller's
+/// crate: without it, every record pays an out-of-line call.
+#[inline]
 fn read_record(rec: &[u8; RECORD_BYTES]) -> (u8, [f64; 5]) {
     let field = |at: usize| {
         f64::from(f32::from_be_bytes([
@@ -274,8 +282,36 @@ fn read_record(rec: &[u8; RECORD_BYTES]) -> (u8, [f64; 5]) {
     (rec[0], [field(1), field(5), field(9), field(13), field(17)])
 }
 
+impl ValueBounds {
+    /// The decoder's fast path: true exactly for the fields
+    /// [`validate_record`] keeps. The range tests alone, joined with `&`
+    /// so that a record which passes them all takes no branch per field;
+    /// [`validate_record`] decides every record this refuses. Every bound
+    /// is finite (`Default` is the only constructor), so a NaN fails every
+    /// comparison and an infinity fails the bound on its side: the range
+    /// tests refuse every non-finite field without a test of their own.
+    #[inline]
+    fn accepts(&self, kind: u8, [x, y, z, value, error_sd]: [f64; 5]) -> bool {
+        let value_ok = if kind == 0 {
+            (self.dbz_min <= value) & (value <= self.dbz_max)
+        } else {
+            value.abs() <= self.doppler_abs_max
+        };
+        (kind <= 1)
+            & (x.abs() <= self.coord_abs_max)
+            & (y.abs() <= self.coord_abs_max)
+            & (self.z_min <= z)
+            & (z <= self.z_max)
+            & value_ok
+            & (error_sd > 0.0)
+            & (error_sd <= self.error_sd_max)
+    }
+}
+
 /// Validate one decoded record against the bounds; `Ok` gives the typed
-/// observation.
+/// observation. The exact classifier: its first failing test names the
+/// rejection, so the checks run in this order.
+#[cold]
 fn validate_record<T: Real>(
     kind_byte: u8,
     x: f64,
@@ -422,19 +458,44 @@ pub fn decode_volume_salvage<T: Real>(
     };
     let mut obs = Vec::with_capacity(parseable);
     for rec in records.as_chunks::<RECORD_BYTES>().0 {
-        let (kind, [x, y, z, value, error_sd]) = read_record(rec);
-        match validate_record(kind, x, y, z, value, error_sd, bounds) {
-            Ok(o) => {
-                obs.push(o);
-                report.kept += 1;
-            }
-            Err(RecordError::UnknownKind(_)) => report.rejected_unknown_kind += 1,
-            Err(RecordError::NonFinite(_)) => report.rejected_non_finite += 1,
-            Err(RecordError::OutOfRange { .. }) => report.rejected_out_of_range += 1,
-            Err(RecordError::NonPositiveErrorSd(_)) => report.rejected_bad_error_sd += 1,
-        }
+        decode_record(rec, bounds, &mut obs, &mut report);
     }
+    report.kept = obs.len();
     Ok((DecodedVolume { time: h.time, obs }, report))
+}
+
+/// Decode one record into `obs`, or count why it was rejected.
+#[inline]
+fn decode_record<T: Real>(
+    rec: &[u8; RECORD_BYTES],
+    bounds: &ValueBounds,
+    obs: &mut Vec<Observation<T>>,
+    report: &mut SalvageReport,
+) {
+    let (kind, fields) = read_record(rec);
+    let [x, y, z, value, error_sd] = fields;
+    if bounds.accepts(kind, fields) {
+        obs.push(Observation {
+            kind: if kind == 0 {
+                ObsKind::Reflectivity
+            } else {
+                ObsKind::DopplerVelocity
+            },
+            x,
+            y,
+            z,
+            value: T::of(value),
+            error_sd: T::of(error_sd),
+        });
+        return;
+    }
+    match validate_record::<T>(kind, x, y, z, value, error_sd, bounds) {
+        Ok(o) => obs.push(o),
+        Err(RecordError::UnknownKind(_)) => report.rejected_unknown_kind += 1,
+        Err(RecordError::NonFinite(_)) => report.rejected_non_finite += 1,
+        Err(RecordError::OutOfRange { .. }) => report.rejected_out_of_range += 1,
+        Err(RecordError::NonPositiveErrorSd(_)) => report.rejected_bad_error_sd += 1,
+    }
 }
 
 /// The byte-at-a-time codec this module's single-pass one replaced, kept
@@ -866,6 +927,25 @@ mod tests {
         for case in &cases {
             assert_decoders_agree::<f32>(case, seen);
             assert_decoders_agree::<f64>(case, seen);
+        }
+    }
+
+    /// `ValueBounds::accepts` leaves finiteness to the range tests, so it
+    /// keeps no record `validate_record` refuses only while every bound
+    /// is finite.
+    #[test]
+    fn every_value_bound_is_finite() {
+        let b = ValueBounds::default();
+        for bound in [
+            b.dbz_min,
+            b.dbz_max,
+            b.doppler_abs_max,
+            b.coord_abs_max,
+            b.z_min,
+            b.z_max,
+            b.error_sd_max,
+        ] {
+            assert!(bound.is_finite(), "{b:?}");
         }
     }
 

@@ -26,11 +26,11 @@
 
 use crate::cache::{CatchUp, TileCache};
 use crate::tile::{TileConfig, TileError, Tiler};
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 use parking_lot::Mutex;
 use rayon::prelude::*;
 use std::collections::VecDeque;
-use std::io::{ErrorKind, Read, Write};
+use std::io::{ErrorKind, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -51,6 +51,9 @@ pub const MSG_HEADER_BYTES: usize = 8 + 4;
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_millis(250);
 /// Tile cache budget in bytes (snapshot-plus-delta catch-up window).
 const CACHE_BYTES: usize = 4 << 20;
+/// Slices per vectored write, two per message: 128 whole messages, more
+/// than one 256×256 product's 84 frames.
+const BATCH_SLICES: usize = 256;
 
 /// Server tuning knobs.
 #[derive(Clone, Copy, Debug)]
@@ -235,60 +238,161 @@ struct Shared {
     handshake_failures: AtomicUsize,
 }
 
+/// One queued message: its header (sequence number and frame length)
+/// and the frame, whose bytes every subscriber's queue shares.
+#[derive(Clone, Debug)]
+struct Msg {
+    header: [u8; MSG_HEADER_BYTES],
+    frame: Bytes,
+}
+
+impl Msg {
+    fn len(&self) -> usize {
+        MSG_HEADER_BYTES + self.frame.len()
+    }
+}
+
+/// A client's queued messages and how much of the front one the socket
+/// has taken.
+#[derive(Debug, Default)]
+struct SendQueue {
+    msgs: VecDeque<Msg>,
+    /// Bytes of the front message already written.
+    front_written: usize,
+}
+
+impl SendQueue {
+    /// Point `slices` at the unwritten bytes at the head of the queue, in
+    /// order, as far as they reach; returns how many it filled.
+    fn batch<'a>(&'a self, slices: &mut [IoSlice<'a>]) -> usize {
+        let mut skip = self.front_written;
+        let mut filled = 0;
+        for msg in &self.msgs {
+            for part in [&msg.header[..], &msg.frame[..]] {
+                let Some(rest) = part.get(skip..).filter(|r| !r.is_empty()) else {
+                    skip = skip.saturating_sub(part.len());
+                    continue;
+                };
+                let Some(slot) = slices.get_mut(filled) else {
+                    return filled;
+                };
+                *slot = IoSlice::new(rest);
+                skip = 0;
+                filled += 1;
+            }
+        }
+        filled
+    }
+
+    /// Account for `n` bytes the socket took: pop every message they
+    /// complete and return how many.
+    fn advance(&mut self, mut n: usize) -> u64 {
+        let mut done = 0;
+        while let Some(front) = self.msgs.front() {
+            let left = front.len() - self.front_written;
+            if n < left {
+                self.front_written += n;
+                break;
+            }
+            n -= left;
+            self.msgs.pop_front();
+            self.front_written = 0;
+            done += 1;
+        }
+        done
+    }
+}
+
 struct ClientConn {
     id: usize,
     stream: TcpStream,
-    queue: VecDeque<Bytes>,
-    /// Bytes of the front message already written.
-    front_written: usize,
+    queue: SendQueue,
     next_seq: u64,
     delivered: u64,
     acked: Option<u64>,
-    ackbuf: Vec<u8>,
+    /// An ACK word's first bytes, when a read ended inside it.
+    ack_word: [u8; 8],
+    ack_bytes: usize,
     joined_cycle: u64,
     catch_up: CatchUp,
     evict: Option<EvictReason>,
 }
 
 impl ClientConn {
+    fn new(id: usize, stream: TcpStream, joined_cycle: u64, catch_up: CatchUp) -> Self {
+        Self {
+            id,
+            stream,
+            queue: SendQueue::default(),
+            next_seq: 0,
+            delivered: 0,
+            acked: None,
+            ack_word: [0; 8],
+            ack_bytes: 0,
+            joined_cycle,
+            catch_up,
+            evict: None,
+        }
+    }
+
+    /// Queue `frame` behind its header. The frame is shared, not copied.
     fn enqueue(&mut self, frame: &Bytes, queue_frames: usize) {
         if self.evict.is_some() {
             return;
         }
-        if self.queue.len() >= queue_frames {
+        if self.queue.msgs.len() >= queue_frames {
             self.evict = Some(EvictReason::SlowReader {
-                queued: self.queue.len(),
+                queued: self.queue.msgs.len(),
             });
             return;
         }
-        let mut msg = BytesMut::with_capacity(MSG_HEADER_BYTES + frame.len());
-        msg.put_u64(self.next_seq);
-        msg.put_u32(bda_num::cast::u32_of_index(frame.len()));
-        msg.put_slice(frame);
-        self.queue.push_back(msg.freeze());
+        let mut header = [0u8; MSG_HEADER_BYTES];
+        let (seq, len) = header.split_at_mut(8);
+        seq.copy_from_slice(&self.next_seq.to_be_bytes());
+        len.copy_from_slice(&bda_num::cast::u32_of_index(frame.len()).to_be_bytes());
+        self.queue.msgs.push_back(Msg {
+            header,
+            frame: frame.clone(),
+        });
         self.next_seq += 1;
     }
 
-    /// Drain as much of the queue as the socket accepts and fold in any
-    /// acknowledgements. Strictly nonblocking.
+    /// Fold received bytes into the acknowledgement state, eight bytes
+    /// (one big-endian sequence number) at a time, carrying a word that a
+    /// read split.
+    fn fold_acks(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            if let Some(slot) = self.ack_word.get_mut(self.ack_bytes) {
+                *slot = b;
+            }
+            self.ack_bytes += 1;
+            if self.ack_bytes == self.ack_word.len() {
+                self.ack_bytes = 0;
+                // Hostile acks for messages never sent are capped at what
+                // was actually delivered.
+                let seq = u64::from_be_bytes(self.ack_word).min(self.delivered.saturating_sub(1));
+                self.acked = Some(self.acked.map_or(seq, |a| a.max(seq)));
+            }
+        }
+    }
+
+    /// Drain as much of the queue as the socket accepts, one vectored
+    /// write per batch of messages, and fold in any acknowledgements.
+    /// Strictly nonblocking, and allocation-free.
     fn pump(&mut self, ack_lag: u64) {
         if self.evict.is_some() {
             return;
         }
-        while let Some(front) = self.queue.front() {
-            match self.stream.write(&front[self.front_written..]) {
+        while !self.queue.msgs.is_empty() {
+            let mut slices = [IoSlice::new(&[]); BATCH_SLICES];
+            let filled = self.queue.batch(&mut slices);
+            let batch = slices.get(..filled).unwrap_or_default();
+            match self.stream.write_vectored(batch) {
                 Ok(0) => {
                     self.evict = Some(EvictReason::Disconnected);
                     return;
                 }
-                Ok(n) => {
-                    self.front_written += n;
-                    if self.front_written == front.len() {
-                        self.queue.pop_front();
-                        self.front_written = 0;
-                        self.delivered += 1;
-                    }
-                }
+                Ok(n) => self.delivered += self.queue.advance(n),
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                 Err(e)
@@ -315,20 +419,7 @@ impl ClientConn {
                     self.evict = Some(EvictReason::Disconnected);
                     return;
                 }
-                Ok(n) => {
-                    self.ackbuf.extend_from_slice(&buf[..n]);
-                    while self.ackbuf.len() >= 8 {
-                        let rest = self.ackbuf.split_off(8);
-                        let mut word = [0u8; 8];
-                        word.copy_from_slice(&self.ackbuf);
-                        self.ackbuf = rest;
-                        let seq = u64::from_be_bytes(word);
-                        // Hostile acks for messages never sent are capped
-                        // at what was actually delivered.
-                        let seq = seq.min(self.delivered.saturating_sub(1));
-                        self.acked = Some(self.acked.map_or(seq, |a| a.max(seq)));
-                    }
-                }
+                Ok(n) => self.fold_acks(buf.get(..n).unwrap_or_default()),
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                 Err(e)
@@ -429,7 +520,7 @@ impl NowcastServer {
     /// received end-to-end, not merely parked in kernel buffers.
     pub fn fully_acked(&self) -> bool {
         self.clients.iter().all(|c| {
-            c.queue.is_empty()
+            c.queue.msgs.is_empty()
                 && c.delivered == c.next_seq
                 && c.acked.map_or(0, |a| a + 1) == c.delivered
         })
@@ -466,19 +557,7 @@ impl NowcastServer {
                 CatchUp::Deltas { .. } => joined_delta += 1,
                 CatchUp::Current => joined_current += 1,
             }
-            let mut conn = ClientConn {
-                id: self.next_id,
-                stream: j.stream,
-                queue: VecDeque::new(),
-                front_written: 0,
-                next_seq: 0,
-                delivered: 0,
-                acked: None,
-                ackbuf: Vec::new(),
-                joined_cycle: cycle,
-                catch_up: route,
-                evict: None,
-            };
+            let mut conn = ClientConn::new(self.next_id, j.stream, cycle, route);
             self.next_id += 1;
             for f in &catch_frames {
                 conn.enqueue(f, self.cfg.queue_frames);
@@ -522,7 +601,7 @@ impl NowcastServer {
         let ack_lag = self.cfg.ack_lag;
         self.clients.par_iter_mut().for_each(|c| c.pump(ack_lag));
         self.sweep();
-        self.clients.iter().map(|c| c.queue.len()).sum()
+        self.clients.iter().map(|c| c.queue.msgs.len()).sum()
     }
 
     /// Move evicted clients to the outcome list, dropping their sockets.
@@ -672,5 +751,152 @@ fn accept_loop(listener: &TcpListener, shared: &Shared) {
         if !progressed {
             std::thread::sleep(Duration::from_micros(500));
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::time::Instant;
+
+    /// A queue of messages with frames of these lengths, sequence numbers
+    /// from 0, and the bytes they put on the wire, in order.
+    fn queue_of(frame_lens: &[usize]) -> (SendQueue, Vec<u8>) {
+        let mut q = SendQueue::default();
+        let mut wire = Vec::new();
+        for (seq, &len) in (0u64..).zip(frame_lens) {
+            let frame = Bytes::from((0..len).map(|i| (i * 7 + 3) as u8).collect::<Vec<u8>>());
+            let mut header = [0u8; MSG_HEADER_BYTES];
+            header[..8].copy_from_slice(&seq.to_be_bytes());
+            header[8..].copy_from_slice(&(len as u32).to_be_bytes());
+            wire.extend_from_slice(&header);
+            wire.extend_from_slice(&frame);
+            q.msgs.push_back(Msg { header, frame });
+        }
+        (q, wire)
+    }
+
+    /// What `batch` points at, concatenated.
+    fn batched(q: &SendQueue, slots: usize) -> Vec<u8> {
+        let mut slices = vec![IoSlice::new(&[]); slots];
+        let filled = q.batch(&mut slices);
+        slices[..filled]
+            .iter()
+            .flat_map(|s| s.iter().copied())
+            .collect()
+    }
+
+    /// The sequence number in the front message's header.
+    fn front_seq(q: &SendQueue) -> Option<u64> {
+        let m = q.msgs.front()?;
+        Some(u64::from_be_bytes(m.header[..8].try_into().unwrap()))
+    }
+
+    /// Every pair of split points cuts the queued bytes into three
+    /// writes. After each, the completed messages are popped and counted,
+    /// the front's written bytes are exact, and the next batch starts at
+    /// the first unwritten byte. An empty frame is in the mix.
+    #[test]
+    fn partial_writes_account_exactly_at_every_split_point() {
+        let lens = [5, 0, 1, 40, 13];
+        let (full, wire) = queue_of(&lens);
+        // Where each message ends on the wire.
+        let ends: Vec<usize> = lens
+            .iter()
+            .scan(0, |at, &l| {
+                *at += MSG_HEADER_BYTES + l;
+                Some(*at)
+            })
+            .collect();
+        let total = wire.len();
+        assert_eq!(batched(&full, BATCH_SLICES), wire);
+        for first in 0..=total {
+            for second in first..=total {
+                let mut q = SendQueue {
+                    msgs: full.msgs.clone(),
+                    front_written: 0,
+                };
+                let (mut delivered, mut taken) = (0, 0);
+                for at in [first, second, total] {
+                    delivered += q.advance(at - taken);
+                    taken = at;
+                    let done = ends.iter().filter(|&&e| e <= at).count() as u64;
+                    assert_eq!(delivered, done, "split {first}/{second}, at {at}");
+                    let start = if done == 0 {
+                        0
+                    } else {
+                        ends[done as usize - 1]
+                    };
+                    assert_eq!(q.front_written, at - start, "split {first}/{second}");
+                    assert_eq!(q.msgs.len(), lens.len() - done as usize);
+                    assert_eq!(front_seq(&q), (done < lens.len() as u64).then_some(done));
+                    assert_eq!(batched(&q, BATCH_SLICES), wire[at..]);
+                }
+            }
+        }
+        // A batch cut short by its slice array is a prefix of the rest.
+        let mut q = SendQueue {
+            msgs: full.msgs.clone(),
+            front_written: 0,
+        };
+        q.advance(3);
+        let short = batched(&q, 3);
+        assert_eq!(short, wire[3..3 + short.len()]);
+        assert_eq!(short.len(), (MSG_HEADER_BYTES - 3) + 5 + MSG_HEADER_BYTES);
+    }
+
+    /// A connected pair: the server's side wrapped in a `ClientConn`, and
+    /// the subscriber's blocking socket.
+    fn conn_pair() -> (ClientConn, TcpStream) {
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server, _) = listener.accept().unwrap();
+        server.set_nonblocking(true).unwrap();
+        client
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        (ClientConn::new(0, server, 0, CatchUp::Current), client)
+    }
+
+    /// Pump until `done` holds, or fail after five seconds.
+    fn pump_until(conn: &mut ClientConn, what: &str, done: impl Fn(&ClientConn) -> bool) {
+        let t0 = Instant::now();
+        while !done(conn) {
+            assert!(conn.evict.is_none(), "evicted waiting for {what}");
+            assert!(t0.elapsed() < Duration::from_secs(5), "no {what}");
+            conn.pump(u64::MAX);
+            std::thread::yield_now();
+        }
+    }
+
+    /// ACK words split 3 + 5 across reads fold once whole, and a hostile
+    /// ACK past what was delivered is clamped to the last delivered seq.
+    #[test]
+    fn split_ack_words_fold_whole_and_hostile_acks_clamp() {
+        let (mut conn, mut client) = conn_pair();
+        let frames: Vec<Bytes> = (0..3u8).map(|i| Bytes::from(vec![i; 10])).collect();
+        for f in &frames {
+            conn.enqueue(f, 16);
+        }
+        pump_until(&mut conn, "delivery", |c| c.delivered == 3);
+        let mut wire = vec![0u8; 3 * (MSG_HEADER_BYTES + 10)];
+        client.read_exact(&mut wire).unwrap();
+
+        let send_split = |client: &mut TcpStream, conn: &mut ClientConn, seq: u64| {
+            let word = seq.to_be_bytes();
+            client.write_all(&word[..3]).unwrap();
+            pump_until(conn, "3 ACK bytes", |c| c.ack_bytes == 3);
+            let before = conn.acked;
+            client.write_all(&word[3..]).unwrap();
+            pump_until(conn, "the ACK's last 5 bytes", |c| c.ack_bytes == 0);
+            before
+        };
+        assert_eq!(send_split(&mut client, &mut conn, 1), None);
+        assert_eq!(conn.acked, Some(1));
+        assert_eq!(send_split(&mut client, &mut conn, u64::MAX), Some(1));
+        assert_eq!(conn.acked, Some(2), "clamped to the last delivered seq");
+        assert_eq!(send_split(&mut client, &mut conn, 0), Some(2));
+        assert_eq!(conn.acked, Some(2), "an older ACK never lowers the fold");
+        assert!(conn.evict.is_none());
     }
 }

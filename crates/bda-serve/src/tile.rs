@@ -13,10 +13,13 @@
 //!    max, not mean: an overview tile must not dilute a storm core away);
 //! 3. **tile** — each level is cut into [`TileConfig::tile`]-sized tiles so
 //!    a viewer fetches only its viewport;
-//! 4. **delta** — each tile is wrapping-subtracted from the same tile of
-//!    the previous cycle ([`make_delta`]); on a 30-s cadence most cells are
-//!    unchanged, so the run-length stage collapses deltas to near nothing;
-//! 5. **run-length encode** — `(run, value)` byte pairs ([`rle_encode`]);
+//! 4. **delta** — each level is wrapping-subtracted from the same level of
+//!    the previous cycle ([`make_delta`]), so each tile's delta is the same
+//!    tile of that plane; on a 30-s cadence most cells are unchanged, so
+//!    the run-length stage collapses deltas to near nothing;
+//! 5. **run-length encode** — `(run, value)` byte pairs ([`rle_encode`]),
+//!    read straight from the rows of a level or of its delta plane, with
+//!    no per-tile copy of the cells;
 //! 6. **seal** — one [`bda_io::frame`] envelope (`BDAT`; byte layout in
 //!    DESIGN.md, "Sealed frames"), so a damaged or truncated tile is a
 //!    typed [`TileError`] at the client, never a corrupt render.
@@ -101,36 +104,66 @@ impl QuantGrid {
     }
 
     /// Next zoom level: 2×2 max-pooling (odd edges pool what exists).
+    ///
+    /// Each output row reads one pair of input rows (an odd `h`'s last row
+    /// pairs with itself), and each output cell one column pair of them;
+    /// only an odd `w`'s last column pools a single column.
     pub fn coarsen(&self) -> Self {
         let w = self.w.div_ceil(2).max(1);
         let h = self.h.div_ceil(2).max(1);
         let mut q = vec![0u8; w * h];
-        for cy in 0..h {
-            for cx in 0..w {
-                let mut m = 0u8;
-                for sy in (2 * cy)..((2 * cy + 2).min(self.h.max(1))) {
-                    for sx in (2 * cx)..((2 * cx + 2).min(self.w.max(1))) {
-                        m = m.max(self.q[sy * self.w + sx]);
-                    }
-                }
-                q[cy * w + cx] = m;
+        if self.q.is_empty() {
+            return Self { w, h, q };
+        }
+        let mut rows = self.q.chunks_exact(self.w);
+        for out in q.chunks_exact_mut(w) {
+            let Some(a) = rows.next() else { break };
+            let b = rows.next().unwrap_or(a);
+            let (a_pairs, a_odd) = a.as_chunks::<2>();
+            let (b_pairs, b_odd) = b.as_chunks::<2>();
+            for ((o, pa), pb) in out.iter_mut().zip(a_pairs).zip(b_pairs) {
+                *o = pa[0].max(pa[1]).max(pb[0].max(pb[1]));
+            }
+            if let (Some(o), [x], [y]) = (out.last_mut(), a_odd, b_odd) {
+                *o = (*x).max(*y);
             }
         }
         Self { w, h, q }
     }
+}
 
-    /// Copy out the tile at tile coordinates `(tx, ty)` for tile edge
-    /// `tile`; the returned dims are the actual (possibly clipped) extent.
-    fn tile_cells(&self, tile: usize, tx: usize, ty: usize) -> (usize, usize, Vec<u8>) {
-        let x0 = tx * tile;
-        let y0 = ty * tile;
-        let w = tile.min(self.w - x0);
-        let h = tile.min(self.h - y0);
-        let mut cells = Vec::with_capacity(w * h);
-        for y in y0..y0 + h {
-            cells.extend_from_slice(&self.q[y * self.w + x0..y * self.w + x0 + w]);
+/// One tile of a zoom level: where it sits and its (possibly clipped)
+/// extent, in cells.
+#[derive(Clone, Copy, Debug)]
+struct TileSpan {
+    x0: usize,
+    y0: usize,
+    w: usize,
+    h: usize,
+}
+
+impl TileSpan {
+    /// The tile at tile coordinates `(tx, ty)` of a `w`×`h` level, for
+    /// tile edge `tile`.
+    fn new(tile: usize, tx: usize, ty: usize, w: usize, h: usize) -> Self {
+        let (x0, y0) = (tx * tile, ty * tile);
+        Self {
+            x0,
+            y0,
+            w: tile.min(w - x0),
+            h: tile.min(h - y0),
         }
-        (w, h, cells)
+    }
+
+    /// Run-length encode this tile of a row-major plane `width` cells
+    /// wide, reading its rows where they lie: no copy of the cells. The
+    /// tile must have cells, so `width` is at least 1.
+    fn rle(&self, plane: &[u8], width: usize) -> Vec<u8> {
+        let mut rle = Rle::with_capacity(self.w * self.h);
+        for row in plane.chunks_exact(width).skip(self.y0).take(self.h) {
+            rle.feed(&row[self.x0..self.x0 + self.w]);
+        }
+        rle.finish()
     }
 }
 
@@ -189,56 +222,96 @@ impl From<FrameError> for TileError {
 }
 
 /// Run-length encode: `(run, value)` byte pairs, runs capped at 255.
+/// The one-slice form of the encoder the tiler feeds row by row.
+// bda-check: allow(uncalled_pub) -- the inverse of `rle_decode`: the codec's property tests round-trip through it
 pub fn rle_encode(cells: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16);
-    let mut iter = cells.iter();
-    let Some(&first) = iter.next() else {
-        return out;
-    };
-    let (mut run, mut value) = (1u8, first);
-    for &c in iter {
-        if c == value && run < u8::MAX {
-            run += 1;
-        } else {
-            out.push(run);
-            out.push(value);
-            run = 1;
-            value = c;
+    let mut rle = Rle::with_capacity(cells.len());
+    rle.feed(cells);
+    rle.finish()
+}
+
+/// The run-length encoder, fed a slice at a time; a run carries across
+/// [`Rle::feed`] calls, so a tile's rows encode as one cell stream. Each
+/// run is found by one scan for the first cell that differs, then written
+/// as its pairs.
+struct Rle {
+    out: Vec<u8>,
+    value: u8,
+    /// Cells in the open run; 0 before the first cell.
+    run: usize,
+}
+
+impl Rle {
+    /// An encoder for about `cells` cells. Its output is reserved at a
+    /// quarter of the worst case (two bytes a cell) and grows past that.
+    fn with_capacity(cells: usize) -> Self {
+        Self {
+            out: Vec::with_capacity((cells / 2).max(2)),
+            value: 0,
+            run: 0,
         }
     }
-    out.push(run);
-    out.push(value);
-    out
+
+    fn feed(&mut self, mut cells: &[u8]) {
+        while let Some(&first) = cells.first() {
+            if self.run > 0 && first != self.value {
+                self.close();
+            }
+            self.value = first;
+            let same = cells
+                .iter()
+                .position(|&c| c != first)
+                .unwrap_or(cells.len());
+            self.run += same;
+            cells = &cells[same..];
+        }
+    }
+
+    /// Write the open run: full 255-cell pairs, then the remainder.
+    fn close(&mut self) {
+        while self.run > 255 {
+            self.out.extend_from_slice(&[u8::MAX, self.value]);
+            self.run -= 255;
+        }
+        if self.run > 0 {
+            self.out
+                .extend_from_slice(&[bda_num::cast::u8_of_index(self.run), self.value]);
+            self.run = 0;
+        }
+    }
+
+    fn finish(mut self) -> Vec<u8> {
+        self.close();
+        self.out
+    }
 }
 
 /// Decode an RLE stream, checking it expands to exactly `expected` cells.
+///
+/// Every run is checked before anything is allocated, so the output is
+/// reserved once, at `expected` cells, which the runs present then bound.
 pub fn rle_decode(rle: &[u8], expected: usize) -> Result<Vec<u8>, TileError> {
-    if !rle.len().is_multiple_of(2) {
+    let (pairs, []) = rle.as_chunks::<2>() else {
         return Err(TileError::DanglingRun);
-    }
-    // `expected` comes from two header fields; each pair present expands
-    // to at most 255 cells, and that bounds what is reserved up front.
-    let mut out = Vec::with_capacity(expected.min(rle.len() / 2 * usize::from(u8::MAX)));
-    for pair in rle.chunks_exact(2) {
-        let run = usize::from(pair[0]);
+    };
+    let mut got = 0usize;
+    for &[run, _] in pairs {
         if run == 0 {
             return Err(TileError::ZeroRun);
         }
-        if out.len() + run > expected {
+        got += usize::from(run);
+        if got > expected {
             // Hostile length: stop before allocating past the declared
             // cell count.
-            return Err(TileError::CellCount {
-                expected,
-                got: out.len() + run,
-            });
+            return Err(TileError::CellCount { expected, got });
         }
-        out.resize(out.len() + run, pair[1]);
     }
-    if out.len() != expected {
-        return Err(TileError::CellCount {
-            expected,
-            got: out.len(),
-        });
+    if got != expected {
+        return Err(TileError::CellCount { expected, got });
+    }
+    let mut out = Vec::with_capacity(expected);
+    for &[run, value] in pairs {
+        out.resize(out.len() + usize::from(run), value);
     }
     Ok(out)
 }
@@ -290,9 +363,9 @@ pub struct TileFrame {
     pub cells: Vec<u8>,
 }
 
-/// Encode one sealed tile frame. `cells.len()` must equal `w * h`.
-#[allow(clippy::too_many_arguments)]
-pub fn encode_tile(
+/// The fixed fields that a tile's key frame and delta frame share.
+#[derive(Clone, Copy, Debug)]
+struct TileHead {
     cycle: u64,
     zoom: u8,
     tx: u16,
@@ -300,39 +373,30 @@ pub fn encode_tile(
     w: u16,
     h: u16,
     stale: bool,
-    delta: bool,
-    cells: &[u8],
-) -> Result<Bytes, TileError> {
-    let area = usize::from(w) * usize::from(h);
-    if cells.len() != area {
-        return Err(TileError::FieldShape {
-            cells: cells.len(),
-            w: usize::from(w),
-            h: usize::from(h),
-        });
+}
+
+impl TileHead {
+    /// One sealed frame around an RLE `payload` of a `w`×`h` tile.
+    fn seal(&self, delta: bool, payload: &[u8]) -> Bytes {
+        let mut buf = frame::begin(Kind::Tile, VERSION, FIXED_BYTES + payload.len());
+        buf.put_u64(self.cycle);
+        buf.put_u8(self.zoom);
+        buf.put_u16(self.tx);
+        buf.put_u16(self.ty);
+        buf.put_u16(self.w);
+        buf.put_u16(self.h);
+        let mut flags = 0u8;
+        if self.stale {
+            flags |= FLAG_STALE;
+        }
+        if delta {
+            flags |= FLAG_DELTA;
+        }
+        buf.put_u8(flags);
+        buf.put_u32(bda_num::cast::u32_of_index(payload.len()));
+        buf.put_slice(payload);
+        frame::seal(buf)
     }
-    if area == 0 {
-        return Err(TileError::EmptyTile);
-    }
-    let payload = rle_encode(cells);
-    let mut buf = frame::begin(Kind::Tile, VERSION, FIXED_BYTES + payload.len());
-    buf.put_u64(cycle);
-    buf.put_u8(zoom);
-    buf.put_u16(tx);
-    buf.put_u16(ty);
-    buf.put_u16(w);
-    buf.put_u16(h);
-    let mut flags = 0u8;
-    if stale {
-        flags |= FLAG_STALE;
-    }
-    if delta {
-        flags |= FLAG_DELTA;
-    }
-    buf.put_u8(flags);
-    buf.put_u32(bda_num::cast::u32_of_index(payload.len()));
-    buf.put_slice(&payload);
-    Ok(frame::seal(buf))
 }
 
 /// Decode and validate one sealed tile frame. Every malformed input maps
@@ -454,23 +518,40 @@ impl Tiler {
             }
         }
 
-        let prev = &self.prev;
-        let levels_ref = &levels;
+        // Each level's delta against the previous cycle, in one pass; the
+        // tiles then read their key and delta cells as rows of the levels
+        // and of these planes.
+        let delta_planes = if same_shape {
+            self.prev
+                .iter()
+                .zip(&levels)
+                .map(|(p, l)| make_delta(&p.q, &l.q))
+                .collect::<Result<Vec<_>, _>>()?
+        } else {
+            Vec::new()
+        };
+        let (levels_ref, planes) = (&levels, &delta_planes);
         let encoded: Vec<Result<(Bytes, Bytes), TileError>> = schedule
             .par_iter()
             .map(|&(z, tx, ty)| {
                 let level = &levels_ref[z];
-                let (tw, th, cells) = level.tile_cells(tile, tx, ty);
-                let zoom = bda_num::cast::u8_of_index(z);
-                let (txw, tyw) = (u16_of_index(tx), u16_of_index(ty));
-                let (ww, hw) = (u16_of_index(tw), u16_of_index(th));
-                let key = encode_tile(cycle, zoom, txw, tyw, ww, hw, stale, false, &cells)?;
-                let delta = if same_shape {
-                    let (_, _, base) = prev[z].tile_cells(tile, tx, ty);
-                    let d = make_delta(&base, &cells)?;
-                    encode_tile(cycle, zoom, txw, tyw, ww, hw, stale, true, &d)?
-                } else {
-                    key.clone()
+                let span = TileSpan::new(tile, tx, ty, level.w, level.h);
+                if span.w == 0 || span.h == 0 {
+                    return Err(TileError::EmptyTile);
+                }
+                let head = TileHead {
+                    cycle,
+                    zoom: bda_num::cast::u8_of_index(z),
+                    tx: u16_of_index(tx),
+                    ty: u16_of_index(ty),
+                    w: u16_of_index(span.w),
+                    h: u16_of_index(span.h),
+                    stale,
+                };
+                let key = head.seal(false, &span.rle(&level.q, level.w));
+                let delta = match planes.get(z) {
+                    Some(plane) => head.seal(true, &span.rle(plane, level.w)),
+                    None => key.clone(),
                 };
                 Ok((delta, key))
             })
@@ -597,6 +678,33 @@ mod tests {
         pub fn key_bytes(&self) -> usize {
             self.keys.iter().map(|b| b.len()).sum()
         }
+    }
+
+    /// One sealed tile frame from its cells, through the same seal the
+    /// tiler uses on the rows of a level. `cells.len()` is `w * h`.
+    #[allow(clippy::too_many_arguments)]
+    fn encode_tile(
+        cycle: u64,
+        zoom: u8,
+        tx: u16,
+        ty: u16,
+        w: u16,
+        h: u16,
+        stale: bool,
+        delta: bool,
+        cells: &[u8],
+    ) -> Result<Bytes, TileError> {
+        assert_eq!(cells.len(), usize::from(w) * usize::from(h));
+        let head = TileHead {
+            cycle,
+            zoom,
+            tx,
+            ty,
+            w,
+            h,
+            stale,
+        };
+        Ok(head.seal(delta, &rle_encode(cells)))
     }
 
     /// Palette index back to the center of its dBZ bin.

@@ -30,8 +30,9 @@
 //! the reference and every bus outcome record matches byte-for-byte —
 //! SIGKILLs and all. Member faults (`nan:M@C`, `blowup:M@C`) poison the
 //! same member on every shard and in the reference, so they keep parity.
-//! A plan naming a member or shard that does not exist exits 2 before any
-//! worker spawns.
+//! A bad plan, or one naming a member or shard that does not exist, exits
+//! 2 with the usage line before any worker spawns; a worker started by
+//! hand with `--shard` refuses it the same way.
 //!
 //! `--net` moves the halo path onto loopback TCP (`bda::shard::NetBus`:
 //! sealed `BDAN` frames, epoch fencing, `REQ`-pull recovery); the file
@@ -62,7 +63,10 @@ struct Opts {
     cycles: usize,
     seed: u64,
     dual: bool,
+    /// The `--faults` spec as given, passed on to every worker.
     faults: String,
+    /// `faults` parsed and checked against the members and shards.
+    plan: FaultPlan,
     parity: bool,
     /// Socket transport: halos over loopback TCP instead of the file bus.
     net: bool,
@@ -96,6 +100,7 @@ fn parse_opts(argv: &[String]) -> Result<Opts, String> {
         seed: 11,
         dual: false,
         faults: "shardkill:1@2".to_string(),
+        plan: FaultPlan::none(),
         parity: false,
         net: false,
         chaos: false,
@@ -123,6 +128,12 @@ fn parse_opts(argv: &[String]) -> Result<Opts, String> {
     }
     // Chaos proxies sit on the socket transport.
     o.net |= o.chaos;
+    // A bad plan is refused here, in every mode: the supervisor before
+    // anything spawns, a worker before it starts its shard.
+    let members = osse_config(&o).letkf.ensemble_size;
+    o.plan = FaultPlan::parse(&o.faults, o.cycles)
+        .and_then(|plan| plan.check_targets(members, o.shards).map(|()| plan))
+        .map_err(|e| format!("bad --faults spec: {e}"))?;
     Ok(o)
 }
 
@@ -159,7 +170,7 @@ fn shard_config(o: &Opts, shard: usize) -> ShardConfig {
     let mut cfg = ShardConfig::new(osse_config(o), o.shards, shard, o.cycles);
     cfg.bus_dir = o.dir.join("bus");
     cfg.ckpt_dir = o.dir.join("ckpt");
-    cfg.plan = FaultPlan::parse(&o.faults, o.cycles).expect("--faults SPEC");
+    cfg.plan = o.plan.clone();
     cfg.halo_deadline = halo_deadline(o);
     cfg
 }
@@ -279,18 +290,7 @@ fn reference_lines(o: &Opts, plan: &FaultPlan) -> (Vec<String>, Vec<Vec<u32>>) {
 }
 
 fn supervisor_main(o: &Opts) -> i32 {
-    // A bad plan is refused before anything spawns: a worker would refuse
-    // it too, but only after the supervisor had started burning respawns.
-    let members = osse_config(o).letkf.ensemble_size;
-    let plan = match FaultPlan::parse(&o.faults, o.cycles)
-        .and_then(|plan| plan.check_targets(members, o.shards).map(|()| plan))
-    {
-        Ok(plan) => plan,
-        Err(e) => {
-            eprintln!("bad --faults spec: {e}");
-            return 2;
-        }
-    };
+    let plan = &o.plan;
     let _ = std::fs::remove_dir_all(&o.dir);
     let bus = match HaloBus::new(o.dir.join("bus")) {
         Ok(b) => b,
@@ -461,7 +461,7 @@ fn supervisor_main(o: &Opts) -> i32 {
 
     if o.parity {
         println!("\nparity audit vs single-process reference:");
-        let (ref_lines, ref_bits) = reference_lines(o, &plan);
+        let (ref_lines, ref_bits) = reference_lines(o, plan);
         let ckpt = o.dir.join("ckpt");
         for s in 0..o.shards {
             for (c, want) in ref_lines.iter().enumerate() {
