@@ -128,10 +128,10 @@ pub const HOT_ANCHORS: &[(&str, &[&str])] = &[
     (
         "crates/bda-num/src/eigen/ql.rs",
         &[
-            "QlEigen::tridiagonalize",
+            "tridiagonalize",
             "householder_reduce",
             "accumulate_q",
-            "QlEigen::tqli",
+            "tqli",
             "apply_sweep",
             "sweep_strip",
         ],

@@ -233,7 +233,7 @@ impl CycleOutcome {
 /// [`Osse::cycle_begin`] advances truth and ensemble, scans, QCs, analyzes
 /// a (possibly region-restricted) strip and respawns quarantined members,
 /// returning this handle. A federated shard then publishes its analyzed
-/// strip, applies its peers' strips via [`Osse::apply_analyzed_flats`],
+/// strip from the member fields, writes its peers' strips into them,
 /// calls [`PendingCycle::note_exchanged_points`], and finally
 /// [`Osse::cycle_finish`] computes the posterior diagnostics over the
 /// assembled state. `cycle_begin(None)` + `cycle_finish` is bit-identical
@@ -476,34 +476,16 @@ impl<T: Real> Osse<T> {
         self.assim.layout()
     }
 
-    /// Flatten every member's current `ANALYZED_VARS` state — called by a
-    /// federated shard after [`Osse::cycle_begin`] to extract its analyzed
-    /// strip (including respawned members) for halo publication.
+    /// Flatten every member's current `ANALYZED_VARS` state — the parity
+    /// oracle: the benchmark, `tests/shard_parity.rs` and the examples
+    /// compare a shard's assembled ensemble with the single-process one
+    /// through it.
     pub fn analyzed_flats(&self) -> Vec<Vec<T>> {
         self.ensemble
             .members
             .iter()
             .map(|m| m.to_flat(&ANALYZED_VARS))
             .collect()
-    }
-
-    /// Overwrite every member's `ANALYZED_VARS` state from `flats` — the
-    /// halo-application inverse of [`Osse::analyzed_flats`]. Deliberately
-    /// does **not** re-clamp: incoming values are post-analysis,
-    /// post-clamp (alive members) or respawn output (respawned members,
-    /// never clamped in single-process mode either), so clamping here
-    /// would break bit-parity with the unsharded cycle.
-    pub fn apply_analyzed_flats(&mut self, flats: &[Vec<T>]) {
-        assert_eq!(
-            flats.len(),
-            self.ensemble.size(),
-            "flats for {} members, ensemble has {}",
-            flats.len(),
-            self.ensemble.size()
-        );
-        for (m, flat) in self.ensemble.members.iter_mut().zip(flats) {
-            m.from_flat(&ANALYZED_VARS, flat);
-        }
     }
 
     /// First half of [`Osse::cycle`], with the analysis optionally
@@ -816,7 +798,9 @@ mod tests {
                     flat[a..b].copy_from_slice(&strips[peer][m][a..b]);
                 }
             }
-            osse.apply_analyzed_flats(&flats);
+            for (m, flat) in osse.ensemble.members.iter_mut().zip(&flats) {
+                m.from_flat(&ANALYZED_VARS, flat);
+            }
             pendings[s].note_exchanged_points(ref_out.analysis.points_analyzed);
         }
         for (s, osse) in shards.iter_mut().enumerate() {

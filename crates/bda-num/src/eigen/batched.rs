@@ -11,14 +11,16 @@
 //! themselves) is allocated once and reused across the batch, so the
 //! per-problem cost is pure compute with warm caches and zero allocator
 //! traffic, and every inner loop of the solve runs along contiguous rows
-//! (see [`QlEigen`]). The hot entry point is
+//! (its two kernels, Householder reduction and QL iteration, live in
+//! `ql.rs`). The hot entry point is
 //! [`BatchedEigen::decompose_in_place`], which leaves the result in
 //! solver-owned storage read through [`BatchedEigen::values`] /
 //! [`BatchedEigen::vectors_t`] — no per-solve `SymEigDecomp` is
 //! materialized. The `ablation_eigensolver` bench compares it against
-//! fresh-allocation QL and Jacobi.
+//! Jacobi.
 
-use super::{sort_ascending_with, QlEigen, SymEigDecomp, SymEigSolver};
+use super::ql::{tqli, tridiagonalize};
+use super::{sort_ascending_with, SymEigDecomp, SymEigSolver};
 use crate::matrix::MatrixS;
 use crate::real::Real;
 
@@ -67,9 +69,9 @@ impl<T: Real> BatchedEigen<T> {
         self.rot.clear();
         self.rot.resize(n, (T::zero(), T::zero()));
         self.qt.copy_from(a);
-        QlEigen::tridiagonalize(&mut self.qt, &mut self.d, &mut self.e, &mut self.g);
+        tridiagonalize(&mut self.qt, &mut self.d, &mut self.e, &mut self.g);
         self.qt.transpose_in_place();
-        QlEigen::tqli(&mut self.d, &mut self.e, &mut self.qt, &mut self.rot);
+        tqli(&mut self.d, &mut self.e, &mut self.qt, &mut self.rot);
         let qt = &mut self.qt;
         sort_ascending_with(&mut self.d, &mut self.order, |i, j| qt.swap_rows(i, j));
     }

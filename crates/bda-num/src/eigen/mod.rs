@@ -10,13 +10,14 @@
 //! * [`JacobiEigen`] — a robust cyclic Jacobi solver, our stand-in for the
 //!   "reference" dense solver (simple, accurate, O(n^3) per sweep with several
 //!   sweeps).
-//! * [`QlEigen`] — Householder tridiagonalization followed by implicit-shift
-//!   QL iteration (the classic `tred2`/`tqli` pair), which is the algorithm
-//!   family LAPACK's `ssyev` drives and is substantially faster than Jacobi.
-//! * [`BatchedEigen`] — the QL solver with all workspace amortized across a
-//!   batch of same-size problems and every inner loop on contiguous rows,
-//!   mirroring the batching and cache-efficiency ideas of KeDV. The
-//!   `ablation_eigensolver` bench reproduces the paper's solver comparison.
+//! * [`BatchedEigen`] — the production solver the LETKF runs: Householder
+//!   tridiagonalization followed by implicit-shift QL iteration (the
+//!   classic `tred2`/`tqli` pair, the algorithm family LAPACK's `ssyev`
+//!   drives and substantially faster than Jacobi), with all workspace
+//!   amortized across a batch of same-size problems and every inner loop
+//!   on contiguous rows, mirroring the batching and cache-efficiency ideas
+//!   of KeDV. The `ablation_eigensolver` bench reproduces the paper's
+//!   solver comparison.
 
 mod batched;
 mod jacobi;
@@ -24,7 +25,6 @@ mod ql;
 
 pub use batched::BatchedEigen;
 pub use jacobi::JacobiEigen;
-pub use ql::QlEigen;
 
 use crate::matrix::MatrixS;
 use crate::real::Real;

@@ -1,133 +1,119 @@
-//! Householder tridiagonalization + implicit-shift QL iteration.
+//! Householder tridiagonalization + implicit-shift QL iteration: the two
+//! kernels of [`BatchedEigen`](super::BatchedEigen).
 //!
 //! This is the `tred2`/`tqli` algorithm pair — the same family LAPACK's
 //! symmetric drivers use, and the baseline that KeDV restructures for cache
 //! efficiency. Compared to cyclic Jacobi it does one O(n^3) reduction plus a
 //! cheap O(n^2)-per-eigenvalue iteration, which is why the paper's LETKF
-//! gained so much from moving off a slower solver at k = 1000.
+//! gained so much from moving off a slower solver at k = 1000. Both kernels
+//! work on contiguous rows only; the batched solver owns their scratch and
+//! strings them together.
 
-use super::{BatchedEigen, SymEigDecomp, SymEigSolver};
 use crate::matrix::{axpy, dot8, MatrixS};
 use crate::real::Real;
 
-/// Householder + implicit QL symmetric eigensolver.
-///
-/// The two kernels below work on contiguous rows only. [`BatchedEigen`]
-/// owns their scratch and strings them together; this type's
-/// [`SymEigSolver::decompose`] is the fresh-allocation form of the same
-/// solve.
-#[derive(Clone, Debug, Default)]
-pub struct QlEigen;
-
-/// Columns per strip of [`QlEigen::tqli`]'s rotation pass: the strip's row
-/// being carried and the row being read are four 128-bit registers each in
+/// Columns per strip of [`tqli`]'s rotation pass: the strip's row being
+/// carried and the row being read are four 128-bit registers each in
 /// `f32`.
 const ROT_STRIP: usize = 16;
 
-impl QlEigen {
-    /// Reduce symmetric `a` (lower triangle read; destroyed; becomes the
-    /// orthogonal accumulation matrix Q, column `j` the `j`-th basis
-    /// vector) to tridiagonal form with diagonal `d` and subdiagonal `e`
-    /// (where `e[0]` is unused). `g` is scratch of the same length.
-    // The asserts are the contract both phases index against.
-    // bda-check: allow(panic_path)
-    pub(crate) fn tridiagonalize<T: Real>(
-        a: &mut MatrixS<T>,
-        d: &mut [T],
-        e: &mut [T],
-        g: &mut [T],
-    ) {
-        let n = a.n();
-        assert_eq!(d.len(), n);
-        assert_eq!(e.len(), n);
-        assert_eq!(g.len(), n);
-        householder_reduce(a, d, e);
-        accumulate_q(a, d, g);
+/// Reduce symmetric `a` (lower triangle read; destroyed; becomes the
+/// orthogonal accumulation matrix Q, column `j` the `j`-th basis
+/// vector) to tridiagonal form with diagonal `d` and subdiagonal `e`
+/// (where `e[0]` is unused). `g` is scratch of the same length.
+// The asserts are the contract both phases index against.
+// bda-check: allow(panic_path)
+pub(super) fn tridiagonalize<T: Real>(a: &mut MatrixS<T>, d: &mut [T], e: &mut [T], g: &mut [T]) {
+    let n = a.n();
+    assert_eq!(d.len(), n);
+    assert_eq!(e.len(), n);
+    assert_eq!(g.len(), n);
+    householder_reduce(a, d, e);
+    accumulate_q(a, d, g);
+}
+
+/// Implicit-shift QL iteration on a tridiagonal matrix, accumulating the
+/// rotations into `zt`, which enters as the *transpose* of the
+/// tridiagonalizing Q and leaves with eigenvector `j` in row `j`.
+/// `e[0]` is unused on entry; `rot` is scratch of length `n`.
+///
+/// A rotation of the plane `(i, i+1)` therefore mixes two contiguous
+/// rows. The rotations of one QL sweep are recorded as they are derived
+/// from `d`/`e` and applied together by [`apply_sweep`]; each element
+/// still sees the same rotations in the same order as when every one is
+/// applied on the spot.
+// `d`/`e`/`rot` and `zt` share the dimension n; all `i±1` offsets are
+// bounded by the `m < n - 1` pivot search, a sweep records at most
+// `m - l < n` rotations, and the convergence assert is the documented
+// failure mode of QL iteration.
+// bda-check: allow(panic_path)
+pub(super) fn tqli<T: Real>(d: &mut [T], e: &mut [T], zt: &mut MatrixS<T>, rot: &mut [(T, T)]) {
+    let n = d.len();
+    if n <= 1 {
+        return;
     }
+    debug_assert_eq!(zt.n(), n);
+    debug_assert_eq!(rot.len(), n);
+    for i in 1..n {
+        e[i - 1] = e[i];
+    }
+    e[n - 1] = T::zero();
 
-    /// Implicit-shift QL iteration on a tridiagonal matrix, accumulating the
-    /// rotations into `zt`, which enters as the *transpose* of the
-    /// tridiagonalizing Q and leaves with eigenvector `j` in row `j`.
-    /// `e[0]` is unused on entry; `rot` is scratch of length `n`.
-    ///
-    /// A rotation of the plane `(i, i+1)` therefore mixes two contiguous
-    /// rows. The rotations of one QL sweep are recorded as they are derived
-    /// from `d`/`e` and applied together by [`apply_sweep`]; each element
-    /// still sees the same rotations in the same order as when every one is
-    /// applied on the spot.
-    // `d`/`e`/`rot` and `zt` share the dimension n; all `i±1` offsets are
-    // bounded by the `m < n - 1` pivot search, a sweep records at most
-    // `m - l < n` rotations, and the convergence assert is the documented
-    // failure mode of QL iteration.
-    // bda-check: allow(panic_path)
-    pub(crate) fn tqli<T: Real>(d: &mut [T], e: &mut [T], zt: &mut MatrixS<T>, rot: &mut [(T, T)]) {
-        let n = d.len();
-        if n <= 1 {
-            return;
-        }
-        debug_assert_eq!(zt.n(), n);
-        debug_assert_eq!(rot.len(), n);
-        for i in 1..n {
-            e[i - 1] = e[i];
-        }
-        e[n - 1] = T::zero();
-
-        for l in 0..n {
-            let mut iter = 0;
-            'restart: loop {
-                // Find the first negligible subdiagonal element at or after l.
-                let mut m = l;
-                while m + 1 < n {
-                    let dd = d[m].abs() + d[m + 1].abs();
-                    if e[m].abs() <= T::eps() * dd {
-                        break;
-                    }
-                    m += 1;
-                }
-                if m == l {
+    for l in 0..n {
+        let mut iter = 0;
+        'restart: loop {
+            // Find the first negligible subdiagonal element at or after l.
+            let mut m = l;
+            while m + 1 < n {
+                let dd = d[m].abs() + d[m + 1].abs();
+                if e[m].abs() <= T::eps() * dd {
                     break;
                 }
-                iter += 1;
-                assert!(iter <= 64, "QL iteration failed to converge");
-
-                let mut g = (d[l + 1] - d[l]) / (T::two() * e[l]);
-                let mut r = g.hypot(T::one());
-                g = d[m] - d[l] + e[l] / (g + r.copysign(g));
-                let mut s = T::one();
-                let mut c = T::one();
-                let mut p = T::zero();
-                let mut recorded = 0;
-                for i in (l..m).rev() {
-                    let f = s * e[i];
-                    let b = c * e[i];
-                    r = f.hypot(g);
-                    e[i + 1] = r;
-                    if r == T::zero() {
-                        d[i + 1] -= p;
-                        e[m] = T::zero();
-                        apply_sweep(zt, m, &rot[..recorded]);
-                        continue 'restart;
-                    }
-                    s = f / r;
-                    c = g / r;
-                    g = d[i + 1] - p;
-                    r = (d[i] - g) * s + T::two() * c * b;
-                    p = s * r;
-                    d[i + 1] = g + p;
-                    g = c * r - b;
-                    rot[recorded] = (c, s);
-                    recorded += 1;
-                }
-                apply_sweep(zt, m, &rot[..recorded]);
-                d[l] -= p;
-                e[l] = g;
-                e[m] = T::zero();
+                m += 1;
             }
+            if m == l {
+                break;
+            }
+            iter += 1;
+            assert!(iter <= 64, "QL iteration failed to converge");
+
+            let mut g = (d[l + 1] - d[l]) / (T::two() * e[l]);
+            let mut r = g.hypot(T::one());
+            g = d[m] - d[l] + e[l] / (g + r.copysign(g));
+            let mut s = T::one();
+            let mut c = T::one();
+            let mut p = T::zero();
+            let mut recorded = 0;
+            for i in (l..m).rev() {
+                let f = s * e[i];
+                let b = c * e[i];
+                r = f.hypot(g);
+                e[i + 1] = r;
+                if r == T::zero() {
+                    d[i + 1] -= p;
+                    e[m] = T::zero();
+                    apply_sweep(zt, m, &rot[..recorded]);
+                    continue 'restart;
+                }
+                s = f / r;
+                c = g / r;
+                g = d[i + 1] - p;
+                r = (d[i] - g) * s + T::two() * c * b;
+                p = s * r;
+                d[i + 1] = g + p;
+                g = c * r - b;
+                rot[recorded] = (c, s);
+                recorded += 1;
+            }
+            apply_sweep(zt, m, &rot[..recorded]);
+            d[l] -= p;
+            e[l] = g;
+            e[m] = T::zero();
         }
     }
 }
 
-/// The Householder sweep of [`QlEigen::tridiagonalize`]: row `i` of `a`
+/// The Householder sweep of [`tridiagonalize`]: row `i` of `a`
 /// ends up holding the reflector `u_i`, column `i` the scaled `u_i / H_i`,
 /// `d[i]` the scalar `H_i` (zero where the step was skipped) and `e` the
 /// subdiagonal.
@@ -287,21 +273,16 @@ fn sweep_strip<T: Real, const W: usize>(
     data[at..at + W].copy_from_slice(&carry);
 }
 
-impl<T: Real> SymEigSolver<T> for QlEigen {
-    fn decompose(&mut self, a: &MatrixS<T>) -> SymEigDecomp<T> {
-        BatchedEigen::new().decompose_one(a)
-    }
-
-    fn name(&self) -> &'static str {
-        "householder-ql"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::super::testutil::*;
-    use super::super::JacobiEigen;
+    use super::super::{BatchedEigen, JacobiEigen, SymEigDecomp, SymEigSolver};
     use super::*;
+
+    /// One solve of the production solver, in the column convention.
+    fn decompose<T: Real>(a: &MatrixS<T>) -> SymEigDecomp<T> {
+        BatchedEigen::new().decompose_one(a)
+    }
 
     /// The column-walking textbook routines this module shipped before its
     /// loops were turned onto rows, kept verbatim as the reference the
@@ -489,11 +470,11 @@ mod tests {
             let (mut d, mut e, mut g) =
                 (vec![T::zero(); n], vec![T::zero(); n], vec![T::zero(); n]);
             let mut q = a.clone();
-            QlEigen::tridiagonalize(&mut q, &mut d, &mut e, &mut g);
+            tridiagonalize(&mut q, &mut d, &mut e, &mut g);
 
             let (mut d_rows, mut e_rows, mut zt) = (d.clone(), e.clone(), q.transpose());
             let mut rot = vec![(T::zero(), T::zero()); n];
-            QlEigen::tqli(&mut d_rows, &mut e_rows, &mut zt, &mut rot);
+            tqli(&mut d_rows, &mut e_rows, &mut zt, &mut rot);
             let (mut d_cols, mut e_cols, mut z) = (d, e, q);
             textbook::tqli(&mut d_cols, &mut e_cols, &mut z);
             assert_eq!(bits(&d_rows), bits(&d_cols), "n={n}");
@@ -533,7 +514,7 @@ mod tests {
     /// Residual, orthonormality and ordering of one decomposition, each
     /// relative to the size of the spectrum.
     fn check_decomposition<T: Real>(a: &MatrixS<T>, tol: f64, what: &str) {
-        let dec = QlEigen.decompose(a);
+        let dec = decompose(a);
         let n = a.n();
         let scale = dec.values.iter().fold(1.0_f64, |m, v| m.max(v.f64().abs()));
         let residual = dec.max_residual(a).f64();
@@ -565,7 +546,7 @@ mod tests {
     #[test]
     fn degenerate_letkf_spectrum_keeps_its_multiplicity() {
         let (n, nobs) = (64, 5);
-        let dec = QlEigen.decompose(&letkf_shaped::<f64>(n, nobs, 3));
+        let dec = decompose(&letkf_shaped::<f64>(n, nobs, 3));
         let base = (n - 1) as f64;
         for &v in &dec.values[..n - nobs] {
             assert!((v - base).abs() < 1e-9, "flat part moved: {v}");
@@ -578,7 +559,7 @@ mod tests {
     #[test]
     fn known_2x2() {
         let a = MatrixS::from_rows(2, &[2.0_f64, 1.0, 1.0, 2.0]);
-        let dec = QlEigen.decompose(&a);
+        let dec = decompose(&a);
         assert!((dec.values[0] - 1.0).abs() < 1e-12);
         assert!((dec.values[1] - 3.0).abs() < 1e-12);
     }
@@ -587,7 +568,7 @@ mod tests {
     fn known_3x3_tridiagonal() {
         // Discrete 1-D Laplacian [2,-1] with known spectrum 2 - 2 cos(k pi / 4).
         let a = MatrixS::from_rows(3, &[2.0_f64, -1.0, 0.0, -1.0, 2.0, -1.0, 0.0, -1.0, 2.0]);
-        let dec = QlEigen.decompose(&a);
+        let dec = decompose(&a);
         let expected: Vec<f64> = (1..=3)
             .map(|k| 2.0 - 2.0 * (k as f64 * std::f64::consts::PI / 4.0).cos())
             .collect();
@@ -601,7 +582,7 @@ mod tests {
         for seed in 0..6u64 {
             let n = 10 + (seed as usize) * 5;
             let a = random_symmetric::<f64>(n, seed.wrapping_mul(17).wrapping_add(1), 0.0);
-            let ql = QlEigen.decompose(&a);
+            let ql = decompose(&a);
             let jc = JacobiEigen::default().decompose(&a);
             for (x, y) in ql.values.iter().zip(&jc.values) {
                 assert!(
@@ -622,7 +603,7 @@ mod tests {
     fn single_precision_accuracy_sufficient_for_letkf() {
         // k=40 is a typical operational ensemble size; k=1000 is the paper's.
         let a = random_symmetric::<f32>(40, 5, 5.0);
-        let dec = QlEigen.decompose(&a);
+        let dec = decompose(&a);
         assert!(dec.max_residual(&a) < 5e-3);
         check_orthonormal(&dec.vectors, 5e-3);
     }
@@ -630,11 +611,11 @@ mod tests {
     #[test]
     fn handles_n1_and_n2() {
         let a1 = MatrixS::from_rows(1, &[7.0_f64]);
-        let d1 = QlEigen.decompose(&a1);
+        let d1 = decompose(&a1);
         assert_eq!(d1.values, vec![7.0]);
 
         let a2 = MatrixS::from_rows(2, &[1.0_f64, 0.0, 0.0, -2.0]);
-        let d2 = QlEigen.decompose(&a2);
+        let d2 = decompose(&a2);
         assert_eq!(d2.values, vec![-2.0, 1.0]);
     }
 
@@ -643,7 +624,7 @@ mod tests {
         // Identity has a fully degenerate spectrum; any orthonormal basis is
         // a valid eigenbasis.
         let a = MatrixS::<f64>::identity(6);
-        let dec = QlEigen.decompose(&a);
+        let dec = decompose(&a);
         for &v in &dec.values {
             assert!((v - 1.0).abs() < 1e-13);
         }
@@ -655,7 +636,7 @@ mod tests {
         let n = 25;
         let a = random_symmetric::<f64>(n, 1234, 0.0);
         let trace: f64 = (0..n).map(|i| a[(i, i)]).sum();
-        let dec = QlEigen.decompose(&a);
+        let dec = decompose(&a);
         let sum: f64 = dec.values.iter().sum();
         assert!((trace - sum).abs() < 1e-9);
     }

@@ -30,7 +30,7 @@ pub mod rng;
 pub mod stats;
 pub mod tridiag;
 
-pub use eigen::{BatchedEigen, JacobiEigen, QlEigen, SymEigDecomp, SymEigSolver};
+pub use eigen::{BatchedEigen, JacobiEigen, SymEigDecomp, SymEigSolver};
 pub use hash::{checksum, fnv1a, Checksum, Fnv1a};
 pub use matrix::MatrixS;
 pub use real::Real;

@@ -26,9 +26,11 @@
 //! [`ShardWorker::run_cycle_publish`] checkpoints (scoped, checksum-sealed, in
 //! the [`bda_io::checkpoint`] format, keeping the newest two), applies the
 //! plan's member faults (`nan:M@C`, `blowup:M@C`), runs
-//! [`Osse::cycle_begin`] on its strip and publishes the analyzed strip;
-//! [`ShardWorker::run_cycle_collect`] gathers peer strips, steps the
-//! degradation ladder for anything missing, and finishes the cycle. The
+//! [`Osse::cycle_begin`] on its strip and publishes the analyzed strip
+//! straight from the member fields; [`ShardWorker::run_cycle_collect`]
+//! gathers peer strips, steps the degradation ladder for anything
+//! missing, writes each peer's strip into the member fields in ascending
+//! peer order, and finishes the cycle, so the ensemble is held once. The
 //! ladder, in order:
 //!
 //! 1. fresh halo → applied (`completed`);
@@ -108,17 +110,16 @@ impl ShardConfig {
     }
 }
 
-/// A cycle paused between publish and collect.
-pub struct PendingPublish<T: Real> {
+/// A cycle paused between publish and collect. The ensemble stays in the
+/// worker's member fields: own strip analysed, peer strips still prior
+/// until collect overwrites them.
+pub struct PendingPublish {
     cycle: u64,
     pending: PendingCycle,
-    /// Full-domain analyzed flats: own strip analyzed, peer strips still
-    /// prior until collect overwrites them.
-    flats: Vec<Vec<T>>,
     forecast_only: bool,
 }
 
-impl<T: Real> PendingPublish<T> {
+impl PendingPublish {
     pub fn cycle(&self) -> u64 {
         self.cycle
     }
@@ -216,7 +217,7 @@ impl<T: Real, B: HaloTransport> ShardWorker<T, B> {
     /// First half of cycle `cycle`: checkpoint (scoped), poison the
     /// scheduled members, run the strip analysis, publish the halo (or the
     /// fault-scheduled marker).
-    pub fn run_cycle_publish(&mut self, cycle: u64) -> Result<PendingPublish<T>, String> {
+    pub fn run_cycle_publish(&mut self, cycle: u64) -> Result<PendingPublish, String> {
         let every = cast::u64_of(self.cfg.checkpoint_every.max(1));
         if cycle.is_multiple_of(every) {
             let mut snap = self.osse.snapshot_state();
@@ -260,7 +261,6 @@ impl<T: Real, B: HaloTransport> ShardWorker<T, B> {
         // scan and health machinery keep cycling.
         let region = if forecast_only { (i0, i0) } else { (i0, i1) };
         let pending = self.osse.cycle_begin(Some(region));
-        let flats = self.osse.analyzed_flats();
 
         let shard = self.cfg.shard;
         let scheduled = |fault| self.cfg.plan.args(c, fault).any(|s| s == shard);
@@ -275,9 +275,12 @@ impl<T: Real, B: HaloTransport> ShardWorker<T, B> {
                 i0,
                 i1,
                 points_analyzed: pending.points_analyzed(),
-                strips: flats
+                strips: self
+                    .osse
+                    .ensemble
+                    .members
                     .iter()
-                    .map(|f| self.slayout.extract_region(f, shard))
+                    .map(|m| self.slayout.extract_strip(m, shard))
                     .collect(),
             })
         };
@@ -285,7 +288,6 @@ impl<T: Real, B: HaloTransport> ShardWorker<T, B> {
         Ok(PendingPublish {
             cycle,
             pending,
-            flats,
             forecast_only,
         })
     }
@@ -314,13 +316,13 @@ impl<T: Real, B: HaloTransport> ShardWorker<T, B> {
 
     /// Second half of cycle `cycle`: gather peer halos (blocking on the
     /// per-shard deadline when `wait`, single-poll otherwise), step the
-    /// degradation ladder, assemble the full-domain analysis and finish
-    /// the cycle. Returns the cycle's durable outcome record.
-    pub fn run_cycle_collect(&mut self, p: PendingPublish<T>, wait: bool) -> OutcomeRecord {
+    /// degradation ladder, write each peer's strip into the member fields
+    /// (peers in ascending order) and finish the cycle. Returns the cycle's
+    /// durable outcome record.
+    pub fn run_cycle_collect(&mut self, p: PendingPublish, wait: bool) -> OutcomeRecord {
         let PendingPublish {
             cycle,
             mut pending,
-            mut flats,
             forecast_only,
         } = p;
         let mut reused: Vec<usize> = Vec::new();
@@ -342,10 +344,11 @@ impl<T: Real, B: HaloTransport> ShardWorker<T, B> {
                 | CollectStatus::Missing { .. }
                 | CollectStatus::Corrupt(_) => None,
             };
+            let members = &mut self.osse.ensemble.members;
             match fresh {
                 Some(m) => {
-                    for (f, strip) in flats.iter_mut().zip(&m.strips) {
-                        self.slayout.apply_region(f, peer, strip);
+                    for (member, strip) in members.iter_mut().zip(&m.strips) {
+                        self.slayout.apply_strip(member, peer, strip);
                     }
                     pending.note_exchanged_points(m.points_analyzed);
                     self.prev_strips[peer] = Some(m.strips);
@@ -354,22 +357,21 @@ impl<T: Real, B: HaloTransport> ShardWorker<T, B> {
                     if let Some(prev) = &self.prev_strips[peer] {
                         // Rung 2: previous-cycle halo, flagged. Stale data
                         // beats a hole in the domain for one cycle.
-                        for (f, strip) in flats.iter_mut().zip(prev) {
-                            self.slayout.apply_region(f, peer, strip);
+                        for (member, strip) in members.iter_mut().zip(prev) {
+                            self.slayout.apply_strip(member, peer, strip);
                         }
                         reused.push(peer);
                     } else {
                         // Rung 3: nothing from this peer, ever — widen the
                         // boundary assumption into the orphaned strip.
-                        for f in flats.iter_mut() {
-                            self.slayout.widen_into_region(f, peer);
+                        for member in members.iter_mut() {
+                            self.slayout.widen_into_strip(member, peer);
                         }
                         widened.push(peer);
                     }
                 }
             }
         }
-        self.osse.apply_analyzed_flats(&flats);
         let out = self.osse.cycle_finish(pending);
         // The single-process record grammar (`CycleOutcome::record`), so a
         // no-fault federated table diffs byte-for-byte against the

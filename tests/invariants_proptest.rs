@@ -2,7 +2,7 @@
 
 use bda::letkf::localization::gaspari_cohn;
 use bda::letkf::{LetkfConfig, ObsEnsemble, ObsKind, Observation, QcPipeline};
-use bda::num::eigen::{QlEigen, SymEigSolver};
+use bda::num::eigen::BatchedEigen;
 use bda::num::tridiag::ThomasFactor;
 use bda::num::MatrixS;
 use bda::pawr::reflectivity::{to_dbz, z_total};
@@ -28,7 +28,7 @@ proptest! {
                 a[(j, i)] = v;
             }
         }
-        let dec = QlEigen.decompose(&a);
+        let dec = BatchedEigen::new().decompose_one(&a);
         prop_assert!(dec.max_residual(&a) < 1e-8, "residual {}", dec.max_residual(&a));
         // Eigenvalues sorted ascending.
         for w in dec.values.windows(2) {

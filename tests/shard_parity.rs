@@ -10,7 +10,9 @@
 //!    checkpointed campaign is a one-shard worker and resumes the same way.
 //! 3. **Ladder determinism**: `halodrop`/`shardstall` scenarios land on
 //!    exact expected outcome tables (the affected cycle degrades to
-//!    `halo-reuse` on every *peer*, the faulty shard itself completes).
+//!    `halo-reuse` on every *peer*, the faulty shard itself completes);
+//!    a shard dead from the start is widened into by its peers
+//!    (`boundary-widened`), and their ensembles hold golden digests.
 //! 4. **Bad plans**: a plan naming a member or shard that does not exist is
 //!    refused at start, never an index panic mid-campaign; so is a
 //!    checkpoint interval longer than the halo replay window.
@@ -424,4 +426,64 @@ fn shardstall_degrades_peers_not_the_laggard() {
             .contains("reused halo of [1]"));
     }
     let _ = std::fs::remove_dir_all(&fed.cfg.dir);
+}
+
+/// FNV-1a over every member's analysed values, little-endian bits.
+fn ensemble_digest(flats: &[Vec<f32>]) -> u64 {
+    let bytes: Vec<u8> = flats
+        .iter()
+        .flatten()
+        .flat_map(|v| v.to_bits().to_le_bytes())
+        .collect();
+    bda::num::fnv1a(&bytes)
+}
+
+#[test]
+fn a_shard_dead_from_the_start_is_widened_into_by_its_peers() {
+    // Shard 1 of three is marked dead before cycle 0 and never runs, so no
+    // halo for its strip ever exists: every cycle shards 0 and 2 step to
+    // rung 3 and clamp its columns from their own edges. The digests were
+    // taken from the flats-based widen this rung used to run, so they pin
+    // the in-field widen to it bit for bit.
+    let dir = tmp_dir("widen");
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = FederationConfig::new(config(), 3, CYCLES, &dir);
+    let mut workers: Vec<ShardWorker<f32>> = (0..3)
+        .map(|s| {
+            let sc = cfg.shard_config(s);
+            let bus = HaloBus::new(&sc.bus_dir).expect("open bus");
+            ShardWorker::start_or_resume_on(sc, bus).expect("start").0
+        })
+        .collect();
+    workers[0].bus().mark_dead(1).expect("mark dead");
+    drop(workers.remove(1));
+    let mut survivors = workers;
+    for cycle in 0..CYCLES as u64 {
+        let pendings: Vec<_> = survivors
+            .iter_mut()
+            .map(|w| w.run_cycle_publish(cycle).expect("publish"))
+            .collect();
+        for (w, p) in survivors.iter_mut().zip(pendings) {
+            w.run_cycle_collect(p, true);
+        }
+    }
+    let row = "boundary-widened       0  alive 6, obs 112/112, qc 112/112 (g0 i0 d0), \
+               rmse 0.000000000e0->0.000000000e0, widened into [1]";
+    let table = format!(
+        "cycle  outcome    retries  detail\n    0  {row}\n    1  {row}\n    2  {row}\n\
+         3 cycles: 0 completed, 3 other\n"
+    );
+    for (w, digest) in survivors
+        .iter()
+        .zip([0x11b4_9159_c21e_e008, 0x98fc_c061_6522_8d41])
+    {
+        assert_eq!(w.table(), table, "shard {}: outcome table", w.shard());
+        assert_eq!(
+            ensemble_digest(&w.osse.analyzed_flats()),
+            digest,
+            "shard {}: widened ensemble moved off its golden digest",
+            w.shard()
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
